@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-baseline check bench ledger ledger-check
+.PHONY: build test lint lint-baseline check bench benchmark ledger ledger-check
 
 build:
 	$(GO) build ./...
@@ -8,16 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
-# Static analysis: pressiolint enforces the plugin invariants (option-key
-# constants, init-time registration, thread-safety honesty, handled errors,
-# deterministic codecs), the flow-sensitive rules (lock pairing, buffer
-# ownership, option/type consistency, error-path write ordering), the
-# interprocedural rules (goroutine leaks, request-context flow, locks held
-# across blocking operations, hot-path allocations), and the taint rules
-# over untrusted decode input (decompression bombs, unbounded spins, wild
-# indexing). Use `-json` or `-sarif` for machine-readable output,
-# `-baseline lint-baseline.sarif` to gate on new findings only. See
-# docs/STATIC_ANALYSIS.md.
+# Static analysis: pressiolint enforces the plugin invariants (init-time
+# registration, thread-safety honesty, handled errors, deterministic
+# codecs), the flow-sensitive rules (lock pairing, buffer ownership,
+# error-path write ordering), the interprocedural rules (goroutine leaks,
+# request-context flow, locks held across blocking operations, hot-path
+# allocations), and the taint rules over untrusted decode input
+# (decompression bombs, unbounded spins, wild indexing). Use `-json` or
+# `-sarif` for machine-readable output, `-baseline lint-baseline.sarif` to
+# gate on new findings only. See docs/STATIC_ANALYSIS.md.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/pressiolint ./...
@@ -35,6 +34,12 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark behind BENCHMARK.json: five workloads, untraced
+# (end-to-end metrics) then traced (per-layer metrics), ~3.5 min. See
+# benchmark/README.md for the workloads, every metric, and -compare.
+benchmark:
+	$(GO) run ./benchmark
 
 # Perf ledger: `make ledger` records a full BENCH_<date>.json on this
 # machine (commit it to move the regression baseline); `make ledger-check`

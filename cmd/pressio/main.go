@@ -29,6 +29,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"pressio/internal/core"
@@ -125,15 +126,7 @@ func run(mode, compressor, input, output, ioName, outIO, dimsFlag, dtypeFlag,
 	if err != nil {
 		return err
 	}
-	kv := map[string]string{}
-	for _, o := range opts {
-		k, v, ok := strings.Cut(o, "=")
-		if !ok {
-			return fmt.Errorf("bad option %q: want key=value", o)
-		}
-		kv[k] = v
-	}
-	if err := launch.ApplyStringOptions(c, kv); err != nil {
+	if err := launch.ApplyOptionFlags(c, opts); err != nil {
 		return err
 	}
 	if optsJSON != "" {
@@ -276,14 +269,36 @@ func writeOutput(ioName, path string, d *core.Data) error {
 	return io.Write(d)
 }
 
+// printOptions lists every option the compressor's schema declares — type,
+// current value, default, bounds and description — then whatever else
+// Options() reports (a built child's options, forwarded through a wrapper).
 func printOptions(c *core.Compressor) {
 	fmt.Printf("%s %s\n", c.Prefix(), c.Version())
 	fmt.Println("options:")
+	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
+	fmt.Fprintln(w, "  KEY\tTYPE\tVALUE\tDEFAULT\tBOUNDS\tDESCRIPTION")
 	opts := c.Options()
-	for _, k := range opts.Keys() {
-		o, _ := opts.Get(k)
-		fmt.Printf("  %-40s %-8s %s\n", k, o.Type(), o)
+	defaults := core.NewOptions()
+	if fresh, err := core.NewCompressor(c.Prefix()); err == nil {
+		defaults = fresh.Options()
 	}
+	declared := map[string]bool{}
+	for _, spec := range c.Schema() {
+		declared[spec.Key] = true
+		value, _ := opts.Get(spec.Key)
+		def, _ := defaults.Get(spec.Key)
+		doc := spec.Doc
+		if spec.ReadOnly {
+			doc += " (read-only)"
+		}
+		fmt.Fprintf(w, "  %s\t%s\t%s\t%s\t%s\t%s\n", spec.Key, spec.Type, value, def, spec.Bounds, doc)
+	}
+	for _, k := range opts.Keys() {
+		if o, _ := opts.Get(k); !declared[k] {
+			fmt.Fprintf(w, "  %s\t%s\t%s\t\t\t\n", k, o.Type(), o)
+		}
+	}
+	w.Flush()
 	fmt.Println("configuration:")
 	cfg := c.Configuration()
 	for _, k := range cfg.Keys() {

@@ -171,8 +171,8 @@ func TestMainAnalyzerList(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"optionkeys", "registration", "threadsafe", "errcheck", "forbidden",
-		"lockcheck", "bufalias", "optiontypes", "errflow",
+		"registration", "threadsafe", "errcheck", "forbidden",
+		"lockcheck", "bufalias", "errflow",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-analyzers output missing %q:\n%s", name, stdout.String())

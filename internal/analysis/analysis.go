@@ -47,14 +47,14 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
-// Analyzers returns the full suite in stable order: the six syntactic
-// checks, the four flow-sensitive ones built on the CFG/dataflow layer, the
+// Analyzers returns the full suite in stable order: the five syntactic
+// checks, the three flow-sensitive ones built on the CFG/dataflow layer, the
 // four interprocedural ones built on the call-graph/summary layer, then the
 // three taint-driven ones built on the untrusted-input engine (taint.go).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		OptionKeys, Registration, ThreadSafe, ErrCheck, Forbidden, PanicFree,
-		LockCheck, BufAlias, OptionTypes, ErrFlow,
+		Registration, ThreadSafe, ErrCheck, Forbidden, PanicFree,
+		LockCheck, BufAlias, ErrFlow,
 		GoroutineLeak, CtxFlow, BlockingLock, HotAlloc,
 		UntrustedAlloc, UntrustedLoop, UntrustedIndex,
 	}
@@ -134,10 +134,6 @@ type RegSite struct {
 type Facts struct {
 	// Sites lists every Register* call seen across the analyzed packages.
 	Sites []RegSite
-	// Registered is the set of plugin names registered with a literal name,
-	// across all kinds. The optionkeys analyzer treats these as the known
-	// option-key prefixes.
-	Registered map[string]bool
 	// Graph is the module-local call graph over the analyzed set (static
 	// dispatch + interface-method resolution), SCC-condensed.
 	Graph *CallGraph
@@ -152,7 +148,7 @@ type Facts struct {
 // gatherFacts scans every package for plugin registrations before the
 // analyzers run, so per-package passes can consult module-wide state.
 func gatherFacts(pkgs []*Package) *Facts {
-	facts := &Facts{Registered: make(map[string]bool)}
+	facts := &Facts{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -188,7 +184,6 @@ func gatherFacts(pkgs []*Package) *Facts {
 					if len(call.Args) > 0 {
 						if v, ok := stringLit(call.Args[0]); ok {
 							site.Name = v
-							facts.Registered[v] = true
 						}
 					}
 					if len(call.Args) > 1 {

@@ -16,8 +16,8 @@ func TestDiagnosticString(t *testing.T) {
 
 func TestAnalyzersStable(t *testing.T) {
 	want := []string{
-		"optionkeys", "registration", "threadsafe", "errcheck", "forbidden",
-		"panicfree", "lockcheck", "bufalias", "optiontypes", "errflow",
+		"registration", "threadsafe", "errcheck", "forbidden",
+		"panicfree", "lockcheck", "bufalias", "errflow",
 		"goroutineleak", "ctxflow", "blockinglock", "hotalloc",
 		"untrustedalloc", "untrustedloop", "untrustedindex",
 	}
@@ -71,7 +71,7 @@ func TestExpandSkipsTestdata(t *testing.T) {
 }
 
 // TestGatherFacts loads a fixture and checks the module-wide facts pass picks
-// up literal registration names — the optionkeys analyzer's prefix source.
+// up its registration site.
 func TestGatherFacts(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -81,23 +81,17 @@ func TestGatherFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(filepath.Join("internal", "analysis", "testdata", "src", "optionkeys_bad"))
+	pkg, err := loader.LoadDir(filepath.Join("internal", "analysis", "testdata", "src", "panicfree_bad"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	facts := gatherFacts([]*Package{pkg})
-	for _, prefix := range []string{"demo", "breaker"} {
-		if !facts.Registered[prefix] {
-			t.Errorf("facts missed the literal registration of %q; got %v", prefix, facts.Registered)
-		}
+	if len(facts.Sites) != 1 {
+		t.Fatalf("got %d registration sites, want 1", len(facts.Sites))
 	}
-	if len(facts.Sites) != 2 {
-		t.Fatalf("got %d registration sites, want 2", len(facts.Sites))
-	}
-	for _, site := range facts.Sites {
-		if site.Kind != kindCompressor || site.Func != "init" || site.FactoryType != "plugin" {
-			t.Errorf("site = %+v, want compressor registered from init with factory type plugin", site)
-		}
+	if site := facts.Sites[0]; site.Kind != kindCompressor || site.Name != "throwing" ||
+		site.Func != "init" || site.FactoryType != "throwing" {
+		t.Errorf("site = %+v, want compressor \"throwing\" registered from init with factory type throwing", site)
 	}
 }
 

@@ -287,3 +287,23 @@ func defDeclPos(rd *ReachingDefs, id *ast.Ident) token.Pos {
 	}
 	return v.Pos()
 }
+
+// paramVars lists the declared parameter (and receiver) objects of fd.
+func paramVars(pass *Pass, fd *ast.FuncDecl) []*types.Var {
+	var out []*types.Var
+	add := func(fl *ast.FieldList) {
+		if fl == nil {
+			return
+		}
+		for _, field := range fl.List {
+			for _, name := range field.Names {
+				if v, ok := pass.Pkg.Info.ObjectOf(name).(*types.Var); ok {
+					out = append(out, v)
+				}
+			}
+		}
+	}
+	add(fd.Recv)
+	add(fd.Type.Params)
+	return out
+}

@@ -18,8 +18,6 @@ var goldenCases = []struct {
 	name     string
 	analyzer string
 }{
-	{"optionkeys_bad", "optionkeys"},
-	{"optionkeys_suppressed", "optionkeys"},
 	{"registration_bad", "registration"},
 	{"registration_suppressed", "registration"},
 	{"threadsafe_bad", "threadsafe"},
@@ -34,8 +32,6 @@ var goldenCases = []struct {
 	{"lockcheck_suppressed", "lockcheck"},
 	{"bufalias_bad", "bufalias"},
 	{"bufalias_suppressed", "bufalias"},
-	{"optiontypes_bad", "optiontypes"},
-	{"optiontypes_suppressed", "optiontypes"},
 	{"errflow_bad", "errflow"},
 	{"errflow_suppressed", "errflow"},
 	{"goroutineleak_bad", "goroutineleak"},

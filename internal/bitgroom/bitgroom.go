@@ -124,48 +124,47 @@ const (
 )
 
 type plugin struct {
-	kind  kind
-	name  string
+	*flavor
 	nsd   int32
 	level int32
 }
 
+// flavor is what the two registered names differ in, shared by every
+// instance of one name.
+type flavor struct {
+	kind   kind
+	name   string
+	schema *core.Schema[plugin]
+}
+
+func newSchema(name string) *core.Schema[plugin] {
+	return core.NewSchema(
+		core.Field(name+":nsd", "significant decimal digits to keep", core.Closed(1, 15),
+			func(p *plugin) *int32 { return &p.nsd }),
+		core.Field(core.KeyLossless, "effort level of the DEFLATE back end", lossless.LevelBounds,
+			func(p *plugin) *int32 { return &p.level }),
+	)
+}
+
+func newPlugin(k kind, name string) func() core.CompressorPlugin {
+	f := &flavor{kind: k, name: name, schema: newSchema(name)}
+	return func() core.CompressorPlugin {
+		return &plugin{flavor: f, nsd: 5}
+	}
+}
+
 func init() {
-	core.RegisterCompressor("bit_grooming", func() core.CompressorPlugin {
-		return &plugin{kind: kindGroom, name: "bit_grooming", nsd: 5}
-	})
-	core.RegisterCompressor("digit_rounding", func() core.CompressorPlugin {
-		return &plugin{kind: kindRound, name: "digit_rounding", nsd: 5}
-	})
+	core.RegisterCompressor("bit_grooming", newPlugin(kindGroom, "bit_grooming"))
+	core.RegisterCompressor("digit_rounding", newPlugin(kindRound, "digit_rounding"))
 }
 
 func (p *plugin) Prefix() string  { return p.name }
 func (p *plugin) Version() string { return Version }
 
-func (p *plugin) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(p.name+":nsd", p.nsd)
-	o.SetValue(core.KeyLossless, p.level)
-	return o
-}
-
-func (p *plugin) SetOptions(o *core.Options) error {
-	if v, err := o.GetInt32(p.name + ":nsd"); err == nil {
-		if v < 1 || v > 15 {
-			return fmt.Errorf("%w: %s:nsd %d outside [1,15]", core.ErrInvalidOption, p.name, v)
-		}
-		p.nsd = v
-	}
-	if v, err := o.GetInt32(core.KeyLossless); err == nil {
-		p.level = v
-	}
-	return nil
-}
-
-func (p *plugin) CheckOptions(o *core.Options) error {
-	clone := *p
-	return clone.SetOptions(o)
-}
+func (p *plugin) Options() *core.Options             { return p.schema.Options(p) }
+func (p *plugin) SetOptions(o *core.Options) error   { return p.schema.Set(p, o) }
+func (p *plugin) CheckOptions(o *core.Options) error { return p.schema.Check(p, o) }
+func (p *plugin) Schema() []core.OptionSpec          { return p.schema.Specs() }
 
 func (p *plugin) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)

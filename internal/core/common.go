@@ -97,53 +97,25 @@ type BoundConfig struct {
 	Bound float64
 }
 
-// ApplyOptions consumes the generic and prefix-local bound options from o.
-// prefix is the plugin name (for "<prefix>:error_bound_mode_str",
-// "<prefix>:abs_err_bound" and "<prefix>:rel_err_bound" spellings).
-func (b *BoundConfig) ApplyOptions(prefix string, o *Options) error {
-	if v, err := o.GetFloat64(KeyAbs); err == nil {
-		b.Mode, b.Bound = BoundAbs, v
+// BoundRows is the shared row group behind BoundConfig: the generic
+// "pressio:abs" / "pressio:rel" keys and the prefix-local
+// "<prefix>:abs_err_bound", "<prefix>:rel_err_bound" and
+// "<prefix>:error_bound_mode_str" spellings, all stored in the BoundConfig
+// that field returns. A bound key selects its own mode; the mode string, applied
+// last, overrides that. The bound of the inactive mode reads as unset.
+func BoundRows[T any](prefix string, field func(*T) *BoundConfig) []Row[T] {
+	bound := func(key, doc string, mode ErrorBoundMode) Row[T] {
+		return Opt(key, doc, Above(0),
+			func(p *T) (float64, bool) { b := field(p); return b.Bound, b.Mode == mode },
+			func(p *T, v float64) { *field(p) = BoundConfig{Mode: mode, Bound: v} })
 	}
-	if v, err := o.GetFloat64(KeyRel); err == nil {
-		b.Mode, b.Bound = BoundValueRangeRel, v
-	}
-	if s, err := o.GetString(prefix + ":error_bound_mode_str"); err == nil {
-		m, err := ParseErrorBoundMode(s)
-		if err != nil {
-			return err
-		}
-		b.Mode = m
-	}
-	if v, err := o.GetFloat64(prefix + ":abs_err_bound"); err == nil {
-		b.Bound = v
-		if !o.Has(prefix + ":error_bound_mode_str") {
-			b.Mode = BoundAbs
-		}
-	}
-	if v, err := o.GetFloat64(prefix + ":rel_err_bound"); err == nil {
-		b.Bound = v
-		if !o.Has(prefix + ":error_bound_mode_str") {
-			b.Mode = BoundValueRangeRel
-		}
-	}
-	return nil
-}
-
-// Describe publishes the current bound configuration into o under both the
-// generic and prefix-local names.
-func (b *BoundConfig) Describe(prefix string, o *Options) {
-	o.SetValue(prefix+":error_bound_mode_str", b.Mode.String())
-	switch b.Mode {
-	case BoundAbs:
-		o.SetValue(prefix+":abs_err_bound", b.Bound)
-		o.SetValue(KeyAbs, b.Bound)
-		o.SetType(prefix+":rel_err_bound", OptDouble)
-		o.SetType(KeyRel, OptDouble)
-	default:
-		o.SetValue(prefix+":rel_err_bound", b.Bound)
-		o.SetValue(KeyRel, b.Bound)
-		o.SetType(prefix+":abs_err_bound", OptDouble)
-		o.SetType(KeyAbs, OptDouble)
+	return []Row[T]{
+		bound(KeyAbs, "pointwise absolute error bound", BoundAbs),
+		bound(KeyRel, "error bound relative to the input's value range (max - min)", BoundValueRangeRel),
+		bound(prefix+":abs_err_bound", "native spelling of pressio:abs", BoundAbs),
+		bound(prefix+":rel_err_bound", "native spelling of pressio:rel", BoundValueRangeRel),
+		Parsed(prefix+":error_bound_mode_str", "how the bound is interpreted: abs, or rel (vr_rel) for value-range relative",
+			ParseErrorBoundMode, func(p *T) *ErrorBoundMode { return &field(p).Mode }),
 	}
 }
 

@@ -88,8 +88,13 @@ type CompressorPlugin interface {
 	// Configuration returns read-only facts: thread safety, stability,
 	// enumerations of supported modes, etc.
 	Configuration() *Options
-	// CheckOptions validates options without applying them.
+	// CheckOptions validates options without applying them. It gives the
+	// same verdict SetOptions would, and a failed SetOptions changes nothing.
 	CheckOptions(*Options) error
+	// Schema describes every option: key, type, doc and bounds. Plugins
+	// declare a static core.Schema table and derive Options, SetOptions,
+	// CheckOptions and this method from it.
+	Schema() []OptionSpec
 	// CompressImpl compresses in into out.
 	CompressImpl(in, out *Data) error
 	// DecompressImpl decompresses in into out (out carries the shape hint).
@@ -135,6 +140,9 @@ func (c *Compressor) SetOptions(o *Options) error {
 func (c *Compressor) CheckOptions(o *Options) error {
 	return wrapPlugin(c.impl.Prefix(), c.impl.CheckOptions(o))
 }
+
+// Schema describes the plugin's options.
+func (c *Compressor) Schema() []OptionSpec { return c.impl.Schema() }
 
 // Configuration returns the plugin's read-only configuration.
 func (c *Compressor) Configuration() *Options { return c.impl.Configuration() }

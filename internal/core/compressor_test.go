@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 )
 
@@ -10,35 +9,26 @@ import (
 // framework wrapper without importing plugin packages (which would create
 // an import cycle).
 type fakePlugin struct {
-	opts       *Options
+	level      int32
 	compressN  int
 	failNext   bool
 	threadSafe ThreadSafety
 }
 
 func newFake() *fakePlugin {
-	return &fakePlugin{opts: NewOptions().SetValue("fake:level", int32(1)), threadSafe: ThreadSafetyMultiple}
+	return &fakePlugin{level: 1, threadSafe: ThreadSafetyMultiple}
 }
 
-func (f *fakePlugin) Prefix() string    { return "fake" }
-func (f *fakePlugin) Version() string   { return "0.0.1" }
-func (f *fakePlugin) Options() *Options { return f.opts.Clone() }
+var fakeSchema = NewSchema(
+	Field("fake:level", "effort level", AtLeast(0), func(f *fakePlugin) *int32 { return &f.level }),
+)
 
-func (f *fakePlugin) SetOptions(o *Options) error {
-	if v, err := o.GetInt32("fake:level"); err == nil {
-		if v < 0 {
-			return fmt.Errorf("%w: fake:level", ErrInvalidOption)
-		}
-		f.opts.SetValue("fake:level", v)
-	}
-	return nil
-}
-
-func (f *fakePlugin) CheckOptions(o *Options) error {
-	clone := *f
-	clone.opts = f.opts.Clone()
-	return clone.SetOptions(o)
-}
+func (f *fakePlugin) Prefix() string                { return "fake" }
+func (f *fakePlugin) Version() string               { return "0.0.1" }
+func (f *fakePlugin) Options() *Options             { return fakeSchema.Options(f) }
+func (f *fakePlugin) SetOptions(o *Options) error   { return fakeSchema.Set(f, o) }
+func (f *fakePlugin) CheckOptions(o *Options) error { return fakeSchema.Check(f, o) }
+func (f *fakePlugin) Schema() []OptionSpec          { return fakeSchema.Specs() }
 
 func (f *fakePlugin) Configuration() *Options {
 	return StandardConfiguration(f.threadSafe, "stable", "0.0.1", false)
@@ -60,20 +50,18 @@ func (f *fakePlugin) DecompressImpl(in, out *Data) error {
 
 func (f *fakePlugin) Clone() CompressorPlugin {
 	clone := *f
-	clone.opts = f.opts.Clone()
 	return &clone
 }
 
 // recordMetric counts hook invocations.
 type recordMetric struct {
+	NoOptions
 	begins, ends int
 	sawError     bool
 }
 
-func (m *recordMetric) Prefix() string              { return "record" }
-func (m *recordMetric) Options() *Options           { return NewOptions() }
-func (m *recordMetric) SetOptions(o *Options) error { return nil }
-func (m *recordMetric) BeginCompress(in *Data)      { m.begins++ }
+func (m *recordMetric) Prefix() string         { return "record" }
+func (m *recordMetric) BeginCompress(in *Data) { m.begins++ }
 func (m *recordMetric) EndCompress(in, out *Data, err error) {
 	m.ends++
 	if err != nil {
@@ -247,28 +235,38 @@ func TestErrorBoundModeParsing(t *testing.T) {
 	}
 }
 
-func TestBoundConfigApplyAndDescribe(t *testing.T) {
+func TestBoundRowsApplyAndDescribe(t *testing.T) {
+	schema := NewSchema(BoundRows("x", func(b *BoundConfig) *BoundConfig { return b })...)
 	b := BoundConfig{Mode: BoundAbs, Bound: 0.5}
-	o := NewOptions().SetValue(KeyRel, 1e-3)
-	if err := b.ApplyOptions("x", o); err != nil {
+	if err := schema.Set(&b, NewOptions().SetValue(KeyRel, 1e-3)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Mode != BoundValueRangeRel || b.Bound != 1e-3 {
 		t.Fatalf("apply rel: %+v", b)
 	}
-	o2 := NewOptions().SetValue("x:abs_err_bound", 0.25)
-	if err := b.ApplyOptions("x", o2); err != nil {
+	if err := schema.Set(&b, NewOptions().SetValue("x:abs_err_bound", 0.25)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Mode != BoundAbs || b.Bound != 0.25 {
 		t.Fatalf("apply prefix abs: %+v", b)
 	}
-	desc := NewOptions()
-	b.Describe("x", desc)
+	// An explicit mode string overrides the mode a bound key implies.
+	mixed := NewOptions().SetValue("x:abs_err_bound", 0.125).SetValue("x:error_bound_mode_str", "rel")
+	if err := schema.Set(&b, mixed); err != nil {
+		t.Fatal(err)
+	}
+	if b.Mode != BoundValueRangeRel || b.Bound != 0.125 {
+		t.Fatalf("apply bound + mode: %+v", b)
+	}
+	b = BoundConfig{Mode: BoundAbs, Bound: 0.25}
+	desc := schema.Options(&b)
 	if v, _ := desc.GetFloat64("x:abs_err_bound"); v != 0.25 {
 		t.Fatal("describe missed bound")
 	}
 	if s, _ := desc.GetString("x:error_bound_mode_str"); s != "abs" {
 		t.Fatal("describe missed mode")
+	}
+	if o, _ := desc.Get(KeyRel); o.HasValue() || o.Type() != OptDouble {
+		t.Fatalf("inactive bound should be a typed placeholder, got %v", o)
 	}
 }

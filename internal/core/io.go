@@ -11,6 +11,10 @@ type IOPlugin interface {
 	Options() *Options
 	// SetOptions applies options; unknown keys are ignored.
 	SetOptions(*Options) error
+	// CheckOptions validates options without applying them.
+	CheckOptions(*Options) error
+	// Schema describes every option: key, type, doc and bounds.
+	Schema() []OptionSpec
 	// Configuration returns read-only plugin facts.
 	Configuration() *Options
 	// Read produces a Data buffer. hint, when non-nil, provides the

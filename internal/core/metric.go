@@ -14,6 +14,10 @@ type Metric interface {
 	Options() *Options
 	// SetOptions applies options; unknown keys are ignored.
 	SetOptions(*Options) error
+	// CheckOptions validates options without applying them.
+	CheckOptions(*Options) error
+	// Schema describes every option: key, type, doc and bounds.
+	Schema() []OptionSpec
 	// BeginCompress runs before compression of in.
 	BeginCompress(in *Data)
 	// EndCompress runs after compression with the produced output and error.
@@ -55,14 +59,36 @@ func (g *MetricsGroup) Options() *Options {
 	return o
 }
 
-// SetOptions forwards to every member.
+// SetOptions forwards to every member once every member accepts o.
 func (g *MetricsGroup) SetOptions(o *Options) error {
+	if err := g.CheckOptions(o); err != nil {
+		return err
+	}
 	for _, m := range g.members {
 		if err := m.SetOptions(o); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// CheckOptions asks every member.
+func (g *MetricsGroup) CheckOptions(o *Options) error {
+	for _, m := range g.members {
+		if err := m.CheckOptions(o); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Schema concatenates the members' rows.
+func (g *MetricsGroup) Schema() []OptionSpec {
+	var specs []OptionSpec
+	for _, m := range g.members {
+		specs = append(specs, m.Schema()...)
+	}
+	return specs
 }
 
 // BeginCompress implements Metric.

@@ -9,6 +9,7 @@ import (
 // every hook call (including the error values the wrapper passed through),
 // reports results under its own prefix, and can be made to fail SetOptions.
 type probeMetric struct {
+	NoOptions
 	prefix     string
 	begins     int
 	ends       int
@@ -19,7 +20,6 @@ type probeMetric struct {
 }
 
 func (m *probeMetric) Prefix() string         { return m.prefix }
-func (m *probeMetric) Options() *Options      { return NewOptions() }
 func (m *probeMetric) BeginCompress(in *Data) { m.begins++ }
 func (m *probeMetric) EndCompress(in, out *Data, err error) {
 	m.ends++

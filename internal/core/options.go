@@ -568,6 +568,15 @@ func (o *Options) Merge(src *Options) *Options {
 	return o
 }
 
+// merged returns a fresh set holding o's entries overlaid with src's; o may
+// be nil and neither input is modified.
+func (o *Options) merged(src *Options) *Options {
+	if o == nil {
+		return src.Clone()
+	}
+	return o.Clone().Merge(src)
+}
+
 // Clone returns a copy. Option values are shared (they are immutable scalars
 // except Data/UserPtr which keep reference semantics like the C library).
 func (o *Options) Clone() *Options {

@@ -163,15 +163,7 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	kv := map[string]string{}
-	for _, o := range opts {
-		k, v, ok := strings.Cut(o, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad option %q: want key=value", o)
-		}
-		kv[k] = v
-	}
-	if err := launch.ApplyStringOptions(base, kv); err != nil {
+	if err := launch.ApplyOptionFlags(base, opts); err != nil {
 		return nil, err
 	}
 	d := &Daemon{cfg: cfg, name: name, traces: newTraceStore(cfg.TraceBuffer)}

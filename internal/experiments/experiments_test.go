@@ -20,10 +20,10 @@ func TestFig3SmallRun(t *testing.T) {
 		if r.NativeMedianMS <= 0 || r.GenericMedianMS <= 0 {
 			t.Fatalf("%s: non-positive timing", r.Config)
 		}
-		// The abstraction cannot plausibly cost half the runtime.
-		if r.MedianPct > 50 {
-			t.Fatalf("%s: median overhead %.1f%% implausible", r.Config, r.MedianPct)
-		}
+		// No threshold on r.MedianPct here: four repetitions on a shared
+		// host drift by tens of percent between back-to-back runs. Whether
+		// the abstraction costs anything is the benchmark's
+		// core.dispatch_wilcoxon_p row, measured over matched pairs.
 	}
 	if res.Wilcoxon.N == 0 {
 		t.Fatal("Wilcoxon test did not run")

@@ -47,7 +47,11 @@ const Version = "1.0.0"
 
 func init() {
 	core.RegisterCompressor("faultinject", func() core.CompressorPlugin {
-		return &plugin{childName: "sz_threadsafe", rates: Rates{Seed: 1}}
+		return &plugin{
+			child: core.Child[*core.Compressor]{Name: "sz_threadsafe"},
+			rates: Rates{Seed: 1},
+			dice:  newDice(1),
+		}
 	})
 }
 
@@ -65,136 +69,87 @@ type Rates struct {
 	Bitflip   float64 // flip one random bit of the compressed stream
 }
 
-func checkRate(key string, v float64) error {
-	if v < 0 || v > 1 {
-		return fmt.Errorf("%w: %s %v not in [0,1]", core.ErrInvalidOption, key, v)
-	}
-	return nil
-}
-
-// plugin wraps a child compressor with the fault schedule. The PRNG is
-// per-instance behind a mutex; clones derive fresh deterministic seeds so a
-// cloned fleet (e.g. CompressMany workers) stays reproducible per clone.
-type plugin struct {
-	childName string
-	comp      *core.Compressor
-	saved     *core.Options
-	rates     Rates
-
+// dice is the seeded PRNG of one injector. It sits behind a pointer so the
+// plugin struct stays copyable, and behind a mutex because a parent hands out
+// clone sequence numbers while its own schedule may be running.
+type dice struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	clones int64
 }
 
+func newDice(seed int64) *dice { return &dice{rng: rand.New(rand.NewSource(seed))} }
+
+// roll draws one uniform variate.
+func (d *dice) roll() float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.rng.Float64()
+}
+
+// bit draws a bit position in [0, n).
+func (d *dice) bit(n int) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.rng.Intn(n)
+}
+
+// nextClone numbers the clones taken from this instance, from 1.
+func (d *dice) nextClone() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.clones++
+	return d.clones
+}
+
+// rate declares a per-call fault probability.
+func rate[T any](key, doc string, field func(*T) *float64) core.Row[T] {
+	return core.Field(key, doc, core.Closed(0, 1), field)
+}
+
+// seedRow declares an injector's seed; a new seed restarts the schedule.
+func seedRow[T any](key string, seed func(*T) *int64, dice func(*T) **dice) core.Row[T] {
+	return core.Opt(key, "seed of the fault schedule; a new seed restarts it", core.Bounds{},
+		func(p *T) (int64, bool) { return *seed(p), true },
+		func(p *T, v int64) {
+			if v != *seed(p) {
+				*seed(p), *dice(p) = v, newDice(v)
+			}
+		})
+}
+
+// plugin wraps a child compressor with the fault schedule. Clones derive
+// fresh deterministic seeds so a cloned fleet (e.g. CompressMany workers)
+// stays reproducible per clone.
+type plugin struct {
+	child core.Child[*core.Compressor]
+	rates Rates
+	dice  *dice
+}
+
 func (p *plugin) Prefix() string  { return "faultinject" }
 func (p *plugin) Version() string { return Version }
 
-func (p *plugin) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyCompressor, p.childName)
-	o.SetValue(keySeed, p.rates.Seed)
-	o.SetValue(keyErrorRate, p.rates.Error)
-	o.SetValue(keyPermanentRate, p.rates.Permanent)
-	o.SetValue(keyPanicRate, p.rates.Panic)
-	o.SetValue(keyDelayRate, p.rates.Delay)
-	o.SetValue(keyDelayMS, p.rates.DelayMS)
-	o.SetValue(keyBitflipRate, p.rates.Bitflip)
-	if p.comp != nil {
-		o.Merge(p.comp.Options())
-	}
-	return o
-}
+var schema = core.NewSchema(
+	core.ChildRow(keyCompressor, "name of the compressor to sabotage; it receives every option set here",
+		func(p *plugin) *core.Child[*core.Compressor] { return &p.child }),
+	seedRow(keySeed, func(p *plugin) *int64 { return &p.rates.Seed }, func(p *plugin) **dice { return &p.dice }),
+	rate(keyErrorRate, "probability of a transient error per call", func(p *plugin) *float64 { return &p.rates.Error }),
+	rate(keyPermanentRate, "probability of a permanent error per call", func(p *plugin) *float64 { return &p.rates.Permanent }),
+	rate(keyPanicRate, "probability of a panic per call", func(p *plugin) *float64 { return &p.rates.Panic }),
+	rate(keyDelayRate, "probability of sleeping faultinject:delay_ms before a call", func(p *plugin) *float64 { return &p.rates.Delay }),
+	core.Field(keyDelayMS, "length of an injected delay", core.AtLeast(0),
+		func(p *plugin) *int64 { return &p.rates.DelayMS }),
+	rate(keyBitflipRate, "probability of flipping one bit of the compressed stream", func(p *plugin) *float64 { return &p.rates.Bitflip }),
+)
 
-func (p *plugin) SetOptions(o *core.Options) error {
-	if v, err := o.GetString(keyCompressor); err == nil && v != p.childName {
-		p.childName = v
-		p.comp = nil
-	}
-	if v, err := o.GetInt64(keySeed); err == nil && v != p.rates.Seed {
-		p.rates.Seed = v
-		p.mu.Lock()
-		p.rng = nil // reseed lazily from the new seed
-		p.mu.Unlock()
-	}
-	for _, r := range []struct {
-		key string
-		dst *float64
-	}{
-		{keyErrorRate, &p.rates.Error},
-		{keyPermanentRate, &p.rates.Permanent},
-		{keyPanicRate, &p.rates.Panic},
-		{keyDelayRate, &p.rates.Delay},
-		{keyBitflipRate, &p.rates.Bitflip},
-	} {
-		if v, err := o.GetFloat64(r.key); err == nil {
-			if err := checkRate(r.key, v); err != nil {
-				return err
-			}
-			*r.dst = v
-		}
-	}
-	if v, err := o.GetInt64(keyDelayMS); err == nil {
-		if v < 0 {
-			return fmt.Errorf("%w: %s %d", core.ErrInvalidOption, keyDelayMS, v)
-		}
-		p.rates.DelayMS = v
-	}
-	if p.saved == nil {
-		p.saved = core.NewOptions()
-	}
-	p.saved.Merge(o)
-	if p.comp != nil {
-		return p.comp.SetOptions(o)
-	}
-	return nil
-}
-
-func (p *plugin) CheckOptions(o *core.Options) error {
-	clone := &plugin{childName: p.childName, rates: p.rates}
-	if p.saved != nil {
-		clone.saved = p.saved.Clone()
-	}
-	return clone.SetOptions(o)
-}
+func (p *plugin) Options() *core.Options             { return schema.Options(p) }
+func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
+func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
+func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
 
 func (p *plugin) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
-}
-
-func (p *plugin) get() (*core.Compressor, error) {
-	if p.comp == nil {
-		comp, err := core.NewCompressor(p.childName)
-		if err != nil {
-			return nil, err
-		}
-		if p.saved != nil {
-			if err := comp.SetOptions(p.saved); err != nil {
-				return nil, err
-			}
-		}
-		p.comp = comp
-	}
-	return p.comp, nil
-}
-
-// roll draws one uniform variate from the instance PRNG.
-func (p *plugin) roll() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.rates.Seed))
-	}
-	return p.rng.Float64()
-}
-
-// bit draws a bit position in [0, n) from the instance PRNG.
-func (p *plugin) bit(n int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.rates.Seed))
-	}
-	return p.rng.Intn(n)
 }
 
 // inject runs the pre-operation faults (delay, panic, errors) for one call.
@@ -202,22 +157,22 @@ func (p *plugin) bit(n int) int {
 // guard boundary converts it — and otherwise returns the injected error or
 // nil.
 func (p *plugin) inject(op string) error {
-	if p.rates.Delay > 0 && p.roll() < p.rates.Delay {
+	if p.rates.Delay > 0 && p.dice.roll() < p.rates.Delay {
 		trace.CounterAdd(CtrDelays, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
 		time.Sleep(time.Duration(p.rates.DelayMS) * time.Millisecond)
 	}
-	if p.rates.Panic > 0 && p.roll() < p.rates.Panic {
+	if p.rates.Panic > 0 && p.dice.roll() < p.rates.Panic {
 		trace.CounterAdd(CtrPanics, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
 		panic(fmt.Sprintf("faultinject: injected panic in %s", op))
 	}
-	if p.rates.Error > 0 && p.roll() < p.rates.Error {
+	if p.rates.Error > 0 && p.dice.roll() < p.rates.Error {
 		trace.CounterAdd(CtrErrors, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
 		return core.Transient(fmt.Errorf("faultinject: injected transient failure in %s", op))
 	}
-	if p.rates.Permanent > 0 && p.roll() < p.rates.Permanent {
+	if p.rates.Permanent > 0 && p.dice.roll() < p.rates.Permanent {
 		trace.CounterAdd(CtrErrors, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
 		return fmt.Errorf("faultinject: injected permanent failure in %s", op)
@@ -226,7 +181,7 @@ func (p *plugin) inject(op string) error {
 }
 
 func (p *plugin) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -237,11 +192,11 @@ func (p *plugin) CompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	if p.rates.Bitflip > 0 && inner.ByteLen() > 0 && p.roll() < p.rates.Bitflip {
+	if p.rates.Bitflip > 0 && inner.ByteLen() > 0 && p.dice.roll() < p.rates.Bitflip {
 		trace.CounterAdd(CtrBitflips, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
 		buf := append([]byte(nil), inner.Bytes()...)
-		pos := p.bit(len(buf) * 8)
+		pos := p.dice.bit(len(buf) * 8)
 		buf[pos/8] ^= 1 << (pos % 8)
 		out.Become(core.NewBytes(buf))
 		return nil
@@ -251,7 +206,7 @@ func (p *plugin) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *plugin) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -265,18 +220,9 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 // seed and a per-parent clone counter, so a fleet of clones is collectively
 // deterministic without sharing a schedule.
 func (p *plugin) Clone() core.CompressorPlugin {
-	p.mu.Lock()
-	p.clones++
-	seq := p.clones
-	p.mu.Unlock()
-	rates := p.rates
-	rates.Seed = p.rates.Seed*0x9e3779b9 + seq
-	clone := &plugin{childName: p.childName, rates: rates}
-	if p.saved != nil {
-		clone.saved = p.saved.Clone()
-	}
-	if p.comp != nil {
-		clone.comp = p.comp.Clone()
-	}
-	return clone
+	clone := *p
+	clone.child = p.child.Clone()
+	clone.rates.Seed = p.rates.Seed*0x9e3779b9 + p.dice.nextClone()
+	clone.dice = newDice(clone.rates.Seed)
+	return &clone
 }

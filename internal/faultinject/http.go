@@ -58,6 +58,13 @@ type RoundTripper struct {
 	rng *rand.Rand
 }
 
+func checkRate(key string, v float64) error {
+	if v < 0 || v > 1 {
+		return fmt.Errorf("%w: %s %v not in [0,1]", core.ErrInvalidOption, key, v)
+	}
+	return nil
+}
+
 // NewRoundTripper wraps next (nil means http.DefaultTransport).
 func NewRoundTripper(next http.RoundTripper, rates HTTPRates) (*RoundTripper, error) {
 	for _, r := range []struct {

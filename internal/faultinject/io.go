@@ -3,8 +3,6 @@ package faultinject
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"sync"
 	"time"
 
 	"pressio/internal/core"
@@ -25,7 +23,7 @@ const (
 
 func init() {
 	core.RegisterIO("faultinject", func() core.IOPlugin {
-		return &ioPlugin{childName: "posix", seed: 1}
+		return &ioPlugin{child: core.Child[core.IOPlugin]{Name: "posix"}, seed: 1, dice: newDice(1)}
 	})
 }
 
@@ -35,9 +33,7 @@ func init() {
 // integrity validation of frames loaded from disk) be tested without real
 // storage faults.
 type ioPlugin struct {
-	childName string
-	child     core.IOPlugin
-	saved     *core.Options
+	child core.Child[core.IOPlugin]
 
 	seed           int64
 	errorRate      float64
@@ -47,117 +43,40 @@ type ioPlugin struct {
 	shortReadRate  float64
 	shortWriteRate float64
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	dice *dice
 }
 
 func (p *ioPlugin) Prefix() string { return "faultinject" }
 
-func (p *ioPlugin) get() (core.IOPlugin, error) {
-	if p.child == nil {
-		child, err := core.NewIO(p.childName)
-		if err != nil {
-			return nil, err
-		}
-		if p.saved != nil {
-			if err := child.SetOptions(p.saved); err != nil {
-				return nil, err
-			}
-		}
-		p.child = child
-	}
-	return p.child, nil
-}
+var ioSchema = core.NewSchema(
+	core.ChildRow(keyIOChild, "name of the IO plugin to sabotage; it receives every option set here",
+		func(p *ioPlugin) *core.Child[core.IOPlugin] { return &p.child }),
+	seedRow(keyIOSeed, func(p *ioPlugin) *int64 { return &p.seed }, func(p *ioPlugin) **dice { return &p.dice }),
+	rate(keyIOErrorRate, "probability of a transient error per call", func(p *ioPlugin) *float64 { return &p.errorRate }),
+	rate(keyIODelayRate, "probability of sleeping faultinject_io:delay_ms before a call", func(p *ioPlugin) *float64 { return &p.delayRate }),
+	core.Field(keyIODelayMS, "length of an injected delay", core.AtLeast(0),
+		func(p *ioPlugin) *int64 { return &p.delayMS }),
+	rate(keyIOBitflipRate, "probability of flipping one bit of the bytes read", func(p *ioPlugin) *float64 { return &p.bitflipRate }),
+	rate(keyIOShortReadRate, "probability of returning a strict prefix of the bytes read", func(p *ioPlugin) *float64 { return &p.shortReadRate }),
+	rate(keyIOShortWriteRate, "probability of persisting a strict prefix and reporting a short write", func(p *ioPlugin) *float64 { return &p.shortWriteRate }),
+)
 
-func (p *ioPlugin) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyIOChild, p.childName)
-	o.SetValue(keyIOSeed, p.seed)
-	o.SetValue(keyIOErrorRate, p.errorRate)
-	o.SetValue(keyIODelayRate, p.delayRate)
-	o.SetValue(keyIODelayMS, p.delayMS)
-	o.SetValue(keyIOBitflipRate, p.bitflipRate)
-	o.SetValue(keyIOShortReadRate, p.shortReadRate)
-	o.SetValue(keyIOShortWriteRate, p.shortWriteRate)
-	if p.child != nil {
-		o.Merge(p.child.Options())
-	}
-	return o
-}
-
-func (p *ioPlugin) SetOptions(o *core.Options) error {
-	if v, err := o.GetString(keyIOChild); err == nil && v != p.childName {
-		p.childName = v
-		p.child = nil
-	}
-	if v, err := o.GetInt64(keyIOSeed); err == nil && v != p.seed {
-		p.seed = v
-		p.mu.Lock()
-		p.rng = nil
-		p.mu.Unlock()
-	}
-	for _, r := range []struct {
-		key string
-		dst *float64
-	}{
-		{keyIOErrorRate, &p.errorRate},
-		{keyIODelayRate, &p.delayRate},
-		{keyIOBitflipRate, &p.bitflipRate},
-		{keyIOShortReadRate, &p.shortReadRate},
-		{keyIOShortWriteRate, &p.shortWriteRate},
-	} {
-		if v, err := o.GetFloat64(r.key); err == nil {
-			if err := checkRate(r.key, v); err != nil {
-				return err
-			}
-			*r.dst = v
-		}
-	}
-	if v, err := o.GetInt64(keyIODelayMS); err == nil {
-		if v < 0 {
-			return fmt.Errorf("%w: %s %d", core.ErrInvalidOption, keyIODelayMS, v)
-		}
-		p.delayMS = v
-	}
-	if p.saved == nil {
-		p.saved = core.NewOptions()
-	}
-	p.saved.Merge(o)
-	if p.child != nil {
-		return p.child.SetOptions(o)
-	}
-	return nil
-}
+func (p *ioPlugin) Options() *core.Options             { return ioSchema.Options(p) }
+func (p *ioPlugin) SetOptions(o *core.Options) error   { return ioSchema.Set(p, o) }
+func (p *ioPlugin) CheckOptions(o *core.Options) error { return ioSchema.Check(p, o) }
+func (p *ioPlugin) Schema() []core.OptionSpec          { return ioSchema.Specs() }
 
 func (p *ioPlugin) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
 }
 
-func (p *ioPlugin) roll() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.seed))
-	}
-	return p.rng.Float64()
-}
-
-func (p *ioPlugin) bit(n int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.seed))
-	}
-	return p.rng.Intn(n)
-}
-
 func (p *ioPlugin) inject(op string) error {
-	if p.delayRate > 0 && p.roll() < p.delayRate {
+	if p.delayRate > 0 && p.dice.roll() < p.delayRate {
 		trace.CounterAdd(CtrDelays, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
 		time.Sleep(time.Duration(p.delayMS) * time.Millisecond)
 	}
-	if p.errorRate > 0 && p.roll() < p.errorRate {
+	if p.errorRate > 0 && p.dice.roll() < p.errorRate {
 		trace.CounterAdd(CtrErrors, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
 		return core.Transient(fmt.Errorf("faultinject: injected transient IO failure in %s", op))
@@ -166,7 +85,7 @@ func (p *ioPlugin) inject(op string) error {
 }
 
 func (p *ioPlugin) Read(hint *core.Data) (*core.Data, error) {
-	child, err := p.get()
+	child, err := p.child.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -177,21 +96,21 @@ func (p *ioPlugin) Read(hint *core.Data) (*core.Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.shortReadRate > 0 && d.ByteLen() > 1 && p.roll() < p.shortReadRate {
+	if p.shortReadRate > 0 && d.ByteLen() > 1 && p.dice.roll() < p.shortReadRate {
 		// A short read delivers a strict prefix of the stream, as a torn
 		// storage read or truncated transfer would. The prefix has no valid
 		// shape, so it comes back as plain bytes; consumers (the frame
 		// decoder, format parsers) must detect the truncation themselves.
 		trace.CounterAdd(CtrShortReads, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
-		cut := 1 + p.bit(int(d.ByteLen())-1)
+		cut := 1 + p.dice.bit(int(d.ByteLen())-1)
 		return core.NewBytes(append([]byte(nil), d.Bytes()[:cut]...)), nil
 	}
-	if p.bitflipRate > 0 && d.ByteLen() > 0 && p.roll() < p.bitflipRate {
+	if p.bitflipRate > 0 && d.ByteLen() > 0 && p.dice.roll() < p.bitflipRate {
 		trace.CounterAdd(CtrBitflips, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
 		buf := append([]byte(nil), d.Bytes()...)
-		pos := p.bit(len(buf) * 8)
+		pos := p.dice.bit(len(buf) * 8)
 		buf[pos/8] ^= 1 << (pos % 8)
 		flipped := core.NewBytes(buf)
 		if d.DType() != core.DTypeByte || d.NumDims() != 1 {
@@ -205,21 +124,21 @@ func (p *ioPlugin) Read(hint *core.Data) (*core.Data, error) {
 }
 
 func (p *ioPlugin) Write(d *core.Data) error {
-	child, err := p.get()
+	child, err := p.child.Get()
 	if err != nil {
 		return err
 	}
 	if err := p.inject("write"); err != nil {
 		return err
 	}
-	if p.shortWriteRate > 0 && d.ByteLen() > 1 && p.roll() < p.shortWriteRate {
+	if p.shortWriteRate > 0 && d.ByteLen() > 1 && p.dice.roll() < p.shortWriteRate {
 		// A short write persists a strict prefix and reports the failure, as
 		// an interrupted transfer would: only part of the payload reaches the
 		// sink, and the caller gets a transient io.ErrShortWrite to retry on.
 		// The torn artifact is what integrity frames must catch on read.
 		trace.CounterAdd(CtrShortWrites, 1)
 		trace.CounterAdd(trace.CtrFaultsInjected, 1)
-		cut := 1 + p.bit(int(d.ByteLen())-1)
+		cut := 1 + p.dice.bit(int(d.ByteLen())-1)
 		if err := child.Write(core.NewBytes(append([]byte(nil), d.Bytes()[:cut]...))); err != nil {
 			return err
 		}
@@ -229,21 +148,9 @@ func (p *ioPlugin) Write(d *core.Data) error {
 }
 
 func (p *ioPlugin) Clone() core.IOPlugin {
-	clone := &ioPlugin{
-		childName:      p.childName,
-		seed:           p.seed*0x9e3779b9 + 1,
-		errorRate:      p.errorRate,
-		delayRate:      p.delayRate,
-		delayMS:        p.delayMS,
-		bitflipRate:    p.bitflipRate,
-		shortReadRate:  p.shortReadRate,
-		shortWriteRate: p.shortWriteRate,
-	}
-	if p.saved != nil {
-		clone.saved = p.saved.Clone()
-	}
-	if p.child != nil {
-		clone.child = p.child.Clone()
-	}
-	return clone
+	clone := *p
+	clone.child = p.child.Clone()
+	clone.seed = p.seed*0x9e3779b9 + 1
+	clone.dice = newDice(clone.seed)
+	return &clone
 }

@@ -26,26 +26,15 @@ func init() {
 func (p *plugin) Prefix() string  { return "fpzip" }
 func (p *plugin) Version() string { return Version }
 
-func (p *plugin) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyPrec, p.prec)
-	return o
-}
+var schema = core.NewSchema(
+	core.Field(keyPrec, "bits of precision to keep (0 = lossless)", core.Closed(0, 64),
+		func(p *plugin) *uint64 { return &p.prec }),
+)
 
-func (p *plugin) SetOptions(o *core.Options) error {
-	if v, err := o.GetUint64(keyPrec); err == nil {
-		if v > 64 {
-			return fmt.Errorf("%w: fpzip:prec %d > 64", core.ErrInvalidOption, v)
-		}
-		p.prec = v
-	}
-	return nil
-}
-
-func (p *plugin) CheckOptions(o *core.Options) error {
-	clone := *p
-	return clone.SetOptions(o)
-}
+func (p *plugin) Options() *core.Options             { return schema.Options(p) }
+func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
+func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
+func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
 
 func (p *plugin) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pressio/internal/core"
-	"pressio/internal/faultinject"
 	"pressio/internal/fsx"
 )
 
@@ -27,19 +26,19 @@ func TestSaveKillMidWriteLeavesOldContainerIntact(t *testing.T) {
 
 	for _, point := range []string{fsx.PointWrite, fsx.PointFsync, fsx.PointRename} {
 		t.Run(point, func(t *testing.T) {
-			if err := faultinject.ArmFS(faultinject.FSFault{Point: point}); err != nil {
+			if err := fsx.ArmFS(fsx.FSFault{Point: point}); err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(faultinject.DisarmFS)
+			t.Cleanup(fsx.DisarmFS)
 			g := Create(path)
 			neu := core.FromFloat64s([]float64{9, 9, 9, 9, 9, 9}, 6)
 			if err := g.WriteDataset("data", neu, DatasetOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if err := g.Save(); !errors.Is(err, faultinject.ErrFSCrash) {
+			if err := g.Save(); !errors.Is(err, fsx.ErrFSCrash) {
 				t.Fatalf("crash at %s did not abort Save: %v", point, err)
 			}
-			faultinject.DisarmFS()
+			fsx.DisarmFS()
 
 			reopened, err := Open(path)
 			if err != nil {

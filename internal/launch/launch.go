@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os/exec"
+	"strings"
 	"time"
 
 	"pressio/internal/core"
@@ -357,4 +358,18 @@ func ApplyStringOptions(c *core.Compressor, kv map[string]string) error {
 		}
 	}
 	return c.SetOptions(opts)
+}
+
+// ApplyOptionFlags configures c from "key=value" strings, the -o flag form
+// the pressio CLI and pressiod share, through ApplyStringOptions.
+func ApplyOptionFlags(c *core.Compressor, flags []string) error {
+	kv := make(map[string]string, len(flags))
+	for _, f := range flags {
+		k, v, ok := strings.Cut(f, "=")
+		if !ok {
+			return fmt.Errorf("bad option %q: want key=value", f)
+		}
+		kv[k] = v
+	}
+	return ApplyStringOptions(c, kv)
 }

@@ -9,6 +9,10 @@ import (
 // Version is the plugin family version reported through Configuration.
 const Version = "1.0.0"
 
+// LevelBounds is the range of DEFLATE effort levels; the lossy plugins that
+// use Deflate as their back end bound pressio:lossless with it too.
+var LevelBounds = core.Closed(0, 9)
+
 // codecKind selects the algorithm behind a generic byte-codec plugin.
 type codecKind int
 
@@ -28,14 +32,32 @@ const (
 // datatype-awareness discussion); shuffle and delta additionally use the
 // element size from the dtype when available.
 type plugin struct {
-	kind  codecKind
-	name  string
+	*codec
 	level int32
 }
 
+// codec is what the registered names differ in, shared by every instance of
+// one name.
+type codec struct {
+	kind   codecKind
+	name   string
+	schema *core.Schema[plugin]
+}
+
+// newSchema declares the options of the codec registered as name: the generic
+// effort level and its native spelling, both stored in plugin.level.
+func newSchema(name string) *core.Schema[plugin] {
+	level := func(p *plugin) *int32 { return &p.level }
+	return core.NewSchema(
+		core.Field(core.KeyLossless, "DEFLATE effort level (0 = default, 9 = best)", LevelBounds, level),
+		core.Field(name+":level", "native spelling of pressio:lossless", LevelBounds, level),
+	)
+}
+
 func newPlugin(kind codecKind, name string) func() core.CompressorPlugin {
+	c := &codec{kind: kind, name: name, schema: newSchema(name)}
 	return func() core.CompressorPlugin {
-		return &plugin{kind: kind, name: name, level: 6}
+		return &plugin{codec: c, level: 6}
 	}
 }
 
@@ -53,30 +75,10 @@ func init() {
 func (p *plugin) Prefix() string  { return p.name }
 func (p *plugin) Version() string { return Version }
 
-func (p *plugin) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(p.name+":level", p.level)
-	o.SetValue(core.KeyLossless, p.level)
-	return o
-}
-
-func (p *plugin) SetOptions(o *core.Options) error {
-	if v, err := o.GetInt32(core.KeyLossless); err == nil {
-		p.level = v
-	}
-	if v, err := o.GetInt32(p.name + ":level"); err == nil {
-		p.level = v
-	}
-	if p.level < 0 || p.level > 9 {
-		return fmt.Errorf("%w: %s:level %d outside [0,9]", core.ErrInvalidOption, p.name, p.level)
-	}
-	return nil
-}
-
-func (p *plugin) CheckOptions(o *core.Options) error {
-	clone := *p
-	return clone.SetOptions(o)
-}
+func (p *plugin) Options() *core.Options             { return p.schema.Options(p) }
+func (p *plugin) SetOptions(o *core.Options) error   { return p.schema.Set(p, o) }
+func (p *plugin) CheckOptions(o *core.Options) error { return p.schema.Check(p, o) }
+func (p *plugin) Schema() []core.OptionSpec          { return p.schema.Specs() }
 
 func (p *plugin) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)

@@ -2,7 +2,6 @@ package meta
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"pressio/internal/core"
@@ -20,13 +19,13 @@ const (
 
 func init() {
 	core.RegisterCompressor("fault_injector", func() core.CompressorPlugin {
-		return &faultInjector{child: newChild("fault_injector", "sz_threadsafe"), nFaults: 1}
+		return &faultInjector{child: child{Name: "sz_threadsafe"}, nFaults: 1}
 	})
 	core.RegisterCompressor("noise_injector", func() core.CompressorPlugin {
-		return &noiseInjector{child: newChild("noise_injector", "sz_threadsafe"), dist: "gaussian", scale: 1e-3}
+		return &noiseInjector{child: child{Name: "sz_threadsafe"}, dist: "gaussian", scale: 1e-3}
 	})
 	core.RegisterCompressor("switch", func() core.CompressorPlugin {
-		return &switchMeta{active: "sz_threadsafe"}
+		return &switchMeta{child: child{Name: "sz_threadsafe"}}
 	})
 }
 
@@ -34,7 +33,7 @@ func init() {
 // compressed stream — the building block of fuzz-style resilience testing
 // of decompressors (the paper's Fault Injector).
 type faultInjector struct {
-	child
+	child   child
 	nFaults uint64
 	seed    int64
 }
@@ -42,35 +41,25 @@ type faultInjector struct {
 func (p *faultInjector) Prefix() string  { return "fault_injector" }
 func (p *faultInjector) Version() string { return Version }
 
-func (p *faultInjector) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyFaultFaults, p.nFaults)
-	o.SetValue(keyFaultSeed, p.seed)
-	p.describe(o)
-	return o
-}
+var faultInjectorSchema = core.NewSchema(
+	core.Field(keyFaultFaults, "bits to flip in each compressed stream", core.Bounds{},
+		func(p *faultInjector) *uint64 { return &p.nFaults }),
+	core.Field(keyFaultSeed, "seed of the bit-position PRNG", core.Bounds{},
+		func(p *faultInjector) *int64 { return &p.seed }),
+	childRow("fault_injector", func(p *faultInjector) *child { return &p.child }),
+)
 
-func (p *faultInjector) SetOptions(o *core.Options) error {
-	if v, err := o.GetUint64(keyFaultFaults); err == nil {
-		p.nFaults = v
-	}
-	if v, err := o.GetInt64(keyFaultSeed); err == nil {
-		p.seed = v
-	}
-	return p.applyOptions(o)
-}
-
-func (p *faultInjector) CheckOptions(o *core.Options) error {
-	clone := faultInjector{child: p.child.clone(), nFaults: p.nFaults, seed: p.seed}
-	return clone.SetOptions(o)
-}
+func (p *faultInjector) Options() *core.Options             { return faultInjectorSchema.Options(p) }
+func (p *faultInjector) SetOptions(o *core.Options) error   { return faultInjectorSchema.Set(p, o) }
+func (p *faultInjector) CheckOptions(o *core.Options) error { return faultInjectorSchema.Check(p, o) }
+func (p *faultInjector) Schema() []core.OptionSpec          { return faultInjectorSchema.Specs() }
 
 func (p *faultInjector) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
 }
 
 func (p *faultInjector) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -89,7 +78,7 @@ func (p *faultInjector) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *faultInjector) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -97,14 +86,16 @@ func (p *faultInjector) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *faultInjector) Clone() core.CompressorPlugin {
-	return &faultInjector{child: p.child.clone(), nFaults: p.nFaults, seed: p.seed}
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }
 
 // noiseInjector adds random noise to each input element before handing the
 // data to the child compressor — the Random Error Injector, used to study
 // how compressors respond to measurement noise.
 type noiseInjector struct {
-	child
+	child child
 	dist  string // "gaussian" or "uniform"
 	scale float64
 	seed  int64
@@ -113,45 +104,27 @@ type noiseInjector struct {
 func (p *noiseInjector) Prefix() string  { return "noise_injector" }
 func (p *noiseInjector) Version() string { return Version }
 
-func (p *noiseInjector) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyNoiseDistribution, p.dist)
-	o.SetValue(keyNoiseScale, p.scale)
-	o.SetValue(keyNoiseSeed, p.seed)
-	p.describe(o)
-	return o
-}
+var noiseInjectorSchema = core.NewSchema(
+	core.Field(keyNoiseDistribution, "noise distribution", core.OneOf("gaussian", "uniform"),
+		func(p *noiseInjector) *string { return &p.dist }),
+	core.Field(keyNoiseScale, "standard deviation (gaussian) or half-width (uniform) of the noise", core.AtLeast(0),
+		func(p *noiseInjector) *float64 { return &p.scale }),
+	core.Field(keyNoiseSeed, "seed of the noise PRNG", core.Bounds{},
+		func(p *noiseInjector) *int64 { return &p.seed }),
+	childRow("noise_injector", func(p *noiseInjector) *child { return &p.child }),
+)
 
-func (p *noiseInjector) SetOptions(o *core.Options) error {
-	if v, err := o.GetString(keyNoiseDistribution); err == nil {
-		if v != "gaussian" && v != "uniform" {
-			return fmt.Errorf("%w: noise distribution %q", core.ErrInvalidOption, v)
-		}
-		p.dist = v
-	}
-	if v, err := o.GetFloat64(keyNoiseScale); err == nil {
-		if v < 0 || math.IsNaN(v) {
-			return fmt.Errorf("%w: noise scale %v", core.ErrInvalidOption, v)
-		}
-		p.scale = v
-	}
-	if v, err := o.GetInt64(keyNoiseSeed); err == nil {
-		p.seed = v
-	}
-	return p.applyOptions(o)
-}
-
-func (p *noiseInjector) CheckOptions(o *core.Options) error {
-	clone := noiseInjector{child: p.child.clone(), dist: p.dist, scale: p.scale, seed: p.seed}
-	return clone.SetOptions(o)
-}
+func (p *noiseInjector) Options() *core.Options             { return noiseInjectorSchema.Options(p) }
+func (p *noiseInjector) SetOptions(o *core.Options) error   { return noiseInjectorSchema.Set(p, o) }
+func (p *noiseInjector) CheckOptions(o *core.Options) error { return noiseInjectorSchema.Check(p, o) }
+func (p *noiseInjector) Schema() []core.OptionSpec          { return noiseInjectorSchema.Specs() }
 
 func (p *noiseInjector) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
 }
 
 func (p *noiseInjector) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -186,7 +159,7 @@ func (p *noiseInjector) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *noiseInjector) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -194,74 +167,32 @@ func (p *noiseInjector) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *noiseInjector) Clone() core.CompressorPlugin {
-	return &noiseInjector{child: p.child.clone(), dist: p.dist, scale: p.scale, seed: p.seed}
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }
 
-// switchMeta dispatches to one of several child compressors selected at
-// runtime by the keySwitchActive option, which is how optimizers search
-// across compressor *types* with a single configuration knob.
+// switchMeta dispatches to the compressor named by keySwitchActive, which is
+// how optimizers search across compressor *types* with a single
+// configuration knob. Every option ever set is replayed into whichever
+// compressor becomes active.
 type switchMeta struct {
-	active string
-	pool   map[string]*core.Compressor
-	saved  *core.Options
+	child child
 }
 
 func (p *switchMeta) Prefix() string  { return "switch" }
 func (p *switchMeta) Version() string { return Version }
 
-func (p *switchMeta) current() (*core.Compressor, error) {
-	if p.pool == nil {
-		p.pool = map[string]*core.Compressor{}
-	}
-	if c, ok := p.pool[p.active]; ok {
-		return c, nil
-	}
-	c, err := core.NewCompressor(p.active)
-	if err != nil {
-		return nil, err
-	}
-	if p.saved != nil {
-		if err := c.SetOptions(p.saved); err != nil {
-			return nil, err
-		}
-	}
-	p.pool[p.active] = c
-	return c, nil
-}
+var switchSchema = core.NewSchema(
+	// Eager: optimizers read the active compressor's options before first use.
+	core.EagerChildRow(keySwitchActive, "name of the compressor that serves calls; it receives every option set here",
+		func(p *switchMeta) *child { return &p.child }),
+)
 
-func (p *switchMeta) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keySwitchActive, p.active)
-	if c, err := p.current(); err == nil {
-		o.Merge(c.Options())
-	}
-	return o
-}
-
-func (p *switchMeta) SetOptions(o *core.Options) error {
-	if v, err := o.GetString(keySwitchActive); err == nil {
-		p.active = v
-	}
-	if p.saved == nil {
-		p.saved = core.NewOptions()
-	}
-	p.saved.Merge(o)
-	for _, c := range p.pool {
-		if err := c.SetOptions(o); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *switchMeta) CheckOptions(o *core.Options) error {
-	if v, err := o.GetString(keySwitchActive); err == nil {
-		if _, err := core.NewCompressor(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (p *switchMeta) Options() *core.Options             { return switchSchema.Options(p) }
+func (p *switchMeta) SetOptions(o *core.Options) error   { return switchSchema.Set(p, o) }
+func (p *switchMeta) CheckOptions(o *core.Options) error { return switchSchema.Check(p, o) }
+func (p *switchMeta) Schema() []core.OptionSpec          { return switchSchema.Specs() }
 
 func (p *switchMeta) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
@@ -270,7 +201,7 @@ func (p *switchMeta) Configuration() *core.Options {
 }
 
 func (p *switchMeta) CompressImpl(in, out *core.Data) error {
-	c, err := p.current()
+	c, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -278,7 +209,7 @@ func (p *switchMeta) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *switchMeta) DecompressImpl(in, out *core.Data) error {
-	c, err := p.current()
+	c, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -286,9 +217,5 @@ func (p *switchMeta) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *switchMeta) Clone() core.CompressorPlugin {
-	clone := &switchMeta{active: p.active}
-	if p.saved != nil {
-		clone.saved = p.saved.Clone()
-	}
-	return clone
+	return &switchMeta{child: p.child.Clone()}
 }

@@ -10,12 +10,11 @@ import (
 // count that lands on the prototype's instance proves state was shared
 // rather than cloned per worker.
 type tallyMetric struct {
+	core.NoOptions
 	begins, ends int
 }
 
 func (m *tallyMetric) Prefix() string                            { return "tally" }
-func (m *tallyMetric) Options() *core.Options                    { return core.NewOptions() }
-func (m *tallyMetric) SetOptions(*core.Options) error            { return nil }
 func (m *tallyMetric) BeginCompress(in *core.Data)               { m.begins++ }
 func (m *tallyMetric) EndCompress(in, out *core.Data, e error)   { m.ends++ }
 func (m *tallyMetric) BeginDecompress(in *core.Data)             { m.begins++ }

@@ -30,72 +30,20 @@ const Version = "1.0.0"
 // ErrCorrupt reports a malformed meta-compressor stream.
 var ErrCorrupt = errors.New("meta: corrupt stream")
 
-// child manages the wrapped compressor of a meta plugin: the child is named
-// by an option ("<prefix>:compressor") and receives every option set on the
-// parent, so one flat Options value configures the whole composition.
-type child struct {
-	prefix    string
-	childName string
-	comp      *core.Compressor
-	saved     *core.Options
-}
+// child is the wrapped compressor of a meta plugin: named by the option
+// "<prefix>:compressor", it receives every option set on the parent, so one
+// flat Options value configures the whole composition.
+type child = core.Child[*core.Compressor]
 
-func newChild(prefix, defaultName string) child {
-	return child{prefix: prefix, childName: defaultName}
-}
-
-func (c *child) applyOptions(o *core.Options) error {
-	if v, err := o.GetString(c.prefix + ":compressor"); err == nil && v != c.childName {
-		c.childName = v
-		c.comp = nil
-	}
-	if c.saved == nil {
-		c.saved = core.NewOptions()
-	}
-	c.saved.Merge(o)
-	if c.comp != nil {
-		return c.comp.SetOptions(o)
-	}
-	return nil
-}
-
-func (c *child) describe(o *core.Options) {
-	o.SetValue(c.prefix+":compressor", c.childName)
-	if c.comp != nil {
-		o.Merge(c.comp.Options())
-	}
-}
-
-func (c *child) get() (*core.Compressor, error) {
-	if c.comp == nil {
-		comp, err := core.NewCompressor(c.childName)
-		if err != nil {
-			return nil, err
-		}
-		if c.saved != nil {
-			if err := comp.SetOptions(c.saved); err != nil {
-				return nil, err
-			}
-		}
-		c.comp = comp
-	}
-	return c.comp, nil
-}
-
-func (c *child) clone() child {
-	out := child{prefix: c.prefix, childName: c.childName}
-	if c.saved != nil {
-		out.saved = c.saved.Clone()
-	}
-	if c.comp != nil {
-		out.comp = c.comp.Clone()
-	}
-	return out
+// childRow declares "<prefix>:compressor" for a meta plugin whose child lives
+// in the field the accessor returns.
+func childRow[T any](prefix string, field func(*T) *child) core.Row[T] {
+	return core.ChildRow(prefix+":compressor", "name of the wrapped compressor; it receives every option set here", field)
 }
 
 func init() {
 	core.RegisterCompressor("chunking", func() core.CompressorPlugin {
-		return &chunking{child: newChild("chunking", "sz_threadsafe")}
+		return &chunking{child: child{Name: "sz_threadsafe"}}
 	})
 }
 
@@ -106,7 +54,7 @@ func init() {
 // worker clone anyway (clones are cheap), while "single" children are
 // compressed serially.
 type chunking struct {
-	child
+	child     child
 	chunkRows uint64
 	nthreads  int32
 }
@@ -116,32 +64,20 @@ const chunkingMagic = "MCH1"
 func (p *chunking) Prefix() string  { return "chunking" }
 func (p *chunking) Version() string { return Version }
 
-func (p *chunking) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyChunkRows, p.chunkRows)
-	o.SetValue(keyChunkNThreads, p.nthreads)
-	o.SetValue(core.KeyNThreads, p.nthreads)
-	p.describe(o)
-	return o
-}
+var chunkingSchema = core.NewSchema(
+	core.Field(keyChunkRows, "rows of the slowest dimension per chunk (0 = split evenly over GOMAXPROCS)", core.Bounds{},
+		func(p *chunking) *uint64 { return &p.chunkRows }),
+	core.Field(core.KeyNThreads, "worker goroutines (0 = GOMAXPROCS)", core.Bounds{},
+		func(p *chunking) *int32 { return &p.nthreads }),
+	core.Field(keyChunkNThreads, "native spelling of pressio:nthreads", core.Bounds{},
+		func(p *chunking) *int32 { return &p.nthreads }),
+	childRow("chunking", func(p *chunking) *child { return &p.child }),
+)
 
-func (p *chunking) SetOptions(o *core.Options) error {
-	if v, err := o.GetUint64(keyChunkRows); err == nil {
-		p.chunkRows = v
-	}
-	if v, err := o.GetInt32(core.KeyNThreads); err == nil {
-		p.nthreads = v
-	}
-	if v, err := o.GetInt32(keyChunkNThreads); err == nil {
-		p.nthreads = v
-	}
-	return p.applyOptions(o)
-}
-
-func (p *chunking) CheckOptions(o *core.Options) error {
-	clone := chunking{child: p.child.clone(), chunkRows: p.chunkRows, nthreads: p.nthreads}
-	return clone.SetOptions(o)
-}
+func (p *chunking) Options() *core.Options             { return chunkingSchema.Options(p) }
+func (p *chunking) SetOptions(o *core.Options) error   { return chunkingSchema.Set(p, o) }
+func (p *chunking) CheckOptions(o *core.Options) error { return chunkingSchema.Check(p, o) }
+func (p *chunking) Schema() []core.OptionSpec          { return chunkingSchema.Specs() }
 
 func (p *chunking) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)
@@ -150,7 +86,7 @@ func (p *chunking) Configuration() *core.Options {
 }
 
 func (p *chunking) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -254,7 +190,7 @@ func (p *chunking) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *chunking) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -380,5 +316,7 @@ func (p *chunking) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *chunking) Clone() core.CompressorPlugin {
-	return &chunking{child: p.child.clone(), chunkRows: p.chunkRows, nthreads: p.nthreads}
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }

@@ -16,7 +16,7 @@ const (
 
 func init() {
 	core.RegisterCompressor("sparse", func() core.CompressorPlugin {
-		return &sparse{child: newChild("sparse", "sz_threadsafe")}
+		return &sparse{child: child{Name: "sz_threadsafe"}}
 	})
 }
 
@@ -29,7 +29,7 @@ func init() {
 // no longer pays to store a noise floor bit-exactly — the detector-data
 // pattern behind SZ's ExaFEL mode.
 type sparse struct {
-	child
+	child     child
 	threshold float64
 }
 
@@ -38,27 +38,16 @@ const sparseMagic = "MSP1"
 func (p *sparse) Prefix() string  { return "sparse" }
 func (p *sparse) Version() string { return Version }
 
-func (p *sparse) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keySparseThreshold, p.threshold)
-	p.describe(o)
-	return o
-}
+var sparseSchema = core.NewSchema(
+	core.Field(keySparseThreshold, "values within this distance of zero are masked out and reconstruct as exact zeros", core.AtLeast(0),
+		func(p *sparse) *float64 { return &p.threshold }),
+	childRow("sparse", func(p *sparse) *child { return &p.child }),
+)
 
-func (p *sparse) SetOptions(o *core.Options) error {
-	if v, err := o.GetFloat64(keySparseThreshold); err == nil {
-		if v < 0 || math.IsNaN(v) {
-			return fmt.Errorf("%w: sparse:threshold must be >= 0", core.ErrInvalidOption)
-		}
-		p.threshold = v
-	}
-	return p.applyOptions(o)
-}
-
-func (p *sparse) CheckOptions(o *core.Options) error {
-	clone := sparse{child: p.child.clone(), threshold: p.threshold}
-	return clone.SetOptions(o)
-}
+func (p *sparse) Options() *core.Options             { return sparseSchema.Options(p) }
+func (p *sparse) SetOptions(o *core.Options) error   { return sparseSchema.Set(p, o) }
+func (p *sparse) CheckOptions(o *core.Options) error { return sparseSchema.Check(p, o) }
+func (p *sparse) Schema() []core.OptionSpec          { return sparseSchema.Specs() }
 
 func (p *sparse) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
@@ -67,7 +56,7 @@ func (p *sparse) Configuration() *core.Options {
 }
 
 func (p *sparse) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -156,7 +145,7 @@ func (p *sparse) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *sparse) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -265,5 +254,7 @@ func (p *sparse) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *sparse) Clone() core.CompressorPlugin {
-	return &sparse{child: p.child.clone(), threshold: p.threshold}
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }

@@ -18,19 +18,19 @@ const (
 
 func init() {
 	core.RegisterCompressor("transpose", func() core.CompressorPlugin {
-		return &transpose{child: newChild("transpose", "sz_threadsafe")}
+		return &transpose{child: child{Name: "sz_threadsafe"}}
 	})
 	core.RegisterCompressor("resize", func() core.CompressorPlugin {
-		return &resize{child: newChild("resize", "zfp")}
+		return &resize{child: child{Name: "zfp"}}
 	})
 	core.RegisterCompressor("sample", func() core.CompressorPlugin {
-		return &sample{child: newChild("sample", "sz_threadsafe"), stride: 2}
+		return &sample{child: child{Name: "sz_threadsafe"}, stride: 2}
 	})
 	core.RegisterCompressor("delta_encoding", func() core.CompressorPlugin {
-		return &deltaMeta{child: newChild("delta_encoding", "flate")}
+		return &deltaMeta{child: child{Name: "flate"}}
 	})
 	core.RegisterCompressor("linear_quantizer", func() core.CompressorPlugin {
-		return &linQuant{child: newChild("linear_quantizer", "shuffle"), step: 1e-4}
+		return &linQuant{child: child{Name: "shuffle"}, step: 1e-4}
 	})
 }
 
@@ -93,8 +93,8 @@ func invertPerm(perm []uint64) []uint64 {
 // transpose applies a multi-dimensional transpose before compression and
 // undoes it after decompression.
 type transpose struct {
-	child
-	perm []uint64
+	child child
+	perm  []uint64
 }
 
 const transposeMagic = "MTR1"
@@ -102,36 +102,23 @@ const transposeMagic = "MTR1"
 func (p *transpose) Prefix() string  { return "transpose" }
 func (p *transpose) Version() string { return Version }
 
-func (p *transpose) Options() *core.Options {
-	o := core.NewOptions()
-	permData := core.NewData(core.DTypeUint64, uint64(len(p.perm)))
-	copy(permData.Uint64s(), p.perm)
-	o.Set(keyTransposeAxes, core.NewOption(permData))
-	p.describe(o)
-	return o
-}
+var transposeSchema = core.NewSchema(
+	core.Uint64s(keyTransposeAxes, "axis permutation applied before compression (empty = reverse the axes)",
+		func(p *transpose) *[]uint64 { return &p.perm }),
+	childRow("transpose", func(p *transpose) *child { return &p.child }),
+)
 
-func (p *transpose) SetOptions(o *core.Options) error {
-	if d, err := o.GetData(keyTransposeAxes); err == nil {
-		if d.DType() != core.DTypeUint64 {
-			return fmt.Errorf("%w: transpose:axes must be uint64 data", core.ErrInvalidOption)
-		}
-		p.perm = append([]uint64(nil), d.Uint64s()...)
-	}
-	return p.applyOptions(o)
-}
-
-func (p *transpose) CheckOptions(o *core.Options) error {
-	clone := transpose{child: p.child.clone(), perm: append([]uint64(nil), p.perm...)}
-	return clone.SetOptions(o)
-}
+func (p *transpose) Options() *core.Options             { return transposeSchema.Options(p) }
+func (p *transpose) SetOptions(o *core.Options) error   { return transposeSchema.Set(p, o) }
+func (p *transpose) CheckOptions(o *core.Options) error { return transposeSchema.Check(p, o) }
+func (p *transpose) Schema() []core.OptionSpec          { return transposeSchema.Specs() }
 
 func (p *transpose) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
 }
 
 func (p *transpose) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -167,7 +154,7 @@ func (p *transpose) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *transpose) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -221,7 +208,9 @@ func (p *transpose) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *transpose) Clone() core.CompressorPlugin {
-	return &transpose{child: p.child.clone(), perm: append([]uint64(nil), p.perm...)}
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }
 
 // resize reinterprets the dimensions without touching values — useful when
@@ -229,7 +218,7 @@ func (p *transpose) Clone() core.CompressorPlugin {
 // dataset handed to the zfp-family codec as A×B (the §V padding
 // experiment).
 type resize struct {
-	child
+	child   child
 	newDims []uint64
 }
 
@@ -238,36 +227,23 @@ const resizeMagic = "MRS1"
 func (p *resize) Prefix() string  { return "resize" }
 func (p *resize) Version() string { return Version }
 
-func (p *resize) Options() *core.Options {
-	o := core.NewOptions()
-	dimsData := core.NewData(core.DTypeUint64, uint64(len(p.newDims)))
-	copy(dimsData.Uint64s(), p.newDims)
-	o.Set(keyResizeDims, core.NewOption(dimsData))
-	p.describe(o)
-	return o
-}
+var resizeSchema = core.NewSchema(
+	core.Uint64s(keyResizeDims, "dimensions the child is told (same element count as the input)",
+		func(p *resize) *[]uint64 { return &p.newDims }),
+	childRow("resize", func(p *resize) *child { return &p.child }),
+)
 
-func (p *resize) SetOptions(o *core.Options) error {
-	if d, err := o.GetData(keyResizeDims); err == nil {
-		if d.DType() != core.DTypeUint64 {
-			return fmt.Errorf("%w: resize:dims must be uint64 data", core.ErrInvalidOption)
-		}
-		p.newDims = append([]uint64(nil), d.Uint64s()...)
-	}
-	return p.applyOptions(o)
-}
-
-func (p *resize) CheckOptions(o *core.Options) error {
-	clone := resize{child: p.child.clone(), newDims: append([]uint64(nil), p.newDims...)}
-	return clone.SetOptions(o)
-}
+func (p *resize) Options() *core.Options             { return resizeSchema.Options(p) }
+func (p *resize) SetOptions(o *core.Options) error   { return resizeSchema.Set(p, o) }
+func (p *resize) CheckOptions(o *core.Options) error { return resizeSchema.Check(p, o) }
+func (p *resize) Schema() []core.OptionSpec          { return resizeSchema.Specs() }
 
 func (p *resize) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
 }
 
 func (p *resize) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -299,7 +275,7 @@ func (p *resize) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *resize) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -353,48 +329,39 @@ func (p *resize) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *resize) Clone() core.CompressorPlugin {
-	return &resize{child: p.child.clone(), newDims: append([]uint64(nil), p.newDims...)}
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }
 
 // sample compresses a strided subsample of the input — the data-sampling
 // meta-compressor used for quick quality surveys. Decompression returns the
 // sample (shape divided by the stride along the slowest dimension).
 type sample struct {
-	child
+	child  child
 	stride uint64
 }
 
 func (p *sample) Prefix() string  { return "sample" }
 func (p *sample) Version() string { return Version }
 
-func (p *sample) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keySampleStride, p.stride)
-	p.describe(o)
-	return o
-}
+var sampleSchema = core.NewSchema(
+	core.Field(keySampleStride, "keep every stride-th row of the slowest dimension", core.AtLeast(1),
+		func(p *sample) *uint64 { return &p.stride }),
+	childRow("sample", func(p *sample) *child { return &p.child }),
+)
 
-func (p *sample) SetOptions(o *core.Options) error {
-	if v, err := o.GetUint64(keySampleStride); err == nil {
-		if v == 0 {
-			return fmt.Errorf("%w: sample:stride must be >= 1", core.ErrInvalidOption)
-		}
-		p.stride = v
-	}
-	return p.applyOptions(o)
-}
-
-func (p *sample) CheckOptions(o *core.Options) error {
-	clone := sample{child: p.child.clone(), stride: p.stride}
-	return clone.SetOptions(o)
-}
+func (p *sample) Options() *core.Options             { return sampleSchema.Options(p) }
+func (p *sample) SetOptions(o *core.Options) error   { return sampleSchema.Set(p, o) }
+func (p *sample) CheckOptions(o *core.Options) error { return sampleSchema.Check(p, o) }
+func (p *sample) Schema() []core.OptionSpec          { return sampleSchema.Specs() }
 
 func (p *sample) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
 }
 
 func (p *sample) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -422,7 +389,7 @@ func (p *sample) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *sample) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -430,14 +397,16 @@ func (p *sample) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *sample) Clone() core.CompressorPlugin {
-	return &sample{child: p.child.clone(), stride: p.stride}
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }
 
 // deltaMeta applies a delta-encoding preprocessing step (in float64 space)
 // before the child compressor and integrates after decompression. With a
 // lossless child the transform is exactly invertible.
 type deltaMeta struct {
-	child
+	child child
 }
 
 const deltaMagic = "MDL1"
@@ -445,25 +414,21 @@ const deltaMagic = "MDL1"
 func (p *deltaMeta) Prefix() string  { return "delta_encoding" }
 func (p *deltaMeta) Version() string { return Version }
 
-func (p *deltaMeta) Options() *core.Options {
-	o := core.NewOptions()
-	p.describe(o)
-	return o
-}
+var deltaSchema = core.NewSchema(
+	childRow("delta_encoding", func(p *deltaMeta) *child { return &p.child }),
+)
 
-func (p *deltaMeta) SetOptions(o *core.Options) error { return p.applyOptions(o) }
-
-func (p *deltaMeta) CheckOptions(o *core.Options) error {
-	clone := deltaMeta{child: p.child.clone()}
-	return clone.SetOptions(o)
-}
+func (p *deltaMeta) Options() *core.Options             { return deltaSchema.Options(p) }
+func (p *deltaMeta) SetOptions(o *core.Options) error   { return deltaSchema.Set(p, o) }
+func (p *deltaMeta) CheckOptions(o *core.Options) error { return deltaSchema.Check(p, o) }
+func (p *deltaMeta) Schema() []core.OptionSpec          { return deltaSchema.Specs() }
 
 func (p *deltaMeta) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
 }
 
 func (p *deltaMeta) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -511,7 +476,7 @@ func deltaInverse[T int32 | int64 | float32 | float64](v []T) {
 }
 
 func (p *deltaMeta) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -574,7 +539,9 @@ func (p *deltaMeta) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *deltaMeta) Clone() core.CompressorPlugin {
-	return &deltaMeta{child: p.child.clone()}
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }
 
 // linQuant performs linear-scaling quantization to int64 codes followed by
@@ -582,8 +549,8 @@ func (p *deltaMeta) Clone() core.CompressorPlugin {
 // step/2. It demonstrates composing a compressor out of functional stages
 // — quantization plus encoding — as §IV-D describes.
 type linQuant struct {
-	child
-	step float64
+	child child
+	step  float64
 }
 
 const linQuantMagic = "MLQ1"
@@ -591,38 +558,26 @@ const linQuantMagic = "MLQ1"
 func (p *linQuant) Prefix() string  { return "linear_quantizer" }
 func (p *linQuant) Version() string { return Version }
 
-func (p *linQuant) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyQuantizerStep, p.step)
-	o.SetValue(core.KeyAbs, p.step/2)
-	p.describe(o)
-	return o
-}
+var linQuantSchema = core.NewSchema(
+	core.Opt(core.KeyAbs, "pointwise absolute error bound (half the quantizer step)", core.Above(0),
+		func(p *linQuant) (float64, bool) { return p.step / 2, true },
+		func(p *linQuant, v float64) { p.step = 2 * v }),
+	core.Field(keyQuantizerStep, "width of one quantization bin", core.Above(0),
+		func(p *linQuant) *float64 { return &p.step }),
+	childRow("linear_quantizer", func(p *linQuant) *child { return &p.child }),
+)
 
-func (p *linQuant) SetOptions(o *core.Options) error {
-	if v, err := o.GetFloat64(core.KeyAbs); err == nil {
-		p.step = 2 * v
-	}
-	if v, err := o.GetFloat64(keyQuantizerStep); err == nil {
-		p.step = v
-	}
-	if p.step <= 0 || math.IsNaN(p.step) || math.IsInf(p.step, 0) {
-		return fmt.Errorf("%w: linear_quantizer:step must be positive", core.ErrInvalidOption)
-	}
-	return p.applyOptions(o)
-}
-
-func (p *linQuant) CheckOptions(o *core.Options) error {
-	clone := linQuant{child: p.child.clone(), step: p.step}
-	return clone.SetOptions(o)
-}
+func (p *linQuant) Options() *core.Options             { return linQuantSchema.Options(p) }
+func (p *linQuant) SetOptions(o *core.Options) error   { return linQuantSchema.Set(p, o) }
+func (p *linQuant) CheckOptions(o *core.Options) error { return linQuantSchema.Check(p, o) }
+func (p *linQuant) Schema() []core.OptionSpec          { return linQuantSchema.Specs() }
 
 func (p *linQuant) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
 }
 
 func (p *linQuant) CompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -654,7 +609,7 @@ func (p *linQuant) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *linQuant) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.get()
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -731,5 +686,7 @@ func (p *linQuant) DecompressImpl(in, out *core.Data) error {
 }
 
 func (p *linQuant) Clone() core.CompressorPlugin {
-	return &linQuant{child: p.child.clone(), step: p.step}
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }

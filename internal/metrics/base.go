@@ -40,15 +40,6 @@ func (c *capture) pair(out *core.Data) (orig, dec []float64, ok bool) {
 	return c.input.AsFloat64s(), out.AsFloat64s(), true
 }
 
-// noOptions is embedded by metrics without settable options.
-type noOptions struct{}
-
-// Options implements Metric.
-func (noOptions) Options() *core.Options { return core.NewOptions() }
-
-// SetOptions implements Metric.
-func (noOptions) SetOptions(*core.Options) error { return nil }
-
 func init() {
 	core.RegisterMetric("size", func() core.Metric { return &sizeMetric{} })
 	core.RegisterMetric("time", func() core.Metric { return &timeMetric{} })

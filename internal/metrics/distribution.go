@@ -18,7 +18,7 @@ const (
 // p-value, testing the hypothesis that compression preserved the
 // distribution.
 type ksTest struct {
-	noOptions
+	core.NoOptions
 	capture
 	computed bool
 	d        float64
@@ -112,16 +112,15 @@ func newKL() *kl { return &kl{bins: 64} }
 
 func (m *kl) Prefix() string { return "kl_divergence" }
 
-func (m *kl) Options() *core.Options {
-	return core.NewOptions().SetValue(keyKLBins, m.bins)
-}
+var klSchema = core.NewSchema(
+	core.Field(keyKLBins, "histogram bins shared by both distributions", core.Closed(2, 1<<20),
+		func(m *kl) *uint64 { return &m.bins }),
+)
 
-func (m *kl) SetOptions(o *core.Options) error {
-	if v, err := o.GetUint64(keyKLBins); err == nil && v >= 2 && v <= 1<<20 {
-		m.bins = v
-	}
-	return nil
-}
+func (m *kl) Options() *core.Options             { return klSchema.Options(m) }
+func (m *kl) SetOptions(o *core.Options) error   { return klSchema.Set(m, o) }
+func (m *kl) CheckOptions(o *core.Options) error { return klSchema.Check(m, o) }
+func (m *kl) Schema() []core.OptionSpec          { return klSchema.Specs() }
 
 // histogram bins values into nb equal-width bins over [lo, hi], returning
 // probabilities with add-one smoothing so the divergence stays finite.
@@ -199,16 +198,15 @@ func newDiffPDF() *diffPDF { return &diffPDF{bins: 64} }
 
 func (m *diffPDF) Prefix() string { return "diff_pdf" }
 
-func (m *diffPDF) Options() *core.Options {
-	return core.NewOptions().SetValue(keyDiffPDFBins, m.bins)
-}
+var diffPDFSchema = core.NewSchema(
+	core.Field(keyDiffPDFBins, "histogram bins of the difference PDF", core.Closed(2, 1<<20),
+		func(m *diffPDF) *uint64 { return &m.bins }),
+)
 
-func (m *diffPDF) SetOptions(o *core.Options) error {
-	if v, err := o.GetUint64(keyDiffPDFBins); err == nil && v >= 2 && v <= 1<<20 {
-		m.bins = v
-	}
-	return nil
-}
+func (m *diffPDF) Options() *core.Options             { return diffPDFSchema.Options(m) }
+func (m *diffPDF) SetOptions(o *core.Options) error   { return diffPDFSchema.Set(m, o) }
+func (m *diffPDF) CheckOptions(o *core.Options) error { return diffPDFSchema.Check(m, o) }
+func (m *diffPDF) Schema() []core.OptionSpec          { return diffPDFSchema.Specs() }
 
 func (m *diffPDF) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {

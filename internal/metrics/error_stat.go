@@ -16,7 +16,7 @@ const (
 // data: min/max/average error, MSE, RMSE, PSNR, value range, and the
 // maximum value-range-relative error.
 type errorStat struct {
-	noOptions
+	core.NoOptions
 	capture
 	computed bool
 	n        uint64
@@ -91,7 +91,7 @@ func (m *errorStat) Clone() core.Metric { return &errorStat{} }
 // pearson computes Pearson's correlation coefficient between the original
 // and decompressed values.
 type pearson struct {
-	noOptions
+	core.NoOptions
 	capture
 	computed bool
 	r        float64
@@ -160,21 +160,21 @@ func newAutocorr() *autocorr {
 
 func (m *autocorr) Prefix() string { return "autocorrelation" }
 
-func (m *autocorr) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyAutocorrMaxLag, uint64(len(m.lags)))
-	return o
-}
+var autocorrSchema = core.NewSchema(
+	core.Opt(keyAutocorrMaxLag, "report the error autocorrelation at lags 1..max_lag", core.Closed(1, 1<<20-1),
+		func(m *autocorr) (uint64, bool) { return uint64(len(m.lags)), true },
+		func(m *autocorr, v uint64) {
+			m.lags = make([]uint64, v)
+			for i := range m.lags {
+				m.lags[i] = uint64(i) + 1
+			}
+		}),
+)
 
-func (m *autocorr) SetOptions(o *core.Options) error {
-	if v, err := o.GetUint64(keyAutocorrMaxLag); err == nil && v > 0 && v < 1<<20 {
-		m.lags = m.lags[:0]
-		for l := uint64(1); l <= v; l++ {
-			m.lags = append(m.lags, l)
-		}
-	}
-	return nil
-}
+func (m *autocorr) Options() *core.Options             { return autocorrSchema.Options(m) }
+func (m *autocorr) SetOptions(o *core.Options) error   { return autocorrSchema.Set(m, o) }
+func (m *autocorr) CheckOptions(o *core.Options) error { return autocorrSchema.Check(m, o) }
+func (m *autocorr) Schema() []core.OptionSpec          { return autocorrSchema.Specs() }
 
 func (m *autocorr) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {

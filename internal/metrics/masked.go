@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"fmt"
+	"errors"
 
 	"pressio/internal/core"
 )
@@ -23,52 +23,46 @@ func init() {
 // from error statistics). Options: keyMaskMetric names the wrapped metric,
 // keyMaskMask is a uint8 Data where nonzero marks points to EXCLUDE.
 type masked struct {
-	childName string
-	child     core.Metric
-	mask      []uint8
-	input     *core.Data
+	child core.Child[core.Metric]
+	mask  []uint8
+	input *core.Data
 }
 
-func newMasked() *masked { return &masked{childName: "error_stat"} }
+func newMasked() *masked {
+	return &masked{child: core.Child[core.Metric]{Name: "error_stat"}}
+}
 
 func (m *masked) Prefix() string { return "mask" }
 
-func (m *masked) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyMaskMetric, m.childName)
-	o.SetType(keyMaskMask, core.OptData)
-	if m.child != nil {
-		o.Merge(m.child.Options())
-	}
-	return o
-}
-
-func (m *masked) SetOptions(o *core.Options) error {
-	if v, err := o.GetString(keyMaskMetric); err == nil && v != m.childName {
-		m.childName = v
-		m.child = nil
-	}
-	if d, err := o.GetData(keyMaskMask); err == nil {
-		if d.DType() != core.DTypeUint8 && d.DType() != core.DTypeByte {
-			return fmt.Errorf("%w: mask:mask must be uint8 data", core.ErrInvalidOption)
-		}
-		m.mask = append([]uint8(nil), d.Bytes()...)
-	}
-	if m.child != nil {
-		return m.child.SetOptions(o)
-	}
-	return nil
-}
-
-func (m *masked) ensureChild() core.Metric {
-	if m.child == nil {
-		child, err := core.NewMetric(m.childName)
-		if err != nil {
+var maskedSchema = core.NewSchema(
+	core.ChildRow(keyMaskMetric, "name of the metric that sees only the unmasked points; it receives every option set here",
+		func(m *masked) *core.Child[core.Metric] { return &m.child }),
+	func() core.Row[masked] {
+		r := core.Opt(keyMaskMask, "uint8 buffer, one entry per element; non-zero excludes the element", core.Bounds{},
+			func(m *masked) (*core.Data, bool) { return nil, false },
+			func(m *masked, d *core.Data) { m.mask = append([]uint8(nil), d.Bytes()...) })
+		r.Check = func(o core.Option) error {
+			if d, _ := o.Value().(*core.Data); d == nil || (d.DType() != core.DTypeUint8 && d.DType() != core.DTypeByte) {
+				return errors.New("must be uint8 data")
+			}
 			return nil
 		}
-		m.child = child
+		return r
+	}(),
+)
+
+func (m *masked) Options() *core.Options             { return maskedSchema.Options(m) }
+func (m *masked) SetOptions(o *core.Options) error   { return maskedSchema.Set(m, o) }
+func (m *masked) CheckOptions(o *core.Options) error { return maskedSchema.Check(m, o) }
+func (m *masked) Schema() []core.OptionSpec          { return maskedSchema.Specs() }
+
+// ensureChild returns the wrapped metric, or nil when it cannot be built.
+func (m *masked) ensureChild() core.Metric {
+	child, err := m.child.Get()
+	if err != nil {
+		return nil
 	}
-	return m.child
+	return child
 }
 
 // filter removes masked elements, returning a fresh 1-D float64 Data.
@@ -115,17 +109,15 @@ func (m *masked) EndDecompress(in, out *core.Data, err error) {
 }
 
 func (m *masked) Results() *core.Options {
-	if m.child == nil {
+	child, ok := m.child.Live()
+	if !ok {
 		return core.NewOptions()
 	}
-	return m.child.Results()
+	return child.Results()
 }
 
 func (m *masked) Clone() core.Metric {
-	c := newMasked()
-	c.childName = m.childName
-	c.mask = append([]uint8(nil), m.mask...)
-	return c
+	return &masked{child: m.child.Clone(), mask: m.mask}
 }
 
 // criticalPoints is a lightweight stand-in for the paper's FTK metric
@@ -134,7 +126,7 @@ func (m *masked) Clone() core.Metric {
 // how many survive compression at the same locations — a cheap proxy for
 // "are the features preserved?".
 type criticalPoints struct {
-	noOptions
+	core.NoOptions
 	capture
 	computed  bool
 	origCount uint64

@@ -10,7 +10,7 @@ import (
 // and the bit rate — the metric used in the paper's Appendix A example
 // ("size:compression_ratio").
 type sizeMetric struct {
-	noOptions
+	core.NoOptions
 	uncompressed uint64
 	compressed   uint64
 	decompressed uint64
@@ -65,7 +65,7 @@ func (m *sizeMetric) Clone() core.Metric { return &sizeMetric{} }
 // timeMetric reports wall-clock times of the wrapped operations in
 // milliseconds, accumulating across calls.
 type timeMetric struct {
-	noOptions
+	core.NoOptions
 	compressStart   time.Time
 	decompressStart time.Time
 	compressMS      float64

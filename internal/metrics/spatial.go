@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -30,19 +29,15 @@ func newSpatialError() *spatialError { return &spatialError{threshold: 1e-4} }
 
 func (m *spatialError) Prefix() string { return "spatial_error" }
 
-func (m *spatialError) Options() *core.Options {
-	return core.NewOptions().SetValue(keySpatialThreshold, m.threshold)
-}
+var spatialErrorSchema = core.NewSchema(
+	core.Field(keySpatialThreshold, "absolute error above which an element counts", core.AtLeast(0),
+		func(m *spatialError) *float64 { return &m.threshold }),
+)
 
-func (m *spatialError) SetOptions(o *core.Options) error {
-	if v, err := o.GetFloat64(keySpatialThreshold); err == nil {
-		if v < 0 {
-			return fmt.Errorf("%w: spatial_error:threshold must be >= 0", core.ErrInvalidOption)
-		}
-		m.threshold = v
-	}
-	return nil
-}
+func (m *spatialError) Options() *core.Options             { return spatialErrorSchema.Options(m) }
+func (m *spatialError) SetOptions(o *core.Options) error   { return spatialErrorSchema.Set(m, o) }
+func (m *spatialError) CheckOptions(o *core.Options) error { return spatialErrorSchema.Check(m, o) }
+func (m *spatialError) Schema() []core.OptionSpec          { return spatialErrorSchema.Specs() }
 
 func (m *spatialError) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {
@@ -88,19 +83,15 @@ func newKthError() *kthError { return &kthError{k: 1} }
 
 func (m *kthError) Prefix() string { return "kth_error" }
 
-func (m *kthError) Options() *core.Options {
-	return core.NewOptions().SetValue(keyKthK, m.k)
-}
+var kthErrorSchema = core.NewSchema(
+	core.Field(keyKthK, "report the k-th largest absolute error", core.AtLeast(1),
+		func(m *kthError) *uint64 { return &m.k }),
+)
 
-func (m *kthError) SetOptions(o *core.Options) error {
-	if v, err := o.GetUint64(keyKthK); err == nil {
-		if v == 0 {
-			return fmt.Errorf("%w: kth_error:k must be >= 1", core.ErrInvalidOption)
-		}
-		m.k = v
-	}
-	return nil
-}
+func (m *kthError) Options() *core.Options             { return kthErrorSchema.Options(m) }
+func (m *kthError) SetOptions(o *core.Options) error   { return kthErrorSchema.Set(m, o) }
+func (m *kthError) CheckOptions(o *core.Options) error { return kthErrorSchema.Check(m, o) }
+func (m *kthError) Schema() []core.OptionSpec          { return kthErrorSchema.Specs() }
 
 func (m *kthError) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {
@@ -144,28 +135,17 @@ type regionOfInterest struct {
 
 func (m *regionOfInterest) Prefix() string { return "region_of_interest" }
 
-func (m *regionOfInterest) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetType(keyROIStart, core.OptData)
-	o.SetType(keyROIEnd, core.OptData)
-	return o
-}
+var roiSchema = core.NewSchema(
+	core.Uint64s(keyROIStart, "per-dimension inclusive start of the box",
+		func(m *regionOfInterest) *[]uint64 { return &m.start }).WriteOnly(),
+	core.Uint64s(keyROIEnd, "per-dimension exclusive end of the box",
+		func(m *regionOfInterest) *[]uint64 { return &m.end }).WriteOnly(),
+)
 
-func (m *regionOfInterest) SetOptions(o *core.Options) error {
-	if d, err := o.GetData(keyROIStart); err == nil {
-		if d.DType() != core.DTypeUint64 {
-			return fmt.Errorf("%w: region_of_interest:start must be uint64 data", core.ErrInvalidOption)
-		}
-		m.start = append([]uint64(nil), d.Uint64s()...)
-	}
-	if d, err := o.GetData(keyROIEnd); err == nil {
-		if d.DType() != core.DTypeUint64 {
-			return fmt.Errorf("%w: region_of_interest:end must be uint64 data", core.ErrInvalidOption)
-		}
-		m.end = append([]uint64(nil), d.Uint64s()...)
-	}
-	return nil
-}
+func (m *regionOfInterest) Options() *core.Options             { return roiSchema.Options(m) }
+func (m *regionOfInterest) SetOptions(o *core.Options) error   { return roiSchema.Set(m, o) }
+func (m *regionOfInterest) CheckOptions(o *core.Options) error { return roiSchema.Check(m, o) }
+func (m *regionOfInterest) Schema() []core.OptionSpec          { return roiSchema.Specs() }
 
 // roiMean averages the values inside the box [start, end) of a tensor.
 func roiMean(vals []float64, dims, start, end []uint64) (float64, uint64) {
@@ -243,7 +223,7 @@ func (m *regionOfInterest) Clone() core.Metric {
 // invocations; tests and tutorials use it to observe the framework's hook
 // protocol.
 type printer struct {
-	noOptions
+	core.NoOptions
 	events []string
 }
 

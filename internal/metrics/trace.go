@@ -29,17 +29,16 @@ type traceMetric struct {
 
 func (m *traceMetric) Prefix() string { return "trace" }
 
-func (m *traceMetric) Options() *core.Options {
-	return core.NewOptions().SetValue(keyTraceEnabled, m.enable)
-}
+var traceSchema = core.NewSchema(
+	core.Field(keyTraceEnabled, "non-zero switches process-wide span collection on, zero switches it off", core.Bounds{},
+		func(m *traceMetric) *int32 { return &m.enable }).
+		WithEffect(func(m *traceMetric) { trace.SetEnabled(m.enable != 0) }),
+)
 
-func (m *traceMetric) SetOptions(o *core.Options) error {
-	if v, err := o.GetInt32(keyTraceEnabled); err == nil {
-		m.enable = v
-		trace.SetEnabled(v != 0)
-	}
-	return nil
-}
+func (m *traceMetric) Options() *core.Options             { return traceSchema.Options(m) }
+func (m *traceMetric) SetOptions(o *core.Options) error   { return traceSchema.Set(m, o) }
+func (m *traceMetric) CheckOptions(o *core.Options) error { return traceSchema.Check(m, o) }
+func (m *traceMetric) Schema() []core.OptionSpec          { return traceSchema.Specs() }
 
 func (m *traceMetric) BeginCompress(in *core.Data) {
 	if m.enable != 0 && !trace.Enabled() {

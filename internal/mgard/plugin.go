@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pressio/internal/core"
+	"pressio/internal/lossless"
 )
 
 // Option keys the mgard plugin owns.
@@ -26,37 +27,19 @@ func init() {
 func (p *plugin) Prefix() string  { return "mgard" }
 func (p *plugin) Version() string { return Version }
 
-func (p *plugin) Options() *core.Options {
-	o := core.NewOptions()
-	p.bound.Describe("mgard", o)
-	o.SetValue(keyTolerance, p.bound.Bound)
-	o.SetValue(core.KeyLossless, p.level)
-	return o
-}
+var schema = core.NewSchema(append(
+	core.BoundRows("mgard", func(p *plugin) *core.BoundConfig { return &p.bound }),
+	core.Opt(keyTolerance, "the bound under its MGARD name; setting it selects the absolute mode", core.Above(0),
+		func(p *plugin) (float64, bool) { return p.bound.Bound, true },
+		func(p *plugin, v float64) { p.bound = core.BoundConfig{Mode: core.BoundAbs, Bound: v} }),
+	core.Field(core.KeyLossless, "effort level of the DEFLATE back end", lossless.LevelBounds,
+		func(p *plugin) *int32 { return &p.level }),
+)...)
 
-func (p *plugin) SetOptions(o *core.Options) error {
-	if err := p.bound.ApplyOptions("mgard", o); err != nil {
-		return err
-	}
-	if v, err := o.GetFloat64(keyTolerance); err == nil {
-		p.bound = core.BoundConfig{Mode: core.BoundAbs, Bound: v}
-	}
-	if v, err := o.GetInt32(core.KeyLossless); err == nil {
-		p.level = v
-	}
-	return nil
-}
-
-func (p *plugin) CheckOptions(o *core.Options) error {
-	clone := *p
-	if err := clone.SetOptions(o); err != nil {
-		return err
-	}
-	if clone.bound.Bound <= 0 {
-		return fmt.Errorf("%w: mgard tolerance must be positive", core.ErrInvalidOption)
-	}
-	return nil
-}
+func (p *plugin) Options() *core.Options             { return schema.Options(p) }
+func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
+func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
+func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
 
 func (p *plugin) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pressio/internal/core"
-	"pressio/internal/faultinject"
 	"pressio/internal/fsx"
 )
 
@@ -16,10 +15,10 @@ import (
 // cleanup.
 func armCrash(t *testing.T, point string) {
 	t.Helper()
-	if err := faultinject.ArmFS(faultinject.FSFault{Point: point, Mode: faultinject.FSModeFail}); err != nil {
+	if err := fsx.ArmFS(fsx.FSFault{Point: point, Mode: fsx.FSModeFail}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(faultinject.DisarmFS)
+	t.Cleanup(fsx.DisarmFS)
 }
 
 // TestAtomicWriteKillMidWriteLeavesOldFileIntact simulates a process killed
@@ -35,7 +34,7 @@ func TestAtomicWriteKillMidWriteLeavesOldFileIntact(t *testing.T) {
 
 	armCrash(t, fsx.PointRename)
 	err := atomicWriteFile(path, []byte("the new generation"), 0o644)
-	if !errors.Is(err, faultinject.ErrFSCrash) {
+	if !errors.Is(err, fsx.ErrFSCrash) {
 		t.Fatalf("crash point did not abort the write: %v", err)
 	}
 	got, err := os.ReadFile(path)
@@ -47,7 +46,7 @@ func TestAtomicWriteKillMidWriteLeavesOldFileIntact(t *testing.T) {
 	}
 
 	// The write path recovers fully once the fault is gone.
-	faultinject.DisarmFS()
+	fsx.DisarmFS()
 	if err := atomicWriteFile(path, []byte("the new generation"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestAtomicWriteKillAtEveryPointLeavesOldFileIntact(t *testing.T) {
 				t.Fatal(err)
 			}
 			armCrash(t, tc.point)
-			if err := atomicWriteFile(path, []byte("new"), 0o644); !errors.Is(err, faultinject.ErrFSCrash) {
+			if err := atomicWriteFile(path, []byte("new"), 0o644); !errors.Is(err, fsx.ErrFSCrash) {
 				t.Fatalf("crash at %s did not abort the write: %v", tc.point, err)
 			}
 			got, err := os.ReadFile(path)
@@ -116,10 +115,10 @@ func TestAtomicWriteKillMidWriteNpy(t *testing.T) {
 	}
 
 	armCrash(t, fsx.PointRename)
-	if err := writeVia([]float64{9, 9, 9, 9, 9, 9}); !errors.Is(err, faultinject.ErrFSCrash) {
+	if err := writeVia([]float64{9, 9, 9, 9, 9, 9}); !errors.Is(err, fsx.ErrFSCrash) {
 		t.Fatalf("crash point did not abort the npy rewrite: %v", err)
 	}
-	faultinject.DisarmFS()
+	fsx.DisarmFS()
 
 	io, err := core.NewIO("npy")
 	if err != nil {

@@ -25,32 +25,22 @@ type h5io struct {
 
 func (h *h5io) Prefix() string { return "h5lite" }
 
-func (h *h5io) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(core.KeyIOPath, h.path)
-	o.SetValue("h5:dataset", h.dataset)
-	o.SetValue("h5:filter", h.filter)
-	o.SetValue("h5:chunk_rows", h.chunkRows)
-	o.SetValue("h5:filter_abs", h.filterAbs)
-	return o
-}
+var h5Schema = core.NewSchema(
+	core.Field(core.KeyIOPath, pathDoc, core.Bounds{}, func(h *h5io) *string { return &h.path }),
+	core.Field("h5:dataset", "name of the dataset inside the container", core.Bounds{},
+		func(h *h5io) *string { return &h.dataset }),
+	core.Field("h5:filter", "compressor applied to each chunk on write (empty = none)", core.Bounds{},
+		func(h *h5io) *string { return &h.filter }),
+	core.Field("h5:chunk_rows", "rows of the slowest dimension per chunk (0 = one chunk)", core.Bounds{},
+		func(h *h5io) *uint64 { return &h.chunkRows }),
+	core.Field("h5:filter_abs", "pressio:abs handed to the filter (0 = the filter's default)", core.AtLeast(0),
+		func(h *h5io) *float64 { return &h.filterAbs }),
+)
 
-func (h *h5io) SetOptions(o *core.Options) error {
-	h.applyPath(o)
-	if v, err := o.GetString("h5:dataset"); err == nil {
-		h.dataset = v
-	}
-	if v, err := o.GetString("h5:filter"); err == nil {
-		h.filter = v
-	}
-	if v, err := o.GetUint64("h5:chunk_rows"); err == nil {
-		h.chunkRows = v
-	}
-	if v, err := o.GetFloat64("h5:filter_abs"); err == nil {
-		h.filterAbs = v
-	}
-	return nil
-}
+func (h *h5io) Options() *core.Options             { return h5Schema.Options(h) }
+func (h *h5io) SetOptions(o *core.Options) error   { return h5Schema.Set(h, o) }
+func (h *h5io) CheckOptions(o *core.Options) error { return h5Schema.Check(h, o) }
+func (h *h5io) Schema() []core.OptionSpec          { return h5Schema.Specs() }
 
 func (h *h5io) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", "1.0.0", false)

@@ -26,12 +26,6 @@ type mmapIO struct {
 
 func (m *mmapIO) Prefix() string { return "mmap" }
 
-func (m *mmapIO) Options() *core.Options {
-	return core.NewOptions().SetValue(core.KeyIOPath, m.path)
-}
-
-func (m *mmapIO) SetOptions(o *core.Options) error { m.applyPath(o); return nil }
-
 func (m *mmapIO) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
 }

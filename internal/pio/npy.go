@@ -18,12 +18,6 @@ type npy struct {
 
 func (n *npy) Prefix() string { return "npy" }
 
-func (n *npy) Options() *core.Options {
-	return core.NewOptions().SetValue(core.KeyIOPath, n.path)
-}
-
-func (n *npy) SetOptions(o *core.Options) error { n.applyPath(o); return nil }
-
 func (n *npy) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
 }

@@ -24,12 +24,6 @@ type petsc struct {
 
 func (p *petsc) Prefix() string { return "petsc" }
 
-func (p *petsc) Options() *core.Options {
-	return core.NewOptions().SetValue(core.KeyIOPath, p.path)
-}
-
-func (p *petsc) SetOptions(o *core.Options) error { p.applyPath(o); return nil }
-
 func (p *petsc) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
 }

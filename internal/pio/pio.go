@@ -62,19 +62,27 @@ func init() {
 	core.RegisterIO("npy", func() core.IOPlugin { return &npy{} })
 	core.RegisterIO("iota", func() core.IOPlugin { return &iota{dtype: core.DTypeFloat32} })
 	core.RegisterIO("noop", func() core.IOPlugin { return &noop{} })
-	core.RegisterIO("select", func() core.IOPlugin { return &selectIO{io: "posix"} })
+	core.RegisterIO("select", func() core.IOPlugin {
+		return &selectIO{child: core.Child[core.IOPlugin]{Name: "posix"}}
+	})
 }
 
-// pathConfig handles the common io:path option.
+// pathConfig is embedded by the file-backed plugins: it declares the common
+// io:path option and, with it, their whole option surface.
 type pathConfig struct {
 	path string
 }
 
-func (p *pathConfig) applyPath(o *core.Options) {
-	if v, err := o.GetString(core.KeyIOPath); err == nil {
-		p.path = v
-	}
-}
+const pathDoc = "file to read from or write to"
+
+var pathSchema = core.NewSchema(
+	core.Field(core.KeyIOPath, pathDoc, core.Bounds{}, func(p *pathConfig) *string { return &p.path }),
+)
+
+func (p *pathConfig) Options() *core.Options             { return pathSchema.Options(p) }
+func (p *pathConfig) SetOptions(o *core.Options) error   { return pathSchema.Set(p, o) }
+func (p *pathConfig) CheckOptions(o *core.Options) error { return pathSchema.Check(p, o) }
+func (p *pathConfig) Schema() []core.OptionSpec          { return pathSchema.Specs() }
 
 // posix reads and writes flat binary files, relying on the caller's Data
 // hint for dtype and dims (like the POSIX read/write plugin of the paper).
@@ -83,12 +91,6 @@ type posix struct {
 }
 
 func (p *posix) Prefix() string { return "posix" }
-
-func (p *posix) Options() *core.Options {
-	return core.NewOptions().SetValue(core.KeyIOPath, p.path)
-}
-
-func (p *posix) SetOptions(o *core.Options) error { p.applyPath(o); return nil }
 
 func (p *posix) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
@@ -129,12 +131,6 @@ type csvIO struct {
 }
 
 func (c *csvIO) Prefix() string { return "csv" }
-
-func (c *csvIO) Options() *core.Options {
-	return core.NewOptions().SetValue(core.KeyIOPath, c.path)
-}
-
-func (c *csvIO) SetOptions(o *core.Options) error { c.applyPath(o); return nil }
 
 func (c *csvIO) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
@@ -248,35 +244,19 @@ type iota struct {
 
 func (i *iota) Prefix() string { return "iota" }
 
-func (i *iota) Options() *core.Options {
-	o := core.NewOptions()
-	dimsData := core.NewData(core.DTypeUint64, uint64(len(i.dims)))
-	copy(dimsData.Uint64s(), i.dims)
-	o.Set(keyIotaDims, core.NewOption(dimsData))
-	o.SetValue(keyIotaDType, i.dtype.String())
-	o.SetValue(keyIotaStart, i.start)
-	return o
-}
+var iotaSchema = core.NewSchema(
+	core.Uint64s(keyIotaDims, "shape to generate when the read hint carries none",
+		func(i *iota) *[]uint64 { return &i.dims }),
+	core.Parsed(keyIotaDType, "element type to generate (any name core.ParseDType accepts)", core.ParseDType,
+		func(i *iota) *core.DType { return &i.dtype }),
+	core.Field(keyIotaStart, "value of the first element", core.Bounds{},
+		func(i *iota) *float64 { return &i.start }),
+)
 
-func (i *iota) SetOptions(o *core.Options) error {
-	if d, err := o.GetData(keyIotaDims); err == nil {
-		if d.DType() != core.DTypeUint64 {
-			return fmt.Errorf("%w: iota:dims must be uint64 data", core.ErrInvalidOption)
-		}
-		i.dims = append([]uint64(nil), d.Uint64s()...)
-	}
-	if s, err := o.GetString(keyIotaDType); err == nil {
-		dt, err := core.ParseDType(s)
-		if err != nil {
-			return err
-		}
-		i.dtype = dt
-	}
-	if v, err := o.GetFloat64(keyIotaStart); err == nil {
-		i.start = v
-	}
-	return nil
-}
+func (i *iota) Options() *core.Options             { return iotaSchema.Options(i) }
+func (i *iota) SetOptions(o *core.Options) error   { return iotaSchema.Set(i, o) }
+func (i *iota) CheckOptions(o *core.Options) error { return iotaSchema.Check(i, o) }
+func (i *iota) Schema() []core.OptionSpec          { return iotaSchema.Specs() }
 
 func (i *iota) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
@@ -315,18 +295,16 @@ func (i *iota) Write(d *core.Data) error {
 
 func (i *iota) Clone() core.IOPlugin {
 	clone := *i
-	clone.dims = append([]uint64(nil), i.dims...)
 	return &clone
 }
 
 // noop stores data in memory; it backs unit tests and meta-IO composition.
 type noop struct {
+	core.NoOptions
 	stored *core.Data
 }
 
-func (n *noop) Prefix() string                   { return "noop" }
-func (n *noop) Options() *core.Options           { return core.NewOptions() }
-func (n *noop) SetOptions(o *core.Options) error { return nil }
+func (n *noop) Prefix() string { return "noop" }
 func (n *noop) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", "1.0.0", false)
 }
@@ -354,73 +332,37 @@ func (n *noop) Clone() core.IOPlugin {
 // selectIO reads through a child IO plugin and extracts a box-shaped
 // sub-region, the "select" plugin of the paper.
 type selectIO struct {
-	io    string
-	child core.IOPlugin
-	opts  *core.Options
+	child core.Child[core.IOPlugin]
 	start []uint64
 	end   []uint64
 }
 
 func (s *selectIO) Prefix() string { return "select" }
 
-func (s *selectIO) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keySelectIO, s.io)
-	o.SetType(keySelectStart, core.OptData)
-	o.SetType(keySelectEnd, core.OptData)
-	return o
-}
+var selectSchema = core.NewSchema(
+	core.ChildRow(keySelectIO, "name of the IO plugin that reads the full buffer; it receives every option set here",
+		func(s *selectIO) *core.Child[core.IOPlugin] { return &s.child }),
+	core.Uint64s(keySelectStart, "per-dimension inclusive start of the box",
+		func(s *selectIO) *[]uint64 { return &s.start }).WriteOnly(),
+	core.Uint64s(keySelectEnd, "per-dimension exclusive end of the box",
+		func(s *selectIO) *[]uint64 { return &s.end }).WriteOnly(),
+)
 
-func (s *selectIO) SetOptions(o *core.Options) error {
-	if v, err := o.GetString(keySelectIO); err == nil {
-		s.io = v
-		s.child = nil
-	}
-	if d, err := o.GetData(keySelectStart); err == nil {
-		if d.DType() != core.DTypeUint64 {
-			return fmt.Errorf("%w: select:start must be uint64 data", core.ErrInvalidOption)
-		}
-		s.start = append([]uint64(nil), d.Uint64s()...)
-	}
-	if d, err := o.GetData(keySelectEnd); err == nil {
-		if d.DType() != core.DTypeUint64 {
-			return fmt.Errorf("%w: select:end must be uint64 data", core.ErrInvalidOption)
-		}
-		s.end = append([]uint64(nil), d.Uint64s()...)
-	}
-	if s.opts == nil {
-		s.opts = core.NewOptions()
-	}
-	s.opts.Merge(o)
-	return nil
-}
+func (s *selectIO) Options() *core.Options             { return selectSchema.Options(s) }
+func (s *selectIO) SetOptions(o *core.Options) error   { return selectSchema.Set(s, o) }
+func (s *selectIO) CheckOptions(o *core.Options) error { return selectSchema.Check(s, o) }
+func (s *selectIO) Schema() []core.OptionSpec          { return selectSchema.Specs() }
 
 func (s *selectIO) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", "1.0.0", false)
 }
 
-func (s *selectIO) ensureChild() error {
-	if s.child != nil {
-		return nil
-	}
-	child, err := core.NewIO(s.io)
-	if err != nil {
-		return err
-	}
-	if s.opts != nil {
-		if err := child.SetOptions(s.opts); err != nil {
-			return err
-		}
-	}
-	s.child = child
-	return nil
-}
-
 func (s *selectIO) Read(hint *core.Data) (*core.Data, error) {
-	if err := s.ensureChild(); err != nil {
+	child, err := s.child.Get()
+	if err != nil {
 		return nil, err
 	}
-	full, err := s.child.Read(hint)
+	full, err := child.Read(hint)
 	if err != nil {
 		return nil, err
 	}
@@ -432,13 +374,9 @@ func (s *selectIO) Write(d *core.Data) error {
 }
 
 func (s *selectIO) Clone() core.IOPlugin {
-	clone := &selectIO{io: s.io,
-		start: append([]uint64(nil), s.start...),
-		end:   append([]uint64(nil), s.end...)}
-	if s.opts != nil {
-		clone.opts = s.opts.Clone()
-	}
-	return clone
+	clone := *s
+	clone.child = s.child.Clone()
+	return &clone
 }
 
 // Subregion copies the box [start, end) out of d.

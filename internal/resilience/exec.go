@@ -46,34 +46,5 @@ func recoverToError(op func() error) (err error) {
 	return op()
 }
 
-// childComp lazily instantiates a named child compressor, replaying the
-// saved option set on first construction. guard holds one; fallback holds an
-// ordered slice.
-type childComp struct {
-	name string
-	comp *core.Compressor
-}
-
-func (c *childComp) get(saved *core.Options) (*core.Compressor, error) {
-	if c.comp == nil {
-		comp, err := core.NewCompressor(c.name)
-		if err != nil {
-			return nil, err
-		}
-		if saved != nil {
-			if err := comp.SetOptions(saved); err != nil {
-				return nil, err
-			}
-		}
-		c.comp = comp
-	}
-	return c.comp, nil
-}
-
-func (c *childComp) clone() childComp {
-	out := childComp{name: c.name}
-	if c.comp != nil {
-		out.comp = c.comp.Clone()
-	}
-	return out
-}
+// childComp is the wrapped compressor of guard and of each fallback tier.
+type childComp = core.Child[*core.Compressor]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,13 +42,12 @@ func newFallback(chain string) *fallback {
 // the tier that actually compressed each buffer — a chain can therefore mix
 // tiers freely across a batch and still decompress everything.
 type fallback struct {
-	tiers      []childComp
-	saved      *core.Options
-	deadlineMS int64
-	verify     bool
-	verifyAbs  float64
-	frame      bool
-	lastTier   string
+	tiers     []childComp
+	deadline  time.Duration
+	verify    bool
+	verifyAbs float64
+	frame     bool
+	lastTier  string
 }
 
 func (p *fallback) Prefix() string  { return "fallback" }
@@ -56,85 +56,94 @@ func (p *fallback) Version() string { return Version }
 func (p *fallback) chain() string {
 	names := make([]string, len(p.tiers))
 	for i := range p.tiers {
-		names[i] = p.tiers[i].name
+		names[i] = p.tiers[i].Name
 	}
 	return strings.Join(names, ",")
 }
 
+// setChain replaces the tiers with unbuilt ones that inherit the options
+// saved so far. It builds a fresh slice: the old one may be shared with the
+// plugin a staged copy was taken from.
 func (p *fallback) setChain(csv string) {
-	p.tiers = p.tiers[:0]
+	var proto childComp
+	if len(p.tiers) > 0 {
+		proto = p.tiers[0]
+	}
+	var tiers []childComp
 	for _, name := range strings.Split(csv, ",") {
 		if name = strings.TrimSpace(name); name != "" {
-			p.tiers = append(p.tiers, childComp{name: name})
+			tiers = append(tiers, proto.Renamed(name))
 		}
 	}
+	p.tiers = tiers
 }
 
-func (p *fallback) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyFallbackCompressors, p.chain())
-	o.SetValue(keyFallbackDeadlineMS, p.deadlineMS)
-	o.SetValue(keyFallbackVerify, boolOpt(p.verify))
-	o.SetValue(keyFallbackVerifyAbs, p.verifyAbs)
-	o.SetValue(keyFallbackFrame, boolOpt(p.frame))
-	o.SetValue(keyFallbackLastTier, p.lastTier)
-	for i := range p.tiers {
-		if p.tiers[i].comp != nil {
-			o.Merge(p.tiers[i].comp.Options())
+// tiersRow declares the chain. Unlike a single-child wrapper it validates
+// forwarded options only against tiers that are already built: a tier that
+// cannot be built or configured degrades to the next one at call time, which
+// is the point of the plugin.
+var tiersRow = func() core.Row[fallback] {
+	r := core.Opt(keyFallbackCompressors, "comma-separated tiers in preference order; each receives every option set here", core.Bounds{},
+		func(p *fallback) (string, bool) { return p.chain(), true },
+		func(p *fallback, csv string) {
+			if csv != p.chain() {
+				p.setChain(csv)
+			}
+		})
+	r.Check = func(o core.Option) error {
+		if strings.Trim(o.Value().(string), ", \t") == "" {
+			return errors.New("names no tier")
+		}
+		return nil
+	}
+	r.Describe = func(p *fallback, o *core.Options) {
+		for i := range p.tiers {
+			p.tiers[i].Describe(o)
 		}
 	}
-	return o
-}
-
-func (p *fallback) SetOptions(o *core.Options) error {
-	if v, err := o.GetString(keyFallbackCompressors); err == nil && v != p.chain() {
-		p.setChain(v)
-	}
-	if v, err := o.GetInt64(keyFallbackDeadlineMS); err == nil {
-		if v < 0 {
-			return fmt.Errorf("%w: %s %d", core.ErrInvalidOption, keyFallbackDeadlineMS, v)
-		}
-		p.deadlineMS = v
-	}
-	if v, err := o.GetInt32(keyFallbackVerify); err == nil {
-		p.verify = v != 0
-	}
-	if v, err := o.GetFloat64(keyFallbackVerifyAbs); err == nil {
-		if v < 0 || math.IsNaN(v) {
-			return fmt.Errorf("%w: %s %v", core.ErrInvalidOption, keyFallbackVerifyAbs, v)
-		}
-		p.verifyAbs = v
-	}
-	if v, err := o.GetInt32(keyFallbackFrame); err == nil {
-		p.frame = v != 0
-	}
-	if p.saved == nil {
-		p.saved = core.NewOptions()
-	}
-	p.saved.Merge(o)
-	for i := range p.tiers {
-		if p.tiers[i].comp != nil {
-			if err := p.tiers[i].comp.SetOptions(o); err != nil {
+	r.Stage = func(p *fallback, o *core.Options) error {
+		p.tiers = slices.Clone(p.tiers)
+		for i := range p.tiers {
+			if err := p.tiers[i].Stage(o); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	return nil
-}
+	r.Commit = func(p *fallback, o *core.Options) error {
+		for i := range p.tiers {
+			if err := p.tiers[i].Forward(o); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return r
+}()
 
-func (p *fallback) CheckOptions(o *core.Options) error {
-	clone := p.cloneFallback()
-	return clone.SetOptions(o)
-}
+var fallbackSchema = core.NewSchema(
+	tiersRow,
+	core.Millis(keyFallbackDeadlineMS, "per-tier watchdog deadline (0 = none)", core.AtLeast(0),
+		func(p *fallback) *time.Duration { return &p.deadline }),
+	core.Flag(keyFallbackVerify, "decompress each candidate stream and check it before accepting the tier",
+		func(p *fallback) *bool { return &p.verify }),
+	core.Field(keyFallbackVerifyAbs, "max pointwise error the verification gate tolerates (0 = shape check only)", core.AtLeast(0),
+		func(p *fallback) *float64 { return &p.verifyAbs }),
+	core.Flag(keyFallbackFrame, "frame streams with the producing tier so decompression routes back to it",
+		func(p *fallback) *bool { return &p.frame }),
+	core.Report(keyFallbackLastTier, "tier that served the most recent call",
+		func(p *fallback) string { return p.lastTier }),
+)
+
+func (p *fallback) Options() *core.Options             { return fallbackSchema.Options(p) }
+func (p *fallback) SetOptions(o *core.Options) error   { return fallbackSchema.Set(p, o) }
+func (p *fallback) CheckOptions(o *core.Options) error { return fallbackSchema.Check(p, o) }
+func (p *fallback) Schema() []core.OptionSpec          { return fallbackSchema.Specs() }
 
 func (p *fallback) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
 	cfg.SetValue("fallback:known", core.SupportedCompressors())
 	return cfg
-}
-
-func (p *fallback) deadline() time.Duration {
-	return time.Duration(p.deadlineMS) * time.Millisecond
 }
 
 func (p *fallback) CompressImpl(in, out *core.Data) error {
@@ -143,13 +152,13 @@ func (p *fallback) CompressImpl(in, out *core.Data) error {
 	}
 	var tierErrs []error
 	for i := range p.tiers {
-		comp, err := p.tiers[i].get(p.saved)
+		comp, err := p.tiers[i].Get()
 		if err != nil {
 			tierErrs = append(tierErrs, err)
 			continue
 		}
 		var result *core.Data
-		err = runGuarded(p.deadline(), func() error {
+		err = runGuarded(p.deadline, func() error {
 			tmp := core.NewEmpty(core.DTypeByte, 0)
 			if err := comp.Compress(in, tmp); err != nil {
 				return err
@@ -167,9 +176,9 @@ func (p *fallback) CompressImpl(in, out *core.Data) error {
 				// The timed-out call still runs detached on this instance (Go
 				// cannot kill a goroutine); drop it so later calls build a
 				// fresh child instead of sharing state with the zombie.
-				p.tiers[i].comp = nil
+				p.tiers[i].Drop()
 			}
-			tierErrs = append(tierErrs, fmt.Errorf("tier %s: %w", p.tiers[i].name, err))
+			tierErrs = append(tierErrs, fmt.Errorf("tier %s: %w", p.tiers[i].Name, err))
 			continue
 		}
 		prefix := comp.Prefix()
@@ -202,7 +211,7 @@ func (p *fallback) CompressImpl(in, out *core.Data) error {
 // input degrades to the next tier instead of silently shipping bad data.
 func (p *fallback) verifyRoundTrip(comp *core.Compressor, in, stream *core.Data) error {
 	dec := core.NewEmpty(in.DType(), in.Dims()...)
-	err := runGuarded(p.deadline(), func() error {
+	err := runGuarded(p.deadline, func() error {
 		return comp.Decompress(core.NewBytes(stream.Bytes()), dec)
 	})
 	if err != nil {
@@ -261,13 +270,13 @@ func (p *fallback) DecompressImpl(in, out *core.Data) error {
 	// producing tier is unrecorded, so probe the chain in preference order.
 	var tierErrs []error
 	for i := range p.tiers {
-		comp, err := p.tiers[i].get(p.saved)
+		comp, err := p.tiers[i].Get()
 		if err != nil {
 			tierErrs = append(tierErrs, err)
 			continue
 		}
 		tmp := core.NewEmpty(out.DType(), out.Dims()...)
-		err = runGuarded(p.deadline(), func() error {
+		err = runGuarded(p.deadline, func() error {
 			return comp.Decompress(core.NewBytes(b), tmp)
 		})
 		if err == nil {
@@ -276,9 +285,9 @@ func (p *fallback) DecompressImpl(in, out *core.Data) error {
 			return nil
 		}
 		if errors.Is(err, core.ErrTimeout) {
-			p.tiers[i].comp = nil
+			p.tiers[i].Drop()
 		}
-		tierErrs = append(tierErrs, fmt.Errorf("tier %s: %w", p.tiers[i].name, err))
+		tierErrs = append(tierErrs, fmt.Errorf("tier %s: %w", p.tiers[i].Name, err))
 	}
 	trace.CounterAdd(trace.CtrFallbackExhausted, 1)
 	return fmt.Errorf("fallback: no tier decompressed the stream: %w", errors.Join(tierErrs...))
@@ -288,16 +297,16 @@ func (p *fallback) DecompressImpl(in, out *core.Data) error {
 func (p *fallback) decompressVia(f Frame, out *core.Data) error {
 	var getErrs []error
 	for i := range p.tiers {
-		comp, err := p.tiers[i].get(p.saved)
+		comp, err := p.tiers[i].Get()
 		if err != nil {
-			if p.tiers[i].name == f.Prefix {
+			if p.tiers[i].Name == f.Prefix {
 				// The frame names this tier; a failure to build it is a
 				// configuration problem, not stream corruption.
-				getErrs = append(getErrs, fmt.Errorf("tier %s: %w", p.tiers[i].name, err))
+				getErrs = append(getErrs, fmt.Errorf("tier %s: %w", p.tiers[i].Name, err))
 			}
 			continue
 		}
-		if comp.Prefix() != f.Prefix && p.tiers[i].name != f.Prefix {
+		if comp.Prefix() != f.Prefix && p.tiers[i].Name != f.Prefix {
 			continue
 		}
 		hintDT, hintDims := out.DType(), out.Dims()
@@ -308,12 +317,12 @@ func (p *fallback) decompressVia(f Frame, out *core.Data) error {
 		// call keeps running detached and must not share a target with
 		// whatever the caller does next.
 		target := core.NewEmpty(hintDT, hintDims...)
-		err = runGuarded(p.deadline(), func() error {
+		err = runGuarded(p.deadline, func() error {
 			return comp.Decompress(core.NewBytes(f.Payload), target)
 		})
 		if err != nil {
 			if errors.Is(err, core.ErrTimeout) {
-				p.tiers[i].comp = nil
+				p.tiers[i].Drop()
 			}
 			return err
 		}
@@ -329,22 +338,11 @@ func (p *fallback) decompressVia(f Frame, out *core.Data) error {
 		core.ErrCorrupt, f.Prefix, p.chain())
 }
 
-func (p *fallback) cloneFallback() *fallback {
-	clone := &fallback{
-		deadlineMS: p.deadlineMS,
-		verify:     p.verify,
-		verifyAbs:  p.verifyAbs,
-		frame:      p.frame,
-		lastTier:   p.lastTier,
-	}
+func (p *fallback) Clone() core.CompressorPlugin {
+	clone := *p
 	clone.tiers = make([]childComp, len(p.tiers))
 	for i := range p.tiers {
-		clone.tiers[i] = p.tiers[i].clone()
+		clone.tiers[i] = p.tiers[i].Clone()
 	}
-	if p.saved != nil {
-		clone.saved = p.saved.Clone()
-	}
-	return clone
+	return &clone
 }
-
-func (p *fallback) Clone() core.CompressorPlugin { return p.cloneFallback() }

@@ -26,7 +26,7 @@ const Version = "1.0.0"
 
 func init() {
 	core.RegisterCompressor("guard", func() core.CompressorPlugin {
-		return &guard{child: childComp{name: "sz_threadsafe"}, maxRetries: 2}
+		return &guard{child: childComp{Name: "sz_threadsafe"}, maxRetries: 2}
 	})
 }
 
@@ -38,8 +38,7 @@ func init() {
 // before decompression.
 type guard struct {
 	child      childComp
-	saved      *core.Options
-	deadlineMS int64
+	deadline   time.Duration
 	maxRetries uint64
 	backoffCfg Backoff
 	frame      bool
@@ -48,80 +47,34 @@ type guard struct {
 func (p *guard) Prefix() string  { return "guard" }
 func (p *guard) Version() string { return Version }
 
-func (p *guard) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyGuardCompressor, p.child.name)
-	o.SetValue(keyGuardDeadlineMS, p.deadlineMS)
-	o.SetValue(keyGuardMaxRetries, p.maxRetries)
-	o.SetValue(keyGuardBackoffInitialMS, int64(p.backoffCfg.Initial/time.Millisecond))
-	o.SetValue(keyGuardBackoffMaxMS, int64(p.backoffCfg.Max/time.Millisecond))
-	o.SetValue(keyGuardBackoffJitter, p.backoffCfg.Jitter)
-	o.SetValue(keyGuardSeed, p.backoffCfg.Seed)
-	o.SetValue(keyGuardFrame, boolOpt(p.frame))
-	if p.child.comp != nil {
-		o.Merge(p.child.comp.Options())
-	}
-	return o
-}
+var guardSchema = core.NewSchema(
+	core.ChildRow(keyGuardCompressor, "name of the guarded compressor; it receives every option set here",
+		func(p *guard) *childComp { return &p.child }),
+	core.Millis(keyGuardDeadlineMS, "per-call watchdog deadline (0 = none)", core.AtLeast(0),
+		func(p *guard) *time.Duration { return &p.deadline }),
+	core.Field(keyGuardMaxRetries, "re-attempts after a transient failure", core.Closed(0, 1<<16),
+		func(p *guard) *uint64 { return &p.maxRetries }),
+	core.Millis(keyGuardBackoffInitialMS, "delay before the first retry", core.Bounds{},
+		func(p *guard) *time.Duration { return &p.backoffCfg.Initial }),
+	core.Millis(keyGuardBackoffMaxMS, "cap on the exponential backoff", core.Bounds{},
+		func(p *guard) *time.Duration { return &p.backoffCfg.Max }),
+	core.Field(keyGuardBackoffJitter, "fraction of each delay randomised", core.Closed(0, 1),
+		func(p *guard) *float64 { return &p.backoffCfg.Jitter }),
+	core.Field(keyGuardSeed, "seed of the jitter PRNG", core.Bounds{},
+		func(p *guard) *int64 { return &p.backoffCfg.Seed }),
+	core.Flag(keyGuardFrame, "wrap streams in an integrity-checked frame",
+		func(p *guard) *bool { return &p.frame }),
+)
 
-func (p *guard) SetOptions(o *core.Options) error {
-	if v, err := o.GetString(keyGuardCompressor); err == nil && v != p.child.name {
-		p.child = childComp{name: v}
-	}
-	if v, err := o.GetInt64(keyGuardDeadlineMS); err == nil {
-		if v < 0 {
-			return fmt.Errorf("%w: %s %d", core.ErrInvalidOption, keyGuardDeadlineMS, v)
-		}
-		p.deadlineMS = v
-	}
-	if v, err := o.GetUint64(keyGuardMaxRetries); err == nil {
-		if v > 1<<16 {
-			return fmt.Errorf("%w: %s %d", core.ErrInvalidOption, keyGuardMaxRetries, v)
-		}
-		p.maxRetries = v
-	}
-	if v, err := o.GetInt64(keyGuardBackoffInitialMS); err == nil {
-		p.backoffCfg.Initial = time.Duration(v) * time.Millisecond
-	}
-	if v, err := o.GetInt64(keyGuardBackoffMaxMS); err == nil {
-		p.backoffCfg.Max = time.Duration(v) * time.Millisecond
-	}
-	if v, err := o.GetFloat64(keyGuardBackoffJitter); err == nil {
-		if v < 0 || v > 1 {
-			return fmt.Errorf("%w: %s %v not in [0,1]", core.ErrInvalidOption, keyGuardBackoffJitter, v)
-		}
-		p.backoffCfg.Jitter = v
-	}
-	if v, err := o.GetInt64(keyGuardSeed); err == nil {
-		p.backoffCfg.Seed = v
-	}
-	if v, err := o.GetInt32(keyGuardFrame); err == nil {
-		p.frame = v != 0
-	}
-	if p.saved == nil {
-		p.saved = core.NewOptions()
-	}
-	p.saved.Merge(o)
-	if p.child.comp != nil {
-		return p.child.comp.SetOptions(o)
-	}
-	return nil
-}
-
-func (p *guard) CheckOptions(o *core.Options) error {
-	clone := p.cloneGuard()
-	return clone.SetOptions(o)
-}
+func (p *guard) Options() *core.Options             { return guardSchema.Options(p) }
+func (p *guard) SetOptions(o *core.Options) error   { return guardSchema.Set(p, o) }
+func (p *guard) CheckOptions(o *core.Options) error { return guardSchema.Check(p, o) }
+func (p *guard) Schema() []core.OptionSpec          { return guardSchema.Specs() }
 
 func (p *guard) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
 	cfg.SetValue("guard:resilient", int32(1))
 	return cfg
-}
-
-// deadline converts the configured per-call deadline (0 = none).
-func (p *guard) deadline() time.Duration {
-	return time.Duration(p.deadlineMS) * time.Millisecond
 }
 
 // withRetries instantiates the child and runs one attempt function under the
@@ -135,7 +88,7 @@ func (p *guard) deadline() time.Duration {
 // they allocate themselves and publish results on success, never share a
 // target with a previous attempt.
 func (p *guard) withRetries(attempt func(comp *core.Compressor) error) error {
-	comp, err := p.child.get(p.saved)
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -145,17 +98,15 @@ func (p *guard) withRetries(attempt func(comp *core.Compressor) error) error {
 		if errors.Is(err, core.ErrTimeout) {
 			// The timed-out call is still running detached on this instance;
 			// discard it even when returning, so no later call shares it.
-			p.child.comp = nil
+			p.child.Drop()
 		}
 		if err == nil || try >= budget || !core.IsTransient(err) {
 			return err
 		}
 		trace.CounterAdd(trace.CtrGuardRetries, 1)
-		if p.child.comp == nil {
-			var gerr error
-			if comp, gerr = p.child.get(p.saved); gerr != nil {
-				return gerr
-			}
+		var gerr error
+		if comp, gerr = p.child.Get(); gerr != nil {
+			return gerr
 		}
 		time.Sleep(p.backoffCfg.Delay(try))
 	}
@@ -166,7 +117,7 @@ func (p *guard) CompressImpl(in, out *core.Data) error {
 	var prefix string
 	err := p.withRetries(func(comp *core.Compressor) error {
 		tmp := core.NewEmpty(core.DTypeByte, 0)
-		if err := runGuarded(p.deadline(), func() error { return comp.Compress(in, tmp) }); err != nil {
+		if err := runGuarded(p.deadline, func() error { return comp.Compress(in, tmp) }); err != nil {
 			return err
 		}
 		result = tmp
@@ -190,7 +141,7 @@ func (p *guard) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *guard) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.child.get(p.saved)
+	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
@@ -234,7 +185,7 @@ func (p *guard) DecompressImpl(in, out *core.Data) error {
 	var result *core.Data
 	err = p.withRetries(func(comp *core.Compressor) error {
 		tmp := core.NewEmpty(hintDT, hintDims...)
-		if err := runGuarded(p.deadline(), func() error {
+		if err := runGuarded(p.deadline, func() error {
 			return comp.Decompress(core.NewBytes(payload), tmp)
 		}); err != nil {
 			return err
@@ -249,26 +200,8 @@ func (p *guard) DecompressImpl(in, out *core.Data) error {
 	return nil
 }
 
-func (p *guard) cloneGuard() *guard {
-	clone := &guard{
-		child:      p.child.clone(),
-		deadlineMS: p.deadlineMS,
-		maxRetries: p.maxRetries,
-		backoffCfg: p.backoffCfg,
-		frame:      p.frame,
-	}
-	if p.saved != nil {
-		clone.saved = p.saved.Clone()
-	}
-	return clone
-}
-
-func (p *guard) Clone() core.CompressorPlugin { return p.cloneGuard() }
-
-// boolOpt renders a bool as the int32 0/1 convention options use.
-func boolOpt(b bool) int32 {
-	if b {
-		return 1
-	}
-	return 0
+func (p *guard) Clone() core.CompressorPlugin {
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }

@@ -36,7 +36,7 @@ const breakerWindowCap = 1 << 16
 func init() {
 	core.RegisterCompressor("breaker", func() core.CompressorPlugin {
 		return &breaker{
-			childName: "sz_threadsafe",
+			child: core.Child[*core.Compressor]{Name: "sz_threadsafe"},
 			cfg: breakerConfig{
 				window:   16,
 				failures: 8,
@@ -58,96 +58,54 @@ func init() {
 // compressor name), so clones — a CompressMany worker fleet, or independent
 // breakers guarding the same backend — trip and recover together.
 type breaker struct {
-	childName string
-	comp      *core.Compressor
-	saved     *core.Options
-	scope     string
-	cfg       breakerConfig
-	st        *BreakerState
+	child core.Child[*core.Compressor]
+	scope string
+	cfg   breakerConfig
+	st    *BreakerState
 }
 
 func (p *breaker) Prefix() string  { return "breaker" }
 func (p *breaker) Version() string { return Version }
 
-func (p *breaker) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyBreakerCompressor, p.childName)
-	o.SetValue(keyBreakerScope, p.scope)
-	o.SetValue(keyBreakerWindow, uint64(p.cfg.window))
-	o.SetValue(keyBreakerFailures, uint64(p.cfg.failures))
-	o.SetValue(keyBreakerOpenMS, int64(p.cfg.cooldown/time.Millisecond))
-	o.SetValue(keyBreakerProbes, uint64(p.cfg.probes))
-	o.SetValue(keyBreakerLatencyMS, int64(p.cfg.latencyLimit/time.Millisecond))
-	o.SetValue(keyBreakerStateReport, p.state().Mode().String())
-	if p.comp != nil {
-		o.Merge(p.comp.Options())
+// breakerSchema is the breaker option table. Every tunable re-resolves the
+// shared state on next use (the default scope follows the child name, and
+// StateFor retunes an existing scope).
+var breakerSchema = func() *core.Schema[breaker] {
+	counts := core.Closed(1, breakerWindowCap)
+	rows := []core.Row[breaker]{
+		core.ChildRow(keyBreakerCompressor, "name of the guarded compressor; it receives every option set here",
+			func(p *breaker) *core.Child[*core.Compressor] { return &p.child }),
+		core.Field(keyBreakerScope, "name of the shared state; breakers with one scope trip together (default: the child name)", core.Bounds{},
+			func(p *breaker) *string { return &p.scope }),
+		core.NumAs[uint64](keyBreakerWindow, "sliding window length in calls", counts,
+			func(p *breaker) *int { return &p.cfg.window }),
+		core.NumAs[uint64](keyBreakerFailures, "failures within the window that trip the circuit", counts,
+			func(p *breaker) *int { return &p.cfg.failures }),
+		core.Millis(keyBreakerOpenMS, "how long the circuit stays open before probing", core.AtLeast(0),
+			func(p *breaker) *time.Duration { return &p.cfg.cooldown }),
+		core.NumAs[uint64](keyBreakerProbes, "trial calls admitted half-open; that many successes close the circuit", counts,
+			func(p *breaker) *int { return &p.cfg.probes }),
+		core.Millis(keyBreakerLatencyMS, "calls slower than this count as failures (0 = off)", core.AtLeast(0),
+			func(p *breaker) *time.Duration { return &p.cfg.latencyLimit }),
 	}
-	return o
-}
+	for i := range rows {
+		rows[i] = rows[i].OnSet(func(p *breaker) { p.st = nil })
+	}
+	rows = append(rows, core.Report(keyBreakerStateReport, "current circuit state: closed, open or half-open",
+		func(p *breaker) string { return p.state().Mode().String() }))
+	return core.NewSchema(rows...).Validate(func(p *breaker) error {
+		if p.cfg.failures > p.cfg.window {
+			return fmt.Errorf("%w: %s %d exceeds %s %d (the circuit could never trip)",
+				core.ErrInvalidOption, keyBreakerFailures, p.cfg.failures, keyBreakerWindow, p.cfg.window)
+		}
+		return nil
+	})
+}()
 
-func (p *breaker) SetOptions(o *core.Options) error {
-	if v, err := o.GetString(keyBreakerCompressor); err == nil && v != p.childName {
-		p.childName = v
-		p.comp = nil
-		p.st = nil // default scope follows the child name
-	}
-	if v, err := o.GetString(keyBreakerScope); err == nil && v != p.scope {
-		p.scope = v
-		p.st = nil
-	}
-	if v, err := o.GetUint64(keyBreakerWindow); err == nil {
-		if v < 1 || v > breakerWindowCap {
-			return fmt.Errorf("%w: %s %d not in [1,%d]", core.ErrInvalidOption, keyBreakerWindow, v, breakerWindowCap)
-		}
-		p.cfg.window = int(v)
-		p.st = nil
-	}
-	if v, err := o.GetUint64(keyBreakerFailures); err == nil {
-		if v < 1 || v > breakerWindowCap {
-			return fmt.Errorf("%w: %s %d not in [1,%d]", core.ErrInvalidOption, keyBreakerFailures, v, breakerWindowCap)
-		}
-		p.cfg.failures = int(v)
-		p.st = nil
-	}
-	if v, err := o.GetInt64(keyBreakerOpenMS); err == nil {
-		if v < 0 {
-			return fmt.Errorf("%w: %s %d", core.ErrInvalidOption, keyBreakerOpenMS, v)
-		}
-		p.cfg.cooldown = time.Duration(v) * time.Millisecond
-		p.st = nil
-	}
-	if v, err := o.GetUint64(keyBreakerProbes); err == nil {
-		if v < 1 || v > breakerWindowCap {
-			return fmt.Errorf("%w: %s %d not in [1,%d]", core.ErrInvalidOption, keyBreakerProbes, v, breakerWindowCap)
-		}
-		p.cfg.probes = int(v)
-		p.st = nil
-	}
-	if v, err := o.GetInt64(keyBreakerLatencyMS); err == nil {
-		if v < 0 {
-			return fmt.Errorf("%w: %s %d", core.ErrInvalidOption, keyBreakerLatencyMS, v)
-		}
-		p.cfg.latencyLimit = time.Duration(v) * time.Millisecond
-		p.st = nil
-	}
-	if p.cfg.failures > p.cfg.window {
-		return fmt.Errorf("%w: %s %d exceeds %s %d (the circuit could never trip)",
-			core.ErrInvalidOption, keyBreakerFailures, p.cfg.failures, keyBreakerWindow, p.cfg.window)
-	}
-	if p.saved == nil {
-		p.saved = core.NewOptions()
-	}
-	p.saved.Merge(o)
-	if p.comp != nil {
-		return p.comp.SetOptions(o)
-	}
-	return nil
-}
-
-func (p *breaker) CheckOptions(o *core.Options) error {
-	clone := p.cloneBreaker()
-	return clone.SetOptions(o)
-}
+func (p *breaker) Options() *core.Options             { return breakerSchema.Options(p) }
+func (p *breaker) SetOptions(o *core.Options) error   { return breakerSchema.Set(p, o) }
+func (p *breaker) CheckOptions(o *core.Options) error { return breakerSchema.Check(p, o) }
+func (p *breaker) Schema() []core.OptionSpec          { return breakerSchema.Specs() }
 
 func (p *breaker) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
@@ -161,34 +119,17 @@ func (p *breaker) state() *BreakerState {
 	if p.st == nil {
 		scope := p.scope
 		if scope == "" {
-			scope = p.childName
+			scope = p.child.Name
 		}
 		p.st = StateFor(scope, p.cfg)
 	}
 	return p.st
 }
 
-// child lazily instantiates the wrapped compressor, replaying saved options.
-func (p *breaker) child() (*core.Compressor, error) {
-	if p.comp == nil {
-		comp, err := core.NewCompressor(p.childName)
-		if err != nil {
-			return nil, err
-		}
-		if p.saved != nil {
-			if err := comp.SetOptions(p.saved); err != nil {
-				return nil, err
-			}
-		}
-		p.comp = comp
-	}
-	return p.comp, nil
-}
-
 // rejected builds the typed fast-rejection error for one operation.
 func (p *breaker) rejected(st *BreakerState, op string) error {
 	return fmt.Errorf("breaker[%s]: %w (%w): %s of %q rejected",
-		st.Scope(), ErrBreakerOpen, core.ErrShed, op, p.childName)
+		st.Scope(), ErrBreakerOpen, core.ErrShed, op, p.child.Name)
 }
 
 // through runs one admitted call and reports its outcome to the shared
@@ -196,7 +137,7 @@ func (p *breaker) rejected(st *BreakerState, op string) error {
 // cooldown arithmetic, not stopwatch reads, and error-driven chaos schedules
 // stay deterministic either way.
 func (p *breaker) through(st *BreakerState, probe bool, op func(*core.Compressor) error) error {
-	comp, err := p.child()
+	comp, err := p.child.Get()
 	if err != nil {
 		// A child that cannot even be built counts as a failure: tripping
 		// here stops a fleet from re-attempting a misconfigured backend.
@@ -241,20 +182,9 @@ func (p *breaker) DecompressImpl(in, out *core.Data) error {
 	})
 }
 
-func (p *breaker) cloneBreaker() *breaker {
-	clone := &breaker{
-		childName: p.childName,
-		scope:     p.scope,
-		cfg:       p.cfg,
-		st:        p.st, // clones share the scope state by construction
-	}
-	if p.saved != nil {
-		clone.saved = p.saved.Clone()
-	}
-	if p.comp != nil {
-		clone.comp = p.comp.Clone()
-	}
-	return clone
+// Clone shares the scope state by construction.
+func (p *breaker) Clone() core.CompressorPlugin {
+	clone := *p
+	clone.child = p.child.Clone()
+	return &clone
 }
-
-func (p *breaker) Clone() core.CompressorPlugin { return p.cloneBreaker() }

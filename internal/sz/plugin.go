@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pressio/internal/core"
+	"pressio/internal/lossless"
 )
 
 // variant selects between the three plugin flavors the paper's plugin list
@@ -17,9 +18,16 @@ const (
 	variantOMP
 )
 
+// flavor is what the three registered names differ in, shared by every
+// instance of one name.
+type flavor struct {
+	variant variant
+	name    string
+	schema  *core.Schema[plugin]
+}
+
 type plugin struct {
-	variant  variant
-	name     string
+	*flavor
 	bound    core.BoundConfig
 	pwRel    float64 // > 0 selects the PW_REL mode
 	intvs    uint32
@@ -27,13 +35,40 @@ type plugin struct {
 	nthreads int32
 }
 
+// newSchema declares the options of the flavor registered as name. Rows apply
+// in order: the pointwise-relative bound first, so any abs/rel bound set
+// alongside (or after) it supersedes it.
+func newSchema(v variant, name string) *core.Schema[plugin] {
+	level := func(p *plugin) *int32 { return &p.level }
+	nthreads := func(p *plugin) *int32 { return &p.nthreads }
+	rows := []core.Row[plugin]{
+		core.Field(name+":pw_rel_err_bound", "pointwise relative error bound; selects the PW_REL mode", core.Open(0, 1),
+			func(p *plugin) *float64 { return &p.pwRel }).
+			UnsetWhen(func(p *plugin) bool { return p.pwRel <= 0 }),
+	}
+	for _, r := range core.BoundRows(name, func(p *plugin) *core.BoundConfig { return &p.bound }) {
+		rows = append(rows, r.OnSet(func(p *plugin) { p.pwRel = 0 }))
+	}
+	rows = append(rows,
+		core.Field(name+":max_quant_intervals", "quantization bins available to the predictor", core.Closed(4, 1<<24),
+			func(p *plugin) *uint32 { return &p.intvs }),
+		core.Field(core.KeyLossless, "effort level of the DEFLATE back end", lossless.LevelBounds, level),
+		core.Field(name+":lossless_level", "native spelling of pressio:lossless", lossless.LevelBounds, level))
+	if v == variantOMP {
+		rows = append(rows,
+			core.Field(core.KeyNThreads, "worker goroutines (0 = GOMAXPROCS)", core.Bounds{}, nthreads),
+			core.Field(name+":nthreads", "native spelling of pressio:nthreads", core.Bounds{}, nthreads))
+	}
+	return core.NewSchema(rows...)
+}
+
 func newPlugin(v variant, name string) func() core.CompressorPlugin {
+	f := &flavor{variant: v, name: name, schema: newSchema(v, name)}
 	return func() core.CompressorPlugin {
 		return &plugin{
-			variant: v,
-			name:    name,
-			bound:   core.BoundConfig{Mode: core.BoundValueRangeRel, Bound: 1e-4},
-			intvs:   65536,
+			flavor: f,
+			bound:  core.BoundConfig{Mode: core.BoundValueRangeRel, Bound: 1e-4},
+			intvs:  65536,
 		}
 	}
 }
@@ -47,73 +82,10 @@ func init() {
 func (p *plugin) Prefix() string  { return p.name }
 func (p *plugin) Version() string { return Version }
 
-func (p *plugin) Options() *core.Options {
-	o := core.NewOptions()
-	p.bound.Describe(p.name, o)
-	o.SetValue(p.name+":max_quant_intervals", p.intvs)
-	if p.pwRel > 0 {
-		o.SetValue(p.name+":pw_rel_err_bound", p.pwRel)
-	} else {
-		o.SetType(p.name+":pw_rel_err_bound", core.OptDouble)
-	}
-	o.SetValue(p.name+":lossless_level", p.level)
-	o.SetValue(core.KeyLossless, p.level)
-	if p.variant == variantOMP {
-		o.SetValue(p.name+":nthreads", p.nthreads)
-		o.SetValue(core.KeyNThreads, p.nthreads)
-	}
-	return o
-}
-
-func (p *plugin) SetOptions(o *core.Options) error {
-	if err := p.bound.ApplyOptions(p.name, o); err != nil {
-		return err
-	}
-	if v, err := o.GetFloat64(p.name + ":pw_rel_err_bound"); err == nil {
-		if v <= 0 || v >= 1 {
-			return fmt.Errorf("%w: pw_rel_err_bound %v outside (0,1)", core.ErrInvalidOption, v)
-		}
-		p.pwRel = v
-	}
-	if s, err := o.GetString(p.name + ":error_bound_mode_str"); err == nil && s != "pw_rel" {
-		p.pwRel = 0 // an explicit abs/rel mode turns PW_REL off
-	}
-	if o.Has(core.KeyAbs) || o.Has(core.KeyRel) {
-		p.pwRel = 0 // generic bounds also supersede PW_REL
-	}
-	if v, err := o.GetUint64(p.name + ":max_quant_intervals"); err == nil {
-		if v < 4 || v > 1<<24 {
-			return fmt.Errorf("%w: max_quant_intervals %d outside [4, 2^24]", core.ErrInvalidOption, v)
-		}
-		p.intvs = uint32(v)
-	}
-	if v, err := o.GetInt32(core.KeyLossless); err == nil {
-		p.level = v
-	}
-	if v, err := o.GetInt32(p.name + ":lossless_level"); err == nil {
-		p.level = v
-	}
-	if p.variant == variantOMP {
-		if v, err := o.GetInt32(core.KeyNThreads); err == nil {
-			p.nthreads = v
-		}
-		if v, err := o.GetInt32(p.name + ":nthreads"); err == nil {
-			p.nthreads = v
-		}
-	}
-	return nil
-}
-
-func (p *plugin) CheckOptions(o *core.Options) error {
-	clone := *p
-	if err := clone.SetOptions(o); err != nil {
-		return err
-	}
-	if clone.bound.Bound <= 0 {
-		return fmt.Errorf("%w: error bound must be positive", core.ErrInvalidOption)
-	}
-	return nil
-}
+func (p *plugin) Options() *core.Options             { return p.schema.Options(p) }
+func (p *plugin) SetOptions(o *core.Options) error   { return p.schema.Set(p, o) }
+func (p *plugin) CheckOptions(o *core.Options) error { return p.schema.Check(p, o) }
+func (p *plugin) Schema() []core.OptionSpec          { return p.schema.Specs() }
 
 func (p *plugin) Configuration() *core.Options {
 	switch p.variant {

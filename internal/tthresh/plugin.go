@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pressio/internal/core"
+	"pressio/internal/lossless"
 )
 
 // Option keys the tthresh plugin owns.
@@ -29,33 +30,17 @@ func init() {
 func (p *plugin) Prefix() string  { return "tthresh" }
 func (p *plugin) Version() string { return Version }
 
-func (p *plugin) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyEps, p.eps)
-	o.SetValue(core.KeyLossless, p.level)
-	return o
-}
+var schema = core.NewSchema(
+	core.Field(keyEps, "target relative Frobenius-norm error", core.Open(0, 1),
+		func(p *plugin) *float64 { return &p.eps }),
+	core.Field(core.KeyLossless, "effort level of the DEFLATE back end", lossless.LevelBounds,
+		func(p *plugin) *int32 { return &p.level }),
+)
 
-func (p *plugin) SetOptions(o *core.Options) error {
-	if v, err := o.GetFloat64(keyEps); err == nil {
-		p.eps = v
-	}
-	if v, err := o.GetInt32(core.KeyLossless); err == nil {
-		p.level = v
-	}
-	return nil
-}
-
-func (p *plugin) CheckOptions(o *core.Options) error {
-	clone := *p
-	if err := clone.SetOptions(o); err != nil {
-		return err
-	}
-	if clone.eps <= 0 || clone.eps >= 1 {
-		return fmt.Errorf("%w: tthresh:eps must be in (0,1)", core.ErrInvalidOption)
-	}
-	return nil
-}
+func (p *plugin) Options() *core.Options             { return schema.Options(p) }
+func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
+func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
+func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
 
 func (p *plugin) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "experimental", Version, false)

@@ -13,7 +13,7 @@ import (
 type plugin struct {
 	mode      Mode
 	rate      float64
-	precision uint
+	precision uint64
 	tolerance float64
 	relBound  float64 // when > 0, resolve tolerance from the value range
 }
@@ -35,74 +35,33 @@ func init() {
 func (p *plugin) Prefix() string  { return "zfp" }
 func (p *plugin) Version() string { return Version }
 
-func (p *plugin) Options() *core.Options {
-	o := core.NewOptions()
-	o.SetValue(keyMode, p.mode.String())
-	o.SetValue(keyRate, p.rate)
-	o.SetValue(keyPrecision, uint64(p.precision))
-	o.SetValue(keyAccuracy, p.tolerance)
-	if p.relBound > 0 {
-		o.SetValue(core.KeyRel, p.relBound)
-		o.SetType(core.KeyAbs, core.OptDouble)
-	} else {
-		o.SetValue(core.KeyAbs, p.tolerance)
-		o.SetType(core.KeyRel, core.OptDouble)
-	}
-	return o
-}
+// schema is the zfp option table. Rows apply in order: a mode parameter
+// selects its own mode, an explicit zfp:mode overrides that, and the generic
+// bounds, last, always mean fixed accuracy.
+var schema = core.NewSchema(
+	core.Field(keyRate, "bits per value; selects fixed-rate mode", core.LeftOpen(0, 128),
+		func(p *plugin) *float64 { return &p.rate }).
+		OnSet(func(p *plugin) { p.mode = ModeFixedRate }),
+	core.Field(keyPrecision, "bit planes kept per block; selects fixed-precision mode", core.Closed(1, 64),
+		func(p *plugin) *uint64 { return &p.precision }).
+		OnSet(func(p *plugin) { p.mode = ModeFixedPrecision }),
+	core.Field(keyAccuracy, "absolute error tolerance; selects fixed-accuracy mode", core.Above(0),
+		func(p *plugin) *float64 { return &p.tolerance }).
+		OnSet(func(p *plugin) { p.mode, p.relBound = ModeFixedAccuracy, 0 }),
+	core.Parsed(keyMode, "compression mode: accuracy (abs), rate or precision", ParseMode,
+		func(p *plugin) *Mode { return &p.mode }),
+	core.Opt(core.KeyAbs, "pointwise absolute error bound (the fixed-accuracy tolerance)", core.Above(0),
+		func(p *plugin) (float64, bool) { return p.tolerance, p.mode == ModeFixedAccuracy && p.relBound <= 0 },
+		func(p *plugin, v float64) { p.mode, p.tolerance, p.relBound = ModeFixedAccuracy, v, 0 }),
+	core.Opt(core.KeyRel, "tolerance as a fraction of the input's value range, resolved per compress", core.Above(0),
+		func(p *plugin) (float64, bool) { return p.relBound, p.mode == ModeFixedAccuracy && p.relBound > 0 },
+		func(p *plugin, v float64) { p.mode, p.relBound = ModeFixedAccuracy, v }),
+)
 
-func (p *plugin) SetOptions(o *core.Options) error {
-	if s, err := o.GetString(keyMode); err == nil {
-		m, err := ParseMode(s)
-		if err != nil {
-			return err
-		}
-		p.mode = m
-	}
-	if v, err := o.GetFloat64(keyRate); err == nil {
-		p.rate = v
-		if !o.Has(keyMode) {
-			p.mode = ModeFixedRate
-		}
-	}
-	if v, err := o.GetUint64(keyPrecision); err == nil {
-		p.precision = uint(v)
-		if !o.Has(keyMode) {
-			p.mode = ModeFixedPrecision
-		}
-	}
-	if v, err := o.GetFloat64(keyAccuracy); err == nil {
-		p.tolerance = v
-		p.relBound = 0
-		if !o.Has(keyMode) {
-			p.mode = ModeFixedAccuracy
-		}
-	}
-	if v, err := o.GetFloat64(core.KeyAbs); err == nil {
-		p.mode = ModeFixedAccuracy
-		p.tolerance = v
-		p.relBound = 0
-	}
-	if v, err := o.GetFloat64(core.KeyRel); err == nil {
-		p.mode = ModeFixedAccuracy
-		p.relBound = v
-	}
-	return nil
-}
-
-func (p *plugin) CheckOptions(o *core.Options) error {
-	clone := *p
-	if err := clone.SetOptions(o); err != nil {
-		return err
-	}
-	if _, err := resolve(clone.params(nil), 32, 64); err != nil && clone.relBound <= 0 {
-		return fmt.Errorf("%w: %v", core.ErrInvalidOption, err)
-	}
-	if clone.relBound < 0 {
-		return fmt.Errorf("%w: pressio:rel must be positive", core.ErrInvalidOption)
-	}
-	return nil
-}
+func (p *plugin) Options() *core.Options             { return schema.Options(p) }
+func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
+func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
+func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
 
 func (p *plugin) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)
@@ -113,7 +72,7 @@ func (p *plugin) Configuration() *core.Options {
 // params resolves the plugin state into codec Params for the given input
 // (needed to resolve value-range-relative bounds).
 func (p *plugin) params(in *core.Data) Params {
-	prm := Params{Mode: p.mode, Rate: p.rate, Precision: p.precision, Tolerance: p.tolerance}
+	prm := Params{Mode: p.mode, Rate: p.rate, Precision: uint(p.precision), Tolerance: p.tolerance}
 	if p.mode == ModeFixedAccuracy && p.relBound > 0 && in != nil {
 		lo, hi := core.ValueRange(in)
 		prm.Tolerance = p.relBound * (hi - lo)

@@ -1,5 +1,7 @@
 #!/bin/sh
-# Tier-2 quality gate: build + vet + pressiolint the whole module, race-test
+# Tier-2 quality gate: build + vet + pressiolint the whole module, check every
+# plugin's option schema (well-formedness, pinned option surface, generated
+# docs/PLUGINS.md reference), race-test
 # the concurrency-sensitive packages (the tracing layer, the parallel
 # meta-compressors, the core wrapper, and the serving layer), run the
 # deterministic chaos tests of the resilience and serving layers, smoke-test
@@ -23,8 +25,11 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> pressiolint ./... (all seventeen analyzers, vs lint-baseline.sarif)"
+echo "==> pressiolint ./... (all fifteen analyzers, vs lint-baseline.sarif)"
 go run ./cmd/pressiolint -baseline lint-baseline.sarif ./...
+
+echo "==> option schemas (well-formed, option surface pinned, docs/PLUGINS.md reference current)"
+go test -run 'TestSchema|TestOptionSurfaceGolden|TestPluginDocsGenerated' ./internal/core/
 
 echo "==> go test -race (trace, obslog, meta, core, service, daemon, cluster, store, fsx)"
 go test -race ./internal/trace/... ./internal/obslog/... ./internal/meta/... \
