@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-baseline check bench benchmark ledger ledger-check
+.PHONY: build test lint lint-baseline check bench benchmark
 
 build:
 	$(GO) build ./...
@@ -40,13 +40,3 @@ bench:
 # benchmark/README.md for the workloads, every metric, and -compare.
 benchmark:
 	$(GO) run ./benchmark
-
-# Perf ledger: `make ledger` records a full BENCH_<date>.json on this
-# machine (commit it to move the regression baseline); `make ledger-check`
-# gates a quick fresh measurement against the most recent committed one.
-# See docs/OBSERVABILITY.md.
-ledger:
-	sh scripts/perf-ledger.sh record
-
-ledger-check:
-	sh scripts/perf-ledger.sh check --quick

@@ -10,20 +10,10 @@
 //	-experiment tablei   Table I (feature matrix)
 //	-experiment tableii  Table II (client lines of code)
 //	-experiment trace    a traced chunked-SZ run (span summary on stdout)
-//	-experiment all      everything above except trace and the ledger modes
+//	-experiment all      everything above except trace
 //
-// Beyond the paper experiments, the binary is also the perf-ledger harness
-// (see docs/OBSERVABILITY.md):
-//
-//	-experiment ledger        measure codec throughput, allocs/op, and
-//	                          pressiod p50/p99; print the table and, with
-//	                          -ledger-out, write BENCH_<date>.json
-//	-experiment ledger-diff   gate a fresh measurement (or -ledger-out file)
-//	                          against -ledger-baseline; non-zero exit on
-//	                          regression
-//
-// -quick shrinks the ledger run for CI smoke; -ledger-md writes the
-// comparison as a markdown table (for job summaries).
+// Performance over time is the benchmark's job (benchmark/README.md), not
+// this binary's.
 //
 // The embed experiment re-executes this binary with -worker, so it measures
 // a real process spawn plus two real data copies across pipes.
@@ -46,23 +36,18 @@ import (
 	"pressio/internal/core"
 	"pressio/internal/experiments"
 	"pressio/internal/launch"
-	"pressio/internal/perfledger"
 	"pressio/internal/sdrbench"
 	"pressio/internal/trace"
 )
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig3, dimorder, flatten, zfppad, dtype, mgardmin, embed, tablei, tableii, trace, ledger, ledger-diff, or all")
+		experiment = flag.String("experiment", "all", "fig3, dimorder, flatten, zfppad, dtype, mgardmin, embed, tablei, tableii, trace, or all")
 		scale      = flag.Int("scale", 2, "dataset scale (1 = quick, 2 = default)")
 		runs       = flag.Int("runs", 30, "matched-pair runs per configuration (fig3)")
 		seed       = flag.Int64("seed", 20210101, "dataset seed")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path")
 		cpuProfile = flag.String("cpuprofile", "", "capture a CPU profile of the run to this path (go tool pprof)")
-		quick      = flag.Bool("quick", false, "shrink the ledger measurement for CI smoke runs")
-		ledgerOut  = flag.String("ledger-out", "", "write the measured ledger JSON to this path (ledger modes)")
-		ledgerBase = flag.String("ledger-baseline", "", "baseline BENCH_<date>.json to gate against (ledger-diff)")
-		ledgerMD   = flag.String("ledger-md", "", "write the ledger-diff comparison as a markdown table to this path")
 		worker     = flag.Bool("worker", false, "serve one worker request on stdin/stdout (internal)")
 		delay      = flag.Duration("startup-delay", 0, "simulated init delay in worker mode (internal)")
 	)
@@ -94,16 +79,7 @@ func main() {
 	if *traceOut != "" {
 		trace.Enable()
 	}
-	var err error
-	switch *experiment {
-	case "ledger":
-		err = runLedger(*quick, *seed, *ledgerOut)
-	case "ledger-diff":
-		err = runLedgerDiff(*quick, *seed, *ledgerOut, *ledgerBase, *ledgerMD)
-	default:
-		err = run(*experiment, *scale, *runs, *seed)
-	}
-	if err != nil {
+	if err := run(*experiment, *scale, *runs, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "pressio-bench:", err)
 		if *cpuProfile != "" {
 			pprof.StopCPUProfile()
@@ -117,68 +93,6 @@ func main() {
 		}
 		fmt.Printf("wrote %d spans to %s\n", trace.Len(), *traceOut)
 	}
-}
-
-// runLedger measures a fresh perf ledger, prints it, and optionally writes
-// the JSON for committing as BENCH_<date>.json.
-func runLedger(quick bool, seed int64, out string) error {
-	led, err := perfledger.Run(perfledger.Options{Quick: quick, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(led.Report())
-	if out != "" {
-		if err := perfledger.WriteFile(out, led); err != nil {
-			return err
-		}
-		fmt.Printf("wrote ledger to %s\n", out)
-	}
-	return nil
-}
-
-// runLedgerDiff measures a fresh ledger and gates it against a committed
-// baseline. Without -ledger-baseline it picks the most recent BENCH_*.json
-// in the working directory; with none present the run records baseline-less
-// and passes (the first ledger has nothing to regress from).
-func runLedgerDiff(quick bool, seed int64, out, baseline, mdOut string) error {
-	if baseline == "" {
-		latest, err := perfledger.FindLatest(".")
-		if err != nil {
-			return err
-		}
-		baseline = latest
-	}
-	cand, err := perfledger.Run(perfledger.Options{Quick: quick, Seed: seed})
-	if err != nil {
-		return err
-	}
-	if out != "" {
-		if err := perfledger.WriteFile(out, cand); err != nil {
-			return err
-		}
-	}
-	if baseline == "" {
-		fmt.Print(cand.Report())
-		fmt.Println("no committed BENCH_*.json baseline; nothing to gate against")
-		return nil
-	}
-	base, err := perfledger.ReadFile(baseline)
-	if err != nil {
-		return err
-	}
-	cmp := perfledger.Compare(base, cand, perfledger.DefaultTolerance())
-	fmt.Printf("gating against %s:\n%s", baseline, cmp.Report())
-	if mdOut != "" {
-		md := fmt.Sprintf("### Perf ledger vs `%s`\n\n%s", baseline, cmp.MarkdownTable())
-		if err := os.WriteFile(mdOut, []byte(md), 0o644); err != nil {
-			return err
-		}
-	}
-	if !cmp.OK() {
-		return fmt.Errorf("perf regression against %s (see table above)", baseline)
-	}
-	fmt.Println("perf gate passed")
-	return nil
 }
 
 func run(experiment string, scale, runs int, seed int64) error {

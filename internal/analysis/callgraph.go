@@ -92,7 +92,7 @@ func (g *CallGraph) NodeOfLit(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] 
 
 // hotDirective is the comment marking a function as a measured hot path; the
 // hotalloc analyzer treats the call-graph closure of marked functions as the
-// static counterpart of the perf ledger's allocs/op gates.
+// static counterpart of the benchmark's allocs/op rows.
 const hotDirective = "pressio:hotpath"
 
 // hasHotDirective reports whether a declaration carries //pressio:hotpath in

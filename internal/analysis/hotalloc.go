@@ -4,10 +4,10 @@ import (
 	"go/ast"
 )
 
-// HotAlloc is the static counterpart of the perf ledger's allocs/op gates:
+// HotAlloc is the static counterpart of the benchmark's allocs/op rows:
 // it reports allocation sites reachable from //pressio:hotpath-marked
-// functions, so a regression that would trip the dynamic gate is visible at
-// review time, on every build, without running the ledger.
+// functions, so a regression that would move the measured rows is visible at
+// review time, on every build, without running the benchmark.
 //
 // The hot set is the static call-graph closure of the marked declarations
 // (interface dispatch is not followed — marking the daemon data plane must
@@ -21,13 +21,13 @@ import (
 //     allocates (the chain is printed, so "WriteBits allocates via flushWord"
 //     is actionable).
 //
-// Amortized patterns the ledger tolerates are exempt: appends that grow a
+// Amortized patterns the measured rows tolerate are exempt: appends that grow a
 // receiver-owned buffer (w.buf = append(w.buf, ...)), appends into a local
 // visibly made with a capacity, and error construction (cold path by
 // convention).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "no allocation in loops reachable from //pressio:hotpath functions (static form of the perf-ledger allocs/op gates)",
+	Doc:  "no allocation in loops reachable from //pressio:hotpath functions (static form of the benchmark's allocs/op rows)",
 	Run:  runHotAlloc,
 }
 

@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// TestHotClosureCoversPerfLedgerStages pins hotalloc's hot set to the
-// perf-ledger surface: the five codec stages the ledger gates (huffman,
-// rangecoder, bitstream, sz, zfp) and the daemon data plane must all carry
+// TestHotClosureCoversBenchmarkLayers pins hotalloc's hot set to the layers
+// the benchmark reports per-layer rows for (BENCHMARK.json: huffman.*,
+// rangecoder.*, bitstream.*, sz.*, zfp.*, daemon.*): the five codec stages
+// and the daemon data plane must all carry
 // //pressio:hotpath marks that the call graph turns into hot roots. If a
 // refactor drops a mark or renames an entry point, this fails before the
 // analyzer silently stops watching that stage.
-func TestHotClosureCoversPerfLedgerStages(t *testing.T) {
+func TestHotClosureCoversBenchmarkLayers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads several module packages with full type information")
 	}
@@ -47,7 +48,7 @@ func TestHotClosureCoversPerfLedgerStages(t *testing.T) {
 		}
 	}
 	if len(roots) == 0 {
-		t.Fatal("no //pressio:hotpath marks found in the perf-ledger packages")
+		t.Fatal("no //pressio:hotpath marks found in the benchmarked packages")
 	}
 	closure := g.ReachableStatic(roots)
 	covered := map[string]bool{}
@@ -73,7 +74,7 @@ func TestHotClosureCoversPerfLedgerStages(t *testing.T) {
 	}
 	for _, name := range want {
 		if !covered[name] {
-			t.Errorf("perf-ledger stage %s is not in the hot closure; its allocations are invisible to hotalloc", name)
+			t.Errorf("benchmarked layer %s is not in the hot closure; its allocations are invisible to hotalloc", name)
 		}
 	}
 }

@@ -419,7 +419,7 @@ func (n *FuncNode) ShortName() string {
 // Allocation-site walker.
 
 // walkAlloc visits every non-exempt allocation site of a body. Exemptions,
-// chosen to mirror what the perf ledger's allocs/op gate tolerates:
+// chosen to mirror what the benchmark's allocs/op rows tolerate:
 //   - error construction (errors.New / fmt.Errorf) and everything inside it:
 //     cold path by convention;
 //   - append assigned back to a field of the receiver (w.buf = append(w.buf,

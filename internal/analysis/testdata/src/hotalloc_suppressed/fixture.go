@@ -1,6 +1,6 @@
 // Package hotalloc_suppressed waives deliberate hot-path allocations with
 // //lint:ignore; the analyzer must report nothing. (The allocations are real:
-// the waivers document why the ledger tolerates them.)
+// the waivers document why they are tolerated.)
 package hotalloc_suppressed
 
 //pressio:hotpath fixture kernel

@@ -19,7 +19,7 @@ func NewWriter(capHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, capHint)}
 }
 
-//pressio:hotpath measured by the perf ledger
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // WriteBit appends a single bit (the low bit of b).
 func (w *Writer) WriteBit(b uint) {
 	w.acc |= uint64(b&1) << w.nacc
@@ -30,7 +30,7 @@ func (w *Writer) WriteBit(b uint) {
 	}
 }
 
-//pressio:hotpath measured by the perf ledger
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // WriteBits appends the low n bits of v, LSB first. n must be ≤ 64.
 func (w *Writer) WriteBits(v uint64, n uint) {
 	if n == 0 {
@@ -111,7 +111,7 @@ func (r *Reader) fill(n uint) {
 	}
 }
 
-//pressio:hotpath measured by the perf ledger
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // ReadBit consumes and returns one bit (0 when past the end).
 func (r *Reader) ReadBit() uint {
 	r.fill(1)
@@ -123,7 +123,7 @@ func (r *Reader) ReadBit() uint {
 	return b
 }
 
-//pressio:hotpath measured by the perf ledger
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // ReadBits consumes and returns n (≤ 64) bits, LSB-first.
 func (r *Reader) ReadBits(n uint) uint64 {
 	if n == 0 {

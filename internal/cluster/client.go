@@ -129,37 +129,26 @@ func (c *PeerClient) Do(ctx context.Context, op string, dtype core.DType, dims [
 	}
 	defer release()
 
-	var lastErr error
-	for attempt := 0; attempt < c.attempts; attempt++ {
-		if attempt > 0 {
+	var out []byte
+	err = c.backoff.Retry(ctx, c.attempts, func(try int) error {
+		if try > 0 {
 			trace.CounterAdd(trace.CtrClusterRetries, 1)
-			select {
-			case <-time.After(c.backoff.Delay(attempt - 1)):
-			case <-ctx.Done():
-				return nil, core.Transient(fmt.Errorf("cluster: peer %s: %w", c.addr, ctx.Err()))
-			}
 		}
-		probe, ok := c.breaker.Allow()
-		if !ok {
-			return nil, fmt.Errorf("cluster: peer %s: %w (%w)", c.addr, service.ErrBreakerOpen, core.ErrShed)
-		}
-		begin := time.Now()
-		out, err := c.attempt(ctx, op, dtype, dims, body)
-		elapsed := time.Since(begin)
-		c.breaker.Done(probe, err, elapsed)
-		if err == nil {
+		elapsed, recorded, err := c.breaker.Call(ctx, func() (err error) {
+			out, err = c.attempt(ctx, op, dtype, dims, body)
+			return err
+		})
+		switch {
+		case err == nil:
 			c.lat.observe(elapsed)
 			trace.ObserveDuration(trace.HistClusterPeer, elapsed)
 			trace.CounterAdd(trace.ClusterPeerKey(c.addr, "requests"), 1)
-			return out, nil
+		case recorded:
+			trace.CounterAdd(trace.ClusterPeerKey(c.addr, "failures"), 1)
 		}
-		trace.CounterAdd(trace.ClusterPeerKey(c.addr, "failures"), 1)
-		lastErr = err
-		if !core.IsTransient(err) || ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, lastErr
+		return err
+	})
+	return out, err
 }
 
 // attempt is one HTTP round trip with its own deadline.

@@ -8,9 +8,10 @@
 //     Placement depends only on membership, never on health, so a bounced
 //     peer gets the same keys back.
 //   - PeerClient: one HTTP client per peer wrapping every call in the
-//     service-layer resilience stack — a process-shared circuit breaker, a
-//     weighted admission bulkhead, capped-exponential-backoff retries with
-//     deterministic splitmix64 jitter, and a per-request deadline.
+//     service-layer resilience stack — a process-shared circuit breaker
+//     (service.BreakerState.Call), a weighted admission bulkhead,
+//     capped-exponential-backoff retries with deterministic splitmix64
+//     jitter (resilience.Backoff.Retry), and a per-attempt deadline.
 //   - Router: fans CompressMany chunks out across the ring, hedges slow
 //     primaries to the next replica after a p99-derived delay (first success
 //     wins, loser cancelled), fails over through the replica set when peers
@@ -19,10 +20,9 @@
 //   - HealthChecker: polls each peer's /readyz and flips ring health on
 //     up/down transitions, so placement re-resolves without waiting for
 //     request-path failures.
-//   - Runtime: a small lifecycle manager (ordered start/stop along
-//     dependency edges, readiness aggregation) that sequences
-//     health-checker, router, and listener components in pressiod's router
-//     mode.
+//
+// Nothing here is about process lifecycle: internal/daemon owns the order in
+// which the health checker, the router and its listener start and stop.
 //
 // The proof is a multi-process chaos test (chaos_multiproc_test.go): three
 // real pressiod shards, concurrent CompressMany load, one shard SIGKILLed

@@ -11,9 +11,9 @@ import (
 
 // HealthChecker polls every peer's /readyz and flips health state on the
 // router's ring, so placement re-resolves on peer-up/peer-down transitions
-// instead of waiting for request-path failures. It is a lifecycle Component:
-// Start launches the poll loop, Ready reports once the first full sweep has
-// classified every peer, Stop joins the loop.
+// instead of waiting for request-path failures. Start launches the poll
+// loop, Ready reports once the first full sweep has classified every peer,
+// Stop joins the loop.
 type HealthChecker struct {
 	router   *Router
 	interval time.Duration
@@ -40,11 +40,8 @@ func NewHealthChecker(router *Router, interval time.Duration) *HealthChecker {
 	return &HealthChecker{router: router, interval: interval, timeout: timeout}
 }
 
-// Name implements Component.
-func (h *HealthChecker) Name() string { return "health" }
-
-// Start implements Component: one immediate sweep (so Ready flips as soon as
-// the fleet has been classified once), then a steady poll loop until Stop.
+// Start runs one immediate sweep (so Ready flips as soon as the fleet has
+// been classified once), then a steady poll loop until Stop.
 func (h *HealthChecker) Start(context.Context) error {
 	// The loop outlives the startup call; it gets its own cancellable
 	// lifetime, joined by Stop.
@@ -69,8 +66,7 @@ func (h *HealthChecker) Start(context.Context) error {
 	return nil
 }
 
-// Stop implements Component: cancel the loop and wait for it (bounded by
-// ctx).
+// Stop cancels the loop and waits for it (bounded by ctx).
 func (h *HealthChecker) Stop(ctx context.Context) error {
 	if h.cancel == nil {
 		return nil
@@ -84,7 +80,7 @@ func (h *HealthChecker) Stop(ctx context.Context) error {
 	}
 }
 
-// Ready implements ReadyReporter: true once the first sweep completed.
+// Ready is true once the first sweep completed.
 func (h *HealthChecker) Ready() bool { return h.swept.Load() }
 
 // sweep probes every peer once and records transitions.

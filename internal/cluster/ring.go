@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"pressio/internal/stats"
 )
 
 // DefaultVirtualNodes is the per-peer virtual node count when unspecified.
@@ -46,8 +48,10 @@ func NewRing(vnodes int, peers ...string) *Ring {
 }
 
 // hash64 is FNV-1a over b: deterministic across processes and runs, cheap,
-// and well-dispersed enough for placement (splitmix64 finalizes to break up
-// FNV's avalanche weakness on short keys).
+// and well-dispersed enough for placement (a splitmix64 step finalizes to
+// break up FNV's avalanche weakness on short keys). The loop is inline, not
+// hash/fnv: Add and Replicas hash under r.mu, where blockinglock counts an
+// io.Writer call as blocking.
 func hash64(b []byte) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
@@ -55,11 +59,7 @@ func hash64(b []byte) uint64 {
 		h ^= uint64(c)
 		h *= prime
 	}
-	// splitmix64 finalizer
-	h += 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return stats.SplitMix64(&h)
 }
 
 // Add inserts a peer (idempotent). New peers start down until a health

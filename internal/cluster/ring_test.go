@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -162,5 +163,36 @@ func TestHash64Dispersion(t *testing.T) {
 	}
 	if low < 300 || high < 300 {
 		t.Fatalf("top-bit split %d/%d; finalizer is not dispersing", low, high)
+	}
+}
+
+// TestRingPlacementGolden pins where 16 fixed keys land on a fixed 3-peer
+// ring. Placement is a wire-level fact (a router restarted on a new build
+// must send a key to the shard that already holds its neighbours), so any
+// change to the hash is a breaking change and must show up here.
+func TestRingPlacementGolden(t *testing.T) {
+	r := NewRing(0, "10.0.0.1:8123", "10.0.0.2:8123", "10.0.0.3:8123")
+	want := []string{
+		"10.0.0.1:8123 10.0.0.3:8123",
+		"10.0.0.1:8123 10.0.0.3:8123",
+		"10.0.0.2:8123 10.0.0.3:8123",
+		"10.0.0.3:8123 10.0.0.2:8123",
+		"10.0.0.1:8123 10.0.0.3:8123",
+		"10.0.0.3:8123 10.0.0.2:8123",
+		"10.0.0.3:8123 10.0.0.1:8123",
+		"10.0.0.1:8123 10.0.0.3:8123",
+		"10.0.0.1:8123 10.0.0.2:8123",
+		"10.0.0.3:8123 10.0.0.2:8123",
+		"10.0.0.1:8123 10.0.0.2:8123",
+		"10.0.0.3:8123 10.0.0.2:8123",
+		"10.0.0.2:8123 10.0.0.1:8123",
+		"10.0.0.1:8123 10.0.0.3:8123",
+		"10.0.0.3:8123 10.0.0.1:8123",
+		"10.0.0.2:8123 10.0.0.1:8123",
+	}
+	for i, key := range testKeys(16) {
+		if got := strings.Join(r.Replicas(key, 2), " "); got != want[i] {
+			t.Errorf("Replicas(%q, 2) = %q, want %q", key, got, want[i])
+		}
 	}
 }

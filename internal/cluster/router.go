@@ -319,13 +319,7 @@ func (r *Router) many(ctx context.Context, op string, chunks []Chunk) ([][]byte,
 	return results, errors.Join(errs...)
 }
 
-// Router lifecycle component: Start validates, Ready means "can serve at
-// least degraded traffic", Stop releases pooled connections.
-
-// Name implements Component.
-func (r *Router) Name() string { return "router" }
-
-// Start implements Component.
+// Start logs the fleet shape once; the router holds no goroutine of its own.
 func (r *Router) Start(context.Context) error {
 	r.started.Do(func() {
 		//lint:ignore blockinglock one-time boot log under the sync.Once mutex; never contended on a request path
@@ -336,7 +330,7 @@ func (r *Router) Start(context.Context) error {
 	return nil
 }
 
-// Stop implements Component.
+// Stop releases pooled peer connections.
 func (r *Router) Stop(context.Context) error {
 	for _, pc := range r.clients {
 		pc.CloseIdle()
@@ -344,8 +338,8 @@ func (r *Router) Stop(context.Context) error {
 	return nil
 }
 
-// Ready implements ReadyReporter: the router can serve once any peer is up,
-// or always when a local degradation path exists.
+// Ready reports whether the router can serve: once any peer is up, or always
+// when a local degradation path exists.
 func (r *Router) Ready() bool {
 	return r.cfg.Local != nil || r.ring.UpCount() > 0
 }

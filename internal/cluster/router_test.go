@@ -222,6 +222,29 @@ func TestRouterHedgesSlowPrimary(t *testing.T) {
 	}
 }
 
+// TestRouterHedgeWinsDoNotTripPrimary: every hedge win cancels the slow
+// primary's call. Those cancellations are the router's doing, not the
+// primary's, so a slow-but-healthy primary must stay in rotation.
+func TestRouterHedgeWinsDoNotTripPrimary(t *testing.T) {
+	slow := newFakeShard(t, "slow", 200*time.Millisecond)
+	fast := newFakeShard(t, "fast", 0)
+	r := newTestRouter(t, RouterConfig{
+		Peers:      []string{slow.addr(), fast.addr()},
+		HedgeFloor: 5 * time.Millisecond,
+		Peer:       PeerConfig{Attempts: 1, Timeout: 5 * time.Second},
+	})
+	payload := payloadFor(t, r, slow.addr())
+	for i := 0; i < 16; i++ {
+		out, err := r.Compress(context.Background(), core.DTypeByte, []uint64{uint64(len(payload))}, payload)
+		if err != nil || !bytes.HasPrefix(out, []byte("fast:")) {
+			t.Fatalf("call %d: hedge did not win: %q, %v", i, out, err)
+		}
+	}
+	if !r.clients[slow.addr()].Available() {
+		t.Fatal("16 hedge wins tripped the primary's breaker")
+	}
+}
+
 func TestRouterHedgedCallsDoNotLeakGoroutines(t *testing.T) {
 	slow := newFakeShard(t, "slow", 200*time.Millisecond)
 	fast := newFakeShard(t, "fast", 0)

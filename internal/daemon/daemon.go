@@ -4,7 +4,7 @@
 // surface — request-scoped span trees correlated by W3C trace ids,
 // Prometheus-format metrics, structured JSON-lines event logs, and an
 // ops-only listener carrying pprof. cmd/pressiod is a thin flag wrapper
-// around this package; the perf-ledger harness drives it in-process to
+// around this package; the benchmark (benchmark/) drives it in-process to
 // measure serving latency.
 package daemon
 
@@ -118,17 +118,18 @@ type Daemon struct {
 	decompress *service.Admission
 	traces     *traceStore
 
-	// Router mode: requests route across the peer fleet; the lifecycle
-	// runtime sequences health-checker → router → listener. The data plane
+	// Router mode: requests route across the peer fleet. The data plane
 	// calls the router through the dataRouter interface, not the concrete
-	// type: handleData is //pressio:hotpath-marked for the perf ledger's
-	// allocs/op gate, which measures the local compression path — a routed
-	// request's cost is the peer round-trip, so the hot-path contract (and
-	// hotalloc's closure) deliberately ends at this dispatch boundary.
-	router  *cluster.Router
-	route   dataRouter
-	health  *cluster.HealthChecker
-	runtime *cluster.Runtime
+	// type: handleData is //pressio:hotpath-marked for the local compression
+	// path — a routed request's cost is the peer round-trip, so the hot-path
+	// contract (and hotalloc's closure) deliberately ends at this dispatch
+	// boundary.
+	router *cluster.Router
+	route  dataRouter
+	health *cluster.HealthChecker
+
+	// comps is what Start brings up and Drain takes down, in order.
+	comps startList
 
 	// Object-store mode: recovery-gated persistent storage behind /objects.
 	store    *store.Store
@@ -183,10 +184,10 @@ func New(cfg Config) (*Daemon, error) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compress", func(w http.ResponseWriter, r *http.Request) {
-		d.handleData(w, r, false)
+		d.handleData(w, r, cluster.OpCompress)
 	})
 	mux.HandleFunc("POST /decompress", func(w http.ResponseWriter, r *http.Request) {
-		d.handleData(w, r, true)
+		d.handleData(w, r, cluster.OpDecompress)
 	})
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
 	mux.HandleFunc("GET /readyz", d.handleReadyz)
@@ -205,20 +206,13 @@ func New(cfg Config) (*Daemon, error) {
 		d.opsSrv = &http.Server{Handler: d.opsMux()}
 	}
 
-	// The lifecycle runtime owns start/stop ordering. Single-node mode is
-	// just the listener; router mode sequences health-checker → router →
-	// listener, so the ring is classified before traffic can arrive and
-	// drains unwind in exact reverse. The object store (when configured)
-	// starts before the listener too — crash recovery must finish before
-	// the first /objects request — and, stopping in reverse order, its
-	// checkpoint-and-close runs only after the listener has fully drained.
-	d.runtime = cluster.NewRuntime()
-	var listenerDeps []string
+	// The start list. The object store (when configured) comes first: crash
+	// recovery must finish before the first /objects request, and, stopping
+	// in reverse, its checkpoint-and-close runs only after the listener has
+	// fully drained. Router mode puts health checker → router ahead of the
+	// listener, so the ring is classified before traffic can arrive.
 	if cfg.StoreDir != "" {
-		if err := d.runtime.Register(&storeComp{d: d}); err != nil {
-			return nil, err
-		}
-		listenerDeps = append(listenerDeps, "store")
+		d.comps.comps = append(d.comps.comps, component{"store", d.startStore, d.stopStore, d.storeReady})
 	}
 	if cfg.RouterPeers != "" {
 		var local cluster.LocalFunc
@@ -238,18 +232,11 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.route = d.router
 		d.health = cluster.NewHealthChecker(d.router, cfg.RouterHealthInterval)
-		if err := d.runtime.Register(d.health); err != nil {
-			return nil, err
-		}
-		if err := d.runtime.Register(d.router, "health"); err != nil {
-			return nil, err
-		}
-		if err := d.runtime.Register(&listenerComp{d: d}, append(listenerDeps, "router")...); err != nil {
-			return nil, err
-		}
-	} else if err := d.runtime.Register(&listenerComp{d: d}, listenerDeps...); err != nil {
-		return nil, err
+		d.comps.comps = append(d.comps.comps,
+			component{"health", d.health.Start, d.health.Stop, d.health.Ready},
+			component{"router", d.router.Start, d.router.Stop, d.router.Ready})
 	}
+	d.comps.comps = append(d.comps.comps, component{"listener", d.startListener, d.stopListener, nil})
 	return d, nil
 }
 
@@ -265,48 +252,38 @@ func splitCSV(s string) []string {
 	return out
 }
 
-// listenerComp adapts the data-plane listener to the lifecycle runtime.
-// Start binds and serves; Stop performs the graceful drain (lame-duck
-// window, then bounded Shutdown) so reverse-order teardown stops accepting
-// traffic before the router and health checker go away.
-type listenerComp struct{ d *Daemon }
-
-// Name implements cluster.Component.
-func (l *listenerComp) Name() string { return "listener" }
-
-// Start implements cluster.Component.
-func (l *listenerComp) Start(context.Context) error {
-	ln, err := net.Listen("tcp", l.d.cfg.Addr)
+// startListener binds the data plane and serves it.
+func (d *Daemon) startListener(context.Context) error {
+	ln, err := net.Listen("tcp", d.cfg.Addr)
 	if err != nil {
 		return err
 	}
-	l.d.ln = ln
-	//lint:ignore goroutineleak process-lifetime serve loop; the listener component's Stop shuts the server down, which Serve observes
+	d.ln = ln
+	//lint:ignore goroutineleak process-lifetime serve loop; stopListener shuts the server down, which Serve observes
 	go func() {
 		// ErrServerClosed is the expected outcome of a drain; anything else
 		// surfaces through failed client requests, not the exit status.
-		_ = l.d.srv.Serve(ln)
+		_ = d.srv.Serve(ln)
 	}()
 	return nil
 }
 
-// Stop implements cluster.Component: the graceful drain of the data plane.
-func (l *listenerComp) Stop(context.Context) error {
-	if l.d.cfg.LameDuck > 0 {
-		time.Sleep(l.d.cfg.LameDuck)
+// stopListener is the graceful drain of the data plane (lame-duck window,
+// then bounded Shutdown). It is the last component, so it stops first:
+// traffic ends before the router and health checker go away.
+func (d *Daemon) stopListener(context.Context) error {
+	if d.cfg.LameDuck > 0 {
+		time.Sleep(d.cfg.LameDuck)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), l.d.cfg.DrainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), d.cfg.DrainTimeout)
 	defer cancel()
-	err := l.d.srv.Shutdown(ctx)
+	err := d.srv.Shutdown(ctx)
 	if err != nil {
-		_ = l.d.srv.Close()
-		err = fmt.Errorf("drain deadline %s exceeded: %w", l.d.cfg.DrainTimeout, err)
+		_ = d.srv.Close()
+		err = fmt.Errorf("drain deadline %s exceeded: %w", d.cfg.DrainTimeout, err)
 	}
 	return err
 }
-
-// Ready implements cluster.ReadyReporter.
-func (l *listenerComp) Ready() bool { return l.d.ln != nil }
 
 // opsMux is the operator surface: pprof (never on the data plane), plus the
 // same metrics/trace/liveness endpoints so operators need only one port.
@@ -323,10 +300,10 @@ func (d *Daemon) opsMux() *http.ServeMux {
 	return mux
 }
 
-// Start brings the daemon up through the lifecycle runtime (dependencies
-// first: in router mode the health checker classifies the fleet before the
-// listener accepts traffic); it returns once the daemon is accepting
-// connections so callers (and tests) can read Addr().
+// Start brings the daemon's components up in order (in router mode the
+// health checker classifies the fleet before the listener accepts traffic);
+// it returns once the daemon is accepting connections so callers (and tests)
+// can read Addr().
 func (d *Daemon) Start() error {
 	if d.opsSrv != nil {
 		opsLn, err := net.Listen("tcp", d.cfg.OpsAddr)
@@ -337,7 +314,7 @@ func (d *Daemon) Start() error {
 		//lint:ignore goroutineleak process-lifetime serve loop; Drain/Close shuts the listener down, which Serve observes
 		go func() { _ = d.opsSrv.Serve(opsLn) }()
 	}
-	if err := d.runtime.Start(context.Background()); err != nil {
+	if err := d.comps.start(context.Background()); err != nil {
 		if d.opsLn != nil {
 			_ = d.opsLn.Close()
 		}
@@ -354,7 +331,7 @@ func (d *Daemon) Start() error {
 		ev = append(ev,
 			obslog.Str("mode", "router"),
 			obslog.Str("ring", d.router.Ring().String()),
-			obslog.Str("components", strings.Join(d.runtime.Components(), ",")))
+			obslog.Str("components", d.comps.String()))
 	}
 	obslog.Default().Infow("daemon.start", ev...)
 	return nil
@@ -393,7 +370,7 @@ func (d *Daemon) Drain() error {
 	// Reverse start order: the listener drains first (lame-duck window, then
 	// bounded Shutdown inside its Stop), then the router and health checker
 	// unwind in router mode.
-	err := d.runtime.Stop(context.Background())
+	err := d.comps.stop(context.Background())
 	if d.opsSrv != nil {
 		_ = d.opsSrv.Close()
 	}

@@ -7,9 +7,11 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"pressio/internal/obslog"
@@ -182,23 +184,91 @@ func TestDaemonHealthReadyAndDrain(t *testing.T) {
 	}
 }
 
+// An oversized declared body is shed by the byte bulkhead before a byte of
+// it is read, on every route that takes a body.
 func TestDaemonShedOversizedTyped503(t *testing.T) {
 	d, _, _ := startTestDaemon(t, func(c *Config) {
 		c.MemBudget = 16
+		c.StoreDir = t.TempDir()
 	})
-	resp := post(t, "http://"+d.Addr()+"/compress?dims=16&dtype=float32", make([]byte, 64))
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d (%s), want 503", resp.StatusCode, body)
+	for i, route := range []struct{ method, path string }{
+		{"POST", "/compress?dims=16&dtype=float32"},
+		{"PUT", "/objects/big?dims=16&dtype=float32"},
+	} {
+		resp := objReq(t, route.method, "http://"+d.Addr()+route.path, make([]byte, 64), nil)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s %s: status %d (%s), want 503", route.method, route.path, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Pressio-Error"); got != "shed" {
+			t.Errorf("%s: X-Pressio-Error %q, want shed", route.path, got)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s: 503 without Retry-After", route.path)
+		}
+		if got := trace.CounterValue(trace.BulkheadShedKey("compress")); got != int64(i+1) {
+			t.Errorf("%s: compress bulkhead shed counter %d, want %d", route.path, got, i+1)
+		}
 	}
-	if got := resp.Header.Get("X-Pressio-Error"); got != "shed" {
-		t.Errorf("X-Pressio-Error %q, want shed", got)
+}
+
+// A body of undeclared length would be admitted at weight zero, so it is
+// refused with 411 before any of it is read, on every route that takes one.
+func TestDaemonChunkedUploadLengthRequired(t *testing.T) {
+	d, _, _ := startTestDaemon(t, func(c *Config) {
+		c.MemBudget = 1000
+		c.QueueDepth = 0
+		c.StoreDir = t.TempDir()
+	})
+	for _, route := range []struct{ method, path string }{
+		{"POST", "/compress?dims=225&dtype=float32"},
+		{"PUT", "/objects/chunked?dims=225&dtype=float32"},
+	} {
+		// Wrapping the reader hides its length from net/http, which then
+		// sends Transfer-Encoding: chunked.
+		req, err := http.NewRequest(route.method, "http://"+d.Addr()+route.path,
+			struct{ io.Reader }{bytes.NewReader(make([]byte, 900))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusLengthRequired {
+			t.Errorf("%s %s: status %d (%s), want 411", route.method, route.path, resp.StatusCode, body)
+		}
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 without Retry-After")
+	if got := trace.CounterValue(trace.CtrAdmissionAdmitted); got != 0 {
+		t.Errorf("%d chunked uploads passed admission, want 0", got)
 	}
-	if trace.CounterValue(trace.BulkheadShedKey("compress")) != 1 {
-		t.Error("per-bulkhead shed counter not incremented")
+}
+
+// admitBody tells a body that outgrew the budget (413) from a client that
+// went away mid-body (400), and hands the bulkhead back on both.
+func TestAdmitBodyClassifiesReadErrors(t *testing.T) {
+	d, _, _ := startTestDaemon(t, func(c *Config) { c.MemBudget = 1000 })
+	for _, tc := range []struct {
+		name   string
+		body   io.Reader
+		status int
+	}{
+		{"outgrew the budget", bytes.NewReader(make([]byte, 5000)), http.StatusRequestEntityTooLarge},
+		{"client went away", io.MultiReader(strings.NewReader("abc"), iotest.ErrReader(io.ErrUnexpectedEOF)), http.StatusBadRequest},
+	} {
+		r := httptest.NewRequest("POST", "/compress", tc.body)
+		r.ContentLength = 10
+		_, _, err := d.admitBody(r.Context(), httptest.NewRecorder(), r, "compress", nil)
+		if err == nil {
+			t.Fatalf("%s: body accepted", tc.name)
+		}
+		if _, status := errKind(err); status != tc.status {
+			t.Errorf("%s: status %d (%v), want %d", tc.name, status, err, tc.status)
+		}
+		if used := d.compress.UsedBytes(); used != 0 {
+			t.Errorf("%s: %d bytes still held in the bulkhead", tc.name, used)
+		}
 	}
 }
 

@@ -36,7 +36,12 @@ func setNoStore(w http.ResponseWriter, contentType string) {
 // errKind classifies an error the way writeError will report it, so logging
 // and the HTTP shape agree.
 func errKind(err error) (kind string, status int) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.Is(err, errLengthRequired):
+		return "length-required", http.StatusLengthRequired
+	case errors.As(err, &tooLarge):
+		return "too-large", http.StatusRequestEntityTooLarge
 	case errors.Is(err, core.ErrShed):
 		kind = "shed"
 		if errors.Is(err, service.ErrBreakerOpen) {
@@ -95,7 +100,46 @@ func parseShape(q map[string][]string) (core.DType, []uint64, error) {
 	return dtype, dims, nil
 }
 
-//pressio:hotpath measured by the perf ledger
+// errLengthRequired rejects a body of undeclared length (Transfer-Encoding:
+// chunked). Admission weighs a request by its declared bytes, so such a body
+// would pass the byte bulkhead at weight zero however large it turned out.
+var errLengthRequired = errors.New("Content-Length required: admission weighs a request by its declared size")
+
+// admitBody is the one way a request body enters the daemon: refuse an
+// undeclared length before reading a byte, take the op's bulkhead at the
+// declared length, then read the body whole. The caller releases the
+// bulkhead when the work is done. Errors are already classified for
+// writeError: 411, a typed 503 shed, 413 for a body that outgrew the budget,
+// and 400 for any other read failure (the client went away mid-body).
+func (d *Daemon) admitBody(ctx context.Context, w http.ResponseWriter, r *http.Request, op string, parent *trace.RequestSpan) (body []byte, release func(), err error) {
+	if r.ContentLength < 0 {
+		return nil, nil, errLengthRequired
+	}
+	bh := d.compress
+	if op == cluster.OpDecompress {
+		bh = d.decompress
+	}
+	sp := parent.Child("daemon.admission", trace.Str("bulkhead", op))
+	release, err = bh.Acquire(ctx, r.ContentLength)
+	sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	sp = parent.Child("daemon.read_body")
+	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, d.cfg.MemBudget))
+	sp.End()
+	if err != nil {
+		release()
+		var tooLarge *http.MaxBytesError
+		if !errors.As(err, &tooLarge) {
+			err = fmt.Errorf("%w: reading request body: %w", core.ErrInvalidOption, err)
+		}
+		return nil, nil, err
+	}
+	return body, release, nil
+}
+
+//pressio:hotpath measured by the benchmark's daemon.* per-layer rows
 // handleData is the shared data-plane path: request trace setup, admission,
 // pool checkout, codec call, response. Admission weight is the declared
 // Content-Length, so the bulkhead budget bounds resident request bytes, not
@@ -105,11 +149,7 @@ func parseShape(q map[string][]string) (core.DType, []uint64, error) {
 // traceparent header when present, minted otherwise), returned in the
 // X-Pressio-Request-Id and Traceparent response headers. The per-stage span
 // tree is retrievable afterwards from /tracez?id=<id>.
-func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, decompress bool) {
-	op := "compress"
-	if decompress {
-		op = "decompress"
-	}
+func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, op string) {
 	inbound, _ := ParseRequestID(r)
 	rt := trace.NewRequestTrace(inbound)
 	root := rt.Start("daemon.request",
@@ -158,40 +198,27 @@ func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, decompress b
 		return
 	}
 
-	bh := d.compress
-	if decompress {
-		bh = d.decompress
-	}
-	sp := root.Child("daemon.admission", trace.Str("bulkhead", op))
-	release, err := bh.Acquire(ctx, r.ContentLength)
-	sp.End()
+	body, release, err := d.admitBody(ctx, w, r, op, root)
 	if err != nil {
 		status = writeError(w, err)
-		kind, _ := errKind(err)
-		obslog.Default().Warnw("request.shed",
-			obslog.Str("request_id", rt.TraceID()),
-			obslog.Str("op", op),
-			obslog.Str("kind", kind))
+		if status == http.StatusServiceUnavailable {
+			kind, _ := errKind(err)
+			obslog.Default().Warnw("request.shed",
+				obslog.Str("request_id", rt.TraceID()),
+				obslog.Str("op", op),
+				obslog.Str("kind", kind))
+		}
 		return
 	}
 	defer release()
-
-	sp = root.Child("daemon.read_body")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, d.cfg.MemBudget))
-	sp.End()
-	if err != nil {
-		status = http.StatusRequestEntityTooLarge
-		http.Error(w, err.Error(), status)
-		return
-	}
 
 	var outBytes []byte
 	if d.route != nil {
 		// Router mode: the request fans out across the ring (hedging and
 		// failover inside). The request trace rides ctx, so peer hops carry
 		// this request's trace id in their Traceparent headers.
-		sp = root.Child("daemon.route", trace.Int("bytes_in", int64(len(body))))
-		if decompress {
+		sp := root.Child("daemon.route", trace.Int("bytes_in", int64(len(body))))
+		if op == cluster.OpDecompress {
 			outBytes, err = d.route.Decompress(ctx, dtype, dims, body)
 		} else {
 			outBytes, err = d.route.Compress(ctx, dtype, dims, body)
@@ -199,7 +226,7 @@ func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, decompress b
 		sp.End()
 	} else {
 		var out *core.Data
-		if out, err = d.localData(ctx, root, decompress, dtype, dims, body); err == nil {
+		if out, err = d.localData(ctx, root, op, dtype, dims, body); err == nil {
 			outBytes = out.Bytes()
 		}
 	}
@@ -218,7 +245,7 @@ func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, decompress b
 		return
 	}
 
-	sp = root.Child("daemon.write_response", trace.Int("bytes_out", int64(len(outBytes))))
+	sp := root.Child("daemon.write_response", trace.Int("bytes_out", int64(len(outBytes))))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(headerCompressor, d.name)
 	w.WriteHeader(http.StatusOK)
@@ -230,11 +257,7 @@ func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, decompress b
 // single-node span structure (pool_wait, then the codec call) parented
 // under parent. It serves both the direct path and, via localBytes, the
 // router's whole-fleet-unreachable degradation path.
-func (d *Daemon) localData(ctx context.Context, parent *trace.RequestSpan, decompress bool, dtype core.DType, dims []uint64, body []byte) (*core.Data, error) {
-	op := "compress"
-	if decompress {
-		op = "decompress"
-	}
+func (d *Daemon) localData(ctx context.Context, parent *trace.RequestSpan, op string, dtype core.DType, dims []uint64, body []byte) (*core.Data, error) {
 	sp := parent.Child("daemon.pool_wait")
 	var comp *core.Compressor
 	select {
@@ -248,7 +271,7 @@ func (d *Daemon) localData(ctx context.Context, parent *trace.RequestSpan, decom
 
 	sp = parent.Child("daemon."+op, trace.Int("bytes_in", int64(len(body))))
 	defer sp.End()
-	if decompress {
+	if op == cluster.OpDecompress {
 		out := core.NewEmpty(dtype, dims...)
 		if err := comp.Decompress(core.NewBytes(body), out); err != nil {
 			return nil, err
@@ -271,7 +294,7 @@ func (d *Daemon) localData(ctx context.Context, parent *trace.RequestSpan, decom
 // localBytes adapts localData to the router's LocalFunc degradation hook.
 func (d *Daemon) localBytes(ctx context.Context, op string, dtype core.DType, dims []uint64, body []byte) ([]byte, error) {
 	sp := trace.RequestTraceFrom(ctx).Start("daemon.local_fallback", trace.Str("op", op))
-	out, err := d.localData(ctx, sp, op == cluster.OpDecompress, dtype, dims, body)
+	out, err := d.localData(ctx, sp, op, dtype, dims, body)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -302,7 +325,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz is readiness: false from the instant a drain begins (so
 // rolling restarts route new work elsewhere while in-flight work finishes)
-// and false while any lifecycle component reports unready — in router mode
+// and false while any started component reports unready — in router mode
 // that aggregates the health checker's first sweep and the router's
 // can-serve state.
 func (d *Daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
@@ -311,7 +334,7 @@ func (d *Daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	if !d.runtime.Ready() {
+	if !d.comps.ready() {
 		http.Error(w, "not ready", http.StatusServiceUnavailable)
 		return
 	}

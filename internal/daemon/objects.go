@@ -2,8 +2,8 @@ package daemon
 
 // The object-store surface: when -store-dir is set, the daemon exposes the
 // crash-consistent compressed object store (internal/store) as a REST
-// resource. The store registers with the lifecycle runtime AHEAD of the
-// listener, so crash recovery (journal replay, torn-tail truncation,
+// resource. The store is the first entry of the daemon's start list, AHEAD
+// of the listener, so crash recovery (journal replay, torn-tail truncation,
 // segment rebuild) completes before the first request can arrive, and
 // /readyz reports 503 until it has. The scrubber rides the same component:
 // it starts after recovery and stops before the journal closes.
@@ -25,12 +25,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 
+	"pressio/internal/cluster"
 	"pressio/internal/core"
 	"pressio/internal/obslog"
 	"pressio/internal/store"
@@ -41,59 +43,43 @@ const (
 	headerDims  = "X-Pressio-Dims"
 )
 
-// storeComp adapts the object store to the lifecycle runtime. Start runs
-// crash recovery (Open) and launches the scrubber; Stop halts the scrubber,
-// checkpoints (so the next start replays an empty journal), and closes.
-type storeComp struct{ d *Daemon }
-
-// Name implements cluster.Component.
-func (c *storeComp) Name() string { return "store" }
-
-// Start implements cluster.Component.
-func (c *storeComp) Start(context.Context) error {
-	s, err := store.Open(c.d.cfg.StoreDir, store.Options{CheckpointBytes: c.d.cfg.StoreCheckpointBytes})
+// startStore runs crash recovery (Open) and launches the scrubber.
+func (d *Daemon) startStore(context.Context) error {
+	s, err := store.Open(d.cfg.StoreDir, store.Options{CheckpointBytes: d.cfg.StoreCheckpointBytes})
 	if err != nil {
 		return fmt.Errorf("opening object store: %w", err)
 	}
-	c.d.store = s
+	d.store = s
 	rec := s.Recovery()
 	recJSON, _ := json.Marshal(rec)
 	obslog.Default().Infow("store.open",
-		obslog.Str("dir", c.d.cfg.StoreDir),
+		obslog.Str("dir", d.cfg.StoreDir),
 		obslog.Int("objects", int64(len(s.List()))),
 		obslog.Str("recovery", string(recJSON)))
-	c.d.scrubber = store.NewScrubber(s, c.d.cfg.ScrubInterval, scrubSeed(c.d.cfg.StoreDir))
-	c.d.scrubber.Start()
+	d.scrubber = store.NewScrubber(s, d.cfg.ScrubInterval, scrubSeed(d.cfg.StoreDir))
+	d.scrubber.Start()
 	return nil
 }
 
-// Stop implements cluster.Component.
-func (c *storeComp) Stop(context.Context) error {
-	if c.d.scrubber != nil {
-		c.d.scrubber.Stop()
-	}
-	if c.d.store == nil {
-		return nil
-	}
-	if err := c.d.store.Checkpoint(); err != nil && !errors.Is(err, store.ErrClosed) {
+// stopStore halts the scrubber, checkpoints (so the next start replays an
+// empty journal), and closes.
+func (d *Daemon) stopStore(context.Context) error {
+	d.scrubber.Stop()
+	if err := d.store.Checkpoint(); err != nil && !errors.Is(err, store.ErrClosed) {
 		obslog.Default().Warnw("store.checkpoint_on_stop", obslog.Err(err))
 	}
-	return c.d.store.Close()
+	return d.store.Close()
 }
 
-// Ready implements cluster.ReadyReporter: the store is ready once recovery
-// finished. The runtime aggregates this into /readyz.
-func (c *storeComp) Ready() bool { return c.d.store != nil && c.d.store.Ready() }
+// storeReady gates /readyz on recovery having finished.
+func (d *Daemon) storeReady() bool { return d.store != nil && d.store.Ready() }
 
 // scrubSeed derives a stable per-directory jitter seed so a fleet of
 // daemons with different store paths scrubs out of phase.
 func scrubSeed(dir string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(dir); i++ {
-		h ^= uint64(dir[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	_, _ = io.WriteString(h, dir) // hash.Hash.Write never fails
+	return h.Sum64()
 }
 
 // writeStoreError maps a store error to its HTTP shape.
@@ -158,11 +144,13 @@ func (d *Daemon) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 		}
 		po.FilterOptions[k] = v
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, d.cfg.MemBudget))
+	// A PUT compresses, so it shares the compress bulkhead with /compress.
+	body, release, err := d.admitBody(r.Context(), w, r, cluster.OpCompress, nil)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		writeError(w, err)
 		return
 	}
+	defer release()
 	in, err := core.NewMove(dtype, body, dims...)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

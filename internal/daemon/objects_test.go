@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"pressio/internal/store"
@@ -42,9 +41,8 @@ func TestObjectStoreEndToEnd(t *testing.T) {
 	base := "http://" + d.Addr()
 
 	// The store component starts ahead of the listener and gates readiness.
-	comps := strings.Join(d.runtime.Components(), ",")
-	if comps != "store,listener" {
-		t.Fatalf("lifecycle order %q, want store before listener", comps)
+	if comps := d.comps.String(); comps != "store,listener" {
+		t.Fatalf("start order %q, want store before listener", comps)
 	}
 	if resp := objReq(t, "GET", base+"/readyz", nil, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz after start: %d", resp.StatusCode)

@@ -45,7 +45,13 @@ func TestRouterModeRoundTripsThroughShards(t *testing.T) {
 		c.RouterPeers = shardA.Addr() + "," + shardB.Addr()
 		c.RouterHealthInterval = 50 * time.Millisecond
 		c.PeerTimeout = 5 * time.Second
+		c.StoreDir = t.TempDir()
 	})
+	// The whole start list: recovery first, the ring classified before the
+	// listener accepts a request.
+	if comps := router.comps.String(); comps != "store,health,router,listener" {
+		t.Fatalf("start order %q", comps)
+	}
 	base := "http://" + router.Addr()
 	_, payload := sampleFloat32(2048)
 
@@ -78,8 +84,8 @@ func TestRouterModeRoundTripsThroughShards(t *testing.T) {
 		t.Fatal("healthy fleet degraded to local compression")
 	}
 
-	// Router readiness aggregates the lifecycle runtime: health checker
-	// swept, router serving, listener bound.
+	// Router readiness aggregates the start list: health checker swept,
+	// router serving, listener bound.
 	rz, err := http.Get(base + "/readyz")
 	if err != nil {
 		t.Fatal(err)

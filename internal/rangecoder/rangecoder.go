@@ -51,7 +51,7 @@ func (e *Encoder) shiftLow() {
 	e.low = (e.low << 8) & 0xFFFFFFFF
 }
 
-//pressio:hotpath measured by the perf ledger
+//pressio:hotpath measured by the benchmark's rangecoder.* per-layer rows
 // EncodeBit encodes bit b (0 or 1) with the adaptive probability p,
 // updating p toward the observed bit.
 func (e *Encoder) EncodeBit(p *Prob, b int) {
@@ -125,7 +125,7 @@ func (d *Decoder) nextByte() byte {
 	return 0
 }
 
-//pressio:hotpath measured by the perf ledger
+//pressio:hotpath measured by the benchmark's rangecoder.* per-layer rows
 // DecodeBit decodes one bit with the adaptive probability p.
 func (d *Decoder) DecodeBit(p *Prob) int {
 	bound := (d.rng >> probBits) * uint32(*p)

@@ -1,7 +1,12 @@
 package resilience
 
 import (
+	"context"
+	"fmt"
 	"time"
+
+	"pressio/internal/core"
+	"pressio/internal/stats"
 )
 
 // Backoff computes capped-exponential retry delays with deterministic
@@ -17,15 +22,6 @@ type Backoff struct {
 	Jitter float64
 	// Seed drives the jitter PRNG so retry schedules are reproducible.
 	Seed int64
-}
-
-// splitmix64 is the tiny deterministic PRNG behind the jitter: good enough
-// dispersion for de-synchronizing retries, no global state, no allocation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Delay returns the sleep before retry attempt (0-based). The base delay is
@@ -54,11 +50,35 @@ func (b Backoff) Delay(attempt int) time.Duration {
 			j = 1
 		}
 		span := float64(d) * j
-		r := splitmix64(uint64(b.Seed) ^ splitmix64(uint64(attempt)))
+		state := uint64(attempt)
+		state = uint64(b.Seed) ^ stats.SplitMix64(&state)
+		r := stats.SplitMix64(&state)
 		// Map r into [0, span): the jittered delay is d - span + [0, span),
 		// i.e. "equal jitter" biased low so the cap is never exceeded.
 		frac := float64(r%(1<<53)) / float64(uint64(1)<<53)
 		d = time.Duration(float64(d) - span + span*frac)
 	}
 	return d
+}
+
+// Retry is the tree's one retry loop. It runs attempt (try is 0 for the
+// first run) until it succeeds, fails with an error that is not
+// core.IsTransient, has run tries times, or ctx is done. Between runs it
+// sleeps b.Delay(try) and wakes early when ctx ends, returning the last
+// attempt's error wrapped with ctx.Err(). Callers that have no context
+// (plugins) pass context.Background().
+func (b Backoff) Retry(ctx context.Context, tries int, attempt func(try int) error) error {
+	for try := 0; ; try++ {
+		err := attempt(try)
+		if err == nil || try+1 >= tries || !core.IsTransient(err) || ctx.Err() != nil {
+			return err
+		}
+		timer := time.NewTimer(b.Delay(try))
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return fmt.Errorf("%w (retry abandoned: %w)", err, ctx.Err())
+		}
+	}
 }

@@ -68,3 +68,15 @@ func TestBackoffSeedsDesynchronize(t *testing.T) {
 		t.Error("different seeds produced identical schedules")
 	}
 }
+
+// TestBackoffDelayGolden pins the jittered schedule for one seed: retry
+// schedules are reproducible across builds, not only within one.
+func TestBackoffDelayGolden(t *testing.T) {
+	b := Backoff{Initial: time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.5, Seed: 42}
+	want := []time.Duration{925727, 1615671, 3133604, 5315587, 13164898, 28549578, 54941766, 68006274}
+	for i, w := range want {
+		if d := b.Delay(i); d != w {
+			t.Errorf("Delay(%d) = %d, want %d", i, d, w)
+		}
+	}
+}

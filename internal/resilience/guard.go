@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -77,8 +78,8 @@ func (p *guard) Configuration() *core.Options {
 	return cfg
 }
 
-// withRetries instantiates the child and runs one attempt function under the
-// retry policy: transient failures (core.IsTransient — explicit marks and
+// withRetries runs one attempt function under the retry policy
+// (Backoff.Retry): transient failures (core.IsTransient — explicit marks and
 // timeouts) are re-attempted up to guard:max_retries times with backoff
 // between attempts; permanent failures and exhausted budgets return
 // immediately. After a watchdog timeout the timed-out call keeps running
@@ -88,28 +89,23 @@ func (p *guard) Configuration() *core.Options {
 // they allocate themselves and publish results on success, never share a
 // target with a previous attempt.
 func (p *guard) withRetries(attempt func(comp *core.Compressor) error) error {
-	comp, err := p.child.Get()
-	if err != nil {
-		return err
-	}
-	budget := int(p.maxRetries)
-	for try := 0; ; try++ {
+	//lint:ignore ctxflow the plugin interface carries no context; guard:max_retries and the backoff cap bound the loop instead
+	return p.backoffCfg.Retry(context.Background(), int(p.maxRetries)+1, func(try int) error {
+		if try > 0 {
+			trace.CounterAdd(trace.CtrGuardRetries, 1)
+		}
+		comp, err := p.child.Get()
+		if err != nil {
+			return err
+		}
 		err = attempt(comp)
 		if errors.Is(err, core.ErrTimeout) {
 			// The timed-out call is still running detached on this instance;
 			// discard it even when returning, so no later call shares it.
 			p.child.Drop()
 		}
-		if err == nil || try >= budget || !core.IsTransient(err) {
-			return err
-		}
-		trace.CounterAdd(trace.CtrGuardRetries, 1)
-		var gerr error
-		if comp, gerr = p.child.Get(); gerr != nil {
-			return gerr
-		}
-		time.Sleep(p.backoffCfg.Delay(try))
-	}
+		return err
+	})
 }
 
 func (p *guard) CompressImpl(in, out *core.Data) error {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -126,37 +127,23 @@ func (p *breaker) state() *BreakerState {
 	return p.st
 }
 
-// rejected builds the typed fast-rejection error for one operation.
-func (p *breaker) rejected(st *BreakerState, op string) error {
-	return fmt.Errorf("breaker[%s]: %w (%w): %s of %q rejected",
-		st.Scope(), ErrBreakerOpen, core.ErrShed, op, p.child.Name)
-}
-
-// through runs one admitted call and reports its outcome to the shared
-// state. Latency is measured on the real clock — the injectable Clock drives
-// cooldown arithmetic, not stopwatch reads, and error-driven chaos schedules
-// stay deterministic either way.
-func (p *breaker) through(st *BreakerState, probe bool, op func(*core.Compressor) error) error {
-	comp, err := p.child.Get()
-	if err != nil {
+// through runs one call against the child inside the shared circuit.
+func (p *breaker) through(op func(*core.Compressor) error) error {
+	//lint:ignore ctxflow the plugin interface carries no context, so no caller can cancel (and so abandon) this call
+	_, _, err := p.state().Call(context.Background(), func() error {
 		// A child that cannot even be built counts as a failure: tripping
 		// here stops a fleet from re-attempting a misconfigured backend.
-		st.Done(probe, err, 0)
-		return err
-	}
-	begin := time.Now()
-	err = op(comp)
-	st.Done(probe, err, time.Since(begin))
+		comp, err := p.child.Get()
+		if err != nil {
+			return err
+		}
+		return op(comp)
+	})
 	return err
 }
 
 func (p *breaker) CompressImpl(in, out *core.Data) error {
-	st := p.state()
-	probe, ok := st.Allow()
-	if !ok {
-		return p.rejected(st, "compress")
-	}
-	return p.through(st, probe, func(comp *core.Compressor) error {
+	return p.through(func(comp *core.Compressor) error {
 		tmp := core.NewEmpty(core.DTypeByte, 0)
 		if err := comp.Compress(in, tmp); err != nil {
 			return err
@@ -167,12 +154,7 @@ func (p *breaker) CompressImpl(in, out *core.Data) error {
 }
 
 func (p *breaker) DecompressImpl(in, out *core.Data) error {
-	st := p.state()
-	probe, ok := st.Allow()
-	if !ok {
-		return p.rejected(st, "decompress")
-	}
-	return p.through(st, probe, func(comp *core.Compressor) error {
+	return p.through(func(comp *core.Compressor) error {
 		tmp := core.NewEmpty(out.DType(), out.Dims()...)
 		if err := comp.Decompress(in, tmp); err != nil {
 			return err

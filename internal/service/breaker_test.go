@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -228,5 +229,68 @@ func TestBreakerLatencyThresholdCountsSlowCalls(t *testing.T) {
 	}
 	if got := b.state().Mode(); got != ModeOpen {
 		t.Fatalf("after slow calls state is %v, want open", got)
+	}
+}
+
+// A call that failed because its own caller cancelled it says nothing about
+// the callee: Call leaves the outcome window alone and hands a half-open
+// probe slot back, so cancellations can neither trip nor wedge the circuit.
+// An expired deadline is the callee being too slow and still counts.
+func TestBreakerCallAbandonsCancelledCalls(t *testing.T) {
+	ResetShared()
+	clk := NewFakeClock(time.Unix(0, 0))
+	st := NewSharedBreaker("abandon", BreakerConfig{Window: 4, Failures: 2, Cooldown: time.Second, Probes: 1})
+	st.SetClock(clk)
+	boom := func() error { return errors.New("boom") }
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 8; i++ {
+		if _, recorded, err := st.Call(cancelled, boom); recorded || err == nil {
+			t.Fatalf("cancelled call %d: recorded=%v err=%v, want abandoned with its error", i, recorded, err)
+		}
+	}
+	if st.Mode() != ModeClosed {
+		t.Fatalf("mode %v after 8 cancelled calls, want closed", st.Mode())
+	}
+	// A cancelled caller whose call succeeded anyway is an ordinary success.
+	if _, recorded, err := st.Call(cancelled, func() error { return nil }); !recorded || err != nil {
+		t.Fatalf("successful call under a cancelled ctx: recorded=%v err=%v", recorded, err)
+	}
+
+	expired, stop := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer stop()
+	for i := 0; i < 2; i++ {
+		if _, recorded, _ := st.Call(expired, boom); !recorded {
+			t.Fatal("a call that outlived its caller's deadline must count against the callee")
+		}
+	}
+	if st.Mode() != ModeOpen {
+		t.Fatalf("mode %v after 2 deadline failures, want open", st.Mode())
+	}
+
+	// Half-open: the cancelled probe hands its slot back, so the next call
+	// is admitted as the probe and its success closes the circuit.
+	clk.Advance(2 * time.Second)
+	if _, recorded, _ := st.Call(cancelled, boom); recorded {
+		t.Fatal("cancelled probe was recorded")
+	}
+	if st.Mode() != ModeHalfOpen {
+		t.Fatalf("mode %v after a cancelled probe, want half-open", st.Mode())
+	}
+	ran := false
+	if _, recorded, err := st.Call(context.Background(), func() error { ran = true; return nil }); !ran || !recorded || err != nil {
+		t.Fatalf("probe after a cancelled probe: ran=%v recorded=%v err=%v", ran, recorded, err)
+	}
+	if st.Mode() != ModeClosed {
+		t.Fatalf("mode %v after a successful probe, want closed", st.Mode())
+	}
+
+	// Rejections are typed and never run the call.
+	st2 := NewSharedBreaker("abandon-reject", BreakerConfig{Window: 1, Failures: 1, Cooldown: time.Minute})
+	_, _, _ = st2.Call(context.Background(), boom)
+	_, recorded, err := st2.Call(context.Background(), func() error { t.Fatal("rejected call ran"); return nil })
+	if recorded || !errors.Is(err, ErrBreakerOpen) || !errors.Is(err, core.ErrShed) {
+		t.Fatalf("open circuit: recorded=%v err=%v", recorded, err)
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -25,21 +26,18 @@ func TestBreakerTransitionsEmitObslogEvents(t *testing.T) {
 	})
 	st.SetClock(clk)
 
-	_, ok := st.Allow()
-	if !ok {
+	boom := func() error { return errors.New("boom") }
+	if _, recorded, _ := st.Call(context.Background(), boom); !recorded {
 		t.Fatal("closed breaker rejected")
 	}
-	st.Done(false, errors.New("boom"), 0)
 	if st.Mode() != ModeOpen {
 		t.Fatalf("mode %v, want open", st.Mode())
 	}
 
 	clk.Advance(2 * time.Second)
-	probe, ok := st.Allow()
-	if !probe || !ok {
-		t.Fatalf("half-open probe not admitted (probe=%v ok=%v)", probe, ok)
+	if _, recorded, err := st.Call(context.Background(), func() error { return nil }); !recorded || err != nil {
+		t.Fatalf("half-open probe not admitted (recorded=%v err=%v)", recorded, err)
 	}
-	st.Done(true, nil, 0)
 	if st.Mode() != ModeClosed {
 		t.Fatalf("mode %v, want closed after successful probe", st.Mode())
 	}

@@ -1,9 +1,13 @@
 package service
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
+	"pressio/internal/core"
 	"pressio/internal/obslog"
 	"pressio/internal/trace"
 )
@@ -137,10 +141,54 @@ func (s *BreakerState) tripEvent() func() {
 	}
 }
 
-// Allow decides whether one call may proceed. It returns probe=true when the
-// call is a half-open trial (the caller must report its outcome via Done with
+// Call is the one way a call goes through the circuit: it asks for
+// admission, runs fn against a stopwatch, and reports the outcome. A rejected
+// call returns an error wrapping ErrBreakerOpen and core.ErrShed without
+// running fn. recorded tells the caller whether the outcome entered the
+// circuit's accounting: it is false for a rejection and for an abandoned
+// call — one that failed after the caller itself cancelled ctx (a hedge
+// loser, a client that went away). Such a failure says nothing about the
+// callee, so a half-open probe slot is handed back and the outcome window is
+// left alone. An expired deadline is not abandonment: the callee was slower
+// than the caller could wait, which is what the circuit exists to notice.
+//
+// Latency is measured on the real clock — the injectable Clock drives
+// cooldown arithmetic, not stopwatch reads, and error-driven chaos schedules
+// stay deterministic either way.
+func (s *BreakerState) Call(ctx context.Context, fn func() error) (elapsed time.Duration, recorded bool, err error) {
+	probe, ok := s.allow()
+	if !ok {
+		return 0, false, fmt.Errorf("breaker[%s]: %w (%w)", s.scope, ErrBreakerOpen, core.ErrShed)
+	}
+	begin := time.Now()
+	err = fn()
+	elapsed = time.Since(begin)
+	if err != nil && errors.Is(ctx.Err(), context.Canceled) {
+		s.abandon(probe)
+		return elapsed, false, err
+	}
+	s.done(probe, err, elapsed)
+	return elapsed, true, err
+}
+
+// abandon hands back the half-open probe slot of a call whose outcome is
+// not being recorded, so the next caller is admitted as the probe instead of
+// the circuit waiting forever on a result that will never arrive.
+func (s *BreakerState) abandon(probe bool) {
+	if !probe {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.mode == ModeHalfOpen && s.probesInFlight > 0 {
+		s.probesInFlight--
+	}
+}
+
+// allow decides whether one call may proceed. It returns probe=true when the
+// call is a half-open trial (the caller must report its outcome via done with
 // the same flag), and ok=false when the circuit rejects the call outright.
-func (s *BreakerState) Allow() (probe, ok bool) {
+func (s *BreakerState) allow() (probe, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.maybeHalfOpen()
@@ -161,11 +209,11 @@ func (s *BreakerState) Allow() (probe, ok bool) {
 	}
 }
 
-// Done records the outcome of a call previously admitted by Allow. latency
+// done records the outcome of a call previously admitted by allow. latency
 // is compared against the configured latency limit: a technically successful
 // but too-slow call counts as a failure (a stalling dependency should trip
 // the breaker before timeouts cascade).
-func (s *BreakerState) Done(probe bool, callErr error, latency time.Duration) {
+func (s *BreakerState) done(probe bool, callErr error, latency time.Duration) {
 	failure := callErr != nil ||
 		(s.cfg.latencyLimit > 0 && latency > s.cfg.latencyLimit)
 	if emit := s.record(probe, failure); emit != nil {

@@ -196,3 +196,15 @@ func WilcoxonSignedRank(a, b []float64) (WilcoxonResult, error) {
 func normalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
+
+// SplitMix64 is one step of the splitmix64 generator (Steele, Lea & Flood):
+// it advances *state by the golden-ratio increment and returns the mixed
+// output. It is the tree's one seeded PRNG for jitter and hash finalizing:
+// no global state, no allocation, reproducible for a fixed seed.
+func SplitMix64(state *uint64) uint64 {
+	*state += 0x9e3779b97f4a7c15
+	z := *state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}

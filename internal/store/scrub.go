@@ -11,6 +11,7 @@ import (
 
 	"pressio/internal/fsx"
 	"pressio/internal/h5lite"
+	"pressio/internal/stats"
 	"pressio/internal/trace"
 )
 
@@ -233,11 +234,6 @@ func (sc *Scrubber) loop(stop <-chan struct{}, done chan<- struct{}) {
 
 // jitter spreads interval to interval*[0.75, 1.25) using a splitmix64 step.
 func jitter(interval time.Duration, state *uint64) time.Duration {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	frac := float64(z>>11) / float64(1<<53) // [0, 1)
+	frac := float64(stats.SplitMix64(state)>>11) / float64(1<<53) // [0, 1)
 	return time.Duration(float64(interval) * (0.75 + frac/2))
 }

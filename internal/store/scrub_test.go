@@ -157,3 +157,15 @@ func TestScrubberRunsInBackground(t *testing.T) {
 	sc.Stop()
 	NewScrubber(s, 0, 0).Start()
 }
+
+// TestScrubJitterGolden pins the jitter stream for one seed, so a fleet's
+// scrub phases do not move when the PRNG step is touched.
+func TestScrubJitterGolden(t *testing.T) {
+	state := uint64(42)
+	want := []time.Duration{1120782439, 829955196, 889300565, 922095358, 769015084, 1184114038, 859202596, 1150315938}
+	for i, w := range want {
+		if d := jitter(time.Second, &state); d != w {
+			t.Errorf("jitter #%d = %d, want %d", i, d, w)
+		}
+	}
+}

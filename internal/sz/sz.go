@@ -163,7 +163,7 @@ func lorenzo[T Float](r []T, x, y, z, ny, nz int) float64 {
 	}
 }
 
-//pressio:hotpath measured by the perf ledger
+//pressio:hotpath measured by the benchmark's sz.* per-layer rows
 // CompressSlice compresses vals shaped dims (C order) under p and returns
 // the self-describing stream.
 func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
@@ -314,7 +314,7 @@ func ParseHeader(stream []byte) (Header, int, error) {
 	return h, pos, nil
 }
 
-//pressio:hotpath measured by the perf ledger
+//pressio:hotpath measured by the benchmark's sz.* per-layer rows
 // DecompressSlice decodes a stream produced by CompressSlice. The type
 // parameter must match the stream's recorded element type.
 func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {

@@ -398,14 +398,14 @@ func CounterNames() []string {
 }
 
 // ResetTelemetry clears all counters and histograms (for tests and between
-// benchmark or ledger phases).
+// benchmark phases).
 //
 // The retained-pointer contract: a *Counter or *Histogram obtained from
 // GetCounter/GetHistogram BEFORE a reset remains usable — Add/Observe never
 // panic — but it is detached: the registry now holds a fresh zeroed cell
 // under the same name, so increments through the stale pointer are invisible
 // to CounterValue/Counters/Histograms and to every exporter. Code that must
-// survive phase resets (the perf-ledger harness resets between stages) must
+// survive phase resets (the benchmark resets between stages) must
 // either re-resolve the pointer after each reset or use the name-keyed
 // helpers (CounterAdd/ObserveDuration), which resolve on every call.
 func ResetTelemetry() {

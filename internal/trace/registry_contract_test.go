@@ -7,7 +7,7 @@ import (
 
 // The ResetTelemetry retained-pointer contract: pointers obtained before a
 // reset stay usable but are detached — their increments are invisible to the
-// registry — and re-resolving by name yields the fresh live cell. Ledger
+// registry — and re-resolving by name yields the fresh live cell. Benchmark
 // runs rely on this to reset cleanly between phases.
 
 func TestResetDetachesCounterPointers(t *testing.T) {

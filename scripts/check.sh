@@ -9,10 +9,9 @@
 # smoke-test the sharded cluster topology (3 shards + router, SIGKILL
 # failover, cross-process trace continuity), smoke-test the crash-consistent
 # object store (SIGKILL mid-load, recovery, byte-exact reads, clean fsck),
-# smoke-fuzz the stream decoders, run the disabled-tracing overhead
-# benchmark that guards the "near-zero cost when off" promise, and gate a
-# quick perf-ledger measurement against the most recent committed
-# BENCH_<date>.json (see docs/OBSERVABILITY.md).
+# smoke-fuzz the stream decoders, and run the disabled-tracing overhead
+# benchmark that guards the "near-zero cost when off" promise. Performance
+# against the parent commit is the benchmark's job (benchmark/README.md).
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -62,8 +61,5 @@ go test -fuzz 'FuzzDecodeRecord' -fuzztime 5s ./internal/store/
 echo "==> disabled-tracing overhead benchmark"
 go test -run '^$' -bench 'BenchmarkStartDisabled' -benchtime 100ms ./internal/trace/
 go test -run '^$' -bench 'BenchmarkDispatchDirectImpl|BenchmarkDispatchWrappedUntraced' -benchtime 100ms .
-
-echo "==> perf-ledger regression gate (quick mode, vs most recent BENCH_*.json)"
-scripts/perf-ledger.sh check --quick
 
 echo "==> check OK"
