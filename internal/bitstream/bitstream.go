@@ -124,25 +124,33 @@ func (r *Reader) ReadBit() uint {
 }
 
 //pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
+// Peek returns the next n (≤ 57) bits, LSB-first, without consuming them;
+// bits past the end read as zero. Table-driven decoders index with it and
+// then Skip the length the entry carries.
+func (r *Reader) Peek(n uint) uint64 {
+	r.fill(n)
+	return r.acc & (1<<n - 1)
+}
+
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
+// Skip consumes n (≤ 57) bits. Skipping past the end is not an error, as
+// with every read: the caller bounds what it consumes.
+func (r *Reader) Skip(n uint) {
+	r.fill(n)
+	r.acc >>= n
+	if r.nacc >= n {
+		r.nacc -= n
+	} else {
+		r.nacc = 0
+	}
+}
+
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // ReadBits consumes and returns n (≤ 64) bits, LSB-first.
 func (r *Reader) ReadBits(n uint) uint64 {
-	if n == 0 {
-		return 0
-	}
 	if n <= 57 {
-		r.fill(n)
-		var v uint64
-		if n < 64 {
-			v = r.acc & ((1 << n) - 1)
-		} else {
-			v = r.acc
-		}
-		r.acc >>= n
-		if r.nacc >= n {
-			r.nacc -= n
-		} else {
-			r.nacc = 0
-		}
+		v := r.Peek(n)
+		r.Skip(n)
 		return v
 	}
 	lo := r.ReadBits(32)

@@ -115,6 +115,43 @@ func TestReadPastEndIsZero(t *testing.T) {
 	}
 }
 
+func TestPeekSkip(t *testing.T) {
+	// 0xA5 0x3C, LSB-first: bits 1010_0101 then 0011_1100.
+	r := NewReader([]byte{0xa5, 0x3c})
+	if got := r.Peek(11); got != 0x4a5 {
+		t.Fatalf("Peek(11) = %#x, want 0x4a5", got)
+	}
+	if got := r.Peek(11); got != 0x4a5 {
+		t.Fatalf("Peek consumed bits: second Peek(11) = %#x", got)
+	}
+	r.Skip(4)
+	if got := r.ReadBits(4); got != 0xa {
+		t.Fatalf("after Skip(4), ReadBits(4) = %#x, want 0xa", got)
+	}
+	// Skip without a Peek first must still load what it drops.
+	r = NewReader([]byte{0xa5, 0x3c})
+	r.Skip(12)
+	if got := r.Peek(4); got != 0x3 {
+		t.Fatalf("after Skip(12), Peek(4) = %#x, want 0x3", got)
+	}
+	// At the end: the 4 bits left, zero-extended.
+	if got := r.Peek(11); got != 0x3 {
+		t.Fatalf("Peek(11) across the end = %#x, want 0x3", got)
+	}
+	// Past the end: Skip is not an error and everything after reads zero.
+	r.Skip(11)
+	if got := r.Peek(57); got != 0 {
+		t.Fatalf("Peek past the end = %#x, want 0", got)
+	}
+	r.Skip(57)
+	if got := r.ReadBits(64); got != 0 {
+		t.Fatalf("ReadBits past the end = %#x, want 0", got)
+	}
+	if got := NewReader(nil).Peek(0); got != 0 {
+		t.Fatalf("Peek(0) = %#x, want 0", got)
+	}
+}
+
 func TestWriterReusableAfterBytes(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBits(0b101, 3)

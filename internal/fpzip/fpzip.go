@@ -2,8 +2,27 @@
 // style of fpzip (Lindstrom & Isenburg, TVCG'06): floats are mapped to
 // order-preserving unsigned integers, predicted with a Lorenzo predictor
 // over the reconstructed field, and the prediction residuals are entropy
-// coded with an adaptive binary range coder (residual magnitude class
-// adaptively coded, remaining bits raw).
+// coded: the residual's magnitude class with an adaptive binary range
+// coder, its remaining bits raw.
+//
+// # Stream format
+//
+// Both versions open with the same header: a 4-byte magic, a dtype byte
+// (1 float32, 2 float64), a rank byte, one uvarint per extent and a
+// precision byte. The magic is the version; the encoder writes the newest
+// and the decoder reads every version, so a faster encoder never strands
+// yesterday's bytes.
+//
+//	FPZ1  header · range-coded bytes
+//	      Each residual's k-1 raw bits travel through the range coder as
+//	      equiprobable bits, MSB first, right after its class. No longer
+//	      written.
+//	FPZ2  header · uvarint(len(rc)) · rc bytes · raw-bit bytes
+//	      rc holds only the classes. The k-1 raw bits of every residual
+//	      with k > 1 are packed in coding order into a bitstream
+//	      (LSB-first, one WriteBits per residual) that runs to the end of
+//	      the stream, so they cost a shift and a mask, not k-1 trips
+//	      through the coder.
 //
 // fpzip is precision-based rather than error-bound based: lossy operation
 // truncates the low-order bits of the mapped integers, bounding the
@@ -19,6 +38,7 @@ import (
 	"math"
 	"math/bits"
 
+	"pressio/internal/bitstream"
 	"pressio/internal/core"
 	"pressio/internal/rangecoder"
 )
@@ -41,7 +61,10 @@ type Params struct {
 	Precision uint
 }
 
-const magic = "FPZ1"
+const (
+	magicV1 = "FPZ1" // decoded, never written
+	magic   = "FPZ2"
+)
 
 // monotone mapping between floats and unsigned integers: negative floats
 // map below positives and uint ordering matches float ordering.
@@ -174,7 +197,8 @@ func newCoder() *coder {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-func (c *coder) encodeResidual(enc *rangecoder.Encoder, diff int64) {
+//pressio:hotpath measured by the benchmark's fpzip.* per-layer rows
+func (c *coder) encodeResidual(enc *rangecoder.Encoder, raw *bitstream.Writer, diff int64) {
 	z := zigzag(diff)
 	k := uint(bits.Len64(z)) // magnitude class: 0 for z==0
 	for i := uint(0); i < k; i++ {
@@ -184,18 +208,17 @@ func (c *coder) encodeResidual(enc *rangecoder.Encoder, diff int64) {
 		enc.EncodeBit(&c.classProbs[k], 0)
 	}
 	if k > 1 {
-		// MSB is implied; emit the k-1 low bits raw.
-		rem := k - 1
-		if rem > 32 {
-			enc.EncodeBitsRaw(uint32(z>>32), rem-32)
-			enc.EncodeBitsRaw(uint32(z), 32)
-		} else {
-			enc.EncodeBitsRaw(uint32(z), rem)
-		}
+		// MSB is implied; WriteBits keeps the k-1 low bits.
+		raw.WriteBits(z, k-1)
 	}
 }
 
-func (c *coder) decodeResidual(dec *rangecoder.Decoder) int64 {
+// decodeResidual reads one residual: its class from dec and its raw bits
+// from raw, or from dec too when raw is nil (FPZ1). rawBits accumulates what
+// was taken from raw so the caller can tell a truncated segment.
+//
+//pressio:hotpath measured by the benchmark's fpzip.* per-layer rows
+func (c *coder) decodeResidual(dec *rangecoder.Decoder, raw *bitstream.Reader, rawBits *uint64) int64 {
 	k := uint(0)
 	for k < 65 && dec.DecodeBit(&c.classProbs[k]) == 1 {
 		k++
@@ -204,14 +227,16 @@ func (c *coder) decodeResidual(dec *rangecoder.Decoder) int64 {
 		return 0
 	}
 	var z uint64 = 1 << (k - 1)
-	if k > 1 {
-		rem := k - 1
-		if rem > 32 {
-			z |= uint64(dec.DecodeBitsRaw(rem-32)) << 32
-			z |= uint64(dec.DecodeBitsRaw(32))
-		} else {
-			z |= uint64(dec.DecodeBitsRaw(rem))
-		}
+	rem := k - 1
+	switch {
+	case raw != nil:
+		z |= raw.ReadBits(rem)
+		*rawBits += uint64(rem)
+	case rem > 32:
+		z |= uint64(dec.DecodeBitsRaw(rem-32)) << 32
+		z |= uint64(dec.DecodeBitsRaw(32))
+	default:
+		z |= uint64(dec.DecodeBitsRaw(rem))
 	}
 	return unzigzag(z)
 }
@@ -251,6 +276,7 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	hdr = append(hdr, byte(prec))
 
 	enc := rangecoder.NewEncoder()
+	raw := bitstream.NewWriter(len(vals))
 	cdr := newCoder()
 	recon := make([]uint64, nx*ny*nz)
 	sliceLen := nx * ny * nz
@@ -268,14 +294,19 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 					}
 					u >>= shift
 					pred := lorenzo(recon, x, y, z, ny, nz)
-					cdr.encodeResidual(enc, int64(u-pred))
+					cdr.encodeResidual(enc, raw, int64(u-pred))
 					recon[i] = u
 					i++
 				}
 			}
 		}
 	}
-	return append(hdr, enc.Finish()...), nil
+	rc, rawBytes := enc.Finish(), raw.Bytes()
+	out := make([]byte, 0, len(hdr)+binary.MaxVarintLen64+len(rc)+len(rawBytes))
+	out = append(out, hdr...)
+	out = binary.AppendUvarint(out, uint64(len(rc)))
+	out = append(out, rc...)
+	return append(out, rawBytes...), nil
 }
 
 // Header describes a compressed stream.
@@ -285,10 +316,10 @@ type Header struct {
 	Precision uint
 }
 
-// ParseHeader reads the stream header.
+// ParseHeader reads the stream header of either format version.
 func ParseHeader(stream []byte) (Header, int, error) {
 	var h Header
-	if len(stream) < 7 || string(stream[:4]) != magic {
+	if len(stream) < 7 || (string(stream[:4]) != magic && string(stream[:4]) != magicV1) {
 		return h, 0, ErrCorrupt
 	}
 	switch stream[4] {
@@ -351,19 +382,33 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 		return nil, nil, err
 	}
 	n := outer * nx * ny * nz
+	// FPZ2 splits the payload into the range-coded classes and the raw bits;
+	// in FPZ1 the whole payload is range coded.
+	rc := stream[pos:]
+	var raw *bitstream.Reader
+	var rawSeg []byte
+	if string(stream[:4]) == magic {
+		rcLen, sz := binary.Uvarint(rc)
+		if sz <= 0 || rcLen > uint64(len(rc)-sz) {
+			return nil, nil, fmt.Errorf("%w: range-coded segment runs past the stream", ErrCorrupt)
+		}
+		rc, rawSeg = rc[sz:sz+int(rcLen)], rc[sz+int(rcLen):]
+		raw = bitstream.NewReader(rawSeg)
+	}
 	// The adaptive residual coder tops out near ~400 decoded values per
 	// payload byte even on constant data where the Lorenzo prediction is
 	// exact, so a genuine stream can never declare vastly more elements
 	// than its payload carries. Rejecting anything past a wide margin of
 	// that ratio stops decompression bombs: a dozen-byte stream must not
 	// buy seconds of decode work and gigabytes of output.
-	if uint64(n) > (uint64(len(stream)-pos)+2)*2048 {
+	if uint64(n) > (uint64(len(rc))+2)*2048 {
 		return nil, nil, fmt.Errorf("%w: %d values declared by a %d byte payload",
-			ErrCorrupt, n, len(stream)-pos)
+			ErrCorrupt, n, len(rc))
 	}
 	out := make([]T, n)
-	dec := rangecoder.NewDecoder(stream[pos:])
+	dec := rangecoder.NewDecoder(rc)
 	cdr := newCoder()
+	var rawBits uint64
 	recon := make([]uint64, nx*ny*nz)
 	sliceLen := nx * ny * nz
 	for o := 0; o < outer; o++ {
@@ -373,7 +418,7 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 			for y := 0; y < ny; y++ {
 				for z := 0; z < nz; z++ {
 					pred := lorenzo(recon, x, y, z, ny, nz)
-					u := pred + uint64(cdr.decodeResidual(dec))
+					u := pred + uint64(cdr.decodeResidual(dec, raw, &rawBits))
 					if w == 32 {
 						u &= 0xffffffff >> shift
 					} else if shift > 0 {
@@ -389,6 +434,11 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 				}
 			}
 		}
+	}
+	// The reader pads with zeros past its end, so a cut raw segment decodes
+	// to plausible values: what the residuals consumed must have been there.
+	if rawBits > 8*uint64(len(rawSeg)) {
+		return nil, nil, fmt.Errorf("%w: raw-bit segment ends %d bits short", ErrCorrupt, rawBits-8*uint64(len(rawSeg)))
 	}
 	return out, h.Dims, nil
 }

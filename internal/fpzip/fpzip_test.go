@@ -1,6 +1,8 @@
 package fpzip
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -192,6 +194,19 @@ func TestCorruptStreams(t *testing.T) {
 	}
 	if _, _, err := DecompressSlice[float64](stream); err == nil {
 		t.Fatal("expected dtype mismatch")
+	}
+	// FPZ2 framing: the raw-bit segment may not end early, and the declared
+	// range-coded length may not run past the stream.
+	if _, _, err := DecompressSlice[float32](stream[:len(stream)-1]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated raw-bit segment: err %v, want ErrCorrupt", err)
+	}
+	_, hdrLen, err := ParseHeader(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := binary.AppendUvarint(stream[:hdrLen:hdrLen], uint64(len(stream)))
+	if _, _, err := DecompressSlice[float32](append(long, stream[hdrLen:]...)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rcLen past the end: err %v, want ErrCorrupt", err)
 	}
 }
 

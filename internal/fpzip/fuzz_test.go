@@ -1,7 +1,9 @@
 package fpzip
 
 import (
+	"encoding/binary"
 	"math"
+	"os"
 	"testing"
 )
 
@@ -15,25 +17,38 @@ func FuzzDecompressSlice(f *testing.F) {
 	f.Add(good)
 	lossy, _ := CompressSlice([]float32{0.5, -0.25, 3.25, 8}, []uint64{4}, Params{Precision: 16})
 	f.Add(lossy)
+	// Residual classes with more than 32 raw bits.
+	wide, _ := CompressSlice([]float64{1, -1e300, 3.5, 1e-300}, []uint64{4}, Params{})
+	f.Add(wide)
 	f.Add([]byte{})
-	f.Add([]byte("FPZ1"))
-	if len(good) > 8 {
-		f.Add(good[:8])
-		trunc := append([]byte{}, good...)
-		f.Add(trunc[:len(trunc)-2])
+	f.Add([]byte(magicV1))
+	f.Add([]byte(magic))
+	_, hdrLen, _ := ParseHeader(good)
+	f.Add(good[:8])
+	f.Add(good[:len(good)-2])                                // truncated raw-bit segment
+	f.Add(binary.AppendUvarint(good[:hdrLen:hdrLen], 1<<40)) // rcLen past the end
+	// The encoder no longer writes FPZ1; a pinned stream keeps that path fuzzed.
+	if v1, err := os.ReadFile("testdata/golden/f32_lossless.fpz1.stream"); err == nil {
+		f.Add(v1)
+		f.Add(v1[:len(v1)-2])
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		vals, dims, err := DecompressSlice[float32](stream)
-		if err != nil {
-			return
+		check := func(vals int, dims []uint64, err error) {
+			if err != nil {
+				return
+			}
+			n := uint64(1)
+			for _, d := range dims {
+				n *= d
+			}
+			if uint64(vals) != n {
+				t.Fatalf("accepted stream with inconsistent shape: %d vals vs dims %v", vals, dims)
+			}
 		}
-		n := uint64(1)
-		for _, d := range dims {
-			n *= d
-		}
-		if uint64(len(vals)) != n {
-			t.Fatalf("accepted stream with inconsistent shape: %d vals vs dims %v", len(vals), dims)
-		}
+		v32, dims, err := DecompressSlice[float32](stream)
+		check(len(v32), dims, err)
+		v64, dims, err := DecompressSlice[float64](stream)
+		check(len(v64), dims, err)
 	})
 }
 

@@ -9,6 +9,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(overSubscribed)
+	f.Add(good[:len(good)-1]) // truncated body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		syms, alphabet, err := Decode(data)
 		if err != nil {

@@ -1,10 +1,12 @@
 // Package huffman implements a canonical Huffman entropy coder over dense
-// unsigned integer alphabets. It is the encoding stage of the sz and mgard
-// compressor plugins (quantization-code streams) and is also exposed as a
-// standalone lossless compressor plugin.
+// unsigned integer alphabets. It is the encoding stage of the sz compressor
+// plugins (quantization-code streams); nothing else imports it and it is not
+// registered as a plugin of its own.
 //
 // The encoded form is self-contained: a header carries the alphabet size
-// and the canonical code lengths, so decoding needs no side channel.
+// and the canonical code lengths, so decoding needs no side channel. Both
+// directions size their work by the symbols that occur, not by the alphabet:
+// sz declares 65 536 symbols and a smooth field uses a few hundred.
 package huffman
 
 import (
@@ -32,16 +34,21 @@ const maxAlphabet = 1 << 28
 // buildLengths computes Huffman code lengths from symbol frequencies using
 // the standard two-queue method over sorted leaf weights.
 func buildLengths(freq []uint64) []uint8 {
-	n := len(freq)
-	lengths := make([]uint8, n)
+	lengths := make([]uint8, len(freq))
 	type node struct {
 		weight      uint64
 		left, right int32 // indices into nodes; -1 for leaves
 		sym         int32
 	}
+	used := 0
+	for _, f := range freq {
+		if f > 0 {
+			used++
+		}
+	}
 	// A Huffman tree over k leaves has exactly 2k-1 nodes.
-	nodes := make([]node, 0, 2*n)
-	order := make([]int, 0, n)
+	nodes := make([]node, 0, 2*used)
+	order := make([]int, 0, used)
 	for s, f := range freq {
 		if f > 0 {
 			order = append(order, s)
@@ -106,8 +113,9 @@ func buildLengths(freq []uint64) []uint8 {
 
 // canonicalCodes assigns canonical codes (numerically increasing with
 // length, then symbol) from code lengths. Codes are returned bit-reversed so
-// they can be emitted LSB-first.
-func canonicalCodes(lengths []uint8) ([]uint64, error) {
+// they can be emitted LSB-first. They are written into codes, which has one
+// entry per symbol; entries of symbols without a code are left as they are.
+func canonicalCodes(lengths []uint8, codes []uint64) ([]uint64, error) {
 	maxLen := uint8(0)
 	for _, l := range lengths {
 		if l > maxLen {
@@ -115,7 +123,7 @@ func canonicalCodes(lengths []uint8) ([]uint64, error) {
 		}
 	}
 	if maxLen == 0 {
-		return make([]uint64, len(lengths)), nil
+		return codes, nil
 	}
 	if maxLen > maxCodeLen {
 		return nil, fmt.Errorf("%w: code length %d exceeds %d", ErrCorrupt, maxLen, maxCodeLen)
@@ -141,7 +149,6 @@ func canonicalCodes(lengths []uint8) ([]uint64, error) {
 		return nil, fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
 	}
 	next := append([]uint64(nil), firstCode...)
-	codes := make([]uint64, len(lengths))
 	for s, l := range lengths {
 		if l == 0 {
 			continue
@@ -175,7 +182,14 @@ func Encode(symbols []uint32, alphabet uint32) ([]byte, error) {
 		freq[s]++
 	}
 	lengths := buildLengths(freq)
-	codes, err := canonicalCodes(lengths)
+	// The body's size is known before a bit is written, so the writer never
+	// regrows; and once the lengths exist the counts are dead, so the codes
+	// take their place instead of a second alphabet-sized table.
+	bodyBits := uint64(0)
+	for s, l := range lengths {
+		bodyBits += freq[s] * uint64(l)
+	}
+	codes, err := canonicalCodes(lengths, freq)
 	if err != nil {
 		return nil, err
 	}
@@ -183,24 +197,35 @@ func Encode(symbols []uint32, alphabet uint32) ([]byte, error) {
 	hdr = binary.AppendUvarint(hdr, uint64(alphabet))
 	hdr = binary.AppendUvarint(hdr, uint64(len(symbols)))
 	hdr = append(hdr, encodeLengths(lengths)...)
-	w := bitstream.NewWriter(len(symbols) / 2)
+	// The framing goes through the writer as well: LSB-first packing keeps
+	// whole bytes whole, so the body still starts on a byte boundary and the
+	// stream is assembled once instead of copied behind its header.
+	w := bitstream.NewWriter(binary.MaxVarintLen64 + len(hdr) + int(bodyBits/8) + 8)
+	for _, b := range binary.AppendUvarint(nil, uint64(len(hdr))) {
+		w.WriteBits(uint64(b), 8)
+	}
+	for _, b := range hdr {
+		w.WriteBits(uint64(b), 8)
+	}
 	for _, s := range symbols {
 		w.WriteBits(codes[s], uint(lengths[s]))
 	}
-	body := w.Bytes()
-	out := make([]byte, 0, len(hdr)+len(body)+4)
-	out = binary.AppendUvarint(out, uint64(len(hdr)))
-	out = append(out, hdr...)
-	out = append(out, body...)
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // encodeLengths run-length encodes the code length table: pairs of
 // (length byte, uvarint run).
 func encodeLengths(lengths []uint8) []byte {
-	// Worst case (all runs of length 1) is two bytes per entry plus the
-	// leading count uvarint.
-	out := make([]byte, 0, 2*len(lengths)+10)
+	// One length byte and a run of at most maxAlphabet per run, after the
+	// leading count: sized by the runs, which follow the used symbols, not by
+	// the table.
+	runs := 0
+	for i, l := range lengths {
+		if i == 0 || l != lengths[i-1] {
+			runs++
+		}
+	}
+	out := make([]byte, 0, (1+runs)*(1+binary.MaxVarintLen32))
 	out = binary.AppendUvarint(out, uint64(len(lengths)))
 	i := 0
 	for i < len(lengths) {
@@ -240,12 +265,23 @@ func decodeLengths(b []byte) ([]uint8, int, error) {
 	return lengths, pos, nil
 }
 
-// decodeTable is a length-indexed canonical decoding structure.
+// lutBits is the width of the primary decode table: codes up to this long
+// decode with one lookup, longer ones fall back to the canonical walk.
+const (
+	lutBits = 11
+	lutMask = 1<<lutBits - 1
+)
+
+// decodeTable is a length-indexed canonical decoding structure with a
+// primary lookup table in front of it.
 type decodeTable struct {
 	maxLen    uint8
 	firstCode []uint64 // canonical first code per length (MSB-first value)
 	offset    []uint64 // index into symsByLen of first symbol per length
 	symsByLen []uint32
+	// lut maps the next lutBits stream bits to sym<<8|len for every code of
+	// at most lutBits bits; 0 marks a longer (or unassigned) code.
+	lut [1 << lutBits]uint32
 }
 
 func buildDecodeTable(lengths []uint8) (*decodeTable, error) {
@@ -273,11 +309,19 @@ func buildDecodeTable(lengths []uint8) (*decodeTable, error) {
 		offset:    make([]uint64, maxLen+2)}
 	code := uint64(0)
 	total := uint64(0)
+	free := uint64(1) // unassigned code points at length l; at most 1<<maxLen
 	for l := uint8(1); l <= maxLen; l++ {
 		code = (code + countByLen[l-1]) << 1
 		t.firstCode[l] = code
 		t.offset[l] = total
 		total += countByLen[l]
+		// Kraft: an over-subscribed table has codes that do not fit their
+		// length, and the lookup-table fill below would overwrite slots.
+		free <<= 1
+		if countByLen[l] > free {
+			return nil, fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
+		}
+		free -= countByLen[l]
 	}
 	t.symsByLen = make([]uint32, total)
 	next := make([]uint64, maxLen+1)
@@ -286,66 +330,96 @@ func buildDecodeTable(lengths []uint8) (*decodeTable, error) {
 			continue
 		}
 		t.symsByLen[t.offset[l]+next[l]] = uint32(s)
+		// sym<<8 must fit the entry; sz alphabets stay below 1<<24.
+		if l <= lutBits && s < 1<<24 {
+			// The stream is LSB-first, so the reversed code is the low l
+			// bits of the index and every setting of the bits above it
+			// decodes to this symbol.
+			for j := reverseBits(t.firstCode[l]+next[l], uint(l)); j < uint64(len(t.lut)); j += 1 << l {
+				t.lut[j] = uint32(s)<<8 | uint32(l)
+			}
+		}
 		next[l]++
 	}
 	return t, nil
+}
+
+// parse splits a stream into its decode table, declared symbol count,
+// alphabet and body.
+func parse(data []byte) (t *decodeTable, count uint64, alphabet uint32, body []byte, err error) {
+	hdrLen, sz := binary.Uvarint(data)
+	if sz <= 0 || uint64(sz)+hdrLen > uint64(len(data)) {
+		return nil, 0, 0, nil, ErrCorrupt
+	}
+	hdr := data[sz : sz+int(hdrLen)]
+	body = data[sz+int(hdrLen):]
+	alphabet64, o := binary.Uvarint(hdr)
+	if o <= 0 || alphabet64 > maxAlphabet {
+		return nil, 0, 0, nil, ErrCorrupt
+	}
+	hdr = hdr[o:]
+	count, o = binary.Uvarint(hdr)
+	if o <= 0 {
+		return nil, 0, 0, nil, ErrCorrupt
+	}
+	hdr = hdr[o:]
+	lengths, _, err := decodeLengths(hdr)
+	if err != nil {
+		return nil, 0, 0, nil, err
+	}
+	if uint64(len(lengths)) != alphabet64 {
+		return nil, 0, 0, nil, ErrCorrupt
+	}
+	t, err = buildDecodeTable(lengths)
+	if err != nil {
+		return nil, 0, 0, nil, err
+	}
+	// Every symbol costs at least one bit, so the count cannot exceed the
+	// body's bit length; and a table with no codes cannot decode anything.
+	if count > uint64(len(body))*8 || count > 1<<32 || (count > 0 && t.maxLen == 0) {
+		return nil, 0, 0, nil, ErrCorrupt
+	}
+	return t, count, uint32(alphabet64), body, nil
 }
 
 //pressio:hotpath measured by the benchmark's huffman.* per-layer rows
 // Decode reverses Encode. It returns the symbol stream and the alphabet
 // size recorded in the header.
 func Decode(data []byte) ([]uint32, uint32, error) {
-	hdrLen, sz := binary.Uvarint(data)
-	if sz <= 0 || uint64(sz)+hdrLen > uint64(len(data)) {
-		return nil, 0, ErrCorrupt
-	}
-	hdr := data[sz : sz+int(hdrLen)]
-	body := data[sz+int(hdrLen):]
-	alphabet64, o := binary.Uvarint(hdr)
-	if o <= 0 || alphabet64 > 1<<28 {
-		return nil, 0, ErrCorrupt
-	}
-	hdr = hdr[o:]
-	count, o := binary.Uvarint(hdr)
-	if o <= 0 {
-		return nil, 0, ErrCorrupt
-	}
-	hdr = hdr[o:]
-	lengths, _, err := decodeLengths(hdr)
+	t, count, alphabet, body, err := parse(data)
 	if err != nil {
 		return nil, 0, err
-	}
-	if uint64(len(lengths)) != alphabet64 {
-		return nil, 0, ErrCorrupt
-	}
-	table, err := buildDecodeTable(lengths)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Every symbol costs at least one bit, so the count cannot exceed the
-	// body's bit length; and a table with no codes cannot decode anything.
-	if count > uint64(len(body))*8+64 || count > 1<<32 {
-		return nil, 0, ErrCorrupt
-	}
-	if count > 0 && table.maxLen == 0 {
-		return nil, 0, ErrCorrupt
 	}
 	out := make([]uint32, count)
 	r := bitstream.NewReader(body)
+	// The reader returns zero bits past the end, so a truncated body would
+	// decode to plausible symbols: count what the codes consumed instead.
+	used := uint64(0)
 	for i := range out {
-		sym, err := table.decodeOne(r)
+		if e := t.lut[r.Peek(lutBits)&lutMask]; e != 0 {
+			l := uint(e & 0xff)
+			r.Skip(l)
+			used += uint64(l)
+			out[i] = e >> 8
+			continue
+		}
+		sym, l, err := t.walk(r)
 		if err != nil {
 			return nil, 0, err
 		}
+		used += uint64(l)
 		out[i] = sym
 	}
-	return out, uint32(alphabet64), nil
+	if used > 8*uint64(len(body)) {
+		return nil, 0, fmt.Errorf("%w: body ends %d bits short", ErrCorrupt, used-8*uint64(len(body)))
+	}
+	return out, alphabet, nil
 }
 
-func (t *decodeTable) decodeOne(r *bitstream.Reader) (uint32, error) {
-	if t.maxLen == 0 {
-		return 0, ErrCorrupt
-	}
+// walk decodes one symbol bit by bit against the canonical first-code
+// table, returning it with its code length. It is the whole decoder for
+// codes longer than lutBits and the reference the table is tested against.
+func (t *decodeTable) walk(r *bitstream.Reader) (uint32, uint8, error) {
 	code := uint64(0)
 	for l := uint8(1); l <= t.maxLen; l++ {
 		code = code<<1 | uint64(r.ReadBit())
@@ -356,10 +430,10 @@ func (t *decodeTable) decodeOne(r *bitstream.Reader) (uint32, error) {
 		if count > 0 && code >= t.firstCode[l] && code-t.firstCode[l] < count {
 			idx := t.offset[l] + (code - t.firstCode[l])
 			if idx < uint64(len(t.symsByLen)) {
-				return t.symsByLen[idx], nil
+				return t.symsByLen[idx], l, nil
 			}
-			return 0, ErrCorrupt
+			return 0, 0, ErrCorrupt
 		}
 	}
-	return 0, ErrCorrupt
+	return 0, 0, ErrCorrupt
 }

@@ -70,21 +70,6 @@ func (e *Encoder) EncodeBit(p *Prob, b int) {
 	}
 }
 
-// EncodeBitsRaw encodes n (≤ 32) equiprobable bits, MSB first.
-func (e *Encoder) EncodeBitsRaw(v uint32, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		e.rng >>= 1
-		bit := (v >> uint(i)) & 1
-		if bit != 0 {
-			e.low += uint64(e.rng)
-		}
-		for e.rng < topValue {
-			e.rng <<= 8
-			e.shiftLow()
-		}
-	}
-}
-
 // Finish flushes the coder and returns the encoded bytes. The Encoder must
 // not be used afterwards.
 func (e *Encoder) Finish() []byte {
@@ -147,7 +132,9 @@ func (d *Decoder) DecodeBit(p *Prob) int {
 	return bit
 }
 
-// DecodeBitsRaw decodes n (≤ 32) equiprobable bits, MSB first.
+// DecodeBitsRaw decodes n (≤ 32) equiprobable bits, MSB first. Only FPZ1
+// fpzip streams carry such bits, and nothing writes those any more: the
+// encoding half lives in the tests, as the generator for this one's.
 func (d *Decoder) DecodeBitsRaw(n uint) uint32 {
 	var v uint32
 	for i := uint(0); i < n; i++ {

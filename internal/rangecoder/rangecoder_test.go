@@ -37,6 +37,23 @@ func TestAdaptiveBitsRoundTrip(t *testing.T) {
 	}
 }
 
+// EncodeBitsRaw encodes n (≤ 32) equiprobable bits, MSB first. It left the
+// package when fpzip moved its raw bits out of the range-coded segment
+// (FPZ2); DecodeBitsRaw still reads FPZ1 streams and is tested against it.
+func (e *Encoder) EncodeBitsRaw(v uint32, n uint) {
+	for i := int(n) - 1; i >= 0; i-- {
+		e.rng >>= 1
+		bit := (v >> uint(i)) & 1
+		if bit != 0 {
+			e.low += uint64(e.rng)
+		}
+		for e.rng < topValue {
+			e.rng <<= 8
+			e.shiftLow()
+		}
+	}
+}
+
 func TestRawBitsRoundTrip(t *testing.T) {
 	enc := NewEncoder()
 	vals := []struct {
