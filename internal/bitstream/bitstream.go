@@ -4,7 +4,10 @@
 // reference bit stream so block codecs can reason in terms of bit budgets.
 package bitstream
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Writer accumulates bits into a growable byte buffer.
 type Writer struct {
@@ -89,6 +92,16 @@ func (w *Writer) Bytes() []byte {
 	return out
 }
 
+// Take flushes any partial word and returns the Writer's own buffer, saving
+// the copy Bytes makes; the Writer must not be written to afterwards.
+func (w *Writer) Take() []byte {
+	for ; w.nacc > 0; w.nacc -= min(w.nacc, 8) {
+		w.buf = append(w.buf, byte(w.acc))
+		w.acc >>= 8
+	}
+	return w.buf
+}
+
 // Reader consumes bits from a byte slice produced by Writer.
 type Reader struct {
 	buf  []byte
@@ -102,9 +115,29 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
 // fill ensures at least n (≤ 57) bits are available unless the input is
 // exhausted; reads beyond the end return zero bits, which lets fixed-budget
-// block codecs pad naturally.
+// block codecs pad naturally. The test inlines into every read; the refill
+// behind it runs once per seven bytes or so.
 func (r *Reader) fill(n uint) {
-	for r.nacc < n && r.pos < len(r.buf) {
+	if r.nacc < n {
+		r.refill()
+	}
+}
+
+// refill tops the accumulator up to at least 57 bits with one 8-byte load,
+// keeping the whole bytes that fit, or byte by byte within 8 bytes of the end.
+func (r *Reader) refill() {
+	if len(r.buf)-r.pos >= 8 {
+		take := (64 - r.nacc) >> 3
+		word := binary.LittleEndian.Uint64(r.buf[r.pos:])
+		if take < 8 {
+			word &= 1<<(8*take) - 1
+		}
+		r.acc |= word << r.nacc
+		r.pos += int(take)
+		r.nacc += 8 * take
+		return
+	}
+	for r.nacc <= 56 && r.pos < len(r.buf) {
 		r.acc |= uint64(r.buf[r.pos]) << r.nacc
 		r.pos++
 		r.nacc += 8
@@ -138,11 +171,7 @@ func (r *Reader) Peek(n uint) uint64 {
 func (r *Reader) Skip(n uint) {
 	r.fill(n)
 	r.acc >>= n
-	if r.nacc >= n {
-		r.nacc -= n
-	} else {
-		r.nacc = 0
-	}
+	r.nacc -= min(r.nacc, n)
 }
 
 //pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
@@ -156,6 +185,26 @@ func (r *Reader) ReadBits(n uint) uint64 {
 	lo := r.ReadBits(32)
 	hi := r.ReadBits(n - 32)
 	return lo | hi<<32
+}
+
+// ReadRun consumes zero bits up to and including the first one bit, but at
+// most limit (≤ 64) bits in all, and returns the number of zeros consumed: a
+// result below limit means the terminating one was consumed too. Bits past
+// the end read as zero. It is the bounded form of ReadUnary for codecs that
+// spend a bit budget (zfp's group-tested runs).
+func (r *Reader) ReadRun(limit uint) uint {
+	limit = min(limit, 64)
+	var zeros uint
+	for zeros < limit {
+		chunk := min(limit-zeros, 57)
+		if tz := uint(bits.TrailingZeros64(r.Peek(chunk))); tz < chunk {
+			r.Skip(tz + 1)
+			return zeros + tz
+		}
+		r.Skip(chunk)
+		zeros += chunk
+	}
+	return zeros
 }
 
 // ReadUnary consumes a unary run (zeros then a one) and returns the count of

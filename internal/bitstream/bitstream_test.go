@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,65 @@ func TestWriterReusableAfterBytes(t *testing.T) {
 	r := NewReader(w.Bytes())
 	if r.ReadBits(3) != 0b101 || r.ReadBits(2) != 0b11 {
 		t.Fatal("second snapshot wrong")
+	}
+}
+
+// readRunRef is ReadRun's definition, one ReadBit at a time.
+func readRunRef(r *Reader, limit uint) uint {
+	var zeros uint
+	for zeros < limit && r.ReadBit() == 0 {
+		zeros++
+	}
+	return zeros
+}
+
+func TestReadRun(t *testing.T) {
+	// Every limit of interest (0, 1, the 57-bit refill width and its
+	// neighbour, the widest zfp run and the cap) against runs shorter than,
+	// equal to and longer than it, at every bit offset, so runs start before,
+	// on and across the reader's refill boundary. The buffer ends right after
+	// the run's one, so the longer runs also read at and past its end.
+	for _, limit := range []uint{0, 1, 2, 7, 56, 57, 58, 63, 64} {
+		for _, zeros := range []uint{0, 1, 5, 56, 57, 58, 62, 63, 64, 70, 130} {
+			for off := uint(0); off < 70; off++ {
+				w := NewWriter(0)
+				for i := uint(0); i < off; i++ {
+					w.WriteBit(i % 3 & 1)
+				}
+				w.WriteUnary(zeros)
+				w.WriteBits(0b1011, 4)
+				for _, buf := range [][]byte{w.Bytes(), w.Bytes()[:(off+zeros)/8]} {
+					r, ref := NewReader(buf), NewReader(buf)
+					r.Skip(off % 57)
+					r.Skip(off - off%57)
+					ref.ReadBits(off)
+					got, want := r.ReadRun(limit), readRunRef(ref, limit)
+					if got != want {
+						t.Fatalf("limit %d, %d zeros at bit %d of %d bytes: ReadRun = %d, want %d", limit, zeros, off, len(buf), got, want)
+					}
+					if g, w := r.ReadBits(64), ref.ReadBits(64); g != w {
+						t.Fatalf("limit %d, %d zeros at bit %d of %d bytes: reader left at the wrong bit (%#x, want %#x)", limit, zeros, off, len(buf), g, w)
+					}
+				}
+			}
+		}
+	}
+	// A limit above 64 is clamped, and an exhausted reader supplies zeros.
+	if got := NewReader(nil).ReadRun(1000); got != 64 {
+		t.Fatalf("ReadRun(1000) past the end = %d, want 64", got)
+	}
+}
+
+func TestTakeMatchesBytes(t *testing.T) {
+	for n := uint(0); n < 130; n++ {
+		w := NewWriter(0)
+		for i := uint(0); i < n; i++ {
+			w.WriteBit(i * 7 % 5 & 1)
+		}
+		want := w.Bytes()
+		if got := w.Take(); !bytes.Equal(got, want) {
+			t.Fatalf("%d bits: Take = %x, Bytes = %x", n, got, want)
+		}
 	}
 }
 

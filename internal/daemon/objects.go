@@ -94,6 +94,8 @@ func writeStoreError(w http.ResponseWriter, err error) int {
 	case errors.Is(err, store.ErrClosed):
 		w.Header().Set("Retry-After", "1")
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, store.ErrOutOfRange):
+		status = http.StatusRequestedRangeNotSatisfiable
 	case errors.Is(err, core.ErrInvalidOption), errors.Is(err, core.ErrNilData):
 		status = http.StatusBadRequest
 	default:

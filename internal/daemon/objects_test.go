@@ -145,6 +145,48 @@ func TestObjectStoreEndToEnd(t *testing.T) {
 	}
 }
 
+// TestObjectReadOutsideExtentAnswers416: a read past the object's rows or
+// bytes is the client's mistake. It used to surface as a 500 flagged as a
+// server fault (and, for a start row that wrapped, as container corruption).
+func TestObjectReadOutsideExtentAnswers416(t *testing.T) {
+	d, _, _ := startTestDaemon(t, func(c *Config) { c.StoreDir = t.TempDir() })
+	base := "http://" + d.Addr()
+	_, raw := sampleFloat32(16)
+	put := objReq(t, "PUT", base+"/objects/x?dims=16&dtype=float32&chunk_rows=4", raw, nil)
+	if put.StatusCode != http.StatusCreated {
+		t.Fatalf("put: %d", put.StatusCode)
+	}
+	put.Body.Close()
+	for _, c := range []struct {
+		query string
+		hdr   map[string]string
+	}{
+		{"?rows=100,4", nil},
+		{"?rows=18446744073709551615,2", nil},
+		{"?rows=14,3", nil},
+		{"", map[string]string{"Range": "bytes=0-99999999"}},
+		{"", map[string]string{"Range": "bytes=64-64"}},
+	} {
+		resp := objReq(t, "GET", base+"/objects/x"+c.query, nil, c.hdr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable || resp.Header.Get(headerError) != "" {
+			t.Fatalf("GET %q %v: %d, %s %q; want 416 and no fault header", c.query, c.hdr, resp.StatusCode, headerError, resp.Header.Get(headerError))
+		}
+	}
+	// The extent's last row and last byte are still served.
+	for _, c := range []struct {
+		query string
+		hdr   map[string]string
+		code  int
+	}{{"?rows=15,1", nil, http.StatusOK}, {"", map[string]string{"Range": "bytes=63-63"}, http.StatusPartialContent}} {
+		resp := objReq(t, "GET", base+"/objects/x"+c.query, nil, c.hdr)
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Fatalf("GET %q %v: %d, want %d", c.query, c.hdr, resp.StatusCode, c.code)
+		}
+	}
+}
+
 func TestObjectQuarantineAnswers409(t *testing.T) {
 	storeDir := t.TempDir()
 	d, _, _ := startTestDaemon(t, func(c *Config) { c.StoreDir = storeDir })

@@ -33,6 +33,10 @@ var ErrFormat = errors.New("h5lite: bad format")
 // ErrNotFound reports a missing dataset.
 var ErrNotFound = errors.New("h5lite: dataset not found")
 
+// ErrOutOfRange reports a read outside a dataset's extent: the caller's
+// mistake, not a damaged container.
+var ErrOutOfRange = errors.New("h5lite: rows outside the dataset's extent")
+
 var magic = []byte("H5LITE1\n")
 
 // chunkInfo locates one stored chunk in the blob section.
@@ -262,8 +266,9 @@ func (f *File) ReadRows(name string, start, count uint64) (*core.Data, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if count == 0 || start+count > info.Dims[0] {
-		return nil, fmt.Errorf("h5lite: rows [%d, %d) outside extent %d", start, start+count, info.Dims[0])
+	// start+count may wrap, so compare against what is left after count.
+	if count == 0 || count > info.Dims[0] || start > info.Dims[0]-count {
+		return nil, fmt.Errorf("%w: %d rows from %d of %d", ErrOutOfRange, count, start, info.Dims[0])
 	}
 	dtype, err := core.ParseDType(info.DType)
 	if err != nil {
@@ -406,26 +411,30 @@ func (f *File) WriteRawDataset(name, dtype string, dims []uint64, filter string,
 // Save writes the container to its path.
 func (f *File) Save() error {
 	// Assign blob offsets in sorted-name order for determinism.
+	names := f.Names()
 	offset := uint64(0)
-	var blobSection []byte
-	for _, name := range f.Names() {
-		info := f.idx.Datasets[name]
-		for i := range info.Chunks {
-			info.Chunks[i].Offset = offset
-			offset += info.Chunks[i].Length
-			blobSection = append(blobSection, f.blobs[name][i]...)
+	for _, name := range names {
+		chunks := f.idx.Datasets[name].Chunks
+		for i := range chunks {
+			chunks[i].Offset = offset
+			offset += chunks[i].Length
 		}
-		f.idx.Datasets[name] = info
 	}
 	hdr, err := json.Marshal(f.idx)
 	if err != nil {
 		return err
 	}
-	out := make([]byte, 0, len(magic)+8+len(hdr)+len(blobSection))
+	// The offsets gave the blob section's size: every byte is written once,
+	// into a buffer that never regrows.
+	out := make([]byte, 0, uint64(len(magic)+8+len(hdr))+offset)
 	out = append(out, magic...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(hdr)))
 	out = append(out, hdr...)
-	out = append(out, blobSection...)
+	for _, name := range names {
+		for _, blob := range f.blobs[name] {
+			out = append(out, blob...)
+		}
+	}
 	// Crash-consistent publish: a container rewrite that dies mid-write must
 	// leave the previous generation intact (same temp+fsync+rename path as
 	// internal/pio; see the kill-mid-write tests).

@@ -1,6 +1,8 @@
 package h5lite
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -239,5 +241,74 @@ func TestReadRowsPartial(t *testing.T) {
 	}
 	if _, err := g.ReadRows("missing", 0, 1); err == nil {
 		t.Fatal("missing dataset should fail")
+	}
+}
+
+// TestReadRowsOutOfRangeIsTyped: start+count used to be compared unguarded, so
+// a start near 2^64 wrapped past the check and came back as "bad format"; an
+// out-of-extent read is the caller's mistake and says so.
+func TestReadRowsOutOfRangeIsTyped(t *testing.T) {
+	f := Create(filepath.Join(t.TempDir(), "r.h5l"))
+	if err := f.WriteDataset("data", core.FromFloat32s(make([]float32, 16*2), 16, 2), DatasetOptions{ChunkRows: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]uint64{{math.MaxUint64, 2}, {math.MaxUint64 - 1, 2}, {2, math.MaxUint64}, {16, 1}, {15, 2}, {0, 17}, {100, 4}, {3, 0}} {
+		if _, err := f.ReadRows("data", c[0], c[1]); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("ReadRows(%d, %d): err = %v, want ErrOutOfRange", c[0], c[1], err)
+		}
+	}
+	if got, err := f.ReadRows("data", 15, 1); err != nil || got.Dims()[0] != 1 {
+		t.Fatalf("last row: %v", err)
+	}
+}
+
+// TestGoldenContainer pins the container format: testdata/golden/
+// four_chunks.h5l is what Save wrote at commit 729c0b6 for a 16x4x8 float32
+// dataset in four zfp-filtered chunks, four_chunks.out what ReadDataset then
+// returned. Today's reader must return the same values, and re-saving the
+// same stored chunks must reproduce the file byte for byte.
+func TestGoldenContainer(t *testing.T) {
+	golden := filepath.Join("testdata", "golden", "four_chunks.h5l")
+	f, err := Open(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := f.ReadDataset("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "four_chunks.out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(d.Bytes(), want) {
+		t.Fatal("decoded values differ from the pinned output")
+	}
+	meta, err := f.Meta("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := f.RawChunks("data")
+	if err != nil || len(chunks) != 4 {
+		t.Fatalf("%d chunks, %v", len(chunks), err)
+	}
+	path := filepath.Join(t.TempDir(), "re.h5l")
+	g := Create(path)
+	if err := g.WriteRawDataset("data", meta.DType, meta.Dims, meta.Filter, meta.Options, chunks); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Save(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pinned) {
+		t.Fatalf("re-saved container differs from the pinned one (%d vs %d bytes)", len(got), len(pinned))
 	}
 }

@@ -137,30 +137,35 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("store: %w: "+format, append([]any{core.ErrCorrupt}, args...)...)
 }
 
-// encodeRecord frames one record.
+// encodeRecord frames one record. The frame is sized up front and the
+// payload written once, behind a header whose length and checksum are
+// patched in when the payload is complete.
 func encodeRecord(rec record) ([]byte, error) {
 	metaJSON, err := json.Marshal(rec.meta)
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, 0, 1+10+len(metaJSON)+64)
-	payload = append(payload, rec.op)
-	payload = binary.AppendUvarint(payload, rec.lsn)
-	payload = binary.AppendUvarint(payload, uint64(len(metaJSON)))
-	payload = append(payload, metaJSON...)
-	payload = binary.AppendUvarint(payload, uint64(len(rec.chunks)))
+	head := len(journalMagic) + 8
+	size := head + 1 + len(metaJSON) + (3+len(rec.chunks))*binary.MaxVarintLen64
 	for _, ch := range rec.chunks {
-		payload = binary.AppendUvarint(payload, uint64(len(ch)))
-		payload = append(payload, ch...)
+		size += len(ch)
 	}
-	out := make([]byte, 0, len(journalMagic)+8+len(payload))
-	out = append(out, journalMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	out = append(out, payload...)
+	out := make([]byte, head, size)
+	copy(out, journalMagic)
+	out = append(out, rec.op)
+	out = binary.AppendUvarint(out, rec.lsn)
+	out = binary.AppendUvarint(out, uint64(len(metaJSON)))
+	out = append(out, metaJSON...)
+	out = binary.AppendUvarint(out, uint64(len(rec.chunks)))
+	for _, ch := range rec.chunks {
+		out = binary.AppendUvarint(out, uint64(len(ch)))
+		out = append(out, ch...)
+	}
 	if len(out) > maxRecordBytes {
 		return nil, fmt.Errorf("store: record of %d bytes exceeds cap", len(out))
 	}
+	binary.LittleEndian.PutUint32(out[len(journalMagic):], uint32(len(out)-head))
+	binary.LittleEndian.PutUint32(out[len(journalMagic)+4:], crc32.Checksum(out[head:], castagnoli))
 	return out, nil
 }
 

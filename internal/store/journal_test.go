@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -65,6 +66,37 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 	if off != len(buf) {
 		t.Fatalf("decoded %d of %d bytes", off, len(buf))
+	}
+}
+
+// TestGoldenPutRecord pins the PJL1 record framing: testdata/golden/
+// put_record.pjl is what encodeRecord produced at commit 729c0b6 for this
+// four-chunk put. Today's decoder must read it back whole and today's encoder
+// reproduce it byte for byte.
+func TestGoldenPutRecord(t *testing.T) {
+	pinned, err := os.ReadFile(filepath.Join("testdata", "golden", "put_record.pjl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testPutRecord(7, "obj/golden", []byte("chunk-zero"), []byte{}, []byte("chunk-two, a little longer"), []byte{0, 1, 2, 0xff})
+	rec, n, err := decodeRecord(pinned)
+	if err != nil || n != len(pinned) {
+		t.Fatalf("decode: consumed %d of %d bytes, %v", n, len(pinned), err)
+	}
+	if rec.op != opPut || rec.lsn != 7 || rec.meta.Object.Name != "obj/golden" || len(rec.chunks) != 4 {
+		t.Fatalf("decoded record: %+v", rec)
+	}
+	for i, ch := range rec.chunks {
+		if !bytes.Equal(ch, want.chunks[i]) {
+			t.Fatalf("chunk %d: %q", i, ch)
+		}
+	}
+	got, err := encodeRecord(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pinned) {
+		t.Fatalf("re-encoded record differs from the pinned one:\n got %x\nwant %x", got, pinned)
 	}
 }
 

@@ -60,6 +60,9 @@ var (
 	ErrQuarantined = errors.New("store: data quarantined pending repair")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("store: closed")
+	// ErrOutOfRange reports a row or byte range outside the object's
+	// extent: the caller's mistake, not a fault in the store.
+	ErrOutOfRange = h5lite.ErrOutOfRange
 )
 
 // Options configures a store.
@@ -760,8 +763,8 @@ func (s *Store) GetRange(name string, off, length int64) ([]byte, ObjectInfo, er
 	}
 	rowBytes := int64(rowBytesOf(info))
 	total := int64(info.UncompressedBytes)
-	if off < 0 || length <= 0 || off+length > total {
-		return nil, info, fmt.Errorf("store: byte range [%d, %d) outside object of %d bytes", off, off+length, total)
+	if off < 0 || length <= 0 || length > total || off > total-length {
+		return nil, info, fmt.Errorf("%w: %d bytes from %d of object %q (%d bytes)", ErrOutOfRange, length, off, name, total)
 	}
 	startRow := off / rowBytes
 	endRow := (off + length + rowBytes - 1) / rowBytes

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -94,8 +95,16 @@ func TestGetRowsAndRangeTouchOnlyOverlappingChunks(t *testing.T) {
 	if string(raw) != string(full[13:53]) {
 		t.Fatal("byte range mismatch")
 	}
-	if _, _, err := s.GetRange("x", 500, 40); err == nil {
-		t.Fatal("out-of-bounds range accepted")
+	// Outside the extent, wrapping sums included: the caller's mistake, typed.
+	for _, c := range [][2]int64{{500, 40}, {0, 99999999}, {math.MaxInt64, 1}, {1, math.MaxInt64}, {512, 1}, {-1, 4}, {8, 0}} {
+		if _, _, err := s.GetRange("x", c[0], c[1]); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("GetRange(%d, %d): err = %v, want ErrOutOfRange", c[0], c[1], err)
+		}
+	}
+	for _, c := range [][2]uint64{{100, 4}, {math.MaxUint64, 2}, {63, 2}, {0, 65}} {
+		if _, _, err := s.GetRows("x", c[0], c[1]); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("GetRows(%d, %d): err = %v, want ErrOutOfRange", c[0], c[1], err)
+		}
 	}
 }
 

@@ -28,10 +28,11 @@ func leBytes(t *testing.T, v any) []byte {
 }
 
 // checkGolden pins the stream format: testdata/golden/<name>.stream is what
-// the encoder of commit 46ffddb (before any entropy-stage rewrite) produced
-// for <name>.in under p, and <name>.out what its decoder returned. Today's
-// decoder must reproduce .out bit-exact and today's encoder the same stream.
-func checkGolden[T Float](t *testing.T, name string, dims []uint64, p Params) {
+// the reference bit-serial coder (commits 46ffddb and 729c0b6, before the
+// embedded coder was rewritten) produced for <in>.in under p, and <name>.out
+// what its decoder returned. Today's decoder must reproduce .out bit-exact
+// and today's encoder the same stream.
+func checkGolden[T Float](t *testing.T, name, in string, dims []uint64, p Params) {
 	stream := goldenFile(t, name+".stream")
 	got, gotDims, err := DecompressSlice[T](stream)
 	if err != nil {
@@ -43,12 +44,11 @@ func checkGolden[T Float](t *testing.T, name string, dims []uint64, p Params) {
 	if !bytes.Equal(leBytes(t, got), goldenFile(t, name+".out")) {
 		t.Fatal("decoded values differ from the pinned output")
 	}
-	raw := goldenFile(t, name+".in")
-	in := make([]T, len(got))
-	if err := binary.Read(bytes.NewReader(raw), binary.LittleEndian, in); err != nil {
+	vals := make([]T, len(got))
+	if err := binary.Read(bytes.NewReader(goldenFile(t, in+".in")), binary.LittleEndian, vals); err != nil {
 		t.Fatal(err)
 	}
-	re, err := CompressSlice(in, dims, p)
+	re, err := CompressSlice(vals, dims, p)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -58,12 +58,28 @@ func checkGolden[T Float](t *testing.T, name string, dims []uint64, p Params) {
 }
 
 func TestGoldenStreams(t *testing.T) {
+	d3 := []uint64{9, 10, 11} // partial blocks on every axis, one all-zero block
 	for _, c := range []struct {
 		name string
 		run  func(*testing.T, string)
 	}{
 		{"f32_2d_acc1e-3", func(t *testing.T, n string) {
-			checkGolden[float32](t, n, []uint64{24, 32}, Params{Mode: ModeFixedAccuracy, Tolerance: 1e-3})
+			checkGolden[float32](t, n, n, []uint64{24, 32}, Params{Mode: ModeFixedAccuracy, Tolerance: 1e-3})
+		}},
+		{"f32_1d_acc1e-3", func(t *testing.T, n string) {
+			checkGolden[float32](t, n, "f32_1d", []uint64{517}, Params{Mode: ModeFixedAccuracy, Tolerance: 1e-3})
+		}},
+		{"f32_3d_acc1e-2", func(t *testing.T, n string) {
+			checkGolden[float32](t, n, "f32_3d", d3, Params{Mode: ModeFixedAccuracy, Tolerance: 1e-2})
+		}},
+		{"f32_3d_rate8", func(t *testing.T, n string) {
+			checkGolden[float32](t, n, "f32_3d", d3, Params{Mode: ModeFixedRate, Rate: 8})
+		}},
+		{"f32_3d_prec12", func(t *testing.T, n string) {
+			checkGolden[float32](t, n, "f32_3d", d3, Params{Mode: ModeFixedPrecision, Precision: 12})
+		}},
+		{"f64_3d_acc1e-6", func(t *testing.T, n string) {
+			checkGolden[float64](t, n, "f64_3d", []uint64{7, 8, 9}, Params{Mode: ModeFixedAccuracy, Tolerance: 1e-6})
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) { c.run(t, c.name) })

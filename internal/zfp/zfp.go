@@ -211,14 +211,13 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 		return nil, err
 	}
 
-	var hdr []byte
+	// Header and payload share one buffer, written once: the header is a
+	// whole number of bytes, so the blocks start on the same bits as in a
+	// separate stream. Half the input size holds the payload at the ratios
+	// (≥ 2) lossy modes are used for; a denser stream grows it by append.
+	hdr := make([]byte, 0, 64)
 	hdr = append(hdr, magic...)
-	if intprec == 32 {
-		hdr = append(hdr, 1)
-	} else {
-		hdr = append(hdr, 2)
-	}
-	hdr = append(hdr, byte(len(dims)))
+	hdr = append(hdr, byte(intprec/32), byte(len(dims))) // 1 = float32, 2 = float64
 	for _, v := range dims {
 		hdr = binary.AppendUvarint(hdr, v)
 	}
@@ -226,11 +225,14 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	hdr = binary.AppendUvarint(hdr, res.maxbits)
 	hdr = binary.AppendUvarint(hdr, uint64(res.maxprec))
 	hdr = binary.AppendUvarint(hdr, uint64(res.minexp+2048))
+	w := bitstream.NewWriter(len(hdr) + n*int(intprec)/16 + 8)
+	for _, b := range hdr {
+		w.WriteBits(uint64(b), 8)
+	}
 
-	w := bitstream.NewWriter(n / 2)
-	fblock := make([]float64, blockSize)
-	iblock := make([]int64, blockSize)
-	ublock := make([]uint64, blockSize)
+	var fblock [64]float64
+	var iblock [64]int64
+	var ublock [64]uint64
 
 	// The gather/transform/encode sweep is zfp's entire hot loop; one stage
 	// span suffices to attribute codec time in a pipeline trace.
@@ -244,14 +246,14 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 		for z := 0; z < bz; z++ {
 			for y := 0; y < by; y++ {
 				for x := 0; x < bx; x++ {
-					gather(base, fblock, x*4, y*4, z*4, sx, sy, sz, d)
-					encodeBlock(w, fblock, iblock, ublock, intprec, d, res)
+					gather(base, &fblock, x*4, y*4, z*4, sx, sy, sz, d)
+					encodeBlock(w, &fblock, &iblock, &ublock, intprec, d, res)
 				}
 			}
 		}
 	}
 	sp.End()
-	return append(hdr, w.Bytes()...), nil
+	return w.Take(), nil
 }
 
 // clamp caps an index to the last valid position, replicating the edge value
@@ -265,54 +267,49 @@ func clamp(v, hi int) int {
 
 // gather copies a 4^d block starting at (x0,y0,z0) into dst, replicating
 // edge values for partial blocks (the source of the padding inefficiency
-// for extents smaller than 4).
-func gather[T Float](src []T, dst []float64, x0, y0, z0, sx, sy, sz, d int) {
-	switch d {
-	case 1:
-		for i := 0; i < 4; i++ {
-			dst[i] = float64(src[clamp(x0+i, sx)])
-		}
-	case 2:
-		for j := 0; j < 4; j++ {
-			yy := clamp(y0+j, sy)
-			for i := 0; i < 4; i++ {
-				dst[i+4*j] = float64(src[yy*sx+clamp(x0+i, sx)])
+// for extents smaller than 4). Interior blocks, nearly all of them, copy
+// rows of four without clamping.
+func gather[T Float](src []T, dst *[64]float64, x0, y0, z0, sx, sy, sz, d int) {
+	nj, nk := 4, 4 // the block's extent along y and z: 1 on an axis it lacks
+	if d < 3 {
+		nk = 1
+	}
+	if d < 2 {
+		nj = 1
+	}
+	interior := x0+4 <= sx && y0+nj <= sy && z0+nk <= sz
+	for k := 0; k < nk; k++ {
+		zz := clamp(z0+k, sz)
+		for j := 0; j < nj; j++ {
+			row := (zz*sy+clamp(y0+j, sy))*sx + x0
+			o := (4*j + 16*k) & 63
+			if interior {
+				v := src[row : row+4 : row+4]
+				dst[o], dst[o+1], dst[o+2], dst[o+3] = float64(v[0]), float64(v[1]), float64(v[2]), float64(v[3])
+				continue
 			}
-		}
-	case 3:
-		for k := 0; k < 4; k++ {
-			zz := clamp(z0+k, sz)
-			for j := 0; j < 4; j++ {
-				yy := clamp(y0+j, sy)
-				row := (zz*sy + yy) * sx
-				for i := 0; i < 4; i++ {
-					dst[i+4*j+16*k] = float64(src[row+clamp(x0+i, sx)])
-				}
+			for i := 0; i < 4; i++ {
+				dst[(o+i)&63] = float64(src[row+clamp(x0+i, sx)-x0])
 			}
 		}
 	}
 }
 
-// scatter writes a decoded block back, skipping padded lanes.
-func scatter[T Float](dst []T, src []float64, x0, y0, z0, sx, sy, sz, d int) {
-	switch d {
-	case 1:
-		for i := 0; i < 4 && x0+i < sx; i++ {
-			dst[x0+i] = T(src[i])
-		}
-	case 2:
-		for j := 0; j < 4 && y0+j < sy; j++ {
-			for i := 0; i < 4 && x0+i < sx; i++ {
-				dst[(y0+j)*sx+x0+i] = T(src[i+4*j])
+// scatter writes a decoded block back, skipping padded lanes (an axis the
+// block lacks has extent 1, so it is cut to one lane like any short edge).
+func scatter[T Float](dst []T, src *[64]float64, x0, y0, z0, sx, sy, sz int) {
+	ni, nj, nk := min(4, sx-x0), min(4, sy-y0), min(4, sz-z0)
+	for k := 0; k < nk; k++ {
+		for j := 0; j < nj; j++ {
+			row := ((z0+k)*sy+y0+j)*sx + x0
+			o := (4*j + 16*k) & 63
+			if ni == 4 {
+				v := dst[row : row+4 : row+4]
+				v[0], v[1], v[2], v[3] = T(src[o]), T(src[o+1]), T(src[o+2]), T(src[o+3])
+				continue
 			}
-		}
-	case 3:
-		for k := 0; k < 4 && z0+k < sz; k++ {
-			for j := 0; j < 4 && y0+j < sy; j++ {
-				row := ((z0+k)*sy + y0 + j) * sx
-				for i := 0; i < 4 && x0+i < sx; i++ {
-					dst[row+x0+i] = T(src[i+4*j+16*k])
-				}
+			for i := 0; i < ni; i++ {
+				dst[row+i] = T(src[(o+i)&63])
 			}
 		}
 	}
@@ -334,35 +331,35 @@ func maxExponent(block []float64) (int, bool) {
 }
 
 // encodeBlock codes one gathered block.
-func encodeBlock(w *bitstream.Writer, fblock []float64, iblock []int64, ublock []uint64,
+func encodeBlock(w *bitstream.Writer, fblock *[64]float64, iblock *[64]int64, ublock *[64]uint64,
 	intprec uint, d int, res resolved) {
-	emax, nonzero := maxExponent(fblock)
+	size := 1 << (2 * d)
+	emax, nonzero := maxExponent(fblock[:size])
 	var used uint64
 	if !nonzero {
 		w.WriteBit(0)
 		used = 1
 	} else {
-		w.WriteBit(1)
-		w.WriteBits(uint64(emax+ebias), ebits)
+		w.WriteBits(1|uint64(emax+ebias)<<1, 1+ebits)
 		used = 1 + ebits
 		// Fixed point conversion with two guard bits.
 		scale := math.Ldexp(1, int(intprec)-2-emax)
-		for i, v := range fblock {
+		for i, v := range fblock[:size] {
 			iblock[i] = int64(scale * v)
 		}
 		fwdXform(iblock, d)
-		perm := perms[d]
+		perm := &perms[d]
 		if intprec == 32 {
-			for i, pi := range perm {
-				ublock[i] = uint64((uint32(int32(iblock[pi])) + 0xaaaaaaaa) ^ 0xaaaaaaaa)
+			for i := range ublock[:size] {
+				ublock[i] = uint64((uint32(int32(iblock[perm[i]&63])) + 0xaaaaaaaa) ^ 0xaaaaaaaa)
 			}
 		} else {
-			for i, pi := range perm {
-				ublock[i] = int2nb(iblock[pi])
+			for i := range ublock[:size] {
+				ublock[i] = int2nb(iblock[perm[i]&63])
 			}
 		}
 		budget := res.maxbits - used
-		used += encodeInts(w, ublock, intprec, res.blockPrecision(emax, d), budget)
+		used += encodeInts(w, ublock, uint(size), intprec, res.blockPrecision(emax, d), budget)
 	}
 	if res.pad {
 		for used < res.maxbits {
@@ -376,34 +373,36 @@ func encodeBlock(w *bitstream.Writer, fblock []float64, iblock []int64, ublock [
 	}
 }
 
-// decodeBlock mirrors encodeBlock.
-func decodeBlock(r *bitstream.Reader, fblock []float64, iblock []int64, ublock []uint64,
-	intprec uint, d int, res resolved) {
+// decodeBlock mirrors encodeBlock and returns the number of bits the block
+// took from the stream.
+func decodeBlock(r *bitstream.Reader, fblock *[64]float64, iblock *[64]int64, ublock, planes *[64]uint64,
+	intprec uint, d int, res resolved) uint64 {
+	size := 1 << (2 * d)
 	var used uint64
-	if r.ReadBit() == 0 {
-		for i := range fblock {
-			fblock[i] = 0
-		}
+	if head := r.Peek(1 + ebits); head&1 == 0 {
+		r.Skip(1)
+		*fblock = [64]float64{}
 		used = 1
 	} else {
-		emax := int(r.ReadBits(ebits)) - ebias
+		r.Skip(1 + ebits)
+		emax := int(head>>1) - ebias
 		used = 1 + ebits
 		budget := res.maxbits - used
-		used += decodeInts(r, ublock, intprec, res.blockPrecision(emax, d), budget)
-		perm := perms[d]
+		used += decodeInts(r, ublock, planes, uint(size), intprec, res.blockPrecision(emax, d), budget)
+		perm := &perms[d]
 		if intprec == 32 {
-			for i, pi := range perm {
-				iblock[pi] = int64(int32((uint32(ublock[i]) ^ 0xaaaaaaaa) - 0xaaaaaaaa))
+			for i, u := range ublock[:size] {
+				iblock[perm[i]&63] = int64(int32((uint32(u) ^ 0xaaaaaaaa) - 0xaaaaaaaa))
 			}
 		} else {
-			for i, pi := range perm {
-				iblock[pi] = nb2int(ublock[i])
+			for i, u := range ublock[:size] {
+				iblock[perm[i]&63] = nb2int(u)
 			}
 		}
 		invXform(iblock, d)
 		scale := math.Ldexp(1, emax+2-int(intprec))
-		for i := range fblock {
-			fblock[i] = scale * float64(iblock[i])
+		for i, v := range iblock[:size] {
+			fblock[i] = scale * float64(v)
 		}
 	}
 	if res.pad {
@@ -416,6 +415,7 @@ func decodeBlock(r *bitstream.Reader, fblock []float64, iblock []int64, ublock [
 			used += chunk
 		}
 	}
+	return used
 }
 
 // Header describes a compressed stream.
@@ -527,13 +527,18 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 			ErrCorrupt, blocks, len(stream)-pos)
 	}
 	intprec := intprecOf[T]()
-	blockSize := 1 << (2 * d)
 	out := make([]T, n)
 	r := bitstream.NewReader(stream[pos:])
-	fblock := make([]float64, blockSize)
-	iblock := make([]int64, blockSize)
-	ublock := make([]uint64, blockSize)
+	// ZFG1 carries no payload length, so a truncated body is recognised by
+	// the blocks consuming more bits than the payload holds (past its end
+	// the reader supplies zeros, which decode as plausible values).
+	avail := uint64(len(stream)-pos) * 8
+	var used uint64
+	var fblock [64]float64
+	var iblock [64]int64
+	var ublock, planes [64]uint64
 	sp := trace.Start("zfp.decode_blocks")
+	defer sp.End()
 	bx := (sx + 3) / 4
 	by := (sy + 3) / 4
 	bz := (sz + 3) / 4
@@ -543,12 +548,14 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 		for z := 0; z < bz; z++ {
 			for y := 0; y < by; y++ {
 				for x := 0; x < bx; x++ {
-					decodeBlock(r, fblock, iblock, ublock, intprec, d, res)
-					scatter(base, fblock, x*4, y*4, z*4, sx, sy, sz, d)
+					used += decodeBlock(r, &fblock, &iblock, &ublock, &planes, intprec, d, res)
+					if used > avail {
+						return nil, nil, fmt.Errorf("%w: truncated, blocks need more than the %d payload bytes", ErrCorrupt, avail/8)
+					}
+					scatter(base, &fblock, x*4, y*4, z*4, sx, sy, sz)
 				}
 			}
 		}
 	}
-	sp.End()
 	return out, h.Dims, nil
 }

@@ -1,6 +1,7 @@
 package zfp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,11 +15,11 @@ func TestLiftNearInverse(t *testing.T) {
 	// inverse may lose one integer ulp per element, absorbed by the guard
 	// bits. Verify the reconstruction error is tightly bounded.
 	f := func(a, b, c, d int32) bool {
-		p := []int64{int64(a), int64(b), int64(c), int64(d)}
-		orig := append([]int64(nil), p...)
+		p := &[64]int64{int64(a), int64(b), int64(c), int64(d)}
+		orig := *p
 		fwdLift(p, 0, 1)
 		invLift(p, 0, 1)
-		for i := range p {
+		for i := range p[:4] {
 			if diff := p[i] - orig[i]; diff < -4 || diff > 4 {
 				return false
 			}
@@ -32,20 +33,17 @@ func TestLiftNearInverse(t *testing.T) {
 
 func TestPermutationsValid(t *testing.T) {
 	for d := 1; d <= 3; d++ {
-		perm := perms[d]
 		size := 1 << (2 * d)
-		if len(perm) != size {
-			t.Fatalf("d=%d: perm size %d", d, len(perm))
-		}
+		perm := perms[d][:size]
 		seen := make([]bool, size)
 		for _, p := range perm {
-			if p < 0 || p >= size || seen[p] {
+			if int(p) >= size || seen[p] {
 				t.Fatalf("d=%d: invalid perm %v", d, perm)
 			}
 			seen[p] = true
 		}
 		// Sequency order: total degree must be nondecreasing.
-		deg := func(i int) int { return i&3 + (i>>2)&3 + (i>>4)&3 }
+		deg := func(i uint8) uint8 { return i&3 + (i>>2)&3 + (i>>4)&3 }
 		for i := 1; i < size; i++ {
 			if deg(perm[i]) < deg(perm[i-1]) {
 				t.Fatalf("d=%d: perm not ordered by degree", d)
@@ -71,21 +69,15 @@ func TestEncodeIntsLosslessWhenUnbounded(t *testing.T) {
 	// lossless.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		data := make([]uint64, 16)
-		for i := range data {
+		var data, got, planes [64]uint64
+		for i := range data[:16] {
 			data[i] = rng.Uint64() >> uint(rng.Intn(60))
 		}
 		w := newTestWriter()
-		encodeInts(w, data, 64, 64, hugeBits)
-		r := newTestReader(w)
-		got := make([]uint64, 16)
-		decodeInts(r, got, 64, 64, hugeBits)
-		for i := range data {
-			if got[i] != data[i] {
-				return false
-			}
-		}
-		return true
+		enc := data // encodeInts clobbers its input
+		encodeInts(w, &enc, 16, 64, 64, hugeBits)
+		decodeInts(newTestReader(w), &got, &planes, 16, 64, 64, hugeBits)
+		return got == data
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -341,6 +333,38 @@ func TestCorruptStreams(t *testing.T) {
 	}
 	if _, _, err := DecompressSlice[float64](stream); err == nil {
 		t.Fatal("expected dtype mismatch")
+	}
+}
+
+// TestTruncatedBodyRejected: ZFG1 carries no payload length and the reader
+// supplies zeros past the end, so a stream cut anywhere inside its blocks
+// used to decode "successfully" into zeros from the cut on.
+func TestTruncatedBodyRejected(t *testing.T) {
+	vals := smoothField(16, 16, 16, 8)
+	dims := []uint64{16, 16, 16}
+	for _, p := range []Params{
+		{Mode: ModeFixedAccuracy, Tolerance: 1e-3},
+		{Mode: ModeFixedRate, Rate: 8},
+		{Mode: ModeFixedPrecision, Precision: 12},
+	} {
+		stream, err := CompressSlice(vals, dims, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := DecompressSlice[float32](stream); err != nil {
+			t.Fatalf("%s: whole stream: %v", p.Mode, err)
+		}
+		_, _, hdr, err := ParseHeader(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every stream ends in a byte that holds at least one coded bit, so
+		// any shorter body is short of bits.
+		for _, cut := range []int{hdr, hdr + 1, 40, len(stream) / 2, len(stream) - 9, len(stream) - 1} {
+			if _, _, err := DecompressSlice[float32](stream[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: %d-byte stream cut to %d: err = %v, want ErrCorrupt", p.Mode, len(stream), cut, err)
+			}
+		}
 	}
 }
 

@@ -54,6 +54,7 @@ scripts/pressiod-store-smoke.sh
 echo "==> fuzz smoke (decoders, 5s each; corpora replay known crashers)"
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/sz/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/zfp/
+go test -fuzz 'FuzzBlockCoderMatchesReference' -fuzztime 5s ./internal/zfp/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/fpzip/
 go test -fuzz 'FuzzDecode' -fuzztime 5s ./internal/huffman/
 go test -fuzz 'FuzzDecodeFrame' -fuzztime 5s ./internal/resilience/
