@@ -149,11 +149,14 @@ func TestMainSARIF(t *testing.T) {
 }
 
 // TestMainUsageErrors checks the conditions that must exit 2: unknown
-// analyzers, unknown flags and unresolvable package patterns.
+// analyzers, unknown flags (the removed -baseline among them), a value on
+// the list-only -analyzers flag, and unresolvable package patterns.
 func TestMainUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-run", "nosuch", "."},
 		{"-definitely-not-a-flag"},
+		{"-baseline", "x", "."},
+		{"-analyzers=hotalloc", "."},
 		{"./does/not/exist"},
 	}
 	for _, args := range cases {

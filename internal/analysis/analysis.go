@@ -2,19 +2,20 @@
 // suite. It is a from-scratch analyzer driver built only on the standard
 // library (go/parser, go/ast, go/types — no golang.org/x/tools) that loads
 // every package in the module and enforces the plugin invariants the
-// LibPressio architecture relies on: declared option-key constants, init-time
-// plugin registration, honest pressio:thread_safe declarations, handled
-// errors on the compression hot path, and deterministic, embeddable codec
-// packages. See docs/STATIC_ANALYSIS.md.
+// LibPressio architecture relies on: init-time plugin registration, honest
+// pressio:thread_safe declarations, handled errors on the compression hot
+// path, deterministic, embeddable codec packages, and decoders that bound
+// what they read from untrusted streams. See docs/STATIC_ANALYSIS.md.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,6 +71,9 @@ type Pass struct {
 
 	base  string
 	diags *[]Diagnostic
+	// units memoises the package's function units across its passes; see
+	// forEachUnit.
+	units *[]*unitFlow
 }
 
 // Reportf records a diagnostic at pos.
@@ -134,6 +138,10 @@ type RegSite struct {
 type Facts struct {
 	// Sites lists every Register* call seen across the analyzed packages.
 	Sites []RegSite
+	// Methods maps package path -> receiver type name -> declared method
+	// names: the structural method sets registration and panicfree match
+	// plugin implementations by.
+	Methods map[string]map[string]set[string]
 	// Graph is the module-local call graph over the analyzed set (static
 	// dispatch + interface-method resolution), SCC-condensed.
 	Graph *CallGraph
@@ -148,18 +156,21 @@ type Facts struct {
 // gatherFacts scans every package for plugin registrations before the
 // analyzers run, so per-package passes can consult module-wide state.
 func gatherFacts(pkgs []*Package) *Facts {
-	facts := &Facts{}
+	facts := &Facts{Methods: map[string]map[string]set[string]{}}
 	for _, pkg := range pkgs {
+		methods := map[string]set[string]{}
+		facts.Methods[pkg.Path] = methods
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fn, enclosing := "", ""
+				enclosing := ""
 				var body ast.Node = decl
 				if fd, ok := decl.(*ast.FuncDecl); ok {
-					fn = fd.Name.Name
-					if fd.Recv == nil {
-						enclosing = fn
-					} else {
-						enclosing = "method " + fn
+					enclosing = fd.Name.Name
+					if recv := receiverTypeName(fd); recv != "" {
+						methods[recv] = methods[recv].with(fd.Name.Name)
+					}
+					if fd.Recv != nil {
+						enclosing = "method " + enclosing
 					}
 					if fd.Body == nil {
 						continue
@@ -266,7 +277,7 @@ func runWith(pkgs []*Package, analyzers []*Analyzer, base string, workers int) [
 	facts := gatherFacts(pkgs)
 	facts.Graph = BuildCallGraph(pkgs)
 	facts.Summaries = ComputeSummaries(facts.Graph)
-	facts.Taint = ComputeTaint(facts.Graph, facts.Summaries)
+	facts.Taint = ComputeTaint(facts.Graph)
 	var diags []Diagnostic
 	var sups []suppression
 	for _, pkg := range pkgs {
@@ -274,60 +285,37 @@ func runWith(pkgs []*Package, analyzers []*Analyzer, base string, workers int) [
 		sups = append(sups, s...)
 		diags = append(diags, malformed...)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	// Fan out per package: each worker owns a disjoint diagnostic slice, so
-	// Pass.Reportf never races; facts/Graph/Summaries/Taint are read-only.
+	workers = max(1, min(workers, len(pkgs)))
+	// Fan out per package: each package owns a disjoint diagnostic slice (and
+	// unit memo) and is analyzed by one worker, so Pass.Reportf never races;
+	// facts/Graph/Summaries/Taint are read-only.
 	perPkg := make([][]Diagnostic, len(pkgs))
-	if workers <= 1 {
-		for i, pkg := range pkgs {
-			for _, a := range analyzers {
-				a.Run(&Pass{Analyzer: a, Pkg: pkg, Facts: facts, base: base, diags: &perPkg[i]})
-			}
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					for _, a := range analyzers {
-						a.Run(&Pass{Analyzer: a, Pkg: pkgs[i], Facts: facts, base: base, diags: &perPkg[i]})
-					}
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				var units []*unitFlow
+				for _, a := range analyzers {
+					a.Run(&Pass{Analyzer: a, Pkg: pkgs[i], Facts: facts, base: base, diags: &perPkg[i], units: &units})
 				}
-			}()
-		}
-		for i := range pkgs {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
+			}
+		}()
 	}
+	for i := range pkgs {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 	for _, d := range perPkg {
 		diags = append(diags, d...)
 	}
 	diags = filterSuppressed(diags, sups, newScopeIndex(pkgs, base))
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col),
+			cmp.Compare(a.Analyzer, b.Analyzer), cmp.Compare(a.Message, b.Message))
 	})
 	return diags
 }
@@ -394,7 +382,7 @@ type scopeIndex struct {
 // scopeExtent is one function-body extent; parent indexes the enclosing
 // extent in the same file (-1 for file scope).
 type scopeExtent struct {
-	parent             int
+	parent              int
 	startLine, startCol int
 	endLine, endCol     int
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -115,5 +116,31 @@ func TestLoadDirModuleRootRelative(t *testing.T) {
 	}
 	if len(pkg.TypeErrors) != 0 {
 		t.Errorf("fixture should typecheck cleanly, got %v", pkg.TypeErrors)
+	}
+}
+
+// TestWaiverBudget pins the standing //lint:ignore directives in the module's
+// product code (non-test, non-testdata), per analyzer. A waiver is an
+// analyzer conceding a false positive, so adding one is a reviewed edit to
+// this table rather than silent creep — and removing one ratchets it down.
+func TestWaiverBudget(t *testing.T) {
+	want := map[string]int{
+		"blockinglock":  2, // obslog's serialized sink write, the router's one-time boot log
+		"hotalloc":      4,
+		"ctxflow":       2,
+		"goroutineleak": 2,
+	}
+	got := map[string]int{}
+	for _, pkg := range loadedModule(t) {
+		sups, _ := collectSuppressions(pkg, "")
+		for _, s := range sups {
+			got[s.analyzer]++
+			if strings.Contains(filepath.ToSlash(s.file), "/internal/store/") {
+				t.Errorf("%s:%d: internal/store carries no waivers; fix the finding or the analyzer", s.file, s.line)
+			}
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("standing waivers per analyzer = %v, want %v", got, want)
 	}
 }

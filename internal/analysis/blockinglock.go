@@ -3,155 +3,137 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 )
 
 // BlockingLock flags program points where a mutex is provably held (the
-// must-held CFG analysis lockcheck already runs) across an operation that can
-// block: a channel operation, I/O, a sync wait, a Compress/Decompress
-// dispatch, or a call to a module-local function whose interprocedural
-// summary says it blocks. Holding a lock across any of these turns one slow
-// peer into a convoy — every other goroutine contending for the mutex waits
-// for the channel/socket/codec, which is exactly the latency coupling the
-// serving plane's bulkheads exist to prevent.
+// must-held CFG analysis forEachUnit solves once per function) across a wait
+// that ANOTHER PARTY bounds: a channel send or receive, a blocking select, a
+// range over a channel, sync.WaitGroup.Wait, time.Sleep, a net / net/http /
+// os/exec call, a call through an io.Reader/io.Writer (or bufio wrapper)
+// whose other end is unknown, a Compress/Decompress dispatch, or a call to a
+// module-local function whose interprocedural summary blocks for one of
+// those reasons (BlockPeer). Holding a lock across any of these turns one
+// slow peer into a convoy — every other goroutine contending for the mutex
+// waits for the channel/socket/codec, which is exactly the latency coupling
+// the serving plane's bulkheads exist to prevent.
 //
-// Lock acquisition itself is deliberately NOT a blocking operation here:
-// nested short critical sections (a registry RLock under a component mutex)
-// are bounded by code this analyzer also checks, while channel and I/O waits
-// are bounded by nothing.
+// Deliberately NOT flagged (BlockLocal): local-disk os / *os.File calls — a
+// journal append or manifest write under the lock that orders it is a
+// critical section that includes I/O, slow at worst and bounded by this
+// machine alone; os.Exit; an io.Writer call into an in-memory hash;
+// sync.Cond.Wait, which releases the lock while parked; and a go statement,
+// which spawns its operand instead of calling it. Lock acquisition itself is
+// not a blocking operation here either: nested short critical sections (a
+// registry RLock under a component mutex) are bounded by code this analyzer
+// also checks.
 var BlockingLock = &Analyzer{
 	Name: "blockinglock",
-	Doc:  "no mutex may be held across channel operations, I/O, sync waits, compressor dispatch, or calls that transitively block",
+	Doc:  "no mutex may be held across a wait another party bounds: channel operations, network/pipe/subprocess I/O, sync waits, compressor dispatch, or calls that transitively do those",
 	Run:  runBlockingLock,
 }
 
 func runBlockingLock(pass *Pass) {
 	g, sums := pass.Facts.Graph, pass.Facts.Summaries
-	for _, f := range pass.Pkg.Files {
-		for _, unit := range funcUnits(f) {
-			cfg := BuildCFG(cfgName(pass.Pkg.Fset, unit), unit.Body)
-			problem := newHeldLocksProblem(pass.Pkg, unit)
-			res := Solve(cfg, problem)
-			// The CFG decomposes selects into per-clause comm nodes, so a
-			// comm operation reaches the walk without its parent select. A
-			// comm only runs once the runtime picked a ready case: the
-			// *select* is the blocking point, and one with a default never
-			// blocks at all.
-			commHasDefault := map[ast.Node]bool{}
-			inspectNoFuncLit(unit.Body, func(m ast.Node) bool {
-				sel, ok := m.(*ast.SelectStmt)
-				if !ok {
-					return true
-				}
-				hasDefault := false
+	forEachUnit(pass, func(u *unitFlow) {
+		// The CFG decomposes selects into per-clause comm nodes, so a
+		// comm operation reaches the walk without its parent select. A
+		// comm only runs once the runtime picked a ready case: the
+		// *select* is the blocking point, and one with a default never
+		// blocks at all.
+		commHasDefault := map[ast.Node]bool{}
+		inspectNoFuncLit(u.Body, func(m ast.Node) bool {
+			if sel, ok := m.(*ast.SelectStmt); ok {
 				for _, c := range sel.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-						hasDefault = true
+					if cc := c.(*ast.CommClause); cc.Comm != nil {
+						commHasDefault[cc.Comm] = selectHasDefault(sel)
 					}
 				}
-				for _, c := range sel.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-						commHasDefault[cc.Comm] = hasDefault
+			}
+			return true
+		})
+		reported := map[token.Pos]bool{}
+		u.walkHeld(func(held set[string], n ast.Node) {
+			if len(held) == 0 {
+				return
+			}
+			var spawned *ast.CallExpr
+			inspectNoFuncLit(n, func(m ast.Node) bool {
+				why := ""
+				hasDefault, isComm := commHasDefault[m]
+				switch {
+				case isComm && !hasDefault:
+					why = "a blocking select"
+				case isComm, m == spawned:
+					// a polled comm never waits; a go statement spawns its
+					// operand instead of calling it
+				default:
+					if gs, ok := m.(*ast.GoStmt); ok {
+						spawned = gs.Call
 					}
+					why = blockingPoint(pass.Pkg, g, sums, m)
 				}
-				return true
-			})
-			reported := map[token.Pos]bool{}
-			WalkFacts(cfg, problem, res, func(fact any, n ast.Node) {
-				held := fact.(heldFact)
-				if len(held) == 0 {
-					return
-				}
-				inspectNoFuncLit(n, func(m ast.Node) bool {
-					if hasDefault, isComm := commHasDefault[m]; isComm {
-						if !hasDefault && !reported[m.Pos()] {
-							reported[m.Pos()] = true
-							pass.Reportf(m.Pos(), "%s held across a blocking select; shrink the critical section so the lock is released before blocking",
-								heldKeys(held))
-						}
-						return false // the comm runs only once its case is ready
-					}
-					pos, why := blockingPoint(pass.Pkg, g, sums, m)
-					if why == "" || reported[pos] {
-						return true
-					}
-					reported[pos] = true
-					pass.Reportf(pos, "%s held across %s; shrink the critical section so the lock is released before blocking",
+				if why != "" && !reported[m.Pos()] {
+					reported[m.Pos()] = true
+					pass.Reportf(m.Pos(), "%s held across %s; shrink the critical section so the lock is released before blocking",
 						heldKeys(held), why)
-					return true
-				})
+				}
+				return !isComm // the comm runs only once its case is ready
 			})
-		}
-	}
+		})
+	})
 }
 
-// blockingPoint classifies one node as a blocking operation, returning its
-// position and a human reason ("" when not blocking).
-func blockingPoint(pkg *Package, g *CallGraph, sums *Summaries, m ast.Node) (token.Pos, string) {
+// blockingPoint classifies one node as a wait another party bounds,
+// returning a human reason ("" when it is not one).
+func blockingPoint(pkg *Package, g *CallGraph, sums *Summaries, m ast.Node) string {
 	switch x := m.(type) {
 	case *ast.SendStmt:
-		return x.Pos(), "a channel send"
+		return "a channel send"
 	case *ast.UnaryExpr:
 		if x.Op == token.ARROW {
-			return x.Pos(), "a channel receive"
+			return "a channel receive"
 		}
 	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				return 0, "" // a default case makes the select non-blocking
-			}
+		if !selectHasDefault(x) {
+			return "a blocking select"
 		}
-		return x.Pos(), "a blocking select"
 	case *ast.RangeStmt:
-		if _, isChan := rangeOverChan(pkg, x); isChan {
-			return x.Pos(), "a range over a channel"
+		if rangesOverChan(pkg, x) {
+			return "a range over a channel"
 		}
 	case *ast.CallExpr:
 		if _, isLock := classifyLockCall(pkg, x); isLock {
-			return 0, "" // the lock's own Lock/Unlock
+			return "" // the lock's own Lock/Unlock
 		}
-		fn := calleeObject(pkg, x)
-		if why, _, ok := stdlibBlocking(fn); ok {
-			return x.Pos(), why
+		if why, kind, _ := stdlibBlocking(pkg, x); kind != 0 {
+			if kind == BlockPeer {
+				return why
+			}
+			return ""
 		}
-		if isDispatchCall(pkg, x) {
-			return x.Pos(), "a compressor dispatch"
+		if isDispatchCall(x) {
+			return "a compressor dispatch"
 		}
 		if g == nil || sums == nil {
-			return 0, ""
+			return ""
 		}
 		for _, e := range g.resolveCall(pkg, x) {
-			if e.Go {
-				continue
-			}
-			if sum := sums.Of(e.Callee); sum != nil && sum.Blocks {
-				return x.Pos(), "a call to " + e.Callee.ShortName() + ", which blocks (" + sum.BlockWhy + ")"
+			if sum := sums.Of(e.Callee); sum != nil && sum.BlockKind == BlockPeer {
+				return "a call to " + e.Callee.ShortName() + ", which blocks (" + sum.BlockWhy + ")"
 			}
 		}
 	}
-	return 0, ""
+	return ""
 }
 
 // heldKeys renders the held-lock set for diagnostics ("mu" / "mu and s.mu").
-func heldKeys(held heldFact) string {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
+func heldKeys(held set[string]) string {
+	keys := slices.Sorted(maps.Keys(held))
 	if len(keys) == 1 {
 		return keys[0]
 	}
-	sort.Strings(keys)
-	out := ""
-	for i, k := range keys {
-		switch {
-		case i == 0:
-			out = k
-		case i == len(keys)-1:
-			out += " and " + k
-		default:
-			out += ", " + k
-		}
-	}
-	return out
+	return strings.Join(keys[:len(keys)-1], ", ") + " and " + keys[len(keys)-1]
 }

@@ -24,13 +24,6 @@ var BufAlias = &Analyzer{
 	Run:  runBufAlias,
 }
 
-// hotPathMethods are the codec entry points whose first parameter is the
-// caller-owned input buffer.
-var hotPathMethods = map[string]bool{
-	"Compress": true, "Decompress": true,
-	"CompressImpl": true, "DecompressImpl": true,
-}
-
 // wrapConstructors are the Data constructors that wrap the given backing
 // storage without copying; a tainted argument taints the result.
 var wrapConstructors = map[string]bool{
@@ -46,7 +39,7 @@ func runBufAlias(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil || !hotPathMethods[fd.Name.Name] {
+			if !ok || fd.Body == nil || fd.Recv == nil || !dispatchMethodNames[fd.Name.Name] {
 				continue
 			}
 			analyzeBufAlias(pass, fd)
@@ -54,10 +47,10 @@ func runBufAlias(pass *Pass) {
 	}
 }
 
-// taintFact is the set of local variables that may alias the input buffer.
-type taintFact map[*types.Var]bool
-
+// bufAliasProblem is the may-analysis: its fact is the set of local variables
+// that may alias the input buffer.
 type bufAliasProblem struct {
+	mayFacts[*types.Var]
 	pass *Pass
 	// in is the input parameter object (the taint source).
 	in *types.Var
@@ -65,72 +58,32 @@ type bufAliasProblem struct {
 	recv *types.Var
 }
 
-func (p *bufAliasProblem) EntryFact() any {
-	return taintFact{p.in: true}
+func (p *bufAliasProblem) EntryFact() set[*types.Var] {
+	return set[*types.Var]{p.in: true}
 }
 
-func (p *bufAliasProblem) Transfer(fact any, n ast.Node) any {
-	f := fact.(taintFact)
-	out := f
-	mutated := false
-	set := func(v *types.Var, tainted bool) {
-		if out[v] == tainted {
+func (p *bufAliasProblem) Transfer(f set[*types.Var], n ast.Node) set[*types.Var] {
+	forEachBinding(n, func(b binding) {
+		id, ok := b.Lhs.(*ast.Ident)
+		if !ok {
+			return // field/index stores are handled as sinks, not defs
+		}
+		v, ok := p.pass.Pkg.Info.ObjectOf(id).(*types.Var)
+		if !ok {
 			return
 		}
-		if !mutated {
-			out = make(taintFact, len(f)+1)
-			for k := range f {
-				out[k] = true
-			}
-			mutated = true
-		}
-		if tainted {
-			out[v] = true
+		if b.Rhs != nil && p.tainted(f, b.Rhs) && pointerish(v.Type()) {
+			f = f.with(v)
 		} else {
-			delete(out, v)
+			f = f.without(v)
 		}
-	}
-	inspectNoFuncLit(n, func(m ast.Node) bool {
-		switch st := m.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range st.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue // field/index stores handled as sinks, not defs
-				}
-				v, ok := p.pass.Pkg.Info.ObjectOf(id).(*types.Var)
-				if !ok {
-					continue
-				}
-				var rhs ast.Expr
-				if len(st.Rhs) == len(st.Lhs) {
-					rhs = st.Rhs[i]
-				} else if len(st.Rhs) == 1 {
-					rhs = st.Rhs[0]
-				}
-				set(v, rhs != nil && p.tainted(out, rhs) && pointerish(v.Type()))
-			}
-		case *ast.ValueSpec:
-			for i, name := range st.Names {
-				v, ok := p.pass.Pkg.Info.ObjectOf(name).(*types.Var)
-				if !ok {
-					continue
-				}
-				tainted := false
-				if i < len(st.Values) {
-					tainted = p.tainted(out, st.Values[i]) && pointerish(v.Type())
-				}
-				set(v, tainted)
-			}
-		}
-		return true
 	})
-	return out
+	return f
 }
 
 // tainted reports whether evaluating e may yield a value sharing storage
 // with the input buffer, under the current fact.
-func (p *bufAliasProblem) tainted(f taintFact, e ast.Expr) bool {
+func (p *bufAliasProblem) tainted(f set[*types.Var], e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.Ident:
 		v, ok := p.pass.Pkg.Info.ObjectOf(x).(*types.Var)
@@ -171,7 +124,7 @@ func (p *bufAliasProblem) tainted(f taintFact, e ast.Expr) bool {
 	return false
 }
 
-func (p *bufAliasProblem) taintedCall(f taintFact, call *ast.CallExpr) bool {
+func (p *bufAliasProblem) taintedCall(f set[*types.Var], call *ast.CallExpr) bool {
 	// append copies elements into the destination: the result aliases the
 	// destination, never the appended source.
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" && len(call.Args) > 0 {
@@ -243,31 +196,6 @@ func pointerish(t types.Type) bool {
 	return false
 }
 
-func (p *bufAliasProblem) Join(a, b any) any {
-	fa, fb := a.(taintFact), b.(taintFact)
-	out := make(taintFact, len(fa))
-	for v := range fa {
-		out[v] = true
-	}
-	for v := range fb {
-		out[v] = true
-	}
-	return out
-}
-
-func (p *bufAliasProblem) Equal(a, b any) bool {
-	fa, fb := a.(taintFact), b.(taintFact)
-	if len(fa) != len(fb) {
-		return false
-	}
-	for v := range fa {
-		if !fb[v] {
-			return false
-		}
-	}
-	return true
-}
-
 func analyzeBufAlias(pass *Pass, fd *ast.FuncDecl) {
 	params := fd.Type.Params
 	if params == nil || len(params.List) == 0 || len(params.List[0].Names) == 0 {
@@ -286,54 +214,41 @@ func analyzeBufAlias(pass *Pass, fd *ast.FuncDecl) {
 	res := Solve(cfg, problem)
 	scope := pass.Pkg.Types.Scope()
 
-	WalkFacts(cfg, problem, res, func(fact any, n ast.Node) {
-		f := fact.(taintFact)
-		inspectNoFuncLit(n, func(m ast.Node) bool {
-			switch st := m.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range st.Lhs {
-					var rhs ast.Expr
-					if len(st.Rhs) == len(st.Lhs) {
-						rhs = st.Rhs[i]
-					} else if len(st.Rhs) == 1 {
-						rhs = st.Rhs[0]
-					}
-					if rhs == nil || !problem.tainted(f, rhs) {
-						continue
-					}
-					root := rootIdent(lhs)
-					if root == nil {
-						continue
-					}
-					obj := pass.Pkg.Info.ObjectOf(root)
-					v, isVar := obj.(*types.Var)
-					if !isVar {
-						continue
-					}
-					// Rebinding a LOCAL name is propagation (the transfer
-					// function tracks it); stores rooted at the receiver or
-					// at package scope let the buffer outlive the call.
-					switch {
-					case recv != nil && v == recv && root != lhs:
-						pass.Reportf(st.Pos(),
-							"%s stores a reference to the caller's input buffer in receiver state: copy the data, the caller owns and may reuse it",
-							fd.Name.Name)
-					case v.Parent() == scope:
-						pass.Reportf(st.Pos(),
-							"%s stores a reference to the caller's input buffer in package-level %s: copy the data, the caller owns and may reuse it",
-							fd.Name.Name, root.Name)
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, result := range st.Results {
-					if problem.tainted(f, result) && pointerish(problem.typeOf(result)) {
-						pass.Reportf(result.Pos(),
-							"%s returns a value aliasing the caller's input buffer: the caller may mutate the input and corrupt it",
-							fd.Name.Name)
-					}
+	WalkFacts(cfg, problem, res, func(f set[*types.Var], n ast.Node) {
+		forEachBinding(n, func(b binding) {
+			if b.Rhs == nil || !problem.tainted(f, b.Rhs) {
+				return
+			}
+			root := rootIdent(b.Lhs)
+			if root == nil {
+				return
+			}
+			v, isVar := pass.Pkg.Info.ObjectOf(root).(*types.Var)
+			if !isVar {
+				return
+			}
+			// Rebinding a LOCAL name is propagation (the transfer
+			// function tracks it); stores rooted at the receiver or
+			// at package scope let the buffer outlive the call.
+			switch {
+			case recv != nil && v == recv && root != b.Lhs:
+				pass.Reportf(n.Pos(),
+					"%s stores a reference to the caller's input buffer in receiver state: copy the data, the caller owns and may reuse it",
+					fd.Name.Name)
+			case v.Parent() == scope:
+				pass.Reportf(n.Pos(),
+					"%s stores a reference to the caller's input buffer in package-level %s: copy the data, the caller owns and may reuse it",
+					fd.Name.Name, root.Name)
+			}
+		})
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for _, result := range ret.Results {
+				if problem.tainted(f, result) && pointerish(problem.typeOf(result)) {
+					pass.Reportf(result.Pos(),
+						"%s returns a value aliasing the caller's input buffer: the caller may mutate the input and corrupt it",
+						fd.Name.Name)
 				}
 			}
-			return true
-		})
+		}
 	})
 }

@@ -58,6 +58,14 @@ func (n *FuncNode) Pos() token.Pos {
 	return n.Lit.Pos()
 }
 
+// funcType returns the signature syntax of the node's declaration or literal.
+func (n *FuncNode) funcType() *ast.FuncType {
+	if n.Decl != nil {
+		return n.Decl.Type
+	}
+	return n.Lit.Type
+}
+
 // CallEdge is one resolved call site: Site is the CallExpr (or GoStmt/
 // DeferStmt call), Callee the target node. Dynamic records that the edge
 // came from interface-method resolution rather than static dispatch.
@@ -95,12 +103,6 @@ func (g *CallGraph) NodeOfLit(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] 
 // static counterpart of the benchmark's allocs/op rows.
 const hotDirective = "pressio:hotpath"
 
-// hasHotDirective reports whether a declaration carries //pressio:hotpath in
-// its doc comment.
-func hasHotDirective(fd *ast.FuncDecl) bool {
-	return hasDirective(fd, hotDirective)
-}
-
 // hasDirective reports whether a declaration's doc comment carries the given
 // //-directive (exact word, optionally followed by explanatory text).
 func hasDirective(fd *ast.FuncDecl, directive string) bool {
@@ -137,7 +139,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 						Pkg:  pkg,
 						Decl: fd,
 						Body: fd.Body,
-						Hot:  hasHotDirective(fd),
+						Hot:  hasDirective(fd, hotDirective),
 					}
 					if pkg.Info != nil {
 						if obj, k := pkg.Info.Defs[fd.Name].(*types.Func); k {
@@ -248,32 +250,24 @@ func (g *CallGraph) resolveEdges(node *FuncNode) {
 // Unresolvable calls (stdlib, function values, unexported indirection) yield
 // no edges; summary.go classifies them by name instead.
 func (g *CallGraph) resolveCall(pkg *Package, call *ast.CallExpr) []*CallEdge {
-	fun := ast.Unparen(call.Fun)
-	switch f := fun.(type) {
-	case *ast.FuncLit:
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		// Immediately invoked literal: the body runs here.
-		if node := g.byLit[f]; node != nil {
+		if node := g.byLit[lit]; node != nil {
 			return []*CallEdge{{Site: call, Callee: node}}
 		}
-	case *ast.Ident:
-		return g.edgesForObject(pkg, call, pkg.objectOf(f))
-	case *ast.SelectorExpr:
-		obj := pkg.objectOf(f.Sel)
-		if fn, ok := obj.(*types.Func); ok {
-			if recvIsInterface(fn) {
-				return g.interfaceEdges(pkg, call, fn)
-			}
-		}
-		return g.edgesForObject(pkg, call, obj)
-	case *ast.IndexExpr:
-		// Generic instantiation F[T](...).
-		if id, ok := ast.Unparen(f.X).(*ast.Ident); ok {
-			return g.edgesForObject(pkg, call, pkg.objectOf(id))
-		}
-	case *ast.IndexListExpr:
-		if id, ok := ast.Unparen(f.X).(*ast.Ident); ok {
-			return g.edgesForObject(pkg, call, pkg.objectOf(id))
-		}
+		return nil
+	}
+	fn := calleeObject(pkg, call)
+	if fn == nil {
+		return nil // function value: no target — opaque
+	}
+	if recvIsInterface(fn) {
+		return g.interfaceEdges(pkg, call, fn)
+	}
+	// Generic functions: the Uses object of an instantiated call is the
+	// instance; map back to the generic origin, which owns the body.
+	if node := g.byObj[fn.Origin()]; node != nil {
+		return []*CallEdge{{Site: call, Callee: node}}
 	}
 	return nil
 }
@@ -284,26 +278,6 @@ func (p *Package) objectOf(id *ast.Ident) types.Object {
 		return nil
 	}
 	return p.Info.ObjectOf(id)
-}
-
-// edgesForObject resolves a call through a named object: a direct function
-// edge when the object is a declared function with a module-local body, or a
-// function-value edge when the object is a variable whose type is a
-// signature (no target — opaque).
-func (g *CallGraph) edgesForObject(pkg *Package, call *ast.CallExpr, obj types.Object) []*CallEdge {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	// Generic functions: the Uses object of an instantiated call is the
-	// instance; map back to the generic origin, which owns the body.
-	if origin := fn.Origin(); origin != nil {
-		fn = origin
-	}
-	if node := g.byObj[fn]; node != nil {
-		return []*CallEdge{{Site: call, Callee: node}}
-	}
-	return nil
 }
 
 // recvIsInterface reports whether a method's receiver is an interface type.

@@ -81,12 +81,11 @@ func runCtxFlow(pass *Pass) {
 					}
 				}
 			case *ast.KeyValueExpr:
+				// (a KeyValueExpr only ever appears inside a composite literal)
 				if _, isIdent := x.Key.(*ast.Ident); isIdent && exprIsContext(node.Pkg, x.Value) {
-					if insideCompositeLit(node.Body, x) {
-						pass.Reportf(x.Pos(),
-							"%s stores a request context in a struct literal field; contexts are call-scoped — pass it as a parameter",
-							node.ShortName())
-					}
+					pass.Reportf(x.Pos(),
+						"%s stores a request context in a struct literal field; contexts are call-scoped — pass it as a parameter",
+						node.ShortName())
 				}
 			}
 			return true
@@ -130,24 +129,4 @@ func exprIsContext(pkg *Package, e ast.Expr) bool {
 		return false
 	}
 	return isContextType(tv.Type)
-}
-
-// insideCompositeLit confirms the key/value pair belongs to a composite
-// literal (not, say, a map index — KeyValueExpr only appears in composite
-// literals, so this is a structural sanity check).
-func insideCompositeLit(body *ast.BlockStmt, kv *ast.KeyValueExpr) bool {
-	found := false
-	inspectNoFuncLit(body, func(m ast.Node) bool {
-		cl, ok := m.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		for _, el := range cl.Elts {
-			if el == kv {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }

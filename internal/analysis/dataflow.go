@@ -5,47 +5,51 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
-// This file is the generic half of the flow-sensitive layer: a forward
-// worklist solver over the CFGs built in cfg.go, plus the two reusable fact
-// domains the analyzers share — reaching definitions and the small helpers
-// for walking statements without descending into nested function literals.
-// Analyzers define a FlowProblem (entry fact, transfer, join) and read the
-// solved per-block facts back; path-sensitivity comes from the join: a fact
-// that differs between two predecessors merges per the problem's lattice
-// instead of being decided by source order.
+// This file is the generic half of the flow-sensitive layer: one typed forward
+// worklist solver over the CFGs built in cfg.go, the generic set type every
+// fact domain is built from, the assignment normaliser the transfer functions
+// share, reaching definitions, and the per-package memo of function units
+// that hands each unit's CFG and must-held-lock solution to the lock
+// analyzers. Analyzers define a FlowProblem over their own fact type (entry
+// fact, transfer, join) and read the solved per-block facts back;
+// path-sensitivity comes from the join: a fact that differs between two
+// predecessors merges per the problem's lattice instead of being decided by
+// source order.
 
-// FlowProblem is one forward dataflow problem. Facts are opaque to the
-// solver; nil is the bottom element ("block not reached yet") and Join is
-// never called with nil arguments.
-type FlowProblem interface {
+// FlowProblem is one forward dataflow problem over facts of type F. A block
+// the solver has not reached has no fact at all (it is absent from the
+// result maps), so F needs no bottom element.
+type FlowProblem[F any] interface {
 	// EntryFact is the fact at function entry.
-	EntryFact() any
+	EntryFact() F
 	// Transfer applies one statement/expression node. It must treat fact as
 	// immutable and return a fresh value when the node changes it.
-	Transfer(fact any, n ast.Node) any
+	Transfer(fact F, n ast.Node) F
 	// Join merges facts flowing in from two predecessors (the lattice join:
 	// union for may-analyses, intersection for must-analyses).
-	Join(a, b any) any
+	Join(a, b F) F
 	// Equal reports whether two facts are the same, bounding the fixpoint
 	// iteration.
-	Equal(a, b any) bool
+	Equal(a, b F) bool
 }
 
-// FlowResult holds the solved facts at the entry and exit of every block.
-// Unreachable blocks keep nil facts.
-type FlowResult struct {
-	In  map[*Block]any
-	Out map[*Block]any
+// FlowResult holds the solved facts at the entry and exit of every reached
+// block; unreachable blocks have no entry. In[cfg.Exit] is the joined fact at
+// function exit (absent when no path reaches the end, e.g. an infinite loop).
+type FlowResult[F any] struct {
+	In  map[*Block]F
+	Out map[*Block]F
 }
 
 // Solve runs the worklist algorithm to a fixpoint. Termination is the
 // problem's responsibility: Join must be monotone over a finite lattice
 // (all the in-tree domains are finite sets of syntactic positions or
 // objects).
-func Solve(cfg *CFG, p FlowProblem) *FlowResult {
-	res := &FlowResult{In: make(map[*Block]any), Out: make(map[*Block]any)}
+func Solve[F any](cfg *CFG, p FlowProblem[F]) *FlowResult[F] {
+	res := &FlowResult[F]{In: make(map[*Block]F), Out: make(map[*Block]F)}
 	res.In[cfg.Entry] = p.EntryFact()
 
 	work := make([]*Block, 0, len(cfg.Blocks))
@@ -64,20 +68,20 @@ func Solve(cfg *CFG, p FlowProblem) *FlowResult {
 
 		in := res.In[blk]
 		if blk != cfg.Entry {
-			in = nil
+			reached := false
 			for _, pred := range blk.Preds {
-				out := res.Out[pred]
-				if out == nil {
+				out, ok := res.Out[pred]
+				if !ok {
 					continue
 				}
-				if in == nil {
-					in = out
-				} else {
+				if reached {
 					in = p.Join(in, out)
+				} else {
+					in, reached = out, true
 				}
 			}
-			if in == nil {
-				continue // not reached yet
+			if !reached {
+				continue
 			}
 			res.In[blk] = in
 		}
@@ -98,10 +102,10 @@ func Solve(cfg *CFG, p FlowProblem) *FlowResult {
 // WalkFacts replays the transfer function over every reachable block,
 // calling visit with the fact holding immediately BEFORE each node. This is
 // how analyzers inspect program points inside blocks after solving.
-func WalkFacts(cfg *CFG, p FlowProblem, res *FlowResult, visit func(fact any, n ast.Node)) {
+func WalkFacts[F any](cfg *CFG, p FlowProblem[F], res *FlowResult[F], visit func(fact F, n ast.Node)) {
 	for _, blk := range cfg.Blocks {
 		fact, ok := res.In[blk]
-		if !ok || fact == nil {
+		if !ok {
 			continue
 		}
 		for _, n := range blk.Nodes {
@@ -111,10 +115,130 @@ func WalkFacts(cfg *CFG, p FlowProblem, res *FlowResult, visit func(fact any, n 
 	}
 }
 
-// ExitFact returns the joined fact at the synthetic exit block (nil when no
-// path reaches the end of the function, e.g. an infinite loop).
-func ExitFact(res *FlowResult, cfg *CFG) any {
-	return res.In[cfg.Exit]
+// ---------------------------------------------------------------------------
+// Fact building blocks
+
+// set is the one set type the fact domains are built from. Facts are
+// immutable to the solver, so with and without copy on write (and return the
+// receiver itself when there is nothing to change). Only true is ever
+// stored, which is what lets maps.Equal compare two sets.
+type set[K comparable] map[K]bool
+
+func (s set[K]) with(k K) set[K] {
+	if s[k] {
+		return s
+	}
+	return mapWith(s, k, true)
+}
+
+func (s set[K]) without(k K) set[K] {
+	if !s[k] {
+		return s
+	}
+	out := maps.Clone(s)
+	delete(out, k)
+	return out
+}
+
+func (s set[K]) union(t set[K]) set[K] {
+	out := make(set[K], len(s)+len(t))
+	maps.Copy(out, s)
+	maps.Copy(out, t)
+	return out
+}
+
+func (s set[K]) intersect(t set[K]) set[K] {
+	out := make(set[K])
+	for k := range s {
+		if t[k] {
+			out[k] = true
+		}
+	}
+	return out
+}
+
+// mapWith returns a copy of m with m[k] = v: the copy-on-write update of the
+// map-valued facts (reaching definitions, taint masks).
+func mapWith[M ~map[K]V, K comparable, V any](m M, k K, v V) M {
+	out := make(M, len(m)+1)
+	maps.Copy(out, m)
+	out[k] = v
+	return out
+}
+
+// mayFacts supplies the lattice half of a may-analysis whose fact is a plain
+// set: join is union. Problems embed it and add EntryFact and Transfer.
+type mayFacts[K comparable] struct{}
+
+func (mayFacts[K]) Join(a, b set[K]) set[K] { return a.union(b) }
+func (mayFacts[K]) Equal(a, b set[K]) bool  { return maps.Equal(a, b) }
+
+// binding is one `lhs = rhs` pair of an assignment-like CFG node.
+type binding struct {
+	Lhs ast.Expr
+	// Rhs is the defining expression: the matching operand of a one-to-one
+	// assignment, the shared operand of a tuple form (a, b := f(); v, ok :=
+	// m[k]; the k, v := range x binding cfg.go synthesizes), and nil for a
+	// declaration without an initializer.
+	Rhs ast.Expr
+	// Index places Lhs among the N left-hand sides sharing Rhs (N is 1 for a
+	// one-to-one pair).
+	Index, N int
+}
+
+// forEachBinding normalises the assignment forms a CFG node can take — an
+// AssignStmt or a var declaration, one-to-one or tuple — into bindings, so
+// reaching definitions, bufalias and the taint engine share one enumeration
+// instead of each walking AssignStmt/DeclStmt/tuple shapes itself. CFG nodes
+// are straight-line statements, so only n itself is examined.
+func forEachBinding(n ast.Node, visit func(binding)) {
+	pair := func(lhs, rhs []ast.Expr) {
+		for i, l := range lhs {
+			b := binding{Lhs: l, N: 1}
+			switch {
+			case len(rhs) == len(lhs):
+				b.Rhs = rhs[i]
+			case len(rhs) == 1:
+				b.Rhs, b.Index, b.N = rhs[0], i, len(lhs)
+			}
+			visit(b)
+		}
+	}
+	switch st := n.(type) {
+	case *ast.AssignStmt:
+		pair(st.Lhs, st.Rhs)
+	case *ast.DeclStmt:
+		gd, ok := st.Decl.(*ast.GenDecl)
+		if !ok {
+			return
+		}
+		for _, spec := range gd.Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				names := make([]ast.Expr, len(vs.Names))
+				for i, name := range vs.Names {
+					names[i] = name
+				}
+				pair(names, vs.Values)
+			}
+		}
+	}
+}
+
+// forEachCallBinding visits every binding in body (nested function literals
+// excluded) whose right-hand side is a call to the bare identifier name —
+// how the allocation and channel-buffer scans find `x = make(...)` and
+// `x = append(x, ...)`.
+func forEachCallBinding(body ast.Node, name string, visit func(lhs ast.Expr, call *ast.CallExpr)) {
+	inspectNoFuncLit(body, func(m ast.Node) bool {
+		forEachBinding(m, func(b binding) {
+			if call, ok := ast.Unparen(b.Rhs).(*ast.CallExpr); ok {
+				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == name {
+					visit(b.Lhs, call)
+				}
+			}
+		})
+		return true
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -146,146 +270,62 @@ type ReachingDefs struct {
 }
 
 // rdFact maps a variable to the set of its possibly-current definitions.
-type rdFact map[*types.Var]map[Definition]bool
+type rdFact map[*types.Var]set[Definition]
 
-func (r *ReachingDefs) EntryFact() any {
+func (r *ReachingDefs) EntryFact() rdFact {
 	f := rdFact{}
 	for _, p := range r.Params {
-		f[p] = map[Definition]bool{{Pos: p.Pos(), Param: true}: true}
+		f[p] = set[Definition]{{Pos: p.Pos(), Param: true}: true}
 	}
 	return f
 }
 
-func (r *ReachingDefs) Transfer(fact any, n ast.Node) any {
-	f := fact.(rdFact)
-	var out rdFact
-	gen := func(v *types.Var, d Definition) {
-		if out == nil {
-			out = make(rdFact, len(f)+1)
-			for k, s := range f {
-				out[k] = s
-			}
+func (r *ReachingDefs) Transfer(f rdFact, n ast.Node) rdFact {
+	gen := func(lhs ast.Expr, d Definition) {
+		id, ok := lhs.(*ast.Ident)
+		if !ok {
+			return // x.f = ..., x[i] = ...: not a whole-variable def
 		}
-		out[v] = map[Definition]bool{d: true}
+		if v := r.varOf(id); v != nil {
+			f = mapWith(f, v, set[Definition]{d: true})
+		}
 	}
-	inspectNoFuncLit(n, func(m ast.Node) bool {
-		switch st := m.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range st.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue // x.f = ..., x[i] = ...: not a whole-variable def
-				}
-				v := r.varOf(id)
-				if v == nil {
-					continue
-				}
-				var rhs ast.Expr
-				if len(st.Rhs) == len(st.Lhs) {
-					rhs = st.Rhs[i]
-				} else if len(st.Rhs) == 1 {
-					rhs = st.Rhs[0]
-				}
-				gen(v, Definition{Pos: lhs.Pos(), Rhs: rhs})
-			}
-		case *ast.IncDecStmt:
-			if id, ok := st.X.(*ast.Ident); ok {
-				if v := r.varOf(id); v != nil {
-					gen(v, Definition{Pos: st.Pos()})
-				}
-			}
-		case *ast.GenDecl:
-			for _, spec := range st.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					v := r.varOf(name)
-					if v == nil {
-						continue
-					}
-					var rhs ast.Expr
-					if i < len(vs.Values) {
-						rhs = vs.Values[i]
-					}
-					gen(v, Definition{Pos: name.Pos(), Rhs: rhs})
-				}
-			}
-		}
-		return true
+	forEachBinding(n, func(b binding) {
+		gen(b.Lhs, Definition{Pos: b.Lhs.Pos(), Rhs: b.Rhs})
 	})
-	if out == nil {
-		return f
+	if st, ok := n.(*ast.IncDecStmt); ok {
+		gen(st.X, Definition{Pos: st.Pos()})
 	}
-	return out
+	return f
 }
 
 func (r *ReachingDefs) varOf(id *ast.Ident) *types.Var {
 	if r.Info == nil {
 		return nil
 	}
-	obj := r.Info.ObjectOf(id)
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return nil
-	}
+	v, _ := r.Info.ObjectOf(id).(*types.Var)
 	return v
 }
 
-func (r *ReachingDefs) Join(a, b any) any {
-	fa, fb := a.(rdFact), b.(rdFact)
-	out := make(rdFact, len(fa))
-	for v, defs := range fa {
-		out[v] = defs
-	}
-	for v, defs := range fb {
+func (r *ReachingDefs) Join(a, b rdFact) rdFact {
+	out := maps.Clone(a)
+	for v, defs := range b {
 		if cur, ok := out[v]; ok {
-			merged := make(map[Definition]bool, len(cur)+len(defs))
-			for d := range cur {
-				merged[d] = true
-			}
-			for d := range defs {
-				merged[d] = true
-			}
-			out[v] = merged
-		} else {
-			out[v] = defs
+			defs = cur.union(defs)
 		}
+		out[v] = defs
 	}
 	return out
 }
 
-func (r *ReachingDefs) Equal(a, b any) bool {
-	fa, fb := a.(rdFact), b.(rdFact)
-	if len(fa) != len(fb) {
-		return false
-	}
-	for v, da := range fa {
-		db, ok := fb[v]
-		if !ok || len(da) != len(db) {
-			return false
-		}
-		for d := range da {
-			if !db[d] {
-				return false
-			}
-		}
-	}
-	return true
+func (r *ReachingDefs) Equal(a, b rdFact) bool {
+	return maps.EqualFunc(a, b, maps.Equal[set[Definition], set[Definition]])
 }
 
 // DefsOf returns the reaching definitions of the variable named by id in
 // the given fact (nil when unknown).
-func (r *ReachingDefs) DefsOf(fact any, id *ast.Ident) map[Definition]bool {
-	if fact == nil {
-		return nil
-	}
-	v := r.varOf(id)
-	if v == nil {
-		return nil
-	}
-	return fact.(rdFact)[v]
+func (r *ReachingDefs) DefsOf(fact rdFact, id *ast.Ident) set[Definition] {
+	return fact[r.varOf(id)]
 }
 
 // ---------------------------------------------------------------------------
@@ -362,6 +402,44 @@ func funcUnits(f *ast.File) []FuncUnit {
 	return units
 }
 
+// unitFlow is one function unit with the flow structures the three lock
+// analyzers share: its CFG and the solved must-held-lock problem.
+type unitFlow struct {
+	FuncUnit
+	CFG  *CFG
+	held *heldLocksProblem
+	res  *FlowResult[set[string]]
+}
+
+// walkHeld visits every node of the unit with the set of locks held on every
+// path reaching it.
+func (u *unitFlow) walkHeld(visit func(held set[string], n ast.Node)) {
+	WalkFacts(u.CFG, u.held, u.res, visit)
+}
+
+// forEachUnit visits every function unit of the pass's package. The units —
+// CFG and must-held-lock solution included — are built by the first analyzer
+// that asks and memoised for the package's other passes (a package's passes
+// run on one worker, so the memo needs no lock): lockcheck, threadsafe and
+// blockinglock used to rebuild the same CFG and re-solve the same problem
+// three times per function.
+func forEachUnit(pass *Pass, visit func(u *unitFlow)) {
+	if *pass.units == nil {
+		units := []*unitFlow{} // non-nil even when empty: nil means "not built yet"
+		for _, f := range pass.Pkg.Files {
+			for _, unit := range funcUnits(f) {
+				cfg := BuildCFG(cfgName(pass.Pkg.Fset, unit), unit.Body)
+				held := newHeldLocksProblem(pass.Pkg, unit)
+				units = append(units, &unitFlow{unit, cfg, held, Solve(cfg, held)})
+			}
+		}
+		*pass.units = units
+	}
+	for _, u := range *pass.units {
+		visit(u)
+	}
+}
+
 // inspectNoFuncLit walks n like ast.Inspect but does not descend into
 // function literals: their bodies execute elsewhere, so their statements
 // must not leak into the enclosing unit's transfer functions. The FuncLit
@@ -410,6 +488,32 @@ func exprKey(e ast.Expr) string {
 		return base + "[...]"
 	}
 	return ""
+}
+
+// rootIdent digs the base identifier out of an lvalue-ish expression: x,
+// x.f, x[i], x[i:j], (*x).f and &x all root at x.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			if x.Op != token.AND {
+				return nil
+			}
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // cfgName labels a unit's CFG for dumps and diagnostics.

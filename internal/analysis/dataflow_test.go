@@ -44,59 +44,22 @@ func funcByName(t *testing.T, f *ast.File, name string) *ast.FuncDecl {
 
 // identCollector is a trivial may-analysis: the fact is the set of names of
 // idents assigned so far. It exercises Solve's join and fixpoint behavior.
-type identCollector struct{}
+type identCollector struct{ mayFacts[string] }
 
-func (identCollector) EntryFact() any { return map[string]bool{} }
+func (identCollector) EntryFact() set[string] { return set[string]{} }
 
-func (identCollector) Transfer(fact any, n ast.Node) any {
-	f := fact.(map[string]bool)
-	var names []string
+func (identCollector) Transfer(f set[string], n ast.Node) set[string] {
 	inspectNoFuncLit(n, func(m ast.Node) bool {
 		if as, ok := m.(*ast.AssignStmt); ok {
 			for _, lhs := range as.Lhs {
 				if id, ok := lhs.(*ast.Ident); ok {
-					names = append(names, id.Name)
+					f = f.with(id.Name)
 				}
 			}
 		}
 		return true
 	})
-	if len(names) == 0 {
-		return f
-	}
-	out := make(map[string]bool, len(f)+len(names))
-	for k := range f {
-		out[k] = true
-	}
-	for _, n := range names {
-		out[n] = true
-	}
-	return out
-}
-
-func (identCollector) Join(a, b any) any {
-	fa, fb := a.(map[string]bool), b.(map[string]bool)
-	out := make(map[string]bool, len(fa)+len(fb))
-	for k := range fa {
-		out[k] = true
-	}
-	for k := range fb {
-		out[k] = true
-	}
-	return out
-}
-
-func (identCollector) Equal(a, b any) bool {
-	fa, fb := a.(map[string]bool), b.(map[string]bool)
-	if len(fa) != len(fb) {
-		return false
-	}
-	for k := range fa {
-		if !fb[k] {
-			return false
-		}
-	}
-	return true
+	return f
 }
 
 // TestSolveJoinsBranches checks that facts from both arms of a branch merge
@@ -122,11 +85,10 @@ func f(cond bool, n int) int {
 	fd := funcByName(t, f, "f")
 	cfg := BuildCFG("f", fd.Body)
 	res := Solve(cfg, identCollector{})
-	exit := ExitFact(res, cfg)
-	if exit == nil {
+	got, ok := res.In[cfg.Exit]
+	if !ok {
 		t.Fatal("no fact reached exit")
 	}
-	got := exit.(map[string]bool)
 	for _, want := range []string{"a", "b", "c", "d", "i", "_"} {
 		if !got[want] {
 			t.Errorf("exit fact missing %q (got %v)", want, got)
@@ -146,7 +108,7 @@ func f() int {
 	cfg := BuildCFG("f", fd.Body)
 	res := Solve(cfg, identCollector{})
 	for _, blk := range cfg.Blocks {
-		if blk.Kind == "unreachable" && res.In[blk] != nil {
+		if _, reached := res.In[blk]; blk.Kind == "unreachable" && reached {
 			t.Errorf("unreachable block b%d received a fact", blk.Index)
 		}
 	}
@@ -175,7 +137,7 @@ func f(cond bool) int {
 	res := Solve(cfg, rd)
 
 	defsAt := map[string]int{} // use line "y := x" and "z := x": defs of x
-	WalkFacts(cfg, rd, res, func(fact any, n ast.Node) {
+	WalkFacts(cfg, rd, res, func(fact rdFact, n ast.Node) {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != 1 {
 			return
@@ -215,7 +177,7 @@ func f(n int) int {
 	cfg := BuildCFG("f", fd.Body)
 	res := Solve(cfg, rd)
 	found := false
-	WalkFacts(cfg, rd, res, func(fact any, n ast.Node) {
+	WalkFacts(cfg, rd, res, func(fact rdFact, n ast.Node) {
 		ret, ok := n.(*ast.ReturnStmt)
 		if !ok {
 			return

@@ -16,22 +16,6 @@ type jsonReport struct {
 	Count       int          `json:"count"`
 }
 
-// analyzersValue makes -analyzers serve double duty: bare -analyzers lists
-// the registry and exits, -analyzers=a,b selects a subset (same semantics as
-// -run). IsBoolFlag lets the flag package accept the bare form.
-type analyzersValue struct {
-	csv string
-	set bool
-}
-
-func (v *analyzersValue) String() string   { return v.csv }
-func (v *analyzersValue) IsBoolFlag() bool { return true }
-func (v *analyzersValue) Set(s string) error {
-	v.set = true
-	v.csv = s
-	return nil
-}
-
 // selectAnalyzers resolves a comma-separated name list against the registry,
 // preserving registry order and deduplicating. Unknown names are an error
 // that spells out what is available.
@@ -79,131 +63,85 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	sarifOut := fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
 	runList := fs.String("run", "", "comma-separated analyzer subset (default: all)")
-	var sel analyzersValue
-	fs.Var(&sel, "analyzers", "list analyzers and exit; -analyzers=a,b runs a subset")
-	baselinePath := fs.String("baseline", "", "SARIF baseline file; fail only on findings not present in it")
+	list := fs.Bool("analyzers", false, "list analyzers and exit")
 	verbose := fs.Bool("v", false, "print soft type-check warnings to stderr")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: pressiolint [-json|-sarif] [-run a,b|-analyzers=a,b] [-baseline file.sarif] [-v] [packages]")
+		fmt.Fprintln(stderr, "usage: pressiolint [-json|-sarif] [-run a,b] [-analyzers] [-v] [packages]")
 		fmt.Fprintln(stderr, "packages are directories; a trailing /... recurses (default ./...)")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	analyzers := Analyzers()
-	if sel.set && (sel.csv == "" || sel.csv == "true" || sel.csv == "false") {
-		for _, a := range analyzers {
+	if *list {
+		for _, a := range Analyzers() {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-	var names []string
-	if sel.set {
-		names = append(names, strings.Split(sel.csv, ",")...)
+	var diags []Diagnostic
+	analyzers, err := selectAnalyzers(Analyzers(), strings.Split(*runList, ","))
+	if err == nil {
+		diags, err = lint(analyzers, fs.Args(), *verbose, stderr)
 	}
-	if *runList != "" {
-		names = append(names, strings.Split(*runList, ",")...)
-	}
-	if len(names) > 0 {
-		var err error
-		if analyzers, err = selectAnalyzers(analyzers, names); err != nil {
-			fmt.Fprintln(stderr, "pressiolint:", err)
-			return 2
-		}
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(stderr, "pressiolint:", err)
-		return 2
-	}
-	root, err := FindModuleRoot(cwd)
-	if err != nil {
-		fmt.Fprintln(stderr, "pressiolint:", err)
-		return 2
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(stderr, "pressiolint:", err)
-		return 2
-	}
-	dirs, err := loader.Expand(cwd, patterns)
-	if err != nil {
-		fmt.Fprintln(stderr, "pressiolint:", err)
-		return 2
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			fmt.Fprintln(stderr, "pressiolint:", err)
-			return 2
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	if *verbose {
-		for _, pkg := range pkgs {
-			for _, terr := range pkg.TypeErrors {
-				fmt.Fprintf(stderr, "pressiolint: typecheck %s: %v\n", pkg.Path, terr)
+	if err == nil {
+		switch {
+		case *sarifOut:
+			err = WriteSARIF(stdout, analyzers, diags)
+		case *jsonOut:
+			enc := json.NewEncoder(stdout)
+			enc.SetIndent("", "  ")
+			err = enc.Encode(jsonReport{Diagnostics: diags, Count: len(diags)})
+		default:
+			for _, d := range diags {
+				fmt.Fprintln(stdout, d)
 			}
 		}
 	}
-
-	diags := Run(pkgs, analyzers, root)
-	switch {
-	case *sarifOut:
-		if err := WriteSARIF(stdout, analyzers, diags); err != nil {
-			fmt.Fprintln(stderr, "pressiolint:", err)
-			return 2
-		}
-	case *jsonOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonReport{Diagnostics: diags, Count: len(diags)}); err != nil {
-			fmt.Fprintln(stderr, "pressiolint:", err)
-			return 2
-		}
-	case *baselinePath != "":
-		// Delta-only mode: the table is the output.
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
-	}
-	if *baselinePath != "" {
-		// Baseline mode gates on NEW findings only: known debt stays recorded
-		// in the committed SARIF file, while regressions fail the run. The
-		// delta table goes to stdout (CI drops it into the job summary)
-		// unless stdout already carries a report, in which case stderr.
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "pressiolint:", err)
-			return 2
-		}
-		baseline, err := ReadSARIFBaseline(f)
-		_ = f.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, "pressiolint:", err)
-			return 2
-		}
-		delta := DiffBaseline(diags, baseline)
-		out := stdout
-		if *sarifOut || *jsonOut {
-			out = stderr
-		}
-		delta.WriteDeltaTable(out)
-		if len(delta.New) > 0 {
-			return 1
-		}
-		return 0
+	if err != nil {
+		fmt.Fprintln(stderr, "pressiolint:", err)
+		return 2
 	}
 	if len(diags) > 0 {
 		return 1
 	}
 	return 0
+}
+
+// lint resolves the package patterns (relative to the working directory,
+// inside the enclosing module), loads the packages and runs the analyzers.
+func lint(analyzers []*Analyzer, patterns []string, verbose bool, stderr io.Writer) ([]Diagnostic, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	cwd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	root, err := FindModuleRoot(cwd)
+	if err != nil {
+		return nil, err
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := loader.Expand(cwd, patterns)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, dir := range dirs {
+		pkg, err := loader.LoadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+		if verbose {
+			for _, terr := range pkg.TypeErrors {
+				fmt.Fprintf(stderr, "pressiolint: typecheck %s: %v\n", pkg.Path, terr)
+			}
+		}
+	}
+	return Run(pkgs, analyzers, root), nil
 }

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -21,26 +19,37 @@ func TestMainListsAnalyzers(t *testing.T) {
 }
 
 func TestMainRejectsUnknownAnalyzers(t *testing.T) {
+	args := []string{"-run", "hotalloc,nosuch", "testdata/src/hotalloc_bad"}
+	var out, errOut bytes.Buffer
+	if code := Main(args, &out, &errOut); code != 2 {
+		t.Errorf("Main(%v) exited %d, want 2", args, code)
+	}
+	if !strings.Contains(errOut.String(), `unknown analyzer "nosuch"`) {
+		t.Errorf("Main(%v) stderr %q does not name the unknown analyzer", args, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "errcheck") {
+		t.Errorf("Main(%v) stderr %q does not list the known analyzers", args, errOut.String())
+	}
+}
+
+// TestMainRejectsRemovedFlags pins the two deleted capabilities as usage
+// errors: baseline mode is gone (the gate is zero findings), and -run is the
+// one way to select analyzers (-analyzers only lists).
+func TestMainRejectsRemovedFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-run", "nosuch", "testdata/src/hotalloc_bad"},
-		{"-analyzers=hotalloc,nosuch", "testdata/src/hotalloc_bad"},
+		{"-baseline", "x", "testdata/src/hotalloc_bad"},
+		{"-analyzers=hotalloc", "testdata/src/hotalloc_bad"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := Main(args, &out, &errOut); code != 2 {
-			t.Errorf("Main(%v) exited %d, want 2", args, code)
-		}
-		if !strings.Contains(errOut.String(), `unknown analyzer "nosuch"`) {
-			t.Errorf("Main(%v) stderr %q does not name the unknown analyzer", args, errOut.String())
-		}
-		if !strings.Contains(errOut.String(), "hotalloc") {
-			t.Errorf("Main(%v) stderr %q does not list the known analyzers", args, errOut.String())
+			t.Errorf("Main(%v) exited %d, want 2 (stdout: %s)", args, code, out.String())
 		}
 	}
 }
 
 func TestMainAnalyzerSelection(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := Main([]string{"-analyzers=hotalloc", "testdata/src/hotalloc_bad"}, &out, &errOut)
+	code := Main([]string{"-run", "hotalloc", "testdata/src/hotalloc_bad"}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("selection run exited %d, want 1 (stderr: %s)", code, errOut.String())
 	}
@@ -64,68 +73,6 @@ func TestSARIFDeduplicatesResults(t *testing.T) {
 	}
 	if got := strings.Count(buf.String(), `"ruleId"`); got != 2 {
 		t.Errorf("SARIF has %d results after dedup, want 2\n%s", got, buf.String())
-	}
-}
-
-func TestDiffBaseline(t *testing.T) {
-	old := Diagnostic{File: "a.go", Line: 1, Col: 1, Analyzer: "hotalloc", Message: "known debt"}
-	fresh := Diagnostic{File: "b.go", Line: 2, Col: 2, Analyzer: "ctxflow", Message: "regression"}
-	gone := Diagnostic{File: "c.go", Line: 3, Col: 3, Analyzer: "errcheck", Message: "since fixed"}
-	baseline := map[string]bool{old.Fingerprint(): true, gone.Fingerprint(): true}
-
-	delta := DiffBaseline([]Diagnostic{old, fresh, fresh}, baseline)
-	if delta.Baseline != 2 || delta.Current != 2 {
-		t.Errorf("delta counts = %d baseline / %d current, want 2/2", delta.Baseline, delta.Current)
-	}
-	if len(delta.New) != 1 || delta.New[0].Fingerprint() != fresh.Fingerprint() {
-		t.Errorf("delta.New = %v, want just the regression", delta.New)
-	}
-	if delta.Fixed != 1 {
-		t.Errorf("delta.Fixed = %d, want 1", delta.Fixed)
-	}
-}
-
-// TestMainBaselineGatesOnNewFindingsOnly round-trips the SARIF writer through
-// the baseline reader: a run compared against its own baseline passes, and
-// against an empty baseline fails with the delta table on stdout.
-func TestMainBaselineGatesOnNewFindingsOnly(t *testing.T) {
-	fixture := filepath.Join("testdata", "src", "hotalloc_bad")
-	var sarif, errOut bytes.Buffer
-	if code := Main([]string{"-sarif", "-run", "hotalloc", fixture}, &sarif, &errOut); code != 1 {
-		t.Fatalf("SARIF run exited %d, want 1 (stderr: %s)", code, errOut.String())
-	}
-	dir := t.TempDir()
-	selfBaseline := filepath.Join(dir, "self.sarif")
-	if err := os.WriteFile(selfBaseline, sarif.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out bytes.Buffer
-	errOut.Reset()
-	code := Main([]string{"-baseline", selfBaseline, "-run", "hotalloc", fixture}, &out, &errOut)
-	if code != 0 {
-		t.Errorf("run against its own baseline exited %d, want 0\n%s%s", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(out.String(), "| new | 0 |") {
-		t.Errorf("delta table missing zero-new row:\n%s", out.String())
-	}
-
-	empty := filepath.Join(dir, "empty.sarif")
-	var emptyBuf bytes.Buffer
-	if err := WriteSARIF(&emptyBuf, Analyzers(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(empty, emptyBuf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errOut.Reset()
-	code = Main([]string{"-baseline", empty, "-run", "hotalloc", fixture}, &out, &errOut)
-	if code != 1 {
-		t.Errorf("run against an empty baseline exited %d, want 1\n%s%s", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(out.String(), "New findings:") {
-		t.Errorf("delta table does not list the new findings:\n%s", out.String())
 	}
 }
 

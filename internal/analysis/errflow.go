@@ -4,7 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // ErrFlow enforces the output-buffer error contract of the compression API:
@@ -91,41 +92,24 @@ func fdReturnsError(fd *ast.FuncDecl) bool {
 	return ok && id.Name == "error"
 }
 
-// outWriteFact is the may-analysis fact: source positions of output-buffer
-// writes that may have executed.
-type outWriteFact map[token.Pos]bool
-
+// outWriteProblem is the may-analysis: its fact is the set of source
+// positions of output-buffer writes that may have executed.
 type outWriteProblem struct {
+	mayFacts[token.Pos]
 	pass *Pass
 	out  *types.Var
 }
 
-func (p *outWriteProblem) EntryFact() any { return outWriteFact{} }
+func (p *outWriteProblem) EntryFact() set[token.Pos] { return set[token.Pos]{} }
 
-func (p *outWriteProblem) Transfer(fact any, n ast.Node) any {
-	f := fact.(outWriteFact)
-	out := f
-	mutated := false
-	add := func(pos token.Pos) {
-		if out[pos] {
-			return
-		}
-		if !mutated {
-			out = make(outWriteFact, len(f)+1)
-			for k := range f {
-				out[k] = true
-			}
-			mutated = true
-		}
-		out[pos] = true
-	}
+func (p *outWriteProblem) Transfer(f set[token.Pos], n ast.Node) set[token.Pos] {
 	inspectNoFuncLit(n, func(m ast.Node) bool {
 		if pos, ok := p.writeAt(m); ok {
-			add(pos)
+			f = f.with(pos)
 		}
 		return true
 	})
-	return out
+	return f
 }
 
 // writeAt reports whether node m mutates the output parameter.
@@ -170,31 +154,6 @@ func (p *outWriteProblem) varOf(id *ast.Ident) *types.Var {
 	return v
 }
 
-func (p *outWriteProblem) Join(a, b any) any {
-	fa, fb := a.(outWriteFact), b.(outWriteFact)
-	out := make(outWriteFact, len(fa))
-	for k := range fa {
-		out[k] = true
-	}
-	for k := range fb {
-		out[k] = true
-	}
-	return out
-}
-
-func (p *outWriteProblem) Equal(a, b any) bool {
-	fa, fb := a.(outWriteFact), b.(outWriteFact)
-	if len(fa) != len(fb) {
-		return false
-	}
-	for k := range fa {
-		if !fb[k] {
-			return false
-		}
-	}
-	return true
-}
-
 func analyzeErrFlow(pass *Pass, fd *ast.FuncDecl, out *types.Var) {
 	cfg := BuildCFG(fd.Name.Name, fd.Body)
 	writes := &outWriteProblem{pass: pass, out: out}
@@ -207,7 +166,7 @@ func analyzeErrFlow(pass *Pass, fd *ast.FuncDecl, out *types.Var) {
 	for _, blk := range cfg.Blocks {
 		wFact, okW := wRes.In[blk]
 		rdFact, okR := rdRes.In[blk]
-		if !okW || !okR || wFact == nil || rdFact == nil {
+		if !okW || !okR {
 			continue
 		}
 		for _, n := range blk.Nodes {
@@ -217,19 +176,10 @@ func analyzeErrFlow(pass *Pass, fd *ast.FuncDecl, out *types.Var) {
 					return true
 				}
 				errExpr := ret.Results[len(ret.Results)-1]
-				if !errMaybeNonNil(pass, rd, rdFact, errExpr) {
+				if len(wFact) == 0 || !errMaybeNonNil(rd, rdFact, errExpr) {
 					return true
 				}
-				f := wFact.(outWriteFact)
-				if len(f) == 0 {
-					return true
-				}
-				positions := make([]token.Pos, 0, len(f))
-				for pos := range f {
-					positions = append(positions, pos)
-				}
-				sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
-				first := pass.Pkg.Fset.Position(positions[0])
+				first := pass.Pkg.Fset.Position(slices.Min(slices.Collect(maps.Keys(wFact))))
 				pass.Reportf(ret.Pos(),
 					"%s returns a possibly non-nil error after writing %s (line %d): error paths must not leave partially-written output",
 					fd.Name.Name, out.Name(), first.Line)
@@ -246,10 +196,10 @@ func analyzeErrFlow(pass *Pass, fd *ast.FuncDecl, out *types.Var) {
 // variable is safe when every definition reaching the return is nil (either
 // an explicit nil assignment or a zero-value var declaration). Anything
 // else — fresh calls, fields, parameters — is assumed fallible.
-func errMaybeNonNil(pass *Pass, rd *ReachingDefs, fact any, e ast.Expr) bool {
+func errMaybeNonNil(rd *ReachingDefs, fact rdFact, e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.ParenExpr:
-		return errMaybeNonNil(pass, rd, fact, x.X)
+		return errMaybeNonNil(rd, fact, x.X)
 	case *ast.Ident:
 		if x.Name == "nil" {
 			return false

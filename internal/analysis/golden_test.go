@@ -54,9 +54,10 @@ var goldenCases = []struct {
 	{"regress_zfp_bad", "untrustedloop"},
 	{"regress_delta_bad", "untrustedindex"},
 	// Sanitizer idioms: the accepted five produce an empty golden across all
-	// three taint analyzers; the rejected shapes must each report.
+	// three taint analyzers; the rejected shapes — caps that bound nothing,
+	// positive-step guards that admit zero — must each report.
 	{"taintsan_accepted", "untrustedalloc,untrustedloop,untrustedindex"},
-	{"taintsan_rejected_bad", "untrustedalloc"},
+	{"taintsan_rejected_bad", "untrustedalloc,untrustedloop"},
 	// Suppression scope: a directive inside a go/defer literal must not
 	// silence the enclosing statement's finding on the shared line.
 	{"lintscope_bad", "errcheck"},
@@ -148,15 +149,40 @@ func TestGoldenPositiveCasesReport(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing golden file (run go test ./internal/analysis -update): %v", err)
 		}
-		tag := "[" + tc.analyzer + "]"
-		switch {
-		case strings.HasSuffix(tc.name, "_bad"):
-			if !strings.Contains(string(data), tag) {
-				t.Errorf("%s: golden has no %s diagnostics; the analyzer found nothing in its positive fixture", tc.name, tag)
+		for _, analyzer := range strings.Split(tc.analyzer, ",") {
+			tag := "[" + analyzer + "]"
+			switch {
+			case strings.HasSuffix(tc.name, "_bad"):
+				if !strings.Contains(string(data), tag) {
+					t.Errorf("%s: golden has no %s diagnostics; the analyzer found nothing in its positive fixture", tc.name, tag)
+				}
+			case strings.HasSuffix(tc.name, "_suppressed"):
+				if strings.Contains(string(data), tag) {
+					t.Errorf("%s: golden still contains %s diagnostics; suppression is not working", tc.name, tag)
+				}
 			}
-		case strings.HasSuffix(tc.name, "_suppressed"):
-			if strings.Contains(string(data), tag) {
-				t.Errorf("%s: golden still contains %s diagnostics; suppression is not working", tc.name, tag)
+		}
+	}
+}
+
+// TestGoldenNoOrphans fails when a golden file or a fixture directory has no
+// goldenCases entry: a golden that outlives its analyzer is dead weight that
+// still reads like coverage.
+func TestGoldenNoOrphans(t *testing.T) {
+	// Owned by other tests: the CFG dump golden (TestCFGDumps) and the
+	// call-graph fixture package (callgraph_test.go).
+	known := map[string]bool{"cfg_dumps": true, "callgraphx": true}
+	for _, tc := range goldenCases {
+		known[tc.name] = true
+	}
+	for _, dir := range []string{"golden", "src"} {
+		entries, err := os.ReadDir(filepath.Join("testdata", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if name := strings.TrimSuffix(e.Name(), ".txt"); !known[name] {
+				t.Errorf("testdata/%s/%s has no goldenCases entry: add the case or delete the orphan", dir, e.Name())
 			}
 		}
 	}

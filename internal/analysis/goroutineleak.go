@@ -128,24 +128,17 @@ func closureHazard(closure []*FuncNode, sums *Summaries, spawnerBuf map[string]b
 				// A select whose comms are all sends (no default) can park
 				// forever; one with a receive case is release-able by close
 				// and one with default never parks.
-				hasDefault, hasRecv := false, false
+				hasRecv := false
 				for _, c := range x.Body.List {
-					cc, ok := c.(*ast.CommClause)
-					if !ok {
-						continue
-					}
-					if cc.Comm == nil {
-						hasDefault = true
-					} else if commIsReceive(cc.Comm) {
+					if cc := c.(*ast.CommClause); cc.Comm != nil && commIsReceive(cc.Comm) {
 						hasRecv = true
 					}
 				}
-				if !hasDefault && !hasRecv {
+				if !selectHasDefault(x) && !hasRecv {
 					why = "selects over sends only"
 				}
 			case *ast.CallExpr:
-				fn := calleeObject(n.Pkg, x)
-				if reason, forever, ok := stdlibBlocking(fn); ok && forever {
+				if reason, _, forever := stdlibBlocking(n.Pkg, x); forever {
 					why = reason
 				}
 			}
@@ -181,7 +174,7 @@ func closureCancellable(closure []*FuncNode, sums *Summaries) bool {
 				// range over a channel terminates on close; checking the
 				// operand type is unnecessary — ranging anything else is not
 				// a blocking hazard in the first place.
-				if _, isChan := rangeOverChan(n.Pkg, x); isChan {
+				if rangesOverChan(n.Pkg, x) {
 					found = true
 				}
 			case *ast.CallExpr:
@@ -208,23 +201,10 @@ func isWaitGroupDone(pkg *Package, call *ast.CallExpr) bool {
 		return false
 	}
 	if pkg.Info == nil {
-		key := exprKey(sel.X)
-		return key != "" && stringsContainsFold(key, "wg")
+		return strings.Contains(strings.ToLower(exprKey(sel.X)), "wg")
 	}
-	tv, ok := pkg.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "WaitGroup"
-}
-
-func stringsContainsFold(s, sub string) bool {
-	return strings.Contains(strings.ToLower(s), sub)
+	obj := namedType(pkg, sel.X)
+	return obj != nil && obj.Name() == "WaitGroup"
 }
 
 // commIsReceive reports whether a select comm statement is a receive.
@@ -243,19 +223,17 @@ func commIsReceive(s ast.Stmt) bool {
 	return false
 }
 
-// rangeOverChan reports whether a range statement iterates a channel.
-func rangeOverChan(pkg *Package, r *ast.RangeStmt) (ast.Expr, bool) {
+// rangesOverChan reports whether a range statement iterates a channel.
+func rangesOverChan(pkg *Package, r *ast.RangeStmt) bool {
 	if pkg.Info == nil {
-		return nil, false
+		return false
 	}
 	tv, ok := pkg.Info.Types[r.X]
 	if !ok || tv.Type == nil {
-		return nil, false
+		return false
 	}
-	if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-		return r.X, true
-	}
-	return nil, false
+	_, isChan := tv.Type.Underlying().(*types.Chan)
+	return isChan
 }
 
 // bufferedChanKeys collects the exprKeys of locals bound to make(chan T, n)
@@ -266,34 +244,20 @@ func bufferedChanKeys(body *ast.BlockStmt) map[string]bool {
 	if body == nil {
 		return keys
 	}
-	inspectNoFuncLit(body, func(m ast.Node) bool {
-		asg, ok := m.(*ast.AssignStmt)
-		if !ok {
-			return true
+	forEachCallBinding(body, "make", func(lhs ast.Expr, call *ast.CallExpr) {
+		if len(call.Args) != 2 {
+			return
 		}
-		for i, rhs := range asg.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || len(call.Args) != 2 {
-				continue
-			}
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok || id.Name != "make" {
-				continue
-			}
-			if _, isChan := call.Args[0].(*ast.ChanType); !isChan {
-				continue
-			}
-			lit, ok := ast.Unparen(call.Args[1]).(*ast.BasicLit)
-			if !ok || lit.Kind != token.INT || lit.Value == "0" {
-				continue
-			}
-			if i < len(asg.Lhs) {
-				if k := exprKey(asg.Lhs[i]); k != "" {
-					keys[k] = true
-				}
-			}
+		if _, isChan := call.Args[0].(*ast.ChanType); !isChan {
+			return
 		}
-		return true
+		lit, ok := ast.Unparen(call.Args[1]).(*ast.BasicLit)
+		if !ok || lit.Kind != token.INT || lit.Value == "0" {
+			return
+		}
+		if k := exprKey(lhs); k != "" {
+			keys[k] = true
+		}
 	})
 	return keys
 }

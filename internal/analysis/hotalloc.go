@@ -87,41 +87,18 @@ func runHotAlloc(pass *Pass) {
 // those are their own nodes), skipping cold-path error-construction
 // subtrees.
 func forEachLoopCall(n *FuncNode, visit func(*ast.CallExpr)) {
-	var walk func(root ast.Node, loopDepth int)
-	walk = func(root ast.Node, loopDepth int) {
-		ast.Inspect(root, func(m ast.Node) bool {
-			if m == nil || m == root {
-				return true
+	walkLoopDepth(n.Body, 0, func(m ast.Node, loopDepth int) bool {
+		switch x := m.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if isColdPathCall(n.Pkg, x) {
+				return false
 			}
-			switch x := m.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.ForStmt:
-				if x.Init != nil {
-					walk(x.Init, loopDepth)
-				}
-				if x.Cond != nil {
-					walk(x.Cond, loopDepth)
-				}
-				if x.Post != nil {
-					walk(x.Post, loopDepth)
-				}
-				walk(x.Body, loopDepth+1)
-				return false
-			case *ast.RangeStmt:
-				walk(x.X, loopDepth)
-				walk(x.Body, loopDepth+1)
-				return false
-			case *ast.CallExpr:
-				if isColdPathCall(n.Pkg, x) {
-					return false
-				}
-				if loopDepth > 0 {
-					visit(x)
-				}
+			if loopDepth > 0 {
+				visit(x)
 			}
-			return true
-		})
-	}
-	walk(n.Body, 0)
+		}
+		return true
+	})
 }

@@ -122,10 +122,6 @@ type lockedImporter struct {
 func (l *lockedImporter) Import(path string) (*types.Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// lint:ignore is required: serializing the importer IS the point — the
-	// wrapped cache is unsafe for concurrent use, so the I/O must happen
-	// inside the critical section.
-	//lint:ignore blockinglock the mutex exists to serialize this Import; the I/O cannot leave the critical section
 	return l.imp.Import(path)
 }
 

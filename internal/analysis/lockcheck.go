@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -102,8 +104,8 @@ type acqSite struct {
 // plus the lock keys for which a deferred release is registered (a later
 // Lock of such a key is already paired).
 type lockPairFact struct {
-	pending  map[acqSite]bool
-	deferred map[string]bool // key + "/r" marker for read locks
+	pending  set[acqSite]
+	deferred set[string] // key + "/r" marker for read locks
 }
 
 func deferKey(key string, read bool) string {
@@ -113,43 +115,19 @@ func deferKey(key string, read bool) string {
 	return key
 }
 
-func (f lockPairFact) clone() lockPairFact {
-	out := lockPairFact{
-		pending:  make(map[acqSite]bool, len(f.pending)),
-		deferred: make(map[string]bool, len(f.deferred)),
-	}
-	for k := range f.pending {
-		out.pending[k] = true
-	}
-	for k := range f.deferred {
-		out.deferred[k] = true
-	}
-	return out
-}
-
 type lockPairProblem struct {
 	pkg *Package
 }
 
-func (p *lockPairProblem) EntryFact() any {
-	return lockPairFact{pending: map[acqSite]bool{}, deferred: map[string]bool{}}
+func (p *lockPairProblem) EntryFact() lockPairFact {
+	return lockPairFact{pending: set[acqSite]{}, deferred: set[string]{}}
 }
 
-func (p *lockPairProblem) Transfer(fact any, n ast.Node) any {
-	f := fact.(lockPairFact)
-	out := f
-	mutated := false
-	ensure := func() {
-		if !mutated {
-			out = f.clone()
-			mutated = true
-		}
-	}
+func (p *lockPairProblem) Transfer(f lockPairFact, n ast.Node) lockPairFact {
 	release := func(key string, read bool) {
-		ensure()
-		for site := range out.pending {
+		for site := range f.pending {
 			if site.key == key && site.read == read {
-				delete(out.pending, site)
+				f.pending = f.pending.without(site)
 			}
 		}
 	}
@@ -158,10 +136,9 @@ func (p *lockPairProblem) Transfer(fact any, n ast.Node) any {
 		// on every path out of the function.
 		for _, op := range deferredReleases(p.pkg, def) {
 			release(op.key, op.read)
-			ensure()
-			out.deferred[deferKey(op.key, op.read)] = true
+			f.deferred = f.deferred.with(deferKey(op.key, op.read))
 		}
-		return out
+		return f
 	}
 	inspectNoFuncLit(n, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
@@ -172,18 +149,17 @@ func (p *lockPairProblem) Transfer(fact any, n ast.Node) any {
 		if !ok {
 			return true
 		}
-		if op.acquire {
-			if out.deferred[deferKey(op.key, op.read)] {
-				return true // already paired by a registered deferred release
-			}
-			ensure()
-			out.pending[acqSite{key: op.key, read: op.read, pos: call.Pos()}] = true
-		} else {
+		switch {
+		case !op.acquire:
 			release(op.key, op.read)
+		case f.deferred[deferKey(op.key, op.read)]:
+			// already paired by a registered deferred release
+		default:
+			f.pending = f.pending.with(acqSite{key: op.key, read: op.read, pos: call.Pos()})
 		}
 		return true
 	})
-	return out
+	return f
 }
 
 // deferredReleases lists the unlock operations a defer statement registers:
@@ -206,146 +182,75 @@ func deferredReleases(pkg *Package, def *ast.DeferStmt) []lockOp {
 	return ops
 }
 
-func (p *lockPairProblem) Join(a, b any) any {
-	fa, fb := a.(lockPairFact), b.(lockPairFact)
-	out := fa.clone()
-	for k := range fb.pending {
-		out.pending[k] = true
-	}
-	for k := range fb.deferred {
-		out.deferred[k] = true
-	}
-	return out
+func (p *lockPairProblem) Join(a, b lockPairFact) lockPairFact {
+	return lockPairFact{pending: a.pending.union(b.pending), deferred: a.deferred.union(b.deferred)}
 }
 
-func (p *lockPairProblem) Equal(a, b any) bool {
-	fa, fb := a.(lockPairFact), b.(lockPairFact)
-	if len(fa.pending) != len(fb.pending) || len(fa.deferred) != len(fb.deferred) {
-		return false
-	}
-	for k := range fa.pending {
-		if !fb.pending[k] {
-			return false
-		}
-	}
-	for k := range fa.deferred {
-		if !fb.deferred[k] {
-			return false
-		}
-	}
-	return true
+func (p *lockPairProblem) Equal(a, b lockPairFact) bool {
+	return maps.Equal(a.pending, b.pending) && maps.Equal(a.deferred, b.deferred)
 }
 
 func runLockCheck(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		for _, unit := range funcUnits(f) {
-			cfg := BuildCFG(cfgName(pass.Pkg.Fset, unit), unit.Body)
-			problem := &lockPairProblem{pkg: pass.Pkg}
-			res := Solve(cfg, problem)
-			exit := ExitFact(res, cfg)
-			if exit == nil {
-				continue // no path reaches the end (e.g. infinite loop)
-			}
-			leaks := exit.(lockPairFact)
-			var sites []acqSite
-			for site := range leaks.pending {
-				sites = append(sites, site)
-			}
-			sort.Slice(sites, func(i, j int) bool { return sites[i].pos < sites[j].pos })
-			for _, site := range sites {
-				lockName, unlockName := "Lock", "Unlock"
-				if site.read {
-					lockName, unlockName = "RLock", "RUnlock"
-				}
-				pass.Reportf(site.pos,
-					"%s.%s() is not released on every path out of %s: add the missing %s or prefer defer %s.%s()",
-					site.key, lockName, cfg.Name, unlockName, site.key, unlockName)
-			}
+	forEachUnit(pass, func(u *unitFlow) {
+		leaks, ok := Solve(u.CFG, &lockPairProblem{pkg: pass.Pkg}).In[u.CFG.Exit]
+		if !ok {
+			return // no path reaches the end (e.g. infinite loop)
 		}
-	}
+		sites := slices.SortedFunc(maps.Keys(leaks.pending), func(a, b acqSite) int { return cmp.Compare(a.pos, b.pos) })
+		for _, site := range sites {
+			lockName, unlockName := "Lock", "Unlock"
+			if site.read {
+				lockName, unlockName = "RLock", "RUnlock"
+			}
+			pass.Reportf(site.pos,
+				"%s.%s() is not released on every path out of %s: add the missing %s or prefer defer %s.%s()",
+				site.key, lockName, u.CFG.Name, unlockName, site.key, unlockName)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
-// Must-held analysis (shared with the threadsafe analyzer)
+// Must-held analysis (solved once per unit by forEachUnit, read by the
+// threadsafe and blockinglock analyzers)
 
-// heldFact is the must-analysis fact: the set of lock keys held on EVERY
-// path reaching a point. Join is set intersection.
-type heldFact map[string]bool
-
+// heldLocksProblem is the must-analysis: its fact is the set of lock keys
+// held on EVERY path reaching a point, so Join is set intersection.
 type heldLocksProblem struct {
 	pkg   *Package
-	entry heldFact
+	entry set[string]
 }
 
 // newHeldLocksProblem prepares the must-held problem for one unit. A
 // function literal passed to x.Do(...) starts with the Once guard held —
 // the runtime serializes it.
 func newHeldLocksProblem(pkg *Package, unit FuncUnit) *heldLocksProblem {
-	entry := heldFact{}
+	entry := set[string]{}
 	if unit.OnceGuard != "" {
 		entry[unit.OnceGuard] = true
 	}
 	return &heldLocksProblem{pkg: pkg, entry: entry}
 }
 
-func (p *heldLocksProblem) EntryFact() any { return p.entry }
+func (p *heldLocksProblem) EntryFact() set[string] { return p.entry }
 
-func (p *heldLocksProblem) Transfer(fact any, n ast.Node) any {
-	f := fact.(heldFact)
+func (p *heldLocksProblem) Transfer(f set[string], n ast.Node) set[string] {
 	if _, ok := n.(*ast.DeferStmt); ok {
 		return f // a deferred Unlock releases at exit; the lock stays held here
-	}
-	out := f
-	mutated := false
-	ensure := func() {
-		if !mutated {
-			out = make(heldFact, len(f))
-			for k := range f {
-				out[k] = true
-			}
-			mutated = true
-		}
 	}
 	inspectNoFuncLit(n, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		op, ok := classifyLockCall(p.pkg, call)
-		if !ok {
-			return true
-		}
-		ensure()
-		if op.acquire {
-			out[op.key] = true
-		} else {
-			delete(out, op.key)
+		if op, ok := classifyLockCall(p.pkg, call); ok && op.acquire {
+			f = f.with(op.key)
+		} else if ok {
+			f = f.without(op.key)
 		}
 		return true
 	})
-	return out
+	return f
 }
 
-func (p *heldLocksProblem) Join(a, b any) any {
-	fa, fb := a.(heldFact), b.(heldFact)
-	out := make(heldFact)
-	for k := range fa {
-		if fb[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func (p *heldLocksProblem) Equal(a, b any) bool {
-	fa, fb := a.(heldFact), b.(heldFact)
-	if len(fa) != len(fb) {
-		return false
-	}
-	for k := range fa {
-		if !fb[k] {
-			return false
-		}
-	}
-	return true
-}
+func (p *heldLocksProblem) Join(a, b set[string]) set[string] { return a.intersect(b) }
+func (p *heldLocksProblem) Equal(a, b set[string]) bool       { return maps.Equal(a, b) }

@@ -45,24 +45,7 @@ func runPanicFree(pass *Pass) {
 		return // package registers no compressors; nothing is reachable
 	}
 
-	methods := make(map[string]map[string]bool)
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			d, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			recv := receiverTypeName(d)
-			if recv == "" {
-				continue
-			}
-			if methods[recv] == nil {
-				methods[recv] = make(map[string]bool)
-			}
-			methods[recv][d.Name.Name] = true
-		}
-	}
-
+	methods := pass.Facts.Methods[pass.Pkg.Path]
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			d, ok := decl.(*ast.FuncDecl)

@@ -45,8 +45,8 @@ func runRegistration(pass *Pass) {
 		return // the package defining the interfaces is not a plugin package
 	}
 
-	methods := make(map[string]map[string]bool) // type -> method set
-	prefixLit := make(map[string]string)        // type -> literal Prefix() value
+	methods := pass.Facts.Methods[pass.Pkg.Path]
+	prefixLit := make(map[string]string) // type -> literal Prefix() value
 	typePos := make(map[string]token.Pos)
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
@@ -65,10 +65,6 @@ func runRegistration(pass *Pass) {
 				if recv == "" {
 					continue
 				}
-				if methods[recv] == nil {
-					methods[recv] = make(map[string]bool)
-				}
-				methods[recv][d.Name.Name] = true
 				if _, ok := typePos[recv]; !ok {
 					typePos[recv] = d.Pos()
 				}
@@ -93,9 +89,9 @@ func runRegistration(pass *Pass) {
 	}
 
 	// (a) implementations of a kind the package never registers.
-	for typ, set := range methods {
+	for typ, mset := range methods {
 		for kind, required := range implSignatures {
-			if kindsRegistered[kind] || !hasAll(set, required) {
+			if kindsRegistered[kind] || !hasAll(mset, required) {
 				continue
 			}
 			pass.Reportf(typePos[typ],
@@ -204,9 +200,9 @@ func singleReturnString(d *ast.FuncDecl) (string, bool) {
 	return stringLit(ret.Results[0])
 }
 
-func hasAll(set map[string]bool, names []string) bool {
+func hasAll(methods set[string], names []string) bool {
 	for _, n := range names {
-		if !set[n] {
+		if !methods[n] {
 			return false
 		}
 	}

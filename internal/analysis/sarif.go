@@ -67,8 +67,8 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn"`
 }
 
-// Fingerprint identifies a diagnostic for deduplication and baseline
-// comparison: same analyzer, same position, same message.
+// Fingerprint identifies a diagnostic for deduplication: same analyzer, same
+// position, same message.
 func (d Diagnostic) Fingerprint() string {
 	return fmt.Sprintf("%s|%s:%d:%d|%s", d.Analyzer, d.File, d.Line, d.Col, d.Message)
 }
@@ -129,80 +129,4 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, diags []Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// ReadSARIFBaseline parses a SARIF log (as written by WriteSARIF) and returns
-// the fingerprint set of its results, for new-vs-baseline comparison.
-func ReadSARIFBaseline(r io.Reader) (map[string]bool, error) {
-	var log sarifLog
-	if err := json.NewDecoder(r).Decode(&log); err != nil {
-		return nil, fmt.Errorf("parse SARIF baseline: %w", err)
-	}
-	fps := map[string]bool{}
-	for _, run := range log.Runs {
-		for _, res := range run.Results {
-			d := Diagnostic{Analyzer: res.RuleID, Message: res.Message.Text}
-			if len(res.Locations) > 0 {
-				pl := res.Locations[0].PhysicalLocation
-				d.File = pl.ArtifactLocation.URI
-				d.Line = pl.Region.StartLine
-				d.Col = pl.Region.StartColumn
-			}
-			fps[d.Fingerprint()] = true
-		}
-	}
-	return fps, nil
-}
-
-// BaselineDelta is the result of comparing a run against a committed SARIF
-// baseline: only New findings gate a build; Fixed is how many baseline
-// entries no longer fire (a nudge to re-record the baseline).
-type BaselineDelta struct {
-	Baseline int
-	Current  int
-	New      []Diagnostic
-	Fixed    int
-}
-
-// DiffBaseline splits the (deduplicated) current diagnostics into those
-// already present in the baseline and those that are new, and counts baseline
-// entries that no longer reproduce.
-func DiffBaseline(diags []Diagnostic, baseline map[string]bool) BaselineDelta {
-	diags = DedupeDiagnostics(diags)
-	delta := BaselineDelta{Baseline: len(baseline), Current: len(diags)}
-	matched := map[string]bool{}
-	for _, d := range diags {
-		fp := d.Fingerprint()
-		if baseline[fp] {
-			matched[fp] = true
-			continue
-		}
-		delta.New = append(delta.New, d)
-	}
-	delta.Fixed = len(baseline) - len(matched)
-	return delta
-}
-
-// WriteDeltaTable renders the baseline comparison as a Markdown table (the
-// shape CI drops into its job summary) followed by the new findings.
-func (delta BaselineDelta) WriteDeltaTable(w io.Writer) {
-	fmt.Fprintln(w, "| findings | count |")
-	fmt.Fprintln(w, "|---|---|")
-	fmt.Fprintf(w, "| baseline | %d |\n", delta.Baseline)
-	fmt.Fprintf(w, "| current | %d |\n", delta.Current)
-	fmt.Fprintf(w, "| new | %d |\n", len(delta.New))
-	fmt.Fprintf(w, "| fixed | %d |\n", delta.Fixed)
-	if len(delta.New) > 0 {
-		fmt.Fprintln(w)
-		fmt.Fprintln(w, "New findings:")
-		for _, d := range delta.New {
-			fmt.Fprintf(w, "- `%s`\n", d.String())
-		}
-	}
-	if delta.Fixed > 0 {
-		// Stale fingerprints warn rather than fail: recorded debt that no
-		// longer reproduces should be pruned, but must not block a build.
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "warning: %d baseline fingerprint(s) no longer reproduce; run `make lint-baseline` to re-record the baseline\n", delta.Fixed)
-	}
 }

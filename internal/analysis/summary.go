@@ -9,12 +9,12 @@ import (
 
 // This file computes per-function summaries bottom-up over the call graph's
 // SCC condensation. A summary answers, for one function body, the questions
-// the interprocedural analyzers ask at call sites: can this call block (and
-// why), does it allocate (and where), does it spawn goroutines, does it
-// take or release locks, does it see a context. Within an SCC the booleans
-// are monotone, so the computation iterates the bottom-up order to a
-// fixpoint; calls that leave the module (standard library) are classified by
-// the curated tables below instead of a summary.
+// the interprocedural analyzers ask at call sites: can this call block (on
+// whom, and why), does it allocate (and where), does it spawn goroutines,
+// does it see a context. Within an SCC the facts are monotone, so the
+// computation iterates the bottom-up order to a fixpoint; calls that leave
+// the module (standard library) are classified by the curated tables below
+// instead of a summary.
 
 // FuncSummary is the interprocedural abstract of one function body.
 type FuncSummary struct {
@@ -23,10 +23,13 @@ type FuncSummary struct {
 
 	// Blocks: a call may not return promptly — channel operations, I/O,
 	// sync waits, or a Compress/Decompress dispatch (whose cost is the
-	// codec's, unbounded from the caller's perspective). Propagates through
-	// every call edge except go statements (the spawner does not wait).
-	Blocks   bool
-	BlockWhy string
+	// codec's, unbounded from the caller's perspective). BlockKind says who
+	// bounds the strongest such wait in the body or its callees and BlockWhy
+	// names it. Propagates through every call edge except go statements (the
+	// spawner does not wait).
+	Blocks    bool
+	BlockKind BlockKind
+	BlockWhy  string
 
 	// BlocksForever: the stronger property goroutine-leak analysis needs —
 	// the body can block indefinitely on external events (channel ops,
@@ -41,12 +44,7 @@ type FuncSummary struct {
 	// append grows w.buf"), empty for own sites.
 	Allocates bool
 	AllocWhat string
-	AllocPos  token.Pos
 	AllocVia  string
-
-	// AcquiresLock / ReleasesLock: the body performs mutex operations.
-	AcquiresLock bool
-	ReleasesLock bool
 
 	// HasCtxParam / UsesCtx: the declared signature takes a context.Context,
 	// and the body actually reads some context value (its own parameter or a
@@ -56,12 +54,6 @@ type FuncSummary struct {
 
 	// OwnAllocs lists the body's non-exempt allocation sites for hotalloc.
 	OwnAllocs []AllocSite
-
-	// TaintOut is the taint mask of each result value, over the function's
-	// own parameter bits plus the source bit; TaintIn records the sinks each
-	// parameter can reach. Both are backfilled by ComputeTaint (taint.go).
-	TaintOut []uint64
-	TaintIn  []TaintSinkRef
 }
 
 // AllocSite is one allocation the summary walker attributes to a body.
@@ -88,11 +80,32 @@ func (s *Summaries) Of(n *FuncNode) *FuncSummary {
 // ---------------------------------------------------------------------------
 // Curated classification of calls that leave the module.
 
+// BlockKind says who bounds a blocking operation. blockinglock only objects
+// to BlockPeer: a lock held across a local-disk write is a critical section
+// that includes I/O, while a lock held across a wait on somebody else is a
+// convoy whose length that somebody decides.
+type BlockKind uint8
+
+const (
+	// BlockLocal: nothing outside this process and its kernel is waited on —
+	// local-disk os/io/fs/syscall calls (os.Exit included: nobody queues
+	// behind a process that is gone), an io.Writer-shaped call into an
+	// in-memory hash, and sync.Cond.Wait, which releases its lock while
+	// parked.
+	BlockLocal BlockKind = iota + 1
+	// BlockPeer: another party bounds the wait — a channel peer, a
+	// WaitGroup's workers, a timer, a socket, a subprocess, whatever sits
+	// behind an io.Reader/io.Writer, a codec.
+	BlockPeer
+)
+
 // blockingStdPkgs are the packages whose exported calls are treated as I/O
-// that can stall indefinitely (sockets, pipes, files, subprocesses).
-var blockingStdPkgs = map[string]bool{
-	"net": true, "net/http": true, "os": true, "io": true,
-	"bufio": true, "os/exec": true, "syscall": true, "io/fs": true,
+// that can stall indefinitely, by who is on the other end: sockets, pipes,
+// subprocesses and arbitrary readers/writers are a peer; files are local.
+var blockingStdPkgs = map[string]BlockKind{
+	"net": BlockPeer, "net/http": BlockPeer, "os/exec": BlockPeer,
+	"io": BlockPeer, "bufio": BlockPeer,
+	"os": BlockLocal, "syscall": BlockLocal, "io/fs": BlockLocal,
 }
 
 // nonBlockingStdFuncs exempts the calls in those packages that never touch
@@ -113,7 +126,9 @@ var nonBlockingStdFuncs = map[string]bool{
 // dispatchMethodNames are the generic-compression entry points: a call to
 // any method with one of these names is a codec dispatch whose duration is
 // the plugin's business — holding a lock across one stalls every peer for as
-// long as the codec (or the external process behind it) takes.
+// long as the codec (or the external process behind it) takes. They are also
+// the methods whose first parameter is the caller-owned input buffer
+// (bufalias).
 var dispatchMethodNames = map[string]bool{
 	"Compress": true, "Decompress": true,
 	"CompressImpl": true, "DecompressImpl": true,
@@ -134,71 +149,109 @@ func qualifiedName(fn *types.Func) string {
 }
 
 // calleeObject resolves the called *types.Func of a call expression when the
-// callee is a named function or method (nil for function values/literals).
+// callee is a named function or method — F(...), x.F(...) and the generic
+// instantiations F[T](...) — and nil for function values and literals.
 func calleeObject(pkg *Package, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(x.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(x.X)
+	}
+	var fn *types.Func
+	switch x := fun.(type) {
+	case *ast.Ident:
+		fn, _ = pkg.objectOf(x).(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = pkg.objectOf(x.Sel).(*types.Func)
+	}
+	return fn
+}
+
+// stdlibBlocking classifies a call that leaves the module: the reason, who
+// bounds the wait (0 when the call does not block), and whether it can stall
+// indefinitely (what goroutineleak asks).
+func stdlibBlocking(pkg *Package, call *ast.CallExpr) (reason string, kind BlockKind, forever bool) {
+	fn := calleeObject(pkg, call)
+	if fn == nil || fn.Pkg() == nil {
+		return "", 0, false
+	}
+	var recv ast.Expr
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		recv = sel.X
+	}
+	q, path := qualifiedName(fn), fn.Pkg().Path()
+	switch {
+	case q == "time.Sleep":
+		return q, BlockPeer, false
+	case path == "sync" && fn.Name() == "Wait":
+		if isNamed(pkg, recv, "sync", "Cond") {
+			return "sync wait", BlockLocal, true
+		}
+		return "sync wait", BlockPeer, true
+	case nonBlockingStdFuncs[q]:
+		return "", 0, false
+	case path == "io" && isNamed(pkg, recv, "hash", ""):
+		return q + " (I/O)", BlockLocal, true // hash.Hash embeds io.Writer; the bytes go to memory
+	}
+	if kind := blockingStdPkgs[path]; kind != 0 {
+		return q + " (I/O)", kind, true
+	}
+	return "", 0, false
+}
+
+// namedType resolves the named type (through one pointer) of an expression's
+// static type; nil for unnamed types and missing type information.
+func namedType(pkg *Package, e ast.Expr) *types.TypeName {
 	if pkg.Info == nil {
 		return nil
 	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pkg.objectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pkg.objectOf(fun.Sel).(*types.Func)
-		return fn
-	case *ast.IndexExpr:
-		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			fn, _ := pkg.objectOf(id).(*types.Func)
-			return fn
-		}
-	case *ast.IndexListExpr:
-		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			fn, _ := pkg.objectOf(id).(*types.Func)
-			return fn
-		}
+	tv, ok := pkg.Info.Types[e]
+	if !ok || tv.Type == nil {
+		return nil
+	}
+	t := tv.Type
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
 	}
 	return nil
 }
 
-// stdlibBlocking classifies a call that leaves the module: ("reason", bounded)
-// where bounded=false means it can stall indefinitely.
-func stdlibBlocking(fn *types.Func) (reason string, forever bool, ok bool) {
-	if fn == nil || fn.Pkg() == nil {
-		return "", false, false
-	}
-	q := qualifiedName(fn)
-	switch q {
-	case "time.Sleep":
-		return "time.Sleep", false, true
-	}
-	if fn.Pkg().Path() == "sync" && fn.Name() == "Wait" {
-		return "sync wait", true, true
-	}
-	if blockingStdPkgs[fn.Pkg().Path()] && !nonBlockingStdFuncs[q] {
-		return q + " (I/O)", true, true
-	}
-	return "", false, false
+// isNamed reports whether e's static type is the named type pkgPath.name
+// (any type of pkgPath when name is "").
+func isNamed(pkg *Package, e ast.Expr, pkgPath, name string) bool {
+	obj := namedType(pkg, e)
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && (name == "" || obj.Name() == name)
 }
 
 // isDispatchCall reports whether the call is a compressor dispatch: a method
 // call named Compress/Decompress/CompressImpl/DecompressImpl. Matching is by
 // name so fixture packages can model dispatch without importing
-// internal/core; plain functions with those names (not methods) are exempt.
-func isDispatchCall(pkg *Package, call *ast.CallExpr) bool {
-	// Package-qualified forms (core.Compress(c, in)) count too: the helper
-	// forwards straight to the interface method.
+// internal/core; plain functions with those names (not methods) are exempt,
+// but package-qualified forms (core.Compress(c, in)) count: the helper
+// forwards straight to the interface method.
+func isDispatchCall(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	return ok && dispatchMethodNames[sel.Sel.Name]
+}
+
+// calleeQName renders the qualified name of a call's named callee ("" for
+// function values and literals), for lookups in the curated tables.
+func calleeQName(pkg *Package, call *ast.CallExpr) string {
+	if fn := calleeObject(pkg, call); fn != nil {
+		return qualifiedName(fn)
+	}
+	return ""
 }
 
 // isColdPathCall reports error-construction calls whose subtree the
 // allocation walker skips.
 func isColdPathCall(pkg *Package, call *ast.CallExpr) bool {
-	fn := calleeObject(pkg, call)
-	if fn == nil {
-		return false
-	}
-	return coldPathFuncs[qualifiedName(fn)]
+	return coldPathFuncs[calleeQName(pkg, call)]
 }
 
 // isContextType reports whether t is context.Context.
@@ -213,11 +266,7 @@ func isContextType(t types.Type) bool {
 
 // isContextCtorCall matches context.Background() / context.TODO().
 func isContextCtorCall(pkg *Package, call *ast.CallExpr) bool {
-	fn := calleeObject(pkg, call)
-	if fn == nil {
-		return false
-	}
-	q := qualifiedName(fn)
+	q := calleeQName(pkg, call)
 	return q == "context.Background" || q == "context.TODO"
 }
 
@@ -249,115 +298,75 @@ func ComputeSummaries(g *CallGraph) *Summaries {
 func (s *Summaries) local(n *FuncNode) *FuncSummary {
 	sum := &FuncSummary{}
 	pkg := n.Pkg
-	if n.Decl != nil && n.Decl.Type.Params != nil && pkg.Info != nil {
-		for _, field := range n.Decl.Type.Params.List {
-			if tv, ok := pkg.Info.Types[field.Type]; ok && tv.Type != nil && isContextType(tv.Type) {
-				sum.HasCtxParam = true
-			}
-		}
-	}
-	if n.Lit != nil && n.Lit.Type.Params != nil && pkg.Info != nil {
-		for _, field := range n.Lit.Type.Params.List {
+	if params := n.funcType().Params; params != nil && pkg.Info != nil {
+		for _, field := range params.List {
 			if tv, ok := pkg.Info.Types[field.Type]; ok && tv.Type != nil && isContextType(tv.Type) {
 				sum.HasCtxParam = true
 			}
 		}
 	}
 
-	block := func(why string, forever bool) {
-		if !sum.Blocks {
-			sum.Blocks, sum.BlockWhy = true, why
+	block := func(why string, kind BlockKind, forever bool) {
+		if kind > sum.BlockKind {
+			sum.Blocks, sum.BlockKind, sum.BlockWhy = true, kind, why
 		}
 		if forever && !sum.BlocksForever {
 			sum.BlocksForever, sum.BlockForeverWhy = true, why
 		}
 	}
 
-	// nonBlockingComms collects the comm statements of selects WITH a
-	// default clause: those channel operations never block.
-	nonBlockingComms := map[ast.Stmt]bool{}
-	inspectNoFuncLit(n.Body, func(m ast.Node) bool {
-		sel, ok := m.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		hasDefault := false
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if hasDefault {
-			for _, c := range sel.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-					nonBlockingComms[cc.Comm] = true
-				}
-			}
-		}
-		return true
-	})
-
 	walkAlloc(n, func(site AllocSite) {
 		sum.OwnAllocs = append(sum.OwnAllocs, site)
 		if !sum.Allocates {
-			sum.Allocates, sum.AllocWhat, sum.AllocPos = true, site.What, site.Pos
+			sum.Allocates, sum.AllocWhat = true, site.What
 		}
 	})
 
+	// nonBlockingComms collects the comm statements of selects WITH a
+	// default clause (those channel operations never block; the walk reaches
+	// a select before its clauses); spawned is the operand of the go
+	// statement being walked — a spawn, not a call.
+	nonBlockingComms := map[ast.Stmt]bool{}
+	var spawned *ast.CallExpr
 	inspectNoFuncLit(n.Body, func(m ast.Node) bool {
 		switch x := m.(type) {
 		case *ast.GoStmt:
 			sum.SpawnsGoroutine = true
+			spawned = x.Call
 		case *ast.SendStmt:
 			if !nonBlockingComms[x] {
-				block("channel send", true)
+				block("channel send", BlockPeer, true)
 			}
-		case *ast.ExprStmt:
-			// receives used as statements are covered by the UnaryExpr case
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				block("channel receive", true)
+				block("channel receive", BlockPeer, true)
 			}
 		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range x.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
+			if !selectHasDefault(x) {
+				block("select without default", BlockPeer, true)
+				break
 			}
-			if !hasDefault {
-				block("select without default", true)
+			for _, c := range x.Body.List {
+				if cc := c.(*ast.CommClause); cc.Comm != nil {
+					nonBlockingComms[cc.Comm] = true
+				}
 			}
 		case *ast.RangeStmt:
-			if pkg.Info != nil {
-				if tv, ok := pkg.Info.Types[x.X]; ok && tv.Type != nil {
-					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						block("range over channel", true)
-					}
-				}
+			if rangesOverChan(pkg, x) {
+				block("range over channel", BlockPeer, true)
 			}
 		case *ast.CallExpr:
-			if op, ok := classifyLockCall(pkg, x); ok {
-				if op.acquire {
-					sum.AcquiresLock = true
-				} else {
-					sum.ReleasesLock = true
-				}
+			if x == spawned {
 				return true
 			}
-			fn := calleeObject(pkg, x)
-			if why, forever, ok := stdlibBlocking(fn); ok {
-				block(why, forever)
-			} else if isDispatchCall(pkg, x) {
-				block("compressor dispatch", false)
+			if why, kind, forever := stdlibBlocking(pkg, x); kind != 0 {
+				block(why, kind, forever)
+			} else if isDispatchCall(x) {
+				block("compressor dispatch", BlockPeer, false)
 			}
 		case *ast.Ident:
-			if pkg.Info != nil {
-				if obj := pkg.objectOf(x); obj != nil {
-					if v, ok := obj.(*types.Var); ok && isContextType(v.Type()) {
-						sum.UsesCtx = true
-					}
-				}
+			if v, ok := pkg.objectOf(x).(*types.Var); ok && isContextType(v.Type()) {
+				sum.UsesCtx = true
 			}
 		}
 		return true
@@ -365,9 +374,16 @@ func (s *Summaries) local(n *FuncNode) *FuncSummary {
 	return sum
 }
 
-// sendInsideGo reports nothing here — buffered-send exemptions are resolved
-// by the goroutineleak analyzer, which sees both the spawning and spawned
-// scopes; the summary stays conservative.
+// selectHasDefault reports whether the select can fall through without
+// waiting for any of its channel operations.
+func selectHasDefault(sel *ast.SelectStmt) bool {
+	for _, c := range sel.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
+}
 
 // propagate folds callee summaries into n's summary; reports change.
 func (s *Summaries) propagate(n *FuncNode) bool {
@@ -381,8 +397,8 @@ func (s *Summaries) propagate(n *FuncNode) bool {
 		if callee == nil {
 			continue
 		}
-		if callee.Blocks && !sum.Blocks {
-			sum.Blocks = true
+		if callee.BlockKind > sum.BlockKind {
+			sum.Blocks, sum.BlockKind = true, callee.BlockKind
 			sum.BlockWhy = "call to " + e.Callee.ShortName() + " (" + callee.BlockWhy + ")"
 			changed = true
 		}
@@ -394,7 +410,6 @@ func (s *Summaries) propagate(n *FuncNode) bool {
 		if callee.Allocates && !sum.Allocates {
 			sum.Allocates = true
 			sum.AllocWhat = callee.AllocWhat
-			sum.AllocPos = callee.AllocPos
 			via := e.Callee.ShortName()
 			if callee.AllocVia != "" {
 				via += " -> " + callee.AllocVia
@@ -435,26 +450,10 @@ func walkAlloc(n *FuncNode, visit func(AllocSite)) {
 	pkg := n.Pkg
 	// preallocated locals: name -> true when defined by make with capacity.
 	prealloc := map[string]bool{}
-	inspectNoFuncLit(n.Body, func(m ast.Node) bool {
-		asg, ok := m.(*ast.AssignStmt)
-		if !ok {
-			return true
+	forEachCallBinding(n.Body, "make", func(lhs ast.Expr, call *ast.CallExpr) {
+		if id, ok := lhs.(*ast.Ident); ok && len(call.Args) >= 2 {
+			prealloc[id.Name] = true
 		}
-		for i, rhs := range asg.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || len(call.Args) < 2 {
-				continue
-			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "make" {
-				continue
-			}
-			if i < len(asg.Lhs) {
-				if lid, ok := asg.Lhs[i].(*ast.Ident); ok {
-					prealloc[lid.Name] = true
-				}
-			}
-		}
-		return true
 	})
 
 	recvNames := map[string]bool{}
@@ -466,141 +465,117 @@ func walkAlloc(n *FuncNode, visit func(AllocSite)) {
 		}
 	}
 	paramNames := map[string]bool{}
-	var ft *ast.FuncType
-	switch {
-	case n.Decl != nil:
-		ft = n.Decl.Type
-	case n.Lit != nil:
-		ft = n.Lit.Type
-	}
-	if ft != nil && ft.Params != nil {
-		for _, f := range ft.Params.List {
+	if params := n.funcType().Params; params != nil {
+		for _, f := range params.List {
 			for _, name := range f.Names {
 				paramNames[name.Name] = true
 			}
 		}
 	}
 
-	// selfAppends maps the append CallExpr -> true when it is the exempt
+	// exemptAppend maps the append CallExpr -> true when it is the exempt
 	// x = append(x, ...) shape with x preallocated or a receiver field.
 	exemptAppend := map[*ast.CallExpr]bool{}
-	inspectNoFuncLit(n.Body, func(m ast.Node) bool {
-		asg, ok := m.(*ast.AssignStmt)
-		if !ok {
-			return true
+	forEachCallBinding(n.Body, "append", func(lhs ast.Expr, call *ast.CallExpr) {
+		if len(call.Args) == 0 || exprKey(lhs) == "" || exprKey(lhs) != exprKey(call.Args[0]) {
+			return
 		}
-		for i, rhs := range asg.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				continue
+		switch lhs := lhs.(type) {
+		case *ast.SelectorExpr:
+			if base, ok := ast.Unparen(lhs.X).(*ast.Ident); ok && recvNames[base.Name] {
+				exemptAppend[call] = true // amortized owned-buffer growth
 			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "append" {
-				continue
+		case *ast.Ident:
+			if prealloc[lhs.Name] || paramNames[lhs.Name] {
+				exemptAppend[call] = true // preallocated, or builder idiom
 			}
-			if i >= len(asg.Lhs) {
-				continue
+		}
+	})
+
+	walkLoopDepth(n.Body, 0, func(m ast.Node, loopDepth int) bool {
+		site := func(what string) { visit(AllocSite{Pos: m.Pos(), What: what, InLoop: loopDepth > 0}) }
+		switch x := m.(type) {
+		case *ast.FuncLit:
+			site("closure")
+			return false // its body is another node
+		case *ast.CallExpr:
+			if isColdPathCall(pkg, x) {
+				return false // error construction: cold path
 			}
-			if exprKey(asg.Lhs[i]) == "" || exprKey(asg.Lhs[i]) != exprKey(call.Args[0]) {
-				continue
-			}
-			switch lhs := asg.Lhs[i].(type) {
-			case *ast.SelectorExpr:
-				if base, ok := ast.Unparen(lhs.X).(*ast.Ident); ok && recvNames[base.Name] {
-					exemptAppend[call] = true // amortized owned-buffer growth
+			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && isBuiltin(pkg, id) {
+				switch id.Name {
+				case "make", "new":
+					site(id.Name)
+				case "append":
+					exempt := exemptAppend[x]
+					if len(x.Args) > 0 {
+						switch arg := ast.Unparen(x.Args[0]).(type) {
+						case *ast.SliceExpr:
+							// Splice/reuse idioms write into existing
+							// capacity.
+							exempt = true
+						case *ast.Ident:
+							// Builder idiom (return append(buf, ...)):
+							// growth amortizes into the caller's buffer.
+							exempt = exempt || paramNames[arg.Name]
+						}
+					}
+					if !exempt {
+						site("append growth")
+					}
 				}
-			case *ast.Ident:
-				if prealloc[lhs.Name] || paramNames[lhs.Name] {
-					exemptAppend[call] = true // preallocated, or builder idiom
+			}
+			if conv, ok := allocConversion(pkg, x); ok {
+				site(conv)
+			}
+		case *ast.CompositeLit:
+			if pkg.Info != nil {
+				if tv, ok := pkg.Info.Types[x]; ok && tv.Type != nil {
+					switch tv.Type.Underlying().(type) {
+					case *types.Slice:
+						site("slice literal")
+					case *types.Map:
+						site("map literal")
+					}
+				}
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
+					site("heap composite literal")
 				}
 			}
 		}
 		return true
 	})
+}
 
-	var walk func(m ast.Node, loopDepth int)
-	walk = func(root ast.Node, loopDepth int) {
-		ast.Inspect(root, func(m ast.Node) bool {
-			if m == nil || m == root {
-				return true
-			}
-			switch x := m.(type) {
-			case *ast.FuncLit:
-				visit(AllocSite{Pos: x.Pos(), What: "closure", InLoop: loopDepth > 0})
-				return false // its body is another node
-			case *ast.ForStmt:
-				if x.Init != nil {
-					walk(x.Init, loopDepth)
-				}
-				if x.Cond != nil {
-					walk(x.Cond, loopDepth)
-				}
-				if x.Post != nil {
-					walk(x.Post, loopDepth)
-				}
-				walk(x.Body, loopDepth+1)
-				return false
-			case *ast.RangeStmt:
-				walk(x.X, loopDepth)
-				walk(x.Body, loopDepth+1)
-				return false
-			case *ast.CallExpr:
-				if isColdPathCall(pkg, x) {
-					return false // error construction: cold path
-				}
-				if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-					switch id.Name {
-					case "make":
-						if isBuiltin(pkg, id) {
-							visit(AllocSite{Pos: x.Pos(), What: "make", InLoop: loopDepth > 0})
-						}
-					case "new":
-						if isBuiltin(pkg, id) {
-							visit(AllocSite{Pos: x.Pos(), What: "new", InLoop: loopDepth > 0})
-						}
-					case "append":
-						exempt := exemptAppend[x]
-						if len(x.Args) > 0 {
-							switch arg := ast.Unparen(x.Args[0]).(type) {
-							case *ast.SliceExpr:
-								// Splice/reuse idioms write into existing
-								// capacity.
-								exempt = true
-							case *ast.Ident:
-								// Builder idiom (return append(buf, ...)):
-								// growth amortizes into the caller's buffer.
-								exempt = exempt || paramNames[arg.Name]
-							}
-						}
-						if isBuiltin(pkg, id) && !exempt {
-							visit(AllocSite{Pos: x.Pos(), What: "append growth", InLoop: loopDepth > 0})
-						}
-					}
-				}
-				if conv, ok := allocConversion(pkg, x); ok {
-					visit(AllocSite{Pos: x.Pos(), What: conv, InLoop: loopDepth > 0})
-				}
-			case *ast.CompositeLit:
-				if pkg.Info != nil {
-					if tv, ok := pkg.Info.Types[x]; ok && tv.Type != nil {
-						switch tv.Type.Underlying().(type) {
-						case *types.Slice:
-							visit(AllocSite{Pos: x.Pos(), What: "slice literal", InLoop: loopDepth > 0})
-						case *types.Map:
-							visit(AllocSite{Pos: x.Pos(), What: "map literal", InLoop: loopDepth > 0})
-						}
-					}
-				}
-			case *ast.UnaryExpr:
-				if x.Op == token.AND {
-					if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-						visit(AllocSite{Pos: x.Pos(), What: "heap composite literal", InLoop: loopDepth > 0})
-					}
+// walkLoopDepth visits every node under root with its syntactic loop depth:
+// a for/range body is one deeper than the statement, whose init, condition,
+// post statement and range operand run at the statement's own depth. visit
+// returning false prunes the subtree (both users prune function literals —
+// their bodies are other call-graph nodes — and cold-path calls).
+func walkLoopDepth(root ast.Node, depth int, visit func(m ast.Node, depth int) bool) {
+	ast.Inspect(root, func(m ast.Node) bool {
+		if m == nil || !visit(m, depth) {
+			return false
+		}
+		switch x := m.(type) {
+		case *ast.ForStmt:
+			for _, part := range []ast.Node{x.Init, x.Cond, x.Post} {
+				if part != nil {
+					walkLoopDepth(part, depth, visit)
 				}
 			}
-			return true
-		})
-	}
-	walk(n.Body, 0)
+			walkLoopDepth(x.Body, depth+1, visit)
+			return false
+		case *ast.RangeStmt:
+			walkLoopDepth(x.X, depth, visit)
+			walkLoopDepth(x.Body, depth+1, visit)
+			return false
+		}
+		return true
+	})
 }
 
 // isBuiltin confirms an identifier resolves to the universe-scope builtin

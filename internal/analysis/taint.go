@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -15,7 +17,7 @@ import (
 // Decompress/DecompressImpl/DecompressSlice byte stream, values pulled
 // through the bitstream/rangecoder readers, HTTP request bodies, file reads.
 // Taint flows through assignments, arithmetic, struct and slice flow, and
-// call edges (per-function TaintOut masks composed at call sites, fixpoint
+// call edges (per-function result masks composed at call sites, fixpoint
 // over the call graph's SCCs like the Allocates summary), and is killed by
 // recognized sanitizers — comparisons against caps, min-style clamps,
 // len-derived bounds — each modeled as a syntactic region so findings can
@@ -53,16 +55,40 @@ const (
 	TaintIndex
 )
 
-func (k TaintKind) String() string {
-	switch k {
-	case TaintAlloc:
-		return "alloc"
-	case TaintLoop:
-		return "loop"
-	case TaintIndex:
-		return "index"
+// taintSinks is the sink table: one row per kind, each surfaced as its own
+// analyzer ("untrusted" + name) so findings are selected and waived by shape.
+var taintSinks = [...]struct{ name, doc string }{
+	// The decompression-bomb shape the PR-4 fuzzing found in fpzip: a value
+	// derived from the untrusted input stream reaches an allocation size
+	// (make length/capacity, bytes.Buffer.Grow) with no dominating bound
+	// check. A declared shape of 2^40 elements must be rejected against a cap
+	// derived from a constant, an option, or the actual input length — before
+	// the allocator commits the memory.
+	TaintAlloc: {"alloc", "allocation sized by untrusted input without a dominating bound check (decompression bomb)"},
+	// The unbounded-spin shape found in zfp's fixed-rate padding loop: a loop
+	// whose bound is stream-derived with no dominating cap, or a loop-carried
+	// step that is stream-derived and can be zero (never progressing). Either
+	// way an adversarial header turns a decode into a CPU hostage.
+	TaintLoop: {"loop", "loop bound or step controlled by untrusted input without a cap (unbounded spin)"},
+	// The wild-indexing panic shape found in delta_encoding: a slice or array
+	// index derived from the stream (or an induction variable bounded only by
+	// one) with no dominating length check. Out-of-range declared dims must
+	// be compared against the actual decoded length before element access.
+	TaintIndex: {"index", "slice index derived from untrusted input without a dominating length check (panic)"},
+}
+
+func (k TaintKind) String() string { return taintSinks[k].name }
+
+// UntrustedAlloc, UntrustedLoop and UntrustedIndex are the three front-ends
+// of the taint engine.
+var UntrustedAlloc, UntrustedLoop, UntrustedIndex = untrustedAnalyzer(TaintAlloc), untrustedAnalyzer(TaintLoop), untrustedAnalyzer(TaintIndex)
+
+func untrustedAnalyzer(kind TaintKind) *Analyzer {
+	return &Analyzer{
+		Name: "untrusted" + kind.String(),
+		Doc:  taintSinks[kind].doc,
+		Run:  func(pass *Pass) { pass.Facts.Taint.reportKind(pass, kind) },
 	}
-	return "unknown"
 }
 
 // TaintSink is one recorded sink inside a function body: a program point
@@ -81,16 +107,6 @@ type TaintSink struct {
 	// Fix names the missing sanitizer ("cap it against a constant or
 	// config-derived limit before allocating").
 	Fix string
-}
-
-// TaintSinkRef is the summary-level record of a sink reachable from a
-// parameter: callers passing untrusted data into Param hit Kind/What at Pos.
-// It is the TaintIn half of the summary facts.
-type TaintSinkRef struct {
-	Param int
-	Kind  TaintKind
-	What  string
-	Pos   token.Pos
 }
 
 // taintCall records one resolved call site with the taint masks of its
@@ -172,22 +188,21 @@ func pkgReadsUntrustedFiles(path string) bool {
 }
 
 // ComputeTaint runs the bottom-up mask computation to a fixpoint over the
-// SCC order, then the top-down root propagation, and backfills the TaintOut/
-// TaintIn facts on the function summaries.
-func ComputeTaint(g *CallGraph, sums *Summaries) *TaintInfo {
+// SCC order, then the top-down root propagation.
+func ComputeTaint(g *CallGraph) *TaintInfo {
 	ti := &TaintInfo{Graph: g, nodes: make(map[*FuncNode]*taintNode, len(g.Nodes))}
 	order := g.BottomUp()
 	for _, n := range order {
 		ti.nodes[n] = &taintNode{}
 	}
-	// Bottom-up fixpoint: a node's masks depend on callee TaintOut, which is
-	// complete after one pass on a DAG; SCC cycles converge because masks
-	// only grow.
+	// Bottom-up fixpoint: a node's masks depend on its callees' result masks,
+	// which are complete after one pass on a DAG; SCC cycles converge because
+	// masks only grow.
 	for changed := true; changed; {
 		changed = false
 		for _, n := range order {
 			fresh := ti.analyze(n)
-			if !equalMaskSlices(fresh.out, ti.nodes[n].out) {
+			if !slices.Equal(fresh.out, ti.nodes[n].out) {
 				changed = true
 			}
 			fresh.rooted, fresh.rootWhy = ti.nodes[n].rooted, ti.nodes[n].rootWhy
@@ -195,36 +210,7 @@ func ComputeTaint(g *CallGraph, sums *Summaries) *TaintInfo {
 		}
 	}
 	ti.propagateRoots()
-	if sums != nil {
-		for _, n := range order {
-			tn := ti.nodes[n]
-			sum := sums.Of(n)
-			if sum == nil {
-				continue
-			}
-			sum.TaintOut = tn.out
-			for _, sink := range tn.sinks {
-				for i := range tn.params {
-					if sink.Mask&taintParamBit(i) != 0 {
-						sum.TaintIn = append(sum.TaintIn, TaintSinkRef{Param: i, Kind: sink.Kind, What: sink.What, Pos: sink.Pos})
-					}
-				}
-			}
-		}
-	}
 	return ti
-}
-
-func equalMaskSlices(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // runtimeTainted reports whether a mask carries untrusted data in node's
@@ -261,7 +247,7 @@ func (ti *TaintInfo) propagateRoots() {
 		if decodeEntryNames[name] {
 			var bits uint64
 			for i, p := range tn.params {
-				if p != nil && isByteSliceType(p.Type()) {
+				if p != nil && isByteSlice(p.Type()) {
 					bits |= taintParamBit(i)
 				}
 			}
@@ -293,10 +279,6 @@ func (ti *TaintInfo) propagateRoots() {
 			pushRoot(c.callee, bits, "tainted argument from "+n.ShortName())
 		}
 	}
-}
-
-func isByteSliceType(t types.Type) bool {
-	return isByteSlice(t.Underlying())
 }
 
 // reportKind is the shared reporting path of the three analyzers: every sink
@@ -439,8 +421,7 @@ func (ti *TaintInfo) analyze(n *FuncNode) *taintNode {
 	res := Solve(cfg, p)
 	seenSink := map[string]bool{}
 	seenCall := map[*ast.CallExpr]bool{}
-	WalkFacts(cfg, p, res, func(fact any, node ast.Node) {
-		f := fact.(taintValFact)
+	WalkFacts(cfg, p, res, func(f taintValFact, node ast.Node) {
 		p.scanSinks(f, node, tn, seenSink)
 		p.scanCalls(f, node, tn, seenCall)
 		if ret, ok := node.(*ast.ReturnStmt); ok {
@@ -464,19 +445,12 @@ func (p *taintProblem) collectParams() []*types.Var {
 			params = append(params, v)
 		}
 	}
-	var ft *ast.FuncType
-	switch {
-	case p.node.Decl != nil:
-		if p.node.Decl.Recv != nil {
-			for _, field := range p.node.Decl.Recv.List {
-				addField(field)
-			}
+	if p.node.Decl != nil && p.node.Decl.Recv != nil {
+		for _, field := range p.node.Decl.Recv.List {
+			addField(field)
 		}
-		ft = p.node.Decl.Type
-	case p.node.Lit != nil:
-		ft = p.node.Lit.Type
 	}
-	if ft != nil && ft.Params != nil {
+	if ft := p.node.funcType(); ft.Params != nil {
 		for _, field := range ft.Params.List {
 			addField(field)
 		}
@@ -487,14 +461,8 @@ func (p *taintProblem) collectParams() []*types.Var {
 // collectResults records the result slots: named objects for bare returns,
 // and which slots are error-typed (errors carry no data taint).
 func (p *taintProblem) collectResults() {
-	var ft *ast.FuncType
-	switch {
-	case p.node.Decl != nil:
-		ft = p.node.Decl.Type
-	case p.node.Lit != nil:
-		ft = p.node.Lit.Type
-	}
-	if ft == nil || ft.Results == nil {
+	ft := p.node.funcType()
+	if ft.Results == nil {
 		return
 	}
 	for _, field := range ft.Results.List {
@@ -601,73 +569,38 @@ func (p *taintProblem) collectAssigns() {
 		}
 		return true
 	})
-	return
 }
 
 // ---------------------------------------------------------------------------
 // FlowProblem implementation.
 
-func (p *taintProblem) EntryFact() any {
-	f := make(taintValFact, len(p.entry))
-	for k, v := range p.entry {
-		f[k] = v
-	}
-	return f
-}
+func (p *taintProblem) EntryFact() taintValFact { return p.entry }
 
-func (p *taintProblem) Join(a, b any) any {
-	fa, fb := a.(taintValFact), b.(taintValFact)
-	out := make(taintValFact, len(fa)+len(fb))
-	for k, v := range fa {
-		out[k] = v
-	}
-	for k, v := range fb {
+func (p *taintProblem) Join(a, b taintValFact) taintValFact {
+	out := maps.Clone(a)
+	for k, v := range b {
 		out[k] |= v
 	}
 	return out
 }
 
-func (p *taintProblem) Equal(a, b any) bool {
-	fa, fb := a.(taintValFact), b.(taintValFact)
-	if len(fa) != len(fb) {
-		return false
-	}
-	for k, v := range fa {
-		if fb[k] != v {
-			return false
-		}
-	}
-	return true
-}
+func (p *taintProblem) Equal(a, b taintValFact) bool { return maps.Equal(a, b) }
 
-func (p *taintProblem) Transfer(fact any, n ast.Node) any {
-	f := fact.(taintValFact)
-	out := f
+func (p *taintProblem) Transfer(f taintValFact, n ast.Node) taintValFact {
+	in := f // masks are evaluated against the fact BEFORE the node
 	set := func(obj types.Object, mask uint64, strong bool) {
 		if obj == nil {
 			return
 		}
-		old, had := out[obj]
-		if strong {
-			if had && old == mask || !had && mask == 0 {
-				return
-			}
-		} else {
-			if old|mask == old {
-				return
-			}
-			mask |= old
+		if !strong {
+			mask |= f[obj]
 		}
-		if equalFacts(out, f) { // copy-on-write
-			out = make(taintValFact, len(f)+1)
-			for k, v := range f {
-				out[k] = v
-			}
+		if mask == f[obj] {
+			return
 		}
+		f = mapWith(f, obj, mask)
 		if mask == 0 {
-			delete(out, obj)
-		} else {
-			out[obj] = mask
+			delete(f, obj) // absent means untainted
 		}
 	}
 	assignTo := func(lhs ast.Expr, mask uint64) {
@@ -676,141 +609,82 @@ func (p *taintProblem) Transfer(fact any, n ast.Node) any {
 				mask = 0
 			}
 		}
-		switch x := ast.Unparen(lhs).(type) {
-		case *ast.Ident:
-			set(p.pkg.objectOf(x), mask, true)
-		default:
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+			set(p.pkg.objectOf(id), mask, true)
+		} else if root := rootIdent(lhs); root != nil {
 			// Selector, index, star: field-insensitive weak update on the
 			// root object — tainting one header field taints the header.
-			if root := taintRootIdent(lhs); root != nil {
-				set(p.pkg.objectOf(root), mask, false)
-			}
+			set(p.pkg.objectOf(root), mask, false)
 		}
 	}
-	switch st := n.(type) {
-	case *ast.AssignStmt:
-		if len(st.Rhs) == 1 && p.rangeX[st.Rhs[0]] {
+	asg, _ := n.(*ast.AssignStmt)
+	compound := asg != nil && asg.Tok != token.ASSIGN && asg.Tok != token.DEFINE
+	bound := false
+	var tuple []uint64
+	forEachBinding(n, func(b binding) {
+		bound = true
+		switch {
+		case b.Rhs == nil:
+			// var x T: zero value, nothing to propagate
+		case p.rangeX[b.Rhs]:
 			// Synthesized range binding: the key is an index/map key the
 			// runtime bounds; the value carries the operand's element taint.
-			if len(st.Lhs) > 0 {
-				assignTo(st.Lhs[0], 0)
+			if b.Index == 0 {
+				assignTo(b.Lhs, 0)
+			} else {
+				assignTo(b.Lhs, p.maskOf(in, b.Rhs, 0))
 			}
-			if len(st.Lhs) > 1 {
-				assignTo(st.Lhs[1], p.maskOf(f, st.Rhs[0], 0))
+		case compound:
+			// x op= y: the result mixes both sides.
+			assignTo(b.Lhs, p.maskOf(in, b.Lhs, 0)|p.maskOf(in, b.Rhs, 0))
+		case b.N > 1:
+			if b.Index == 0 {
+				tuple = p.tupleMasks(in, b.Rhs, b.N) // once per statement, not per name
 			}
-			return out
+			assignTo(b.Lhs, tuple[b.Index])
+		default:
+			assignTo(b.Lhs, p.maskOf(in, b.Rhs, 0))
 		}
-		if st.Tok != token.ASSIGN && st.Tok != token.DEFINE && len(st.Lhs) == 1 && len(st.Rhs) == 1 {
-			// Compound assignment: the result mixes both sides.
-			mask := p.maskOf(f, st.Lhs[0], 0) | p.maskOf(f, st.Rhs[0], 0)
-			assignTo(st.Lhs[0], mask)
-			return out
-		}
-		if len(st.Rhs) == 1 && len(st.Lhs) > 1 {
-			masks := p.tupleMasks(f, st.Rhs[0], len(st.Lhs))
-			for i, lhs := range st.Lhs {
-				assignTo(lhs, masks[i])
-			}
-			return out
-		}
-		for i, lhs := range st.Lhs {
-			if i < len(st.Rhs) {
-				assignTo(lhs, p.maskOf(f, st.Rhs[i], 0))
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				if len(vs.Values) == 1 && len(vs.Names) > 1 {
-					masks := p.tupleMasks(f, vs.Values[0], len(vs.Names))
-					for i, name := range vs.Names {
-						assignTo(name, masks[i])
-					}
-					continue
-				}
-				for i, name := range vs.Names {
-					if i < len(vs.Values) {
-						assignTo(name, p.maskOf(f, vs.Values[i], 0))
-					}
-				}
-			}
-		}
-	default:
-		// Fill-style reads (r.Read(buf), io.ReadFull(r, buf)) taint the
-		// destination slice as a side effect — when the reader itself is
-		// untrusted (tainted, or any reader in an I/O-plane package).
-		inspectNoFuncLit(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			name := calleeName(call)
-			if name != "Read" && name != "ReadFull" && name != "ReadAtLeast" {
-				return true
-			}
-			var readerMask uint64
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				readerMask = p.maskOf(f, sel.X, 0)
-			} else if len(call.Args) > 0 {
-				readerMask = p.maskOf(f, call.Args[0], 0)
-			}
-			if readerMask == 0 && !pkgReadsUntrustedFiles(p.pkg.Path) {
-				return true
-			}
-			for _, arg := range call.Args {
-				if p.pkg.Info == nil {
-					continue
-				}
-				tv, ok := p.pkg.Info.Types[arg]
-				if !ok || tv.Type == nil || !isByteSliceType(tv.Type) {
-					continue
-				}
-				if root := taintRootIdent(arg); root != nil {
-					set(p.pkg.objectOf(root), taintSourceBit, false)
-				}
-			}
+	})
+	if bound {
+		return f
+	}
+	// Fill-style reads (r.Read(buf), io.ReadFull(r, buf)) taint the
+	// destination slice as a side effect — when the reader itself is
+	// untrusted (tainted, or any reader in an I/O-plane package).
+	inspectNoFuncLit(n, func(m ast.Node) bool {
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
 			return true
-		})
-	}
-	return out
-}
-
-func equalFacts(a, b taintValFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
 		}
-	}
-	return true
-}
-
-// taintRootIdent digs the base identifier out of an lvalue-ish expression,
-// including through slice expressions (unlike threadsafe.go's rootIdent).
-func taintRootIdent(e ast.Expr) *ast.Ident {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x
-	case *ast.SelectorExpr:
-		return taintRootIdent(x.X)
-	case *ast.IndexExpr:
-		return taintRootIdent(x.X)
-	case *ast.SliceExpr:
-		return taintRootIdent(x.X)
-	case *ast.StarExpr:
-		return taintRootIdent(x.X)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return taintRootIdent(x.X)
+		name := calleeName(call)
+		if name != "Read" && name != "ReadFull" && name != "ReadAtLeast" {
+			return true
 		}
-	}
-	return nil
+		var readerMask uint64
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			readerMask = p.maskOf(in, sel.X, 0)
+		} else if len(call.Args) > 0 {
+			readerMask = p.maskOf(in, call.Args[0], 0)
+		}
+		if readerMask == 0 && !pkgReadsUntrustedFiles(p.pkg.Path) {
+			return true
+		}
+		for _, arg := range call.Args {
+			if p.pkg.Info == nil {
+				continue
+			}
+			tv, ok := p.pkg.Info.Types[arg]
+			if !ok || tv.Type == nil || !isByteSlice(tv.Type) {
+				continue
+			}
+			if root := rootIdent(arg); root != nil {
+				set(p.pkg.objectOf(root), taintSourceBit, false)
+			}
+		}
+		return true
+	})
+	return f
 }
 
 // ---------------------------------------------------------------------------
@@ -842,7 +716,7 @@ func (p *taintProblem) rawMask(f taintValFact, e ast.Expr, depth int) uint64 {
 		return p.maskOf(f, x.X, depth)
 	case *ast.SelectorExpr:
 		// http.Request.Body is a source regardless of provenance.
-		if x.Sel.Name == "Body" && p.isHTTPRequest(x.X) {
+		if x.Sel.Name == "Body" && isNamed(p.pkg, x.X, "net/http", "Request") {
 			return taintSourceBit
 		}
 		if obj := p.pkg.objectOf(x.Sel); obj != nil {
@@ -904,27 +778,6 @@ func (p *taintProblem) rawMask(f taintValFact, e ast.Expr, depth int) uint64 {
 	return 0
 }
 
-// isHTTPRequest reports whether e's type is (*)net/http.Request.
-func (p *taintProblem) isHTTPRequest(e ast.Expr) bool {
-	if p.pkg.Info == nil {
-		return false
-	}
-	tv, ok := p.pkg.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Name() == "Request" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
-}
-
 // tupleMasks evaluates a (possibly multi-valued) expression to n result
 // masks. Calls consult builtins, curated tables, and module-local summaries.
 func (p *taintProblem) tupleMasks(f taintValFact, e ast.Expr, n int) []uint64 {
@@ -940,9 +793,6 @@ func (p *taintProblem) tupleMasks(f taintValFact, e ast.Expr, n int) []uint64 {
 		// Comma-ok forms (type assertion, map index): value mask, clean ok.
 		out := fill(0)
 		out[0] = p.maskOf(f, e, 0)
-		for i := 1; i < n; i++ {
-			out[i] = 0
-		}
 		return out
 	}
 	argUnion := func() uint64 {
@@ -1019,7 +869,7 @@ func (p *taintProblem) tupleMasks(f taintValFact, e ast.Expr, n int) []uint64 {
 			return fill(taintSourceBit)
 		}
 	}
-	// Module-local calls: compose the callee's TaintOut with the argument
+	// Module-local calls: compose the callee's result masks with the argument
 	// masks (receiver first for methods). Dynamic dispatch unions over every
 	// possible callee.
 	if edges := p.edgesBySite[call]; len(edges) > 0 {
@@ -1055,26 +905,12 @@ func (p *taintProblem) tupleMasks(f taintValFact, e ast.Expr, n int) []uint64 {
 // rangecoder reader: those yield stream-derived values even when the stream
 // that fed them is out of view.
 func (p *taintProblem) isUntrustedReaderRecv(recv ast.Expr) bool {
-	if p.pkg.Info == nil {
+	obj := namedType(p.pkg, recv)
+	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	tv, ok := p.pkg.Info.Types[recv]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj() == nil || named.Obj().Pkg() == nil {
-		return false
-	}
-	path := named.Obj().Pkg().Path()
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		path = path[i+1:]
-	}
-	return untrustedReaderPkgs[path]
+	path := obj.Pkg().Path()
+	return untrustedReaderPkgs[path[strings.LastIndex(path, "/")+1:]]
 }
 
 // callArgMasks computes the positional argument masks for a call, receiver
@@ -1104,7 +940,7 @@ func (p *taintProblem) callArgMasks(f taintValFact, call *ast.CallExpr, edge *Ca
 	return masks
 }
 
-// composeCall rewrites the callee's TaintOut (over callee parameter bits)
+// composeCall rewrites the callee's result masks (over callee parameter bits)
 // into the caller's frame using the argument masks.
 func (p *taintProblem) composeCall(f taintValFact, call *ast.CallExpr, edge *CallEdge, argMasks []uint64) []uint64 {
 	calleeTN := p.ti.nodes[edge.Callee]
@@ -1155,9 +991,9 @@ func collectRegions(body *ast.BlockStmt) []taintRegion {
 			case *ast.ForStmt:
 				// A for-cond of the form x < E bounds x throughout the body.
 				if st.Cond != nil {
-					for _, c := range comparisons(st.Cond) {
-						if key, capX, ok := upperHold(c); ok {
-							regions = append(regions, taintRegion{key: key, kind: regUpper, cap: capX, start: st.Body.Pos(), end: st.Body.End()})
+					for _, g := range guards(st.Cond) {
+						if !g.exceedsCap() {
+							regions = append(regions, g.region(regUpper, st.Body.Pos(), st.Body.End()))
 						}
 					}
 				}
@@ -1198,47 +1034,48 @@ func collectRegions(body *ast.BlockStmt) []taintRegion {
 }
 
 // regionsOfIf derives the sanitizer regions one if statement establishes.
+// Every guard of the condition holds inside the body; its negation holds in
+// the else branch and — when the body terminates — after the statement.
 func regionsOfIf(st *ast.IfStmt, blockEnd, returnEnd token.Pos) []taintRegion {
 	var regions []taintRegion
-	cmps := comparisons(st.Cond)
-	term := terminator(st.Body)
+	// after is where the negated condition stops holding past the if: a
+	// returning/panicking body rules the condition out for the rest of the
+	// function, a break/continue for the rest of the block, anything else
+	// not at all.
+	after := token.NoPos
+	switch terminator(st.Body) {
+	case termReturn:
+		after = returnEnd
+	case termBranch:
+		after = blockEnd
+	}
 	clamp := clampBody(st.Body)
-	for _, c := range cmps {
-		// if x > cap { return err } / { panic } / { break } — after the if,
-		// x <= cap on the fallthrough path. Also x != pin (equality pin) and
-		// x <= 0 (positive violation).
-		if key, capX, ok := upperViolation(c); ok {
-			switch term {
-			case termReturn:
-				regions = append(regions, taintRegion{key: key, kind: regUpper, cap: capX, start: st.End(), end: returnEnd})
-			case termBranch:
-				regions = append(regions, taintRegion{key: key, kind: regUpper, cap: capX, start: st.End(), end: blockEnd})
+	for _, g := range guards(st.Cond) {
+		if g.exceedsCap() {
+			// if x > cap { return err } / { panic } / { break }: x <= cap on
+			// the fallthrough path. Also the failed equality pin x != pin.
+			if after != token.NoPos {
+				regions = append(regions, g.region(regUpper, st.End(), after))
 			}
-			if clamp != "" && clamp == key {
+			if clamp == g.key {
 				// if x > cap { x = cap }: bounded afterwards even without a
 				// terminator.
-				regions = append(regions, taintRegion{key: key, kind: regUpper, cap: capX, start: st.End(), end: returnEnd})
+				regions = append(regions, g.region(regUpper, st.End(), returnEnd))
 			}
-			// In the else branch (taken when the violation is false) the
-			// bound holds too.
 			if els, ok := st.Else.(*ast.BlockStmt); ok {
-				regions = append(regions, taintRegion{key: key, kind: regUpper, cap: capX, start: els.Pos(), end: els.End()})
+				regions = append(regions, g.region(regUpper, els.Pos(), els.End()))
 			}
-		}
-		if key, capX, ok := upperHold(c); ok {
+		} else {
 			// if x < cap { ...bounded... }
-			regions = append(regions, taintRegion{key: key, kind: regUpper, cap: capX, start: st.Body.Pos(), end: st.Body.End()})
+			regions = append(regions, g.region(regUpper, st.Body.Pos(), st.Body.End()))
 		}
-		if key, ok := positiveViolation(c); ok {
-			switch term {
-			case termReturn:
-				regions = append(regions, taintRegion{key: key, kind: regPositive, start: st.End(), end: returnEnd})
-			case termBranch:
-				regions = append(regions, taintRegion{key: key, kind: regPositive, start: st.End(), end: blockEnd})
-			}
+		if g.notPositive() && after != token.NoPos {
+			regions = append(regions, g.region(regPositive, st.End(), after))
 		}
-		if key, ok := positiveHold(c); ok {
-			regions = append(regions, taintRegion{key: key, kind: regPositive, start: st.Body.Pos(), end: st.Body.End()})
+		// x != 0 (the negation of x == 0) is not taken as a hold: a negative
+		// step is no more progress than a zero one.
+		if g.op != token.NEQ && g.negated().notPositive() {
+			regions = append(regions, g.region(regPositive, st.Body.Pos(), st.Body.End()))
 		}
 	}
 	return regions
@@ -1325,7 +1162,7 @@ func comparisons(e ast.Expr) []*ast.BinaryExpr {
 
 // keySide renders a comparison operand as a region key, looking through
 // conversions like uint64(total) so the guarded variable is recognized.
-func keySide(e ast.Expr) (string, ast.Expr) {
+func keySide(e ast.Expr) string {
 	x := ast.Unparen(e)
 	if call, ok := x.(*ast.CallExpr); ok && len(call.Args) == 1 {
 		// Treat any single-argument call as a possible conversion; a
@@ -1335,93 +1172,85 @@ func keySide(e ast.Expr) (string, ast.Expr) {
 		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "len" {
 			return keySide(call.Args[0])
 		}
-		return "", nil
+		return ""
 	}
-	return exprKey(x), x
+	return exprKey(x)
 }
 
-// upperViolation matches "key exceeds cap" comparisons: x > E, x >= E,
-// E < x, E <= x; and the equality pin x != E.
-func upperViolation(c *ast.BinaryExpr) (key string, capX ast.Expr, ok bool) {
-	switch c.Op {
-	case token.GTR, token.GEQ:
-		if k, _ := keySide(c.X); k != "" {
-			return k, c.Y, true
-		}
-	case token.LSS, token.LEQ:
-		if k, _ := keySide(c.Y); k != "" {
-			return k, c.X, true
-		}
-	case token.NEQ:
-		if k, _ := keySide(c.X); k != "" {
-			return k, c.Y, true
-		}
-		if k, _ := keySide(c.Y); k != "" {
-			return k, c.X, true
-		}
-	}
-	return "", nil, false
+// guard is one comparison leaf normalised to `key op cap`: the guarded
+// variable on the left, whatever bounds it on the right. A comparison A op B
+// has two readings — (A, op, B) and (B, mirrored op, A) — and guards yields
+// each whose left side renders a key, so `0 < x` and `x > 0` are one shape.
+type guard struct {
+	key string
+	op  token.Token
+	cap ast.Expr
 }
 
-// upperHold matches "key is within cap" comparisons: x < E, x <= E, E > x,
-// E >= x, and the equality pin x == E.
-func upperHold(c *ast.BinaryExpr) (key string, capX ast.Expr, ok bool) {
-	switch c.Op {
-	case token.LSS, token.LEQ:
-		if k, _ := keySide(c.X); k != "" {
-			return k, c.Y, true
+var (
+	mirroredOp = map[token.Token]token.Token{
+		token.LSS: token.GTR, token.LEQ: token.GEQ, token.GTR: token.LSS,
+		token.GEQ: token.LEQ, token.EQL: token.EQL, token.NEQ: token.NEQ,
+	}
+	negatedOp = map[token.Token]token.Token{
+		token.LSS: token.GEQ, token.LEQ: token.GTR, token.GTR: token.LEQ,
+		token.GEQ: token.LSS, token.EQL: token.NEQ, token.NEQ: token.EQL,
+	}
+)
+
+func guards(cond ast.Expr) []guard {
+	var out []guard
+	for _, c := range comparisons(cond) {
+		if k := keySide(c.X); k != "" {
+			out = append(out, guard{k, c.Op, c.Y})
 		}
-	case token.GTR, token.GEQ:
-		if k, _ := keySide(c.Y); k != "" {
-			return k, c.X, true
-		}
-	case token.EQL:
-		if k, _ := keySide(c.X); k != "" {
-			return k, c.Y, true
-		}
-		if k, _ := keySide(c.Y); k != "" {
-			return k, c.X, true
+		if k := keySide(c.Y); k != "" {
+			out = append(out, guard{k, mirroredOp[c.Op], c.X})
 		}
 	}
-	return "", nil, false
+	return out
 }
 
-// positiveViolation matches "key is not positive": x <= 0, x < 1, x == 0.
-func positiveViolation(c *ast.BinaryExpr) (string, bool) {
-	isZero := func(e ast.Expr) bool {
-		lit, ok := ast.Unparen(e).(*ast.BasicLit)
-		return ok && (lit.Value == "0" || lit.Value == "1")
-	}
-	switch c.Op {
-	case token.LEQ, token.LSS, token.EQL:
-		if k, _ := keySide(c.X); k != "" && isZero(c.Y) {
-			return k, true
-		}
-	case token.GEQ, token.GTR:
-		if k, _ := keySide(c.Y); k != "" && isZero(c.X) {
-			return k, true
-		}
-	}
-	return "", false
+// negated is the guard that holds where g does not.
+func (g guard) negated() guard {
+	g.op = negatedOp[g.op]
+	return g
 }
 
-// positiveHold matches "key is positive": x > 0, x >= 1.
-func positiveHold(c *ast.BinaryExpr) (string, bool) {
-	isZero := func(e ast.Expr) bool {
-		lit, ok := ast.Unparen(e).(*ast.BasicLit)
-		return ok && (lit.Value == "0" || lit.Value == "1")
+// exceedsCap matches the upper-bound violation "key exceeds cap": x > E,
+// x >= E, and the failed equality pin x != E. Its negation — x <= E, x < E,
+// x == E — is the hold, so for a comparison leaf "holds" is !exceedsCap.
+func (g guard) exceedsCap() bool {
+	return g.op == token.GTR || g.op == token.GEQ || g.op == token.NEQ
+}
+
+// notPositive matches the positive-step violation "key is not strictly
+// positive": x <= 0, x < 1, x == 0 — and nothing else; accepting either
+// literal under any operator let `x < 0`, `x == 1` and `x >= 0` pass for a
+// positive guard while a zero step still spun.
+func (g guard) notPositive() bool {
+	lit, ok := ast.Unparen(g.cap).(*ast.BasicLit)
+	if !ok {
+		return false
 	}
-	switch c.Op {
-	case token.GTR, token.GEQ:
-		if k, _ := keySide(c.X); k != "" && isZero(c.Y) {
-			return k, true
-		}
-	case token.LSS, token.LEQ:
-		if k, _ := keySide(c.Y); k != "" && isZero(c.X) {
-			return k, true
-		}
+	switch g.op {
+	case token.LEQ, token.EQL:
+		return lit.Value == "0"
+	case token.LSS:
+		return lit.Value == "1"
 	}
-	return "", false
+	return false
+}
+
+// region is the scope [start, end] in which the guard (or its negation — the
+// caller knows which) establishes kind for the key. Only an upper bound
+// carries the cap: its taint decides whether the bound means anything.
+func (g guard) region(kind regionKind, start, end token.Pos) taintRegion {
+	r := taintRegion{key: g.key, kind: kind, start: start, end: end}
+	if kind == regUpper {
+		r.cap = g.cap
+	}
+	return r
 }
 
 // regionKills reports whether a sanitizer region of the wanted kind covers
@@ -1571,7 +1400,11 @@ func (p *taintProblem) scanSinks(f taintValFact, n ast.Node, tn *taintNode, seen
 			return
 		}
 		seen[id] = true
-		tn.sinks = append(tn.sinks, TaintSink{Kind: kind, Pos: pos, What: what, Expr: renderExpr(p.pkg.Fset, e), Mask: mask, Fix: fix})
+		expr := renderNode(p.pkg.Fset, e)
+		if len(expr) > 40 {
+			expr = expr[:37] + "..." // keep messages one line
+		}
+		tn.sinks = append(tn.sinks, TaintSink{Kind: kind, Pos: pos, What: what, Expr: expr, Mask: mask, Fix: fix})
 	}
 
 	// Loop bounds: a registered for-cond whose bounding side is tainted.
@@ -1724,7 +1557,7 @@ func (p *taintProblem) scanCalls(f taintValFact, n ast.Node, tn *taintNode, seen
 	})
 }
 
-// recordReturn folds one return statement's masks into the node's TaintOut.
+// recordReturn folds one return statement's masks into the node's result masks.
 func (p *taintProblem) recordReturn(f taintValFact, ret *ast.ReturnStmt, tn *taintNode) {
 	if len(tn.out) == 0 {
 		return
@@ -1752,13 +1585,4 @@ func (p *taintProblem) recordReturn(f taintValFact, ret *ast.ReturnStmt, tn *tai
 			tn.out[i] |= p.maskOf(f, r, 0)
 		}
 	}
-}
-
-// renderExpr prints an expression compactly for messages.
-func renderExpr(fset *token.FileSet, e ast.Expr) string {
-	s := renderNode(fset, e)
-	if len(s) > 40 {
-		s = s[:37] + "..."
-	}
-	return s
 }

@@ -35,8 +35,7 @@ func loadTaintCase(t *testing.T, name string) (*TaintInfo, map[string]*FuncNode)
 		pkgs = append(pkgs, pkg)
 	}
 	graph := BuildCallGraph(pkgs)
-	sums := ComputeSummaries(graph)
-	ti := ComputeTaint(graph, sums)
+	ti := ComputeTaint(graph)
 	byName := make(map[string]*FuncNode)
 	for _, n := range graph.Nodes {
 		byName[n.Name] = n
@@ -80,7 +79,7 @@ func TestDecodeEntryRootsByteSliceParams(t *testing.T) {
 	}
 }
 
-// TestTaintInRecordsSinkRefs: the summary's TaintIn facts must name the
+// TestTaintInRecordsSinkRefs: a helper's recorded sinks must name the
 // parameter and sink kind, so findings can print the missing check at the
 // right place.
 func TestTaintInRecordsSinkRefs(t *testing.T) {

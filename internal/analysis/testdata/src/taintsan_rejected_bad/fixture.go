@@ -46,3 +46,45 @@ func DecompressSlice(stream []byte) ([]byte, error) {
 	}
 	return make([]byte, cols), nil
 }
+
+// The three loops below guard the stream-derived step with a comparison
+// that mentions 0 or 1 but does not make it strictly positive: a zero
+// advance passes each guard and the loop spins. All three steps must be
+// flagged by untrustedloop.
+
+//pressio:untrusted rejects a negative advance only
+func skipNegative(stream []byte) error {
+	pos := 0
+	for pos < len(stream) {
+		adv := int(int8(stream[pos]))
+		if adv < 0 {
+			return errCorrupt
+		}
+		pos += adv
+	}
+	return nil
+}
+
+//pressio:untrusted rejects an advance of exactly one
+func skipNotOne(stream []byte) error {
+	pos := 0
+	for pos < len(stream) {
+		adv := int(stream[pos])
+		if adv == 1 {
+			return errCorrupt
+		}
+		pos += adv
+	}
+	return nil
+}
+
+//pressio:untrusted advances only when the step is non-negative
+func skipNonNegative(stream []byte) {
+	pos := 0
+	for pos < len(stream) {
+		adv := int(int8(stream[pos]))
+		if adv >= 0 {
+			pos += adv
+		}
+	}
+}

@@ -35,45 +35,39 @@ func runThreadSafe(pass *Pass) {
 		return // needs object resolution to identify package-level variables
 	}
 	scope := pass.Pkg.Types.Scope()
-	for _, f := range pass.Pkg.Files {
-		for _, unit := range funcUnits(f) {
-			if unit.Decl != nil && unit.Decl.Recv == nil && unit.Decl.Name.Name == "init" {
-				continue // single-threaded by the runtime's init contract
-			}
-			cfg := BuildCFG(cfgName(pass.Pkg.Fset, unit), unit.Body)
-			problem := newHeldLocksProblem(pass.Pkg, unit)
-			res := Solve(cfg, problem)
-			WalkFacts(cfg, problem, res, func(fact any, n ast.Node) {
-				held := fact.(heldFact)
-				var targets []ast.Expr
-				switch st := n.(type) {
-				case *ast.AssignStmt:
-					targets = st.Lhs
-				case *ast.IncDecStmt:
-					targets = []ast.Expr{st.X}
-				default:
-					return
-				}
-				if len(held) > 0 {
-					return // some lock is held on every path to this write
-				}
-				for _, lhs := range targets {
-					id := rootIdent(lhs)
-					if id == nil {
-						continue
-					}
-					obj := pass.Pkg.Info.ObjectOf(id)
-					v, ok := obj.(*types.Var)
-					if !ok || v.Parent() != scope {
-						continue
-					}
-					pass.Reportf(lhs.Pos(),
-						"package declares thread_safe=%s but %s writes package-level %s without holding a lock on every path",
-						level, cfg.Name, id.Name)
-				}
-			})
+	forEachUnit(pass, func(u *unitFlow) {
+		if u.Decl != nil && u.Decl.Recv == nil && u.Decl.Name.Name == "init" {
+			return // single-threaded by the runtime's init contract
 		}
-	}
+		u.walkHeld(func(held set[string], n ast.Node) {
+			var targets []ast.Expr
+			switch st := n.(type) {
+			case *ast.AssignStmt:
+				targets = st.Lhs
+			case *ast.IncDecStmt:
+				targets = []ast.Expr{st.X}
+			default:
+				return
+			}
+			if len(held) > 0 {
+				return // some lock is held on every path to this write
+			}
+			for _, lhs := range targets {
+				id := rootIdent(lhs)
+				if id == nil {
+					continue
+				}
+				obj := pass.Pkg.Info.ObjectOf(id)
+				v, ok := obj.(*types.Var)
+				if !ok || v.Parent() != scope {
+					continue
+				}
+				pass.Reportf(lhs.Pos(),
+					"package declares thread_safe=%s but %s writes package-level %s without holding a lock on every path",
+					level, u.CFG.Name, id.Name)
+			}
+		})
+	})
 }
 
 // declaredSafety scans for thread-safety declarations: a
@@ -140,25 +134,4 @@ func isThreadSafeKey(e ast.Expr) bool {
 		return ok && v == core.KeyThreadSafe
 	}
 	return false
-}
-
-// rootIdent walks to the base identifier of an assignable expression:
-// x, x.f, x[i], (*x).f all root at x.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

@@ -50,8 +50,8 @@ func NewRing(vnodes int, peers ...string) *Ring {
 // hash64 is FNV-1a over b: deterministic across processes and runs, cheap,
 // and well-dispersed enough for placement (a splitmix64 step finalizes to
 // break up FNV's avalanche weakness on short keys). The loop is inline, not
-// hash/fnv: Add and Replicas hash under r.mu, where blockinglock counts an
-// io.Writer call as blocking.
+// hash/fnv: Replicas hashes on every routed request, and fnv.New64a plus its
+// Write would cost an allocation and two interface calls per key.
 func hash64(b []byte) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)

@@ -443,30 +443,25 @@ func (j *journal) append(op byte, meta recordMeta, chunks [][]byte) (lsn uint64,
 	if fsx.FSArmed(PointJournalTorn) {
 		// Stage a torn append: half the record reaches the device, then the
 		// crash fires. Recovery must quarantine and truncate this tail.
-		if _, werr := j.f.Write(rec[:len(rec)/2]); werr == nil { //lint:ignore blockinglock torn-write staging fires only in crash tests, and must land inside the append lock like the write it mimics
+		if _, werr := j.f.Write(rec[:len(rec)/2]); werr == nil {
 			_ = j.f.Sync()
 		}
 		j.broken = true
-		//lint:ignore blockinglock crash-point probe; blocks only when a crash test armed it
 		return 0, 0, fsx.FSCrash(PointJournalTorn)
 	}
-	//lint:ignore blockinglock crash-point probe; blocks only when a crash test armed it
 	if err := fsx.FSCrash(PointJournalTorn); err != nil {
 		// Unreachable when due (the staging branch above runs instead); this
 		// call exists to consume the fault's After count on skipped hits.
 		return 0, 0, err
 	}
-	//lint:ignore blockinglock crash-point probe; blocks only when a crash test armed it
 	if err := fsx.FSCrash(PointJournalWrite); err != nil {
 		return 0, 0, err
 	}
-	//lint:ignore blockinglock the append lock is the WAL ordering contract — file order must equal LSN order — so the write happens inside it
 	n, err := j.f.Write(rec)
 	if err != nil {
 		// Roll a partial append back so later records stay reachable; if even
 		// that fails the journal is declared broken and the store read-only.
 		if n > 0 {
-			//lint:ignore blockinglock the rollback must finish before the lock releases, or a later record lands after the tear
 			if terr := j.f.Truncate(j.size); terr != nil {
 				j.broken = true
 			}
@@ -489,11 +484,9 @@ func (j *journal) commit(end int64) error {
 	if j.synced >= end {
 		return nil
 	}
-	//lint:ignore blockinglock crash-point probe; blocks only when a crash test armed it
 	if err := fsx.FSCrash(PointJournalFsync); err != nil {
 		return err
 	}
-	//lint:ignore blockinglock holding syncMu across the fsync IS group commit: followers queue on it and return once the watermark covers them
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
@@ -511,11 +504,9 @@ func (j *journal) reset() error {
 	defer j.mu.Unlock()
 	j.syncMu.Lock()
 	defer j.syncMu.Unlock()
-	//lint:ignore blockinglock checkpoint truncation must fence out appenders and committers; both locks exist to exclude exactly this I/O
 	if err := j.f.Truncate(0); err != nil {
 		return err
 	}
-	//lint:ignore blockinglock the truncate must be durable before either lock releases, or a crash resurrects checkpointed records
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
@@ -546,7 +537,7 @@ func (j *journal) close() error {
 	if j.f == nil {
 		return nil
 	}
-	err := j.f.Sync() //lint:ignore blockinglock final flush and close under the append lock, so no late append can race the file handle going away
+	err := j.f.Sync()
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}

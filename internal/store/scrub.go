@@ -183,7 +183,6 @@ func (sc *Scrubber) Start() {
 	}
 	sc.stop = make(chan struct{})
 	sc.done = make(chan struct{})
-	//lint:ignore blockinglock goroutine launch, not a call: loop runs without the lock
 	go sc.loop(sc.stop, sc.done)
 }
 

@@ -591,7 +591,6 @@ func (s *Store) beginMutation(op byte, meta recordMeta, chunks [][]byte) (lsn ui
 			return 0, 0, fmt.Errorf("%w: %q", ErrNotFound, meta.Name)
 		}
 	}
-	//lint:ignore blockinglock LSN assignment and in-flight registration must be one atomic step under the store lock, and the append assigns the LSN
 	lsn, end, err = s.j.append(op, meta, chunks)
 	if err != nil {
 		return 0, 0, err
@@ -645,30 +644,25 @@ func (s *Store) Checkpoint() error {
 		return ErrClosed
 	}
 	for len(s.inflight) > 0 {
-		s.cond.Wait() //lint:ignore blockinglock sync.Cond.Wait releases the lock while blocked; this is the canonical condvar drain
+		s.cond.Wait()
 	}
 	lwm := s.j.lastAssigned()
 	man := manifest{Version: manifestVersion, LastLSN: lwm, Objects: map[string]manifestObject{}}
 	for name, o := range s.objects {
 		man.Objects[name] = manifestObject{Meta: o.meta, Quarantined: sortedIndices(o.quarantined)}
 	}
-	//lint:ignore blockinglock crash-point probe; blocks only when a crash test armed it
 	if err := fsx.FSCrash(PointManifest); err != nil {
 		return err
 	}
-	//lint:ignore blockinglock the checkpoint must exclude every mutation end to end; holding the store lock across the manifest write is its correctness condition
 	if err := saveManifest(s.manifestPath(), man); err != nil {
 		return err
 	}
-	//lint:ignore blockinglock crash-point probe; blocks only when a crash test armed it
 	if err := fsx.FSCrash(PointJournalTrunc); err != nil {
 		return err
 	}
-	//lint:ignore blockinglock journal truncation belongs to the same exclusive checkpoint transaction as the manifest write above
 	if err := s.j.reset(); err != nil {
 		return err
 	}
-	//lint:ignore blockinglock segment GC must not race a new put re-referencing an LSN; it runs inside the checkpoint's critical section
 	s.gcSegmentsLocked(lwm)
 	trace.CounterAdd(trace.CtrStoreCheckpoints, 1)
 	return nil
@@ -885,7 +879,6 @@ func (s *Store) container(o *object) (*h5lite.File, error) {
 	if o.file != nil {
 		return o.file, nil
 	}
-	//lint:ignore blockinglock single-flight lazy open: the per-object lock exists to serialize exactly this Open against concurrent readers
 	f, err := h5lite.Open(s.segmentPath(o.meta.Segment))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -907,7 +900,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	for len(s.inflight) > 0 {
-		s.cond.Wait() //lint:ignore blockinglock sync.Cond.Wait releases the lock while blocked; this is the canonical condvar drain
+		s.cond.Wait()
 	}
 	s.closed = true
 	s.mu.Unlock()

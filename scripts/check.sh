@@ -24,8 +24,8 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> pressiolint ./... (all fifteen analyzers, vs lint-baseline.sarif)"
-go run ./cmd/pressiolint -baseline lint-baseline.sarif ./...
+echo "==> pressiolint ./... (all fifteen analyzers, zero findings)"
+go run ./cmd/pressiolint ./...
 
 echo "==> option schemas (well-formed, option surface pinned, docs/PLUGINS.md reference current)"
 go test -run 'TestSchema|TestOptionSurfaceGolden|TestPluginDocsGenerated' ./internal/core/
