@@ -166,6 +166,16 @@ var untrustedReaderPkgs = map[string]bool{"bitstream": true, "rangecoder": true}
 // buffer's length before a Data can exist.
 var boundedMethodNames = map[string]bool{"Len": true, "Size": true, "Cap": true, "Dims": true}
 
+// checkedShapeFuncs are the two functions of internal/core's shape prelude
+// that hand back extents they did not bound themselves: both pass them to
+// CheckedElems, which compares every extent and the running product against
+// the caller's cap, and return nothing unless it accepts. A guard inside a
+// callee is invisible to the caller's sanitizer regions, so naming the pair
+// is what lets a decoder keep no parse loop of its own. (CheckedElems,
+// ReadRank, ReadShape and ReadFloatShape need no entry: their results come
+// out clean by the ordinary rules.)
+var checkedShapeFuncs = map[string]bool{"Geometry": true, "ReadExtents": true}
+
 // sourceFuncs are calls whose results are untrusted bytes in the I/O-plane
 // packages (internal/pio, internal/h5lite), where file contents are the
 // attacker-controllable stream. Elsewhere (CLI clients, tools) a file read
@@ -838,6 +848,9 @@ func (p *taintProblem) tupleMasks(f taintValFact, e ast.Expr, n int) []uint64 {
 			out := fill(0)
 			out[0] = taintSourceBit
 			return out
+		}
+		if checkedShapeFuncs[fn.Name()] && strings.HasSuffix(fn.Pkg().Path(), "internal/core") {
+			return fill(0)
 		}
 		switch q {
 		case "encoding/binary.Uvarint", "encoding/binary.Varint":

@@ -1,10 +1,14 @@
 // Package taintsan_accepted exercises every sanitizer idiom the taint
 // engine accepts — constant cap, min() clamp, option-derived limit,
-// len-derived bound, and early-return guard — one per decode entry. The
-// golden file is empty: none of these may report.
+// len-derived bound, early-return guard, and core's checked shape prelude —
+// one per decode entry. The golden file is empty: none of these may report.
 package taintsan_accepted
 
-import "errors"
+import (
+	"errors"
+
+	"pressio/internal/core"
+)
 
 var errCorrupt = errors.New("corrupt stream")
 
@@ -56,4 +60,21 @@ func DecompressSlice(stream []byte) ([]byte, error) {
 		pos += adv
 	}
 	return append(out, tail...), nil
+}
+
+// decodeShaped: the extents and count core.ReadExtents returns were bounded
+// inside it against the constant passed here, so they size an allocation and
+// bound a walk with no guard of the caller's own.
+//
+//pressio:untrusted
+func decodeShaped(stream []byte) ([]float64, error) {
+	dims, n, _, err := core.ReadExtents(stream, 3, maxElems)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	for i := uint64(0); i < dims[0]; i++ {
+		out[i] = 1
+	}
+	return out, nil
 }

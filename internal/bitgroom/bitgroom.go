@@ -8,7 +8,6 @@ package bitgroom
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"pressio/internal/core"
@@ -171,35 +170,20 @@ func (p *plugin) Configuration() *core.Options {
 }
 
 func (p *plugin) CompressImpl(in, out *core.Data) error {
-	var groomed *core.Data
-	switch in.DType() {
-	case core.DTypeFloat32:
-		groomed = in.Clone()
-		if p.kind == kindGroom {
-			GroomFloat32(groomed.Float32s(), int(p.nsd))
-		} else {
-			RoundFloat32(groomed.Float32s(), int(p.nsd))
-		}
-	case core.DTypeFloat64:
-		groomed = in.Clone()
-		if p.kind == kindGroom {
-			GroomFloat64(groomed.Float64s(), int(p.nsd))
-		} else {
-			RoundFloat64(groomed.Float64s(), int(p.nsd))
-		}
-	default:
-		return fmt.Errorf("%w: %s accepts only floating point data, got %s",
-			core.ErrInvalidDType, p.name, in.DType())
+	groom32, groom64 := GroomFloat32, GroomFloat64
+	if p.kind == kindRound {
+		groom32, groom64 = RoundFloat32, RoundFloat64
 	}
-	packed, err := lossless.Deflate(lossless.Shuffle(groomed.Bytes(), in.DType().Size()), int(p.level))
-	if err != nil {
-		return err
+	groomed := in.Clone()
+	pack := func() ([]byte, error) {
+		elem := groomed.DType().Size()
+		packed, err := lossless.Deflate(lossless.Shuffle(groomed.Bytes(), elem), int(p.level))
+		buf := append(make([]byte, 0, len(packed)+1), byte(elem))
+		return append(buf, packed...), err
 	}
-	buf := make([]byte, 0, len(packed)+1)
-	buf = append(buf, byte(in.DType().Size()))
-	buf = append(buf, packed...)
-	out.Become(core.NewBytes(buf))
-	return nil
+	return core.CompressFloat(groomed, out,
+		func(v []float32, _ []uint64) ([]byte, error) { groom32(v, int(p.nsd)); return pack() },
+		func(v []float64, _ []uint64) ([]byte, error) { groom64(v, int(p.nsd)); return pack() })
 }
 
 func (p *plugin) DecompressImpl(in, out *core.Data) error {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -54,53 +55,31 @@ func NewMove(dtype DType, b []byte, dims ...uint64) (*Data, error) {
 	return &Data{dtype: dtype, dims: cloneDims(dims), buf: b}, nil
 }
 
-// FromFloat32s wraps a float32 slice without copying.
-func FromFloat32s(v []float32, dims ...uint64) *Data {
+// adopt wraps a typed slice as dtype storage without copying; no dims means
+// one dimension of len(v). It panics when dims do not describe len(v)
+// elements, which only a caller's bug can cause.
+func adopt[T any](dtype DType, v []T, dims []uint64) *Data {
 	if len(dims) == 0 {
 		dims = []uint64{uint64(len(v))}
 	}
-	d, err := NewMove(DTypeFloat32, bytesOf(v), dims...)
+	d, err := NewMove(dtype, bytesOf(v), dims...)
 	if err != nil {
 		panic(err)
 	}
 	return d
 }
+
+// FromFloat32s wraps a float32 slice without copying.
+func FromFloat32s(v []float32, dims ...uint64) *Data { return adopt(DTypeFloat32, v, dims) }
 
 // FromFloat64s wraps a float64 slice without copying.
-func FromFloat64s(v []float64, dims ...uint64) *Data {
-	if len(dims) == 0 {
-		dims = []uint64{uint64(len(v))}
-	}
-	d, err := NewMove(DTypeFloat64, bytesOf(v), dims...)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
+func FromFloat64s(v []float64, dims ...uint64) *Data { return adopt(DTypeFloat64, v, dims) }
 
 // FromInt32s wraps an int32 slice without copying.
-func FromInt32s(v []int32, dims ...uint64) *Data {
-	if len(dims) == 0 {
-		dims = []uint64{uint64(len(v))}
-	}
-	d, err := NewMove(DTypeInt32, bytesOf(v), dims...)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
+func FromInt32s(v []int32, dims ...uint64) *Data { return adopt(DTypeInt32, v, dims) }
 
 // FromInt64s wraps an int64 slice without copying.
-func FromInt64s(v []int64, dims ...uint64) *Data {
-	if len(dims) == 0 {
-		dims = []uint64{uint64(len(v))}
-	}
-	d, err := NewMove(DTypeInt64, bytesOf(v), dims...)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
+func FromInt64s(v []int64, dims ...uint64) *Data { return adopt(DTypeInt64, v, dims) }
 
 // DType returns the element type.
 func (d *Data) DType() DType { return d.dtype }
@@ -330,14 +309,16 @@ func (d *Data) CastTo(dst DType) (*Data, error) {
 	return out, nil
 }
 
-// elementCount multiplies dimensions; an empty dim list means zero elements.
+// elementCount multiplies dimensions; an empty dim list or a zero extent
+// means zero elements. A product past elemCeiling saturates there instead of
+// wrapping, so no backing buffer can match a shape that overflows.
 func elementCount(dims []uint64) uint64 {
-	if len(dims) == 0 {
+	if len(dims) == 0 || slices.Contains(dims, 0) {
 		return 0
 	}
-	n := uint64(1)
-	for _, d := range dims {
-		n *= d
+	n, err := CheckedElems(dims, elemCeiling)
+	if err != nil {
+		return elemCeiling
 	}
 	return n
 }

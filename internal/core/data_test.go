@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -239,5 +240,19 @@ func TestFillDecompressed(t *testing.T) {
 	}
 	if out2.DType() != DTypeByte {
 		t.Fatalf("fallback: %v", out2)
+	}
+}
+
+// TestWrappingDimsRejected: a shape whose element count overflows uint64
+// must not match a small (here empty) buffer.
+func TestWrappingDimsRejected(t *testing.T) {
+	if d, err := NewMove(DTypeFloat32, nil, 1<<32, 1<<32); !errors.Is(err, ErrInvalidDims) {
+		t.Fatalf("NewMove with 2^64 elements = %v, %v; want ErrInvalidDims", d, err)
+	}
+	if err := NewBytes(nil).Reshape(1<<32, 1<<32); !errors.Is(err, ErrInvalidDims) {
+		t.Fatalf("Reshape to 2^64 elements = %v; want ErrInvalidDims", err)
+	}
+	if n := NewEmpty(DTypeFloat32, 1<<32, 1<<32).Len(); n == 0 {
+		t.Fatal("Len of a 2^64-element shape wrapped to 0")
 	}
 }

@@ -225,3 +225,21 @@ func TestObjectQuarantineAnswers409(t *testing.T) {
 		t.Fatalf("listing after quarantine: %+v", listing)
 	}
 }
+
+// TestWrappingDimsAnswer400: 2^32 x 2^32 elements wrap a uint64 product to
+// zero, which an empty body used to "match"; both data-plane entries must
+// refuse the shape.
+func TestWrappingDimsAnswer400(t *testing.T) {
+	d, _, _ := startTestDaemon(t, func(c *Config) { c.StoreDir = t.TempDir() })
+	base := "http://" + d.Addr()
+	const shape = "?dims=4294967296,4294967296&dtype=float32"
+	for _, c := range []struct{ method, path string }{
+		{"POST", "/compress"},
+		{"PUT", "/objects/wrap"},
+	} {
+		resp := objReq(t, c.method, base+c.path+shape, nil, nil)
+		if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s with wrapping dims: %d %s, want 400", c.method, c.path, resp.StatusCode, body)
+		}
+	}
+}

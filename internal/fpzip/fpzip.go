@@ -49,11 +49,6 @@ const Version = "1.3.0-go"
 // ErrCorrupt reports a malformed fpzip stream.
 var ErrCorrupt = errors.New("fpzip: corrupt stream")
 
-// Float constrains inputs to floating point element types.
-type Float interface {
-	~float32 | ~float64
-}
-
 // Params configures a compression call.
 type Params struct {
 	// Precision is the number of kept bits per value: 1..32 for float32,
@@ -99,53 +94,12 @@ func ordToF64(u uint64) float64 {
 	return math.Float64frombits(^u)
 }
 
-func width[T Float]() uint {
-	var zero T
-	if _, ok := any(zero).(float32); ok {
-		return 32
-	}
-	return 64
-}
+func width[T core.Float]() uint { return 8 * uint(core.FloatDType[T]().Size()) }
 
-// geometry mirrors the sz package's reduction of arbitrary rank to a
-// batched 3-D Lorenzo scan.
-// maxGeomElems bounds the declared element count (and so every extent and
-// partial product), keeping extent arithmetic overflow-free.
-const maxGeomElems = 1 << 42
-
-func geometry(dims []uint64) (outer, nx, ny, nz int, err error) {
-	if len(dims) == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("fpzip: %w: no dimensions", core.ErrInvalidDims)
-	}
-	total := uint64(1)
-	for _, d := range dims {
-		if d == 0 {
-			return 0, 0, 0, 0, fmt.Errorf("fpzip: %w: zero extent", core.ErrInvalidDims)
-		}
-		if d > maxGeomElems || total > maxGeomElems/d {
-			return 0, 0, 0, 0, fmt.Errorf("fpzip: %w: declared geometry %v exceeds %d elements", core.ErrInvalidDims, dims, uint64(maxGeomElems))
-		}
-		total *= d
-	}
-	outer, nx, ny, nz = 1, 1, 1, 1
-	switch len(dims) {
-	case 1:
-		nz = int(dims[0])
-	case 2:
-		ny, nz = int(dims[0]), int(dims[1])
-	case 3:
-		nx, ny, nz = int(dims[0]), int(dims[1]), int(dims[2])
-	default:
-		for _, d := range dims[:len(dims)-3] {
-			outer *= int(d)
-		}
-		nx, ny, nz = int(dims[len(dims)-3]), int(dims[len(dims)-2]), int(dims[len(dims)-1])
-	}
-	if outer > maxGeomElems || nx > maxGeomElems || ny > maxGeomElems || nz > maxGeomElems {
-		return 0, 0, 0, 0, fmt.Errorf("fpzip: %w: extent exceeds %d", core.ErrInvalidDims, uint64(maxGeomElems))
-	}
-	return outer, nx, ny, nz, nil
-}
+// maxElems caps the element count a stream may declare. It is a sanity cap
+// against decompression bombs: the adaptive coder has no per-element minimum
+// bit cost to check a declared shape against.
+const maxElems = 1 << 33
 
 // lorenzo computes the restricted Lorenzo prediction over mapped integers.
 // Arithmetic is modular, which is harmless: residuals stay small when the
@@ -242,7 +196,7 @@ func (c *coder) decodeResidual(dec *rangecoder.Decoder, raw *bitstream.Reader, r
 }
 
 // CompressSlice compresses vals shaped dims (C order).
-func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
+func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	w := width[T]()
 	prec := p.Precision
 	if prec == 0 {
@@ -251,7 +205,7 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	if prec > w {
 		return nil, fmt.Errorf("fpzip: precision %d exceeds %d-bit width", prec, w)
 	}
-	outer, nx, ny, nz, err := geometry(dims)
+	outer, nx, ny, nz, err := core.Geometry(dims, maxElems)
 	if err != nil {
 		return nil, err
 	}
@@ -262,16 +216,9 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	}
 	shift := w - prec
 
-	var hdr []byte
-	hdr = append(hdr, magic...)
-	if w == 32 {
-		hdr = append(hdr, 1)
-	} else {
-		hdr = append(hdr, 2)
-	}
-	hdr = append(hdr, byte(len(dims)))
-	for _, d := range dims {
-		hdr = binary.AppendUvarint(hdr, d)
+	hdr, err := core.AppendFloatShape[T]([]byte(magic), dims)
+	if err != nil {
+		return nil, err
 	}
 	hdr = append(hdr, byte(prec))
 
@@ -319,38 +266,15 @@ type Header struct {
 // ParseHeader reads the stream header of either format version.
 func ParseHeader(stream []byte) (Header, int, error) {
 	var h Header
-	if len(stream) < 7 || (string(stream[:4]) != magic && string(stream[:4]) != magicV1) {
+	if len(stream) < 4 || (string(stream[:4]) != magic && string(stream[:4]) != magicV1) {
 		return h, 0, ErrCorrupt
 	}
-	switch stream[4] {
-	case 1:
-		h.DType = core.DTypeFloat32
-	case 2:
-		h.DType = core.DTypeFloat64
-	default:
+	dtype, dims, n, err := core.ReadFloatShape(stream[4:], core.MaxRank, maxElems)
+	if err != nil {
 		return h, 0, ErrCorrupt
 	}
-	rank := int(stream[5])
-	if rank == 0 || rank > 16 {
-		return h, 0, ErrCorrupt
-	}
-	pos := 6
-	h.Dims = make([]uint64, rank)
-	total := uint64(1)
-	for i := range h.Dims {
-		v, sz := binary.Uvarint(stream[pos:])
-		if sz <= 0 || v == 0 || v > 1<<40 {
-			return h, 0, ErrCorrupt
-		}
-		h.Dims[i] = v
-		total *= v
-		if total > 1<<33 {
-			// Sanity cap against decompression bombs: the adaptive coder
-			// has no per-element minimum bit cost to check against.
-			return h, 0, ErrCorrupt
-		}
-		pos += sz
-	}
+	h.DType, h.Dims = dtype, dims
+	pos := 4 + n
 	if pos >= len(stream) {
 		return h, 0, ErrCorrupt
 	}
@@ -360,24 +284,20 @@ func ParseHeader(stream []byte) (Header, int, error) {
 }
 
 // DecompressSlice decodes a stream produced by CompressSlice.
-func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
+func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	h, pos, err := ParseHeader(stream)
 	if err != nil {
 		return nil, nil, err
 	}
 	w := width[T]()
-	want := core.DTypeFloat32
-	if w == 64 {
-		want = core.DTypeFloat64
-	}
-	if h.DType != want {
+	if h.DType != core.FloatDType[T]() {
 		return nil, nil, fmt.Errorf("fpzip: %w: stream holds %s", core.ErrInvalidDType, h.DType)
 	}
 	if h.Precision == 0 || h.Precision > w {
 		return nil, nil, ErrCorrupt
 	}
 	shift := w - h.Precision
-	outer, nx, ny, nz, err := geometry(h.Dims)
+	outer, nx, ny, nz, err := core.Geometry(h.Dims, maxElems)
 	if err != nil {
 		return nil, nil, err
 	}

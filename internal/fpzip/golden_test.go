@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"pressio/internal/core"
 )
 
 func goldenFile(t *testing.T, name string) []byte {
@@ -25,7 +27,7 @@ func goldenFile(t *testing.T, name string) []byte {
 // decoder returned (the input itself when lossless); <name>.fpz2.stream is
 // the first FPZ2 encoder's output. Every version must decode to the pinned
 // values, and today's encoder must write the newest one byte for byte.
-func checkGolden[T Float](t *testing.T, in, name string, dims []uint64, prec uint) {
+func checkGolden[T core.Float](t *testing.T, in, name string, dims []uint64, prec uint) {
 	want := goldenFile(t, in+".in")
 	if prec != 0 {
 		want = goldenFile(t, name+".out")

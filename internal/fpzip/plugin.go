@@ -1,10 +1,6 @@
 package fpzip
 
-import (
-	"fmt"
-
-	"pressio/internal/core"
-)
+import "pressio/internal/core"
 
 // Option keys the fpzip plugin owns.
 const (
@@ -42,24 +38,12 @@ func (p *plugin) Configuration() *core.Options {
 	return cfg
 }
 
+// CompressImpl mirrors the real fpzip: floating point only.
 func (p *plugin) CompressImpl(in, out *core.Data) error {
-	var stream []byte
-	var err error
-	switch in.DType() {
-	case core.DTypeFloat32:
-		stream, err = CompressSlice(in.Float32s(), in.Dims(), Params{Precision: uint(p.prec)})
-	case core.DTypeFloat64:
-		stream, err = CompressSlice(in.Float64s(), in.Dims(), Params{Precision: uint(p.prec)})
-	default:
-		// Mirrors the real fpzip: floating point only.
-		return fmt.Errorf("%w: fpzip accepts only floating point data, got %s",
-			core.ErrInvalidDType, in.DType())
-	}
-	if err != nil {
-		return err
-	}
-	out.Become(core.NewBytes(stream))
-	return nil
+	prm := Params{Precision: uint(p.prec)}
+	return core.CompressFloat(in, out,
+		func(v []float32, dims []uint64) ([]byte, error) { return CompressSlice(v, dims, prm) },
+		func(v []float64, dims []uint64) ([]byte, error) { return CompressSlice(v, dims, prm) })
 }
 
 func (p *plugin) DecompressImpl(in, out *core.Data) error {
@@ -67,23 +51,7 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	switch h.DType {
-	case core.DTypeFloat32:
-		vals, dims, err := DecompressSlice[float32](in.Bytes())
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat32s(vals, dims...))
-	case core.DTypeFloat64:
-		vals, dims, err := DecompressSlice[float64](in.Bytes())
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat64s(vals, dims...))
-	default:
-		return ErrCorrupt
-	}
-	return nil
+	return core.DecompressFloat(h.DType, in.Bytes(), out, DecompressSlice[float32], DecompressSlice[float64])
 }
 
 func (p *plugin) Clone() core.CompressorPlugin {

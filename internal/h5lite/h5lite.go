@@ -216,46 +216,7 @@ func (f *File) ReadDataset(name string) (*core.Data, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	dtype, err := core.ParseDType(info.DType)
-	if err != nil {
-		return nil, err
-	}
-	var filter *core.Compressor
-	if info.Filter != "" {
-		filter, err = filterFor(info.Filter, info.Options)
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := core.NewData(dtype, info.Dims...)
-	rowBytes := uint64(dtype.Size())
-	for _, dim := range info.Dims[1:] {
-		rowBytes *= dim
-	}
-	offset := uint64(0)
-	for i, ch := range info.Chunks {
-		payload := f.blobs[name][i]
-		var raw []byte
-		if filter != nil {
-			chunkDims := append([]uint64{ch.Rows}, info.Dims[1:]...)
-			dec, err := core.Decompress(filter, core.NewBytes(payload), dtype, chunkDims...)
-			if err != nil {
-				return nil, err
-			}
-			raw = dec.Bytes()
-		} else {
-			raw = payload
-		}
-		if uint64(len(raw)) != ch.Rows*rowBytes {
-			return nil, ErrFormat
-		}
-		copy(out.Bytes()[offset:], raw)
-		offset += ch.Rows * rowBytes
-	}
-	if offset != out.ByteLen() {
-		return nil, ErrFormat
-	}
-	return out, nil
+	return f.readRows(name, info, 0, info.Dims[0])
 }
 
 // ReadRows decodes only the chunks overlapping rows [start, start+count)
@@ -270,6 +231,12 @@ func (f *File) ReadRows(name string, start, count uint64) (*core.Data, error) {
 	if count == 0 || count > info.Dims[0] || start > info.Dims[0]-count {
 		return nil, fmt.Errorf("%w: %d rows from %d of %d", ErrOutOfRange, count, start, info.Dims[0])
 	}
+	return f.readRows(name, info, start, count)
+}
+
+// readRows is the one chunk-decode loop: rows [start, start+count), which
+// the caller has checked lie inside the dataset.
+func (f *File) readRows(name string, info datasetInfo, start, count uint64) (*core.Data, error) {
 	dtype, err := core.ParseDType(info.DType)
 	if err != nil {
 		return nil, err
@@ -296,28 +263,19 @@ func (f *File) ReadRows(name string, start, count uint64) (*core.Data, error) {
 			chunkStart = chunkEnd
 			continue // chunk does not overlap: never decompressed
 		}
-		var raw []byte
+		raw := f.blobs[name][i]
 		if filter != nil {
 			chunkDims := append([]uint64{ch.Rows}, info.Dims[1:]...)
-			dec, err := core.Decompress(filter, core.NewBytes(f.blobs[name][i]), dtype, chunkDims...)
+			dec, err := core.Decompress(filter, core.NewBytes(raw), dtype, chunkDims...)
 			if err != nil {
 				return nil, err
 			}
 			raw = dec.Bytes()
-		} else {
-			raw = f.blobs[name][i]
 		}
 		if uint64(len(raw)) != ch.Rows*rowBytes {
 			return nil, ErrFormat
 		}
-		lo := start
-		if chunkStart > lo {
-			lo = chunkStart
-		}
-		hi := start + count
-		if chunkEnd < hi {
-			hi = chunkEnd
-		}
+		lo, hi := max(start, chunkStart), min(start+count, chunkEnd)
 		copy(out.Bytes()[written*rowBytes:],
 			raw[(lo-chunkStart)*rowBytes:(hi-chunkStart)*rowBytes])
 		written += hi - lo

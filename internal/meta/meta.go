@@ -9,7 +9,6 @@ package meta
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -28,7 +27,30 @@ const (
 const Version = "1.0.0"
 
 // ErrCorrupt reports a malformed meta-compressor stream.
-var ErrCorrupt = errors.New("meta: corrupt stream")
+var ErrCorrupt = fmt.Errorf("meta: %w", core.ErrCorrupt)
+
+// maxElems caps the element count a meta-compressor stream may declare.
+const maxElems = 1 << 40
+
+// appendPrelude starts a framed stream the way chunking, sparse,
+// delta_encoding and linear_quantizer do: magic, the core.DType as one byte,
+// the shape.
+func appendPrelude(magic string, dtype core.DType, dims []uint64) ([]byte, error) {
+	return core.AppendShape(append([]byte(magic), byte(dtype)), dims)
+}
+
+// readPrelude parses what appendPrelude wrote and returns the offset of the
+// byte after it; the caller decides which dtypes its format admits.
+func readPrelude(b []byte, magic string) (dtype core.DType, dims []uint64, total uint64, pos int, err error) {
+	if len(b) < 5 || string(b[:4]) != magic {
+		return 0, nil, 0, 0, ErrCorrupt
+	}
+	dims, total, n, err := core.ReadShape(b[5:], core.MaxRank, maxElems)
+	if err != nil {
+		return 0, nil, 0, 0, ErrCorrupt
+	}
+	return core.DType(b[4]), dims, total, 5 + n, nil
+}
 
 // child is the wrapped compressor of a meta plugin: named by the option
 // "<prefix>:compressor", it receives every option set on the parent, so one
@@ -167,12 +189,9 @@ func (p *chunking) CompressImpl(in, out *core.Data) error {
 	close(next)
 	wg.Wait()
 
-	var buf []byte
-	buf = append(buf, chunkingMagic...)
-	buf = append(buf, byte(in.DType()))
-	buf = append(buf, byte(len(dims)))
-	for _, d := range dims {
-		buf = binary.AppendUvarint(buf, d)
+	buf, err := appendPrelude(chunkingMagic, in.DType(), dims)
+	if err != nil {
+		return err
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(jobs)))
 	for i := range jobs {
@@ -195,37 +214,26 @@ func (p *chunking) DecompressImpl(in, out *core.Data) error {
 		return err
 	}
 	b := in.Bytes()
-	if len(b) < 6 || string(b[:4]) != chunkingMagic {
-		return ErrCorrupt
+	dtype, dims, total, pos, err := readPrelude(b, chunkingMagic)
+	if err != nil {
+		return err
 	}
-	dtype := core.DType(b[4])
-	rank := int(b[5])
-	if rank == 0 || rank > 16 || dtype.Size() == 0 {
+	if dtype.Size() == 0 {
 		return ErrCorrupt
-	}
-	pos := 6
-	dims := make([]uint64, rank)
-	total := uint64(1)
-	for i := range dims {
-		v, sz := binary.Uvarint(b[pos:])
-		if sz <= 0 || v == 0 {
-			return ErrCorrupt
-		}
-		dims[i] = v
-		total *= v
-		if total > 1<<40 {
-			return ErrCorrupt // declared-shape bomb
-		}
-		pos += sz
 	}
 	nChunks, sz := binary.Uvarint(b[pos:])
 	if sz <= 0 || nChunks == 0 || nChunks > 1<<24 {
 		return ErrCorrupt
 	}
 	pos += sz
-	rows := make([]uint64, nChunks)
+	type span struct {
+		payload []byte
+		dstOff  uint64
+		rows    uint64
+	}
+	spans := make([]span, nChunks)
 	sizes := make([]uint64, nChunks)
-	for i := range rows {
+	for i := range spans {
 		r, sz := binary.Uvarint(b[pos:])
 		if sz <= 0 {
 			return ErrCorrupt
@@ -236,28 +244,21 @@ func (p *chunking) DecompressImpl(in, out *core.Data) error {
 			return ErrCorrupt
 		}
 		pos += sz
-		rows[i], sizes[i] = r, l
+		spans[i].rows, sizes[i] = r, l
 	}
-	rowBytes := uint64(dtype.Size())
-	for _, d := range dims[1:] {
-		rowBytes *= d
-	}
+	rowBytes := total / dims[0] * uint64(dtype.Size())
 	result := core.NewData(dtype, dims...)
-	type span struct {
-		payload []byte
-		dstOff  uint64
-		rows    uint64
-	}
-	spans := make([]span, nChunks)
-	off := uint64(pos)
-	dst := uint64(0)
-	for i := uint64(0); i < nChunks; i++ {
-		if off+sizes[i] > uint64(len(b)) {
+	// Payloads and destination rows are both carved off what is left, so a
+	// hostile length or row count is refused before any offset is formed.
+	rest, dst := b[pos:], uint64(0)
+	for i := range spans {
+		s := &spans[i]
+		if sizes[i] > uint64(len(rest)) || s.rows > (result.ByteLen()-dst)/rowBytes {
 			return ErrCorrupt
 		}
-		spans[i] = span{payload: b[off : off+sizes[i]], dstOff: dst, rows: rows[i]}
-		off += sizes[i]
-		dst += rows[i] * rowBytes
+		s.payload, rest = rest[:sizes[i]], rest[sizes[i]:]
+		s.dstOff = dst
+		dst += s.rows * rowBytes
 	}
 	if dst != result.ByteLen() {
 		return ErrCorrupt

@@ -2,7 +2,6 @@ package meta
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"pressio/internal/core"
@@ -60,88 +59,56 @@ func (p *sparse) CompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	if in.DType() != core.DTypeFloat32 && in.DType() != core.DTypeFloat64 {
-		return fmt.Errorf("%w: sparse supports float32/float64, got %s", core.ErrInvalidDType, in.DType())
-	}
-	n := int(in.Len())
-	occupied := make([]bool, n)
-	dense := 0
-	if in.DType() == core.DTypeFloat32 {
-		for i, v := range in.Float32s() {
-			if math.Abs(float64(v)) > p.threshold {
-				occupied[i] = true
-				dense++
-			}
-		}
-	} else {
-		for i, v := range in.Float64s() {
-			if math.Abs(v) > p.threshold {
-				occupied[i] = true
-				dense++
-			}
+	return core.CompressFloat(in, out,
+		func(v []float32, dims []uint64) ([]byte, error) { return sparseEncode(comp, v, dims, p.threshold) },
+		func(v []float64, dims []uint64) ([]byte, error) { return sparseEncode(comp, v, dims, p.threshold) })
+}
+
+func sparseEncode[T core.Float](comp *core.Compressor, vals []T, dims []uint64, threshold float64) ([]byte, error) {
+	// Pack the dense values into a 1-D buffer for the child and run-length
+	// encode the occupancy mask: alternating run lengths starting with the
+	// empty state.
+	occupied := func(v T) bool { return math.Abs(float64(v)) > threshold }
+	n := 0
+	for _, v := range vals {
+		if occupied(v) {
+			n++
 		}
 	}
-	// Pack the dense values into a 1-D buffer for the child.
-	var packed *core.Data
-	if in.DType() == core.DTypeFloat32 {
-		vals := make([]float32, 0, dense)
-		for i, v := range in.Float32s() {
-			if occupied[i] {
-				vals = append(vals, v)
-			}
-		}
-		packed = core.FromFloat32s(vals, uint64(len(vals)))
-	} else {
-		vals := make([]float64, 0, dense)
-		for i, v := range in.Float64s() {
-			if occupied[i] {
-				vals = append(vals, v)
-			}
-		}
-		packed = core.FromFloat64s(vals, uint64(len(vals)))
-	}
-	var inner *core.Data
-	if dense > 0 {
-		inner, err = core.Compress(comp, packed)
-		if err != nil {
-			return err
-		}
-	} else {
-		inner = core.NewBytes(nil)
-	}
-	// Run-length encode the occupancy mask: alternating run lengths
-	// starting with the empty state.
+	dense := make([]T, 0, n)
 	var mask []byte
-	run := uint64(0)
-	state := false
-	for _, occ := range occupied {
+	run, state := uint64(0), false
+	for _, v := range vals {
+		occ := occupied(v)
+		if occ {
+			dense = append(dense, v)
+		}
 		if occ == state {
 			run++
 			continue
 		}
 		mask = binary.AppendUvarint(mask, run)
-		state = occ
-		run = 1
+		state, run = occ, 1
 	}
 	mask = binary.AppendUvarint(mask, run)
 	packedMask, err := lossless.Deflate(mask, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	var buf []byte
-	buf = append(buf, sparseMagic...)
-	buf = append(buf, byte(in.DType()))
-	buf = append(buf, byte(in.NumDims()))
-	for _, d := range in.Dims() {
-		buf = binary.AppendUvarint(buf, d)
+	inner := core.NewBytes(nil)
+	if len(dense) > 0 {
+		if inner, err = core.Compress(comp, core.FromFloats(dense)); err != nil {
+			return nil, err
+		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(dense))
+	buf, err := appendPrelude(sparseMagic, core.FloatDType[T](), dims)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(dense)))
 	buf = binary.AppendUvarint(buf, uint64(len(packedMask)))
 	buf = append(buf, packedMask...)
-	buf = append(buf, inner.Bytes()...)
-	out.Become(core.NewBytes(buf))
-	return nil
+	return append(buf, inner.Bytes()...), nil
 }
 
 func (p *sparse) DecompressImpl(in, out *core.Data) error {
@@ -149,108 +116,66 @@ func (p *sparse) DecompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	b := in.Bytes()
-	if len(b) < 6 || string(b[:4]) != sparseMagic {
-		return ErrCorrupt
-	}
-	dtype := core.DType(b[4])
-	rank := int(b[5])
-	if rank == 0 || rank > 16 || (dtype != core.DTypeFloat32 && dtype != core.DTypeFloat64) {
-		return ErrCorrupt
-	}
-	pos := 6
-	dims := make([]uint64, rank)
-	total := uint64(1)
-	for i := range dims {
-		v, sz := binary.Uvarint(b[pos:])
-		if sz <= 0 || v == 0 {
-			return ErrCorrupt
-		}
-		dims[i] = v
-		total *= v
-		if total > 1<<40 {
-			return ErrCorrupt // declared-shape bomb
-		}
-		pos += sz
-	}
-	dense, sz := binary.Uvarint(b[pos:])
-	if sz <= 0 || dense > total {
-		return ErrCorrupt
-	}
-	pos += sz
-	maskLen, sz := binary.Uvarint(b[pos:])
-	if sz <= 0 || maskLen > uint64(len(b)-pos) {
-		return ErrCorrupt
-	}
-	pos += sz
-	mask, err := lossless.Inflate(b[pos : pos+int(maskLen)])
+	dtype, dims, total, pos, err := readPrelude(in.Bytes(), sparseMagic)
 	if err != nil {
 		return err
 	}
-	pos += int(maskLen)
+	return core.DecompressFloat(dtype, in.Bytes()[pos:], out,
+		func(b []byte) ([]float32, []uint64, error) { return sparseDecode[float32](comp, b, dims, total) },
+		func(b []byte) ([]float64, []uint64, error) { return sparseDecode[float64](comp, b, dims, total) })
+}
 
-	// Decode occupancy runs.
-	occupied := make([]bool, total)
-	idx := uint64(0)
-	state := false
-	moff := 0
-	for idx < total {
-		run, sz := binary.Uvarint(mask[moff:])
-		if sz <= 0 || idx+run > total {
-			return ErrCorrupt
+// sparseDecode decodes what follows the prelude of a stream of total
+// elements shaped dims.
+func sparseDecode[T core.Float](comp *core.Compressor, b []byte, dims []uint64, total uint64) ([]T, []uint64, error) {
+	dense, sz := binary.Uvarint(b)
+	if sz <= 0 || dense > total {
+		return nil, nil, ErrCorrupt
+	}
+	b = b[sz:]
+	maskLen, sz := binary.Uvarint(b)
+	if sz <= 0 || maskLen > uint64(len(b)-sz) {
+		return nil, nil, ErrCorrupt
+	}
+	mask, err := lossless.Inflate(b[sz : sz+int(maskLen)])
+	if err != nil {
+		return nil, nil, err
+	}
+	b = b[sz+int(maskLen):]
+
+	var src []T
+	if dense > 0 {
+		packed := core.NewEmpty(core.FloatDType[T](), dense)
+		if err := comp.Decompress(core.NewBytes(b), packed); err != nil {
+			return nil, nil, err
 		}
-		moff += sz
+		if packed.DType() != core.FloatDType[T]() || packed.Len() != dense {
+			return nil, nil, ErrCorrupt
+		}
+		src = core.FloatsOf[T](packed)
+	}
+	// Occupied runs take the next values of src in order. A run is bounded by
+	// the cells left, and an occupied one by the values left, before anything
+	// is indexed.
+	dst := make([]T, total)
+	idx, state := uint64(0), false
+	for idx < total {
+		run, sz := binary.Uvarint(mask)
+		if sz <= 0 || run > total-idx || (state && run > uint64(len(src))) {
+			return nil, nil, ErrCorrupt
+		}
+		mask = mask[sz:]
 		if state {
-			for k := uint64(0); k < run; k++ {
-				occupied[idx+k] = true
-			}
+			copy(dst[idx:idx+run], src)
+			src = src[run:]
 		}
 		idx += run
 		state = !state
 	}
-
-	var packed *core.Data
-	if dense > 0 {
-		packed = core.NewEmpty(dtype, dense)
-		if err := comp.Decompress(core.NewBytes(b[pos:]), packed); err != nil {
-			return err
-		}
-		if packed.Len() != dense {
-			return ErrCorrupt
-		}
+	if len(src) != 0 {
+		return nil, nil, ErrCorrupt
 	}
-	result := core.NewData(dtype, dims...)
-	di := 0
-	if dtype == core.DTypeFloat32 {
-		dst := result.Float32s()
-		var src []float32
-		if packed != nil {
-			src = packed.Float32s()
-		}
-		for i, occ := range occupied {
-			if occ {
-				dst[i] = src[di]
-				di++
-			}
-		}
-	} else {
-		dst := result.Float64s()
-		var src []float64
-		if packed != nil {
-			src = packed.Float64s()
-		}
-		for i, occ := range occupied {
-			if occ {
-				dst[i] = src[di]
-				di++
-			}
-		}
-	}
-	if uint64(di) != dense {
-		return ErrCorrupt
-	}
-	out.Become(result)
-	return nil
+	return dst, dims, nil
 }
 
 func (p *sparse) Clone() core.CompressorPlugin {

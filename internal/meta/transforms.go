@@ -138,11 +138,11 @@ func (p *transpose) CompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	var buf []byte
-	buf = append(buf, transposeMagic...)
-	buf = append(buf, byte(len(perm)))
-	for _, v := range perm {
-		buf = binary.AppendUvarint(buf, v)
+	// perm has the rank of the data, so AppendShape's rank byte and its bound
+	// serve both vectors.
+	buf, err := core.AppendShape([]byte(transposeMagic), perm)
+	if err != nil {
+		return err
 	}
 	for _, v := range tr.Dims() {
 		buf = binary.AppendUvarint(buf, v)
@@ -159,11 +159,11 @@ func (p *transpose) DecompressImpl(in, out *core.Data) error {
 		return err
 	}
 	b := in.Bytes()
-	if len(b) < 5 || string(b[:4]) != transposeMagic {
+	if len(b) < 4 || string(b[:4]) != transposeMagic {
 		return ErrCorrupt
 	}
-	rank := int(b[4])
-	if rank == 0 || rank > 16 {
+	rank, err := core.ReadRank(b[4:], core.MaxRank)
+	if err != nil {
 		return ErrCorrupt
 	}
 	pos := 5
@@ -176,15 +176,11 @@ func (p *transpose) DecompressImpl(in, out *core.Data) error {
 		perm[i] = v
 		pos += sz
 	}
-	trDims := make([]uint64, rank)
-	for i := range trDims {
-		v, sz := binary.Uvarint(b[pos:])
-		if sz <= 0 || v == 0 {
-			return ErrCorrupt
-		}
-		trDims[i] = v
-		pos += sz
+	trDims, _, n, err := core.ReadExtents(b[pos:], rank, maxElems)
+	if err != nil {
+		return ErrCorrupt
 	}
+	pos += n
 	if pos >= len(b) {
 		return ErrCorrupt
 	}
@@ -258,15 +254,12 @@ func (p *resize) CompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	var buf []byte
-	buf = append(buf, resizeMagic...)
-	buf = append(buf, byte(in.NumDims()))
-	for _, d := range in.Dims() {
-		buf = binary.AppendUvarint(buf, d)
+	buf, err := core.AppendShape([]byte(resizeMagic), in.Dims())
+	if err == nil {
+		buf, err = core.AppendShape(buf, work.Dims())
 	}
-	buf = append(buf, byte(work.NumDims()))
-	for _, d := range work.Dims() {
-		buf = binary.AppendUvarint(buf, d)
+	if err != nil {
+		return err
 	}
 	buf = append(buf, byte(in.DType()))
 	buf = append(buf, inner.Bytes()...)
@@ -280,38 +273,19 @@ func (p *resize) DecompressImpl(in, out *core.Data) error {
 		return err
 	}
 	b := in.Bytes()
-	if len(b) < 5 || string(b[:4]) != resizeMagic {
+	if len(b) < 4 || string(b[:4]) != resizeMagic {
 		return ErrCorrupt
 	}
-	pos := 4
-	readDims := func() ([]uint64, error) {
-		if pos >= len(b) {
-			return nil, ErrCorrupt
-		}
-		rank := int(b[pos])
-		pos++
-		if rank == 0 || rank > 16 {
-			return nil, ErrCorrupt
-		}
-		dims := make([]uint64, rank)
-		for i := range dims {
-			v, sz := binary.Uvarint(b[pos:])
-			if sz <= 0 || v == 0 {
-				return nil, ErrCorrupt
-			}
-			dims[i] = v
-			pos += sz
-		}
-		return dims, nil
-	}
-	origDims, err := readDims()
+	origDims, _, n, err := core.ReadShape(b[4:], core.MaxRank, maxElems)
 	if err != nil {
-		return err
+		return ErrCorrupt
 	}
-	workDims, err := readDims()
+	pos := 4 + n
+	workDims, _, n, err := core.ReadShape(b[pos:], core.MaxRank, maxElems)
 	if err != nil {
-		return err
+		return ErrCorrupt
 	}
+	pos += n
 	if pos >= len(b) {
 		return ErrCorrupt
 	}
@@ -451,12 +425,9 @@ func (p *deltaMeta) CompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	var buf []byte
-	buf = append(buf, deltaMagic...)
-	buf = append(buf, byte(in.DType()))
-	buf = append(buf, byte(in.NumDims()))
-	for _, d := range in.Dims() {
-		buf = binary.AppendUvarint(buf, d)
+	buf, err := appendPrelude(deltaMagic, in.DType(), in.Dims())
+	if err != nil {
+		return err
 	}
 	buf = append(buf, inner.Bytes()...)
 	out.Become(core.NewBytes(buf))
@@ -481,30 +452,9 @@ func (p *deltaMeta) DecompressImpl(in, out *core.Data) error {
 		return err
 	}
 	b := in.Bytes()
-	if len(b) < 6 || string(b[:4]) != deltaMagic {
-		return ErrCorrupt
-	}
-	dtype := core.DType(b[4])
-	rank := int(b[5])
-	if rank == 0 || rank > 16 || dtype.Size() == 0 {
-		return ErrCorrupt
-	}
-	pos := 6
-	dims := make([]uint64, rank)
-	total := uint64(1)
-	for i := range dims {
-		v, sz := binary.Uvarint(b[pos:])
-		if sz <= 0 || v == 0 || v > 1<<40 {
-			return ErrCorrupt
-		}
-		dims[i] = v
-		// Overflow-safe running product: reject before multiplying so a
-		// wrapped uint64 can never sneak past the shape bound.
-		if total > (1<<44)/v {
-			return ErrCorrupt
-		}
-		total *= v
-		pos += sz
+	dtype, dims, total, pos, err := readPrelude(b, deltaMagic)
+	if err != nil {
+		return err
 	}
 	// A lossless child expands by at most ~three decimal orders of
 	// magnitude, so a header whose declared shape dwarfs the embedded
@@ -595,12 +545,9 @@ func (p *linQuant) CompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	var buf []byte
-	buf = append(buf, linQuantMagic...)
-	buf = append(buf, byte(in.DType()))
-	buf = append(buf, byte(in.NumDims()))
-	for _, d := range in.Dims() {
-		buf = binary.AppendUvarint(buf, d)
+	buf, err := appendPrelude(linQuantMagic, in.DType(), in.Dims())
+	if err != nil {
+		return err
 	}
 	buf = binary.AppendUvarint(buf, math.Float64bits(p.step))
 	buf = append(buf, inner.Bytes()...)
@@ -614,30 +561,12 @@ func (p *linQuant) DecompressImpl(in, out *core.Data) error {
 		return err
 	}
 	b := in.Bytes()
-	if len(b) < 6 || string(b[:4]) != linQuantMagic {
-		return ErrCorrupt
+	dtype, dims, total, pos, err := readPrelude(b, linQuantMagic)
+	if err != nil {
+		return err
 	}
-	dtype := core.DType(b[4])
-	rank := int(b[5])
-	if rank == 0 || rank > 16 || !dtype.Numeric() {
+	if !dtype.Numeric() {
 		return ErrCorrupt
-	}
-	pos := 6
-	dims := make([]uint64, rank)
-	total := uint64(1)
-	for i := range dims {
-		v, sz := binary.Uvarint(b[pos:])
-		if sz <= 0 || v == 0 || v > 1<<40 {
-			return ErrCorrupt
-		}
-		dims[i] = v
-		// Overflow-safe running product: reject before multiplying so a
-		// wrapped uint64 can never sneak past the shape bound.
-		if total > (1<<44)/v {
-			return ErrCorrupt
-		}
-		total *= v
-		pos += sz
 	}
 	stepBits, sz := binary.Uvarint(b[pos:])
 	if sz <= 0 {

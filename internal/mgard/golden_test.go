@@ -11,7 +11,7 @@ import (
 	"pressio/internal/core"
 )
 
-func goldenFile(t *testing.T, name string) []byte {
+func goldenFile(t testing.TB, name string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
 	if err != nil {
@@ -33,7 +33,7 @@ func leBytes(t *testing.T, v any) []byte {
 // the encoder of commit 46ffddb (before any entropy-stage rewrite) produced
 // for <name>.in under p, and <name>.out what its decoder returned. Today's
 // decoder must reproduce .out bit-exact and today's encoder the same stream.
-func checkGolden[T Float](t *testing.T, name string, dims []uint64, p Params) {
+func checkGolden[T core.Float](t *testing.T, name string, dims []uint64, p Params) {
 	stream := goldenFile(t, name+".stream")
 	got, gotDims, err := DecompressSlice[T](stream)
 	if err != nil {

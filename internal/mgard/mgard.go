@@ -40,11 +40,6 @@ var ErrNonFinite = errors.New("mgard: non-finite values unsupported")
 // dimension.
 var ErrTooSmall = errors.New("mgard: requires at least 3 points in each dimension")
 
-// Float constrains the element types the compressor accepts.
-type Float interface {
-	~float32 | ~float64
-}
-
 // Params configures a compression call.
 type Params struct {
 	// Mode selects absolute or value-range-relative interpretation of
@@ -111,33 +106,12 @@ func inverse1D(v []float64, starts []int, n, stride int) {
 	}
 }
 
+// maxElems caps the element count a shape may declare, which also keeps the
+// extent arithmetic of lineStarts and the 1-D passes overflow-free.
+const maxElems = 1 << 42
+
 // lineStarts enumerates the start offset of every 1-D line along dimension
 // d for a tensor with the given dims (C order).
-// maxGeomElems bounds the declared element count (and so every extent and
-// partial product), keeping extent arithmetic overflow-free.
-const maxGeomElems = 1 << 42
-
-// checkedDims validates every extent and the total element count against
-// maxGeomElems and returns a freshly built copy of dims plus the product.
-// The copy, not the caller's slice, must be handed to the transform
-// kernels: its elements are proven bounded here, so declared-shape input
-// can never drive lineStarts or the 1-D passes past allocated storage.
-func checkedDims(dims []uint64) ([]uint64, uint64, error) {
-	if len(dims) == 0 {
-		return nil, 0, fmt.Errorf("mgard: %w: no dimensions", core.ErrInvalidDims)
-	}
-	out := make([]uint64, len(dims))
-	total := uint64(1)
-	for i, d := range dims {
-		if d < 1 || d > maxGeomElems || total > maxGeomElems/d {
-			return nil, 0, fmt.Errorf("mgard: %w: dims %v exceed %d elements", core.ErrInvalidDims, dims, uint64(maxGeomElems))
-		}
-		total *= d
-		out[i] = d
-	}
-	return out, total, nil
-}
-
 func lineStarts(dims []uint64, d int) ([]int, int, int) {
 	n := int(dims[d])
 	stride := 1
@@ -197,7 +171,7 @@ func recompose(v []float64, dims []uint64) {
 
 // CompressSlice compresses vals shaped dims under p. Every dimension must
 // have at least 3 points.
-func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
+func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	if p.Bound <= 0 || math.IsNaN(p.Bound) || math.IsInf(p.Bound, 0) {
 		return nil, fmt.Errorf("mgard: bound %v must be positive and finite", p.Bound)
 	}
@@ -206,7 +180,7 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 			return nil, fmt.Errorf("%w: dims %v", ErrTooSmall, dims)
 		}
 	}
-	dims, total64, err := checkedDims(dims)
+	total64, err := core.CheckedElems(dims, maxElems)
 	if err != nil {
 		return nil, err
 	}
@@ -261,12 +235,9 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 		return nil, err
 	}
 
-	var out []byte
-	out = append(out, magic...)
-	out = append(out, dtypeByte[T]())
-	out = append(out, byte(len(dims)))
-	for _, d := range dims {
-		out = binary.AppendUvarint(out, d)
+	out, err := core.AppendFloatShape[T]([]byte(magic), dims)
+	if err != nil {
+		return nil, err
 	}
 	out = binary.AppendUvarint(out, math.Float64bits(bin))
 	out = append(out, packed...)
@@ -290,7 +261,7 @@ func dequantize(codes []int64, bin float64) []float64 {
 	return v
 }
 
-func worstErr[T Float](orig []T, recon []float64) float64 {
+func worstErr[T core.Float](orig []T, recon []float64) float64 {
 	worst := 0.0
 	for i := range orig {
 		// Compare after rounding to the storage type, since decompression
@@ -312,50 +283,37 @@ type Header struct {
 // ParseHeader reads the stream header.
 func ParseHeader(stream []byte) (Header, int, error) {
 	var h Header
-	if len(stream) < 6 || string(stream[:4]) != magic {
+	if len(stream) < 4 || string(stream[:4]) != magic {
 		return h, 0, ErrCorrupt
 	}
-	switch stream[4] {
-	case 1:
-		h.DType = core.DTypeFloat32
-	case 2:
-		h.DType = core.DTypeFloat64
-	default:
+	dtype, dims, n, err := core.ReadFloatShape(stream[4:], core.MaxRank, maxElems)
+	if err != nil {
 		return h, 0, ErrCorrupt
 	}
-	rank := int(stream[5])
-	if rank == 0 || rank > 16 {
-		return h, 0, ErrCorrupt
-	}
-	pos := 6
-	h.Dims = make([]uint64, rank)
-	for i := range h.Dims {
-		v, sz := binary.Uvarint(stream[pos:])
-		if sz <= 0 || v == 0 || v > 1<<40 {
-			return h, 0, ErrCorrupt
-		}
-		h.Dims[i] = v
-		pos += sz
-	}
+	h.DType, h.Dims = dtype, dims
+	pos := 4 + n
 	binBits, sz := binary.Uvarint(stream[pos:])
 	if sz <= 0 {
 		return h, 0, ErrCorrupt
 	}
 	pos += sz
-	h.Bin = math.Float64frombits(binBits)
-	if h.Bin <= 0 || math.IsNaN(h.Bin) || math.IsInf(h.Bin, 0) {
+	// Positive and finite; checked before it joins the header so the header
+	// holds nothing unvalidated.
+	bin := math.Float64frombits(binBits)
+	if math.IsNaN(bin) || bin <= 0 || bin > math.MaxFloat64 {
 		return h, 0, ErrCorrupt
 	}
+	h.Bin = bin
 	return h, pos, nil
 }
 
 // DecompressSlice decodes a stream produced by CompressSlice.
-func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
+func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	h, pos, err := ParseHeader(stream)
 	if err != nil {
 		return nil, nil, err
 	}
-	if h.DType != wantDType[T]() {
+	if h.DType != core.FloatDType[T]() {
 		return nil, nil, fmt.Errorf("mgard: %w: stream holds %s", core.ErrInvalidDType, h.DType)
 	}
 	payload, err := lossless.Inflate(stream[pos:])
@@ -368,11 +326,8 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 	if sz <= 0 || count > uint64(len(payload)) {
 		return nil, nil, ErrCorrupt
 	}
-	dims, total, err := checkedDims(h.Dims)
-	if err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	if count != total {
+	total, err := core.CheckedElems(h.Dims, maxElems)
+	if err != nil || count != total {
 		return nil, nil, ErrCorrupt
 	}
 	codes := make([]int64, count)
@@ -386,26 +341,10 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 		off += sz
 	}
 	recon := dequantize(codes, h.Bin)
-	recompose(recon, dims)
+	recompose(recon, h.Dims)
 	out := make([]T, total)
 	for i, v := range recon {
 		out[i] = T(v)
 	}
-	return out, dims, nil
-}
-
-func dtypeByte[T Float]() byte {
-	var zero T
-	if _, ok := any(zero).(float32); ok {
-		return 1
-	}
-	return 2
-}
-
-func wantDType[T Float]() core.DType {
-	var zero T
-	if _, ok := any(zero).(float32); ok {
-		return core.DTypeFloat32
-	}
-	return core.DTypeFloat64
+	return out, h.Dims, nil
 }

@@ -1,11 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -320,5 +323,67 @@ func TestCloseRejectsFurtherUse(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("double close not idempotent")
+	}
+}
+
+// TestReadPathDifferential: whatever Get returns for an object, GetRows and
+// GetRange must return exactly the matching slice of it — over random
+// shapes, chunkings, and with the filter off, lossless and lossy (so the
+// comparison is against Get, not against what was put).
+func TestReadPathDifferential(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(22))
+	filters := []PutOptions{
+		{},
+		{Filter: "flate"},
+		{Filter: "zfp", FilterOptions: map[string]float64{core.KeyAbs: 1e-2}},
+	}
+	for trial := 0; trial < 60; trial++ {
+		dims := make([]uint64, 1+rng.Intn(3))
+		n := 1
+		for i := range dims {
+			dims[i] = uint64(1 + rng.Intn(12))
+			n *= int(dims[i])
+		}
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = float32(10*math.Sin(float64(i)/5) + rng.NormFloat64())
+		}
+		po := filters[trial%len(filters)]
+		po.ChunkRows = uint64(rng.Intn(int(dims[0]) + 3)) // 0 and past-the-end included
+		name := fmt.Sprintf("obj%d", trial)
+		mustPut(t, s, name, core.FromFloat32s(vals, dims...), po)
+		what := fmt.Sprintf("%s dims %v chunk_rows %d filter %q", name, dims, po.ChunkRows, po.Filter)
+
+		full, _, err := s.Get(name)
+		if err != nil {
+			t.Fatalf("%s: Get: %v", what, err)
+		}
+		rowBytes := uint64(len(full.Bytes())) / dims[0]
+		for k := 0; k < 8; k++ {
+			start := uint64(rng.Intn(int(dims[0])))
+			count := 1 + uint64(rng.Intn(int(dims[0]-start)))
+			rows, _, err := s.GetRows(name, start, count)
+			if err != nil {
+				t.Fatalf("%s: GetRows(%d, %d): %v", what, start, count, err)
+			}
+			want := full.Bytes()[start*rowBytes : (start+count)*rowBytes]
+			if !bytes.Equal(rows.Bytes(), want) || rows.Dims()[0] != count || !slices.Equal(rows.Dims()[1:], dims[1:]) {
+				t.Fatalf("%s: GetRows(%d, %d) differs from the slice of Get (dims %v)", what, start, count, rows.Dims())
+			}
+			off := rng.Intn(len(full.Bytes()))
+			length := 1 + rng.Intn(len(full.Bytes())-off)
+			got, _, err := s.GetRange(name, int64(off), int64(length))
+			if err != nil {
+				t.Fatalf("%s: GetRange(%d, %d): %v", what, off, length, err)
+			}
+			if !bytes.Equal(got, full.Bytes()[off:off+length]) {
+				t.Fatalf("%s: GetRange(%d, %d) differs from the slice of Get", what, off, length)
+			}
+		}
 	}
 }

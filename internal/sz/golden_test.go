@@ -33,9 +33,17 @@ func leBytes(t *testing.T, v any) []byte {
 // the encoder of commit 46ffddb (before any entropy-stage rewrite) produced
 // for <name>.in under p, and <name>.out what its decoder returned. Today's
 // decoder must reproduce .out bit-exact and today's encoder the same stream.
-func checkGolden[T Float](t *testing.T, name string, dims []uint64, p Params) {
+func checkGolden[T core.Float](t *testing.T, name string, dims []uint64, p Params) {
+	checkGoldenWith(t, name, dims, DecompressSlice[T],
+		func(in []T) ([]byte, error) { return CompressSlice(in, dims, p) })
+}
+
+// checkGoldenWith is checkGolden for any of the package's encoder/decoder
+// pairs (plain, SZMP block-parallel, SZPW pointwise-relative).
+func checkGoldenWith[T core.Float](t *testing.T, name string, dims []uint64,
+	decode func([]byte) ([]T, []uint64, error), encode func([]T) ([]byte, error)) {
 	stream := goldenFile(t, name+".stream")
-	got, gotDims, err := DecompressSlice[T](stream)
+	got, gotDims, err := decode(stream)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -50,7 +58,7 @@ func checkGolden[T Float](t *testing.T, name string, dims []uint64, p Params) {
 	if err := binary.Read(bytes.NewReader(raw), binary.LittleEndian, in); err != nil {
 		t.Fatal(err)
 	}
-	re, err := CompressSlice(in, dims, p)
+	re, err := encode(in)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -69,6 +77,19 @@ func TestGoldenStreams(t *testing.T) {
 		}},
 		{"f64_3d_abs1e-4", func(t *testing.T, n string) {
 			checkGolden[float64](t, n, []uint64{6, 8, 10}, Params{Mode: core.BoundAbs, Bound: 1e-4})
+		}},
+		// The next two were recorded at commit 167347b, before the header
+		// parsers moved into core.
+		{"omp_f32_2d_abs1e-3", func(t *testing.T, n string) {
+			dims, p := []uint64{15, 16}, Params{Mode: core.BoundAbs, Bound: 1e-3}
+			checkGoldenWith(t, n, dims,
+				func(s []byte) ([]float32, []uint64, error) { return DecompressParallel[float32](s, 3) },
+				func(in []float32) ([]byte, error) { return CompressParallel(in, dims, p, 3) })
+		}},
+		{"pw_f64_2d_rel1e-2", func(t *testing.T, n string) {
+			dims := []uint64{10, 12}
+			checkGoldenWith(t, n, dims, DecompressSlicePW[float64],
+				func(in []float64) ([]byte, error) { return CompressSlicePW(in, dims, 1e-2, DefaultParams()) })
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) { c.run(t, c.name) })

@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -100,12 +101,16 @@ const maxParallelBlocks = 1 << 20
 // roughly equal blocks compressed concurrently, the strategy of SZ-OMP.
 // Each block is an independent CompressSlice stream, so the error bound is
 // preserved per block. nthreads <= 0 selects GOMAXPROCS.
-func CompressParallel[T Float](vals []T, dims []uint64, p Params, nthreads int) ([]byte, error) {
+func CompressParallel[T core.Float](vals []T, dims []uint64, p Params, nthreads int) ([]byte, error) {
 	if nthreads <= 0 {
 		nthreads = runtime.GOMAXPROCS(0)
 	}
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("sz: %w: no dimensions", core.ErrInvalidDims)
+	n, err := core.CheckedElems(dims, maxElems)
+	if err != nil {
+		return nil, err
+	}
+	if n != uint64(len(vals)) {
+		return nil, fmt.Errorf("sz: %w: dims %v describe %d elements, have %d", core.ErrInvalidDims, dims, n, len(vals))
 	}
 	if p.Mode == core.BoundValueRangeRel {
 		// Resolve the range globally so all blocks share one absolute
@@ -128,10 +133,7 @@ func CompressParallel[T Float](vals []T, dims []uint64, p Params, nthreads int) 
 	if blocks > maxParallelBlocks {
 		blocks = maxParallelBlocks
 	}
-	rowLen := 1
-	for _, d := range dims[1:] {
-		rowLen *= int(d)
-	}
+	rowLen := len(vals) / d0
 	type result struct {
 		data []byte
 		err  error
@@ -151,12 +153,12 @@ func CompressParallel[T Float](vals []T, dims []uint64, p Params, nthreads int) 
 	}
 	wg.Wait()
 	out := []byte(ompMagic)
-	out = appendUvarint(out, uint64(blocks))
+	out = binary.AppendUvarint(out, uint64(blocks))
 	for _, r := range results {
 		if r.err != nil {
 			return nil, r.err
 		}
-		out = appendUvarint(out, uint64(len(r.data)))
+		out = binary.AppendUvarint(out, uint64(len(r.data)))
 	}
 	for _, r := range results {
 		out = append(out, r.data...)
@@ -164,45 +166,56 @@ func CompressParallel[T Float](vals []T, dims []uint64, p Params, nthreads int) 
 	return out, nil
 }
 
-// DecompressParallel decodes a CompressParallel stream, decompressing
-// blocks concurrently and reassembling along the slowest dimension.
-func DecompressParallel[T Float](stream []byte, nthreads int) ([]T, []uint64, error) {
+// parallelBlocks splits a CompressParallel stream into its block streams.
+// Each declared size is bounded by what remains of the stream after the
+// blocks before it, so no offset is formed that the stream does not hold.
+func parallelBlocks(stream []byte) ([][]byte, error) {
 	if len(stream) < 4 || string(stream[:4]) != ompMagic {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	pos := 4
-	nBlocks, sz := uvarint(stream[pos:])
-	if sz <= 0 || nBlocks == 0 || nBlocks > 1<<20 {
-		return nil, nil, ErrCorrupt
+	nBlocks, sz := binary.Uvarint(stream[pos:])
+	if sz <= 0 || nBlocks == 0 || nBlocks > maxParallelBlocks {
+		return nil, ErrCorrupt
 	}
 	pos += sz
 	sizes := make([]uint64, nBlocks)
-	var total uint64
 	for i := range sizes {
-		v, sz := uvarint(stream[pos:])
+		v, sz := binary.Uvarint(stream[pos:])
 		if sz <= 0 {
-			return nil, nil, ErrCorrupt
+			return nil, ErrCorrupt
 		}
 		sizes[i] = v
-		total += v
 		pos += sz
 	}
-	if uint64(len(stream)-pos) < total {
-		return nil, nil, ErrCorrupt
+	rest := stream[pos:]
+	blocks := make([][]byte, nBlocks)
+	for i, size := range sizes {
+		if size > uint64(len(rest)) {
+			return nil, ErrCorrupt
+		}
+		blocks[i], rest = rest[:size], rest[size:]
+	}
+	return blocks, nil
+}
+
+// DecompressParallel decodes a CompressParallel stream, decompressing
+// blocks concurrently and reassembling along the slowest dimension.
+func DecompressParallel[T core.Float](stream []byte, nthreads int) ([]T, []uint64, error) {
+	blocks, err := parallelBlocks(stream)
+	if err != nil {
+		return nil, nil, err
 	}
 	type result struct {
 		vals []T
 		dims []uint64
 		err  error
 	}
-	results := make([]result, nBlocks)
+	results := make([]result, len(blocks))
 	var wg sync.WaitGroup
-	off := pos
-	for i := uint64(0); i < nBlocks; i++ {
-		blk := stream[off : off+int(sizes[i])]
-		off += int(sizes[i])
+	for i, blk := range blocks {
 		wg.Add(1)
-		go func(i uint64, blk []byte) {
+		go func(i int, blk []byte) {
 			defer wg.Done()
 			vals, dims, err := DecompressSlice[T](blk)
 			results[i] = result{vals, dims, err}
@@ -231,32 +244,14 @@ func DecompressParallel[T Float](stream []byte, nthreads int) ([]T, []uint64, er
 // ParallelHeader reports the element type and total dims of a
 // CompressParallel stream without decoding it.
 func ParallelHeader(stream []byte) (core.DType, []uint64, error) {
-	if len(stream) < 4 || string(stream[:4]) != ompMagic {
-		return core.DTypeUnset, nil, ErrCorrupt
-	}
-	pos := 4
-	nBlocks, sz := uvarint(stream[pos:])
-	if sz <= 0 || nBlocks == 0 || nBlocks > 1<<20 {
-		return core.DTypeUnset, nil, ErrCorrupt
-	}
-	pos += sz
-	sizes := make([]uint64, nBlocks)
-	for i := range sizes {
-		v, sz := uvarint(stream[pos:])
-		if sz <= 0 {
-			return core.DTypeUnset, nil, ErrCorrupt
-		}
-		sizes[i] = v
-		pos += sz
+	blocks, err := parallelBlocks(stream)
+	if err != nil {
+		return core.DTypeUnset, nil, err
 	}
 	var dims []uint64
 	var dtype core.DType
-	off := pos
-	for i, bs := range sizes {
-		if off+int(bs) > len(stream) {
-			return core.DTypeUnset, nil, ErrCorrupt
-		}
-		h, _, err := ParseHeader(stream[off : off+int(bs)])
+	for i, blk := range blocks {
+		h, _, err := ParseHeader(blk)
 		if err != nil {
 			return core.DTypeUnset, nil, err
 		}
@@ -266,31 +261,6 @@ func ParallelHeader(stream []byte) (core.DType, []uint64, error) {
 		} else {
 			dims[0] += h.Dims[0]
 		}
-		off += int(bs)
 	}
 	return dtype, dims, nil
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
-func uvarint(b []byte) (uint64, int) {
-	var v uint64
-	var s uint
-	for i, c := range b {
-		if c < 0x80 {
-			if i > 9 {
-				return 0, -1
-			}
-			return v | uint64(c)<<s, i + 1
-		}
-		v |= uint64(c&0x7f) << s
-		s += 7
-	}
-	return 0, 0
 }

@@ -108,140 +108,60 @@ func (p *plugin) params() Params {
 }
 
 func (p *plugin) CompressImpl(in, out *core.Data) error {
-	var stream []byte
-	var err error
-	if p.pwRel > 0 {
-		if p.variant == variantOMP {
-			return fmt.Errorf("%w: sz_omp does not support PW_REL", core.ErrNotImplemented)
-		}
-		switch in.DType() {
-		case core.DTypeFloat32:
-			stream, err = CompressSlicePW(in.Float32s(), in.Dims(), p.pwRel, p.params())
-		case core.DTypeFloat64:
-			stream, err = CompressSlicePW(in.Float64s(), in.Dims(), p.pwRel, p.params())
-		default:
-			err = fmt.Errorf("%w: sz supports float32/float64, got %s", core.ErrInvalidDType, in.DType())
-		}
-		if err != nil {
-			return err
-		}
-		out.Become(core.NewBytes(stream))
-		return nil
-	}
-	switch p.variant {
-	case variantGlobal:
+	prm := p.params()
+	switch {
+	case p.pwRel > 0 && p.variant == variantOMP:
+		return fmt.Errorf("%w: sz_omp does not support PW_REL", core.ErrNotImplemented)
+	case p.pwRel > 0:
+		return core.CompressFloat(in, out,
+			func(v []float32, dims []uint64) ([]byte, error) { return CompressSlicePW(v, dims, p.pwRel, prm) },
+			func(v []float64, dims []uint64) ([]byte, error) { return CompressSlicePW(v, dims, p.pwRel, prm) })
+	case p.variant == variantOMP:
+		return core.CompressFloat(in, out,
+			func(v []float32, dims []uint64) ([]byte, error) {
+				return CompressParallel(v, dims, prm, int(p.nthreads))
+			},
+			func(v []float64, dims []uint64) ([]byte, error) {
+				return CompressParallel(v, dims, prm, int(p.nthreads))
+			})
+	case p.variant == variantGlobal:
 		// Route through the global store exactly like the C plugin does
 		// with SZ_Init / compress / SZ_Finalize. The lock makes the
 		// "single" thread-safety contract concrete.
-		global.mu.Lock()
-		global.params = p.params()
-		global.inited = true
-		global.mu.Unlock()
-		switch in.DType() {
-		case core.DTypeFloat32:
-			stream, err = CompressFloat32(in.Float32s(), in.Dims())
-		case core.DTypeFloat64:
-			stream, err = CompressFloat64(in.Float64s(), in.Dims())
-		default:
-			err = fmt.Errorf("%w: sz supports float32/float64, got %s", core.ErrInvalidDType, in.DType())
-		}
-	case variantThreadsafe:
-		switch in.DType() {
-		case core.DTypeFloat32:
-			stream, err = CompressSlice(in.Float32s(), in.Dims(), p.params())
-		case core.DTypeFloat64:
-			stream, err = CompressSlice(in.Float64s(), in.Dims(), p.params())
-		default:
-			err = fmt.Errorf("%w: sz supports float32/float64, got %s", core.ErrInvalidDType, in.DType())
-		}
-	case variantOMP:
-		switch in.DType() {
-		case core.DTypeFloat32:
-			stream, err = CompressParallel(in.Float32s(), in.Dims(), p.params(), int(p.nthreads))
-		case core.DTypeFloat64:
-			stream, err = CompressParallel(in.Float64s(), in.Dims(), p.params(), int(p.nthreads))
-		default:
-			err = fmt.Errorf("%w: sz supports float32/float64, got %s", core.ErrInvalidDType, in.DType())
-		}
+		Init(prm)
+		return core.CompressFloat(in, out, CompressFloat32, CompressFloat64)
 	}
-	if err != nil {
-		return err
-	}
-	out.Become(core.NewBytes(stream))
-	return nil
+	return core.CompressFloat(in, out,
+		func(v []float32, dims []uint64) ([]byte, error) { return CompressSlice(v, dims, prm) },
+		func(v []float64, dims []uint64) ([]byte, error) { return CompressSlice(v, dims, prm) })
 }
 
 func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	// The stream self-describes dtype and dims; the hint only needs to be
 	// compatible when set.
 	stream := in.Bytes()
-	if p.variant == variantOMP {
-		return p.decompressOMP(stream, out)
-	}
-	if IsPWStream(stream) {
-		return decompressPW(stream, out)
+	switch {
+	case p.variant == variantOMP:
+		dtype, _, err := ParallelHeader(stream)
+		if err != nil {
+			return err
+		}
+		return core.DecompressFloat(dtype, stream, out,
+			func(s []byte) ([]float32, []uint64, error) { return DecompressParallel[float32](s, int(p.nthreads)) },
+			func(s []byte) ([]float64, []uint64, error) { return DecompressParallel[float64](s, int(p.nthreads)) })
+	case IsPWStream(stream):
+		// The inner log stream records the element type, behind exceptions
+		// whose width depends on it: try float32 first.
+		if core.DecompressFloat(core.DTypeFloat32, stream, out, DecompressSlicePW[float32], DecompressSlicePW[float64]) == nil {
+			return nil
+		}
+		return core.DecompressFloat(core.DTypeFloat64, stream, out, DecompressSlicePW[float32], DecompressSlicePW[float64])
 	}
 	h, _, err := ParseHeader(stream)
 	if err != nil {
 		return err
 	}
-	switch h.DType {
-	case core.DTypeFloat32:
-		vals, dims, err := DecompressSlice[float32](stream)
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat32s(vals, dims...))
-	case core.DTypeFloat64:
-		vals, dims, err := DecompressSlice[float64](stream)
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat64s(vals, dims...))
-	default:
-		return ErrCorrupt
-	}
-	return nil
-}
-
-// decompressPW handles pointwise-relative streams for both float widths.
-func decompressPW(stream []byte, out *core.Data) error {
-	// The inner log stream records the element type; peek via a 32-bit
-	// attempt first.
-	if vals, dims, err := DecompressSlicePW[float32](stream); err == nil {
-		out.Become(core.FromFloat32s(vals, dims...))
-		return nil
-	}
-	vals, dims, err := DecompressSlicePW[float64](stream)
-	if err != nil {
-		return err
-	}
-	out.Become(core.FromFloat64s(vals, dims...))
-	return nil
-}
-
-func (p *plugin) decompressOMP(stream []byte, out *core.Data) error {
-	dtype, _, err := ParallelHeader(stream)
-	if err != nil {
-		return err
-	}
-	switch dtype {
-	case core.DTypeFloat64:
-		vals, dims, err := DecompressParallel[float64](stream, int(p.nthreads))
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat64s(vals, dims...))
-	case core.DTypeFloat32:
-		vals, dims, err := DecompressParallel[float32](stream, int(p.nthreads))
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat32s(vals, dims...))
-	default:
-		return ErrCorrupt
-	}
-	return nil
+	return core.DecompressFloat(h.DType, stream, out, DecompressSlice[float32], DecompressSlice[float64])
 }
 
 func (p *plugin) Clone() core.CompressorPlugin {

@@ -25,15 +25,15 @@ const (
 // design, the logarithms of the magnitudes are compressed under an
 // absolute bound of log1p(rel); signs, exact zeros, and non-finite values
 // travel in a side channel.
-func CompressSlicePW[T Float](vals []T, dims []uint64, rel float64, p Params) ([]byte, error) {
+func CompressSlicePW[T core.Float](vals []T, dims []uint64, rel float64, p Params) ([]byte, error) {
 	if rel <= 0 || rel >= 1 || math.IsNaN(rel) {
 		return nil, fmt.Errorf("sz: pointwise relative bound %v must be in (0,1)", rel)
 	}
-	outer, nx, ny, nz, err := geometry(dims)
+	n, err := core.CheckedElems(dims, maxElems)
 	if err != nil {
 		return nil, err
 	}
-	if outer*nx*ny*nz != len(vals) {
+	if n != uint64(len(vals)) {
 		return nil, fmt.Errorf("sz: %w: dims %v vs %d elements", core.ErrInvalidDims, dims, len(vals))
 	}
 	logs := make([]T, len(vals))
@@ -94,7 +94,7 @@ func IsPWStream(stream []byte) bool {
 }
 
 // DecompressSlicePW decodes a stream produced by CompressSlicePW.
-func DecompressSlicePW[T Float](stream []byte) ([]T, []uint64, error) {
+func DecompressSlicePW[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if !IsPWStream(stream) {
 		return nil, nil, ErrCorrupt
 	}
@@ -108,12 +108,12 @@ func DecompressSlicePW[T Float](stream []byte) ([]T, []uint64, error) {
 		return nil, nil, ErrCorrupt
 	}
 	n64, sz := binary.Uvarint(stream[pos:])
-	if sz <= 0 || n64 > maxStream {
+	if sz <= 0 || n64 > maxElems {
 		return nil, nil, ErrCorrupt
 	}
 	pos += sz
 	codesLen, sz := binary.Uvarint(stream[pos:])
-	if sz <= 0 || codesLen > uint64(len(stream)) {
+	if sz <= 0 {
 		return nil, nil, ErrCorrupt
 	}
 	pos += sz
@@ -122,7 +122,7 @@ func DecompressSlicePW[T Float](stream []byte) ([]T, []uint64, error) {
 		return nil, nil, ErrCorrupt
 	}
 	pos += sz
-	if uint64(pos)+codesLen > uint64(len(stream)) {
+	if codesLen > uint64(len(stream)-pos) {
 		return nil, nil, ErrCorrupt
 	}
 	packed, err := lossless.Inflate(stream[pos : pos+int(codesLen)])
@@ -133,19 +133,11 @@ func DecompressSlicePW[T Float](stream []byte) ([]T, []uint64, error) {
 	if uint64(len(packed)) < (n64+3)/4 {
 		return nil, nil, ErrCorrupt
 	}
-	var zero T
-	excSize := 4
-	if _, ok := any(zero).(float64); ok {
-		excSize = 8
-	}
-	if uint64(pos)+nExc*uint64(excSize) > uint64(len(stream)) {
-		return nil, nil, ErrCorrupt
-	}
-	exceptions, err := floatsFrom[T](stream[pos:pos+int(nExc)*excSize], nExc)
+	exceptions, err := floatsFrom[T](stream[pos:], nExc)
 	if err != nil {
 		return nil, nil, err
 	}
-	pos += int(nExc) * excSize
+	pos += len(exceptions) * core.FloatDType[T]().Size()
 
 	logs, dims, err := DecompressSlice[T](stream[pos:])
 	if err != nil {

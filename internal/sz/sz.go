@@ -29,11 +29,6 @@ const Version = "2.1.10-go"
 // ErrCorrupt reports a malformed sz stream.
 var ErrCorrupt = errors.New("sz: corrupt stream")
 
-// Float constrains the element types the compressor accepts.
-type Float interface {
-	~float32 | ~float64
-}
-
 // Params configures a compression call.
 type Params struct {
 	// Mode selects how Bound is interpreted (absolute or value-range
@@ -78,60 +73,17 @@ func (p Params) normalized() (Params, error) {
 	return p, nil
 }
 
-const (
-	magic     = "SZG1"
-	dtF32     = 1
-	dtF64     = 2
-	maxStream = 1 << 40
-)
+const magic = "SZG1"
 
-// geometry reduces arbitrary-rank dims to (outer, nx, ny, nz): prediction
-// runs over the trailing three dimensions while leading dimensions are
-// treated as an independent batch, mirroring how SZ handles 4-D data.
-// maxGeomElems bounds the declared element count (and so every extent and
-// partial product): 2^42 elements is 32 TiB of float64s, far past any slab
-// this codec meets, while keeping products of capped extents overflow-free.
-const maxGeomElems = 1 << 42
-
-func geometry(dims []uint64) (outer, nx, ny, nz int, err error) {
-	if len(dims) == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("sz: %w: no dimensions", core.ErrInvalidDims)
-	}
-	total := uint64(1)
-	for _, d := range dims {
-		if d == 0 {
-			return 0, 0, 0, 0, fmt.Errorf("sz: %w: zero extent", core.ErrInvalidDims)
-		}
-		if d > maxGeomElems || total > maxGeomElems/d {
-			return 0, 0, 0, 0, fmt.Errorf("sz: %w: declared geometry %v exceeds %d elements", core.ErrInvalidDims, dims, uint64(maxGeomElems))
-		}
-		total *= d
-	}
-	outer, nx, ny, nz = 1, 1, 1, 1
-	switch len(dims) {
-	case 1:
-		nz = int(dims[0])
-	case 2:
-		ny, nz = int(dims[0]), int(dims[1])
-	case 3:
-		nx, ny, nz = int(dims[0]), int(dims[1]), int(dims[2])
-	default:
-		for _, d := range dims[:len(dims)-3] {
-			outer *= int(d)
-		}
-		nx, ny, nz = int(dims[len(dims)-3]), int(dims[len(dims)-2]), int(dims[len(dims)-1])
-	}
-	if outer > maxGeomElems || nx > maxGeomElems || ny > maxGeomElems || nz > maxGeomElems {
-		return 0, 0, 0, 0, fmt.Errorf("sz: %w: extent exceeds %d", core.ErrInvalidDims, uint64(maxGeomElems))
-	}
-	return outer, nx, ny, nz, nil
-}
+// maxElems caps the element count a shape may declare: 2^42 elements is
+// 32 TiB of float64s, far past any slab this codec meets.
+const maxElems = 1 << 42
 
 // lorenzo computes the restricted Lorenzo prediction for position (x,y,z)
 // from the reconstructed slice: the inclusion-exclusion sum over the
 // neighbors available within bounds (dimensions at index 0 drop out, so the
 // predictor degrades gracefully from 3-D to 2-D to 1-D at boundaries).
-func lorenzo[T Float](r []T, x, y, z, ny, nz int) float64 {
+func lorenzo[T core.Float](r []T, x, y, z, ny, nz int) float64 {
 	base := (x*ny + y) * nz
 	switch {
 	case x > 0 && y > 0 && z > 0:
@@ -166,12 +118,12 @@ func lorenzo[T Float](r []T, x, y, z, ny, nz int) float64 {
 //pressio:hotpath measured by the benchmark's sz.* per-layer rows
 // CompressSlice compresses vals shaped dims (C order) under p and returns
 // the self-describing stream.
-func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
+func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
 	}
-	outer, nx, ny, nz, err := geometry(dims)
+	outer, nx, ny, nz, err := core.Geometry(dims, maxElems)
 	if err != nil {
 		return nil, err
 	}
@@ -244,12 +196,10 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	}
 	outlierBytes := floatBytes(outliers)
 
-	var hdr []byte
-	hdr = append(hdr, magic...)
-	hdr = append(hdr, dtypeByte[T]())
-	hdr = append(hdr, byte(len(dims)))
-	for _, d := range dims {
-		hdr = binary.AppendUvarint(hdr, d)
+	hdr, err := core.AppendFloatShape[T]([]byte(magic), dims)
+	if err != nil {
+		spEncode.End()
+		return nil, err
 	}
 	hdr = binary.AppendUvarint(hdr, math.Float64bits(eb))
 	hdr = binary.AppendUvarint(hdr, uint64(radius))
@@ -280,31 +230,15 @@ type Header struct {
 // ParseHeader reads the stream header.
 func ParseHeader(stream []byte) (Header, int, error) {
 	var h Header
-	if len(stream) < 6 || string(stream[:4]) != magic {
+	if len(stream) < 4 || string(stream[:4]) != magic {
 		return h, 0, ErrCorrupt
 	}
-	switch stream[4] {
-	case dtF32:
-		h.DType = core.DTypeFloat32
-	case dtF64:
-		h.DType = core.DTypeFloat64
-	default:
+	dtype, dims, n, err := core.ReadFloatShape(stream[4:], core.MaxRank, maxElems)
+	if err != nil {
 		return h, 0, ErrCorrupt
 	}
-	rank := int(stream[5])
-	if rank == 0 || rank > 16 {
-		return h, 0, ErrCorrupt
-	}
-	pos := 6
-	h.Dims = make([]uint64, rank)
-	for i := 0; i < rank; i++ {
-		d, sz := binary.Uvarint(stream[pos:])
-		if sz <= 0 || d == 0 || d > maxStream {
-			return h, 0, ErrCorrupt
-		}
-		h.Dims[i] = d
-		pos += sz
-	}
+	h.DType, h.Dims = dtype, dims
+	pos := 4 + n
 	ebBits, sz := binary.Uvarint(stream[pos:])
 	if sz <= 0 {
 		return h, 0, ErrCorrupt
@@ -317,12 +251,12 @@ func ParseHeader(stream []byte) (Header, int, error) {
 //pressio:hotpath measured by the benchmark's sz.* per-layer rows
 // DecompressSlice decodes a stream produced by CompressSlice. The type
 // parameter must match the stream's recorded element type.
-func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
+func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	h, pos, err := ParseHeader(stream)
 	if err != nil {
 		return nil, nil, err
 	}
-	if h.DType != wantDType[T]() {
+	if h.DType != core.FloatDType[T]() {
 		return nil, nil, fmt.Errorf("sz: %w: stream holds %s", core.ErrInvalidDType, h.DType)
 	}
 	radius64, sz := binary.Uvarint(stream[pos:])
@@ -360,7 +294,7 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	outer, nx, ny, nz, err := geometry(h.Dims)
+	outer, nx, ny, nz, err := core.Geometry(h.Dims, maxElems)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -405,7 +339,7 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 	return recon, h.Dims, nil
 }
 
-func sliceRange[T Float](vals []T) (float64, float64) {
+func sliceRange[T core.Float](vals []T) (float64, float64) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range vals {
 		f := float64(v)
@@ -425,23 +359,7 @@ func sliceRange[T Float](vals []T) (float64, float64) {
 	return lo, hi
 }
 
-func dtypeByte[T Float]() byte {
-	var zero T
-	if _, ok := any(zero).(float32); ok {
-		return dtF32
-	}
-	return dtF64
-}
-
-func wantDType[T Float]() core.DType {
-	var zero T
-	if _, ok := any(zero).(float32); ok {
-		return core.DTypeFloat32
-	}
-	return core.DTypeFloat64
-}
-
-func floatBytes[T Float](vals []T) []byte {
+func floatBytes[T core.Float](vals []T) []byte {
 	var zero T
 	if _, ok := any(zero).(float32); ok {
 		out := make([]byte, 4*len(vals))
@@ -457,7 +375,7 @@ func floatBytes[T Float](vals []T) []byte {
 	return out
 }
 
-func floatsFrom[T Float](b []byte, n uint64) ([]T, error) {
+func floatsFrom[T core.Float](b []byte, n uint64) ([]T, error) {
 	var zero T
 	size := uint64(4)
 	if _, ok := any(zero).(float64); ok {

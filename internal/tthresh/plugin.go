@@ -1,8 +1,6 @@
 package tthresh
 
 import (
-	"fmt"
-
 	"pressio/internal/core"
 	"pressio/internal/lossless"
 )
@@ -50,21 +48,9 @@ func (p *plugin) Configuration() *core.Options {
 
 func (p *plugin) CompressImpl(in, out *core.Data) error {
 	prm := Params{Eps: p.eps, LosslessLevel: int(p.level)}
-	var stream []byte
-	var err error
-	switch in.DType() {
-	case core.DTypeFloat32:
-		stream, err = CompressSlice(in.Float32s(), in.Dims(), prm)
-	case core.DTypeFloat64:
-		stream, err = CompressSlice(in.Float64s(), in.Dims(), prm)
-	default:
-		return fmt.Errorf("%w: tthresh supports float32/float64, got %s", core.ErrInvalidDType, in.DType())
-	}
-	if err != nil {
-		return err
-	}
-	out.Become(core.NewBytes(stream))
-	return nil
+	return core.CompressFloat(in, out,
+		func(v []float32, dims []uint64) ([]byte, error) { return CompressSlice(v, dims, prm) },
+		func(v []float64, dims []uint64) ([]byte, error) { return CompressSlice(v, dims, prm) })
 }
 
 func (p *plugin) DecompressImpl(in, out *core.Data) error {
@@ -72,23 +58,7 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	switch h.DType {
-	case core.DTypeFloat32:
-		vals, dims, err := DecompressSlice[float32](in.Bytes())
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat32s(vals, dims...))
-	case core.DTypeFloat64:
-		vals, dims, err := DecompressSlice[float64](in.Bytes())
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat64s(vals, dims...))
-	default:
-		return ErrCorrupt
-	}
-	return nil
+	return core.DecompressFloat(h.DType, in.Bytes(), out, DecompressSlice[float32], DecompressSlice[float64])
 }
 
 func (p *plugin) Clone() core.CompressorPlugin {

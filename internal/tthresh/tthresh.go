@@ -20,11 +20,6 @@ var ErrCorrupt = errors.New("tthresh: corrupt stream")
 // ErrNonFinite reports NaN or Inf input.
 var ErrNonFinite = errors.New("tthresh: non-finite values unsupported")
 
-// Float constrains the element types the compressor accepts.
-type Float interface {
-	~float32 | ~float64
-}
-
 // Params configures a compression call.
 type Params struct {
 	// Eps is the target relative Frobenius error:
@@ -62,7 +57,7 @@ func dims3(dims []uint64) (d0, d1, d2 int, err error) {
 }
 
 // CompressSlice compresses vals shaped dims (C order, rank 1-3) under p.
-func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
+func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	if p.Eps <= 0 || p.Eps >= 1 || math.IsNaN(p.Eps) {
 		return nil, fmt.Errorf("tthresh: eps %v must be in (0,1)", p.Eps)
 	}
@@ -181,12 +176,9 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 		return nil, err
 	}
 
-	var out []byte
-	out = append(out, magic...)
-	out = append(out, dtypeByte[T]())
-	out = append(out, byte(len(dims)))
-	for _, d := range dims {
-		out = binary.AppendUvarint(out, d)
+	out, err := core.AppendFloatShape[T]([]byte(magic), dims)
+	if err != nil {
+		return nil, err
 	}
 	out = binary.AppendUvarint(out, math.Float64bits(bin))
 	out = append(out, packed...)
@@ -203,31 +195,15 @@ type Header struct {
 // ParseHeader reads the stream header.
 func ParseHeader(stream []byte) (Header, int, error) {
 	var h Header
-	if len(stream) < 6 || string(stream[:4]) != magic {
+	if len(stream) < 4 || string(stream[:4]) != magic {
 		return h, 0, ErrCorrupt
 	}
-	switch stream[4] {
-	case 1:
-		h.DType = core.DTypeFloat32
-	case 2:
-		h.DType = core.DTypeFloat64
-	default:
+	dtype, dims, n, err := core.ReadFloatShape(stream[4:], 3, maxModeDim*maxModeDim*maxModeDim)
+	if err != nil {
 		return h, 0, ErrCorrupt
 	}
-	rank := int(stream[5])
-	if rank == 0 || rank > 3 {
-		return h, 0, ErrCorrupt
-	}
-	pos := 6
-	h.Dims = make([]uint64, rank)
-	for i := range h.Dims {
-		v, sz := binary.Uvarint(stream[pos:])
-		if sz <= 0 || v == 0 || v > maxModeDim {
-			return h, 0, ErrCorrupt
-		}
-		h.Dims[i] = v
-		pos += sz
-	}
+	h.DType, h.Dims = dtype, dims
+	pos := 4 + n
 	binBits, sz := binary.Uvarint(stream[pos:])
 	if sz <= 0 {
 		return h, 0, ErrCorrupt
@@ -241,12 +217,12 @@ func ParseHeader(stream []byte) (Header, int, error) {
 }
 
 // DecompressSlice decodes a stream produced by CompressSlice.
-func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
+func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	h, pos, err := ParseHeader(stream)
 	if err != nil {
 		return nil, nil, err
 	}
-	if h.DType != wantDType[T]() {
+	if h.DType != core.FloatDType[T]() {
 		return nil, nil, fmt.Errorf("tthresh: %w: stream holds %s", core.ErrInvalidDType, h.DType)
 	}
 	d0, d1, d2, err := dims3(h.Dims)
@@ -322,20 +298,4 @@ func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
 		out[i] = T(v)
 	}
 	return out, h.Dims, nil
-}
-
-func dtypeByte[T Float]() byte {
-	var zero T
-	if _, ok := any(zero).(float32); ok {
-		return 1
-	}
-	return 2
-}
-
-func wantDType[T Float]() core.DType {
-	var zero T
-	if _, ok := any(zero).(float32); ok {
-		return core.DTypeFloat32
-	}
-	return core.DTypeFloat64
 }

@@ -1,6 +1,10 @@
 package zfp
 
-import "testing"
+import (
+	"testing"
+
+	"pressio/internal/core"
+)
 
 // FuzzDecompressSlice drives the block decoder, at both widths, with
 // arbitrary bytes: it must never panic, and accepted streams must match
@@ -32,7 +36,7 @@ func FuzzDecompressSlice(f *testing.F) {
 	})
 }
 
-func checkDecoded[T Float](t *testing.T, stream []byte) {
+func checkDecoded[T core.Float](t *testing.T, stream []byte) {
 	vals, dims, err := DecompressSlice[T](stream)
 	if err != nil {
 		return

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"pressio/internal/core"
 )
 
 func goldenFile(t *testing.T, name string) []byte {
@@ -32,7 +34,7 @@ func leBytes(t *testing.T, v any) []byte {
 // embedded coder was rewritten) produced for <in>.in under p, and <name>.out
 // what its decoder returned. Today's decoder must reproduce .out bit-exact
 // and today's encoder the same stream.
-func checkGolden[T Float](t *testing.T, name, in string, dims []uint64, p Params) {
+func checkGolden[T core.Float](t *testing.T, name, in string, dims []uint64, p Params) {
 	stream := goldenFile(t, name+".stream")
 	got, gotDims, err := DecompressSlice[T](stream)
 	if err != nil {

@@ -1,10 +1,6 @@
 package zfp
 
-import (
-	"fmt"
-
-	"pressio/internal/core"
-)
+import "pressio/internal/core"
 
 // plugin adapts the codec to the framework. The generic error-bound options
 // map onto fixed-accuracy mode: "pressio:abs" sets the tolerance directly
@@ -85,21 +81,9 @@ func (p *plugin) params(in *core.Data) Params {
 
 func (p *plugin) CompressImpl(in, out *core.Data) error {
 	prm := p.params(in)
-	var stream []byte
-	var err error
-	switch in.DType() {
-	case core.DTypeFloat32:
-		stream, err = CompressSlice(in.Float32s(), in.Dims(), prm)
-	case core.DTypeFloat64:
-		stream, err = CompressSlice(in.Float64s(), in.Dims(), prm)
-	default:
-		return fmt.Errorf("%w: zfp supports float32/float64, got %s", core.ErrInvalidDType, in.DType())
-	}
-	if err != nil {
-		return err
-	}
-	out.Become(core.NewBytes(stream))
-	return nil
+	return core.CompressFloat(in, out,
+		func(v []float32, dims []uint64) ([]byte, error) { return CompressSlice(v, dims, prm) },
+		func(v []float64, dims []uint64) ([]byte, error) { return CompressSlice(v, dims, prm) })
 }
 
 func (p *plugin) DecompressImpl(in, out *core.Data) error {
@@ -107,23 +91,7 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	switch h.DType {
-	case core.DTypeFloat32:
-		vals, dims, err := DecompressSlice[float32](in.Bytes())
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat32s(vals, dims...))
-	case core.DTypeFloat64:
-		vals, dims, err := DecompressSlice[float64](in.Bytes())
-		if err != nil {
-			return err
-		}
-		out.Become(core.FromFloat64s(vals, dims...))
-	default:
-		return ErrCorrupt
-	}
-	return nil
+	return core.DecompressFloat(h.DType, in.Bytes(), out, DecompressSlice[float32], DecompressSlice[float64])
 }
 
 func (p *plugin) Clone() core.CompressorPlugin {

@@ -17,11 +17,6 @@ const Version = "0.5.5-go"
 // ErrCorrupt reports a malformed zfp stream.
 var ErrCorrupt = errors.New("zfp: corrupt stream")
 
-// Float constrains the element types the codec accepts.
-type Float interface {
-	~float32 | ~float64
-}
-
 // Mode selects the zfp compression mode.
 type Mode int
 
@@ -143,58 +138,23 @@ func (r resolved) blockPrecision(emax, d int) uint {
 	return uint(p)
 }
 
+// maxElems caps the element count a shape may declare.
+const maxElems = 1 << 42
+
 // geometry maps C-order dims onto the codec's Fortran-order spatial extents
-// (x fastest) plus an outer batch count for rank > 3.
-// maxGeomElems bounds the declared element count (and so every extent and
-// partial product), keeping extent arithmetic overflow-free.
-const maxGeomElems = 1 << 42
-
+// (x fastest) plus an outer batch count for rank > 3; d is the block
+// dimensionality.
 func geometry(dims []uint64) (outer, sx, sy, sz, d int, err error) {
-	if len(dims) == 0 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("zfp: %w: no dimensions", core.ErrInvalidDims)
-	}
-	total := uint64(1)
-	for _, v := range dims {
-		if v == 0 {
-			return 0, 0, 0, 0, 0, fmt.Errorf("zfp: %w: zero extent", core.ErrInvalidDims)
-		}
-		if v > maxGeomElems || total > maxGeomElems/v {
-			return 0, 0, 0, 0, 0, fmt.Errorf("zfp: %w: declared geometry %v exceeds %d elements", core.ErrInvalidDims, dims, uint64(maxGeomElems))
-		}
-		total *= v
-	}
-	outer, sx, sy, sz = 1, 1, 1, 1
-	switch len(dims) {
-	case 1:
-		sx, d = int(dims[0]), 1
-	case 2:
-		sy, sx, d = int(dims[0]), int(dims[1]), 2
-	case 3:
-		sz, sy, sx, d = int(dims[0]), int(dims[1]), int(dims[2]), 3
-	default:
-		for _, v := range dims[:len(dims)-3] {
-			outer *= int(v)
-		}
-		sz, sy, sx, d = int(dims[len(dims)-3]), int(dims[len(dims)-2]), int(dims[len(dims)-1]), 3
-	}
-	if outer > maxGeomElems || sx > maxGeomElems || sy > maxGeomElems || sz > maxGeomElems {
-		return 0, 0, 0, 0, 0, fmt.Errorf("zfp: %w: extent exceeds %d", core.ErrInvalidDims, uint64(maxGeomElems))
-	}
-	return outer, sx, sy, sz, d, nil
+	outer, sz, sy, sx, err = core.Geometry(dims, maxElems)
+	return outer, sx, sy, sz, min(len(dims), 3), err
 }
 
-func intprecOf[T Float]() uint {
-	var zero T
-	if _, ok := any(zero).(float32); ok {
-		return 32
-	}
-	return 64
-}
+func intprecOf[T core.Float]() uint { return 8 * uint(core.FloatDType[T]().Size()) }
 
 //pressio:hotpath measured by the benchmark's zfp.* per-layer rows
 // CompressSlice compresses vals shaped dims (C order) and returns the
 // self-describing stream.
-func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
+func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	outer, sx, sy, sz, d, err := geometry(dims)
 	if err != nil {
 		return nil, err
@@ -215,11 +175,9 @@ func CompressSlice[T Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	// whole number of bytes, so the blocks start on the same bits as in a
 	// separate stream. Half the input size holds the payload at the ratios
 	// (≥ 2) lossy modes are used for; a denser stream grows it by append.
-	hdr := make([]byte, 0, 64)
-	hdr = append(hdr, magic...)
-	hdr = append(hdr, byte(intprec/32), byte(len(dims))) // 1 = float32, 2 = float64
-	for _, v := range dims {
-		hdr = binary.AppendUvarint(hdr, v)
+	hdr, err := core.AppendFloatShape[T](append(make([]byte, 0, 64), magic...), dims)
+	if err != nil {
+		return nil, err
 	}
 	hdr = append(hdr, byte(p.Mode))
 	hdr = binary.AppendUvarint(hdr, res.maxbits)
@@ -269,7 +227,7 @@ func clamp(v, hi int) int {
 // edge values for partial blocks (the source of the padding inefficiency
 // for extents smaller than 4). Interior blocks, nearly all of them, copy
 // rows of four without clamping.
-func gather[T Float](src []T, dst *[64]float64, x0, y0, z0, sx, sy, sz, d int) {
+func gather[T core.Float](src []T, dst *[64]float64, x0, y0, z0, sx, sy, sz, d int) {
 	nj, nk := 4, 4 // the block's extent along y and z: 1 on an axis it lacks
 	if d < 3 {
 		nk = 1
@@ -297,7 +255,7 @@ func gather[T Float](src []T, dst *[64]float64, x0, y0, z0, sx, sy, sz, d int) {
 
 // scatter writes a decoded block back, skipping padded lanes (an axis the
 // block lacks has extent 1, so it is cut to one lane like any short edge).
-func scatter[T Float](dst []T, src *[64]float64, x0, y0, z0, sx, sy, sz int) {
+func scatter[T core.Float](dst []T, src *[64]float64, x0, y0, z0, sx, sy, sz int) {
 	ni, nj, nk := min(4, sx-x0), min(4, sy-y0), min(4, sz-z0)
 	for k := 0; k < nk; k++ {
 		for j := 0; j < nj; j++ {
@@ -429,36 +387,15 @@ type Header struct {
 // block payload.
 func ParseHeader(stream []byte) (Header, resolved, int, error) {
 	var h Header
-	if len(stream) < 7 || string(stream[:4]) != magic {
+	if len(stream) < 4 || string(stream[:4]) != magic {
 		return h, resolved{}, 0, ErrCorrupt
 	}
-	switch stream[4] {
-	case 1:
-		h.DType = core.DTypeFloat32
-	case 2:
-		h.DType = core.DTypeFloat64
-	default:
+	dtype, dims, n, err := core.ReadFloatShape(stream[4:], core.MaxRank, maxElems)
+	if err != nil {
 		return h, resolved{}, 0, ErrCorrupt
 	}
-	rank := int(stream[5])
-	if rank == 0 || rank > 16 {
-		return h, resolved{}, 0, ErrCorrupt
-	}
-	pos := 6
-	h.Dims = make([]uint64, rank)
-	total := uint64(1)
-	for i := range h.Dims {
-		v, sz := binary.Uvarint(stream[pos:])
-		if sz <= 0 || v == 0 || v > 1<<40 {
-			return h, resolved{}, 0, ErrCorrupt
-		}
-		h.Dims[i] = v
-		total *= v
-		if total > 1<<44 {
-			return h, resolved{}, 0, ErrCorrupt
-		}
-		pos += sz
-	}
+	h.DType, h.Dims = dtype, dims
+	pos := 4 + n
 	if pos >= len(stream) {
 		return h, resolved{}, 0, ErrCorrupt
 	}
@@ -500,16 +437,12 @@ func ParseHeader(stream []byte) (Header, resolved, int, error) {
 
 //pressio:hotpath measured by the benchmark's zfp.* per-layer rows
 // DecompressSlice decodes a stream produced by CompressSlice.
-func DecompressSlice[T Float](stream []byte) ([]T, []uint64, error) {
+func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	h, res, pos, err := ParseHeader(stream)
 	if err != nil {
 		return nil, nil, err
 	}
-	want := core.DTypeFloat32
-	if intprecOf[T]() == 64 {
-		want = core.DTypeFloat64
-	}
-	if h.DType != want {
+	if h.DType != core.FloatDType[T]() {
 		return nil, nil, fmt.Errorf("zfp: %w: stream holds %s", core.ErrInvalidDType, h.DType)
 	}
 	outer, sx, sy, sz, d, err := geometry(h.Dims)
