@@ -70,10 +70,6 @@ func run(ranks int, dataset string, scale int, compressor string, bound float64,
 	if uint64(ranks) > d0 {
 		ranks = int(d0)
 	}
-	rowBytes := uint64(data.DType().Size())
-	for _, d := range dims[1:] {
-		rowBytes *= d
-	}
 
 	// "Scatter": each rank receives its slab over a channel, as an MPI
 	// scatter would deliver it.
@@ -110,9 +106,7 @@ func run(ranks int, dataset string, scale int, compressor string, bound float64,
 	for r := 0; r < ranks; r++ {
 		lo := uint64(r) * d0 / uint64(ranks)
 		hi := uint64(r+1) * d0 / uint64(ranks)
-		slabDims := append([]uint64{hi - lo}, dims[1:]...)
-		raw := data.Bytes()[lo*rowBytes : hi*rowBytes]
-		sd, err := core.NewMove(data.DType(), raw, slabDims...)
+		sd, err := data.Rows(lo, hi-lo)
 		if err != nil {
 			return err
 		}

@@ -4,9 +4,14 @@
 package pressio
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pressio/internal/core"
+	"pressio/internal/h5lite"
 )
 
 func TestCompressionDeterministic(t *testing.T) {
@@ -67,5 +72,53 @@ func TestSeededInjectorsDeterministic(t *testing.T) {
 		if !a.Equal(b) {
 			t.Errorf("%s: seeded injector not deterministic", name)
 		}
+	}
+}
+
+// TestFanOutIndependentOfGOMAXPROCS: with the slab policy fixed (chunk_rows
+// given), how many workers filter the slabs must not show in the bytes — the
+// chunking stream and a saved h5lite container are identical at GOMAXPROCS 1
+// and 4.
+func TestFanOutIndependentOfGOMAXPROCS(t *testing.T) {
+	in := conformanceInput()
+	encode := func(procs int) (stream, container []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		c, err := core.NewCompressor("chunking")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetOptions(core.NewOptions().
+			SetValue("chunking:chunk_rows", uint64(5)).
+			SetValue("chunking:compressor", "zfp").
+			SetValue(core.KeyAbs, 1e-3)); err != nil {
+			t.Fatal(err)
+		}
+		comp, err := core.Compress(c, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "d.h5l")
+		f := h5lite.Create(path)
+		if err := f.WriteDataset("d", in, h5lite.DatasetOptions{
+			ChunkRows: 5, Filter: "zfp", FilterOptions: map[string]float64{core.KeyAbs: 1e-3},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Save(); err != nil {
+			t.Fatal(err)
+		}
+		container, err = os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comp.Bytes(), container
+	}
+	stream1, container1 := encode(1)
+	stream4, container4 := encode(4)
+	if !bytes.Equal(stream1, stream4) {
+		t.Errorf("chunking stream differs between GOMAXPROCS 1 and 4 (%d vs %d bytes)", len(stream1), len(stream4))
+	}
+	if !bytes.Equal(container1, container4) {
+		t.Errorf("h5lite container differs between GOMAXPROCS 1 and 4 (%d vs %d bytes)", len(container1), len(container4))
 	}
 }

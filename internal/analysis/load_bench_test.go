@@ -1,9 +1,9 @@
 package analysis
 
 import (
-	"runtime"
 	"go/importer"
 	"go/token"
+	"runtime"
 	"testing"
 )
 

@@ -22,8 +22,9 @@ func NewWriter(capHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, capHint)}
 }
 
-//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // WriteBit appends a single bit (the low bit of b).
+//
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 func (w *Writer) WriteBit(b uint) {
 	w.acc |= uint64(b&1) << w.nacc
 	w.nacc++
@@ -33,8 +34,9 @@ func (w *Writer) WriteBit(b uint) {
 	}
 }
 
-//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // WriteBits appends the low n bits of v, LSB first. n must be ≤ 64.
+//
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 func (w *Writer) WriteBits(v uint64, n uint) {
 	if n == 0 {
 		return
@@ -144,8 +146,9 @@ func (r *Reader) refill() {
 	}
 }
 
-//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // ReadBit consumes and returns one bit (0 when past the end).
+//
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 func (r *Reader) ReadBit() uint {
 	r.fill(1)
 	b := uint(r.acc & 1)
@@ -156,26 +159,29 @@ func (r *Reader) ReadBit() uint {
 	return b
 }
 
-//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // Peek returns the next n (≤ 57) bits, LSB-first, without consuming them;
 // bits past the end read as zero. Table-driven decoders index with it and
 // then Skip the length the entry carries.
+//
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 func (r *Reader) Peek(n uint) uint64 {
 	r.fill(n)
 	return r.acc & (1<<n - 1)
 }
 
-//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // Skip consumes n (≤ 57) bits. Skipping past the end is not an error, as
 // with every read: the caller bounds what it consumes.
+//
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 func (r *Reader) Skip(n uint) {
 	r.fill(n)
 	r.acc >>= n
 	r.nacc -= min(r.nacc, n)
 }
 
-//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 // ReadBits consumes and returns n (≤ 64) bits, LSB-first.
+//
+//pressio:hotpath measured by the benchmark's bitstream.* per-layer rows
 func (r *Reader) ReadBits(n uint) uint64 {
 	if n <= 57 {
 		v := r.Peek(n)

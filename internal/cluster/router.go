@@ -299,23 +299,12 @@ func (r *Router) DecompressMany(ctx context.Context, chunks []Chunk) ([][]byte, 
 func (r *Router) many(ctx context.Context, op string, chunks []Chunk) ([][]byte, error) {
 	results := make([][]byte, len(chunks))
 	errs := make([]error, len(chunks))
-	workers := r.cfg.Fanout
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// Static strided partition, as in meta.CompressMany: worker w takes
-		// chunks w, w+W, ... — deterministic assignment, no shared cursor.
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(chunks); i += workers {
-				results[i], errs[i] = r.route(ctx, op, chunks[i].DType, chunks[i].Dims, chunks[i].Payload)
-			}
-		}(w)
-	}
-	wg.Wait()
+	// The failures are joined, not reduced to the first, so ForEach has
+	// nothing to return.
+	_ = core.ForEach(len(chunks), r.cfg.Fanout, func(_, i int) error {
+		results[i], errs[i] = r.route(ctx, op, chunks[i].DType, chunks[i].Dims, chunks[i].Payload)
+		return nil
+	})
 	return results, errors.Join(errs...)
 }
 

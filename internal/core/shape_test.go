@@ -20,7 +20,7 @@ func TestCheckedElems(t *testing.T) {
 		{[]uint64{1 << 32, 1 << 32}, math.MaxUint64, 0},                        // wraps to 0
 		{[]uint64{1 << 33, 1 << 31, 3}, math.MaxUint64, 0},                     // wraps to 2^64 exactly, then 0
 		{[]uint64{1<<32 + 1, 1 << 32}, math.MaxUint64, 0},                      // wraps to 2^32
-		{[]uint64{1 << 30, 1 << 30}, math.MaxUint64, elemCeiling},                 // the ceiling itself
+		{[]uint64{1 << 30, 1 << 30}, math.MaxUint64, elemCeiling},              // the ceiling itself
 		{[]uint64{1 << 30, 1 << 30, 2}, math.MaxUint64, 0},                     // past the ceiling, no wrap
 		{[]uint64{7, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 7, 7}, // rank is not its business
 	} {

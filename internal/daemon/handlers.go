@@ -139,7 +139,6 @@ func (d *Daemon) admitBody(ctx context.Context, w http.ResponseWriter, r *http.R
 	return body, release, nil
 }
 
-//pressio:hotpath measured by the benchmark's daemon.* per-layer rows
 // handleData is the shared data-plane path: request trace setup, admission,
 // pool checkout, codec call, response. Admission weight is the declared
 // Content-Length, so the bulkhead budget bounds resident request bytes, not
@@ -149,6 +148,8 @@ func (d *Daemon) admitBody(ctx context.Context, w http.ResponseWriter, r *http.R
 // traceparent header when present, minted otherwise), returned in the
 // X-Pressio-Request-Id and Traceparent response headers. The per-stage span
 // tree is retrievable afterwards from /tracez?id=<id>.
+//
+//pressio:hotpath measured by the benchmark's daemon.* per-layer rows
 func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, op string) {
 	inbound, _ := ParseRequestID(r)
 	rt := trace.NewRequestTrace(inbound)

@@ -44,12 +44,12 @@ type traceEntry struct {
 // spanJSON is the wire form of one span: microsecond offsets, flattened
 // attributes.
 type spanJSON struct {
-	ID       uint64         `json:"id"`
-	Parent   uint64         `json:"parent,omitempty"`
-	Name     string         `json:"name"`
-	StartUs  float64        `json:"start_us"`
-	DurUs    float64        `json:"dur_us"`
-	Attrs    map[string]any `json:"attrs,omitempty"`
+	ID      uint64         `json:"id"`
+	Parent  uint64         `json:"parent,omitempty"`
+	Name    string         `json:"name"`
+	StartUs float64        `json:"start_us"`
+	DurUs   float64        `json:"dur_us"`
+	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
 func newTraceStore(capacity int) *traceStore {

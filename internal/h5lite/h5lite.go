@@ -16,6 +16,7 @@
 package h5lite
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -150,64 +151,84 @@ func filterFor(name string, opts map[string]float64) (*core.Compressor, error) {
 	return c, nil
 }
 
-// WriteDataset stores d under name, replacing any existing dataset.
-func (f *File) WriteDataset(name string, d *core.Data, opts DatasetOptions) error {
+// eachChunk runs fn over n chunks: across workers with a clone of the filter
+// each when there is one, in place when the chunks are only copied.
+func eachChunk(filter *core.Compressor, n int, fn func(c *core.Compressor, i int) error) error {
+	if filter == nil {
+		return core.ForEach(n, 1, func(_, i int) error { return fn(nil, i) })
+	}
+	_, err := core.ForEachClone(filter, n, 0, func(c *core.Compressor, _, i int) error { return fn(c, i) })
+	return err
+}
+
+// FilterChunks is the filter step of WriteDataset on its own: d split into
+// opts.ChunkRows-row chunks along dimension 0, each in its stored
+// (post-filter) form, and the metadata that describes them. The object store
+// journals and checksums these before any container exists.
+func FilterChunks(d *core.Data, opts DatasetOptions) ([]RawChunk, DatasetMeta, error) {
 	if d == nil || !d.HasData() || d.NumDims() == 0 {
-		return fmt.Errorf("h5lite: %w", core.ErrNilData)
+		return nil, DatasetMeta{}, fmt.Errorf("h5lite: %w", core.ErrNilData)
 	}
 	var filter *core.Compressor
 	if opts.Filter != "" {
 		var err error
 		filter, err = filterFor(opts.Filter, opts.FilterOptions)
 		if err != nil {
-			return err
+			return nil, DatasetMeta{}, err
 		}
 	}
-	dims := d.Dims()
-	rowsTotal := dims[0]
+	rowsTotal := d.Dims()[0]
 	chunkRows := opts.ChunkRows
 	if chunkRows == 0 || chunkRows > rowsTotal {
-		chunkRows = rowsTotal
+		chunkRows = max(rowsTotal, 1)
 	}
-	rowBytes := uint64(d.DType().Size())
-	for _, dim := range dims[1:] {
-		rowBytes *= dim
-	}
-	var chunks []chunkInfo
-	var blobs [][]byte
-	for start := uint64(0); start < rowsTotal; start += chunkRows {
-		rows := chunkRows
-		if start+rows > rowsTotal {
-			rows = rowsTotal - start
+	chunks := make([]RawChunk, (rowsTotal+chunkRows-1)/chunkRows)
+	err := eachChunk(filter, len(chunks), func(c *core.Compressor, i int) error {
+		start := uint64(i) * chunkRows
+		rows, err := d.Rows(start, min(chunkRows, rowsTotal-start))
+		if err != nil {
+			return err
 		}
-		raw := d.Bytes()[start*rowBytes : (start+rows)*rowBytes]
-		var payload []byte
-		if filter != nil {
-			chunkDims := append([]uint64{rows}, dims[1:]...)
-			chunk, err := core.NewMove(d.DType(), append([]byte(nil), raw...), chunkDims...)
-			if err != nil {
-				return err
-			}
-			comp, err := core.Compress(filter, chunk)
-			if err != nil {
-				return err
-			}
-			payload = comp.Bytes()
-		} else {
-			payload = append([]byte(nil), raw...)
+		chunks[i].Rows = rows.Dims()[0]
+		if c == nil {
+			chunks[i].Payload = bytes.Clone(rows.Bytes())
+			return nil
 		}
-		chunks = append(chunks, chunkInfo{Rows: rows, Length: uint64(len(payload))})
-		blobs = append(blobs, payload)
-	}
-	f.idx.Datasets[name] = datasetInfo{
+		comp, err := core.Compress(c, rows)
+		if err != nil {
+			return err
+		}
+		chunks[i].Payload = comp.Bytes()
+		return nil
+	})
+	return chunks, DatasetMeta{
 		DType:   d.DType().String(),
-		Dims:    append([]uint64(nil), dims...),
+		Dims:    append([]uint64(nil), d.Dims()...),
 		Filter:  opts.Filter,
 		Options: opts.FilterOptions,
-		Chunks:  chunks,
+	}, err
+}
+
+// WriteDataset stores d under name, replacing any existing dataset.
+func (f *File) WriteDataset(name string, d *core.Data, opts DatasetOptions) error {
+	chunks, meta, err := FilterChunks(d, opts)
+	if err != nil {
+		return err
 	}
-	f.blobs[name] = blobs
+	f.put(name, meta, chunks)
 	return nil
+}
+
+// put records a dataset whose chunk payloads the container now owns.
+func (f *File) put(name string, m DatasetMeta, chunks []RawChunk) {
+	infos := make([]chunkInfo, len(chunks))
+	blobs := make([][]byte, len(chunks))
+	for i, ch := range chunks {
+		infos[i] = chunkInfo{Rows: ch.Rows, Length: uint64(len(ch.Payload))}
+		blobs[i] = ch.Payload
+	}
+	f.idx.Datasets[name] = datasetInfo{DType: m.DType, Dims: m.Dims, Filter: m.Filter, Options: m.Options, Chunks: infos}
+	f.blobs[name] = blobs
 }
 
 // ReadDataset decodes the named dataset, undoing the filter per chunk.
@@ -248,41 +269,55 @@ func (f *File) readRows(name string, info datasetInfo, start, count uint64) (*co
 			return nil, err
 		}
 	}
-	rowBytes := uint64(dtype.Size())
-	for _, dim := range info.Dims[1:] {
-		rowBytes *= dim
-	}
-	outDims := append([]uint64{count}, info.Dims[1:]...)
-	out := core.NewData(dtype, outDims...)
+	out := core.NewData(dtype, append([]uint64{count}, info.Dims[1:]...)...)
 
-	chunkStart := uint64(0)
-	written := uint64(0)
+	// The chunks that overlap the rows asked for, each with the dataset row
+	// it starts at; the others are never decompressed.
+	type piece struct {
+		chunk int
+		first uint64
+	}
+	var pieces []piece
+	row := uint64(0)
 	for i, ch := range info.Chunks {
-		chunkEnd := chunkStart + ch.Rows
-		if chunkEnd <= start || chunkStart >= start+count {
-			chunkStart = chunkEnd
-			continue // chunk does not overlap: never decompressed
+		if row < start+count && row+ch.Rows > start {
+			pieces = append(pieces, piece{i, row})
 		}
-		raw := f.blobs[name][i]
-		if filter != nil {
-			chunkDims := append([]uint64{ch.Rows}, info.Dims[1:]...)
-			dec, err := core.Decompress(filter, core.NewBytes(raw), dtype, chunkDims...)
+		row += ch.Rows
+	}
+	if row < start+count {
+		return nil, ErrFormat
+	}
+	err = eachChunk(filter, len(pieces), func(c *core.Compressor, i int) error {
+		p := pieces[i]
+		rows := info.Chunks[p.chunk].Rows
+		chunkDims := append([]uint64{rows}, info.Dims[1:]...)
+		raw := f.blobs[name][p.chunk]
+		if c != nil {
+			dec, err := core.Decompress(c, core.NewBytes(raw), dtype, chunkDims...)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			raw = dec.Bytes()
 		}
-		if uint64(len(raw)) != ch.Rows*rowBytes {
-			return nil, ErrFormat
+		chunk, err := core.NewMove(dtype, raw, chunkDims...)
+		if err != nil {
+			return ErrFormat
 		}
-		lo, hi := max(start, chunkStart), min(start+count, chunkEnd)
-		copy(out.Bytes()[written*rowBytes:],
-			raw[(lo-chunkStart)*rowBytes:(hi-chunkStart)*rowBytes])
-		written += hi - lo
-		chunkStart = chunkEnd
-	}
-	if written != count {
-		return nil, ErrFormat
+		lo, hi := max(start, p.first), min(start+count, p.first+rows)
+		src, err := chunk.Rows(lo-p.first, hi-lo)
+		if err != nil {
+			return ErrFormat
+		}
+		dst, err := out.Rows(lo-start, hi-lo)
+		if err != nil {
+			return ErrFormat
+		}
+		copy(dst.Bytes(), src.Bytes())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -345,24 +380,15 @@ func (f *File) WriteRawDataset(name, dtype string, dims []uint64, filter string,
 		return fmt.Errorf("h5lite: %w", core.ErrNilData)
 	}
 	var rows uint64
-	infos := make([]chunkInfo, len(chunks))
-	blobs := make([][]byte, len(chunks))
+	owned := make([]RawChunk, len(chunks))
 	for i, ch := range chunks {
 		rows += ch.Rows
-		infos[i] = chunkInfo{Rows: ch.Rows, Length: uint64(len(ch.Payload))}
-		blobs[i] = append([]byte(nil), ch.Payload...)
+		owned[i] = RawChunk{Rows: ch.Rows, Payload: bytes.Clone(ch.Payload)}
 	}
 	if rows != dims[0] {
 		return fmt.Errorf("h5lite: raw chunks cover %d rows, dims declare %d", rows, dims[0])
 	}
-	f.idx.Datasets[name] = datasetInfo{
-		DType:   dtype,
-		Dims:    append([]uint64(nil), dims...),
-		Filter:  filter,
-		Options: options,
-		Chunks:  infos,
-	}
-	f.blobs[name] = blobs
+	f.put(name, DatasetMeta{DType: dtype, Dims: append([]uint64(nil), dims...), Filter: filter, Options: options}, owned)
 	return nil
 }
 

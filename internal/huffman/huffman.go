@@ -167,9 +167,10 @@ func reverseBits(v uint64, n uint) uint64 {
 	return out
 }
 
-//pressio:hotpath measured by the benchmark's huffman.* per-layer rows
 // Encode compresses the symbol stream. alphabet is the exclusive upper bound
 // on symbol values; callers typically pass maxSymbol+1.
+//
+//pressio:hotpath measured by the benchmark's huffman.* per-layer rows
 func Encode(symbols []uint32, alphabet uint32) ([]byte, error) {
 	if alphabet > maxAlphabet {
 		return nil, fmt.Errorf("huffman: alphabet %d exceeds %d", alphabet, uint32(maxAlphabet))
@@ -382,9 +383,10 @@ func parse(data []byte) (t *decodeTable, count uint64, alphabet uint32, body []b
 	return t, count, uint32(alphabet64), body, nil
 }
 
-//pressio:hotpath measured by the benchmark's huffman.* per-layer rows
 // Decode reverses Encode. It returns the symbol stream and the alphabet
 // size recorded in the header.
+//
+//pressio:hotpath measured by the benchmark's huffman.* per-layer rows
 func Decode(data []byte) ([]uint32, uint32, error) {
 	t, count, alphabet, body, err := parse(data)
 	if err != nil {

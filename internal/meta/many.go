@@ -2,31 +2,10 @@ package meta
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"pressio/internal/core"
 	"pressio/internal/trace"
 )
-
-// manyWorkers resolves the worker count for a batch of n buffers under the
-// prototype's thread-safety contract.
-func manyWorkers(proto *core.Compressor, nthreads, n int) int {
-	workers := nthreads
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if proto.ThreadSafety() == core.ThreadSafetySingle {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
 
 // mergeWorkerMetrics collects each worker clone's metric results in worker
 // index order. Buffers are assigned to workers statically (worker w takes
@@ -64,30 +43,16 @@ func CompressManyWithMetrics(proto *core.Compressor, bufs []*core.Data, nthreads
 		return nil, nil, fmt.Errorf("meta: %w: nil compressor", core.ErrNilData)
 	}
 	results := make([]*core.Data, len(bufs))
-	errs := make([]error, len(bufs))
-	workers := manyWorkers(proto, nthreads, len(bufs))
-	clones := make([]*core.Compressor, workers)
 	parent := trace.Current()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := proto.Clone()
-			clones[w] = worker
-			for i := w; i < len(bufs); i += workers {
-				sp := parent.StartChild("many.compress",
-					trace.Int("worker", int64(w)), trace.Int("buffer", int64(i)))
-				results[i], errs[i] = core.Compress(worker, bufs[i])
-				sp.End()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	clones, err := core.ForEachClone(proto, len(bufs), nthreads, func(worker *core.Compressor, w, i int) (err error) {
+		sp := parent.StartChild("many.compress",
+			trace.Int("worker", int64(w)), trace.Int("buffer", int64(i)))
+		defer sp.End()
+		results[i], err = core.Compress(worker, bufs[i])
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return results, mergeWorkerMetrics(clones), nil
 }
@@ -109,32 +74,16 @@ func DecompressManyWithMetrics(proto *core.Compressor, comps, hints []*core.Data
 		return nil, nil, fmt.Errorf("meta: %w: %d streams, %d hints", core.ErrInvalidDims, len(comps), len(hints))
 	}
 	results := make([]*core.Data, len(comps))
-	errs := make([]error, len(comps))
-	workers := manyWorkers(proto, nthreads, len(comps))
-	clones := make([]*core.Compressor, workers)
 	parent := trace.Current()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := proto.Clone()
-			clones[w] = worker
-			for i := w; i < len(comps); i += workers {
-				sp := parent.StartChild("many.decompress",
-					trace.Int("worker", int64(w)), trace.Int("buffer", int64(i)))
-				out := core.NewEmpty(hints[i].DType(), hints[i].Dims()...)
-				errs[i] = worker.Decompress(comps[i], out)
-				results[i] = out
-				sp.End()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	clones, err := core.ForEachClone(proto, len(comps), nthreads, func(worker *core.Compressor, w, i int) error {
+		sp := parent.StartChild("many.decompress",
+			trace.Int("worker", int64(w)), trace.Int("buffer", int64(i)))
+		defer sp.End()
+		results[i] = core.NewEmpty(hints[i].DType(), hints[i].Dims()...)
+		return worker.Decompress(comps[i], results[i])
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return results, mergeWorkerMetrics(clones), nil
 }

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"pressio/internal/core"
 	"pressio/internal/trace"
@@ -125,84 +124,39 @@ func (p *chunking) CompressImpl(in, out *core.Data) error {
 			chunkRows = 1
 		}
 	}
-	rowBytes := uint64(in.DType().Size())
-	for _, d := range dims[1:] {
-		rowBytes *= d
-	}
-	type job struct {
-		rows  uint64
-		chunk *core.Data
-	}
-	var jobs []job
-	for start := uint64(0); start < d0; start += chunkRows {
-		rows := chunkRows
-		if start+rows > d0 {
-			rows = d0 - start
-		}
-		chunkDims := append([]uint64{rows}, dims[1:]...)
-		raw := in.Bytes()[start*rowBytes : (start+rows)*rowBytes]
-		chunk, err := core.NewMove(in.DType(), raw, chunkDims...)
-		if err != nil {
+	chunks := make([]*core.Data, (d0+chunkRows-1)/chunkRows)
+	for i := range chunks {
+		start := uint64(i) * chunkRows
+		if chunks[i], err = in.Rows(start, min(chunkRows, d0-start)); err != nil {
 			return err
 		}
-		jobs = append(jobs, job{rows, chunk})
 	}
-
-	results := make([]*core.Data, len(jobs))
-	errs := make([]error, len(jobs))
-	parallel := comp.ThreadSafety() >= core.ThreadSafetySerialized
-	workers := int(p.nthreads)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if !parallel || workers > len(jobs) {
-		if !parallel {
-			workers = 1
-		} else {
-			workers = len(jobs)
-		}
-	}
+	results := make([]*core.Data, len(chunks))
 	// Chunk spans are parented under the enclosing compress_impl span (on
 	// the caller's goroutine) so traces show wrapper -> plugin -> chunk.
 	parent := trace.Current()
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Serialized children need one clone per worker; a fresh
-			// clone also isolates metrics state.
-			worker := comp.Clone()
-			for i := range next {
-				sp := parent.StartChild("chunking.chunk",
-					trace.Int("worker", int64(w)), trace.Int("chunk", int64(i)),
-					trace.Uint("rows", jobs[i].rows))
-				results[i], errs[i] = core.Compress(worker, jobs[i].chunk)
-				sp.End()
-			}
-		}(w)
+	if _, err := core.ForEachClone(comp, len(chunks), int(p.nthreads), func(worker *core.Compressor, w, i int) (err error) {
+		sp := parent.StartChild("chunking.chunk",
+			trace.Int("worker", int64(w)), trace.Int("chunk", int64(i)),
+			trace.Uint("rows", chunks[i].Dims()[0]))
+		defer sp.End()
+		results[i], err = core.Compress(worker, chunks[i])
+		return err
+	}); err != nil {
+		return err
 	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 
 	buf, err := appendPrelude(chunkingMagic, in.DType(), dims)
 	if err != nil {
 		return err
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(jobs)))
-	for i := range jobs {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		buf = binary.AppendUvarint(buf, jobs[i].rows)
-		buf = binary.AppendUvarint(buf, results[i].ByteLen())
+	buf = binary.AppendUvarint(buf, uint64(len(chunks)))
+	for i, r := range results {
+		buf = binary.AppendUvarint(buf, chunks[i].Dims()[0])
+		buf = binary.AppendUvarint(buf, r.ByteLen())
 	}
-	for i := range jobs {
-		buf = append(buf, results[i].Bytes()...)
+	for _, r := range results {
+		buf = append(buf, r.Bytes()...)
 	}
 	out.Become(core.NewBytes(buf))
 	return nil
@@ -214,7 +168,7 @@ func (p *chunking) DecompressImpl(in, out *core.Data) error {
 		return err
 	}
 	b := in.Bytes()
-	dtype, dims, total, pos, err := readPrelude(b, chunkingMagic)
+	dtype, dims, _, pos, err := readPrelude(b, chunkingMagic)
 	if err != nil {
 		return err
 	}
@@ -227,12 +181,10 @@ func (p *chunking) DecompressImpl(in, out *core.Data) error {
 	}
 	pos += sz
 	type span struct {
-		payload []byte
-		dstOff  uint64
-		rows    uint64
+		first, rows, size uint64 // rows [first, first+rows) of the result
+		payload           []byte
 	}
 	spans := make([]span, nChunks)
-	sizes := make([]uint64, nChunks)
 	for i := range spans {
 		r, sz := binary.Uvarint(b[pos:])
 		if sz <= 0 {
@@ -244,73 +196,46 @@ func (p *chunking) DecompressImpl(in, out *core.Data) error {
 			return ErrCorrupt
 		}
 		pos += sz
-		spans[i].rows, sizes[i] = r, l
+		spans[i].rows, spans[i].size = r, l
 	}
-	rowBytes := total / dims[0] * uint64(dtype.Size())
 	result := core.NewData(dtype, dims...)
 	// Payloads and destination rows are both carved off what is left, so a
 	// hostile length or row count is refused before any offset is formed.
-	rest, dst := b[pos:], uint64(0)
+	rest, row := b[pos:], uint64(0)
 	for i := range spans {
 		s := &spans[i]
-		if sizes[i] > uint64(len(rest)) || s.rows > (result.ByteLen()-dst)/rowBytes {
+		if s.size > uint64(len(rest)) || s.rows > dims[0]-row {
 			return ErrCorrupt
 		}
-		s.payload, rest = rest[:sizes[i]], rest[sizes[i]:]
-		s.dstOff = dst
-		dst += s.rows * rowBytes
+		s.payload, rest = rest[:s.size], rest[s.size:]
+		s.first = row
+		row += s.rows
 	}
-	if dst != result.ByteLen() {
+	if row != dims[0] {
 		return ErrCorrupt
 	}
-	errs := make([]error, nChunks)
-	parallel := comp.ThreadSafety() >= core.ThreadSafetySerialized
-	workers := int(p.nthreads)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if !parallel {
-		workers = 1
-	}
 	parent := trace.Current()
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := comp.Clone()
-			for i := range next {
-				s := spans[i]
-				sp := parent.StartChild("chunking.chunk",
-					trace.Int("worker", int64(w)), trace.Int("chunk", int64(i)),
-					trace.Uint("rows", s.rows))
-				chunkDims := append([]uint64{s.rows}, dims[1:]...)
-				dec, err := core.Decompress(worker, core.NewBytes(s.payload), dtype, chunkDims...)
-				if err != nil {
-					errs[i] = err
-					sp.End()
-					continue
-				}
-				if dec.ByteLen() != s.rows*rowBytes {
-					errs[i] = ErrCorrupt
-					sp.End()
-					continue
-				}
-				copy(result.Bytes()[s.dstOff:], dec.Bytes())
-				sp.End()
-			}
-		}(w)
-	}
-	for i := range spans {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
+	if _, err := core.ForEachClone(comp, len(spans), int(p.nthreads), func(worker *core.Compressor, w, i int) error {
+		s := spans[i]
+		sp := parent.StartChild("chunking.chunk",
+			trace.Int("worker", int64(w)), trace.Int("chunk", int64(i)),
+			trace.Uint("rows", s.rows))
+		defer sp.End()
+		dst, err := result.Rows(s.first, s.rows)
+		if err != nil {
+			return ErrCorrupt
+		}
+		dec, err := core.Decompress(worker, core.NewBytes(s.payload), dtype, dst.Dims()...)
 		if err != nil {
 			return err
 		}
+		if dec.ByteLen() != dst.ByteLen() {
+			return ErrCorrupt
+		}
+		copy(dst.Bytes(), dec.Bytes())
+		return nil
+	}); err != nil {
+		return err
 	}
 	out.Become(result)
 	return nil

@@ -344,9 +344,9 @@ func (p *sample) CompressImpl(in, out *core.Data) error {
 		return fmt.Errorf("sample: %w", core.ErrInvalidDims)
 	}
 	rows := (dims[0] + p.stride - 1) / p.stride
-	rowBytes := uint64(in.DType().Size())
-	for _, d := range dims[1:] {
-		rowBytes *= d
+	rowBytes, err := core.RowBytes(in.DType(), dims)
+	if err != nil {
+		return err
 	}
 	sampDims := append([]uint64{rows}, dims[1:]...)
 	samp := core.NewData(in.DType(), sampDims...)

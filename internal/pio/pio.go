@@ -192,17 +192,9 @@ func (c *csvIO) Write(d *core.Data) error {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
 	vals := d.AsFloat64s()
-	cols := 1
-	if d.NumDims() >= 2 {
-		cols = 1
-		for _, dim := range d.Dims()[1:] {
-			cols *= int(dim)
-		}
-	} else if d.NumDims() == 1 {
-		cols = 1
-	}
-	if d.NumDims() == 1 {
-		cols = 1
+	cols := 1 // one value per line unless the data has rows
+	if rb, err := core.RowBytes(d.DType(), d.Dims()); err == nil {
+		cols = int(rb) / d.DType().Size()
 	}
 	for i, v := range vals {
 		if i > 0 {

@@ -51,9 +51,10 @@ func (e *Encoder) shiftLow() {
 	e.low = (e.low << 8) & 0xFFFFFFFF
 }
 
-//pressio:hotpath measured by the benchmark's rangecoder.* per-layer rows
 // EncodeBit encodes bit b (0 or 1) with the adaptive probability p,
 // updating p toward the observed bit.
+//
+//pressio:hotpath measured by the benchmark's rangecoder.* per-layer rows
 func (e *Encoder) EncodeBit(p *Prob, b int) {
 	bound := (e.rng >> probBits) * uint32(*p)
 	if b == 0 {
@@ -110,8 +111,9 @@ func (d *Decoder) nextByte() byte {
 	return 0
 }
 
-//pressio:hotpath measured by the benchmark's rangecoder.* per-layer rows
 // DecodeBit decodes one bit with the adaptive probability p.
+//
+//pressio:hotpath measured by the benchmark's rangecoder.* per-layer rows
 func (d *Decoder) DecodeBit(p *Prob) int {
 	bound := (d.rng >> probBits) * uint32(*p)
 	var bit int

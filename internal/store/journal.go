@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sync"
 
 	"pressio/internal/core"
@@ -63,10 +64,7 @@ const (
 	maxChunksPerObject = 1 << 16
 	// maxNameLen bounds an object name.
 	maxNameLen = 512
-	// maxRank bounds dataset rank, matching the framework-wide limit.
-	maxRank = 16
-	// maxDim bounds one dataset dimension (and, via an overflow-safe running
-	// product, the total element count).
+	// maxDim bounds one dataset dimension and the total element count.
 	maxDim = 1 << 48
 )
 
@@ -316,21 +314,16 @@ func validateObjectMeta(om *ObjectMeta) error {
 	if _, err := core.ParseDType(om.DType); err != nil {
 		return corrupt("bad dtype %q", om.DType)
 	}
-	if len(om.Dims) == 0 || len(om.Dims) > maxRank {
+	if len(om.Dims) == 0 || len(om.Dims) > core.MaxRank {
 		return corrupt("rank %d out of range", len(om.Dims))
 	}
-	total := uint64(1)
-	for _, d := range om.Dims {
-		if d > maxDim {
-			return corrupt("declared dim too large")
-		}
-		if d > 0 {
-			// Overflow-safe running product, as in the resilience frame.
-			if total > maxDim/d {
-				return corrupt("declared shape too large")
-			}
-			total *= d
-		}
+	// An object may be empty: a zero extent counts as one towards the bound.
+	shape := slices.Clone(om.Dims)
+	for i, d := range shape {
+		shape[i] = max(d, 1)
+	}
+	if _, err := core.CheckedElems(shape, maxDim); err != nil {
+		return corrupt("declared shape too large: %v", err)
 	}
 	if !isSegmentName(om.Segment) {
 		return corrupt("bad segment name %q", om.Segment)
@@ -514,13 +507,6 @@ func (j *journal) reset() error {
 	j.synced = 0
 	j.broken = false
 	return nil
-}
-
-// sizeNow returns the current journal length (for checkpoint triggering).
-func (j *journal) sizeNow() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.size
 }
 
 // lastAssigned returns the highest LSN handed out.

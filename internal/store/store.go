@@ -508,19 +508,9 @@ func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error
 		return ObjectInfo{}, fmt.Errorf("store: %w", core.ErrNilData)
 	}
 
-	// Compress into an unsaved container to reuse h5lite's chunked filter
-	// pipeline, then lift out the post-filter payloads.
-	tmp := h5lite.Create("")
-	if err := tmp.WriteDataset(datasetName, d, h5lite.DatasetOptions{
+	raw, meta, err := h5lite.FilterChunks(d, h5lite.DatasetOptions{
 		ChunkRows: po.ChunkRows, Filter: po.Filter, FilterOptions: po.FilterOptions,
-	}); err != nil {
-		return ObjectInfo{}, err
-	}
-	raw, err := tmp.RawChunks(datasetName)
-	if err != nil {
-		return ObjectInfo{}, err
-	}
-	meta, err := tmp.Meta(datasetName)
+	})
 	if err != nil {
 		return ObjectInfo{}, err
 	}
@@ -755,11 +745,15 @@ func (s *Store) GetRange(name string, off, length int64) ([]byte, ObjectInfo, er
 	if err != nil {
 		return nil, ObjectInfo{}, err
 	}
-	rowBytes := int64(rowBytesOf(info))
 	total := int64(info.UncompressedBytes)
 	if off < 0 || length <= 0 || length > total || off > total-length {
 		return nil, info, fmt.Errorf("%w: %d bytes from %d of object %q (%d bytes)", ErrOutOfRange, length, off, name, total)
 	}
+	rb, err := rowBytesOf(info.DType, info.Dims)
+	if err != nil {
+		return nil, info, err
+	}
+	rowBytes := int64(rb)
 	startRow := off / rowBytes
 	endRow := (off + length + rowBytes - 1) / rowBytes
 	d, info, err := s.GetRows(name, uint64(startRow), uint64(endRow-startRow))
@@ -923,30 +917,19 @@ func infoOf(om ObjectMeta, quarantined []int) ObjectInfo {
 	for _, ch := range om.Chunks {
 		info.StoredBytes += ch.Length
 	}
-	if dt, err := core.ParseDType(om.DType); err == nil {
-		n := uint64(dt.Size())
-		for _, d := range om.Dims {
-			n *= d
-		}
-		info.UncompressedBytes = n
+	if rb, err := rowBytesOf(om.DType, om.Dims); err == nil {
+		info.UncompressedBytes = om.Dims[0] * rb
 	}
 	return info
 }
 
-// rowBytesOf computes the byte width of one dim-0 row.
-func rowBytesOf(info ObjectInfo) uint64 {
-	dt, err := core.ParseDType(info.DType)
+// rowBytesOf computes the byte width of one dim-0 row of a stored object.
+func rowBytesOf(dtype string, dims []uint64) (uint64, error) {
+	dt, err := core.ParseDType(dtype)
 	if err != nil {
-		return 1
+		return 0, err
 	}
-	n := uint64(dt.Size())
-	for _, d := range info.Dims[1:] {
-		n *= d
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
+	return core.RowBytes(dt, dims)
 }
 
 // overlapQuarantine returns the quarantined chunk indices whose row spans

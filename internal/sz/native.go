@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"pressio/internal/core"
@@ -93,9 +94,13 @@ func DecompressFloat64(stream []byte) ([]float64, []uint64, error) {
 // ompMagic tags the framed multi-block format of the parallel variant.
 const ompMagic = "SZMP"
 
-// maxParallelBlocks caps the goroutine fan-out however large the nthreads
-// option is, matching the 2^20 block ceiling DecompressParallel enforces.
+// maxParallelBlocks caps the block count however large the nthreads option
+// is, matching the 2^20 block ceiling DecompressParallel enforces.
 const maxParallelBlocks = 1 << 20
+
+// minHeaderBytes is the shortest header ParseHeader accepts: magic, dtype
+// code, rank byte, one extent, the bound.
+const minHeaderBytes = 4 + 1 + 1 + 1 + 1
 
 // CompressParallel compresses by splitting the slowest dimension into
 // roughly equal blocks compressed concurrently, the strategy of SZ-OMP.
@@ -123,45 +128,27 @@ func CompressParallel[T core.Float](vals []T, dims []uint64, p Params, nthreads 
 		}
 	}
 	d0 := int(dims[0])
-	blocks := nthreads
-	if blocks > d0 {
-		blocks = d0
-	}
-	if blocks < 1 {
-		blocks = 1
-	}
-	if blocks > maxParallelBlocks {
-		blocks = maxParallelBlocks
-	}
+	blocks := max(1, min(nthreads, d0, maxParallelBlocks))
 	rowLen := len(vals) / d0
-	type result struct {
-		data []byte
-		err  error
+	results := make([][]byte, blocks)
+	// nthreads is the block count the stream records; goroutines past the
+	// CPU count would only add memory.
+	err = core.ForEach(blocks, min(nthreads, runtime.GOMAXPROCS(0)), func(_, b int) (err error) {
+		lo, hi := b*d0/blocks, (b+1)*d0/blocks
+		blockDims := append([]uint64{uint64(hi - lo)}, dims[1:]...)
+		results[b], err = CompressSlice(vals[lo*rowLen:hi*rowLen], blockDims, p)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	results := make([]result, blocks)
-	var wg sync.WaitGroup
-	for b := 0; b < blocks; b++ {
-		lo := b * d0 / blocks
-		hi := (b + 1) * d0 / blocks
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			blockDims := append([]uint64{uint64(hi - lo)}, dims[1:]...)
-			data, err := CompressSlice(vals[lo*rowLen:hi*rowLen], blockDims, p)
-			results[b] = result{data, err}
-		}(b, lo, hi)
-	}
-	wg.Wait()
 	out := []byte(ompMagic)
 	out = binary.AppendUvarint(out, uint64(blocks))
 	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = binary.AppendUvarint(out, uint64(len(r.data)))
+		out = binary.AppendUvarint(out, uint64(len(r)))
 	}
 	for _, r := range results {
-		out = append(out, r.data...)
+		out = append(out, r...)
 	}
 	return out, nil
 }
@@ -179,6 +166,11 @@ func parallelBlocks(stream []byte) ([][]byte, error) {
 		return nil, ErrCorrupt
 	}
 	pos += sz
+	// A block is a size varint and at least the smallest sz header, so the
+	// stream's own length bounds the count before anything is sized by it.
+	if nBlocks > uint64(len(stream)-pos)/(1+minHeaderBytes) {
+		return nil, ErrCorrupt
+	}
 	sizes := make([]uint64, nBlocks)
 	for i := range sizes {
 		v, sz := binary.Uvarint(stream[pos:])
@@ -191,7 +183,7 @@ func parallelBlocks(stream []byte) ([][]byte, error) {
 	rest := stream[pos:]
 	blocks := make([][]byte, nBlocks)
 	for i, size := range sizes {
-		if size > uint64(len(rest)) {
+		if size < minHeaderBytes || size > uint64(len(rest)) {
 			return nil, ErrCorrupt
 		}
 		blocks[i], rest = rest[:size], rest[size:]
@@ -209,35 +201,29 @@ func DecompressParallel[T core.Float](stream []byte, nthreads int) ([]T, []uint6
 	type result struct {
 		vals []T
 		dims []uint64
-		err  error
 	}
 	results := make([]result, len(blocks))
-	var wg sync.WaitGroup
-	for i, blk := range blocks {
-		wg.Add(1)
-		go func(i int, blk []byte) {
-			defer wg.Done()
-			vals, dims, err := DecompressSlice[T](blk)
-			results[i] = result{vals, dims, err}
-		}(i, blk)
+	err = core.ForEach(len(blocks), min(nthreads, runtime.GOMAXPROCS(0)), func(_, i int) (err error) {
+		results[i].vals, results[i].dims, err = DecompressSlice[T](blocks[i])
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
-	var out []T
-	var dims []uint64
-	var d0 uint64
-	for i, r := range results {
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		if i == 0 {
-			dims = append([]uint64(nil), r.dims...)
-		} else if len(r.dims) != len(dims) {
+	dims := slices.Clone(results[0].dims)
+	dims[0] = 0
+	n := 0
+	for _, r := range results {
+		if len(r.dims) != len(dims) {
 			return nil, nil, ErrCorrupt
 		}
-		d0 += r.dims[0]
+		dims[0] += r.dims[0]
+		n += len(r.vals)
+	}
+	out := make([]T, 0, n)
+	for _, r := range results {
 		out = append(out, r.vals...)
 	}
-	dims[0] = d0
 	return out, dims, nil
 }
 

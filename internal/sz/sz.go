@@ -115,9 +115,10 @@ func lorenzo[T core.Float](r []T, x, y, z, ny, nz int) float64 {
 	}
 }
 
-//pressio:hotpath measured by the benchmark's sz.* per-layer rows
 // CompressSlice compresses vals shaped dims (C order) under p and returns
 // the self-describing stream.
+//
+//pressio:hotpath measured by the benchmark's sz.* per-layer rows
 func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	p, err := p.normalized()
 	if err != nil {
@@ -248,9 +249,10 @@ func ParseHeader(stream []byte) (Header, int, error) {
 	return h, pos, nil
 }
 
-//pressio:hotpath measured by the benchmark's sz.* per-layer rows
 // DecompressSlice decodes a stream produced by CompressSlice. The type
 // parameter must match the stream's recorded element type.
+//
+//pressio:hotpath measured by the benchmark's sz.* per-layer rows
 func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	h, pos, err := ParseHeader(stream)
 	if err != nil {

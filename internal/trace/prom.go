@@ -191,19 +191,19 @@ func BuildInfoGauge(version string) Gauge {
 
 // metricsJSON is the schema of the ?format=json exposition mode.
 type metricsJSON struct {
-	Counters   map[string]int64          `json:"counters"`
-	Histograms map[string]histogramJSON  `json:"histograms"`
-	Gauges     map[string]float64        `json:"gauges"`
+	Counters   map[string]int64             `json:"counters"`
+	Histograms map[string]histogramJSON     `json:"histograms"`
+	Gauges     map[string]float64           `json:"gauges"`
 	Labels     map[string]map[string]string `json:"labels,omitempty"`
 }
 
 type histogramJSON struct {
-	Count  int64   `json:"count"`
-	SumNs  int64   `json:"sum_ns"`
-	MeanNs int64   `json:"mean_ns"`
-	MaxNs  int64   `json:"max_ns"`
-	P50Ns  int64   `json:"p50_ns"`
-	P99Ns  int64   `json:"p99_ns"`
+	Count  int64 `json:"count"`
+	SumNs  int64 `json:"sum_ns"`
+	MeanNs int64 `json:"mean_ns"`
+	MaxNs  int64 `json:"max_ns"`
+	P50Ns  int64 `json:"p50_ns"`
+	P99Ns  int64 `json:"p99_ns"`
 }
 
 // WriteMetricsJSON renders the same registry contents plus gauges as one

@@ -12,11 +12,11 @@ import (
 
 func TestPromName(t *testing.T) {
 	for in, want := range map[string]string{
-		"compress.calls":              "pressio_compress_calls",
-		"service.bulkhead.x.shed":     "pressio_service_bulkhead_x_shed",
-		"pressio_goroutines":          "pressio_goroutines",
-		"weird-name with spaces":      "pressio_weird_name_with_spaces",
-		"colons:are:legal":            "pressio_colons:are:legal",
+		"compress.calls":          "pressio_compress_calls",
+		"service.bulkhead.x.shed": "pressio_service_bulkhead_x_shed",
+		"pressio_goroutines":      "pressio_goroutines",
+		"weird-name with spaces":  "pressio_weird_name_with_spaces",
+		"colons:are:legal":        "pressio_colons:are:legal",
 	} {
 		if got := PromName(in); got != want {
 			t.Errorf("PromName(%q) = %q, want %q", in, got, want)

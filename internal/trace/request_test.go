@@ -37,7 +37,7 @@ func TestParseTraceparent(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"00",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", // missing flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",    // missing flags
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // all-zero id
 		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // bad separator
 	} {

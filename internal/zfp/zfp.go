@@ -151,9 +151,10 @@ func geometry(dims []uint64) (outer, sx, sy, sz, d int, err error) {
 
 func intprecOf[T core.Float]() uint { return 8 * uint(core.FloatDType[T]().Size()) }
 
-//pressio:hotpath measured by the benchmark's zfp.* per-layer rows
 // CompressSlice compresses vals shaped dims (C order) and returns the
 // self-describing stream.
+//
+//pressio:hotpath measured by the benchmark's zfp.* per-layer rows
 func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	outer, sx, sy, sz, d, err := geometry(dims)
 	if err != nil {
@@ -435,8 +436,9 @@ func ParseHeader(stream []byte) (Header, resolved, int, error) {
 	return h, res, pos, nil
 }
 
-//pressio:hotpath measured by the benchmark's zfp.* per-layer rows
 // DecompressSlice decodes a stream produced by CompressSlice.
+//
+//pressio:hotpath measured by the benchmark's zfp.* per-layer rows
 func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	h, res, pos, err := ParseHeader(stream)
 	if err != nil {

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Tier-2 quality gate: build + vet + pressiolint the whole module, check every
+# Tier-2 quality gate: build + gofmt + vet + pressiolint the whole module, check every
 # plugin's option schema (well-formedness, pinned option surface, generated
 # docs/PLUGINS.md reference), race-test
 # the concurrency-sensitive packages (the tracing layer, the parallel
-# meta-compressors, the core wrapper, and the serving layer), run the
+# meta-compressors, the core wrapper and its one fan-out with its callers in
+# sz and h5lite, and the serving layer), run the
 # deterministic chaos tests of the resilience and serving layers, smoke-test
 # the pressiod daemon end to end (SIGTERM graceful drain included),
 # smoke-test the sharded cluster topology (3 shards + router, SIGKILL
@@ -21,8 +22,16 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
+echo "==> gofmt -l (analyzer fixtures under testdata/ excepted)"
+test -z "$(gofmt -l internal cmd *.go | grep -v /testdata/)"
+
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> one fan-out: sync.WaitGroup only in core/fanout.go and cluster/router.go (hedged)"
+test -z "$(grep -rln 'sync.WaitGroup' internal --include='*.go' |
+    grep -v -e '_test\.go$' -e '^internal/analysis/' -e '^internal/stream/' \
+        -e '^internal/core/fanout\.go$' -e '^internal/cluster/router\.go$')"
 
 echo "==> pressiolint ./... (all fifteen analyzers, zero findings)"
 go run ./cmd/pressiolint ./...
@@ -30,10 +39,11 @@ go run ./cmd/pressiolint ./...
 echo "==> option schemas (well-formed, option surface pinned, docs/PLUGINS.md reference current)"
 go test -run 'TestSchema|TestOptionSurfaceGolden|TestPluginDocsGenerated' ./internal/core/
 
-echo "==> go test -race (trace, obslog, meta, core, service, daemon, cluster, store, fsx)"
+echo "==> go test -race (trace, obslog, meta, core, service, daemon, cluster, store, fsx, sz, h5lite)"
 go test -race ./internal/trace/... ./internal/obslog/... ./internal/meta/... \
     ./internal/core/... ./internal/service/... ./internal/daemon/ \
-    ./internal/cluster/ ./internal/store/ ./internal/fsx/
+    ./internal/cluster/ ./internal/store/ ./internal/fsx/ \
+    ./internal/sz/ ./internal/h5lite/
 
 echo "==> chaos tests under race detector (resilience, faultinject, service, daemon, cluster)"
 go test -race -run 'TestChaos' ./internal/resilience/ ./internal/faultinject/ \
