@@ -126,7 +126,7 @@ func TestLoadDirModuleRootRelative(t *testing.T) {
 func TestWaiverBudget(t *testing.T) {
 	want := map[string]int{
 		"blockinglock":  2, // obslog's serialized sink write, the router's one-time boot log
-		"hotalloc":      4,
+		"hotalloc":      3,
 		"ctxflow":       2,
 		"goroutineleak": 2,
 	}

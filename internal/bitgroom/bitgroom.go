@@ -192,7 +192,8 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 		return ErrCorrupt
 	}
 	elem := int(b[0])
-	raw, err := lossless.Inflate(b[1:])
+	// The stream records no element count, so nothing bounds the inflate.
+	raw, err := lossless.Inflate(b[1:], lossless.Unbounded)
 	if err != nil {
 		return err
 	}

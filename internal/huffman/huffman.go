@@ -214,6 +214,17 @@ func Encode(symbols []uint32, alphabet uint32) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// MaxEncodedLen bounds len(Encode(symbols, alphabet)) for n symbols: the
+// framing, a length table of at most two runs per distinct symbol (one
+// starting at it, one after it) and maxCodeLen bits per symbol. A decoder
+// holding a declared count uses it to refuse a declared length before
+// reading a byte of the body.
+func MaxEncodedLen(n uint64, alphabet uint32) uint64 {
+	runs := 2*min(n, uint64(alphabet)) + 1
+	table := binary.MaxVarintLen32 + runs*(1+binary.MaxVarintLen32)
+	return 3*binary.MaxVarintLen64 + table + (n*maxCodeLen+7)/8 + 8
+}
+
 // encodeLengths run-length encodes the code length table: pairs of
 // (length byte, uvarint run).
 func encodeLengths(lengths []uint8) []byte {

@@ -20,6 +20,9 @@ func roundTrip(t *testing.T, syms []uint32, alphabet uint32) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
+	if bound := MaxEncodedLen(uint64(len(syms)), alphabet); uint64(len(enc)) > bound {
+		t.Fatalf("%d encoded bytes, MaxEncodedLen says at most %d", len(enc), bound)
+	}
 	dec, alpha, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -40,6 +43,16 @@ func roundTrip(t *testing.T, syms []uint32, alphabet uint32) {
 func TestEmpty(t *testing.T)        { roundTrip(t, nil, 16) }
 func TestSingleSymbol(t *testing.T) { roundTrip(t, []uint32{7, 7, 7, 7, 7}, 16) }
 func TestTwoSymbols(t *testing.T)   { roundTrip(t, []uint32{0, 1, 0, 0, 1, 1, 0}, 2) }
+
+// TestMaxEncodedLenWorstTable: every other symbol of a wide alphabet, so the
+// length table has the most runs n symbols can make.
+func TestMaxEncodedLenWorstTable(t *testing.T) {
+	syms := make([]uint32, 5000)
+	for i := range syms {
+		syms[i] = uint32(2*i + 1)
+	}
+	roundTrip(t, syms, 1<<16)
+}
 
 func TestUniformAlphabet(t *testing.T) {
 	syms := make([]uint32, 4096)

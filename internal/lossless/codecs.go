@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // ErrCorrupt reports a malformed lossless stream.
@@ -21,16 +22,25 @@ var ErrCorrupt = errors.New("lossless: corrupt stream")
 // Deflate compresses b at the given flate level (1..9; 0 selects the
 // default).
 func Deflate(b []byte, level int) ([]byte, error) {
+	return AppendDeflate(nil, level, b)
+}
+
+// AppendDeflate appends to dst the DEFLATE form of parts, taken as one
+// input: the bytes are those Deflate gives for their concatenation, without
+// building it. A caller that can bound the output sizes dst's capacity.
+func AppendDeflate(dst []byte, level int, parts ...[]byte) ([]byte, error) {
 	if level == 0 {
 		level = flate.DefaultCompression
 	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, level)
+	buf := bytes.NewBuffer(dst)
+	w, err := flate.NewWriter(buf, level)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := w.Write(b); err != nil {
-		return nil, err
+	for _, b := range parts {
+		if _, err := w.Write(b); err != nil {
+			return nil, err
+		}
 	}
 	if err := w.Close(); err != nil {
 		return nil, err
@@ -38,13 +48,24 @@ func Deflate(b []byte, level int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Inflate reverses Deflate.
-func Inflate(b []byte) ([]byte, error) {
+// Unbounded is the Inflate limit for a stream whose header records no size
+// (the lossless plugins, bitgroom): only DEFLATE's own ~1000x expansion
+// bounds the output.
+const Unbounded = math.MaxUint64
+
+// Inflate reverses Deflate, refusing with ErrCorrupt a stream that inflates
+// to more than limit bytes. Decoders pass the size their header implies, so
+// a small hostile stream costs at most limit+1 bytes of output, not the
+// ~1000x expansion DEFLATE allows.
+func Inflate(b []byte, limit uint64) ([]byte, error) {
 	r := flate.NewReader(bytes.NewReader(b))
 	defer r.Close()
-	out, err := io.ReadAll(r)
+	out, err := io.ReadAll(io.LimitReader(r, int64(min(limit, math.MaxInt64-1))+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if uint64(len(out)) > limit {
+		return nil, fmt.Errorf("%w: inflates past the %d bytes its header allows", ErrCorrupt, limit)
 	}
 	return out, nil
 }

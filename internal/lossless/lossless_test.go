@@ -1,6 +1,7 @@
 package lossless
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func TestCodecFunctionsRoundTrip(t *testing.T) {
 			enc func([]byte) ([]byte, error)
 			dec func([]byte) ([]byte, error)
 		}{
-			"flate": {func(b []byte) ([]byte, error) { return Deflate(b, 6) }, Inflate},
+			"flate": {func(b []byte) ([]byte, error) { return Deflate(b, 6) }, func(b []byte) ([]byte, error) { return Inflate(b, Unbounded) }},
 			"gzip":  {func(b []byte) ([]byte, error) { return Gzip(b, 6) }, Gunzip},
 			"zlib":  {func(b []byte) ([]byte, error) { return Zlib(b, 6) }, Unzlib},
 			"rle":   {func(b []byte) ([]byte, error) { return RLE(b), nil }, UnRLE},
@@ -44,6 +45,33 @@ func TestCodecFunctionsRoundTrip(t *testing.T) {
 				t.Fatalf("%s input %d: round trip mismatch", name, i)
 			}
 		}
+	}
+}
+
+// TestInflateLimit: a limit at the output's size decodes, one byte under
+// refuses; and AppendDeflate over parts writes Deflate's bytes for their
+// concatenation behind whatever dst already holds.
+func TestInflateLimit(t *testing.T) {
+	in := make([]byte, 1<<20) // a megabyte of zeros deflates to ~1 KB
+	for i := range 300 {
+		in[i*997] = byte(i)
+	}
+	packed, err := Deflate(in, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := Inflate(packed, uint64(len(in))); err != nil || string(out) != string(in) {
+		t.Fatalf("limit = size: %v", err)
+	}
+	if _, err := Inflate(packed, uint64(len(in))-1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("limit = size-1: %v, want ErrCorrupt", err)
+	}
+	split, err := AppendDeflate([]byte("hdr"), 6, in[:12345], in[12345:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(split[:3]) != "hdr" || string(split[3:]) != string(packed) {
+		t.Fatal("AppendDeflate over split parts differs from Deflate of the whole")
 	}
 }
 

@@ -141,7 +141,7 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	case kindNoop:
 		raw = append([]byte(nil), payload...)
 	case kindFlate:
-		raw, err = Inflate(payload)
+		raw, err = Inflate(payload, Unbounded)
 	case kindGzip:
 		raw, err = Gunzip(payload)
 	case kindZlib:
@@ -149,17 +149,17 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	case kindRLE:
 		raw, err = UnRLE(payload)
 	case kindShuffle:
-		raw, err = Inflate(payload)
+		raw, err = Inflate(payload, Unbounded)
 		if err == nil {
 			raw = Unshuffle(raw, elem)
 		}
 	case kindBitShuffle:
-		raw, err = Inflate(payload)
+		raw, err = Inflate(payload, Unbounded)
 		if err == nil {
 			raw = BitUnshuffle(raw, elem)
 		}
 	case kindDelta:
-		raw, err = Inflate(payload)
+		raw, err = Inflate(payload, Unbounded)
 		if err == nil {
 			raw, err = UnDeltaVarint(raw, elem)
 		}

@@ -137,7 +137,8 @@ func sparseDecode[T core.Float](comp *core.Compressor, b []byte, dims []uint64, 
 	if sz <= 0 || maskLen > uint64(len(b)-sz) {
 		return nil, nil, ErrCorrupt
 	}
-	mask, err := lossless.Inflate(b[sz : sz+int(maskLen)])
+	// The mask is at most total+1 alternating runs, one uvarint each.
+	mask, err := lossless.Inflate(b[sz:sz+int(maskLen)], (total+1)*binary.MaxVarintLen64)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -316,18 +316,19 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if h.DType != core.FloatDType[T]() {
 		return nil, nil, fmt.Errorf("mgard: %w: stream holds %s", core.ErrInvalidDType, h.DType)
 	}
-	payload, err := lossless.Inflate(stream[pos:])
+	total, err := core.CheckedElems(h.Dims, maxElems)
+	if err != nil {
+		return nil, nil, ErrCorrupt
+	}
+	// The payload is the code count and one varint per element.
+	payload, err := lossless.Inflate(stream[pos:], (total+1)*binary.MaxVarintLen64)
 	if err != nil {
 		return nil, nil, err
 	}
 	count, sz := binary.Uvarint(payload)
 	// Each code costs at least one payload byte, bounding allocations
 	// against decompression bombs.
-	if sz <= 0 || count > uint64(len(payload)) {
-		return nil, nil, ErrCorrupt
-	}
-	total, err := core.CheckedElems(h.Dims, maxElems)
-	if err != nil || count != total {
+	if sz <= 0 || count > uint64(len(payload)) || count != total {
 		return nil, nil, ErrCorrupt
 	}
 	codes := make([]int64, count)

@@ -91,6 +91,19 @@ func TestGoldenStreams(t *testing.T) {
 			checkGoldenWith(t, n, dims, DecompressSlicePW[float64],
 				func(in []float64) ([]byte, error) { return CompressSlicePW(in, dims, 1e-2, DefaultParams()) })
 		}},
+		// The next three were recorded at commit 1d7b975, before the sweeps
+		// ran four rows at once: the edges of the skewed walk (rows left
+		// over past the last group of four, a 4-D batch, the serial 1-D
+		// chain) and outliers, NaN and ±Inf in scan order.
+		{"f32_3d_nz37_outliers_abs1e-3", func(t *testing.T, n string) {
+			checkGolden[float32](t, n, []uint64{5, 11, 37}, Params{Mode: core.BoundAbs, Bound: 1e-3})
+		}},
+		{"f64_4d_abs1e-5", func(t *testing.T, n string) {
+			checkGolden[float64](t, n, []uint64{3, 4, 6, 9}, Params{Mode: core.BoundAbs, Bound: 1e-5})
+		}},
+		{"f32_1d_rel1e-3", func(t *testing.T, n string) {
+			checkGolden[float32](t, n, []uint64{700}, Params{Mode: core.BoundValueRangeRel, Bound: 1e-3})
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) { c.run(t, c.name) })
 	}

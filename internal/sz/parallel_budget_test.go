@@ -2,13 +2,16 @@ package sz
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"pressio/internal/core"
+	"pressio/internal/lossless"
 )
 
 // measure runs f and reports the bytes it allocated and the most goroutines
@@ -124,6 +127,50 @@ func TestParallelDecodeBudget(t *testing.T) {
 	}
 	if allocated > limit {
 		t.Errorf("golden stream: allocated %d bytes, want at most %d", allocated, limit)
+	}
+}
+
+// TestInflateBudget pins the SZG1 case of "hostile bytes cannot bomb": a
+// stream that declares 4 float32s behind a DEFLATE body of 256 MiB of zeros
+// (260,932 bytes in all) made sz_threadsafe allocate 1,433 MB before Huffman
+// refused it. The header now bounds the body before it is inflated.
+func TestInflateBudget(t *testing.T) {
+	var body bytes.Buffer
+	w, err := flate.NewWriter(&body, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 1<<16)
+	for range (256 << 20) / len(zeros) {
+		if _, err := w.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hostile, err := core.AppendFloatShape[float32]([]byte(magic), []uint64{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile = binary.AppendUvarint(hostile, math.Float64bits(1e-3))
+	hostile = binary.AppendUvarint(hostile, 32768) // radius
+	hostile = binary.AppendUvarint(hostile, 0)     // outliers
+	hostile = binary.AppendUvarint(hostile, 16)    // Huffman bytes
+	hostile = append(hostile, body.Bytes()...)
+
+	c, err := core.NewCompressor("sz_threadsafe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated, _ := measure(func() {
+		_, err = core.Decompress(c, core.NewBytes(hostile), core.DTypeFloat32, 4)
+	})
+	if !errors.Is(err, lossless.ErrCorrupt) {
+		t.Errorf("%d-byte stream: %v, want the inflate limit's ErrCorrupt", len(hostile), err)
+	}
+	if limit := 8 * uint64(len(hostile)); allocated > limit {
+		t.Errorf("%d-byte stream: allocated %d bytes, want at most %d (8x the stream)", len(hostile), allocated, limit)
 	}
 }
 

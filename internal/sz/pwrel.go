@@ -125,7 +125,7 @@ func DecompressSlicePW[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if codesLen > uint64(len(stream)-pos) {
 		return nil, nil, ErrCorrupt
 	}
-	packed, err := lossless.Inflate(stream[pos : pos+int(codesLen)])
+	packed, err := lossless.Inflate(stream[pos:pos+int(codesLen)], (n64+3)/4)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -79,42 +79,6 @@ const magic = "SZG1"
 // 32 TiB of float64s, far past any slab this codec meets.
 const maxElems = 1 << 42
 
-// lorenzo computes the restricted Lorenzo prediction for position (x,y,z)
-// from the reconstructed slice: the inclusion-exclusion sum over the
-// neighbors available within bounds (dimensions at index 0 drop out, so the
-// predictor degrades gracefully from 3-D to 2-D to 1-D at boundaries).
-func lorenzo[T core.Float](r []T, x, y, z, ny, nz int) float64 {
-	base := (x*ny + y) * nz
-	switch {
-	case x > 0 && y > 0 && z > 0:
-		pm := ((x-1)*ny + y) * nz // x-1 plane
-		qm := ((x-1)*ny + y - 1) * nz
-		rm := (x*ny + y - 1) * nz // y-1 row
-		return float64(r[pm+z]) + float64(r[rm+z]) + float64(r[base+z-1]) -
-			float64(r[qm+z]) - float64(r[pm+z-1]) - float64(r[rm+z-1]) +
-			float64(r[qm+z-1])
-	case x > 0 && y > 0:
-		pm := ((x-1)*ny + y) * nz
-		qm := ((x-1)*ny + y - 1) * nz
-		rm := (x*ny + y - 1) * nz
-		return float64(r[pm+z]) + float64(r[rm+z]) - float64(r[qm+z])
-	case x > 0 && z > 0:
-		pm := ((x-1)*ny + y) * nz
-		return float64(r[pm+z]) + float64(r[base+z-1]) - float64(r[pm+z-1])
-	case y > 0 && z > 0:
-		rm := (x*ny + y - 1) * nz
-		return float64(r[rm+z]) + float64(r[base+z-1]) - float64(r[rm+z-1])
-	case x > 0:
-		return float64(r[((x-1)*ny+y)*nz+z])
-	case y > 0:
-		return float64(r[(x*ny+y-1)*nz+z])
-	case z > 0:
-		return float64(r[base+z-1])
-	default:
-		return 0
-	}
-}
-
 // CompressSlice compresses vals shaped dims (C order) under p and returns
 // the self-describing stream.
 //
@@ -143,82 +107,57 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 		}
 	}
 	radius := int64(p.MaxQuantIntervals / 2)
-	twoEb := 2 * eb
 
 	codes := make([]uint32, n)
 	recon := make([]T, n)
-	var outliers []T
 
 	// Stage spans expose where time goes inside the codec: the Lorenzo
 	// prediction + linear quantization sweep vs the entropy/lossless encode.
 	spPredict := trace.Start("sz.predict_quantize")
+	q := quantizer[T]{eb: eb, twoEb: 2 * eb, radius: radius}
 	slice := nx * ny * nz
 	for o := 0; o < outer; o++ {
-		v := vals[o*slice : (o+1)*slice]
-		r := recon[o*slice : (o+1)*slice]
-		c := codes[o*slice : (o+1)*slice]
-		i := 0
-		for x := 0; x < nx; x++ {
-			for y := 0; y < ny; y++ {
-				for z := 0; z < nz; z++ {
-					pred := lorenzo(r, x, y, z, ny, nz)
-					fv := float64(v[i])
-					diff := fv - pred
-					q := int64(math.Floor(diff/twoEb + 0.5))
-					if q > -radius && q < radius {
-						dec := T(pred + float64(q)*twoEb)
-						if d := float64(dec) - fv; d <= eb && d >= -eb {
-							c[i] = uint32(q + radius)
-							r[i] = dec
-							i++
-							continue
-						}
-					}
-					c[i] = 0
-					// Outlier count is data-dependent (near zero on smooth
-					// fields); preallocating len(v) would defeat the bound's
-					// purpose.
-					//lint:ignore hotalloc outlier accumulation is data-dependent and amortized; typical outlier rates are far below 1%
-					outliers = append(outliers, v[i])
-					r[i] = v[i]
-					i++
-				}
-			}
+		s := slab[T]{v: vals[o*slice : (o+1)*slice], r: recon[o*slice : (o+1)*slice],
+			c: codes[o*slice : (o+1)*slice], q: q}
+		s.sweep(shape{nx, ny, nz})
+	}
+	// The sweep leaves outliers (code 0) in place; collecting them in scan
+	// order afterwards writes them in the order the decoder scatters them.
+	nOut := 0
+	for _, c := range codes {
+		if c == 0 {
+			nOut++
 		}
 	}
-
+	outliers := make([]T, 0, nOut)
+	for i, c := range codes {
+		if c == 0 {
+			outliers = append(outliers, vals[i])
+		}
+	}
 	spPredict.End()
 
 	spEncode := trace.Start("sz.encode")
+	defer spEncode.End()
 	huff, err := huffman.Encode(codes, uint32(2*radius))
 	if err != nil {
-		spEncode.End()
 		return nil, err
 	}
 	outlierBytes := floatBytes(outliers)
-
-	hdr, err := core.AppendFloatShape[T]([]byte(magic), dims)
-	if err != nil {
-		spEncode.End()
-		return nil, err
-	}
-	hdr = binary.AppendUvarint(hdr, math.Float64bits(eb))
-	hdr = binary.AppendUvarint(hdr, uint64(radius))
-	hdr = binary.AppendUvarint(hdr, uint64(len(outliers)))
-	hdr = binary.AppendUvarint(hdr, uint64(len(huff)))
-
-	body := make([]byte, 0, len(huff)+len(outlierBytes))
-	body = append(body, huff...)
-	body = append(body, outlierBytes...)
-	packed, err := lossless.Deflate(body, p.LosslessLevel)
-	spEncode.End()
+	// Header and DEFLATE body go into one buffer, sized for the body stored:
+	// DEFLATE gains little over Huffman output, and stored blocks cost 5
+	// bytes per 16 KiB at worst.
+	body := len(huff) + len(outlierBytes)
+	out := make([]byte, 0, len(magic)+2+(len(dims)+4)*binary.MaxVarintLen64+body+5*(body>>14+2))
+	out, err = core.AppendFloatShape[T](append(out, magic...), dims)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(hdr)+len(packed))
-	out = append(out, hdr...)
-	out = append(out, packed...)
-	return out, nil
+	out = binary.AppendUvarint(out, math.Float64bits(eb))
+	out = binary.AppendUvarint(out, uint64(radius))
+	out = binary.AppendUvarint(out, uint64(nOut))
+	out = binary.AppendUvarint(out, uint64(len(huff)))
+	return lossless.AppendDeflate(out, p.LosslessLevel, huff, outlierBytes)
 }
 
 // Header describes a compressed stream without decoding its payload.
@@ -276,8 +215,19 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 		return nil, nil, ErrCorrupt
 	}
 	pos += sz
+	outer, nx, ny, nz, err := core.Geometry(h.Dims, maxElems)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := outer * nx * ny * nz
+	// The header bounds the body before a byte of it is inflated: n codes
+	// cost at most what Huffman can spend on n symbols, and at most n of
+	// them are outliers.
+	if nOut > uint64(n) || huffLen > huffman.MaxEncodedLen(uint64(n), uint32(2*radius64)) {
+		return nil, nil, ErrCorrupt
+	}
 	spDecode := trace.Start("sz.decode")
-	body, err := lossless.Inflate(stream[pos:])
+	body, err := lossless.Inflate(stream[pos:], huffLen+nOut*uint64(h.DType.Size()))
 	if err != nil {
 		spDecode.End()
 		return nil, nil, err
@@ -296,47 +246,32 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	outer, nx, ny, nz, err := core.Geometry(h.Dims, maxElems)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := outer * nx * ny * nz
 	if len(codes) != n {
 		return nil, nil, ErrCorrupt
 	}
-	radius := int64(radius64)
-	twoEb := 2 * h.Bound
 	recon := make([]T, n)
 	spRecon := trace.Start("sz.reconstruct")
 	defer spRecon.End()
+	// Outliers go in first, in scan order; the sweep then leaves code-0
+	// positions as they are.
 	oi := 0
-	slice := nx * ny * nz
-	for o := 0; o < outer; o++ {
-		r := recon[o*slice : (o+1)*slice]
-		c := codes[o*slice : (o+1)*slice]
-		i := 0
-		for x := 0; x < nx; x++ {
-			for y := 0; y < ny; y++ {
-				for z := 0; z < nz; z++ {
-					code := c[i]
-					if code == 0 {
-						if oi >= len(outliers) {
-							return nil, nil, ErrCorrupt
-						}
-						r[i] = outliers[oi]
-						oi++
-					} else {
-						pred := lorenzo(r, x, y, z, ny, nz)
-						q := int64(code) - radius
-						r[i] = T(pred + float64(q)*twoEb)
-					}
-					i++
-				}
+	for i, c := range codes {
+		if c == 0 {
+			if oi == len(outliers) {
+				return nil, nil, ErrCorrupt
 			}
+			recon[i] = outliers[oi]
+			oi++
 		}
 	}
 	if oi != len(outliers) {
 		return nil, nil, ErrCorrupt
+	}
+	q := quantizer[T]{twoEb: 2 * h.Bound, radius: int64(radius64)}
+	slice := nx * ny * nz
+	for o := 0; o < outer; o++ {
+		s := slab[T]{r: recon[o*slice : (o+1)*slice], c: codes[o*slice : (o+1)*slice], q: q}
+		s.sweep(shape{nx, ny, nz})
 	}
 	return recon, h.Dims, nil
 }

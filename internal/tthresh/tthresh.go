@@ -230,7 +230,11 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 		return nil, nil, err
 	}
 	n := d0 * d1 * d2
-	body, err := lossless.Inflate(stream[pos:])
+	// The body: bitmap and code lengths, a varint per element at most, and
+	// the three square factor matrices.
+	limit := uint64(3*binary.MaxVarintLen64+(n+7)/8+n*binary.MaxVarintLen64) +
+		8*uint64(d0*d0+d1*d1+d2*d2)
+	body, err := lossless.Inflate(stream[pos:], limit)
 	if err != nil {
 		return nil, nil, err
 	}
