@@ -6,6 +6,7 @@
 package pressio
 
 import (
+	"compress/flate"
 	"testing"
 
 	"pressio/internal/core"
@@ -35,6 +36,10 @@ func BenchmarkAblationSZIntervals65536(b *testing.B) { benchSZIntervals(b, 65536
 
 // --- SZ: DEFLATE backend effort ---------------------------------------------
 
+// benchSZLossless is one row of the back-end table: MB/s of the whole
+// compress call and the ratio it reaches at one DEFLATE level. Fast is level
+// 1, the level an unset LosslessLevel resolves to; Level6 is the one streams
+// were written at before; HuffmanOnly skips match finding altogether.
 func benchSZLossless(b *testing.B, level int) {
 	in := loadBenchData()
 	p := sz.Params{Mode: core.BoundValueRangeRel, Bound: 1e-3, LosslessLevel: level}
@@ -48,8 +53,10 @@ func benchSZLossless(b *testing.B, level int) {
 	}
 }
 
-func BenchmarkAblationSZBackendFast(b *testing.B) { benchSZLossless(b, 1) }
-func BenchmarkAblationSZBackendBest(b *testing.B) { benchSZLossless(b, 9) }
+func BenchmarkAblationSZBackendFast(b *testing.B)        { benchSZLossless(b, flate.BestSpeed) }
+func BenchmarkAblationSZBackendLevel6(b *testing.B)      { benchSZLossless(b, 6) }
+func BenchmarkAblationSZBackendBest(b *testing.B)        { benchSZLossless(b, flate.BestCompression) }
+func BenchmarkAblationSZBackendHuffmanOnly(b *testing.B) { benchSZLossless(b, flate.HuffmanOnly) }
 
 // --- Lossless: byte shuffle before DEFLATE ----------------------------------
 

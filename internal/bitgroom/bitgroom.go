@@ -192,8 +192,9 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 		return ErrCorrupt
 	}
 	elem := int(b[0])
-	// The stream records no element count, so nothing bounds the inflate.
-	raw, err := lossless.Inflate(b[1:], lossless.Unbounded)
+	// The stream records no element count, so the output the caller
+	// declares bounds the inflate.
+	raw, err := lossless.Inflate(b[1:], lossless.DeclaredLimit(out))
 	if err != nil {
 		return err
 	}

@@ -133,3 +133,22 @@ func TestInputNotClobbered(t *testing.T) {
 		t.Fatal("compressor clobbered its input")
 	}
 }
+
+// The stream records no element count, so the output the caller declares
+// bounds the inflate: a smaller declared shape is refused.
+func TestInflateBoundedByDeclaredOutput(t *testing.T) {
+	in := core.FromFloat32s(make([]float32, 4096), 64, 64)
+	for _, name := range []string{"bit_grooming", "digit_rounding"} {
+		c, _ := core.NewCompressor(name)
+		comp, err := core.Compress(c, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Decompress(c, comp, core.DTypeFloat32, 64, 64); err != nil {
+			t.Fatalf("%s: the declared shape: %v", name, err)
+		}
+		if _, err := core.Decompress(c, comp, core.DTypeFloat32, 64); err == nil {
+			t.Fatalf("%s: 256 declared bytes for 16384 decoded", name)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -204,11 +206,17 @@ func TestRegistryUnknownNames(t *testing.T) {
 	}
 }
 
+// thirdPartyRuns names each run of TestThirdPartyRegistration apart: the
+// registry is process-global and never forgets a name, so a second run under
+// -count would otherwise panic on its first registration.
+var thirdPartyRuns atomic.Int64
+
 func TestThirdPartyRegistration(t *testing.T) {
 	// Registering from outside the framework's own packages is the
 	// third-party extension mechanism; duplicate names panic.
-	RegisterCompressor("thirdparty_test", func() CompressorPlugin { return newFake() })
-	c, err := NewCompressor("thirdparty_test")
+	name := fmt.Sprintf("thirdparty_test_%d", thirdPartyRuns.Add(1))
+	RegisterCompressor(name, func() CompressorPlugin { return newFake() })
+	c, err := NewCompressor(name)
 	if err != nil || c.Prefix() != "fake" {
 		t.Fatalf("third party plugin: %v", err)
 	}
@@ -217,7 +225,7 @@ func TestThirdPartyRegistration(t *testing.T) {
 			t.Fatal("duplicate registration must panic")
 		}
 	}()
-	RegisterCompressor("thirdparty_test", func() CompressorPlugin { return newFake() })
+	RegisterCompressor(name, func() CompressorPlugin { return newFake() })
 }
 
 func TestErrorBoundModeParsing(t *testing.T) {

@@ -2,12 +2,14 @@ package daemon
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -268,6 +270,77 @@ func TestAdmitBodyClassifiesReadErrors(t *testing.T) {
 		}
 		if used := d.compress.UsedBytes(); used != 0 {
 			t.Errorf("%s: %d bytes still held in the bulkhead", tc.name, used)
+		}
+	}
+}
+
+// bytesAllocated returns the heap bytes f allocates, all goroutines counted.
+func bytesAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A declared length past MemBudget is refused with 413 before a buffer of
+// that size exists, even behind a bulkhead wide enough to admit it.
+func TestAdmitBodyRefusesLengthPastMemBudget(t *testing.T) {
+	d, _, _ := startTestDaemon(t, func(c *Config) { c.MemBudget = 1000 })
+	wide, err := service.NewBulkhead("compress", 1<<40, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.compress = wide
+	r := httptest.NewRequest("POST", "/compress", strings.NewReader("abc"))
+	r.ContentLength = 1 << 30
+	var status int
+	alloc := bytesAllocated(func() {
+		_, _, err = d.admitBody(r.Context(), httptest.NewRecorder(), r, "compress", nil)
+		_, status = errKind(err)
+	})
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared 1 GiB past a 1000-byte MemBudget: status %d (%v), want 413", status, err)
+	}
+	if alloc > 1<<20 {
+		t.Fatalf("refusing a declared 1 GiB body allocated %d bytes", alloc)
+	}
+	if used := wide.UsedBytes(); used != 0 {
+		t.Fatalf("%d bytes still held in the bulkhead", used)
+	}
+}
+
+// A flate stream of 64 KiB that inflates to 64 MiB is refused at the 64
+// bytes the request declares, not inflated whole: the request allocates at
+// most 8x its body and declared output.
+func TestDecompressBombBoundedByDeclaredOutput(t *testing.T) {
+	d, _, _ := startTestDaemon(t, func(c *Config) { c.Compressor = "flate" })
+	var stream bytes.Buffer
+	stream.Write([]byte{1, 4}) // the flate plugin's kind and element-size bytes
+	fw, err := flate.NewWriter(&stream, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 64<<10)
+	for range 1024 {
+		if _, err := fw.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body := stream.Bytes()
+	const declared = 16 * 4
+	url := "http://" + d.Addr() + "/decompress?dims=16&dtype=float32"
+	for round := range 2 { // the first round also pays for the connection
+		var resp *http.Response
+		alloc := bytesAllocated(func() { resp = post(t, url, body); readAll(t, resp) })
+		if resp.StatusCode == http.StatusOK {
+			t.Fatalf("round %d: a %d-byte stream inflating to 64 MiB answered 200 for %d declared bytes", round, len(body), declared)
+		}
+		if limit := uint64(8 * (len(body) + declared)); round == 1 && alloc > limit {
+			t.Fatalf("refusing the bomb allocated %d bytes, want at most %d", alloc, limit)
 		}
 	}
 }

@@ -107,10 +107,12 @@ var errLengthRequired = errors.New("Content-Length required: admission weighs a 
 
 // admitBody is the one way a request body enters the daemon: refuse an
 // undeclared length before reading a byte, take the op's bulkhead at the
-// declared length, then read the body whole. The caller releases the
-// bulkhead when the work is done. Errors are already classified for
-// writeError: 411, a typed 503 shed, 413 for a body that outgrew the budget,
-// and 400 for any other read failure (the client went away mid-body).
+// declared length, then read exactly that many bytes into one buffer of that
+// size. The caller releases the bulkhead when the work is done. Errors are
+// already classified for writeError: 411, a typed 503 shed, 413 for a
+// declared length past MemBudget or a body that runs past its declared
+// length, and 400 for any other read failure (the client went away
+// mid-body, or sent fewer bytes than it declared).
 func (d *Daemon) admitBody(ctx context.Context, w http.ResponseWriter, r *http.Request, op string, parent *trace.RequestSpan) (body []byte, release func(), err error) {
 	if r.ContentLength < 0 {
 		return nil, nil, errLengthRequired
@@ -125,8 +127,23 @@ func (d *Daemon) admitBody(ctx context.Context, w http.ResponseWriter, r *http.R
 	if err != nil {
 		return nil, nil, err
 	}
+	// The bulkhead sheds a weight past its own budget; this keeps the buffer
+	// within MemBudget whatever budget the bulkhead was given.
+	if r.ContentLength > d.cfg.MemBudget {
+		release()
+		return nil, nil, &http.MaxBytesError{Limit: d.cfg.MemBudget}
+	}
 	sp = parent.Child("daemon.read_body")
-	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, d.cfg.MemBudget))
+	// One spare byte of capacity lets a read past the declared length show
+	// without a second buffer: the reader allows ContentLength bytes, and
+	// any byte more is its MaxBytesError.
+	body = make([]byte, r.ContentLength, r.ContentLength+1)
+	lr := http.MaxBytesReader(w, r.Body, r.ContentLength)
+	if _, err = io.ReadFull(lr, body); err == nil {
+		if _, err = lr.Read(body[len(body):cap(body)]); err == io.EOF {
+			err = nil
+		}
+	}
 	sp.End()
 	if err != nil {
 		release()

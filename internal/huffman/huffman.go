@@ -10,10 +10,13 @@
 package huffman
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 
 	"pressio/internal/bitstream"
 )
@@ -35,10 +38,11 @@ const maxAlphabet = 1 << 28
 // the standard two-queue method over sorted leaf weights.
 func buildLengths(freq []uint64) []uint8 {
 	lengths := make([]uint8, len(freq))
+	// The leaves come first in nodes, in order's order: node i < len(order)
+	// is the leaf of symbol order[i].
 	type node struct {
 		weight      uint64
-		left, right int32 // indices into nodes; -1 for leaves
-		sym         int32
+		left, right int32 // indices into nodes
 	}
 	used := 0
 	for _, f := range freq {
@@ -48,10 +52,10 @@ func buildLengths(freq []uint64) []uint8 {
 	}
 	// A Huffman tree over k leaves has exactly 2k-1 nodes.
 	nodes := make([]node, 0, 2*used)
-	order := make([]int, 0, used)
+	order := make([]int32, 0, used)
 	for s, f := range freq {
 		if f > 0 {
-			order = append(order, s)
+			order = append(order, int32(s))
 		}
 	}
 	switch len(order) {
@@ -61,9 +65,12 @@ func buildLengths(freq []uint64) []uint8 {
 		lengths[order[0]] = 1
 		return lengths
 	}
-	sort.Slice(order, func(i, j int) bool { return freq[order[i]] < freq[order[j]] })
+	// sort.Slice and slices.SortFunc are one pdqsort, generated from one
+	// template: equal weights end up in the same order, and the code lengths
+	// with them, without sort.Slice's reflective swaps.
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(freq[a], freq[b]) })
 	for _, s := range order {
-		nodes = append(nodes, node{weight: freq[s], left: -1, right: -1, sym: int32(s)})
+		nodes = append(nodes, node{weight: freq[s]})
 	}
 	// Two-queue merge: leaves (already sorted) and internal nodes (created
 	// in nondecreasing weight order).
@@ -82,30 +89,27 @@ func buildLengths(freq []uint64) []uint8 {
 	for remaining > 1 {
 		a := pop()
 		b := pop()
-		nodes = append(nodes, node{weight: nodes[a].weight + nodes[b].weight, left: a, right: b, sym: -1})
+		nodes = append(nodes, node{weight: nodes[a].weight + nodes[b].weight, left: a, right: b})
 		internal = append(internal, int32(len(nodes)-1))
 		remaining--
 	}
-	// Depth-first assign lengths.
+	// Depth-first assign lengths. The stack holds one pending sibling per
+	// level below the root, so it stays as short as the longest code.
 	root := internal[len(internal)-1]
 	type item struct {
 		idx   int32
 		depth uint8
 	}
-	stack := make([]item, 0, len(nodes))
+	stack := make([]item, 0, maxCodeLen+1)
 	stack = append(stack, item{root, 0})
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nd := nodes[it.idx]
-		if nd.left < 0 {
-			d := it.depth
-			if d == 0 {
-				d = 1
-			}
-			lengths[nd.sym] = d
+		if int(it.idx) < len(order) {
+			lengths[order[it.idx]] = max(it.depth, 1)
 			continue
 		}
+		nd := nodes[it.idx]
 		stack = append(stack, item{nd.left, it.depth + 1}, item{nd.right, it.depth + 1})
 	}
 	return lengths
@@ -113,8 +117,8 @@ func buildLengths(freq []uint64) []uint8 {
 
 // canonicalCodes assigns canonical codes (numerically increasing with
 // length, then symbol) from code lengths. Codes are returned bit-reversed so
-// they can be emitted LSB-first. They are written into codes, which has one
-// entry per symbol; entries of symbols without a code are left as they are.
+// they can be emitted LSB-first. They are written into codes, which has an
+// entry for each of lengths; entries without a code are left as they are.
 func canonicalCodes(lengths []uint8, codes []uint64) ([]uint64, error) {
 	maxLen := uint8(0)
 	for _, l := range lengths {
@@ -159,59 +163,101 @@ func canonicalCodes(lengths []uint8, codes []uint64) ([]uint64, error) {
 	return codes, nil
 }
 
-func reverseBits(v uint64, n uint) uint64 {
-	var out uint64
-	for i := uint(0); i < n; i++ {
-		out = out<<1 | (v>>i)&1
-	}
-	return out
-}
+// reverseBits returns the low n bits of v in reverse order.
+func reverseBits(v uint64, n uint) uint64 { return bits.Reverse64(v) >> (64 - n) }
+
+// Entries of Encode's code table hold a symbol's code above its length:
+// code<<lenBits | length. Codes are at most maxCodeLen bits, so both fit.
+const (
+	lenBits = 6
+	lenMask = 1<<lenBits - 1
+)
 
 // Encode compresses the symbol stream. alphabet is the exclusive upper bound
 // on symbol values; callers typically pass maxSymbol+1.
+//
+// Its tables are sized by the symbols that occur, not by the alphabet. Slot 0
+// counts symbol 0, sz's outlier code, far below the rest; slot i > 0 counts
+// symbol base+i, where base+1 is the smallest nonzero symbol. The slots are
+// in symbol order, so the code lengths and canonical codes are the ones a
+// table over the whole alphabet gives.
 //
 //pressio:hotpath measured by the benchmark's huffman.* per-layer rows
 func Encode(symbols []uint32, alphabet uint32) ([]byte, error) {
 	if alphabet > maxAlphabet {
 		return nil, fmt.Errorf("huffman: alphabet %d exceeds %d", alphabet, uint32(maxAlphabet))
 	}
-	freq := make([]uint64, alphabet)
+	// s-1 wraps for s = 0, so symbol 0 does not pull base down to it.
+	base, hi := uint32(math.MaxUint32), uint32(0)
 	for _, s := range symbols {
-		if s >= alphabet {
-			return nil, fmt.Errorf("huffman: symbol %d outside alphabet %d", s, alphabet)
-		}
-		freq[s]++
+		base = min(base, s-1)
+		hi = max(hi, s)
+	}
+	if len(symbols) > 0 && hi >= alphabet {
+		return nil, fmt.Errorf("huffman: symbol %d outside alphabet %d", hi, alphabet)
+	}
+	if hi == 0 {
+		base = 0 // no symbol but 0: slot 0 alone
+	}
+	freq := make([]uint64, hi-base+1)
+	for _, s := range symbols {
+		freq[slot(s, base)]++
 	}
 	lengths := buildLengths(freq)
-	// The body's size is known before a bit is written, so the writer never
-	// regrows; and once the lengths exist the counts are dead, so the codes
-	// take their place instead of a second alphabet-sized table.
+	// The body's size is known before a bit is written; and once the lengths
+	// exist the counts are dead, so the entries take their place.
 	bodyBits := uint64(0)
-	for s, l := range lengths {
-		bodyBits += freq[s] * uint64(l)
+	for i, l := range lengths {
+		bodyBits += freq[i] * uint64(l)
 	}
 	codes, err := canonicalCodes(lengths, freq)
 	if err != nil {
 		return nil, err
 	}
+	for i, l := range lengths {
+		codes[i] = codes[i]<<lenBits | uint64(l)
+	}
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, uint64(alphabet))
 	hdr = binary.AppendUvarint(hdr, uint64(len(symbols)))
-	hdr = append(hdr, encodeLengths(lengths)...)
-	// The framing goes through the writer as well: LSB-first packing keeps
-	// whole bytes whole, so the body still starts on a byte boundary and the
-	// stream is assembled once instead of copied behind its header.
-	w := bitstream.NewWriter(binary.MaxVarintLen64 + len(hdr) + int(bodyBits/8) + 8)
-	for _, b := range binary.AppendUvarint(nil, uint64(len(hdr))) {
-		w.WriteBits(uint64(b), 8)
-	}
-	for _, b := range hdr {
-		w.WriteBits(uint64(b), 8)
-	}
+	hdr = append(hdr, encodeLengths(alphabet, base, lengths)...)
+	bodyLen := int((bodyBits + 7) / 8)
+	out := make([]byte, 0, binary.MaxVarintLen64+len(hdr)+bodyLen)
+	out = binary.AppendUvarint(out, uint64(len(hdr)))
+	out = append(out, hdr...)
+	packBody(out[len(out):len(out)+bodyLen], symbols, codes, base)
+	return out[:len(out)+bodyLen], nil
+}
+
+// slot is the table slot of symbol s: s-base for s > base, and 0 for s = 0.
+// The mask is all ones unless s is 0 (s|-s has its top bit set for any other
+// s), which keeps the choice free of a branch that outliers would mispredict.
+func slot(s, base uint32) uint32 { return (s - base) & uint32(int32(s|-s)>>31) }
+
+// packBody writes the codes of symbols into body LSB-first, as
+// bitstream.Writer packs them: whole 64-bit words while they fill, then the
+// bytes of the last partial one. body holds exactly the bits the codes take.
+func packBody(body []byte, symbols []uint32, codes []uint64, base uint32) {
+	var acc uint64
+	var nacc uint
 	for _, s := range symbols {
-		w.WriteBits(codes[s], uint(lengths[s]))
+		e := codes[slot(s, base)]
+		l, c := uint(e&lenMask), e>>lenBits
+		// nacc < 64 and l-nacc is in [1, 63] after a flush; the masks say so
+		// to the compiler, which then drops its guard for wide shifts.
+		acc |= c << (nacc & 63)
+		nacc += l
+		if nacc >= 64 {
+			binary.LittleEndian.PutUint64(body, acc)
+			body = body[8:]
+			// The l-nacc low bits of c went into the word just written.
+			nacc -= 64
+			acc = c >> ((l - nacc) & 63)
+		}
 	}
-	return w.Bytes(), nil
+	for i := range body {
+		body[i] = byte(acc >> (8 * i))
+	}
 }
 
 // MaxEncodedLen bounds len(Encode(symbols, alphabet)) for n symbols: the
@@ -225,29 +271,46 @@ func MaxEncodedLen(n uint64, alphabet uint32) uint64 {
 	return 3*binary.MaxVarintLen64 + table + (n*maxCodeLen+7)/8 + 8
 }
 
-// encodeLengths run-length encodes the code length table: pairs of
-// (length byte, uvarint run).
-func encodeLengths(lengths []uint8) []byte {
-	// One length byte and a run of at most maxAlphabet per run, after the
-	// leading count: sized by the runs, which follow the used symbols, not by
-	// the table.
-	runs := 0
-	for i, l := range lengths {
-		if i == 0 || l != lengths[i-1] {
+// encodeLengths run-length encodes the code length table of an alphabet of
+// n symbols as pairs of (length byte, uvarint run). The table is given as
+// Encode's slots: lengths[0] is symbol 0's, lengths[i] for i > 0 is symbol
+// base+i's, and every other symbol's is 0. With base 0 and n = len(lengths)
+// the slots are the whole table.
+func encodeLengths(n, base uint32, lengths []uint8) []byte {
+	// Sized by the runs, which follow the slots, not by the table: one per
+	// change of length within lengths[1:], and at most four more (symbol 0's,
+	// the zeros below and above the slots, and the first of lengths[1:]).
+	runs := 4
+	for i := 2; i < len(lengths); i++ {
+		if lengths[i] != lengths[i-1] {
 			runs++
 		}
 	}
 	out := make([]byte, 0, (1+runs)*(1+binary.MaxVarintLen32))
-	out = binary.AppendUvarint(out, uint64(len(lengths)))
-	i := 0
-	for i < len(lengths) {
-		j := i
-		for j < len(lengths) && lengths[j] == lengths[i] {
-			j++
+	out = binary.AppendUvarint(out, uint64(n))
+	cur, run := uint8(0), uint64(0)
+	put := func(l uint8, k uint64) {
+		if k == 0 {
+			return
 		}
-		out = append(out, lengths[i])
-		out = binary.AppendUvarint(out, uint64(j-i))
-		i = j
+		if run > 0 && l != cur {
+			out = append(out, cur)
+			out = binary.AppendUvarint(out, run)
+			run = 0
+		}
+		cur, run = l, run+k
+	}
+	if n > 0 {
+		put(lengths[0], 1)
+		put(0, uint64(base))
+		for _, l := range lengths[1:] {
+			put(l, 1)
+		}
+		put(0, uint64(n-base)-uint64(len(lengths)))
+	}
+	if run > 0 {
+		out = append(out, cur)
+		out = binary.AppendUvarint(out, run)
 	}
 	return out
 }

@@ -149,7 +149,7 @@ func frame(lengths []uint8, count int, body []byte) []byte {
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, uint64(len(lengths)))
 	hdr = binary.AppendUvarint(hdr, uint64(count))
-	hdr = append(hdr, encodeLengths(lengths)...)
+	hdr = append(hdr, encodeLengths(uint32(len(lengths)), 0, lengths)...)
 	out := binary.AppendUvarint(nil, uint64(len(hdr)))
 	return append(append(out, hdr...), body...)
 }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"pressio/internal/core"
 )
 
 // ErrCorrupt reports a malformed lossless stream.
@@ -52,6 +54,18 @@ func AppendDeflate(dst []byte, level int, parts ...[]byte) ([]byte, error) {
 // (the lossless plugins, bitgroom): only DEFLATE's own ~1000x expansion
 // bounds the output.
 const Unbounded = math.MaxUint64
+
+// DeclaredLimit is the Inflate limit of a stream that records no size: the
+// bytes out's dtype and dims declare, or Unbounded when out declares no
+// sized dtype, no dims or a zero extent.
+func DeclaredLimit(out *core.Data) uint64 {
+	size := uint64(out.DType().Size())
+	n, err := core.CheckedElems(out.Dims(), math.MaxUint64/8)
+	if size == 0 || err != nil {
+		return Unbounded
+	}
+	return n * size
+}
 
 // Inflate reverses Deflate, refusing with ErrCorrupt a stream that inflates
 // to more than limit bytes. Decoders pass the size their header implies, so

@@ -175,6 +175,33 @@ func TestPluginRoundTripsThroughFramework(t *testing.T) {
 	}
 }
 
+// The DEFLATE plugins' streams record no size, so the output the caller
+// declares bounds the inflate: a declared shape smaller than the stream's
+// content is refused, and a caller declaring no shape still decodes.
+func TestPluginInflateBoundedByDeclaredOutput(t *testing.T) {
+	in := core.FromFloat64s(make([]float64, 2000), 20, 100)
+	for _, name := range []string{"flate", "shuffle", "bitshuffle", "delta"} {
+		c, err := core.NewCompressor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := core.Compress(c, in)
+		if err != nil {
+			t.Fatalf("%s: compress: %v", name, err)
+		}
+		if _, err := core.Decompress(c, comp, core.DTypeFloat64, 20, 100); err != nil {
+			t.Fatalf("%s: the declared shape: %v", name, err)
+		}
+		if _, err := core.Decompress(c, comp, core.DTypeFloat64, 10); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: 80 declared bytes for 16000: err %v, want ErrCorrupt", name, err)
+		}
+		dec, err := core.Decompress(c, comp, core.DTypeUnset)
+		if err != nil || dec.ByteLen() != in.ByteLen() {
+			t.Fatalf("%s: no declared shape: %v", name, err)
+		}
+	}
+}
+
 func TestPluginLevelOption(t *testing.T) {
 	c, err := core.NewCompressor("flate")
 	if err != nil {

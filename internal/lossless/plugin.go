@@ -1,6 +1,7 @@
 package lossless
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pressio/internal/core"
@@ -135,13 +136,21 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 		return fmt.Errorf("%w: stream was produced by a different codec", ErrCorrupt)
 	}
 	payload := b[2:]
+	// The stream records no size, so the output the caller declares bounds
+	// the inflate.
+	limit := DeclaredLimit(out)
+	if kind == kindDelta && limit != Unbounded {
+		// The count's varint, then one per element; UnDeltaVarint refuses a
+		// count past 2^32.
+		limit = (min(limit/uint64(max(elem, 1)), 1<<32) + 1) * binary.MaxVarintLen64
+	}
 	var raw []byte
 	var err error
 	switch kind {
 	case kindNoop:
 		raw = append([]byte(nil), payload...)
 	case kindFlate:
-		raw, err = Inflate(payload, Unbounded)
+		raw, err = Inflate(payload, limit)
 	case kindGzip:
 		raw, err = Gunzip(payload)
 	case kindZlib:
@@ -149,17 +158,17 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	case kindRLE:
 		raw, err = UnRLE(payload)
 	case kindShuffle:
-		raw, err = Inflate(payload, Unbounded)
+		raw, err = Inflate(payload, limit)
 		if err == nil {
 			raw = Unshuffle(raw, elem)
 		}
 	case kindBitShuffle:
-		raw, err = Inflate(payload, Unbounded)
+		raw, err = Inflate(payload, limit)
 		if err == nil {
 			raw = BitUnshuffle(raw, elem)
 		}
 	case kindDelta:
-		raw, err = Inflate(payload, Unbounded)
+		raw, err = Inflate(payload, limit)
 		if err == nil {
 			raw, err = UnDeltaVarint(raw, elem)
 		}

@@ -52,7 +52,7 @@ func newSchema(v variant, name string) *core.Schema[plugin] {
 	rows = append(rows,
 		core.Field(name+":max_quant_intervals", "quantization bins available to the predictor", core.Closed(4, 1<<24),
 			func(p *plugin) *uint32 { return &p.intvs }),
-		core.Field(core.KeyLossless, "effort level of the DEFLATE back end", lossless.LevelBounds, level),
+		core.Field(core.KeyLossless, "effort level of the DEFLATE back end (0 = 1, fastest)", lossless.LevelBounds, level),
 		core.Field(name+":lossless_level", "native spelling of pressio:lossless", lossless.LevelBounds, level))
 	if v == variantOMP {
 		rows = append(rows,

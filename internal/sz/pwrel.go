@@ -61,6 +61,9 @@ func CompressSlicePW[T core.Float](vals []T, dims []uint64, rel float64, p Param
 	inner.Mode = core.BoundAbs
 	inner.Bound = math.Log1p(rel)
 	inner.PointwiseRel = 0
+	if inner, err = inner.normalized(); err != nil {
+		return nil, err
+	}
 	logStream, err := CompressSlice(logs, dims, inner)
 	if err != nil {
 		return nil, err
@@ -70,7 +73,7 @@ func CompressSlicePW[T core.Float](vals []T, dims []uint64, rel float64, p Param
 	for i, c := range codes {
 		packed[i/4] |= c << ((i % 4) * 2)
 	}
-	packedCodes, err := lossless.Deflate(packed, p.LosslessLevel)
+	packedCodes, err := lossless.Deflate(packed, inner.LosslessLevel)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,8 @@ import (
 
 // compressRef is CompressSlice as of commit 1d7b975: one sample at a time
 // in scan order, outliers appended as they are met. It is the oracle the
-// skewed sweep and the trimmed stream assembly must match byte for byte.
+// skewed sweep and the trimmed stream assembly must match byte for byte. Its
+// DEFLATE level resolves through the same normalized() as CompressSlice's.
 func compressRef[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	p, err := p.normalized()
 	if err != nil {
