@@ -38,20 +38,9 @@ var BlockingLock = &Analyzer{
 func runBlockingLock(pass *Pass) {
 	g, sums := pass.Facts.Graph, pass.Facts.Summaries
 	forEachUnit(pass, func(u *unitFlow) {
-		// The CFG decomposes selects into per-clause comm nodes, so a
-		// comm operation reaches the walk without its parent select. A
-		// comm only runs once the runtime picked a ready case: the
-		// *select* is the blocking point, and one with a default never
-		// blocks at all.
-		commHasDefault := map[ast.Node]bool{}
+		sites := blockSites{}
 		inspectNoFuncLit(u.Body, func(m ast.Node) bool {
-			if sel, ok := m.(*ast.SelectStmt); ok {
-				for _, c := range sel.Body.List {
-					if cc := c.(*ast.CommClause); cc.Comm != nil {
-						commHasDefault[cc.Comm] = selectHasDefault(sel)
-					}
-				}
-			}
+			sites.mark(pass.Pkg, m)
 			return true
 		})
 		reported := map[token.Pos]bool{}
@@ -59,71 +48,36 @@ func runBlockingLock(pass *Pass) {
 			if len(held) == 0 {
 				return
 			}
-			var spawned *ast.CallExpr
 			inspectNoFuncLit(n, func(m ast.Node) bool {
-				why := ""
-				hasDefault, isComm := commHasDefault[m]
-				switch {
-				case isComm && !hasDefault:
-					why = "a blocking select"
-				case isComm, m == spawned:
-					// a polled comm never waits; a go statement spawns its
-					// operand instead of calling it
-				default:
-					if gs, ok := m.(*ast.GoStmt); ok {
-						spawned = gs.Call
-					}
-					why = blockingPoint(pass.Pkg, g, sums, m)
-				}
-				if why != "" && !reported[m.Pos()] {
+				if why := blockingPoint(pass.Pkg, g, sums, sites, m); why != "" && !reported[m.Pos()] {
 					reported[m.Pos()] = true
 					pass.Reportf(m.Pos(), "%s held across %s; shrink the critical section so the lock is released before blocking",
 						heldKeys(held), why)
 				}
-				return !isComm // the comm runs only once its case is ready
+				return true
 			})
 		})
 	})
 }
 
 // blockingPoint classifies one node as a wait another party bounds,
-// returning a human reason ("" when it is not one).
-func blockingPoint(pkg *Package, g *CallGraph, sums *Summaries, m ast.Node) string {
-	switch x := m.(type) {
-	case *ast.SendStmt:
-		return "a channel send"
-	case *ast.UnaryExpr:
-		if x.Op == token.ARROW {
-			return "a channel receive"
-		}
-	case *ast.SelectStmt:
-		if !selectHasDefault(x) {
-			return "a blocking select"
-		}
-	case *ast.RangeStmt:
-		if rangesOverChan(pkg, x) {
-			return "a range over a channel"
-		}
-	case *ast.CallExpr:
-		if _, isLock := classifyLockCall(pkg, x); isLock {
-			return "" // the lock's own Lock/Unlock
-		}
-		if why, kind, _ := stdlibBlocking(pkg, x); kind != 0 {
-			if kind == BlockPeer {
-				return why
-			}
-			return ""
-		}
-		if isDispatchCall(x) {
-			return "a compressor dispatch"
-		}
-		if g == nil || sums == nil {
-			return ""
-		}
-		for _, e := range g.resolveCall(pkg, x) {
-			if sum := sums.Of(e.Callee); sum != nil && sum.BlockKind == BlockPeer {
-				return "a call to " + e.Callee.ShortName() + ", which blocks (" + sum.BlockWhy + ")"
-			}
+// returning a human reason ("" when it is not one): the shared classifier
+// first, then — for a module-local call — the callee's summary.
+func blockingPoint(pkg *Package, g *CallGraph, sums *Summaries, sites blockSites, m ast.Node) string {
+	why, kind := sites.classify(pkg, m)
+	if kind == BlockPeer {
+		return why
+	}
+	call, ok := m.(*ast.CallExpr)
+	if _, marked := sites[m]; kind != 0 || marked || !ok || g == nil || sums == nil {
+		return ""
+	}
+	if _, isLock := classifyLockCall(pkg, call); isLock {
+		return "" // the lock's own Lock/Unlock
+	}
+	for _, e := range g.resolveCall(pkg, call) {
+		if sum := sums.Of(e.Callee); sum != nil && sum.BlockKind == BlockPeer {
+			return "a call to " + e.Callee.ShortName() + ", which blocks (" + sum.BlockWhy + ")"
 		}
 	}
 	return ""

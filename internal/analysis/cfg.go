@@ -14,7 +14,9 @@ import (
 // in order, and edges model every way control can leave them — structured
 // flow (if/for/range/switch/select), unstructured flow (goto, labeled
 // break/continue, fallthrough), and function exit (return and falling off
-// the end both reach the synthetic Exit block). Function literals are NOT
+// the end both reach the synthetic Exit block). A block ending in an if or for
+// condition records it, and its two out-edges are ordered true then false, so
+// the solver can refine facts per edge. Function literals are NOT
 // inlined: a FuncLit inside a statement stays an opaque expression here and
 // is analyzed as its own function unit (see funcUnits in dataflow.go),
 // because its body runs at another time (or never).
@@ -47,6 +49,10 @@ type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
+	// Cond is the if or for condition the block ends in, nil otherwise.
+	// When set, Succs[0] is the edge taken when it is true and Succs[1] the
+	// edge taken when it is false.
+	Cond ast.Expr
 }
 
 // addEdge links b -> s, keeping Preds in sync.
@@ -200,6 +206,7 @@ func (b *cfgBuilder) ifStmt(st *ast.IfStmt) {
 	}
 	b.cur.Nodes = append(b.cur.Nodes, st.Cond)
 	cond := b.cur
+	cond.Cond = st.Cond
 	then := b.newBlock("if.then")
 	addEdge(cond, then)
 	b.cur = then
@@ -227,6 +234,7 @@ func (b *cfgBuilder) forStmt(st *ast.ForStmt, label string) {
 	addEdge(b.cur, head)
 	if st.Cond != nil {
 		head.Nodes = append(head.Nodes, st.Cond)
+		head.Cond = st.Cond
 	}
 	body := b.newBlock("for.body")
 	addEdge(head, body)

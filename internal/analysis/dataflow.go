@@ -15,9 +15,10 @@ import (
 // that hands each unit's CFG and must-held-lock solution to the lock
 // analyzers. Analyzers define a FlowProblem over their own fact type (entry
 // fact, transfer, join) and read the solved per-block facts back;
-// path-sensitivity comes from the join: a fact that differs between two
-// predecessors merges per the problem's lattice instead of being decided by
-// source order.
+// path-sensitivity comes from two places: a problem with a Branch method
+// refines the fact along each edge of an if or for condition, and a fact that
+// differs between two predecessors merges per the problem's lattice instead of
+// being decided by source order.
 
 // FlowProblem is one forward dataflow problem over facts of type F. A block
 // the solver has not reached has no fact at all (it is absent from the
@@ -36,6 +37,14 @@ type FlowProblem[F any] interface {
 	Equal(a, b F) bool
 }
 
+// brancher is the optional edge half of a FlowProblem, found by type
+// assertion: Branch returns the fact on the edge leaving a block that ends in
+// cond, where cond evaluated to taken. Without it every out-edge carries the
+// block's exit fact.
+type brancher[F any] interface {
+	Branch(fact F, cond ast.Expr, taken bool) F
+}
+
 // FlowResult holds the solved facts at the entry and exit of every reached
 // block; unreachable blocks have no entry. In[cfg.Exit] is the joined fact at
 // function exit (absent when no path reaches the end, e.g. an infinite loop).
@@ -51,6 +60,14 @@ type FlowResult[F any] struct {
 func Solve[F any](cfg *CFG, p FlowProblem[F]) *FlowResult[F] {
 	res := &FlowResult[F]{In: make(map[*Block]F), Out: make(map[*Block]F)}
 	res.In[cfg.Entry] = p.EntryFact()
+	br, _ := p.(brancher[F])
+	// edgeFact is the fact flowing along pred -> blk.
+	edgeFact := func(pred, blk *Block, out F) F {
+		if br == nil || pred.Cond == nil {
+			return out
+		}
+		return br.Branch(out, pred.Cond, pred.Succs[0] == blk)
+	}
 
 	work := make([]*Block, 0, len(cfg.Blocks))
 	queued := make(map[*Block]bool)
@@ -74,6 +91,7 @@ func Solve[F any](cfg *CFG, p FlowProblem[F]) *FlowResult[F] {
 				if !ok {
 					continue
 				}
+				out = edgeFact(pred, blk, out)
 				if reached {
 					in = p.Join(in, out)
 				} else {
@@ -101,7 +119,8 @@ func Solve[F any](cfg *CFG, p FlowProblem[F]) *FlowResult[F] {
 
 // WalkFacts replays the transfer function over every reachable block,
 // calling visit with the fact holding immediately BEFORE each node. This is
-// how analyzers inspect program points inside blocks after solving.
+// how analyzers inspect program points inside blocks after solving. A block's
+// entry fact already joins its in-edges as Branch refined them.
 func WalkFacts[F any](cfg *CFG, p FlowProblem[F], res *FlowResult[F], visit func(fact F, n ast.Node)) {
 	for _, blk := range cfg.Blocks {
 		fact, ok := res.In[blk]

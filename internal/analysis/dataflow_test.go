@@ -1,11 +1,14 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -111,6 +114,107 @@ func f() int {
 		if _, reached := res.In[blk]; blk.Kind == "unreachable" && reached {
 			t.Errorf("unreachable block b%d received a fact", blk.Index)
 		}
+	}
+}
+
+// edgeRecorder is a toy problem with a Branch hook. Its fact is the set of
+// "cond=taken" labels on the edges taken since the last use(...) call, and
+// edges records every (cond, taken) pair Solve asked about.
+type edgeRecorder struct {
+	mayFacts[string]
+	fset  *token.FileSet
+	edges set[string]
+}
+
+func (*edgeRecorder) EntryFact() set[string] { return set[string]{} }
+
+func (*edgeRecorder) Transfer(f set[string], n ast.Node) set[string] {
+	if _, isUse := n.(*ast.ExprStmt); isUse {
+		return set[string]{}
+	}
+	return f
+}
+
+func (r *edgeRecorder) Branch(f set[string], cond ast.Expr, taken bool) set[string] {
+	label := fmt.Sprintf("%s=%t", renderNode(r.fset, cond), taken)
+	r.edges[label] = true
+	return f.with(label)
+}
+
+// TestSolveBranchEdges checks that Solve hands each edge leaving an if or
+// for condition to Branch with the right polarity, that the refined fact is
+// what reaches the target block, and that an infinite for and a range —
+// neither of which tests a condition — have no branch edges.
+func TestSolveBranchEdges(t *testing.T) {
+	src := `package p
+func use(string) {}
+func f(a, b int, xs []int) {
+	if a > 0 {
+		use("then1")
+	}
+	use("after1")
+	if a > 1 {
+		use("then2")
+	} else {
+		use("else2")
+	}
+	if a > 2 {
+		use("then3")
+	} else if b > 3 {
+		use("then4")
+	} else {
+		use("else4")
+	}
+	for i := 0; i < b; i++ {
+		use("body5")
+	}
+	use("after5")
+	for {
+		use("body6")
+		break
+	}
+	for range xs {
+		use("body7")
+	}
+}`
+	fset, f, _ := typeCheckSrc(t, src)
+	cfg := BuildCFG("f", funcByName(t, f, "f").Body)
+	for _, blk := range cfg.Blocks {
+		if blk.Cond != nil && len(blk.Succs) != 2 {
+			t.Errorf("b%d ends in %s but has %d successors", blk.Index, renderNode(fset, blk.Cond), len(blk.Succs))
+		}
+	}
+	r := &edgeRecorder{fset: fset, edges: set[string]{}}
+	res := Solve(cfg, r)
+	got := map[string]string{}
+	WalkFacts(cfg, r, res, func(fact set[string], n ast.Node) {
+		if es, ok := n.(*ast.ExprStmt); ok {
+			lit := es.X.(*ast.CallExpr).Args[0].(*ast.BasicLit)
+			got[lit.Value] = strings.Join(slices.Sorted(maps.Keys(fact)), ", ")
+		}
+	})
+	want := map[string]string{
+		`"then1"`:  "a > 0=true",
+		`"after1"`: "a > 0=false",
+		`"then2"`:  "a > 1=true",
+		`"else2"`:  "a > 1=false",
+		`"then3"`:  "a > 2=true",
+		`"then4"`:  "a > 2=false, b > 3=true",
+		`"else4"`:  "a > 2=false, b > 3=false",
+		`"body5"`:  "i < b=true",
+		`"after5"`: "i < b=false",
+		`"body6"`:  "",
+		`"body7"`:  "",
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("facts at each use:\n got %v\nwant %v", got, want)
+	}
+	wantEdges := []string{
+		"a > 0=false", "a > 0=true", "a > 1=false", "a > 1=true", "a > 2=false", "a > 2=true",
+		"b > 3=false", "b > 3=true", "i < b=false", "i < b=true",
+	}
+	if gotEdges := slices.Sorted(maps.Keys(r.edges)); !slices.Equal(gotEdges, wantEdges) {
+		t.Errorf("Branch edges = %v, want %v", gotEdges, wantEdges)
 	}
 }
 

@@ -53,9 +53,10 @@ var goldenCases = []struct {
 	{"regress_fpzip_bad", "untrustedalloc"},
 	{"regress_zfp_bad", "untrustedloop"},
 	{"regress_delta_bad", "untrustedindex"},
-	// Sanitizer idioms: the accepted five produce an empty golden across all
+	// Sanitizer idioms: the accepted ones produce an empty golden across all
 	// three taint analyzers; the rejected shapes — caps that bound nothing,
-	// positive-step guards that admit zero — must each report.
+	// guards a path escapes, positive-step guards that admit zero — must each
+	// report.
 	{"taintsan_accepted", "untrustedalloc,untrustedloop,untrustedindex"},
 	{"taintsan_rejected_bad", "untrustedalloc,untrustedloop"},
 	// Suppression scope: a directive inside a go/defer literal must not

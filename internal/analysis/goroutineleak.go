@@ -70,9 +70,8 @@ func runGoroutineLeak(pass *Pass) {
 
 // spawnClosure is the set of bodies the spawned goroutine can run: the entry
 // plus its static (non-interface, non-go) call closure and nested literals.
-// Dynamic edges are excluded for the same reason BlocksForever excludes them
-// — one slow interface implementation must not condemn every spawn site that
-// dispatches through the interface.
+// Dynamic edges are excluded: one slow interface implementation must not
+// condemn every spawn site that dispatches through the interface.
 func spawnClosure(g *CallGraph, entry *FuncNode) []*FuncNode {
 	seen := map[*FuncNode]bool{}
 	var order []*FuncNode

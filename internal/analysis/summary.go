@@ -31,14 +31,6 @@ type FuncSummary struct {
 	BlockKind BlockKind
 	BlockWhy  string
 
-	// BlocksForever: the stronger property goroutine-leak analysis needs —
-	// the body can block indefinitely on external events (channel ops,
-	// selects without default, I/O, sync.WaitGroup.Wait). Propagates only
-	// through static call edges: dynamic dispatch would smear one slow
-	// implementation over every caller.
-	BlocksForever   bool
-	BlockForeverWhy string
-
 	// Allocates: the body has a non-exempt allocation site, or reaches one
 	// through module-local calls. AllocVia is the call chain ("WriteBits:
 	// append grows w.buf"), empty for own sites.
@@ -306,15 +298,6 @@ func (s *Summaries) local(n *FuncNode) *FuncSummary {
 		}
 	}
 
-	block := func(why string, kind BlockKind, forever bool) {
-		if kind > sum.BlockKind {
-			sum.Blocks, sum.BlockKind, sum.BlockWhy = true, kind, why
-		}
-		if forever && !sum.BlocksForever {
-			sum.BlocksForever, sum.BlockForeverWhy = true, why
-		}
-	}
-
 	walkAlloc(n, func(site AllocSite) {
 		sum.OwnAllocs = append(sum.OwnAllocs, site)
 		if !sum.Allocates {
@@ -322,56 +305,90 @@ func (s *Summaries) local(n *FuncNode) *FuncSummary {
 		}
 	})
 
-	// nonBlockingComms collects the comm statements of selects WITH a
-	// default clause (those channel operations never block; the walk reaches
-	// a select before its clauses); spawned is the operand of the go
-	// statement being walked — a spawn, not a call.
-	nonBlockingComms := map[ast.Stmt]bool{}
-	var spawned *ast.CallExpr
+	// The walk is preorder, so a select, range or go statement is marked
+	// before the nodes it marks are classified.
+	sites := blockSites{}
 	inspectNoFuncLit(n.Body, func(m ast.Node) bool {
+		sites.mark(pkg, m)
 		switch x := m.(type) {
 		case *ast.GoStmt:
 			sum.SpawnsGoroutine = true
-			spawned = x.Call
-		case *ast.SendStmt:
-			if !nonBlockingComms[x] {
-				block("channel send", BlockPeer, true)
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				block("channel receive", BlockPeer, true)
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(x) {
-				block("select without default", BlockPeer, true)
-				break
-			}
-			for _, c := range x.Body.List {
-				if cc := c.(*ast.CommClause); cc.Comm != nil {
-					nonBlockingComms[cc.Comm] = true
-				}
-			}
-		case *ast.RangeStmt:
-			if rangesOverChan(pkg, x) {
-				block("range over channel", BlockPeer, true)
-			}
-		case *ast.CallExpr:
-			if x == spawned {
-				return true
-			}
-			if why, kind, forever := stdlibBlocking(pkg, x); kind != 0 {
-				block(why, kind, forever)
-			} else if isDispatchCall(x) {
-				block("compressor dispatch", BlockPeer, false)
-			}
 		case *ast.Ident:
 			if v, ok := pkg.objectOf(x).(*types.Var); ok && isContextType(v.Type()) {
 				sum.UsesCtx = true
 			}
 		}
+		if why, kind := sites.classify(pkg, m); kind > sum.BlockKind {
+			// A summary names the wait without the article a diagnostic
+			// puts in front of it ("which blocks (channel receive)").
+			sum.Blocks, sum.BlockKind, sum.BlockWhy = true, kind, strings.TrimPrefix(why, "a ")
+		}
 		return true
 	})
 	return sum
+}
+
+// blockSites maps what the CFG takes apart to the wait it stands for, so one
+// classifier serves the CFG walk (blockinglock) and the AST walk (summaries)
+// alike: a comm of a select without default stands for the select, and the
+// operand of a range over a channel for the range. "" marks what never waits
+// by itself: a comm of a select with a default, anything inside a comm (it
+// runs once the select picked its case), and the call a go statement spawns.
+type blockSites map[ast.Node]string
+
+// mark records the nodes m takes apart: the comms of a select, the operand
+// of a range over a channel, the call of a go statement.
+func (s blockSites) mark(pkg *Package, m ast.Node) {
+	switch x := m.(type) {
+	case *ast.SelectStmt:
+		why := "a blocking select"
+		if selectHasDefault(x) {
+			why = ""
+		}
+		for _, c := range x.Body.List {
+			if cc := c.(*ast.CommClause); cc.Comm != nil {
+				inspectNoFuncLit(cc.Comm, func(in ast.Node) bool {
+					s[in] = ""
+					return true
+				})
+				s[cc.Comm] = why
+			}
+		}
+	case *ast.RangeStmt:
+		if rangesOverChan(pkg, x) {
+			s[x.X] = "a range over a channel"
+		}
+	case *ast.GoStmt:
+		s[x.Call] = ""
+	}
+}
+
+// classify is the one blocking-construct classifier: it names the wait at m
+// and who bounds it, or returns kind 0. Calls into the module are left to
+// their summaries.
+func (s blockSites) classify(pkg *Package, m ast.Node) (why string, kind BlockKind) {
+	if why, marked := s[m]; marked {
+		if why == "" {
+			return "", 0
+		}
+		return why, BlockPeer
+	}
+	switch x := m.(type) {
+	case *ast.SendStmt:
+		return "a channel send", BlockPeer
+	case *ast.UnaryExpr:
+		if x.Op == token.ARROW {
+			return "a channel receive", BlockPeer
+		}
+	case *ast.CallExpr:
+		if why, kind, _ := stdlibBlocking(pkg, x); kind != 0 {
+			return why, kind
+		}
+		if isDispatchCall(x) {
+			return "a compressor dispatch", BlockPeer
+		}
+	}
+	return "", 0
 }
 
 // selectHasDefault reports whether the select can fall through without
@@ -400,11 +417,6 @@ func (s *Summaries) propagate(n *FuncNode) bool {
 		if callee.BlockKind > sum.BlockKind {
 			sum.Blocks, sum.BlockKind = true, callee.BlockKind
 			sum.BlockWhy = "call to " + e.Callee.ShortName() + " (" + callee.BlockWhy + ")"
-			changed = true
-		}
-		if callee.BlocksForever && !e.Dynamic && !sum.BlocksForever {
-			sum.BlocksForever = true
-			sum.BlockForeverWhy = "call to " + e.Callee.ShortName() + " (" + callee.BlockForeverWhy + ")"
 			changed = true
 		}
 		if callee.Allocates && !sum.Allocates {

@@ -20,8 +20,11 @@ import (
 // call edges (per-function result masks composed at call sites, fixpoint
 // over the call graph's SCCs like the Allocates summary), and is killed by
 // recognized sanitizers — comparisons against caps, min-style clamps,
-// len-derived bounds — each modeled as a syntactic region so findings can
-// name the missing check. Sinks are the three shapes fuzzing found:
+// len-derived bounds. A comparison is a fact on the CFG edge where it holds:
+// the solver's Branch hook adds the guarded key to the path's must-set of
+// bounded (or strictly positive) keys, an assignment to the key removes it,
+// and a join keeps it only where every incoming path carries it or has the
+// key's root clean. Sinks are the three shapes fuzzing found:
 // allocation sizes (the bomb), loop bounds and loop-carried steps (the
 // spin), and slice indexes (the panic).
 
@@ -170,7 +173,7 @@ var boundedMethodNames = map[string]bool{"Len": true, "Size": true, "Cap": true,
 // that hand back extents they did not bound themselves: both pass them to
 // CheckedElems, which compares every extent and the running product against
 // the caller's cap, and return nothing unless it accepts. A guard inside a
-// callee is invisible to the caller's sanitizer regions, so naming the pair
+// callee is invisible to the caller's guard facts, so naming the pair
 // is what lets a decoder keep no parse loop of its own. (CheckedElems,
 // ReadRank, ReadShape and ReadFloatShape need no entry: their results come
 // out clean by the ordinary rules.)
@@ -335,21 +338,68 @@ func (ti *TaintInfo) origin(mask uint64, tn *taintNode) string {
 // ---------------------------------------------------------------------------
 // Per-function analysis.
 
-// taintValFact maps variable objects to taint masks; absent means untainted.
-type taintValFact map[types.Object]uint64
+// taintFact is the taint engine's dataflow fact at one program point.
+type taintFact struct {
+	// masks maps variable objects to taint masks (may: union at joins);
+	// absent means untainted.
+	masks map[types.Object]uint64
+	// bounded and positive are the must-sets of keys a guard on every path
+	// has bounded above by a clean cap, or proved strictly positive.
+	bounded, positive set[guardKey]
+	// dead marks a path that ended in a panic: joins ignore it.
+	dead bool
+}
 
-// taintProblem is the FlowProblem plus the syntactic context (sanitizer
-// regions, loop structure, range rewrites) the evaluator consults.
+// guardKey names a guarded expression: its rendered path ("n", "h.n") and
+// the variable it is rooted at, so shadowed names stay apart.
+type guardKey struct {
+	root types.Object
+	path string
+}
+
+// withoutRelated drops k and every key related to it: assigning h says
+// nothing about an old guard on h.n, and vice versa.
+func withoutRelated(s set[guardKey], k guardKey) set[guardKey] {
+	for g := range s {
+		if g.root == k.root && relatedKeys(g.path, k.path) {
+			s = s.without(g)
+		}
+	}
+	return s
+}
+
+// joinGuards keeps a key when each incoming path either carries it or has
+// the key's root untainted: a path that never tainted the value needs no
+// guard, which is what credits the accumulate-and-check loop (the zero total
+// entering the loop, the checked total coming round the back edge). A set
+// only holds keys whose root is tainted on its own path (Branch adds no
+// other), so each side's keys need checking against the other side alone.
+func joinGuards(a, b taintFact, ga, gb set[guardKey]) set[guardKey] {
+	if len(ga)+len(gb) == 0 {
+		return nil // most facts carry no guard
+	}
+	out := set[guardKey]{}
+	for k := range ga {
+		if gb[k] || b.masks[k.root] == 0 {
+			out[k] = true
+		}
+	}
+	for k := range gb {
+		if a.masks[k.root] == 0 {
+			out[k] = true
+		}
+	}
+	return out
+}
+
+// taintProblem is the FlowProblem plus the syntactic context (loop
+// structure, range rewrites) the evaluator consults.
 type taintProblem struct {
 	ti   *TaintInfo
 	node *FuncNode
 	pkg  *Package
 
-	entry taintValFact
-	// regions are the recognized sanitizer scopes.
-	regions []taintRegion
-	// assigns records every (key, pos) assignment for region invalidation.
-	assigns []assignRec
+	entry map[types.Object]uint64
 	// rangeX maps the synthesized range-binding AssignStmt to true (its Rhs
 	// is the original range operand, recognized by pointer identity).
 	rangeX map[ast.Expr]bool
@@ -362,31 +412,6 @@ type taintProblem struct {
 	// results are the declared result variables (nil when unnamed).
 	results    []*types.Var
 	resultErrs []bool
-}
-
-// regionKind distinguishes what a sanitizer region guarantees.
-type regionKind int
-
-const (
-	// regUpper: the key is bounded above by cap (or pinned to it).
-	regUpper regionKind = iota
-	// regPositive: the key is known strictly positive.
-	regPositive
-)
-
-// taintRegion is one syntactic scope in which a guard holds for a key.
-type taintRegion struct {
-	key        string
-	kind       regionKind
-	cap        ast.Expr // bounding expression; nil for positive guards
-	start, end token.Pos
-}
-
-// assignRec is one assignment to a rendered key, for region invalidation: a
-// guard established before a reassignment says nothing about the new value.
-type assignRec struct {
-	key string
-	pos token.Pos
 }
 
 // loopRec describes one for-loop for the step and bound-index rules.
@@ -407,7 +432,7 @@ func (ti *TaintInfo) analyze(n *FuncNode) *taintNode {
 		ti:          ti,
 		node:        n,
 		pkg:         n.Pkg,
-		entry:       taintValFact{},
+		entry:       map[types.Object]uint64{},
 		rangeX:      map[ast.Expr]bool{},
 		edgesBySite: map[*ast.CallExpr][]*CallEdge{},
 		forConds:    map[ast.Expr]*ast.ForStmt{},
@@ -423,15 +448,13 @@ func (ti *TaintInfo) analyze(n *FuncNode) *taintNode {
 	}
 	p.collectResults()
 	p.collectLoops()
-	p.collectAssigns()
-	p.regions = collectRegions(n.Body)
 	tn.out = make([]uint64, len(p.results))
 
 	cfg := BuildCFG(n.Name, n.Body)
 	res := Solve(cfg, p)
 	seenSink := map[string]bool{}
 	seenCall := map[*ast.CallExpr]bool{}
-	WalkFacts(cfg, p, res, func(f taintValFact, node ast.Node) {
+	WalkFacts(cfg, p, res, func(f taintFact, node ast.Node) {
 		p.scanSinks(f, node, tn, seenSink)
 		p.scanCalls(f, node, tn, seenCall)
 		if ret, ok := node.(*ast.ReturnStmt); ok {
@@ -499,9 +522,14 @@ func (p *taintProblem) collectResults() {
 
 // collectLoops indexes the body's for loops: cond variables (for the step
 // rule), induction bounds (for the bounded-index rule), and registers cond
-// expressions so the sink scan recognizes them.
+// expressions so the sink scan recognizes them. Range operands are recorded
+// so the synthesized range binding is recognized by its Rhs, which is the
+// original operand by pointer identity.
 func (p *taintProblem) collectLoops() {
 	inspectNoFuncLit(p.node.Body, func(m ast.Node) bool {
+		if rs, ok := m.(*ast.RangeStmt); ok {
+			p.rangeX[rs.X] = true
+		}
 		fs, ok := m.(*ast.ForStmt)
 		if !ok || fs.Cond == nil {
 			return true
@@ -529,14 +557,6 @@ func (p *taintProblem) collectLoops() {
 		p.loops = append(p.loops, rec)
 		return true
 	})
-	// Range statements: recognize the synthesized binding by its Rhs, which
-	// is the original range operand by pointer identity.
-	inspectNoFuncLit(p.node.Body, func(m ast.Node) bool {
-		if rs, ok := m.(*ast.RangeStmt); ok {
-			p.rangeX[rs.X] = true
-		}
-		return true
-	})
 }
 
 // initializes reports whether init assigns the object (i := lo / i = lo).
@@ -553,65 +573,117 @@ func initializes(pkg *Package, init ast.Stmt, obj types.Object) bool {
 	return false
 }
 
-// collectAssigns records every assignment position by rendered key, so a
-// sanitizer region is invalidated for uses after the key is reassigned.
-func (p *taintProblem) collectAssigns() {
-	add := func(e ast.Expr, pos token.Pos) {
-		if k := exprKey(e); k != "" {
-			p.assigns = append(p.assigns, assignRec{key: k, pos: pos})
-		}
-	}
-	inspectNoFuncLit(p.node.Body, func(m ast.Node) bool {
-		switch st := m.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range st.Lhs {
-				add(lhs, st.TokPos)
-			}
-		case *ast.IncDecStmt:
-			add(st.X, st.Pos())
-		case *ast.RangeStmt:
-			if st.Key != nil {
-				add(st.Key, st.For)
-			}
-			if st.Value != nil {
-				add(st.Value, st.For)
-			}
-		}
-		return true
-	})
-}
-
 // ---------------------------------------------------------------------------
 // FlowProblem implementation.
 
-func (p *taintProblem) EntryFact() taintValFact { return p.entry }
+func (p *taintProblem) EntryFact() taintFact { return taintFact{masks: p.entry} }
 
-func (p *taintProblem) Join(a, b taintValFact) taintValFact {
-	out := maps.Clone(a)
-	for k, v := range b {
-		out[k] |= v
+func (p *taintProblem) Join(a, b taintFact) taintFact {
+	if a.dead {
+		return b
 	}
+	if b.dead {
+		return a
+	}
+	out := taintFact{masks: maps.Clone(a.masks)}
+	for k, v := range b.masks {
+		out.masks[k] |= v
+	}
+	out.bounded = joinGuards(a, b, a.bounded, b.bounded)
+	out.positive = joinGuards(a, b, a.positive, b.positive)
 	return out
 }
 
-func (p *taintProblem) Equal(a, b taintValFact) bool { return maps.Equal(a, b) }
+func (p *taintProblem) Equal(a, b taintFact) bool {
+	return a.dead == b.dead && maps.Equal(a.masks, b.masks) &&
+		maps.Equal(a.bounded, b.bounded) && maps.Equal(a.positive, b.positive)
+}
 
-func (p *taintProblem) Transfer(f taintValFact, n ast.Node) taintValFact {
+// Branch applies a condition's guards on the edge where it evaluated to
+// taken. Every comparison leaf counts, through && and || alike (a decoder
+// that checks at all is credited; the adversarial shapes the goldens pin
+// have no check whatsoever). A leaf bounds its key on the edge where it holds
+// — the true edge of x < cap, the false edge of x > cap — when the cap is
+// clean there, and proves it positive per positiveOn. A loop's exit edge
+// adds nothing: `i < n` failing only says a counter caught up with n, which
+// bounds neither.
+func (p *taintProblem) Branch(f taintFact, cond ast.Expr, taken bool) taintFact {
+	if !taken && p.forConds[cond] != nil {
+		return f
+	}
+	for _, g := range guards(cond) {
+		k, _ := p.keyOf(g.x)
+		if f.masks[k.root] == 0 {
+			// A clean value needs no guard. Keeping clean roots out of the
+			// sets keeps one representation per fact, so joins converge.
+			continue
+		}
+		if g.exceedsCap() != taken && p.maskOf(f, g.cap) == 0 {
+			f.bounded = f.bounded.with(k)
+		}
+		if lit, ok := ast.Unparen(g.cap).(*ast.BasicLit); ok && positiveOn[taken][g.op] == lit.Value {
+			f.positive = f.positive.with(k)
+		}
+	}
+	return f
+}
+
+// isPanicStmt matches a statement that calls the builtin panic: the path
+// ends there.
+func isPanicStmt(pkg *Package, n ast.Node) bool {
+	if es, ok := n.(*ast.ExprStmt); ok {
+		if call, ok := es.X.(*ast.CallExpr); ok {
+			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+			return ok && id.Name == "panic" && isBuiltin(pkg, id)
+		}
+	}
+	return false
+}
+
+// keyOf is the guard key of an lvalue-ish expression; ok is false when the
+// expression renders no key.
+func (p *taintProblem) keyOf(e ast.Expr) (k guardKey, ok bool) {
+	if k.path = exprKey(e); k.path == "" {
+		return k, false
+	}
+	if root := rootIdent(e); root != nil {
+		k.root = p.pkg.objectOf(root)
+	}
+	return k, true
+}
+
+func (p *taintProblem) Transfer(f taintFact, n ast.Node) taintFact {
 	in := f // masks are evaluated against the fact BEFORE the node
+	if isPanicStmt(p.pkg, n) {
+		f.dead = true
+		return f
+	}
 	set := func(obj types.Object, mask uint64, strong bool) {
 		if obj == nil {
 			return
 		}
 		if !strong {
-			mask |= f[obj]
+			mask |= f.masks[obj]
 		}
-		if mask == f[obj] {
+		if mask == f.masks[obj] {
 			return
 		}
-		f = mapWith(f, obj, mask)
+		f.masks = mapWith(f.masks, obj, mask)
 		if mask == 0 {
-			delete(f, obj) // absent means untainted
+			delete(f.masks, obj) // absent means untainted
 		}
+	}
+	// An assignment ends every guard on its key.
+	kill := func(lhs ast.Expr) {
+		if len(f.bounded)+len(f.positive) == 0 {
+			return
+		}
+		if k, ok := p.keyOf(lhs); ok {
+			f.bounded, f.positive = withoutRelated(f.bounded, k), withoutRelated(f.positive, k)
+		}
+	}
+	if st, ok := n.(*ast.IncDecStmt); ok {
+		kill(st.X)
 	}
 	assignTo := func(lhs ast.Expr, mask uint64) {
 		if p.pkg.Info != nil {
@@ -619,12 +691,20 @@ func (p *taintProblem) Transfer(f taintValFact, n ast.Node) taintValFact {
 				mask = 0
 			}
 		}
+		kill(lhs)
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 			set(p.pkg.objectOf(id), mask, true)
 		} else if root := rootIdent(lhs); root != nil {
 			// Selector, index, star: field-insensitive weak update on the
 			// root object — tainting one header field taints the header.
 			set(p.pkg.objectOf(root), mask, false)
+			// A field assigned a clean value (the clamp h.n = cap) is
+			// bounded although its struct stays tainted.
+			if _, isField := ast.Unparen(lhs).(*ast.SelectorExpr); isField && mask == 0 {
+				if k, ok := p.keyOf(lhs); ok && f.masks[k.root] != 0 {
+					f.bounded = f.bounded.with(k)
+				}
+			}
 		}
 	}
 	asg, _ := n.(*ast.AssignStmt)
@@ -642,18 +722,18 @@ func (p *taintProblem) Transfer(f taintValFact, n ast.Node) taintValFact {
 			if b.Index == 0 {
 				assignTo(b.Lhs, 0)
 			} else {
-				assignTo(b.Lhs, p.maskOf(in, b.Rhs, 0))
+				assignTo(b.Lhs, p.maskOf(in, b.Rhs))
 			}
 		case compound:
 			// x op= y: the result mixes both sides.
-			assignTo(b.Lhs, p.maskOf(in, b.Lhs, 0)|p.maskOf(in, b.Rhs, 0))
+			assignTo(b.Lhs, p.maskOf(in, b.Lhs)|p.maskOf(in, b.Rhs))
 		case b.N > 1:
 			if b.Index == 0 {
 				tuple = p.tupleMasks(in, b.Rhs, b.N) // once per statement, not per name
 			}
 			assignTo(b.Lhs, tuple[b.Index])
 		default:
-			assignTo(b.Lhs, p.maskOf(in, b.Rhs, 0))
+			assignTo(b.Lhs, p.maskOf(in, b.Rhs))
 		}
 	})
 	if bound {
@@ -661,7 +741,10 @@ func (p *taintProblem) Transfer(f taintValFact, n ast.Node) taintValFact {
 	}
 	// Fill-style reads (r.Read(buf), io.ReadFull(r, buf)) taint the
 	// destination slice as a side effect — when the reader itself is
-	// untrusted (tainted, or any reader in an I/O-plane package).
+	// untrusted (tainted, or any reader in an I/O-plane package). The walk
+	// only collects the buffers: a closure that escapes into ast.Inspect
+	// and updated f would move f to the heap on every Transfer.
+	var filled []*ast.Ident
 	inspectNoFuncLit(n, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
@@ -673,9 +756,9 @@ func (p *taintProblem) Transfer(f taintValFact, n ast.Node) taintValFact {
 		}
 		var readerMask uint64
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			readerMask = p.maskOf(in, sel.X, 0)
+			readerMask = p.maskOf(in, sel.X)
 		} else if len(call.Args) > 0 {
-			readerMask = p.maskOf(in, call.Args[0], 0)
+			readerMask = p.maskOf(in, call.Args[0])
 		}
 		if readerMask == 0 && !pkgReadsUntrustedFiles(p.pkg.Path) {
 			return true
@@ -689,41 +772,44 @@ func (p *taintProblem) Transfer(f taintValFact, n ast.Node) taintValFact {
 				continue
 			}
 			if root := rootIdent(arg); root != nil {
-				set(p.pkg.objectOf(root), taintSourceBit, false)
+				filled = append(filled, root)
 			}
 		}
 		return true
 	})
+	for _, root := range filled {
+		set(p.pkg.objectOf(root), taintSourceBit, false)
+	}
 	return f
 }
 
 // ---------------------------------------------------------------------------
 // Mask evaluation.
 
-const maxRegionDepth = 4
-
-// maskOf computes the taint mask of an expression under fact f, applying
-// sanitizer regions: a value whose raw mask is tainted evaluates untainted
-// at points where a recognized upper-bound guard for it holds.
-func (p *taintProblem) maskOf(f taintValFact, e ast.Expr, depth int) uint64 {
-	raw := p.rawMask(f, e, depth)
+// maskOf computes the taint mask of an expression under fact f: a value
+// whose raw mask is tainted evaluates untainted where a guard has bounded
+// its key on every path.
+func (p *taintProblem) maskOf(f taintFact, e ast.Expr) uint64 {
+	raw := p.rawMask(f, e)
 	if raw == 0 {
 		return 0
 	}
-	if key := exprKey(e); key != "" && p.regionKills(f, key, e.Pos(), regUpper, depth) {
-		return 0
+	if len(f.bounded) > 0 {
+		if k, ok := p.keyOf(e); ok && f.bounded[k] {
+			return 0
+		}
 	}
 	return raw
 }
 
-func (p *taintProblem) rawMask(f taintValFact, e ast.Expr, depth int) uint64 {
+func (p *taintProblem) rawMask(f taintFact, e ast.Expr) uint64 {
 	switch x := e.(type) {
 	case *ast.Ident:
-		return f[p.pkg.objectOf(x)]
+		return f.masks[p.pkg.objectOf(x)]
 	case *ast.BasicLit:
 		return 0
 	case *ast.ParenExpr:
-		return p.maskOf(f, x.X, depth)
+		return p.maskOf(f, x.X)
 	case *ast.SelectorExpr:
 		// http.Request.Body is a source regardless of provenance.
 		if x.Sel.Name == "Body" && isNamed(p.pkg, x.X, "net/http", "Request") {
@@ -736,25 +822,25 @@ func (p *taintProblem) rawMask(f taintValFact, e ast.Expr, depth int) uint64 {
 				return 0
 			}
 		}
-		return p.maskOf(f, x.X, depth)
+		return p.maskOf(f, x.X)
 	case *ast.IndexExpr:
-		return p.maskOf(f, x.X, depth)
+		return p.maskOf(f, x.X)
 	case *ast.IndexListExpr:
-		return p.maskOf(f, x.X, depth)
+		return p.maskOf(f, x.X)
 	case *ast.SliceExpr:
-		return p.maskOf(f, x.X, depth)
+		return p.maskOf(f, x.X)
 	case *ast.StarExpr:
-		return p.maskOf(f, x.X, depth)
+		return p.maskOf(f, x.X)
 	case *ast.TypeAssertExpr:
-		return p.maskOf(f, x.X, depth)
+		return p.maskOf(f, x.X)
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
-			return p.maskOf(f, x.X, depth)
+			return p.maskOf(f, x.X)
 		}
 		if x.Op == token.NOT {
 			return 0
 		}
-		return p.maskOf(f, x.X, depth)
+		return p.maskOf(f, x.X)
 	case *ast.BinaryExpr:
 		switch x.Op {
 		case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ,
@@ -762,21 +848,21 @@ func (p *taintProblem) rawMask(f taintValFact, e ast.Expr, depth int) uint64 {
 			return 0 // booleans carry no magnitude
 		case token.REM, token.AND:
 			// x % untaintedBound and x & untaintedMask are bounded.
-			lm, rm := p.maskOf(f, x.X, depth), p.maskOf(f, x.Y, depth)
+			lm, rm := p.maskOf(f, x.X), p.maskOf(f, x.Y)
 			if rm == 0 {
 				return 0
 			}
 			return lm | rm
 		}
-		return p.maskOf(f, x.X, depth) | p.maskOf(f, x.Y, depth)
+		return p.maskOf(f, x.X) | p.maskOf(f, x.Y)
 	case *ast.CompositeLit:
 		var m uint64
 		for _, el := range x.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				m |= p.maskOf(f, kv.Value, depth)
+				m |= p.maskOf(f, kv.Value)
 				continue
 			}
-			m |= p.maskOf(f, el, depth)
+			m |= p.maskOf(f, el)
 		}
 		return m
 	case *ast.CallExpr:
@@ -790,7 +876,7 @@ func (p *taintProblem) rawMask(f taintValFact, e ast.Expr, depth int) uint64 {
 
 // tupleMasks evaluates a (possibly multi-valued) expression to n result
 // masks. Calls consult builtins, curated tables, and module-local summaries.
-func (p *taintProblem) tupleMasks(f taintValFact, e ast.Expr, n int) []uint64 {
+func (p *taintProblem) tupleMasks(f taintFact, e ast.Expr, n int) []uint64 {
 	fill := func(m uint64) []uint64 {
 		out := make([]uint64, n)
 		for i := range out {
@@ -802,13 +888,13 @@ func (p *taintProblem) tupleMasks(f taintValFact, e ast.Expr, n int) []uint64 {
 	if !ok {
 		// Comma-ok forms (type assertion, map index): value mask, clean ok.
 		out := fill(0)
-		out[0] = p.maskOf(f, e, 0)
+		out[0] = p.maskOf(f, e)
 		return out
 	}
 	argUnion := func() uint64 {
 		var m uint64
 		for _, a := range call.Args {
-			m |= p.maskOf(f, a, 0)
+			m |= p.maskOf(f, a)
 		}
 		return m
 	}
@@ -826,7 +912,7 @@ func (p *taintProblem) tupleMasks(f taintValFact, e ast.Expr, n int) []uint64 {
 		case "min":
 			// min(tainted, cap) is bounded when any operand is clean.
 			for _, a := range call.Args {
-				if p.maskOf(f, a, 0) == 0 {
+				if p.maskOf(f, a) == 0 {
 					return fill(0)
 				}
 			}
@@ -908,7 +994,7 @@ func (p *taintProblem) tupleMasks(f taintValFact, e ast.Expr, n int) []uint64 {
 	// Unknown call: the result mixes the receiver and every argument.
 	var m uint64
 	if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
-		m |= p.maskOf(f, sel.X, 0)
+		m |= p.maskOf(f, sel.X)
 	}
 	m |= argUnion()
 	return fill(m)
@@ -928,18 +1014,18 @@ func (p *taintProblem) isUntrustedReaderRecv(recv ast.Expr) bool {
 
 // callArgMasks computes the positional argument masks for a call, receiver
 // first when the (first) callee is a method.
-func (p *taintProblem) callArgMasks(f taintValFact, call *ast.CallExpr, edge *CallEdge) []uint64 {
+func (p *taintProblem) callArgMasks(f taintFact, call *ast.CallExpr, edge *CallEdge) []uint64 {
 	var masks []uint64
 	hasRecv := edge.Callee.Decl != nil && edge.Callee.Decl.Recv != nil
 	if hasRecv {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			masks = append(masks, p.maskOf(f, sel.X, 0))
+			masks = append(masks, p.maskOf(f, sel.X))
 		} else {
 			masks = append(masks, 0)
 		}
 	}
 	for _, a := range call.Args {
-		masks = append(masks, p.maskOf(f, a, 0))
+		masks = append(masks, p.maskOf(f, a))
 	}
 	// Fold variadic extras into the callee's last parameter slot.
 	calleeTN := p.ti.nodes[edge.Callee]
@@ -955,7 +1041,7 @@ func (p *taintProblem) callArgMasks(f taintValFact, call *ast.CallExpr, edge *Ca
 
 // composeCall rewrites the callee's result masks (over callee parameter bits)
 // into the caller's frame using the argument masks.
-func (p *taintProblem) composeCall(f taintValFact, call *ast.CallExpr, edge *CallEdge, argMasks []uint64) []uint64 {
+func (p *taintProblem) composeCall(f taintFact, call *ast.CallExpr, edge *CallEdge, argMasks []uint64) []uint64 {
 	calleeTN := p.ti.nodes[edge.Callee]
 	if calleeTN == nil {
 		return nil
@@ -977,179 +1063,10 @@ func (p *taintProblem) composeCall(f taintValFact, call *ast.CallExpr, edge *Cal
 }
 
 // ---------------------------------------------------------------------------
-// Sanitizer regions.
-
-// collectRegions scans the body for recognized bound-check idioms and
-// returns the scopes in which each holds. The recognizer is deliberately
-// syntactic (the CFG has no branch-labeled edges) and deliberately lenient:
-// ANY upper-violation comparison on a key anywhere inside a terminating
-// guard's condition grants the region — a decoder that checks at all is
-// credited, and the adversarial cases the goldens pin are the ones with no
-// check whatsoever.
-func collectRegions(body *ast.BlockStmt) []taintRegion {
-	var regions []taintRegion
-	var scan func(list []ast.Stmt, blockEnd, returnEnd token.Pos)
-	scan = func(list []ast.Stmt, blockEnd, returnEnd token.Pos) {
-		for _, s := range list {
-			switch st := s.(type) {
-			case *ast.IfStmt:
-				regions = append(regions, regionsOfIf(st, blockEnd, returnEnd)...)
-				scan(st.Body.List, blockEnd, returnEnd)
-				switch els := st.Else.(type) {
-				case *ast.BlockStmt:
-					scan(els.List, blockEnd, returnEnd)
-				case *ast.IfStmt:
-					scan([]ast.Stmt{els}, blockEnd, returnEnd)
-				}
-			case *ast.ForStmt:
-				// A for-cond of the form x < E bounds x throughout the body.
-				if st.Cond != nil {
-					for _, g := range guards(st.Cond) {
-						if !g.exceedsCap() {
-							regions = append(regions, g.region(regUpper, st.Body.Pos(), st.Body.End()))
-						}
-					}
-				}
-				// Guards inside a loop body that return/panic extend past the
-				// loop: the accumulate-and-check idiom (grow total, bail when
-				// it crosses the cap, allocate after the loop).
-				scan(st.Body.List, st.Body.End(), returnEnd)
-			case *ast.RangeStmt:
-				scan(st.Body.List, st.Body.End(), returnEnd)
-			case *ast.BlockStmt:
-				scan(st.List, blockEnd, returnEnd)
-			case *ast.SwitchStmt:
-				for _, cc := range st.Body.List {
-					if c, ok := cc.(*ast.CaseClause); ok {
-						scan(c.Body, blockEnd, returnEnd)
-					}
-				}
-			case *ast.TypeSwitchStmt:
-				for _, cc := range st.Body.List {
-					if c, ok := cc.(*ast.CaseClause); ok {
-						scan(c.Body, blockEnd, returnEnd)
-					}
-				}
-			case *ast.SelectStmt:
-				for _, cc := range st.Body.List {
-					if c, ok := cc.(*ast.CommClause); ok {
-						scan(c.Body, blockEnd, returnEnd)
-					}
-				}
-			case *ast.LabeledStmt:
-				scan([]ast.Stmt{st.Stmt}, blockEnd, returnEnd)
-			}
-		}
-	}
-	end := body.End()
-	scan(body.List, end, end)
-	return regions
-}
-
-// regionsOfIf derives the sanitizer regions one if statement establishes.
-// Every guard of the condition holds inside the body; its negation holds in
-// the else branch and — when the body terminates — after the statement.
-func regionsOfIf(st *ast.IfStmt, blockEnd, returnEnd token.Pos) []taintRegion {
-	var regions []taintRegion
-	// after is where the negated condition stops holding past the if: a
-	// returning/panicking body rules the condition out for the rest of the
-	// function, a break/continue for the rest of the block, anything else
-	// not at all.
-	after := token.NoPos
-	switch terminator(st.Body) {
-	case termReturn:
-		after = returnEnd
-	case termBranch:
-		after = blockEnd
-	}
-	clamp := clampBody(st.Body)
-	for _, g := range guards(st.Cond) {
-		if g.exceedsCap() {
-			// if x > cap { return err } / { panic } / { break }: x <= cap on
-			// the fallthrough path. Also the failed equality pin x != pin.
-			if after != token.NoPos {
-				regions = append(regions, g.region(regUpper, st.End(), after))
-			}
-			if clamp == g.key {
-				// if x > cap { x = cap }: bounded afterwards even without a
-				// terminator.
-				regions = append(regions, g.region(regUpper, st.End(), returnEnd))
-			}
-			if els, ok := st.Else.(*ast.BlockStmt); ok {
-				regions = append(regions, g.region(regUpper, els.Pos(), els.End()))
-			}
-		} else {
-			// if x < cap { ...bounded... }
-			regions = append(regions, g.region(regUpper, st.Body.Pos(), st.Body.End()))
-		}
-		if g.notPositive() && after != token.NoPos {
-			regions = append(regions, g.region(regPositive, st.End(), after))
-		}
-		// x != 0 (the negation of x == 0) is not taken as a hold: a negative
-		// step is no more progress than a zero one.
-		if g.op != token.NEQ && g.negated().notPositive() {
-			regions = append(regions, g.region(regPositive, st.Body.Pos(), st.Body.End()))
-		}
-	}
-	return regions
-}
-
-type termKind int
-
-const (
-	termNone termKind = iota
-	termReturn
-	termBranch
-)
-
-// terminator classifies how an if body ends: return/panic (the guard holds
-// for the rest of the function), break/continue (it holds for the rest of
-// the loop body), or neither.
-func terminator(body *ast.BlockStmt) termKind {
-	if len(body.List) == 0 {
-		return termNone
-	}
-	switch last := body.List[len(body.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return termReturn
-	case *ast.BranchStmt:
-		if last.Tok == token.BREAK || last.Tok == token.CONTINUE || last.Tok == token.GOTO {
-			return termBranch
-		}
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return termReturn
-			}
-		}
-	}
-	return termNone
-}
-
-// clampBody returns the assigned key when every statement in the body
-// assigns the same key (the clamp idiom `if v > cap { v = cap }`), else "".
-func clampBody(body *ast.BlockStmt) string {
-	if len(body.List) == 0 {
-		return ""
-	}
-	key := ""
-	for _, s := range body.List {
-		asg, ok := s.(*ast.AssignStmt)
-		if !ok || len(asg.Lhs) != 1 {
-			return ""
-		}
-		k := exprKey(asg.Lhs[0])
-		if k == "" || (key != "" && k != key) {
-			return ""
-		}
-		key = k
-	}
-	return key
-}
+// Guards.
 
 // comparisons flattens a condition into its comparison leaves, looking
-// through && and || (documented leniency: an || arm still grants the
-// region).
+// through && and || (documented leniency: an || arm still credits its key).
 func comparisons(e ast.Expr) []*ast.BinaryExpr {
 	var out []*ast.BinaryExpr
 	var walk func(x ast.Expr)
@@ -1173,9 +1090,10 @@ func comparisons(e ast.Expr) []*ast.BinaryExpr {
 	return out
 }
 
-// keySide renders a comparison operand as a region key, looking through
-// conversions like uint64(total) so the guarded variable is recognized.
-func keySide(e ast.Expr) string {
+// keySide is the expression a comparison operand guards, looking through
+// conversions like uint64(total) so the guarded variable is recognized; nil
+// when it renders no key.
+func keySide(e ast.Expr) ast.Expr {
 	x := ast.Unparen(e)
 	if call, ok := x.(*ast.CallExpr); ok && len(call.Args) == 1 {
 		// Treat any single-argument call as a possible conversion; a
@@ -1185,49 +1103,52 @@ func keySide(e ast.Expr) string {
 		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "len" {
 			return keySide(call.Args[0])
 		}
-		return ""
+		return nil
 	}
-	return exprKey(x)
+	if exprKey(x) == "" {
+		return nil
+	}
+	return x
 }
 
-// guard is one comparison leaf normalised to `key op cap`: the guarded
-// variable on the left, whatever bounds it on the right. A comparison A op B
-// has two readings — (A, op, B) and (B, mirrored op, A) — and guards yields
-// each whose left side renders a key, so `0 < x` and `x > 0` are one shape.
+// guard is one comparison leaf normalised to `x op cap`: the guarded
+// expression on the left, whatever bounds it on the right. A comparison
+// A op B has two readings — (A, op, B) and (B, mirrored op, A) — and guards
+// yields each whose left side renders a key, so `0 < x` and `x > 0` are one
+// shape.
 type guard struct {
-	key string
+	x   ast.Expr
 	op  token.Token
 	cap ast.Expr
 }
 
-var (
-	mirroredOp = map[token.Token]token.Token{
-		token.LSS: token.GTR, token.LEQ: token.GEQ, token.GTR: token.LSS,
-		token.GEQ: token.LEQ, token.EQL: token.EQL, token.NEQ: token.NEQ,
-	}
-	negatedOp = map[token.Token]token.Token{
-		token.LSS: token.GEQ, token.LEQ: token.GTR, token.GTR: token.LEQ,
-		token.GEQ: token.LSS, token.EQL: token.NEQ, token.NEQ: token.EQL,
-	}
-)
+var mirroredOp = map[token.Token]token.Token{
+	token.LSS: token.GTR, token.LEQ: token.GEQ, token.GTR: token.LSS,
+	token.GEQ: token.LEQ, token.EQL: token.EQL, token.NEQ: token.NEQ,
+}
+
+// positiveOn lists, for the edge where a comparison holds (true) and the one
+// where it fails (false), the `key op literal` shapes that prove the key
+// strictly positive there: x > 0 and x >= 1 holding; x <= 0, x < 1 and
+// x == 0 failing — and nothing else. x != 0 holding is not enough (a
+// negative step is no more progress than a zero one), and `x < 0`, `x == 1`
+// or `x >= 0` let a zero step through.
+var positiveOn = map[bool]map[token.Token]string{
+	true:  {token.GTR: "0", token.GEQ: "1"},
+	false: {token.LEQ: "0", token.LSS: "1", token.EQL: "0"},
+}
 
 func guards(cond ast.Expr) []guard {
 	var out []guard
 	for _, c := range comparisons(cond) {
-		if k := keySide(c.X); k != "" {
-			out = append(out, guard{k, c.Op, c.Y})
+		if x := keySide(c.X); x != nil {
+			out = append(out, guard{x, c.Op, c.Y})
 		}
-		if k := keySide(c.Y); k != "" {
-			out = append(out, guard{k, mirroredOp[c.Op], c.X})
+		if x := keySide(c.Y); x != nil {
+			out = append(out, guard{x, mirroredOp[c.Op], c.X})
 		}
 	}
 	return out
-}
-
-// negated is the guard that holds where g does not.
-func (g guard) negated() guard {
-	g.op = negatedOp[g.op]
-	return g
 }
 
 // exceedsCap matches the upper-bound violation "key exceeds cap": x > E,
@@ -1235,74 +1156,6 @@ func (g guard) negated() guard {
 // x == E — is the hold, so for a comparison leaf "holds" is !exceedsCap.
 func (g guard) exceedsCap() bool {
 	return g.op == token.GTR || g.op == token.GEQ || g.op == token.NEQ
-}
-
-// notPositive matches the positive-step violation "key is not strictly
-// positive": x <= 0, x < 1, x == 0 — and nothing else; accepting either
-// literal under any operator let `x < 0`, `x == 1` and `x >= 0` pass for a
-// positive guard while a zero step still spun.
-func (g guard) notPositive() bool {
-	lit, ok := ast.Unparen(g.cap).(*ast.BasicLit)
-	if !ok {
-		return false
-	}
-	switch g.op {
-	case token.LEQ, token.EQL:
-		return lit.Value == "0"
-	case token.LSS:
-		return lit.Value == "1"
-	}
-	return false
-}
-
-// region is the scope [start, end] in which the guard (or its negation — the
-// caller knows which) establishes kind for the key. Only an upper bound
-// carries the cap: its taint decides whether the bound means anything.
-func (g guard) region(kind regionKind, start, end token.Pos) taintRegion {
-	r := taintRegion{key: g.key, kind: kind, start: start, end: end}
-	if kind == regUpper {
-		r.cap = g.cap
-	}
-	return r
-}
-
-// regionKills reports whether a sanitizer region of the wanted kind covers
-// a use of key at pos. An upper region only applies when its cap expression
-// itself evaluates untainted there (a tainted cap bounds nothing), and any
-// region is invalidated by an intervening assignment to the key (or a
-// related key) between the guard and the use.
-func (p *taintProblem) regionKills(f taintValFact, key string, pos token.Pos, kind regionKind, depth int) bool {
-	if depth >= maxRegionDepth {
-		return false
-	}
-	for i := range p.regions {
-		r := &p.regions[i]
-		if r.kind != kind || r.key != key || pos < r.start || pos > r.end {
-			continue
-		}
-		if p.assignedBetween(key, r.start, pos) {
-			continue
-		}
-		if r.cap != nil && p.maskOf(f, r.cap, depth+1) != 0 {
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// assignedBetween reports an assignment to key (or a prefix-related key)
-// strictly inside (start, before).
-func (p *taintProblem) assignedBetween(key string, start, before token.Pos) bool {
-	for _, a := range p.assigns {
-		if a.pos <= start || a.pos >= before {
-			continue
-		}
-		if a.key == key || relatedKeys(a.key, key) {
-			return true
-		}
-	}
-	return false
 }
 
 // shrinkingUnsigned reports whether the for-loop strictly shrinks bound (an
@@ -1403,7 +1256,7 @@ func relatedKeys(a, b string) bool {
 
 // scanSinks inspects one CFG node under its entry fact for the three sink
 // shapes, deduplicating by position+label across solver replays.
-func (p *taintProblem) scanSinks(f taintValFact, n ast.Node, tn *taintNode, seen map[string]bool) {
+func (p *taintProblem) scanSinks(f taintFact, n ast.Node, tn *taintNode, seen map[string]bool) {
 	add := func(kind TaintKind, pos token.Pos, what string, e ast.Expr, mask uint64, fix string) {
 		if mask == 0 {
 			return
@@ -1437,7 +1290,7 @@ func (p *taintProblem) scanSinks(f taintValFact, n ast.Node, tn *taintNode, seen
 					if p.shrinkingUnsigned(fs, b) {
 						continue
 					}
-					if m := p.maskOf(f, b, 0); m != 0 {
+					if m := p.maskOf(f, b); m != 0 {
 						add(TaintLoop, b.Pos(), "loop bound", b, m,
 							"cap it against a constant or config-derived limit before looping")
 					}
@@ -1457,8 +1310,8 @@ func (p *taintProblem) scanSinks(f taintValFact, n ast.Node, tn *taintNode, seen
 					continue
 				}
 				step := asg.Rhs[0]
-				if m := p.maskOf(f, step, 0); m != 0 {
-					if k := exprKey(step); k != "" && p.regionKills(f, k, step.Pos(), regPositive, 0) {
+				if m := p.maskOf(f, step); m != 0 {
+					if k, ok := p.keyOf(step); ok && f.positive[k] {
 						continue
 					}
 					add(TaintLoop, asg.Pos(), "loop step", step, m,
@@ -1478,14 +1331,14 @@ func (p *taintProblem) scanSinks(f taintValFact, n ast.Node, tn *taintNode, seen
 					if i == 0 || i >= len(x.Args) {
 						continue
 					}
-					if msk := p.maskOf(f, x.Args[i], 0); msk != 0 {
+					if msk := p.maskOf(f, x.Args[i]); msk != 0 {
 						add(TaintAlloc, x.Args[i].Pos(), what, x.Args[i], msk,
 							"cap it against a constant or config-derived limit before allocating")
 					}
 				}
 			}
 			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Grow" && len(x.Args) == 1 {
-				if msk := p.maskOf(f, x.Args[0], 0); msk != 0 {
+				if msk := p.maskOf(f, x.Args[0]); msk != 0 {
 					add(TaintAlloc, x.Args[0].Pos(), "Grow size", x.Args[0], msk,
 						"cap it against a constant or config-derived limit before growing")
 				}
@@ -1494,7 +1347,7 @@ func (p *taintProblem) scanSinks(f taintValFact, n ast.Node, tn *taintNode, seen
 			if !p.isSliceIndex(x) {
 				return true
 			}
-			if msk := p.maskOf(f, x.Index, 0); msk != 0 {
+			if msk := p.maskOf(f, x.Index); msk != 0 {
 				add(TaintIndex, x.Index.Pos(), "index", x.Index, msk,
 					"check it against len() before indexing")
 				return true
@@ -1508,7 +1361,7 @@ func (p *taintProblem) scanSinks(f taintValFact, n ast.Node, tn *taintNode, seen
 					if !okB || !within(x.Pos(), loop.stmt.Body) {
 						continue
 					}
-					if msk := p.maskOf(f, bound, 0); msk != 0 {
+					if msk := p.maskOf(f, bound); msk != 0 {
 						add(TaintIndex, x.Index.Pos(), "index bounded only by untrusted loop bound", bound, msk,
 							"bound the loop by len() or cap the bound before indexing")
 					}
@@ -1548,7 +1401,7 @@ func within(pos token.Pos, n ast.Node) bool {
 
 // scanCalls records module-local call sites with argument masks for the
 // top-down root propagation.
-func (p *taintProblem) scanCalls(f taintValFact, n ast.Node, tn *taintNode, seen map[*ast.CallExpr]bool) {
+func (p *taintProblem) scanCalls(f taintFact, n ast.Node, tn *taintNode, seen map[*ast.CallExpr]bool) {
 	inspectNoFuncLit(n, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok || seen[call] {
@@ -1571,7 +1424,7 @@ func (p *taintProblem) scanCalls(f taintValFact, n ast.Node, tn *taintNode, seen
 }
 
 // recordReturn folds one return statement's masks into the node's result masks.
-func (p *taintProblem) recordReturn(f taintValFact, ret *ast.ReturnStmt, tn *taintNode) {
+func (p *taintProblem) recordReturn(f taintFact, ret *ast.ReturnStmt, tn *taintNode) {
 	if len(tn.out) == 0 {
 		return
 	}
@@ -1579,7 +1432,7 @@ func (p *taintProblem) recordReturn(f taintValFact, ret *ast.ReturnStmt, tn *tai
 		// Bare return: named results carry their current masks.
 		for i, v := range p.results {
 			if v != nil && !p.resultErrs[i] {
-				tn.out[i] |= f[v]
+				tn.out[i] |= f.masks[v]
 			}
 		}
 		return
@@ -1595,7 +1448,7 @@ func (p *taintProblem) recordReturn(f taintValFact, ret *ast.ReturnStmt, tn *tai
 	}
 	for i, r := range ret.Results {
 		if i < len(tn.out) && !p.resultErrs[i] {
-			tn.out[i] |= p.maskOf(f, r, 0)
+			tn.out[i] |= p.maskOf(f, r)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package taintsan_rejected_bad exercises the guard shapes the taint
-// engine must NOT accept: a cap that is itself untrusted, a guard
-// invalidated by a later reassignment, and a guard on a different variable
-// than the one allocated. All three allocations must be flagged.
+// engine must NOT accept: an untrusted cap, a guard invalidated by a later
+// reassignment, a guard on another variable than the one allocated, and a
+// check whose oversized path rejoins the use. Every allocation is flagged.
 package taintsan_rejected_bad
 
 import "errors"
@@ -87,4 +87,34 @@ func skipNonNegative(stream []byte) {
 			pos += adv
 		}
 	}
+}
+
+// header is a parsed stream header.
+type header struct{ n uint64 }
+
+func parseHdr(stream []byte) header { return header{n: parseCount(stream)} }
+
+// guardFieldReparsed checks a header field, then parses the header again: the
+// reassignment of h kills the bound on h.n.
+//
+//pressio:untrusted
+func guardFieldReparsed(stream []byte) ([]byte, error) {
+	h := parseHdr(stream)
+	if h.n > maxElems {
+		return nil, errCorrupt
+	}
+	h = parseHdr(stream[4:])
+	return make([]byte, h.n), nil
+}
+
+// guardIgnored compares the count but neither leaves nor clamps: the
+// oversized path rejoins the allocation.
+//
+//pressio:untrusted
+func guardIgnored(stream []byte) []byte {
+	n := parseCount(stream)
+	if n > maxElems {
+		_ = n
+	}
+	return make([]byte, n)
 }

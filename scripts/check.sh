@@ -4,7 +4,7 @@
 # docs/PLUGINS.md reference), race-test
 # the concurrency-sensitive packages (the tracing layer, the parallel
 # meta-compressors, the core wrapper and its one fan-out with its callers in
-# sz and h5lite, and the serving layer), run the
+# sz and h5lite, the serving layer, and pressiolint's worker pool), run the
 # deterministic chaos tests of the resilience and serving layers, smoke-test
 # the pressiod daemon end to end (SIGTERM graceful drain included),
 # smoke-test the sharded cluster topology (3 shards + router, SIGKILL
@@ -44,6 +44,9 @@ go test -race ./internal/trace/... ./internal/obslog/... ./internal/meta/... \
     ./internal/core/... ./internal/service/... ./internal/daemon/ \
     ./internal/cluster/ ./internal/store/ ./internal/fsx/ \
     ./internal/sz/ ./internal/h5lite/
+
+echo "==> pressiolint worker pool under race detector (parallel run = sequential run, goldens)"
+go test -race -run 'TestRunParallelDeterministic|TestGolden$' ./internal/analysis/
 
 echo "==> chaos tests under race detector (resilience, faultinject, service, daemon, cluster)"
 go test -race -run 'TestChaos' ./internal/resilience/ ./internal/faultinject/ \
