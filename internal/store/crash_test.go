@@ -17,8 +17,9 @@ package store
 //     SIGKILL equivalent. The child appends to a durable ack log after each
 //     acknowledged write. The parent kills the child twice (the second run
 //     crashes during or after recovery of the first crash), then reopens and
-//     proves: every acknowledged write present byte-exact, deletes honored,
-//     zero phantom objects, and fsck clean after a checkpoint.
+//     proves: check-mode fsck predicted the reopen's recovery, every
+//     acknowledged write present byte-exact, deletes honored, zero phantom
+//     objects, and fsck clean after a checkpoint.
 
 import (
 	"errors"
@@ -282,10 +283,42 @@ func TestCrashMatrixHardStop(t *testing.T) {
 					}
 				}
 
+				// Check-mode fsck predicts the reopen: it reads the directory
+				// through the same fold recovery acts on.
+				pred, err := Fsck(storeDir, FsckOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := readState(storeDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reachable := map[string]bool{}
+				for name := range st.objects {
+					reachable[name] = true
+				}
+				for _, name := range pred.MissingSegments {
+					delete(reachable, name)
+				}
+
 				// Reopen: recovery must land on a legal state.
 				s, err := Open(storeDir, Options{CheckpointBytes: -1})
 				if err != nil {
 					t.Fatalf("reopen after crashes: %v", err)
+				}
+				rec := s.Recovery()
+				if rec.TornTailBytes != pred.TornTailBytes || rec.SegmentsRebuilt != len(pred.RebuildableSegments) {
+					t.Fatalf("fsck predicted torn tail %d and rebuilds %v; recovery did %+v",
+						pred.TornTailBytes, pred.RebuildableSegments, rec)
+				}
+				listed := s.List()
+				if len(listed) != len(reachable) {
+					t.Fatalf("fsck reached %v, recovery lists %v", reachable, listed)
+				}
+				for _, info := range listed {
+					if !reachable[info.Name] {
+						t.Fatalf("recovery lists %q, which fsck did not reach (%v)", info.Name, reachable)
+					}
 				}
 				got := map[string]string{}
 				for _, info := range s.List() {

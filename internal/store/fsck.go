@@ -1,23 +1,14 @@
 package store
 
-import (
-	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-
-	"pressio/internal/fsx"
-	"pressio/internal/h5lite"
-)
+import "fmt"
 
 // Fsck is the offline integrity verb behind cmd/pressio-fsck. Check mode is
-// strictly read-only: it computes the state recovery *would* reach —
-// manifest plus journal replay — and verifies every reachable chunk against
-// its durable checksum, reporting anything a repair would change. Repair
-// mode reaches that state for real: it runs recovery (torn-tail truncation,
-// segment rebuild, temp sweep), a full scrub pass (quarantining chunks that
-// fail their CRC), and a checkpoint (collecting orphans), then re-checks.
+// strictly read-only: it reads the directory through the same fold and
+// verification pass recovery acts on (readState, verify), so it reports
+// exactly what a repair would change. Repair mode makes those changes: it
+// runs recovery (temp sweep, segment rebuild, torn-tail truncation), a full
+// scrub pass (quarantining chunks that fail their CRC), and a checkpoint
+// (collecting orphans), then re-checks.
 
 // FsckOptions configures a pass.
 type FsckOptions struct {
@@ -54,8 +45,9 @@ type FsckReport struct {
 	// CorruptChunks lists reachable chunks failing their CRC and not yet
 	// quarantined.
 	CorruptChunks []ChunkRef `json:"corrupt_chunks,omitempty"`
-	// MissingSegments lists objects whose container file is absent and whose
-	// journal record (with its payloads) is gone too.
+	// MissingSegments lists objects whose container file is absent or
+	// unreadable, with no journal payloads to rebuild it from (repair drops
+	// them).
 	MissingSegments []string `json:"missing_segments,omitempty"`
 	// RebuildableSegments lists objects whose container is absent or wrong
 	// but whose journaled payloads can rebuild it (repair fixes these
@@ -103,175 +95,68 @@ func (r *FsckReport) Clean() bool { return len(r.Problems()) == 0 }
 // Fsck checks (and with o.Repair, repairs) the store directory, which must
 // not be concurrently open.
 func Fsck(dir string, o FsckOptions) (*FsckReport, error) {
-	if o.Repair {
-		summary := &RepairSummary{}
-		s, err := Open(dir, Options{CheckpointBytes: -1})
-		if err != nil {
-			return nil, err
-		}
-		summary.Recovery = s.Recovery()
-		rep, err := s.ScrubOnce()
-		if err != nil {
-			_ = s.Close()
-			return nil, err
-		}
-		summary.Scrub = rep
-		if err := s.Checkpoint(); err != nil {
-			_ = s.Close()
-			return nil, err
-		}
-		if err := s.Close(); err != nil {
-			return nil, err
-		}
-		report, err := fsckCheck(dir)
-		if err != nil {
-			return nil, err
-		}
-		report.Repaired = summary
-		return report, nil
+	if !o.Repair {
+		return fsckCheck(dir)
 	}
-	return fsckCheck(dir)
+	s, err := Open(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		return nil, err
+	}
+	summary := &RepairSummary{Recovery: s.Recovery()}
+	summary.Scrub, err = s.ScrubOnce()
+	if err == nil {
+		err = s.Checkpoint()
+	}
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	report, err := fsckCheck(dir)
+	if err != nil {
+		return nil, err
+	}
+	report.Repaired = summary
+	return report, nil
 }
 
-// fsckCheck is the read-only pass.
+// fsckCheck is the read-only pass: the directory read through the same
+// fold and verification recovery acts on, reported instead of repaired.
 func fsckCheck(dir string) (*FsckReport, error) {
-	rep := &FsckReport{Dir: dir, ManifestOK: true}
-
-	// Temp artifacts.
-	for _, d := range []string{dir, filepath.Join(dir, objectsDir)} {
-		entries, err := os.ReadDir(d)
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if !e.IsDir() && fsx.IsTempArtifact(e.Name()) {
-				rel, _ := filepath.Rel(dir, filepath.Join(d, e.Name()))
-				rep.TempFiles = append(rep.TempFiles, rel)
-			}
-		}
-	}
-
-	// Manifest.
-	man, err := loadManifest(filepath.Join(dir, manifestFile))
-	if err != nil {
-		rep.ManifestOK = false
-		rep.ManifestError = err.Error()
-		man = manifest{Version: manifestVersion, Objects: map[string]manifestObject{}}
-	}
-
-	// Journal.
-	recs, validSize, total, err := scanJournal(filepath.Join(dir, journalFile))
+	st, err := readState(dir)
 	if err != nil {
 		return nil, err
 	}
-	rep.TornTailBytes = total - validSize
-
-	// Fold manifest + journal into the state recovery would reach. Put
-	// records keep their payloads so chunk verification can distinguish
-	// "rebuildable" from "lost".
-	type fsckObject struct {
-		meta        ObjectMeta
-		quarantined map[int]bool
-		payloads    [][]byte // nil when only the manifest knows the object
+	rep := &FsckReport{
+		Dir:            dir,
+		ManifestOK:     st.manErr == nil,
+		JournalRecords: st.replayed,
+		JournalSkipped: st.skipped,
+		TornTailBytes:  int64(len(st.tail)),
+		OrphanSegments: st.orphans,
+		TempFiles:      st.temps,
 	}
-	state := map[string]*fsckObject{}
-	for name, mo := range man.Objects {
-		q := map[int]bool{}
-		for _, idx := range mo.Quarantined {
-			q[idx] = true
-		}
-		state[name] = &fsckObject{meta: mo.Meta, quarantined: q}
+	if st.manErr != nil {
+		rep.ManifestError = st.manErr.Error()
 	}
-	for _, rec := range recs {
-		if rec.lsn <= man.LastLSN {
-			rep.JournalSkipped++
-			continue
-		}
-		rep.JournalRecords++
-		switch rec.op {
-		case opPut:
-			om := *rec.meta.Object
-			if cur, ok := state[om.Name]; !ok || cur.meta.LSN < om.LSN {
-				state[om.Name] = &fsckObject{meta: om, quarantined: map[int]bool{}, payloads: rec.chunks}
-			}
-		case opDelete:
-			if cur, ok := state[rec.meta.Name]; ok && cur.meta.LSN < rec.lsn {
-				delete(state, rec.meta.Name)
-			}
-		case opQuarantine:
-			if cur, ok := state[rec.meta.Name]; ok {
-				for _, idx := range rec.meta.Chunks {
-					if idx >= 0 && idx < len(cur.meta.Chunks) {
-						cur.quarantined[idx] = true
-					}
-				}
-			}
-		}
-	}
-
-	// Verify every reachable chunk.
-	names := make([]string, 0, len(state))
-	for name := range state {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	referenced := map[string]bool{}
-	for _, name := range names {
-		fo := state[name]
-		referenced[fo.meta.Segment] = true
+	for _, v := range verify(dir, st.objects) {
+		o := v.o
 		rep.Objects++
-		rep.AlreadyQuarantined += len(fo.quarantined)
-		path := filepath.Join(dir, objectsDir, fo.meta.Segment)
-		f, err := h5lite.Open(path)
-		var raw []h5lite.RawChunk
-		if err == nil {
-			raw, err = f.RawChunks(datasetName)
+		rep.AlreadyQuarantined += len(o.quarantined)
+		if v.err == nil {
+			rep.ChunksChecked += len(o.meta.Chunks) - len(o.quarantined)
 		}
-		if err != nil || len(raw) != len(fo.meta.Chunks) {
-			if fo.payloads != nil {
-				rep.RebuildableSegments = append(rep.RebuildableSegments, name)
-			} else if os.IsNotExist(errRoot(err)) {
-				rep.MissingSegments = append(rep.MissingSegments, name)
-			} else {
-				// Present but unreadable, and no payloads to rebuild from:
-				// every unquarantined chunk is corrupt.
-				for i := range fo.meta.Chunks {
-					if !fo.quarantined[i] {
-						rep.CorruptChunks = append(rep.CorruptChunks, ChunkRef{Object: name, Segment: fo.meta.Segment, Chunk: i})
-					}
-				}
+		switch {
+		case !v.damaged():
+		case o.payloads != nil:
+			rep.RebuildableSegments = append(rep.RebuildableSegments, v.name)
+		case v.err != nil:
+			rep.MissingSegments = append(rep.MissingSegments, v.name)
+		default:
+			for _, i := range v.bad {
+				rep.CorruptChunks = append(rep.CorruptChunks, ChunkRef{Object: v.name, Segment: o.meta.Segment, Chunk: i})
 			}
-			continue
-		}
-		for i, ch := range raw {
-			if fo.quarantined[i] {
-				continue
-			}
-			rep.ChunksChecked++
-			ok := ch.Rows == fo.meta.Chunks[i].Rows &&
-				uint64(len(ch.Payload)) == fo.meta.Chunks[i].Length &&
-				crc32.Checksum(ch.Payload, castagnoli) == fo.meta.Chunks[i].CRC
-			if !ok {
-				if fo.payloads != nil {
-					rep.RebuildableSegments = append(rep.RebuildableSegments, name)
-					break
-				}
-				rep.CorruptChunks = append(rep.CorruptChunks, ChunkRef{Object: name, Segment: fo.meta.Segment, Chunk: i})
-			}
-		}
-	}
-
-	// Orphans.
-	entries, err := os.ReadDir(filepath.Join(dir, objectsDir))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	for _, e := range entries {
-		if isSegmentName(e.Name()) && !referenced[e.Name()] {
-			rep.OrphanSegments = append(rep.OrphanSegments, e.Name())
 		}
 	}
 	return rep, nil

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -27,6 +29,68 @@ func TestFsckCleanStore(t *testing.T) {
 	}
 	if rep.Objects != 2 || rep.JournalRecords != 2 || rep.ChunksChecked != 6 {
 		t.Fatalf("report: %+v", rep)
+	}
+}
+
+// TestFsckPredictsDroppedObjects: a checkpointed object whose segment is
+// absent or no longer a container has no journal payloads to rebuild from,
+// so repair drops it. Check mode must say so in advance: the objects it calls
+// unrecoverable are exactly the repair's DroppedObjects, and only a segment
+// that was really moved is listed as quarantined.
+func TestFsckPredictsDroppedObjects(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overwritten := mustPut(t, s, "overwritten", testData(32), PutOptions{Filter: "flate", ChunkRows: 8})
+	vanished := mustPut(t, s, "vanished", testData(16), PutOptions{ChunkRows: 8})
+	fine := testData(24)
+	mustPut(t, s, "fine", fine, PutOptions{Filter: "flate", ChunkRows: 6})
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, objectsDir, overwritten.Segment), []byte("not a container"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, objectsDir, vanished.Segment)); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Fsck(dir, FsckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rep.MissingSegments) != "[overwritten vanished]" || len(rep.CorruptChunks) != 0 {
+		t.Fatalf("check mode: missing %v, corrupt %+v", rep.MissingSegments, rep.CorruptChunks)
+	}
+
+	rep, err = Fsck(dir, FsckOptions{Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := rep.Repaired.Recovery
+	dropped := append([]string(nil), rec.DroppedObjects...)
+	sort.Strings(dropped)
+	if fmt.Sprint(dropped) != "[overwritten vanished]" {
+		t.Fatalf("repair dropped %v", rec.DroppedObjects)
+	}
+	if fmt.Sprint(rec.QuarantinedSegments) != fmt.Sprint([]string{overwritten.Segment}) {
+		t.Fatalf("repair quarantined segments %v, want only %s", rec.QuarantinedSegments, overwritten.Segment)
+	}
+	if !rep.Clean() {
+		t.Fatalf("store not clean after repair: %v", rep.Problems())
+	}
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if d, _, err := r.Get("fine"); err != nil || !d.Equal(fine) {
+		t.Fatalf("intact object damaged by repair: %v", err)
 	}
 }
 

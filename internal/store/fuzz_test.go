@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pressio/internal/core"
@@ -57,6 +60,58 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if m != len(re) || again.op != rec.op || again.lsn != rec.lsn || len(again.chunks) != len(rec.chunks) {
 			t.Fatalf("record changed across round trip: %+v vs %+v", rec, again)
+		}
+	})
+}
+
+// FuzzLoadManifest asserts the checkpoint parser's contract on arbitrary
+// bytes: it never panics, every rejection wraps core.ErrCorrupt, and every
+// object of an accepted manifest passes validateObjectMeta under its own
+// name, with every quarantine index in range. The seeds are the damaged
+// golden store's MANIFEST.json plus truncations and mutations of it.
+func FuzzLoadManifest(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join(damagedFixture, manifestFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, n := range []int{0, 1, len(golden) / 2, len(golden) - 2} {
+		f.Add(golden[:n])
+	}
+	for _, m := range [][2]string{
+		{`"version": 1`, `"version": 2`},
+		{`"rows": 8`, `"rows": 9`},
+		{`"name": "ckpt/rotted"`, `"name": "ckpt/other"`},
+		{`"segment": "0000000000000001.h5l"`, `"segment": "../MANIFEST.json"`},
+		{`"lsn": 1`, `"lsn": -1`},
+		{`"objects": {`, `"objects": {"q": {"meta": {"name": "q", "dtype": "float64", "dims": [1], "segment": "0000000000000009.h5l", "chunks": [{"rows": 1}]}, "quarantined": [1]},`},
+	} {
+		f.Add(bytes.Replace(golden, []byte(m[0]), []byte(m[1]), 1))
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		man, err := parseManifest(b)
+		if err != nil {
+			if !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("rejection %v does not wrap ErrCorrupt", err)
+			}
+			if len(man.Objects) != 0 {
+				t.Fatalf("rejected manifest came back with %d objects", len(man.Objects))
+			}
+			return
+		}
+		for name, mo := range man.Objects {
+			if name != mo.Meta.Name {
+				t.Fatalf("key %q holds object %q", name, mo.Meta.Name)
+			}
+			if err := validateObjectMeta(&mo.Meta); err != nil {
+				t.Fatalf("accepted object %q fails validation: %v", name, err)
+			}
+			for _, idx := range mo.Quarantined {
+				if idx < 0 || idx >= len(mo.Meta.Chunks) {
+					t.Fatalf("accepted object %q quarantines chunk %d of %d", name, idx, len(mo.Meta.Chunks))
+				}
+			}
 		}
 	})
 }

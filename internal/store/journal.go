@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -533,19 +534,18 @@ func (j *journal) close() error {
 
 // scanJournal reads the log back and decodes records until the first
 // corruption. It returns the decoded records, the byte offset up to which
-// the log is valid, and the total file length; validSize < total means the
-// tail from validSize on is torn and must be quarantined and truncated. A
-// missing file is an empty, clean log. LSNs must be strictly increasing in
-// file order — a regression is treated as corruption at that point.
-func scanJournal(path string) (recs []record, validSize, total int64, err error) {
+// the log is valid, and a copy of the torn tail from there on, which must
+// be quarantined and truncated (empty for a clean log). A missing file is
+// an empty, clean log. LSNs must be strictly increasing in file order — a
+// regression is treated as corruption at that point.
+func scanJournal(path string) (recs []record, validSize int64, tail []byte, err error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, 0, 0, nil
+		return nil, 0, nil, nil
 	}
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, nil, err
 	}
-	total = int64(len(raw))
 	off := 0
 	var lastLSN uint64
 	for off < len(raw) {
@@ -564,5 +564,5 @@ func scanJournal(path string) (recs []record, validSize, total int64, err error)
 		recs = append(recs, rec)
 		off += n
 	}
-	return recs, int64(off), total, nil
+	return recs, int64(off), bytes.Clone(raw[off:]), nil
 }

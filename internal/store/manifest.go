@@ -45,56 +45,58 @@ type manifest struct {
 	Objects map[string]manifestObject `json:"objects"`
 }
 
-// loadManifest reads and validates a checkpoint. A missing file returns an
-// empty manifest; anything unparseable or out of bounds is an error wrapping
-// core.ErrCorrupt (recovery quarantines the file and starts empty). The
-// input is a file read back after an arbitrary crash, so every count and
-// index in it is bounds-checked before use.
-//
-//pressio:untrusted
+// loadManifest reads a checkpoint. A missing file is an empty manifest;
+// anything else is parseManifest's verdict on the bytes.
 func loadManifest(path string) (manifest, error) {
-	man := manifest{Version: manifestVersion, Objects: map[string]manifestObject{}}
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return man, nil
+		return manifest{Version: manifestVersion}, nil
 	}
 	if err != nil {
-		return man, err
+		return manifest{}, err
 	}
+	return parseManifest(raw)
+}
+
+// parseManifest decodes and validates a checkpoint. Anything unparseable or
+// out of bounds is an error wrapping core.ErrCorrupt, returned with an empty
+// manifest (recovery quarantines the file and folds the journal over the
+// empty one). The input is a file read back after an arbitrary crash, so
+// every count and index in it is bounds-checked before use.
+//
+//pressio:untrusted
+func parseManifest(raw []byte) (manifest, error) {
 	if len(raw) > maxManifestBytes {
-		return man, corrupt("manifest of %d bytes exceeds cap", len(raw))
+		return manifest{}, corrupt("manifest of %d bytes exceeds cap", len(raw))
 	}
-	var got manifest
-	if err := json.Unmarshal(raw, &got); err != nil {
-		return man, corrupt("manifest does not parse: %v", err)
+	var man manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		return manifest{}, corrupt("manifest does not parse: %v", err)
 	}
-	if got.Version != manifestVersion {
-		return man, corrupt("unsupported manifest version %d", got.Version)
+	if man.Version != manifestVersion {
+		return manifest{}, corrupt("unsupported manifest version %d", man.Version)
 	}
-	if len(got.Objects) > maxManifestObjects {
-		return man, corrupt("manifest object count %d exceeds cap", len(got.Objects))
+	if len(man.Objects) > maxManifestObjects {
+		return manifest{}, corrupt("manifest object count %d exceeds cap", len(man.Objects))
 	}
-	if got.Objects == nil {
-		got.Objects = map[string]manifestObject{}
-	}
-	for name, mo := range got.Objects {
+	for name, mo := range man.Objects {
 		if name != mo.Meta.Name {
-			return man, corrupt("manifest key %q names object %q", name, mo.Meta.Name)
+			return manifest{}, corrupt("manifest key %q names object %q", name, mo.Meta.Name)
 		}
 		if err := validateObjectMeta(&mo.Meta); err != nil {
-			return man, fmt.Errorf("manifest object %q: %w", name, err)
+			return manifest{}, fmt.Errorf("manifest object %q: %w", name, err)
 		}
 		if len(mo.Quarantined) > len(mo.Meta.Chunks) {
-			return man, corrupt("manifest object %q quarantines %d of %d chunks",
+			return manifest{}, corrupt("manifest object %q quarantines %d of %d chunks",
 				name, len(mo.Quarantined), len(mo.Meta.Chunks))
 		}
 		for _, idx := range mo.Quarantined {
 			if idx < 0 || idx >= len(mo.Meta.Chunks) {
-				return man, corrupt("manifest object %q quarantine index %d out of range", name, idx)
+				return manifest{}, corrupt("manifest object %q quarantine index %d out of range", name, idx)
 			}
 		}
 	}
-	return got, nil
+	return man, nil
 }
 
 // saveManifest publishes a checkpoint crash-consistently.

@@ -2,15 +2,13 @@ package store
 
 import (
 	"fmt"
-	"hash/crc32"
+	"maps"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"pressio/internal/fsx"
-	"pressio/internal/h5lite"
 	"pressio/internal/stats"
 	"pressio/internal/trace"
 )
@@ -53,66 +51,39 @@ func (s *Store) ScrubOnce() (ScrubReport, error) {
 	var rep ScrubReport
 
 	// Snapshot the live set; the pass then works lock-free against
-	// immutable metas, tolerating objects that vanish mid-pass.
+	// immutable metas and copied quarantine sets, tolerating objects that
+	// vanish mid-pass.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return rep, ErrClosed
 	}
-	type target struct {
-		meta        ObjectMeta
-		quarantined []int
-	}
-	targets := make([]target, 0, len(s.objects))
-	for _, o := range s.objects {
-		targets = append(targets, target{meta: o.meta, quarantined: sortedIndices(o.quarantined)})
+	snap := make(map[string]*object, len(s.objects))
+	for name, o := range s.objects {
+		snap[name] = &object{meta: o.meta, quarantined: maps.Clone(o.quarantined)}
 	}
 	s.mu.RUnlock()
-	sort.Slice(targets, func(i, k int) bool { return targets[i].meta.Name < targets[k].meta.Name })
 
-	for _, tg := range targets {
-		skip := map[int]bool{}
-		for _, idx := range tg.quarantined {
-			skip[idx] = true
-		}
-		path := s.segmentPath(tg.meta.Segment)
-		f, err := h5lite.Open(path)
-		var raw []h5lite.RawChunk
-		if err == nil {
-			raw, err = f.RawChunks(datasetName)
-		}
-		if err != nil || len(raw) != len(tg.meta.Chunks) {
+	for _, v := range verify(s.dir, snap) {
+		meta, bad := v.o.meta, v.bad
+		if v.err != nil {
 			// The container itself is unreadable (or structurally wrong):
 			// every not-yet-quarantined chunk is suspect.
-			rep.Unreadable = append(rep.Unreadable, tg.meta.Name)
-			var all []int
-			for i := range tg.meta.Chunks {
-				if !skip[i] {
-					all = append(all, i)
-					rep.Corrupt = append(rep.Corrupt, ChunkRef{Object: tg.meta.Name, Segment: tg.meta.Segment, Chunk: i})
+			rep.Unreadable = append(rep.Unreadable, v.name)
+			for i := range meta.Chunks {
+				if !v.o.quarantined[i] {
+					bad = append(bad, i)
 				}
 			}
-			if err := s.condemnChunks(tg.meta, all); err != nil {
-				return rep, err
-			}
-			rep.Objects++
-			continue
+		} else {
+			checked := len(meta.Chunks) - len(v.o.quarantined)
+			rep.ChunksChecked += checked
+			trace.CounterAdd(trace.CtrStoreScrubChunks, int64(checked))
 		}
-		var bad []int
-		for i, ch := range raw {
-			if skip[i] {
-				continue
-			}
-			rep.ChunksChecked++
-			trace.CounterAdd(trace.CtrStoreScrubChunks, 1)
-			if ch.Rows != tg.meta.Chunks[i].Rows ||
-				uint64(len(ch.Payload)) != tg.meta.Chunks[i].Length ||
-				crc32.Checksum(ch.Payload, castagnoli) != tg.meta.Chunks[i].CRC {
-				bad = append(bad, i)
-				rep.Corrupt = append(rep.Corrupt, ChunkRef{Object: tg.meta.Name, Segment: tg.meta.Segment, Chunk: i})
-			}
+		for _, i := range bad {
+			rep.Corrupt = append(rep.Corrupt, ChunkRef{Object: v.name, Segment: meta.Segment, Chunk: i})
 		}
-		if err := s.condemnChunks(tg.meta, bad); err != nil {
+		if err := s.condemnChunks(meta, bad); err != nil {
 			return rep, err
 		}
 		rep.Objects++
@@ -122,35 +93,26 @@ func (s *Store) ScrubOnce() (ScrubReport, error) {
 	return rep, nil
 }
 
-// condemnChunks quarantines the listed chunks of one object and preserves a
-// copy of the segment as evidence. The copy is best-effort second to the
-// journaled quarantine record: losing the evidence is acceptable, serving
-// corrupt bytes as intact is not.
+// condemnChunks journals and applies a chunk quarantine for one object
+// (scrub and recovery call this when checksums fail), then preserves a copy
+// of the segment as evidence. The copy is best-effort second to the
+// journaled record: losing the evidence is acceptable, serving corrupt
+// bytes as intact is not.
 func (s *Store) condemnChunks(meta ObjectMeta, chunks []int) error {
 	if len(chunks) == 0 {
 		return nil
 	}
-	if err := s.quarantineChunks(meta.Name, chunks); err != nil {
+	sort.Ints(chunks)
+	if _, err := s.mutate(record{op: opQuarantine, meta: recordMeta{Name: meta.Name, Chunks: chunks}}, nil); err != nil {
 		return fmt.Errorf("store: quarantining chunks %v of %q: %w", chunks, meta.Name, err)
 	}
+	trace.CounterAdd(trace.CtrStoreChunksQuarantined, int64(len(chunks)))
 	if raw, err := os.ReadFile(s.segmentPath(meta.Segment)); err == nil {
-		_ = fsx.AtomicWriteFile(evidencePath(s.dir, meta.Segment), raw, 0o644)
+		if dst, err := s.quarantinePath(meta.Segment + ".corrupt"); err == nil {
+			_ = fsx.AtomicWriteFile(dst, raw, 0o644)
+		}
 	}
 	return nil
-}
-
-// evidencePath picks a free quarantine name for a corrupt segment copy.
-func evidencePath(dir, segment string) string {
-	for i := 0; ; i++ {
-		name := segment + ".corrupt"
-		if i > 0 {
-			name = fmt.Sprintf("%s.corrupt.%d", segment, i)
-		}
-		p := filepath.Join(dir, quarantineDir, name)
-		if _, err := os.Lstat(p); os.IsNotExist(err) {
-			return p
-		}
-	}
 }
 
 // Scrubber runs ScrubOnce on a jittered schedule until stopped. The jitter

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -125,6 +126,49 @@ func TestScrubQuarantinesExactlyTheCorruptChunks(t *testing.T) {
 	}
 	if len(rep2.Corrupt) != 0 {
 		t.Fatalf("second pass re-condemned: %+v", rep2.Corrupt)
+	}
+}
+
+// TestScrubSurvivesUnusableQuarantineDir: with quarantine/ replaced by a
+// regular file no evidence name can be picked. The evidence copy is best
+// effort behind the journaled verdict, so the pass must still return, with
+// the corrupt chunk quarantined.
+func TestScrubSurvivesUnusableQuarantineDir(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	victim := mustPut(t, s, "victim", testData(32), PutOptions{Filter: "flate", ChunkRows: 8})
+	if err := os.RemoveAll(filepath.Join(dir, quarantineDir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, quarantineDir), []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	flipChunkByte(t, s.segmentPath(victim.Segment), 1)
+
+	type result struct {
+		rep ScrubReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := s.ScrubOnce()
+		done <- result{rep, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil || r.rep.Quarantined != 1 {
+			t.Fatalf("scrub: %+v %v", r.rep, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ScrubOnce did not return with quarantine/ unusable")
+	}
+	info, err := s.Stat("victim")
+	if err != nil || fmt.Sprint(info.QuarantinedChunks) != "[1]" {
+		t.Fatalf("victim after scrub: %+v %v", info, err)
 	}
 }
 

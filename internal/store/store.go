@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -138,9 +140,12 @@ type RecoveryStats struct {
 
 // object is one live object: immutable meta plus mutable quarantine state
 // (both guarded by the store mutex) and a lazily opened container handle.
+// In a table read from the directory, a version from the journal also keeps
+// its chunk payloads, so a damaged segment can be rebuilt.
 type object struct {
 	meta        ObjectMeta
 	quarantined map[int]bool
+	payloads    [][]byte
 
 	fileMu sync.Mutex
 	file   *h5lite.File
@@ -203,247 +208,153 @@ func (s *Store) segmentPath(name string) string {
 	return filepath.Join(s.dir, objectsDir, name)
 }
 
-// recover reconciles the directory: see the package comment for the state
-// machine (also documented step by step in docs/STORE.md).
+// recover reconciles the directory: readState folds the checkpoint and the
+// journal into the reachable table, one verification pass checks it, and
+// recovery acts on the verdicts in the order below (docs/STORE.md walks
+// the same steps).
 func (s *Store) recover() error {
-	// 1. Sweep atomic-write temp artifacts: unpublished by construction.
-	for _, d := range []string{s.dir, filepath.Join(s.dir, objectsDir)} {
-		entries, err := os.ReadDir(d)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if !e.IsDir() && fsx.IsTempArtifact(e.Name()) {
-				if err := os.Remove(filepath.Join(d, e.Name())); err != nil {
-					return err
-				}
-				s.stats.TempFilesRemoved++
-			}
-		}
-	}
-
-	// 2. Load the checkpoint. A corrupt manifest is quarantined — never
-	// deleted — and recovery continues from an empty state plus the journal.
-	man, err := loadManifest(s.manifestPath())
-	if err != nil {
-		if qerr := s.quarantineFile(s.manifestPath(), "MANIFEST.corrupt"); qerr != nil {
-			return fmt.Errorf("store: manifest unreadable (%v) and unquarantinable: %w", err, qerr)
-		}
-		s.stats.ManifestQuarantined = true
-		man = manifest{Version: manifestVersion, Objects: map[string]manifestObject{}}
-	}
-
-	// 3. Seed state from the checkpoint, verifying each segment against its
-	// durable chunk table. A checkpointed object's journal record is gone,
-	// so damage here cannot be rebuilt: a structurally unreadable segment is
-	// quarantined whole and the object dropped; individual chunks failing
-	// their CRC get a chunk-granular quarantine (journaled once the journal
-	// handle opens below) that keeps the intact chunks readable.
-	type pendingCondemn struct {
-		meta   ObjectMeta
-		chunks []int
-	}
-	var pending []pendingCondemn
-	for name, mo := range man.Objects {
-		skip := map[int]bool{}
-		for _, idx := range mo.Quarantined {
-			skip[idx] = true
-		}
-		bad, verr := inspectSegment(s.segmentPath(mo.Meta.Segment), mo.Meta.Chunks, skip)
-		if verr != nil {
-			if qerr := s.quarantineFile(s.segmentPath(mo.Meta.Segment), mo.Meta.Segment+".corrupt"); qerr != nil && !os.IsNotExist(qerr) {
-				return qerr
-			}
-			s.stats.QuarantinedSegments = append(s.stats.QuarantinedSegments, mo.Meta.Segment)
-			s.stats.DroppedObjects = append(s.stats.DroppedObjects, name)
-			continue
-		}
-		s.objects[name] = &object{meta: mo.Meta, quarantined: skip}
-		s.stats.ManifestObjects++
-		if len(bad) > 0 {
-			pending = append(pending, pendingCondemn{meta: mo.Meta, chunks: bad})
-		}
-	}
-
-	// 4. Replay the journal above the checkpoint's low-water mark. Put
-	// records carry their chunk payloads, so a segment the crash destroyed
-	// (or never produced) is rebuilt rather than lost.
-	recs, validSize, total, err := scanJournal(s.journalPath())
+	st, err := readState(s.dir)
 	if err != nil {
 		return err
 	}
-	maxLSN := man.LastLSN
-	for _, rec := range recs {
-		if rec.lsn > maxLSN {
-			maxLSN = rec.lsn
-		}
-		if rec.lsn <= man.LastLSN {
-			s.stats.Skipped++
-			trace.CounterAdd(trace.CtrStoreReplaySkipped, 1)
-			continue
-		}
-		switch rec.op {
-		case opPut:
-			om := *rec.meta.Object
-			if err := s.replayPut(om, rec.chunks); err != nil {
-				return err
-			}
-		case opDelete:
-			if cur, ok := s.objects[rec.meta.Name]; ok && cur.meta.LSN < rec.lsn {
-				delete(s.objects, rec.meta.Name)
-			}
-		case opQuarantine:
-			if cur, ok := s.objects[rec.meta.Name]; ok {
-				for _, idx := range rec.meta.Chunks {
-					if idx >= 0 && idx < len(cur.meta.Chunks) {
-						cur.quarantined[idx] = true
-					}
-				}
-			}
-		}
-		s.stats.Replayed++
-		trace.CounterAdd(trace.CtrStoreReplayed, 1)
-	}
 
-	// 5. Quarantine and truncate a torn tail. The tail bytes are preserved
-	// as evidence before the truncate makes the journal clean.
-	if validSize < total {
-		tail, err := readTail(s.journalPath(), validSize, total)
-		if err != nil {
+	// 1. Sweep atomic-write temp artifacts: unpublished by construction.
+	for _, rel := range st.temps {
+		if err := os.Remove(filepath.Join(s.dir, rel)); err != nil {
 			return err
 		}
-		tailName := fmt.Sprintf("journal-tail-lsn%016x-%d.bin", maxLSN, total-validSize)
-		if err := fsx.AtomicWriteFile(filepath.Join(s.dir, quarantineDir, tailName), tail, 0o644); err != nil {
+		s.stats.TempFilesRemoved++
+	}
+
+	// 2. A corrupt manifest is quarantined — never deleted — and the fold
+	// above already started from an empty table plus the journal.
+	if st.manErr != nil {
+		if qerr := s.quarantineFile(s.manifestPath(), "MANIFEST.corrupt"); qerr != nil {
+			return fmt.Errorf("store: manifest unreadable (%v) and unquarantinable: %w", st.manErr, qerr)
+		}
+		s.stats.ManifestQuarantined = true
+	}
+
+	// 3. Act on the verdicts. A damaged segment with journaled payloads is
+	// rebuilt from them. Without payloads (a checkpointed version) an
+	// unreadable segment cannot be repaired: it is quarantined and the
+	// object dropped, while individually bad chunks are condemned in step 6,
+	// keeping the intact chunks readable. A damaged original is moved to
+	// quarantine/ as evidence first.
+	var condemn []verdict
+	for _, v := range verify(s.dir, st.objects) {
+		switch {
+		case !v.damaged():
+		case v.o.payloads != nil:
+			if err := s.evictSegment(v.o.meta.Segment); err != nil {
+				return err
+			}
+			if err := writeSegment(s.segmentPath(v.o.meta.Segment), v.o.meta, v.o.payloads); err != nil {
+				return fmt.Errorf("store: rebuilding segment %s: %w", v.o.meta.Segment, err)
+			}
+			s.stats.SegmentsRebuilt++
+			trace.CounterAdd(trace.CtrStoreSegmentsRebuilt, 1)
+			trace.CounterAdd(trace.CtrStoreChunksRepaired, int64(len(v.o.payloads)))
+		case v.err != nil:
+			if err := s.evictSegment(v.o.meta.Segment); err != nil {
+				return err
+			}
+			delete(st.objects, v.name)
+			s.stats.DroppedObjects = append(s.stats.DroppedObjects, v.name)
+		default:
+			condemn = append(condemn, v)
+		}
+		v.o.payloads = nil // the live table holds no payloads
+	}
+	s.objects = st.objects
+	s.stats.ManifestObjects = st.manifestObjects - len(s.stats.DroppedObjects)
+	s.stats.Replayed, s.stats.Skipped = st.replayed, st.skipped
+	s.stats.OrphanSegments = len(st.orphans) // checkpoint GC collects them
+	trace.CounterAdd(trace.CtrStoreReplayed, int64(st.replayed))
+	trace.CounterAdd(trace.CtrStoreReplaySkipped, int64(st.skipped))
+
+	// 4. Quarantine and truncate a torn tail. The tail bytes are preserved
+	// as evidence before the truncate makes the journal clean.
+	if torn := int64(len(st.tail)); torn > 0 {
+		tailName := fmt.Sprintf("journal-tail-lsn%016x-%d.bin", st.lastLSN, torn)
+		if err := fsx.AtomicWriteFile(filepath.Join(s.dir, quarantineDir, tailName), st.tail, 0o644); err != nil {
 			return err
 		}
 		if err := fsx.FSCrash(PointJournalTrunc); err != nil {
 			return err
 		}
-		if err := os.Truncate(s.journalPath(), validSize); err != nil {
+		if err := os.Truncate(s.journalPath(), st.validSize); err != nil {
 			return err
 		}
 		if err := syncFile(s.journalPath()); err != nil {
 			return err
 		}
-		s.stats.TornTailBytes = total - validSize
+		s.stats.TornTailBytes = torn
 		trace.CounterAdd(trace.CtrStoreTornTails, 1)
-		trace.CounterAdd(trace.CtrStoreTornBytes, total-validSize)
+		trace.CounterAdd(trace.CtrStoreTornBytes, torn)
 	}
 
-	// 6. Count orphan segments (unacknowledged writes that died before
-	// their journal record became durable); checkpoint GC removes them.
-	referenced := map[string]bool{}
-	for _, o := range s.objects {
-		referenced[o.meta.Segment] = true
-	}
-	entries, err := os.ReadDir(filepath.Join(s.dir, objectsDir))
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if isSegmentName(e.Name()) && !referenced[e.Name()] {
-			s.stats.OrphanSegments++
-		}
-	}
-
-	j, err := openJournal(s.journalPath(), validSize, maxLSN)
+	// 5. Open the journal.
+	j, err := openJournal(s.journalPath(), st.validSize, st.lastLSN)
 	if err != nil {
 		return err
 	}
 	s.j = j
 
-	// 7. Journal the chunk-granular quarantines collected in step 3, now
-	// that the journal handle exists. The verdict must be durable: bit rot
-	// found on this reopen stays quarantined on the next one.
-	for _, pc := range pending {
-		if err := s.condemnChunks(pc.meta, pc.chunks); err != nil {
+	// 6. Journal the chunk quarantines collected in step 3. The verdict must
+	// be durable: bit rot found on this reopen stays quarantined on the next.
+	for _, v := range condemn {
+		if err := s.condemnChunks(v.o.meta, v.bad); err != nil {
 			return err
 		}
-		s.stats.ChunksQuarantined += len(pc.chunks)
+		s.stats.ChunksQuarantined += len(v.bad)
 	}
 	return nil
 }
 
-// replayPut applies one journaled put during recovery, verifying the
-// published segment against the record and rebuilding it from the carried
-// payloads when it is missing or disagrees.
-func (s *Store) replayPut(om ObjectMeta, chunks [][]byte) error {
-	path := s.segmentPath(om.Segment)
-	bad, err := inspectSegment(path, om.Chunks, nil)
-	if err != nil || len(bad) > 0 {
-		if err == nil || !os.IsNotExist(errRoot(err)) {
-			// A present-but-wrong segment is evidence: quarantine before
-			// rebuilding over the name.
-			if qerr := s.quarantineFile(path, om.Segment+".corrupt"); qerr != nil && !os.IsNotExist(qerr) {
-				return qerr
-			}
-			s.stats.QuarantinedSegments = append(s.stats.QuarantinedSegments, om.Segment)
-		}
-		if err := writeSegment(path, om, chunks); err != nil {
-			return fmt.Errorf("store: rebuilding segment %s: %w", om.Segment, err)
-		}
-		s.stats.SegmentsRebuilt++
-		trace.CounterAdd(trace.CtrStoreSegmentsRebuilt, 1)
-		trace.CounterAdd(trace.CtrStoreChunksRepaired, int64(len(chunks)))
+// evictSegment moves a damaged segment into quarantine/ as evidence. An
+// absent segment is nothing to move and is not listed.
+func (s *Store) evictSegment(segment string) error {
+	err := s.quarantineFile(s.segmentPath(segment), segment+".corrupt")
+	if os.IsNotExist(err) {
+		return nil
 	}
-	if cur, ok := s.objects[om.Name]; !ok || cur.meta.LSN < om.LSN {
-		s.objects[om.Name] = &object{meta: om, quarantined: map[int]bool{}}
+	if err == nil {
+		s.stats.QuarantinedSegments = append(s.stats.QuarantinedSegments, segment)
 	}
-	return nil
+	return err
 }
 
 // quarantineFile moves a file into quarantine/ under a free name derived
-// from base ("base", "base.1", "base.2", ...). The original is renamed, not
-// copied: nothing is deleted, nothing is left to be mistaken for live state.
+// from base. The original is renamed, not copied: nothing is deleted,
+// nothing is left to be mistaken for live state.
 func (s *Store) quarantineFile(path, base string) error {
+	dst, err := s.quarantinePath(base)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(path, dst); err != nil {
+		return err
+	}
+	return fsx.SyncDir(filepath.Join(s.dir, quarantineDir))
+}
+
+// quarantinePath picks a free name in quarantine/ derived from base
+// ("base", "base.1", "base.2", ...). Any error other than "no such file"
+// is returned: quarantine/ may be unusable, and probing on would spin.
+func (s *Store) quarantinePath(base string) (string, error) {
 	for i := 0; ; i++ {
 		name := base
 		if i > 0 {
 			name = fmt.Sprintf("%s.%d", base, i)
 		}
 		dst := filepath.Join(s.dir, quarantineDir, name)
-		if _, err := os.Lstat(dst); err == nil {
-			continue
-		} else if !os.IsNotExist(err) {
-			return err
-		}
-		if err := os.Rename(path, dst); err != nil {
-			return err
-		}
-		return fsx.SyncDir(filepath.Join(s.dir, quarantineDir))
-	}
-}
-
-// inspectSegment opens a container and checks it against the expected chunk
-// table. A structural problem — unreadable container, missing dataset,
-// wrong chunk count — is the returned error; per-chunk damage (rows,
-// length, or CRC32-C disagreeing with the durable table) comes back as the
-// bad index list. Chunks in skip (already quarantined: the store knows they
-// are damaged) are exempt so a quarantined object is not re-condemned on
-// every reopen.
-func inspectSegment(path string, want []ChunkMeta, skip map[int]bool) ([]int, error) {
-	f, err := h5lite.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := f.RawChunks(datasetName)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) != len(want) {
-		return nil, corrupt("segment %s has %d chunks, meta declares %d", filepath.Base(path), len(raw), len(want))
-	}
-	var bad []int
-	for i, ch := range raw {
-		if skip[i] {
-			continue
-		}
-		if ch.Rows != want[i].Rows || uint64(len(ch.Payload)) != want[i].Length ||
-			crc32.Checksum(ch.Payload, castagnoli) != want[i].CRC {
-			bad = append(bad, i)
+		if _, err := os.Lstat(dst); os.IsNotExist(err) {
+			return dst, nil
+		} else if err != nil {
+			return "", err
 		}
 	}
-	return bad, nil
 }
 
 // writeSegment publishes a container for om from raw chunk payloads.
@@ -459,20 +370,6 @@ func writeSegment(path string, om ObjectMeta, chunks [][]byte) error {
 	return g.Save()
 }
 
-// readTail reads bytes [from, to) of a file.
-func readTail(path string, from, to int64) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, to-from)
-	if _, err := f.ReadAt(buf, from); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // syncFile fsyncs a file by path.
 func syncFile(path string) error {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
@@ -481,18 +378,6 @@ func syncFile(path string) error {
 	}
 	defer f.Close()
 	return f.Sync()
-}
-
-// errRoot unwraps to the deepest cause, so os.IsNotExist sees through the
-// wrapping inspectSegment applies.
-func errRoot(err error) error {
-	for {
-		next := errors.Unwrap(err)
-		if next == nil {
-			return err
-		}
-		err = next
-	}
 }
 
 // Put stores d under name, replacing any existing object. The data is
@@ -532,34 +417,18 @@ func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error
 		}
 	}
 
-	lsn, end, err := s.beginMutation(opPut, recordMeta{Object: &om}, chunks)
+	jsize, err := s.mutate(record{op: opPut, meta: recordMeta{Object: &om}, chunks: chunks}, func() error {
+		// Publish the segment. A failure here (or a crash) is recoverable:
+		// the journaled payloads rebuild it on the next Open, but THIS call
+		// must not claim success for state it did not publish.
+		if err := fsx.FSCrash(PointSegmentSave); err != nil {
+			return err
+		}
+		return writeSegment(s.segmentPath(om.Segment), om, chunks)
+	})
 	if err != nil {
 		return ObjectInfo{}, err
 	}
-	applied := false
-	defer func() {
-		if !applied {
-			s.resolveMutation(lsn, nil)
-		}
-	}()
-
-	// Group-commit fsync: the acknowledgement point.
-	if err := s.j.commit(end); err != nil {
-		return ObjectInfo{}, err
-	}
-
-	// Publish the segment. A failure here (or a crash) is recoverable: the
-	// journaled payloads rebuild it on the next Open, but THIS call must not
-	// claim success for state it did not publish.
-	if err := fsx.FSCrash(PointSegmentSave); err != nil {
-		return ObjectInfo{}, err
-	}
-	if err := writeSegment(s.segmentPath(om.Segment), om, chunks); err != nil {
-		return ObjectInfo{}, err
-	}
-
-	applied = true
-	jsize := s.resolveMutation(lsn, &om)
 	trace.CounterAdd(trace.CtrStorePuts, 1)
 	trace.CounterAdd(trace.CtrStorePutBytes, int64(d.ByteLen()))
 	trace.ObserveDuration(trace.HistStorePut, time.Since(start))
@@ -567,44 +436,59 @@ func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error
 	return infoOf(om, nil), nil
 }
 
-// beginMutation appends a record and registers its LSN as in-flight, all
-// under the store lock so a concurrent checkpoint's low-water mark can never
-// skip past an unapplied record.
-func (s *Store) beginMutation(op byte, meta recordMeta, chunks [][]byte) (lsn uint64, end int64, err error) {
+// mutate is the one bracket around a journal-first mutation: the record is
+// appended and marked in flight under the store lock, so a concurrent
+// checkpoint's low-water mark can never skip past it; the group-commit fsync
+// (the acknowledgement point) and publish, if any, run outside the lock;
+// then the record is applied and released under it. A failed commit or
+// publish applies nothing. Puts get their LSN and segment filled into the
+// meta by the append. Returns the journal size for checkpoint triggering.
+func (s *Store) mutate(rec record, publish func() error) (jsize int64, err error) {
+	end, err := s.beginMutation(&rec)
+	if err != nil {
+		return 0, err
+	}
+	done := false
+	defer func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if done {
+			rec.chunks = nil // published: the live table holds no payloads
+			apply(s.objects, rec)
+		}
+		delete(s.inflight, rec.lsn)
+		s.cond.Broadcast()
+		jsize = s.j.size
+	}()
+	if err := s.j.commit(end); err != nil {
+		return 0, err
+	}
+	if publish != nil {
+		if err := publish(); err != nil {
+			return 0, err
+		}
+	}
+	done = true
+	return 0, nil // jsize is read under the lock on the way out
+}
+
+// beginMutation appends rec, assigning its LSN, and registers it as in
+// flight under the store lock. A delete of an absent name is refused here.
+func (s *Store) beginMutation(rec *record) (end int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, 0, ErrClosed
+		return 0, ErrClosed
 	}
-	if op == opDelete {
-		if _, ok := s.objects[meta.Name]; !ok {
-			return 0, 0, fmt.Errorf("%w: %q", ErrNotFound, meta.Name)
-		}
+	if _, ok := s.objects[rec.meta.Name]; rec.op == opDelete && !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNotFound, rec.meta.Name)
 	}
-	lsn, end, err = s.j.append(op, meta, chunks)
+	rec.lsn, end, err = s.j.append(rec.op, rec.meta, rec.chunks)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	s.inflight[lsn] = struct{}{}
-	return lsn, end, nil
-}
-
-// resolveMutation finishes an in-flight mutation. A successful put passes
-// its meta to install the new object version (guarded by LSN so a racing
-// newer put is never overwritten by an older one); aborts and failures pass
-// nil and only drop the in-flight mark. Returns the journal size for
-// checkpoint triggering.
-func (s *Store) resolveMutation(lsn uint64, install *ObjectMeta) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if install != nil {
-		if cur, ok := s.objects[install.Name]; !ok || cur.meta.LSN < install.LSN {
-			s.objects[install.Name] = &object{meta: *install, quarantined: map[int]bool{}}
-		}
-	}
-	delete(s.inflight, lsn)
-	s.cond.Broadcast()
-	return s.j.size
+	s.inflight[rec.lsn] = struct{}{}
+	return end, nil
 }
 
 // maybeCheckpoint runs an automatic checkpoint when the journal has grown
@@ -639,7 +523,7 @@ func (s *Store) Checkpoint() error {
 	lwm := s.j.lastAssigned()
 	man := manifest{Version: manifestVersion, LastLSN: lwm, Objects: map[string]manifestObject{}}
 	for name, o := range s.objects {
-		man.Objects[name] = manifestObject{Meta: o.meta, Quarantined: sortedIndices(o.quarantined)}
+		man.Objects[name] = manifestObject{Meta: o.meta, Quarantined: slices.Sorted(maps.Keys(o.quarantined))}
 	}
 	if err := fsx.FSCrash(PointManifest); err != nil {
 		return err
@@ -663,19 +547,8 @@ func (s *Store) Checkpoint() error {
 // may belong to a mutation the next replay will re-apply). Quarantined
 // evidence is untouched — it lives in quarantine/, not objects/.
 func (s *Store) gcSegmentsLocked(lwm uint64) {
-	referenced := map[string]bool{}
-	for _, o := range s.objects {
-		referenced[o.meta.Segment] = true
-	}
-	entries, err := os.ReadDir(filepath.Join(s.dir, objectsDir))
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !isSegmentName(name) || referenced[name] {
-			continue
-		}
+	orphans, _ := orphanSegments(s.dir, s.objects) // best effort: the next checkpoint retries
+	for _, name := range orphans {
 		var lsn uint64
 		if _, err := fmt.Sscanf(name, "%016x.h5l", &lsn); err != nil || lsn > lwm {
 			continue
@@ -770,28 +643,10 @@ func (s *Store) Delete(name string) error {
 	if err := validateName(name); err != nil {
 		return err
 	}
-	lsn, end, err := s.beginMutation(opDelete, recordMeta{Name: name}, nil)
+	jsize, err := s.mutate(record{op: opDelete, meta: recordMeta{Name: name}}, nil)
 	if err != nil {
 		return err
 	}
-	applied := false
-	defer func() {
-		if !applied {
-			s.resolveMutation(lsn, nil)
-		}
-	}()
-	if err := s.j.commit(end); err != nil {
-		return err
-	}
-	applied = true
-	s.mu.Lock()
-	if cur, ok := s.objects[name]; ok && cur.meta.LSN < lsn {
-		delete(s.objects, name)
-	}
-	delete(s.inflight, lsn)
-	s.cond.Broadcast()
-	jsize := s.j.size
-	s.mu.Unlock()
 	trace.CounterAdd(trace.CtrStoreDeletes, 1)
 	s.maybeCheckpoint(jsize)
 	return nil
@@ -803,7 +658,7 @@ func (s *Store) List() []ObjectInfo {
 	defer s.mu.RUnlock()
 	out := make([]ObjectInfo, 0, len(s.objects))
 	for _, o := range s.objects {
-		out = append(out, infoOf(o.meta, sortedIndices(o.quarantined)))
+		out = append(out, infoOf(o.meta, slices.Sorted(maps.Keys(o.quarantined))))
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
 	return out
@@ -813,43 +668,6 @@ func (s *Store) List() []ObjectInfo {
 func (s *Store) Stat(name string) (ObjectInfo, error) {
 	_, info, err := s.lookup(name)
 	return info, err
-}
-
-// quarantineChunks journals and applies a chunk quarantine for an object
-// (scrub and fsck call this when checksums fail). The segment file itself
-// is additionally copied into quarantine/ by the caller when appropriate.
-func (s *Store) quarantineChunks(name string, chunks []int) error {
-	if len(chunks) == 0 {
-		return nil
-	}
-	sort.Ints(chunks)
-	lsn, end, err := s.beginMutation(opQuarantine, recordMeta{Name: name, Chunks: chunks}, nil)
-	if err != nil {
-		return err
-	}
-	applied := false
-	defer func() {
-		if !applied {
-			s.resolveMutation(lsn, nil)
-		}
-	}()
-	if err := s.j.commit(end); err != nil {
-		return err
-	}
-	applied = true
-	s.mu.Lock()
-	if cur, ok := s.objects[name]; ok {
-		for _, idx := range chunks {
-			if idx >= 0 && idx < len(cur.meta.Chunks) {
-				cur.quarantined[idx] = true
-			}
-		}
-	}
-	delete(s.inflight, lsn)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	trace.CounterAdd(trace.CtrStoreChunksQuarantined, int64(len(chunks)))
-	return nil
 }
 
 // lookup snapshots an object under the read lock.
@@ -863,7 +681,7 @@ func (s *Store) lookup(name string) (*object, ObjectInfo, error) {
 	if !ok {
 		return nil, ObjectInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return o, infoOf(o.meta, sortedIndices(o.quarantined)), nil
+	return o, infoOf(o.meta, slices.Sorted(maps.Keys(o.quarantined))), nil
 }
 
 // container opens (and caches) an object's segment file.
@@ -955,17 +773,4 @@ func overlapQuarantine(chunks []ChunkMeta, quarantined []int, startRow, count ui
 		}
 	}
 	return bad
-}
-
-// sortedIndices flattens a quarantine set.
-func sortedIndices(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
-	for idx := range m {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
-	return out
 }

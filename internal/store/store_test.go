@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -384,6 +386,82 @@ func TestReadPathDifferential(t *testing.T) {
 			if !bytes.Equal(got, full.Bytes()[off:off+length]) {
 				t.Fatalf("%s: GetRange(%d, %d) differs from the slice of Get", what, off, length)
 			}
+		}
+	}
+}
+
+// TestReplayRebuildsLiveTable is the differential test of the one record
+// transition: whatever two concurrent mutators, checkpoints and a scrub
+// leave in the live object table (metas and quarantine sets) is exactly what
+// a reopen folds back from the manifest and the journal. Each mutator owns
+// its names, as each client of the daemon's store workload does.
+func TestReplayRebuildsLiveTable(t *testing.T) {
+	snapshot := func(s *Store) string {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		table := map[string]manifestObject{}
+		for name, o := range s.objects {
+			table[name] = manifestObject{Meta: o.meta, Quarantined: slices.Sorted(maps.Keys(o.quarantined))}
+		}
+		b, err := json.Marshal(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := int64(0); g < 2; g++ {
+			wg.Add(1)
+			go func(g int64, rng *rand.Rand) {
+				defer wg.Done()
+				for i := 0; i < 30; i++ {
+					name := fmt.Sprintf("g%d/obj-%d", g, rng.Intn(6))
+					switch r := rng.Intn(10); {
+					case r < 6:
+						if _, err := s.Put(name, testData(8+rng.Intn(40)), PutOptions{Filter: "flate", ChunkRows: 4}); err != nil {
+							t.Error(err)
+						}
+					case r < 9:
+						if err := s.Delete(name); err != nil && !errors.Is(err, ErrNotFound) {
+							t.Error(err)
+						}
+					default:
+						if err := s.Checkpoint(); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}(g, rand.New(rand.NewSource(seed*10+g)))
+		}
+		wg.Wait()
+		mustPut(t, s, "scrubbed", testData(24), PutOptions{Filter: "flate", ChunkRows: 4})
+		live := s.List()
+		victim := live[int(seed)%len(live)]
+		flipChunkByte(t, s.segmentPath(victim.Segment), 1)
+		if rep, err := s.ScrubOnce(); err != nil || rep.Quarantined != 1 {
+			t.Fatalf("seed %d: scrub after flipping %q chunk 1: %+v %v", seed, victim.Name, rep, err)
+		}
+		mustPut(t, s, "after-scrub", testData(8), PutOptions{})
+		want := snapshot(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := Open(dir, Options{CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snapshot(r); got != want {
+			t.Fatalf("seed %d: reopened table differs from the live one:\n got %s\nwant %s", seed, got, want)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
