@@ -62,6 +62,8 @@ func TestHotClosureCoversBenchmarkLayers(t *testing.T) {
 		"huffman.Decode",
 		"rangecoder.(*Encoder).EncodeBit",
 		"rangecoder.(*Decoder).DecodeBit",
+		"rangecoder.(*Encoder).EncodeSymbol",
+		"rangecoder.(*Decoder).DecodeSymbol",
 		"bitstream.(*Writer).WriteBits",
 		"bitstream.(*Reader).ReadBits",
 		// error-bounded codec stages

@@ -2,12 +2,12 @@
 // style of fpzip (Lindstrom & Isenburg, TVCG'06): floats are mapped to
 // order-preserving unsigned integers, predicted with a Lorenzo predictor
 // over the reconstructed field, and the prediction residuals are entropy
-// coded: the residual's magnitude class with an adaptive binary range
-// coder, its remaining bits raw.
+// coded: the residual's magnitude class with an adaptive range coder, its
+// remaining bits raw.
 //
 // # Stream format
 //
-// Both versions open with the same header: a 4-byte magic, a dtype byte
+// Every version opens with the same header: a 4-byte magic, a dtype byte
 // (1 float32, 2 float64), a rank byte, one uvarint per extent and a
 // precision byte. The magic is the version; the encoder writes the newest
 // and the decoder reads every version, so a faster encoder never strands
@@ -22,7 +22,10 @@
 //	      with k > 1 are packed in coding order into a bitstream
 //	      (LSB-first, one WriteBits per residual) that runs to the end of
 //	      the stream, so they cost a shift and a mask, not k-1 trips
-//	      through the coder.
+//	      through the coder. The classes are coded in unary, as k+1
+//	      adaptive binary decisions. No longer written.
+//	FPZ3  The FPZ2 layout, but rc holds each class as one symbol of an
+//	      adaptive 65-symbol frequency model (rangecoder.Model).
 //
 // fpzip is precision-based rather than error-bound based: lossy operation
 // truncates the low-order bits of the mapped integers, bounding the
@@ -37,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"pressio/internal/bitstream"
 	"pressio/internal/core"
@@ -44,7 +48,7 @@ import (
 )
 
 // Version is the compressor version reported through the plugin interface.
-const Version = "1.3.0-go"
+const Version = "1.4.0-go"
 
 // ErrCorrupt reports a malformed fpzip stream.
 var ErrCorrupt = errors.New("fpzip: corrupt stream")
@@ -58,7 +62,9 @@ type Params struct {
 
 const (
 	magicV1 = "FPZ1" // decoded, never written
-	magic   = "FPZ2"
+	magicV2 = "FPZ2" // decoded, never written
+	magic   = "FPZ3"
+	classes = rangecoder.Symbols // residual magnitude classes: bits.Len64, 0..64
 )
 
 // monotone mapping between floats and unsigned integers: negative floats
@@ -134,9 +140,11 @@ func lorenzo(r []uint64, x, y, z, ny, nz int) uint64 {
 	}
 }
 
-// coder holds the adaptive contexts: one probability per position of the
-// unary magnitude-class code.
+// coder holds the adaptive contexts of the class code: the class model
+// (FPZ3), or one probability per position of the unary code (FPZ1, FPZ2)
+// when model is nil.
 type coder struct {
+	model      *rangecoder.Model
 	classProbs [66]rangecoder.Prob
 }
 
@@ -151,34 +159,26 @@ func newCoder() *coder {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-//pressio:hotpath measured by the benchmark's fpzip.* per-layer rows
-func (c *coder) encodeResidual(enc *rangecoder.Encoder, raw *bitstream.Writer, diff int64) {
-	z := zigzag(diff)
-	k := uint(bits.Len64(z)) // magnitude class: 0 for z==0
-	for i := uint(0); i < k; i++ {
-		enc.EncodeBit(&c.classProbs[i], 1)
-	}
-	if k < 65 {
-		enc.EncodeBit(&c.classProbs[k], 0)
-	}
-	if k > 1 {
-		// MSB is implied; WriteBits keeps the k-1 low bits.
-		raw.WriteBits(z, k-1)
-	}
-}
-
 // decodeResidual reads one residual: its class from dec and its raw bits
 // from raw, or from dec too when raw is nil (FPZ1). rawBits accumulates what
 // was taken from raw so the caller can tell a truncated segment.
 //
 //pressio:hotpath measured by the benchmark's fpzip.* per-layer rows
-func (c *coder) decodeResidual(dec *rangecoder.Decoder, raw *bitstream.Reader, rawBits *uint64) int64 {
-	k := uint(0)
-	for k < 65 && dec.DecodeBit(&c.classProbs[k]) == 1 {
-		k++
+func (c *coder) decodeResidual(dec *rangecoder.Decoder, raw *bitstream.Reader, rawBits *uint64) (int64, error) {
+	var k uint
+	if c.model != nil {
+		s, err := dec.DecodeSymbol(c.model)
+		if err != nil {
+			return 0, err
+		}
+		k = min(uint(s), classes-1) // a no-op that bounds k for the taint check
+	} else {
+		for k < classes && dec.DecodeBit(&c.classProbs[k]) == 1 {
+			k++
+		}
 	}
 	if k == 0 {
-		return 0
+		return 0, nil
 	}
 	var z uint64 = 1 << (k - 1)
 	rem := k - 1
@@ -192,7 +192,7 @@ func (c *coder) decodeResidual(dec *rangecoder.Decoder, raw *bitstream.Reader, r
 	default:
 		z |= uint64(dec.DecodeBitsRaw(rem))
 	}
-	return unzigzag(z)
+	return unzigzag(z), nil
 }
 
 // CompressSlice compresses vals shaped dims (C order).
@@ -224,7 +224,7 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 
 	enc := rangecoder.NewEncoder()
 	raw := bitstream.NewWriter(len(vals))
-	cdr := newCoder()
+	model := rangecoder.NewModel()
 	recon := make([]uint64, nx*ny*nz)
 	sliceLen := nx * ny * nz
 	for o := 0; o < outer; o++ {
@@ -241,7 +241,13 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 					}
 					u >>= shift
 					pred := lorenzo(recon, x, y, z, ny, nz)
-					cdr.encodeResidual(enc, raw, int64(u-pred))
+					r := zigzag(int64(u - pred))
+					k := bits.Len64(r) // magnitude class: 0 for r==0
+					enc.EncodeSymbol(model, k)
+					if k > 1 {
+						// MSB is implied; WriteBits keeps the k-1 low bits.
+						raw.WriteBits(r, uint(k-1))
+					}
 					recon[i] = u
 					i++
 				}
@@ -263,10 +269,10 @@ type Header struct {
 	Precision uint
 }
 
-// ParseHeader reads the stream header of either format version.
+// ParseHeader reads the stream header of any format version.
 func ParseHeader(stream []byte) (Header, int, error) {
 	var h Header
-	if len(stream) < 4 || (string(stream[:4]) != magic && string(stream[:4]) != magicV1) {
+	if len(stream) < 4 || !slices.Contains([]string{magicV1, magicV2, magic}, string(stream[:4])) {
 		return h, 0, ErrCorrupt
 	}
 	dtype, dims, n, err := core.ReadFloatShape(stream[4:], core.MaxRank, maxElems)
@@ -302,12 +308,13 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 		return nil, nil, err
 	}
 	n := outer * nx * ny * nz
-	// FPZ2 splits the payload into the range-coded classes and the raw bits;
-	// in FPZ1 the whole payload is range coded.
+	// FPZ2 and FPZ3 split the payload into the range-coded classes and the
+	// raw bits; in FPZ1 the whole payload is range coded.
+	version := string(stream[:4])
 	rc := stream[pos:]
 	var raw *bitstream.Reader
 	var rawSeg []byte
-	if string(stream[:4]) == magic {
+	if version != magicV1 {
 		rcLen, sz := binary.Uvarint(rc)
 		if sz <= 0 || rcLen > uint64(len(rc)-sz) {
 			return nil, nil, fmt.Errorf("%w: range-coded segment runs past the stream", ErrCorrupt)
@@ -315,19 +322,23 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 		rc, rawSeg = rc[sz:sz+int(rcLen)], rc[sz+int(rcLen):]
 		raw = bitstream.NewReader(rawSeg)
 	}
-	// The adaptive residual coder tops out near ~400 decoded values per
-	// payload byte even on constant data where the Lorenzo prediction is
-	// exact, so a genuine stream can never declare vastly more elements
-	// than its payload carries. Rejecting anything past a wide margin of
-	// that ratio stops decompression bombs: a dozen-byte stream must not
-	// buy seconds of decode work and gigabytes of output.
-	if uint64(n) > (uint64(len(rc))+2)*2048 {
+	// Every class costs some bits even on constant data, where the Lorenzo
+	// prediction is exact, so a genuine stream cannot declare more elements
+	// than its rc bytes carry at that cost; the check stops decompression
+	// bombs. The unary code tops out near ~400 values per byte and is held
+	// to 2048; the class model's ceiling follows from its constants.
+	cdr := newCoder()
+	perByte := uint64(2048)
+	if version == magic {
+		cdr.model = rangecoder.NewModel()
+		perByte = rangecoder.MaxSymbolsPerByte
+	}
+	if uint64(n) > (uint64(len(rc))+2)*perByte {
 		return nil, nil, fmt.Errorf("%w: %d values declared by a %d byte payload",
 			ErrCorrupt, n, len(rc))
 	}
 	out := make([]T, n)
 	dec := rangecoder.NewDecoder(rc)
-	cdr := newCoder()
 	var rawBits uint64
 	recon := make([]uint64, nx*ny*nz)
 	sliceLen := nx * ny * nz
@@ -337,8 +348,11 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 		for x := 0; x < nx; x++ {
 			for y := 0; y < ny; y++ {
 				for z := 0; z < nz; z++ {
-					pred := lorenzo(recon, x, y, z, ny, nz)
-					u := pred + uint64(cdr.decodeResidual(dec, raw, &rawBits))
+					d, err := cdr.decodeResidual(dec, raw, &rawBits)
+					if err != nil {
+						return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+					}
+					u := lorenzo(recon, x, y, z, ny, nz) + uint64(d)
 					if w == 32 {
 						u &= 0xffffffff >> shift
 					} else if shift > 0 {

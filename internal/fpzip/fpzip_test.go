@@ -5,10 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"pressio/internal/core"
+	"pressio/internal/rangecoder"
+	"pressio/internal/sdrbench"
 )
 
 func TestOrdMappingRoundTrip32(t *testing.T) {
@@ -195,8 +198,8 @@ func TestCorruptStreams(t *testing.T) {
 	if _, _, err := DecompressSlice[float64](stream); err == nil {
 		t.Fatal("expected dtype mismatch")
 	}
-	// FPZ2 framing: the raw-bit segment may not end early, and the declared
-	// range-coded length may not run past the stream.
+	// FPZ2/FPZ3 framing: the raw-bit segment may not end early, and the
+	// declared range-coded length may not run past the stream.
 	if _, _, err := DecompressSlice[float32](stream[:len(stream)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated raw-bit segment: err %v, want ErrCorrupt", err)
 	}
@@ -207,6 +210,55 @@ func TestCorruptStreams(t *testing.T) {
 	long := binary.AppendUvarint(stream[:hdrLen:hdrLen], uint64(len(stream)))
 	if _, _, err := DecompressSlice[float32](append(long, stream[hdrLen:]...)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("rcLen past the end: err %v, want ErrCorrupt", err)
+	}
+	// An all-ones code lies past the class model's total: no encoder
+	// writes it.
+	pastTotal := append(binary.AppendUvarint(stream[:hdrLen:hdrLen], 5), 0, 0xff, 0xff, 0xff, 0xff)
+	if _, _, err := DecompressSlice[float32](pastTotal); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("class code past the model's total: err %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDensityCeiling pins the per-version bomb check. The class model codes
+// a constant field's exact predictions denser than the unary code can, past
+// FPZ2's ceiling of 2048 values per rc byte, so FPZ3's ceiling follows from
+// the model's constants instead; a stream declaring more is still refused.
+func TestDensityCeiling(t *testing.T) {
+	const n = 1 << 22
+	vals := make([]float32, n)
+	for i := range vals {
+		vals[i] = 3.5
+	}
+	stream, err := CompressSlice(vals, []uint64{n}, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hdrLen, err := ParseHeader(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcLen, _ := binary.Uvarint(stream[hdrLen:]); n <= (rcLen+2)*2048 {
+		t.Fatalf("%d values in %d rc bytes: no longer denser than FPZ2's ceiling", n, rcLen)
+	}
+	dec, _, err := DecompressSlice[float32](stream)
+	if err != nil {
+		t.Fatalf("genuine constant stream refused: %v", err)
+	}
+	for i, v := range dec {
+		if v != 3.5 {
+			t.Fatalf("elem %d: %v", i, v)
+		}
+	}
+
+	// One rc byte can carry at most MaxSymbolsPerByte classes.
+	declared := uint64(3*rangecoder.MaxSymbolsPerByte + 1)
+	bomb, err := core.AppendFloatShape[float32]([]byte(magic), []uint64{declared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bomb = append(bomb, 32, 1, 0)
+	if _, _, err := DecompressSlice[float32](bomb); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "declared") {
+		t.Fatalf("%d-byte stream declaring %d values: err %v, want the density check's ErrCorrupt", len(bomb), declared, err)
 	}
 }
 
@@ -242,5 +294,38 @@ func BenchmarkCompressLossless(b *testing.B) {
 		if _, err := CompressSlice(vals, dims, Params{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var benchSink []byte
+
+// BenchmarkSDRBench compresses and decompresses, losslessly, the four
+// synthetic SDRBench fields at the size and seeds the benchmark's lib_codecs
+// workload uses by default (scale 2, seed 20210101 plus the field's index).
+// Each sub-benchmark reports the stream size as stream_bytes.
+func BenchmarkSDRBench(b *testing.B) {
+	for i, name := range sdrbench.Names() {
+		d, _ := sdrbench.Generate(name, 2, 20210101+int64(i))
+		vals, dims := d.Float32s(), d.Dims()
+		stream, err := CompressSlice(vals, dims, Params{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/compress", func(b *testing.B) {
+			b.SetBytes(int64(4 * len(vals)))
+			for b.Loop() {
+				benchSink, _ = CompressSlice(vals, dims, Params{})
+			}
+			b.ReportMetric(float64(len(stream)), "stream_bytes")
+		})
+		b.Run(name+"/decompress", func(b *testing.B) {
+			b.SetBytes(int64(4 * len(vals)))
+			for b.Loop() {
+				if _, _, err := DecompressSlice[float32](stream); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(stream)), "stream_bytes")
+		})
 	}
 }

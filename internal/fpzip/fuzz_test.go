@@ -27,10 +27,18 @@ func FuzzDecompressSlice(f *testing.F) {
 	f.Add(good[:8])
 	f.Add(good[:len(good)-2])                                // truncated raw-bit segment
 	f.Add(binary.AppendUvarint(good[:hdrLen:hdrLen], 1<<40)) // rcLen past the end
-	// The encoder no longer writes FPZ1; a pinned stream keeps that path fuzzed.
+	// A class code past the model's total.
+	f.Add(append(binary.AppendUvarint(good[:hdrLen:hdrLen], 5), 0, 0xff, 0xff, 0xff, 0xff))
+	// The encoder no longer writes FPZ1 or FPZ2; pinned streams keep those
+	// paths fuzzed.
 	if v1, err := os.ReadFile("testdata/golden/f32_lossless.fpz1.stream"); err == nil {
 		f.Add(v1)
 		f.Add(v1[:len(v1)-2])
+	}
+	f.Add([]byte(magicV2))
+	if v2, err := os.ReadFile("testdata/golden/f32_lossless.fpz2.stream"); err == nil {
+		f.Add(v2)
+		f.Add(v2[:len(v2)-2])
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		check := func(vals int, dims []uint64, err error) {
@@ -54,7 +62,9 @@ func FuzzDecompressSlice(f *testing.F) {
 
 // FuzzCompressRoundTrip feeds arbitrary float32 bit patterns through a
 // full-precision compress/decompress cycle, which must be lossless
-// bit-for-bit (including NaN payloads and infinities).
+// bit-for-bit (including NaN payloads and infinities). At full precision
+// and at one lossy precision the input picks, FPZ3's stream must decode to
+// the same values as the FPZ2 oracle's.
 func FuzzCompressRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64}) // [1.0, 2.0]
 	f.Add(make([]byte, 32))
@@ -84,6 +94,25 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			if math.Float32bits(vals[i]) != math.Float32bits(dec[i]) {
 				t.Fatalf("elem %d: %08x became %08x (lossless mode must be exact)",
 					i, math.Float32bits(vals[i]), math.Float32bits(dec[i]))
+			}
+		}
+		for _, prec := range []uint{0, 1 + uint(raw[0])%32} {
+			p := Params{Precision: prec}
+			v3, err3 := CompressSlice(vals, []uint64{uint64(n)}, p)
+			v2, err2 := compressFPZ2(vals, []uint64{uint64(n)}, p)
+			if err3 != nil || err2 != nil {
+				t.Fatalf("precision %d: compress: %v, FPZ2 oracle: %v", prec, err3, err2)
+			}
+			dec3, _, err3 := DecompressSlice[float32](v3)
+			dec2, _, err2 := DecompressSlice[float32](v2)
+			if err3 != nil || err2 != nil {
+				t.Fatalf("precision %d: decompress: %v, of the FPZ2 oracle's stream: %v", prec, err3, err2)
+			}
+			for i := range dec3 {
+				if math.Float32bits(dec3[i]) != math.Float32bits(dec2[i]) {
+					t.Fatalf("precision %d, elem %d: FPZ3 decodes %08x, FPZ2 %08x",
+						prec, i, math.Float32bits(dec3[i]), math.Float32bits(dec2[i]))
+				}
 			}
 		}
 	})

@@ -21,18 +21,20 @@ func goldenFile(t *testing.T, name string) []byte {
 	return b
 }
 
-// checkGolden pins both format versions for one input and precision.
+// checkGolden pins every format version for one input and precision.
 // <in>.in is the field; <name>.fpz1.stream is what the encoder of commit
 // 46ffddb (the last to write FPZ1) produced for it and <name>.out what that
 // decoder returned (the input itself when lossless); <name>.fpz2.stream is
-// the first FPZ2 encoder's output. Every version must decode to the pinned
-// values, and today's encoder must write the newest one byte for byte.
+// the first FPZ2 encoder's output and <name>.fpz3.stream the first FPZ3
+// encoder's. Every version must decode to the pinned values, today's
+// encoder must write the newest one byte for byte, and the FPZ2 oracle
+// must still write its own.
 func checkGolden[T core.Float](t *testing.T, in, name string, dims []uint64, prec uint) {
 	want := goldenFile(t, in+".in")
 	if prec != 0 {
 		want = goldenFile(t, name+".out")
 	}
-	for _, version := range []string{magicV1, magic} {
+	for _, version := range []string{magicV1, magicV2, magic} {
 		stream := goldenFile(t, name+"."+strings.ToLower(version)+".stream")
 		if !bytes.HasPrefix(stream, []byte(version)) {
 			t.Fatalf("%s golden does not open with its magic", version)
@@ -60,8 +62,15 @@ func checkGolden[T core.Float](t *testing.T, in, name string, dims []uint64, pre
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if !bytes.Equal(re, goldenFile(t, name+".fpz2.stream")) {
-		t.Fatal("re-encoded stream differs from the pinned FPZ2 one: a format change needs a new magic")
+	if !bytes.Equal(re, goldenFile(t, name+".fpz3.stream")) {
+		t.Fatal("re-encoded stream differs from the pinned FPZ3 one: a format change needs a new magic")
+	}
+	v2, err := compressFPZ2(vals, dims, Params{Precision: prec})
+	if err != nil {
+		t.Fatalf("FPZ2 oracle encode: %v", err)
+	}
+	if !bytes.Equal(v2, goldenFile(t, name+".fpz2.stream")) {
+		t.Fatal("the FPZ2 oracle no longer reproduces the pinned FPZ2 stream")
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package rangecoder implements an adaptive binary range coder (arithmetic
-// coder) in the style used by fpzip and LZMA: a 32-bit range with 11-bit
-// adaptive bit probabilities. The fpzip-family compressor uses it to entropy
-// code residual magnitude classes.
+// Package rangecoder implements an adaptive range coder (arithmetic coder)
+// in the style used by fpzip and LZMA: a 32-bit range, coding either binary
+// decisions with 11-bit adaptive bit probabilities or symbols of a small
+// alphabet with an adaptive frequency Model. The fpzip-family compressor
+// uses it to entropy code residual magnitude classes.
 package rangecoder
 
 const (
@@ -51,6 +52,13 @@ func (e *Encoder) shiftLow() {
 	e.low = (e.low << 8) & 0xFFFFFFFF
 }
 
+func (e *Encoder) normalize() {
+	for e.rng < topValue {
+		e.rng <<= 8
+		e.shiftLow()
+	}
+}
+
 // EncodeBit encodes bit b (0 or 1) with the adaptive probability p,
 // updating p toward the observed bit.
 //
@@ -65,10 +73,7 @@ func (e *Encoder) EncodeBit(p *Prob, b int) {
 		e.rng -= bound
 		*p -= *p >> probMoves
 	}
-	for e.rng < topValue {
-		e.rng <<= 8
-		e.shiftLow()
-	}
+	e.normalize()
 }
 
 // Finish flushes the coder and returns the encoded bytes. The Encoder must
@@ -111,6 +116,13 @@ func (d *Decoder) nextByte() byte {
 	return 0
 }
 
+func (d *Decoder) normalize() {
+	for d.rng < topValue {
+		d.rng <<= 8
+		d.code = d.code<<8 | uint32(d.nextByte())
+	}
+}
+
 // DecodeBit decodes one bit with the adaptive probability p.
 //
 //pressio:hotpath measured by the benchmark's rangecoder.* per-layer rows
@@ -127,10 +139,7 @@ func (d *Decoder) DecodeBit(p *Prob) int {
 		*p -= *p >> probMoves
 		bit = 1
 	}
-	for d.rng < topValue {
-		d.rng <<= 8
-		d.code = d.code<<8 | uint32(d.nextByte())
-	}
+	d.normalize()
 	return bit
 }
 
@@ -147,10 +156,7 @@ func (d *Decoder) DecodeBitsRaw(n uint) uint32 {
 			bit = 1
 		}
 		v = v<<1 | bit
-		for d.rng < topValue {
-			d.rng <<= 8
-			d.code = d.code<<8 | uint32(d.nextByte())
-		}
+		d.normalize()
 	}
 	return v
 }
