@@ -7,8 +7,8 @@ import (
 
 // TestHotClosureCoversBenchmarkLayers pins hotalloc's hot set to the layers
 // the benchmark reports per-layer rows for (BENCHMARK.json: huffman.*,
-// rangecoder.*, bitstream.*, sz.*, zfp.*, daemon.*): the five codec stages
-// and the daemon data plane must all carry
+// rangecoder.*, bitstream.*, sz.*, zfp.*, mgard.*, fpzip.*, daemon.*): the
+// seven codec stages and the daemon data plane must all carry
 // //pressio:hotpath marks that the call graph turns into hot roots. If a
 // refactor drops a mark or renames an entry point, this fails before the
 // analyzer silently stops watching that stage.
@@ -31,6 +31,8 @@ func TestHotClosureCoversBenchmarkLayers(t *testing.T) {
 		filepath.Join("internal", "bitstream"),
 		filepath.Join("internal", "sz"),
 		filepath.Join("internal", "zfp"),
+		filepath.Join("internal", "mgard"),
+		filepath.Join("internal", "fpzip"),
 		filepath.Join("internal", "daemon"),
 	} {
 		pkg, err := loader.LoadDir(dir)
@@ -71,6 +73,10 @@ func TestHotClosureCoversBenchmarkLayers(t *testing.T) {
 		"sz.DecompressSlice",
 		"zfp.CompressSlice",
 		"zfp.DecompressSlice",
+		"mgard.CompressSlice",
+		"mgard.DecompressSlice",
+		"fpzip.CompressSlice",
+		"fpzip.DecompressSlice",
 		// daemon data plane (both /compress and /decompress route here)
 		"daemon.(*Daemon).handleData",
 	}

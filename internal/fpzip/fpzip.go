@@ -196,6 +196,8 @@ func (c *coder) decodeResidual(dec *rangecoder.Decoder, raw *bitstream.Reader, r
 }
 
 // CompressSlice compresses vals shaped dims (C order).
+//
+//pressio:hotpath measured by the benchmark's fpzip.* per-layer rows
 func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	w := width[T]()
 	prec := p.Precision
@@ -290,6 +292,8 @@ func ParseHeader(stream []byte) (Header, int, error) {
 }
 
 // DecompressSlice decodes a stream produced by CompressSlice.
+//
+//pressio:hotpath measured by the benchmark's fpzip.* per-layer rows
 func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	h, pos, err := ParseHeader(stream)
 	if err != nil {

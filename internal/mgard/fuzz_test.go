@@ -17,11 +17,18 @@ func FuzzDecompressSlice(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	fast, err := CompressSlice(goldenIn[float32](f, "f32_2d_abs1e-3"), []uint64{17, 25},
+		Params{Mode: core.BoundAbs, Bound: 1e-3, LosslessLevel: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(wide)
 	f.Add([]byte{})
 	f.Add([]byte(magic))
+	f.Add(fast)
+	f.Add(goldenFile(f, "f64_3d_abs1e-2.stream")) // two verify attempts
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		checkDecoded[float32](t, stream)
 		checkDecoded[float64](t, stream)

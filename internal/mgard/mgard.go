@@ -17,17 +17,19 @@
 package mgard
 
 import (
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"pressio/internal/core"
 	"pressio/internal/lossless"
 )
 
 // Version is the compressor version reported through the plugin interface.
-const Version = "0.1.0-go"
+const Version = "0.2.0-go"
 
 // ErrCorrupt reports a malformed mgard stream.
 var ErrCorrupt = errors.New("mgard: corrupt stream")
@@ -40,6 +42,10 @@ var ErrNonFinite = errors.New("mgard: non-finite values unsupported")
 // dimension.
 var ErrTooSmall = errors.New("mgard: requires at least 3 points in each dimension")
 
+// ErrBoundUnreachable reports a bound no quantization bin can meet: the
+// verify loop ran out of attempts, or a coefficient's code left int64 range.
+var ErrBoundUnreachable = errors.New("mgard: could not satisfy bound")
+
 // Params configures a compression call.
 type Params struct {
 	// Mode selects absolute or value-range-relative interpretation of
@@ -47,7 +53,9 @@ type Params struct {
 	Mode core.ErrorBoundMode
 	// Bound is the pointwise error bound. Must be > 0.
 	Bound float64
-	// LosslessLevel is the DEFLATE effort (0 = default).
+	// LosslessLevel is the DEFLATE effort, 1 to 9; 0 selects 1
+	// (flate.BestSpeed), as in sz. Any level inflates the same way, so the
+	// choice is not recorded in the stream.
 	LosslessLevel int
 }
 
@@ -62,118 +70,102 @@ func levels(n int) int {
 	return l
 }
 
-// forward1D replaces fine-grid values with hierarchical surpluses along one
-// axis, for every line of the field. stride is the element distance along
-// the axis, n the axis extent, and lines iterates all (start) offsets.
-func forward1D(v []float64, starts []int, n, stride int) {
-	maxL := levels(n)
-	for l := 1; l <= maxL; l++ {
-		h := 1 << (l - 1)
-		step := 1 << l
-		for _, s := range starts {
-			for i := h; i < n; i += step {
-				left := v[s+(i-h)*stride]
-				var pred float64
-				if i+h < n {
-					pred = 0.5 * (left + v[s+(i+h)*stride])
-				} else {
-					pred = left
-				}
-				v[s+i*stride] -= pred
-			}
-		}
-	}
-}
-
-// inverse1D undoes forward1D.
-func inverse1D(v []float64, starts []int, n, stride int) {
-	maxL := levels(n)
-	for l := maxL; l >= 1; l-- {
-		h := 1 << (l - 1)
-		step := 1 << l
-		for _, s := range starts {
-			for i := h; i < n; i += step {
-				left := v[s+(i-h)*stride]
-				var pred float64
-				if i+h < n {
-					pred = 0.5 * (left + v[s+(i+h)*stride])
-				} else {
-					pred = left
-				}
-				v[s+i*stride] += pred
-			}
-		}
-	}
-}
-
 // maxElems caps the element count a shape may declare, which also keeps the
-// extent arithmetic of lineStarts and the 1-D passes overflow-free.
+// extent arithmetic of axes and the sweeps overflow-free.
 const maxElems = 1 << 42
 
-// lineStarts enumerates the start offset of every 1-D line along dimension
-// d for a tensor with the given dims (C order).
-func lineStarts(dims []uint64, d int) ([]int, int, int) {
-	n := int(dims[d])
+// axis is the geometry of one dimension of a C-order tensor: outer blocks,
+// each of n points stride elements apart, so each block holds stride
+// contiguous lines along the axis.
+type axis struct{ outer, n, stride int }
+
+// axes returns the geometry of every dimension of dims.
+func axes(dims []uint64) []axis {
+	ax := make([]axis, len(dims))
+	outer := 1
+	for d, n := range dims {
+		ax[d] = axis{outer: outer, n: int(n)}
+		outer *= int(n)
+	}
 	stride := 1
-	for i := d + 1; i < len(dims); i++ {
-		stride *= int(dims[i])
+	for d := len(ax) - 1; d >= 0; d-- {
+		ax[d].stride = stride
+		stride *= ax[d].n
 	}
-	total := 1
-	for _, v := range dims {
-		total *= int(v)
-	}
-	lines := total / n
-	starts := make([]int, 0, lines)
-	// Iterate all indices with dimension d fixed at 0.
-	var walk func(dim, off int)
-	walk = func(dim, off int) {
-		if dim == len(dims) {
-			starts = append(starts, off)
-			return
-		}
-		if dim == d {
-			walk(dim+1, off)
-			return
-		}
-		str := 1
-		for i := dim + 1; i < len(dims); i++ {
-			str *= int(dims[i])
-		}
-		for i := 0; i < int(dims[dim]); i++ {
-			walk(dim+1, off+i*str)
-		}
-	}
-	walk(0, 0)
-	return starts, n, stride
+	return ax
 }
 
-// decompose applies the separable multilevel transform over all dims.
-func decompose(v []float64, dims []uint64) {
-	for d := range dims {
-		if dims[d] < 2 {
-			continue
+// sweep runs one level of the 1-D transform along a: each point at an odd
+// multiple of h moves by sign times its prediction, the mean of its
+// neighbours at even multiples of h (the left one alone at a line's end).
+// Reads and writes are disjoint within a level, so the order of the lines
+// is free and the inner loop runs across the stride contiguous ones.
+func (a axis) sweep(v []float64, h int, sign float64) {
+	s := a.stride
+	for base := 0; base < a.outer*a.n*s; base += a.n * s {
+		block := v[base : base+a.n*s]
+		i := h
+		for ; i+h < a.n; i += 2 * h {
+			if s == 1 {
+				block[i] += sign * (0.5 * (block[i-h] + block[i+h]))
+				continue
+			}
+			cur, left, right := block[i*s:(i+1)*s], block[(i-h)*s:][:s], block[(i+h)*s:][:s]
+			for j := range cur {
+				cur[j] += sign * (0.5 * (left[j] + right[j]))
+			}
 		}
-		starts, n, stride := lineStarts(dims, d)
-		forward1D(v, starts, n, stride)
+		if i < a.n {
+			cur, left := block[i*s:(i+1)*s], block[(i-h)*s:][:s]
+			for j := range cur {
+				cur[j] += sign * left[j]
+			}
+		}
 	}
 }
 
-// recompose inverts decompose (dims in reverse order).
-func recompose(v []float64, dims []uint64) {
-	for d := len(dims) - 1; d >= 0; d-- {
-		if dims[d] < 2 {
-			continue
+// decompose replaces values with hierarchical surpluses, axis by axis and
+// fine level to coarse.
+func decompose(v []float64, ax []axis) {
+	for _, a := range ax {
+		for l := 1; l <= levels(a.n); l++ {
+			a.sweep(v, 1<<(l-1), -1)
 		}
-		starts, n, stride := lineStarts(dims, d)
-		inverse1D(v, starts, n, stride)
 	}
+}
+
+// recompose inverts decompose (axes in reverse order, coarse level first).
+func recompose(v []float64, ax []axis) {
+	for d := len(ax) - 1; d >= 0; d-- {
+		for l := levels(ax[d].n); l >= 1; l-- {
+			ax[d].sweep(v, 1<<(l-1), 1)
+		}
+	}
+}
+
+// code is x's quantization code at inv = 1/(2·bin); ok is false when the
+// code leaves int64 range, where the conversion is implementation-defined.
+func code(x, inv float64) (q int64, ok bool) {
+	f := math.Floor(x*inv + 0.5)
+	return int64(f), f >= -0x1p63 && f < 0x1p63
+}
+
+// varintLen is the length of binary.AppendVarint's encoding of q.
+func varintLen(q int64) int {
+	return (bits.Len64(uint64(q<<1)^uint64(q>>63)|1) + 6) / 7
 }
 
 // CompressSlice compresses vals shaped dims under p. Every dimension must
 // have at least 3 points.
+//
+//pressio:hotpath measured by the benchmark's mgard.* per-layer rows
 func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
 	if p.Bound <= 0 || math.IsNaN(p.Bound) || math.IsInf(p.Bound, 0) {
 		return nil, fmt.Errorf("mgard: bound %v must be positive and finite", p.Bound)
+	}
+	level := p.LosslessLevel
+	if level == 0 {
+		level = flate.BestSpeed
 	}
 	for _, d := range dims {
 		if d < 3 {
@@ -196,8 +188,12 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 			return nil, ErrNonFinite
 		}
 		work[i] = f
-		lo = math.Min(lo, f)
-		hi = math.Max(hi, f)
+		if f < lo {
+			lo = f
+		}
+		if f > hi {
+			hi = f
+		}
 	}
 	eb := p.Bound
 	if p.Mode == core.BoundValueRangeRel {
@@ -207,66 +203,62 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 		}
 	}
 
-	decompose(work, dims)
+	ax := axes(dims)
+	decompose(work, ax)
 
-	// Start with bin = eb / 2^d and verify; shrink until the bound holds.
+	// Start with bin = eb / 2^d and verify; shrink until the bound holds. A
+	// constant field decomposes to its value on the coarsest grid and zero
+	// surpluses; when that value's code would leave int64 range, bin = |c|/2
+	// codes it as ±1 and reproduces the field exactly.
 	bin := eb / float64(uint64(1)<<len(dims))
-	var codes []int64
+	if _, ok := code(lo, 1/(2*bin)); hi == lo && !ok {
+		bin = math.Abs(lo) / 2
+	}
+	recon := make([]float64, total)
+	size := 0
 	for attempt := 0; ; attempt++ {
 		if attempt > 12 {
-			return nil, fmt.Errorf("mgard: could not satisfy bound %g", eb)
+			return nil, fmt.Errorf("%w %g", ErrBoundUnreachable, eb)
 		}
-		codes = quantize(work, bin)
-		recon := dequantize(codes, bin)
-		recompose(recon, dims)
+		inv := 1 / (2 * bin)
+		size = 0
+		for i, x := range work {
+			q, ok := code(x, inv)
+			if !ok {
+				// Smaller bins only make the code larger.
+				return nil, fmt.Errorf("%w %g: a coefficient's code leaves int64 range", ErrBoundUnreachable, eb)
+			}
+			recon[i] = float64(q) * 2 * bin
+			size += varintLen(q)
+		}
+		recompose(recon, ax)
 		if worstErr(vals, recon) <= eb {
 			break
 		}
 		bin /= 2
 	}
 
-	var payload []byte
-	payload = binary.AppendUvarint(payload, uint64(len(codes)))
-	for _, q := range codes {
+	payload := make([]byte, 0, binary.MaxVarintLen64+size)
+	payload = binary.AppendUvarint(payload, uint64(total))
+	inv := 1 / (2 * bin)
+	for _, x := range work {
+		q, _ := code(x, inv)
 		payload = binary.AppendVarint(payload, q)
 	}
-	packed, err := lossless.Deflate(payload, p.LosslessLevel)
-	if err != nil {
-		return nil, err
-	}
-
 	out, err := core.AppendFloatShape[T]([]byte(magic), dims)
 	if err != nil {
 		return nil, err
 	}
 	out = binary.AppendUvarint(out, math.Float64bits(bin))
-	out = append(out, packed...)
-	return out, nil
-}
-
-func quantize(v []float64, bin float64) []int64 {
-	codes := make([]int64, len(v))
-	inv := 1 / (2 * bin)
-	for i, x := range v {
-		codes[i] = int64(math.Floor(x*inv + 0.5))
-	}
-	return codes
-}
-
-func dequantize(codes []int64, bin float64) []float64 {
-	v := make([]float64, len(codes))
-	for i, q := range codes {
-		v[i] = float64(q) * 2 * bin
-	}
-	return v
+	return lossless.AppendDeflate(out, level, payload)
 }
 
 func worstErr[T core.Float](orig []T, recon []float64) float64 {
 	worst := 0.0
 	for i := range orig {
 		// Compare after rounding to the storage type, since decompression
-		// returns T values.
-		if d := math.Abs(float64(T(recon[i])) - float64(orig[i])); d > worst {
+		// returns T values. A NaN error counts as unbounded.
+		if d := math.Abs(float64(T(recon[i])) - float64(orig[i])); !(d <= worst) {
 			worst = d
 		}
 	}
@@ -308,6 +300,8 @@ func ParseHeader(stream []byte) (Header, int, error) {
 }
 
 // DecompressSlice decodes a stream produced by CompressSlice.
+//
+//pressio:hotpath measured by the benchmark's mgard.* per-layer rows
 func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	h, pos, err := ParseHeader(stream)
 	if err != nil {
@@ -331,18 +325,17 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if sz <= 0 || count > uint64(len(payload)) || count != total {
 		return nil, nil, ErrCorrupt
 	}
-	codes := make([]int64, count)
+	recon := make([]float64, count)
 	off := sz
-	for i := range codes {
-		v, sz := binary.Varint(payload[off:])
+	for i := range recon {
+		q, sz := binary.Varint(payload[off:])
 		if sz <= 0 {
 			return nil, nil, ErrCorrupt
 		}
-		codes[i] = v
+		recon[i] = float64(q) * 2 * h.Bin
 		off += sz
 	}
-	recon := dequantize(codes, h.Bin)
-	recompose(recon, h.Dims)
+	recompose(recon, axes(h.Dims))
 	out := make([]T, total)
 	for i, v := range recon {
 		out[i] = T(v)

@@ -1,8 +1,10 @@
 package mgard
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -41,9 +43,9 @@ func TestForwardInverse1DExact(t *testing.T) {
 			v[i] = rng.NormFloat64() * 10
 		}
 		orig := append([]float64(nil), v...)
-		starts := []int{0}
-		forward1D(v, starts, n, 1)
-		inverse1D(v, starts, n, 1)
+		ax := []axis{{outer: 1, n: n, stride: 1}}
+		decompose(v, ax)
+		recompose(v, ax)
 		for i := range v {
 			if math.Abs(v[i]-orig[i]) > 1e-9*math.Max(1, math.Abs(orig[i])) {
 				return false
@@ -64,8 +66,8 @@ func TestDecomposeRecomposeExact3D(t *testing.T) {
 		work[i] = float64(v)
 	}
 	orig := append([]float64(nil), work...)
-	decompose(work, dims)
-	recompose(work, dims)
+	decompose(work, axes(dims))
+	recompose(work, axes(dims))
 	for i := range work {
 		if math.Abs(work[i]-orig[i]) > 1e-8 {
 			t.Fatalf("elem %d: %g vs %g", i, work[i], orig[i])
@@ -255,5 +257,54 @@ func BenchmarkCompress3D(b *testing.B) {
 		if _, err := CompressSlice(vals, dims, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestConstantFieldRoundTrips: a constant field has no value range, so
+// pressio:rel leaves no error to spend and the field must come back exactly.
+// A nonzero constant's code at the first bin is far past int64 range; the
+// encoder codes it as ±1 at bin |c|/2 instead.
+func TestConstantFieldRoundTrips(t *testing.T) {
+	for _, c := range []float64{0, 1, 1000, -3.25} {
+		for _, dims := range [][]uint64{{9, 9}, {3, 5, 4}} {
+			checkConstant[float32](t, c, dims)
+			checkConstant[float64](t, c, dims)
+		}
+	}
+}
+
+func checkConstant[T core.Float](t *testing.T, c float64, dims []uint64) {
+	t.Helper()
+	n, _ := core.CheckedElems(dims, maxElems)
+	vals := make([]T, n)
+	for i := range vals {
+		vals[i] = T(c)
+	}
+	stream, err := CompressSlice(vals, dims, Params{Mode: core.BoundValueRangeRel, Bound: 1e-3})
+	if err != nil {
+		t.Fatalf("constant %g, dims %v: %v", c, dims, err)
+	}
+	dec, _, err := DecompressSlice[T](stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dec, vals) {
+		t.Fatalf("constant %g, dims %v: does not round-trip exactly", c, dims)
+	}
+}
+
+// TestBoundUnreachableRefused: once a coefficient's code leaves int64
+// range the float-to-int conversion is implementation-defined, and smaller
+// bins only make it larger, so the encoder refuses with the typed error.
+func TestBoundUnreachableRefused(t *testing.T) {
+	spike := make([]float64, 27)
+	spike[13] = 1e30
+	if _, err := CompressSlice(spike, []uint64{3, 9}, Params{Mode: core.BoundAbs, Bound: 1e-3}); !errors.Is(err, ErrBoundUnreachable) {
+		t.Fatalf("1e30 spike under abs 1e-3: %v, want ErrBoundUnreachable", err)
+	}
+	// A value range tiny beside the magnitude leaves the same gap under rel.
+	narrow := []float64{1e21, 1e21 + 131072, 1e21, 1e21 + 262144, 1e21}
+	if _, err := CompressSlice(narrow, []uint64{5}, Params{Mode: core.BoundValueRangeRel, Bound: 1e-4}); !errors.Is(err, ErrBoundUnreachable) {
+		t.Fatalf("narrow range under rel 1e-4: %v, want ErrBoundUnreachable", err)
 	}
 }

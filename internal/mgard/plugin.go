@@ -30,7 +30,7 @@ var schema = core.NewSchema(append(
 	core.Opt(keyTolerance, "the bound under its MGARD name; setting it selects the absolute mode", core.Above(0),
 		func(p *plugin) (float64, bool) { return p.bound.Bound, true },
 		func(p *plugin, v float64) { p.bound = core.BoundConfig{Mode: core.BoundAbs, Bound: v} }),
-	core.Field(core.KeyLossless, "effort level of the DEFLATE back end", lossless.LevelBounds,
+	core.Field(core.KeyLossless, "effort level of the DEFLATE back end (0 = 1, fastest)", lossless.LevelBounds,
 		func(p *plugin) *int32 { return &p.level }),
 )...)
 

@@ -70,6 +70,7 @@ go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/zfp/
 go test -fuzz 'FuzzBlockCoderMatchesReference' -fuzztime 5s ./internal/zfp/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/fpzip/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/mgard/
+go test -fuzz 'FuzzCompressMatchesOracle' -fuzztime 5s ./internal/mgard/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/tthresh/
 go test -fuzz '^FuzzDecompress$' -fuzztime 5s ./internal/meta/
 go test -fuzz 'FuzzDecode' -fuzztime 5s ./internal/huffman/
