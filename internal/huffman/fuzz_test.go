@@ -1,6 +1,10 @@
 package huffman
 
-import "testing"
+import (
+	"encoding/binary"
+	"slices"
+	"testing"
+)
 
 // FuzzDecode drives the canonical Huffman decoder with arbitrary bytes: no
 // panics, and accepted streams must re-encode consistently.
@@ -35,5 +39,50 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("re-decode mismatch at %d", i)
 			}
 		}
+	})
+}
+
+// FuzzDecodeMatchesWalk lets the fuzzer pick the code shape and the symbol
+// string of the differential between Decode and the bit-serial walk. Byte i
+// of shape gives symbol i the frequency 2^(b%49), or none for b = 0, so codes
+// run from 1 bit to past maxCodeLen (such shapes are skipped); each 2 bytes
+// of picks choose one of the symbols in use.
+func FuzzDecodeMatchesWalk(f *testing.F) {
+	f.Add([]byte{1, 1, 2, 3}, []byte{0, 0, 1, 0, 2, 0, 3, 0, 3, 0})
+	fib := make([]byte, 30) // frequencies 1, 2, 4, ...: codes to 29 bits
+	for i := range fib {
+		fib[i] = byte(1 + i)
+	}
+	f.Add(fib, []byte{29, 0, 28, 0, 0, 0, 14, 0, 13, 0, 12, 0, 11, 0, 1, 0})
+	flat := make([]byte, 3000) // two frequencies: codes of 11 and 12 bits
+	for i := range flat {
+		flat[i] = byte(1 + i%2)
+	}
+	f.Add(flat, []byte{0xff, 0xff, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc})
+	f.Fuzz(func(t *testing.T, shape, picks []byte) {
+		if len(shape) > 4096 || len(picks) > 4096 {
+			return
+		}
+		freq := make([]uint64, len(shape))
+		for i, b := range shape {
+			if b != 0 {
+				freq[i] = 1 << (b % 49)
+			}
+		}
+		lengths := buildLengths(freq)
+		var used []uint32
+		for s, l := range lengths {
+			if l > 0 {
+				used = append(used, uint32(s))
+			}
+		}
+		if len(used) == 0 || slices.Max(lengths) > maxCodeLen {
+			return
+		}
+		syms := make([]uint32, len(picks)/2)
+		for i := range syms {
+			syms[i] = used[int(binary.LittleEndian.Uint16(picks[2*i:]))%len(used)]
+		}
+		checkDecodeMatchesWalk(t, encodeWith(t, lengths, syms), syms)
 	})
 }

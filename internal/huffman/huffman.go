@@ -333,15 +333,21 @@ func decodeLengths(b []byte) ([]uint8, int, error) {
 			return nil, 0, ErrCorrupt
 		}
 		pos += sz
-		for k := uint64(0); k < run; k++ {
-			lengths = append(lengths, l)
+		// make zeroed the table, so a run of zeros is only a longer slice.
+		start := len(lengths)
+		lengths = lengths[:start+int(run)]
+		if l != 0 {
+			for i := range lengths[start:] {
+				lengths[start+i] = l
+			}
 		}
 	}
 	return lengths, pos, nil
 }
 
 // lutBits is the width of the primary decode table: codes up to this long
-// decode with one lookup, longer ones fall back to the canonical walk.
+// decode with one lookup, longer ones with one peek of maxLen bits scanned
+// length by length against the canonical first codes (decodeTable.long).
 const (
 	lutBits = 11
 	lutMask = 1<<lutBits - 1
@@ -352,10 +358,11 @@ const (
 type decodeTable struct {
 	maxLen    uint8
 	firstCode []uint64 // canonical first code per length (MSB-first value)
-	offset    []uint64 // index into symsByLen of first symbol per length
+	offset    []uint64 // index into symsByLen of first symbol per length; offset[maxLen+1] is their number
 	symsByLen []uint32
-	// lut maps the next lutBits stream bits to sym<<8|len for every code of
-	// at most lutBits bits; 0 marks a longer (or unassigned) code.
+	// lut maps the next lutBits stream bits to sym<<4|len for every code of
+	// at most lutBits bits; 0 marks a longer (or unassigned) code. A symbol
+	// is below maxAlphabet, 1<<28, so the entry holds it.
 	lut [1 << lutBits]uint32
 }
 
@@ -398,6 +405,7 @@ func buildDecodeTable(lengths []uint8) (*decodeTable, error) {
 		}
 		free -= countByLen[l]
 	}
+	t.offset[maxLen+1] = total
 	t.symsByLen = make([]uint32, total)
 	next := make([]uint64, maxLen+1)
 	for s, l := range codeLens {
@@ -405,13 +413,12 @@ func buildDecodeTable(lengths []uint8) (*decodeTable, error) {
 			continue
 		}
 		t.symsByLen[t.offset[l]+next[l]] = uint32(s)
-		// sym<<8 must fit the entry; sz alphabets stay below 1<<24.
-		if l <= lutBits && s < 1<<24 {
+		if l <= lutBits {
 			// The stream is LSB-first, so the reversed code is the low l
 			// bits of the index and every setting of the bits above it
 			// decodes to this symbol.
 			for j := reverseBits(t.firstCode[l]+next[l], uint(l)); j < uint64(len(t.lut)); j += 1 << l {
-				t.lut[j] = uint32(s)<<8 | uint32(l)
+				t.lut[j] = uint32(s)<<4 | uint32(l)
 			}
 		}
 		next[l]++
@@ -473,13 +480,13 @@ func Decode(data []byte) ([]uint32, uint32, error) {
 	used := uint64(0)
 	for i := range out {
 		if e := t.lut[r.Peek(lutBits)&lutMask]; e != 0 {
-			l := uint(e & 0xff)
+			l := uint(e & 0xf)
 			r.Skip(l)
 			used += uint64(l)
-			out[i] = e >> 8
+			out[i] = e >> 4
 			continue
 		}
-		sym, l, err := t.walk(r)
+		sym, l, err := t.long(r)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -492,23 +499,21 @@ func Decode(data []byte) ([]uint32, uint32, error) {
 	return out, alphabet, nil
 }
 
-// walk decodes one symbol bit by bit against the canonical first-code
-// table, returning it with its code length. It is the whole decoder for
-// codes longer than lutBits and the reference the table is tested against.
-func (t *decodeTable) walk(r *bitstream.Reader) (uint32, uint8, error) {
-	code := uint64(0)
-	for l := uint8(1); l <= t.maxLen; l++ {
-		code = code<<1 | uint64(r.ReadBit())
-		count := t.offset[l+1] - t.offset[l]
-		if l == t.maxLen {
-			count = uint64(len(t.symsByLen)) - t.offset[l]
-		}
-		if count > 0 && code >= t.firstCode[l] && code-t.firstCode[l] < count {
-			idx := t.offset[l] + (code - t.firstCode[l])
-			if idx < uint64(len(t.symsByLen)) {
+// long decodes one symbol whose code the lut does not hold, returning it
+// with its code length. One peek gives the next maxLen bits, reversed so the
+// first is the most significant; its top l bits are the candidate code of
+// length l, tried from lutBits+1 up against the canonical first codes, and
+// the length that fits is skipped. The bit-serial walk in huffman_test.go is
+// the reference it is tested against.
+func (t *decodeTable) long(r *bitstream.Reader) (uint32, uint8, error) {
+	v := reverseBits(r.Peek(uint(t.maxLen)), uint(t.maxLen))
+	for l := uint8(lutBits + 1); l <= t.maxLen; l++ {
+		if d := v>>(t.maxLen-l) - t.firstCode[l]; d < t.offset[l+1]-t.offset[l] {
+			if idx := t.offset[l] + d; idx < uint64(len(t.symsByLen)) {
+				r.Skip(uint(l))
 				return t.symsByLen[idx], l, nil
 			}
-			return 0, 0, ErrCorrupt
+			break
 		}
 	}
 	return 0, 0, ErrCorrupt

@@ -168,6 +168,29 @@ func encodeWith(t *testing.T, lengths []uint8, syms []uint32) []byte {
 	return frame(lengths, len(syms), w.Bytes())
 }
 
+// walk decodes one symbol bit by bit against the canonical first-code
+// table, returning it with its code length. It was the decoder for codes
+// longer than lutBits before decodeTable.long; it stays as the reference
+// both the lookup table and long are tested against.
+func (t *decodeTable) walk(r *bitstream.Reader) (uint32, uint8, error) {
+	code := uint64(0)
+	for l := uint8(1); l <= t.maxLen; l++ {
+		code = code<<1 | uint64(r.ReadBit())
+		count := t.offset[l+1] - t.offset[l]
+		if l == t.maxLen {
+			count = uint64(len(t.symsByLen)) - t.offset[l]
+		}
+		if count > 0 && code >= t.firstCode[l] && code-t.firstCode[l] < count {
+			idx := t.offset[l] + (code - t.firstCode[l])
+			if idx < uint64(len(t.symsByLen)) {
+				return t.symsByLen[idx], l, nil
+			}
+			return 0, 0, ErrCorrupt
+		}
+	}
+	return 0, 0, ErrCorrupt
+}
+
 // decodeSerial is the oracle for the table-driven Decode: every symbol goes
 // through the bit-serial canonical walk, nothing through the lookup table.
 func decodeSerial(data []byte) ([]uint32, error) {
@@ -256,6 +279,24 @@ func TestDecodeMatchesSerialWalk(t *testing.T) {
 		{"all codes within the table", func() []uint8 { return lengthsFor(600, geometric(2+rng.Intn(200), 1.01)) }, 1, lutBits},
 		{"codes up to 40 bits", func() []uint8 { return lengthsFor(64, geometric(41, 2)) }, 40, 40},
 		{"sparse 65536 alphabet", func() []uint8 { return lengthsFor(65536, geometric(100+rng.Intn(200), 1.1)) }, lutBits + 1, maxCodeLen},
+		// As sz codes a noisy 1-D field (hacc): symbol 0, the outliers, takes
+		// a 1-bit code, and ~36 k near-uniform symbols of a 65536 alphabet,
+		// one in 50 of them 2 to 16 times as common, take codes of 12 to 17
+		// bits, every one longer than the lookup table.
+		{"hacc-shaped 65536 alphabet", func() []uint8 {
+			freq := make([]uint64, 65536)
+			total := uint64(0)
+			for _, s := range rng.Perm(len(freq) - 1)[:36000+rng.Intn(1000)] {
+				f := 50 + uint64(rng.Intn(20))
+				if rng.Intn(50) == 0 {
+					f <<= 1 + rng.Intn(4)
+				}
+				freq[1+s] = f
+				total += f
+			}
+			freq[0] = total * 4 / 3
+			return buildLengths(freq)
+		}, 17, 17},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for round := 0; round < 20; round++ {
@@ -275,23 +316,53 @@ func TestDecodeMatchesSerialWalk(t *testing.T) {
 				for i := range syms {
 					syms[i] = usedSyms[rng.Intn(len(usedSyms))]
 				}
-				stream := encodeWith(t, lengths, syms)
-				for cut := 0; cut <= 9 && cut <= len(stream); cut++ {
-					data := stream[:len(stream)-cut]
-					want, wantErr := decodeSerial(data)
-					got, _, gotErr := Decode(data)
-					if (gotErr == nil) != (wantErr == nil) || !slices.Equal(got, want) {
-						t.Fatalf("round %d cut %d: table decoder (err %v) and serial walk (err %v) disagree", round, cut, gotErr, wantErr)
-					}
-					if cut == 0 && (gotErr != nil || !slices.Equal(got, syms)) {
-						t.Fatalf("round %d: whole stream did not round trip: %v", round, gotErr)
-					}
-					if cut > 0 && gotErr == nil {
-						t.Fatalf("round %d: stream cut by %d bytes was accepted", round, cut)
-					}
-				}
+				checkDecodeMatchesWalk(t, encodeWith(t, lengths, syms), syms)
 			}
 		})
+	}
+}
+
+// A lut entry holds a symbol in its top 28 bits, which reach every symbol of
+// the largest alphabet: codes within lutBits of symbols past 1<<24 decode
+// from the table too, not from long, whose scan starts at lutBits+1.
+func TestDecodeSymbolsPastTheLookupTable(t *testing.T) {
+	// Canonical codes follow length and symbol order only, so the four used
+	// symbols' codes come from a table of them alone, not one of 2^24 slots.
+	used := []uint32{5, 7, 1<<24 + 1, 1<<24 + 3}
+	usedLens := []uint8{2, 3, 1, 3}
+	codes, err := canonicalCodes(usedLens, make([]uint64, len(used)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := make([]uint8, 1<<24+4)
+	w := bitstream.NewWriter(0)
+	var syms []uint32
+	for _, i := range []int{0, 2, 1, 3, 2, 2, 0, 1} {
+		lengths[used[i]] = usedLens[i]
+		syms = append(syms, used[i])
+		w.WriteBits(codes[i], uint(usedLens[i]))
+	}
+	checkDecodeMatchesWalk(t, frame(lengths, len(syms), w.Bytes()), syms)
+}
+
+// checkDecodeMatchesWalk requires Decode and the serial walk to agree on
+// stream, which codes syms, and on every cut of its last 9 bytes: the whole
+// stream decodes to syms and every cut one is refused.
+func checkDecodeMatchesWalk(t *testing.T, stream []byte, syms []uint32) {
+	t.Helper()
+	for cut := 0; cut <= 9 && cut <= len(stream); cut++ {
+		data := stream[:len(stream)-cut]
+		want, wantErr := decodeSerial(data)
+		got, _, gotErr := Decode(data)
+		if (gotErr == nil) != (wantErr == nil) || !slices.Equal(got, want) {
+			t.Fatalf("cut %d: table decoder (err %v) and serial walk (err %v) disagree", cut, gotErr, wantErr)
+		}
+		if cut == 0 && (gotErr != nil || !slices.Equal(got, syms)) {
+			t.Fatalf("whole stream did not round trip: %v", gotErr)
+		}
+		if cut > 0 && gotErr == nil {
+			t.Fatalf("stream cut by %d bytes was accepted", cut)
+		}
 	}
 }
 

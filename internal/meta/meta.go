@@ -180,6 +180,11 @@ func (p *chunking) DecompressImpl(in, out *core.Data) error {
 		return ErrCorrupt
 	}
 	pos += sz
+	// An entry is two uvarints, at least two bytes: a count the stream
+	// cannot hold is refused before the table is allocated for it.
+	if nChunks > uint64(len(b)-pos)/2 {
+		return ErrCorrupt
+	}
 	type span struct {
 		first, rows, size uint64 // rows [first, first+rows) of the result
 		payload           []byte

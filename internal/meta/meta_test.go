@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pressio/internal/core"
@@ -323,6 +324,32 @@ func TestTransformHeadersRejectOverflowingDims(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: overflowing dims error = %v, want ErrCorrupt", tc.name, err)
 		}
+	}
+}
+
+// TestChunkingRefusesUnbackedChunkCount: a chunk table entry takes at least
+// two bytes, so a short stream declaring 2^24 chunks is refused before the
+// table is allocated (48 B an entry, ~805 MB for this one).
+func TestChunkingRefusesUnbackedChunkCount(t *testing.T) {
+	b, err := appendPrelude(chunkingMagic, core.DTypeFloat32, []uint64{16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = binary.AppendUvarint(b, 1<<24)
+	b = append(b, 16, 4, 0, 0, 0, 0)
+	c, err := core.NewCompressor("chunking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = core.Decompress(c, core.NewBytes(b), core.DTypeFloat32, 16)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%d-byte stream declaring 2^24 chunks: error %v, want ErrCorrupt", len(b), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("refusing a %d-byte stream allocated %d bytes", len(b), alloc)
 	}
 }
 

@@ -148,6 +148,39 @@ func transpose(a *[64]uint64, n uint) {
 	}
 }
 
+// interleave4 packs the four coefficients of a 4-value block into words of
+// bit planes in stream order: plane k is the nibble at bit 4(intprec-1-k) of
+// the words, LSB-first, and bit i of the nibble is bit k of data[i]. Each 16
+// bits of coefficient i are spread to bits 4b+3-i of a word, and the words
+// reversed, which puts the planes MSB first and coefficient i at bit i.
+func interleave4(pw *[4]uint64, data *[64]uint64, intprec uint) {
+	for c := uint(0); c < intprec/16; c++ {
+		z := uint64(0)
+		for i := range 4 {
+			x := data[i] >> (16 * c) & (1<<16 - 1)
+			x = (x | x<<24) & 0x000000ff000000ff
+			x = (x | x<<12) & 0x000f000f000f000f
+			x = (x | x<<6) & 0x0303030303030303
+			z |= (x | x<<3) & 0x1111111111111111 << (3 - i)
+		}
+		pw[(intprec/16-1-c)&3] = bits.Reverse64(z)
+	}
+}
+
+// deinterleave4 is the inverse of interleave4, into a cleared data[:4].
+func deinterleave4(data *[64]uint64, pw *[4]uint64, intprec uint) {
+	for c := uint(0); c < intprec/16; c++ {
+		z := bits.Reverse64(pw[(intprec/16-1-c)&3])
+		for i := range 4 {
+			x := z >> (3 - i) & 0x1111111111111111
+			x = (x | x>>3) & 0x0303030303030303
+			x = (x | x>>6) & 0x000f000f000f000f
+			x = (x | x>>12) & 0x000000ff000000ff
+			data[i] |= (x | x>>24) & (1<<16 - 1) << (16 * c)
+		}
+	}
+}
+
 // encodeInts performs the embedded bit-plane coding of the zfp reference
 // (encode_ints) over the first size entries of data, each below 2^intprec.
 // It emits the same bits as the reference's bit-serial loops, which live on
@@ -157,8 +190,12 @@ func transpose(a *[64]uint64, n uint) {
 //   - A 16- or 64-value block gets all its bit planes at once from one
 //     bit-matrix transpose: afterwards data[k] is plane k, bit i of it being
 //     bit k of coefficient i. 32-bit coefficients are first packed two to a
-//     word (i with i+32) so a pair of 32x32 transposes does it. A 4-value
-//     block is cheaper plane by plane, as the budget reaches each.
+//     word (i with i+32) so a pair of 32x32 transposes does it.
+//   - A 4-value block is interleaved once into plane words in stream order
+//     (interleave4: two words at 32 bits, four at 64), a plane being one
+//     nibble of them. Once all four coefficients are significant every plane
+//     left is four verbatim bits, so the rest of the block goes out straight
+//     from the words, at most 64 bits to a WriteBits.
 //   - Per plane from the MSB, the first n bits (coefficients already known
 //     significant) go out verbatim; then each newly significant coefficient
 //     costs one WriteBits: the group-test 1, the tz zeros of the unary run
@@ -169,7 +206,10 @@ func transpose(a *[64]uint64, n uint) {
 // data is clobbered. It returns the number of bits written, never exceeding
 // maxbits.
 func encodeInts(w *bitstream.Writer, data *[64]uint64, size, intprec, maxprec uint, maxbits uint64) uint64 {
-	if size > 4 {
+	var pw [4]uint64
+	if size == 4 {
+		interleave4(&pw, data, intprec)
+	} else {
 		clear(data[size:]) // matrix rows past the block, dirty from the last one
 		if intprec == 32 {
 			for i := 0; i < 32; i++ {
@@ -185,10 +225,22 @@ func encodeInts(w *bitstream.Writer, data *[64]uint64, size, intprec, maxprec ui
 	left := maxbits
 	n := uint(0)
 	for k := intprec; left > 0 && k > kmin; {
+		if size == 4 && n == 4 { // planes k-1 down to kmin, verbatim, within the words
+			run := min(4*uint64(k-kmin), left, uint64(64*len(pw)))
+			left -= run
+			for o := 4 * uint64(intprec-k); run > 0; {
+				c := min(run, 64-o&63)
+				w.WriteBits(pw[o>>6&3]>>(o&63), uint(c))
+				o += c
+				run -= c
+			}
+			break
+		}
 		k--
 		x := data[k&63]
 		if size == 4 {
-			x = data[0]>>k&1 | data[1]>>k&1<<1 | data[2]>>k&1<<2 | data[3]>>k&1<<3
+			p := intprec - 1 - k
+			x = pw[p>>4&3] >> (4 * (p & 15)) & 15
 		}
 		m := min(uint64(n), left)
 		left -= m
@@ -221,20 +273,34 @@ func encodeInts(w *bitstream.Writer, data *[64]uint64, size, intprec, maxprec ui
 const sparseBits = 4
 
 // decodeInts mirrors encodeInts into the first size entries of data: a run is
-// one ReadRun, and a 16- or 64-value block collects its plane words as read
-// (in planes, scratch whose contents do not matter) and turns them into
-// coefficients at the end, by the transpose, or bit by set bit when the block
-// turned out nearly empty.
+// one ReadRun. A 4-value block ORs each plane's nibble into the plane words
+// of interleave4, reads the verbatim rest of the block into them at most 64
+// bits at a time, and de-interleaves them once at the end. A 16- or 64-value
+// block collects its plane words as read (in planes, scratch whose contents
+// do not matter) and turns them into coefficients at the end, by the
+// transpose, or bit by set bit when the block turned out nearly empty.
 func decodeInts(r *bitstream.Reader, data, planes *[64]uint64, size, intprec, maxprec uint, maxbits uint64) uint64 {
 	clear(data[:size])
 	kmin := uint(0)
 	if intprec > maxprec {
 		kmin = intprec - maxprec
 	}
+	var pw [4]uint64
 	left := maxbits
 	n := uint(0)
 	k := intprec
 	for left > 0 && k > kmin {
+		if size == 4 && n == 4 { // as in encodeInts
+			run := min(4*uint64(k-kmin), left, uint64(64*len(pw)))
+			left -= run
+			for o := 4 * uint64(intprec-k); run > 0; {
+				c := min(run, 64-o&63)
+				pw[o>>6&3] |= r.ReadBits(uint(c)) << (o & 63)
+				o += c
+				run -= c
+			}
+			break
+		}
 		k--
 		m := min(uint64(n), left)
 		left -= m
@@ -255,15 +321,15 @@ func decodeInts(r *bitstream.Reader, data, planes *[64]uint64, size, intprec, ma
 			n++
 		}
 		if size == 4 {
-			for i := uint(0); i < 4; i++ {
-				data[i] |= x >> i & 1 << k
-			}
+			p := intprec - 1 - k
+			pw[p>>4&3] |= x << (4 * (p & 15))
 			continue
 		}
 		planes[k&63] = x
 	}
 	switch {
-	case size == 4: // deposited plane by plane
+	case size == 4:
+		deinterleave4(data, &pw, intprec)
 	case maxbits-left <= sparseBits*uint64(size):
 		for ; k < intprec; k++ {
 			x := planes[k&63]

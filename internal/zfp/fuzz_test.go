@@ -1,6 +1,8 @@
 package zfp
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pressio/internal/core"
@@ -30,6 +32,16 @@ func FuzzDecompressSlice(f *testing.F) {
 	f.Add(rate[:len(rate)/2])
 	f.Add(acc64)
 	f.Add(acc64[:len(acc64)/2])
+	// The 1-D goldens, whole and cut in half: 4-value blocks whose planes
+	// end in a verbatim run, 64-bit, budget-cut and noisy.
+	for _, name := range []string{"f64_1d_acc1e-6", "f32_1d_rate8", "f32_1d_noisy_acc1e-3"} {
+		stream, err := os.ReadFile(filepath.Join("testdata", "golden", name+".stream"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(stream)
+		f.Add(stream[:len(stream)/2])
+	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		checkDecoded[float32](t, stream)
 		checkDecoded[float64](t, stream)

@@ -83,6 +83,20 @@ func TestGoldenStreams(t *testing.T) {
 		{"f64_3d_acc1e-6", func(t *testing.T, n string) {
 			checkGolden[float64](t, n, "f64_3d", []uint64{7, 8, 9}, Params{Mode: ModeFixedAccuracy, Tolerance: 1e-6})
 		}},
+		// Recorded at commit ad60909, before the 4-value block coder moved to packed plane
+		// words: 1-D blocks whose planes go out as one verbatim run once all
+		// four coefficients are significant. At 64 bits the run spans four
+		// words; at rate 8 the budget ends it mid-plane; the noisy
+		// (hacc-shaped: positions in halos, 601 values) field reaches it early.
+		{"f64_1d_acc1e-6", func(t *testing.T, n string) {
+			checkGolden[float64](t, n, "f64_1d", []uint64{389}, Params{Mode: ModeFixedAccuracy, Tolerance: 1e-6})
+		}},
+		{"f32_1d_rate8", func(t *testing.T, n string) {
+			checkGolden[float32](t, n, "f32_1d", []uint64{517}, Params{Mode: ModeFixedRate, Rate: 8})
+		}},
+		{"f32_1d_noisy_acc1e-3", func(t *testing.T, n string) {
+			checkGolden[float32](t, n, "f32_1d_noisy", []uint64{601}, Params{Mode: ModeFixedAccuracy, Tolerance: 1e-3})
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) { c.run(t, c.name) })
 	}

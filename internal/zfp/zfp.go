@@ -128,14 +128,7 @@ func resolve(p Params, intprec uint, blockSize int) (resolved, error) {
 // The 2*(d+1) guard planes absorb transform round-off so the tolerance
 // holds.
 func (r resolved) blockPrecision(emax, d int) uint {
-	p := emax - r.minexp + 2*(d+1)
-	if p < 0 {
-		p = 0
-	}
-	if uint(p) > r.maxprec {
-		return r.maxprec
-	}
-	return uint(p)
+	return min(uint(max(emax-r.minexp+2*(d+1), 0)), r.maxprec)
 }
 
 // maxElems caps the element count a shape may declare.
@@ -322,10 +315,7 @@ func encodeBlock(w *bitstream.Writer, fblock *[64]float64, iblock *[64]int64, ub
 	}
 	if res.pad {
 		for used < res.maxbits {
-			chunk := res.maxbits - used
-			if chunk > 64 {
-				chunk = 64
-			}
+			chunk := min(res.maxbits-used, 64)
 			w.WriteBits(0, uint(chunk))
 			used += chunk
 		}
@@ -366,10 +356,7 @@ func decodeBlock(r *bitstream.Reader, fblock *[64]float64, iblock *[64]int64, ub
 	}
 	if res.pad {
 		for used < res.maxbits {
-			chunk := res.maxbits - used
-			if chunk > 64 {
-				chunk = 64
-			}
+			chunk := min(res.maxbits-used, 64)
 			r.ReadBits(uint(chunk))
 			used += chunk
 		}

@@ -68,12 +68,13 @@ echo "==> fuzz smoke (decoders, 5s each; corpora replay known crashers)"
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/sz/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/zfp/
 go test -fuzz 'FuzzBlockCoderMatchesReference' -fuzztime 5s ./internal/zfp/
+go test -fuzz 'FuzzDecodeMatchesWalk' -fuzztime 5s ./internal/huffman/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/fpzip/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/mgard/
 go test -fuzz 'FuzzCompressMatchesOracle' -fuzztime 5s ./internal/mgard/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/tthresh/
 go test -fuzz '^FuzzDecompress$' -fuzztime 5s ./internal/meta/
-go test -fuzz 'FuzzDecode' -fuzztime 5s ./internal/huffman/
+go test -fuzz '^FuzzDecode$' -fuzztime 5s ./internal/huffman/
 go test -fuzz 'FuzzDecodeFrame' -fuzztime 5s ./internal/resilience/
 go test -fuzz 'FuzzDecodeRecord' -fuzztime 5s ./internal/store/
 go test -fuzz 'FuzzLoadManifest' -fuzztime 5s ./internal/store/
