@@ -113,6 +113,7 @@ var nonBlockingStdFuncs = map[string]bool{
 	"net/http.NewServeMux": true, "net/http.NotFound": true,
 	"net/http.Error": true, "net/http.MaxBytesReader": true,
 	"net/http.NewRequest": true, "net/http.StatusText": true,
+	"log/slog.Enabled": true, "log/slog.Handler": true, "log/slog.With": true, "log/slog.WithGroup": true,
 }
 
 // dispatchMethodNames are the generic-compression entry points: a call to
@@ -186,6 +187,8 @@ func stdlibBlocking(pkg *Package, call *ast.CallExpr) (reason string, kind Block
 		return "", 0, false
 	case path == "io" && isNamed(pkg, recv, "hash", ""):
 		return q + " (I/O)", BlockLocal, true // hash.Hash embeds io.Writer; the bytes go to memory
+	case isNamed(pkg, recv, "log/slog", "Logger"):
+		return q + " (log write)", BlockPeer, true // the handler writes to whatever sink the process gave it
 	}
 	if kind := blockingStdPkgs[path]; kind != 0 {
 		return q + " (I/O)", kind, true

@@ -1,13 +1,15 @@
 package blockinglock_bad
 
 // This file pins who bounds the wait. A lock held across a local-disk write,
-// an in-memory hash, a sync.Cond.Wait (which releases the lock) or a go
-// statement (a spawn, not a call) must stay unflagged; a lock held across a
-// socket or an arbitrary io.Writer — another party — must be flagged.
+// an in-memory hash, a sync.Cond.Wait (which releases the lock), a go
+// statement (a spawn, not a call) or deriving a *slog.Logger must stay
+// unflagged; a lock held across a socket, an arbitrary io.Writer or a log
+// line through a *slog.Logger — another party — must be flagged.
 
 import (
 	"hash"
 	"io"
+	"log/slog"
 	"net"
 	"os"
 	"sync"
@@ -70,4 +72,19 @@ func sinkWriteLocked(w io.Writer, p []byte) {
 	mu.Lock()
 	_, _ = w.Write(p)
 	mu.Unlock()
+}
+
+// logLocked writes a log line under the lock: the handler's sink is as
+// unbounded as sinkWriteLocked's writer.
+func logLocked(l *slog.Logger) {
+	mu.Lock()
+	l.Info("state", slog.Int("state", state))
+	mu.Unlock()
+}
+
+// withLocked only derives a logger under the lock; nothing is written. Clean.
+func withLocked(l *slog.Logger) *slog.Logger {
+	mu.Lock()
+	defer mu.Unlock()
+	return l.With(slog.Int("state", state))
 }

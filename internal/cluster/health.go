@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -96,10 +97,10 @@ func (h *HealthChecker) sweep(ctx context.Context) {
 		}
 		if up {
 			trace.CounterAdd(trace.CtrClusterPeerUp, 1)
-			obslog.Default().Infow("cluster.peer_up", obslog.Str("peer", addr))
+			obslog.Default().Info("cluster.peer_up", slog.String("peer", addr))
 		} else {
 			trace.CounterAdd(trace.CtrClusterPeerDown, 1)
-			obslog.Default().Warnw("cluster.peer_down", obslog.Str("peer", addr), obslog.Err(err))
+			obslog.Default().Warn("cluster.peer_down", slog.String("peer", addr), obslog.Err(err))
 		}
 		if h.OnChange != nil {
 			h.OnChange(addr, up)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -160,16 +161,16 @@ func (r *Router) route(ctx context.Context, op string, dtype core.DType, dims []
 		}
 		lastErr = err
 		trace.CounterAdd(trace.CtrClusterFailovers, 1)
-		obslog.Default().Warnw("cluster.failover",
-			obslog.Str("op", op),
-			obslog.Str("peer", primary.Addr()),
+		obslog.Default().Warn("cluster.failover",
+			slog.String("op", op),
+			slog.String("peer", primary.Addr()),
 			obslog.Err(err))
 	}
 	if r.cfg.Local != nil {
 		trace.CounterAdd(trace.CtrClusterLocalFallback, 1)
-		obslog.Default().Warnw("cluster.local_fallback",
-			obslog.Str("op", op),
-			obslog.Str("ring", r.ring.String()),
+		obslog.Default().Warn("cluster.local_fallback",
+			slog.String("op", op),
+			slog.String("ring", r.ring.String()),
 			obslog.Err(lastErr))
 		return r.cfg.Local(ctx, op, dtype, dims, payload)
 	}
@@ -260,10 +261,10 @@ func (r *Router) hedged(ctx context.Context, primary, hedge *PeerClient, op stri
 			hedgeC = nil
 			if hedge.Available() {
 				trace.CounterAdd(trace.CtrClusterHedges, 1)
-				obslog.Default().Debugw("cluster.hedge",
-					obslog.Str("op", op),
-					obslog.Str("primary", primary.Addr()),
-					obslog.Str("hedge", hedge.Addr()))
+				obslog.Default().Debug("cluster.hedge",
+					slog.String("op", op),
+					slog.String("primary", primary.Addr()),
+					slog.String("hedge", hedge.Addr()))
 				launch(hedge, true)
 				inFlight++
 			}
@@ -312,9 +313,9 @@ func (r *Router) many(ctx context.Context, op string, chunks []Chunk) ([][]byte,
 func (r *Router) Start(context.Context) error {
 	r.started.Do(func() {
 		//lint:ignore blockinglock one-time boot log under the sync.Once mutex; never contended on a request path
-		obslog.Default().Infow("cluster.router.start",
-			obslog.Int("peers", int64(len(r.clients))),
-			obslog.Int("replicas", int64(r.cfg.Replicas)))
+		obslog.Default().Info("cluster.router.start",
+			slog.Int("peers", len(r.clients)),
+			slog.Int("replicas", r.cfg.Replicas))
 	})
 	return nil
 }

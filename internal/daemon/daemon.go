@@ -11,6 +11,7 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -321,19 +322,19 @@ func (d *Daemon) Start() error {
 		return err
 	}
 	d.ready.Store(true)
-	ev := []obslog.Field{
-		obslog.Str("addr", d.Addr()),
-		obslog.Str("ops_addr", d.OpsAddr()),
-		obslog.Str("compressor", d.name),
-		obslog.Int("concurrency", int64(d.cfg.Concurrency)),
+	ev := []any{
+		slog.String("addr", d.Addr()),
+		slog.String("ops_addr", d.OpsAddr()),
+		slog.String("compressor", d.name),
+		slog.Int("concurrency", d.cfg.Concurrency),
 	}
 	if d.router != nil {
 		ev = append(ev,
-			obslog.Str("mode", "router"),
-			obslog.Str("ring", d.router.Ring().String()),
-			obslog.Str("components", d.comps.String()))
+			slog.String("mode", "router"),
+			slog.String("ring", d.router.Ring().String()),
+			slog.String("components", d.comps.String()))
 	}
-	obslog.Default().Infow("daemon.start", ev...)
+	obslog.Default().Info("daemon.start", ev...)
 	return nil
 }
 
@@ -364,7 +365,7 @@ func (d *Daemon) OpsAddr() string {
 func (d *Daemon) Drain() error {
 	d.ready.Store(false)
 	d.draining.Store(true)
-	obslog.Default().Infow("daemon.drain.begin",
+	obslog.Default().Info("daemon.drain.begin",
 		obslog.Dur("lame_duck", d.cfg.LameDuck),
 		obslog.Dur("deadline", d.cfg.DrainTimeout))
 	// Reverse start order: the listener drains first (lame-duck window, then
@@ -374,9 +375,9 @@ func (d *Daemon) Drain() error {
 	if d.opsSrv != nil {
 		_ = d.opsSrv.Close()
 	}
-	obslog.Default().Infow("daemon.drain.end",
-		obslog.Int("served", d.started.Load()),
-		obslog.Int("drained_in_flight", trace.CounterValue(trace.CtrDaemonDrained)),
+	obslog.Default().Info("daemon.drain.end",
+		slog.Int64("served", d.started.Load()),
+		slog.Int64("drained_in_flight", trace.CounterValue(trace.CtrDaemonDrained)),
 		obslog.Err(err))
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -597,7 +598,7 @@ func TestDaemonPropagatesInboundTraceparent(t *testing.T) {
 
 func TestDaemonSlowRequestLogged(t *testing.T) {
 	var buf syncBuffer
-	obslog.SetDefault(obslog.New(&buf, obslog.Debug))
+	obslog.SetDefault(obslog.New(&buf, slog.LevelDebug))
 	defer obslog.SetDefault(nil)
 
 	d, _, _ := startTestDaemon(t, func(c *Config) {

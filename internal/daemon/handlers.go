@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -190,11 +191,11 @@ func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, op string) {
 		trace.ObserveDuration(trace.HistDaemonRequest, dur)
 		d.traces.add(rt, r.Method, r.URL.Path, status, begin, dur)
 		if d.cfg.SlowRequest > 0 && dur >= d.cfg.SlowRequest {
-			obslog.Default().Warnw("slow_request",
-				obslog.Str("request_id", rt.TraceID()),
-				obslog.Str("op", op),
-				obslog.Str("path", r.URL.Path),
-				obslog.Int("status", int64(status)),
+			obslog.Default().Warn("slow_request",
+				slog.String("request_id", rt.TraceID()),
+				slog.String("op", op),
+				slog.String("path", r.URL.Path),
+				slog.Int("status", status),
 				obslog.Dur("latency", dur),
 				obslog.Dur("threshold", d.cfg.SlowRequest))
 		}
@@ -221,10 +222,10 @@ func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, op string) {
 		status = writeError(w, err)
 		if status == http.StatusServiceUnavailable {
 			kind, _ := errKind(err)
-			obslog.Default().Warnw("request.shed",
-				obslog.Str("request_id", rt.TraceID()),
-				obslog.Str("op", op),
-				obslog.Str("kind", kind))
+			obslog.Default().Warn("request.shed",
+				slog.String("request_id", rt.TraceID()),
+				slog.String("op", op),
+				slog.String("kind", kind))
 		}
 		return
 	}
@@ -251,14 +252,14 @@ func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, op string) {
 	if err != nil {
 		status = writeError(w, err)
 		kind, _ := errKind(err)
-		lvl, event := obslog.Error, "request.fault"
+		lvl, event := slog.LevelError, "request.fault"
 		if status == http.StatusServiceUnavailable {
-			lvl, event = obslog.Warn, "request.shed"
+			lvl, event = slog.LevelWarn, "request.shed"
 		}
-		obslog.Default().Event(lvl, event,
-			obslog.Str("request_id", rt.TraceID()),
-			obslog.Str("op", op),
-			obslog.Str("kind", kind),
+		obslog.Default().Log(ctx, lvl, event,
+			slog.String("request_id", rt.TraceID()),
+			slog.String("op", op),
+			slog.String("kind", kind),
 			obslog.Err(err))
 		return
 	}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -52,10 +53,10 @@ func (d *Daemon) startStore(context.Context) error {
 	d.store = s
 	rec := s.Recovery()
 	recJSON, _ := json.Marshal(rec)
-	obslog.Default().Infow("store.open",
-		obslog.Str("dir", d.cfg.StoreDir),
-		obslog.Int("objects", int64(len(s.List()))),
-		obslog.Str("recovery", string(recJSON)))
+	obslog.Default().Info("store.open",
+		slog.String("dir", d.cfg.StoreDir),
+		slog.Int("objects", len(s.List())),
+		slog.String("recovery", string(recJSON)))
 	d.scrubber = store.NewScrubber(s, d.cfg.ScrubInterval, scrubSeed(d.cfg.StoreDir))
 	d.scrubber.Start()
 	return nil
@@ -66,7 +67,7 @@ func (d *Daemon) startStore(context.Context) error {
 func (d *Daemon) stopStore(context.Context) error {
 	d.scrubber.Stop()
 	if err := d.store.Checkpoint(); err != nil && !errors.Is(err, store.ErrClosed) {
-		obslog.Default().Warnw("store.checkpoint_on_stop", obslog.Err(err))
+		obslog.Default().Warn("store.checkpoint_on_stop", obslog.Err(err))
 	}
 	return d.store.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync/atomic"
 
@@ -42,7 +43,7 @@ func (l *startList) start(ctx context.Context) error {
 		if err := c.start(ctx); err != nil {
 			return errors.Join(fmt.Errorf("daemon: start %q: %w", c.name, err), l.stop(ctx))
 		}
-		obslog.Default().Debugw("daemon.component.started", obslog.Str("component", c.name))
+		obslog.Default().Debug("daemon.component.started", slog.String("component", c.name))
 		l.started.Add(1)
 	}
 	return nil
@@ -58,7 +59,7 @@ func (l *startList) stop(ctx context.Context) error {
 		if err := c.stop(ctx); err != nil {
 			errs = append(errs, fmt.Errorf("daemon: stop %q: %w", c.name, err))
 		}
-		obslog.Default().Debugw("daemon.component.stopped", obslog.Str("component", c.name))
+		obslog.Default().Debug("daemon.component.stopped", slog.String("component", c.name))
 		l.started.Store(int32(i))
 	}
 	return errors.Join(errs...)

@@ -1,11 +1,9 @@
 package daemon
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,11 +32,14 @@ type traceEntry struct {
 	// Status is the HTTP status the daemon answered with.
 	Status int `json:"status"`
 	// Start is the request arrival time (RFC3339Nano, UTC).
-	Start string `json:"start"`
+	Start time.Time `json:"start"`
 	// DurationMs is the end-to-end request latency.
 	DurationMs float64 `json:"duration_ms"`
-	// Spans is the recorded span tree, in completion order.
+	// Spans is the wire form of the span tree, in completion order. It is
+	// built from recorded only when /tracez serves this one entry.
 	Spans []spanJSON `json:"spans,omitempty"`
+	// recorded is the span tree as the request recorded it.
+	recorded []trace.SpanRecord
 }
 
 // spanJSON is the wire form of one span: microsecond offsets, flattened
@@ -50,6 +51,27 @@ type spanJSON struct {
 	StartUs float64        `json:"start_us"`
 	DurUs   float64        `json:"dur_us"`
 	Attrs   map[string]any `json:"attrs,omitempty"`
+}
+
+// wireSpans converts recorded spans to their wire form.
+func wireSpans(spans []trace.SpanRecord) []spanJSON {
+	out := make([]spanJSON, len(spans))
+	for i, sp := range spans {
+		out[i] = spanJSON{
+			ID:      sp.ID,
+			Parent:  sp.Parent,
+			Name:    sp.Name,
+			StartUs: float64(sp.Start) / float64(time.Microsecond),
+			DurUs:   float64(sp.Duration) / float64(time.Microsecond),
+		}
+		if len(sp.Attrs) > 0 {
+			out[i].Attrs = make(map[string]any, len(sp.Attrs))
+			for _, a := range sp.Attrs {
+				out[i].Attrs[a.Key] = a.Value
+			}
+		}
+	}
+	return out
 }
 
 func newTraceStore(capacity int) *traceStore {
@@ -64,35 +86,14 @@ func (s *traceStore) add(rt *trace.RequestTrace, method, path string, status int
 	if s == nil || rt == nil {
 		return
 	}
-	spans := rt.Spans()
-	spansJS := make([]spanJSON, 0, len(spans))
-	for _, sp := range spans {
-		js := spanJSON{
-			ID:      sp.ID,
-			Parent:  sp.Parent,
-			Name:    sp.Name,
-			StartUs: float64(sp.Start) / float64(time.Microsecond),
-			DurUs:   float64(sp.Duration) / float64(time.Microsecond),
-		}
-		if len(sp.Attrs) > 0 {
-			// The attrs map is the retained /tracez representation itself —
-			// it has to be allocated per span to outlive the request.
-			//lint:ignore hotalloc the map is the retained trace entry, built once per completed request off the response path
-			js.Attrs = make(map[string]any, len(sp.Attrs))
-			for _, a := range sp.Attrs {
-				js.Attrs[a.Key] = a.Value
-			}
-		}
-		spansJS = append(spansJS, js)
-	}
 	entry := &traceEntry{
 		ID:         rt.TraceID(),
 		Method:     method,
 		Path:       path,
 		Status:     status,
-		Start:      begin.UTC().Format(time.RFC3339Nano),
+		Start:      begin.UTC(),
 		DurationMs: float64(dur) / float64(time.Millisecond),
-		Spans:      spansJS,
+		recorded:   rt.Spans(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -122,9 +123,7 @@ func (s *traceStore) recent() []traceEntry {
 	defer s.mu.Unlock()
 	out := make([]traceEntry, 0, len(s.order))
 	for i := len(s.order) - 1; i >= 0; i-- {
-		e := *s.entries[s.order[i]]
-		e.Spans = nil
-		out = append(out, e)
+		out = append(out, *s.entries[s.order[i]])
 	}
 	return out
 }
@@ -156,39 +155,13 @@ func (d *Daemon) handleTracez(w http.ResponseWriter, r *http.Request) {
 		setNoStore(w, textContentType)
 		fmt.Fprintf(w, "%s %s -> %d in %.3fms (request %s)\n",
 			entry.Method, entry.Path, entry.Status, entry.DurationMs, entry.ID)
-		_, _ = w.Write(renderTree(entry.Spans))
+		_ = trace.WriteTree(w, entry.recorded)
 		return
 	}
+	e := *entry
+	e.Spans = wireSpans(e.recorded)
 	setNoStore(w, "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(entry)
-}
-
-// renderTree renders a span tree as indented text, children under parents
-// in start order.
-func renderTree(spans []spanJSON) []byte {
-	children := map[uint64][]spanJSON{}
-	for _, sp := range spans {
-		children[sp.Parent] = append(children[sp.Parent], sp)
-	}
-	var buf bytes.Buffer
-	var walk func(parent uint64, depth int)
-	walk = func(parent uint64, depth int) {
-		kids := children[parent]
-		sort.Slice(kids, func(i, j int) bool { return kids[i].StartUs < kids[j].StartUs })
-		for _, sp := range kids {
-			for i := 0; i < depth; i++ {
-				buf.WriteString("  ")
-			}
-			fmt.Fprintf(&buf, "%s %.3fms", sp.Name, sp.DurUs/1000)
-			if len(sp.Attrs) > 0 {
-				fmt.Fprintf(&buf, " %v", sp.Attrs)
-			}
-			buf.WriteByte('\n')
-			walk(sp.ID, depth+1)
-		}
-	}
-	walk(0, 0)
-	return buf.Bytes()
+	_ = enc.Encode(e)
 }

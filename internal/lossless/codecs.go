@@ -74,12 +74,18 @@ func DeclaredLimit(out *core.Data) uint64 {
 func Inflate(b []byte, limit uint64) ([]byte, error) {
 	r := flate.NewReader(bytes.NewReader(b))
 	defer r.Close()
+	return readLimited(r, limit)
+}
+
+// readLimited reads r to its end, refusing with ErrCorrupt a stream that
+// yields more than limit bytes; it reads at most limit+1 of them.
+func readLimited(r io.Reader, limit uint64) ([]byte, error) {
 	out, err := io.ReadAll(io.LimitReader(r, int64(min(limit, math.MaxInt64-1))+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if uint64(len(out)) > limit {
-		return nil, fmt.Errorf("%w: inflates past the %d bytes its header allows", ErrCorrupt, limit)
+		return nil, fmt.Errorf("%w: decodes past its %d-byte limit", ErrCorrupt, limit)
 	}
 	return out, nil
 }
@@ -103,18 +109,15 @@ func Gzip(b []byte, level int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Gunzip reverses Gzip.
-func Gunzip(b []byte) ([]byte, error) {
+// Gunzip reverses Gzip, refusing with ErrCorrupt a stream that inflates to
+// more than limit bytes, as Inflate does.
+func Gunzip(b []byte, limit uint64) ([]byte, error) {
 	r, err := gzip.NewReader(bytes.NewReader(b))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return out, nil
+	return readLimited(r, limit)
 }
 
 // Zlib compresses b in zlib format.
@@ -136,18 +139,15 @@ func Zlib(b []byte, level int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unzlib reverses Zlib.
-func Unzlib(b []byte) ([]byte, error) {
+// Unzlib reverses Zlib, refusing with ErrCorrupt a stream that inflates to
+// more than limit bytes, as Inflate does.
+func Unzlib(b []byte, limit uint64) ([]byte, error) {
 	r, err := zlib.NewReader(bytes.NewReader(b))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return out, nil
+	return readLimited(r, limit)
 }
 
 // RLE run-length encodes b: each run is (uvarint length, byte). Effective
@@ -168,10 +168,11 @@ func RLE(b []byte) []byte {
 	return out
 }
 
-// UnRLE reverses RLE.
-func UnRLE(b []byte) ([]byte, error) {
+// UnRLE reverses RLE, refusing with ErrCorrupt a declared length past limit
+// (or past 2^34) before it allocates the output.
+func UnRLE(b []byte, limit uint64) ([]byte, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > 1<<34 {
+	if sz <= 0 || n > min(limit, 1<<34) {
 		return nil, ErrCorrupt
 	}
 	pos := sz
@@ -315,10 +316,13 @@ func DeltaVarint(b []byte, elemSize int) ([]byte, error) {
 	return out, nil
 }
 
-// UnDeltaVarint reverses DeltaVarint.
-func UnDeltaVarint(b []byte, elemSize int) ([]byte, error) {
+// UnDeltaVarint reverses DeltaVarint, refusing with ErrCorrupt, before it
+// allocates the output, a count past 2^32, a count the remaining bytes
+// cannot hold (each delta takes at least one varint byte), and an output
+// past limit bytes.
+func UnDeltaVarint(b []byte, elemSize int, limit uint64) ([]byte, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > 1<<32 {
+	if sz <= 0 || n > 1<<32 || n > uint64(len(b)-sz) || n*uint64(elemSize) > limit {
 		return nil, ErrCorrupt
 	}
 	pos := sz

@@ -1,9 +1,15 @@
 package lossless
 
 import (
+	"bytes"
+	"compress/gzip"
+	"compress/zlib"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -29,9 +35,9 @@ func TestCodecFunctionsRoundTrip(t *testing.T) {
 			dec func([]byte) ([]byte, error)
 		}{
 			"flate": {func(b []byte) ([]byte, error) { return Deflate(b, 6) }, func(b []byte) ([]byte, error) { return Inflate(b, Unbounded) }},
-			"gzip":  {func(b []byte) ([]byte, error) { return Gzip(b, 6) }, Gunzip},
-			"zlib":  {func(b []byte) ([]byte, error) { return Zlib(b, 6) }, Unzlib},
-			"rle":   {func(b []byte) ([]byte, error) { return RLE(b), nil }, UnRLE},
+			"gzip":  {func(b []byte) ([]byte, error) { return Gzip(b, 6) }, func(b []byte) ([]byte, error) { return Gunzip(b, Unbounded) }},
+			"zlib":  {func(b []byte) ([]byte, error) { return Zlib(b, 6) }, func(b []byte) ([]byte, error) { return Unzlib(b, Unbounded) }},
+			"rle":   {func(b []byte) ([]byte, error) { return RLE(b), nil }, func(b []byte) ([]byte, error) { return UnRLE(b, Unbounded) }},
 		} {
 			enc, err := pair.enc(in)
 			if err != nil {
@@ -120,7 +126,7 @@ func TestDeltaVarintRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := UnDeltaVarint(enc, 8)
+		dec, err := UnDeltaVarint(enc, 8, Unbounded)
 		if err != nil {
 			return false
 		}
@@ -175,12 +181,12 @@ func TestPluginRoundTripsThroughFramework(t *testing.T) {
 	}
 }
 
-// The DEFLATE plugins' streams record no size, so the output the caller
-// declares bounds the inflate: a declared shape smaller than the stream's
+// The lossless plugins' streams record no size, so the output the caller
+// declares bounds the decode: a declared shape smaller than the stream's
 // content is refused, and a caller declaring no shape still decodes.
 func TestPluginInflateBoundedByDeclaredOutput(t *testing.T) {
 	in := core.FromFloat64s(make([]float64, 2000), 20, 100)
-	for _, name := range []string{"flate", "shuffle", "bitshuffle", "delta"} {
+	for _, name := range []string{"flate", "gzip", "zlib", "rle", "shuffle", "bitshuffle", "delta"} {
 		c, err := core.NewCompressor(name)
 		if err != nil {
 			t.Fatal(err)
@@ -199,6 +205,84 @@ func TestPluginInflateBoundedByDeclaredOutput(t *testing.T) {
 		if err != nil || dec.ByteLen() != in.ByteLen() {
 			t.Fatalf("%s: no declared shape: %v", name, err)
 		}
+	}
+}
+
+// bombs returns four decompression bombs, keyed by codec: small streams that
+// would decode to far more than the 1024 float32 values (4 KiB) a caller
+// declares. rle and delta state a count of 2^28 (256 MiB of bytes; 1 GiB of
+// 4-byte elements), which only the declared output refutes; gzip and zlib
+// inflate 64 MiB of zeros from ~80 KB.
+var bombs = sync.OnceValues(func() (map[string][]byte, error) {
+	rle := append([]byte{byte(kindRLE), 4}, binary.AppendUvarint(nil, 1<<28)...)
+	rle = append(binary.AppendUvarint(rle, 1<<28), 0)
+	deltas, err := Deflate(binary.AppendUvarint(nil, 1<<28), 0)
+	if err != nil {
+		return nil, err
+	}
+	var gz, zl bytes.Buffer
+	gz.Write([]byte{byte(kindGzip), 4})
+	zl.Write([]byte{byte(kindZlib), 4})
+	gw, err := gzip.NewWriterLevel(&gz, gzip.BestSpeed)
+	if err != nil {
+		return nil, err
+	}
+	zw, err := zlib.NewWriterLevel(&zl, zlib.BestSpeed)
+	if err != nil {
+		return nil, err
+	}
+	zeros := make([]byte, 1<<20)
+	for range 64 {
+		_, _ = gw.Write(zeros) // a bytes.Buffer sink cannot fail
+		_, _ = zw.Write(zeros)
+	}
+	if err := errors.Join(gw.Close(), zw.Close()); err != nil {
+		return nil, err
+	}
+	return map[string][]byte{
+		"rle":   rle,
+		"delta": append([]byte{byte(kindDelta), 4}, deltas...),
+		"gzip":  gz.Bytes(),
+		"zlib":  zl.Bytes(),
+	}, nil
+})
+
+// allocated returns the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodersHonourDeclaredOutput: each bomb is refused with ErrCorrupt
+// before the decoder allocates anywhere near what the stream claims.
+func TestDecodersHonourDeclaredOutput(t *testing.T) {
+	streams, err := bombs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, stream := range streams {
+		c, err := core.NewCompressor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := allocated(func() {
+			_, err = core.Decompress(c, core.NewBytes(stream), core.DTypeFloat32, 1024)
+		})
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %d-byte bomb: err %v, want ErrCorrupt", name, len(stream), err)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s: %d-byte bomb allocated %d bytes for a 4 KiB declared output", name, len(stream), alloc)
+		}
+	}
+	// With no declared output, delta still refuses a count its bytes cannot
+	// hold, before it allocates.
+	alloc := allocated(func() { _, err = UnDeltaVarint(binary.AppendUvarint(nil, 1<<28), 4, Unbounded) })
+	if !errors.Is(err, ErrCorrupt) || alloc >= 1<<20 {
+		t.Errorf("delta count past its bytes, no declared output: err %v after %d bytes allocated, want ErrCorrupt", err, alloc)
 	}
 }
 

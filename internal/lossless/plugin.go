@@ -137,13 +137,8 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	}
 	payload := b[2:]
 	// The stream records no size, so the output the caller declares bounds
-	// the inflate.
+	// the decode.
 	limit := DeclaredLimit(out)
-	if kind == kindDelta && limit != Unbounded {
-		// The count's varint, then one per element; UnDeltaVarint refuses a
-		// count past 2^32.
-		limit = (min(limit/uint64(max(elem, 1)), 1<<32) + 1) * binary.MaxVarintLen64
-	}
 	var raw []byte
 	var err error
 	switch kind {
@@ -152,11 +147,11 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	case kindFlate:
 		raw, err = Inflate(payload, limit)
 	case kindGzip:
-		raw, err = Gunzip(payload)
+		raw, err = Gunzip(payload, limit)
 	case kindZlib:
-		raw, err = Unzlib(payload)
+		raw, err = Unzlib(payload, limit)
 	case kindRLE:
-		raw, err = UnRLE(payload)
+		raw, err = UnRLE(payload, limit)
 	case kindShuffle:
 		raw, err = Inflate(payload, limit)
 		if err == nil {
@@ -168,9 +163,15 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 			raw = BitUnshuffle(raw, elem)
 		}
 	case kindDelta:
-		raw, err = Inflate(payload, limit)
+		deltas := limit
+		if limit != Unbounded {
+			// The count's varint, then one per element; UnDeltaVarint refuses a
+			// count past 2^32.
+			deltas = (min(limit/uint64(max(elem, 1)), 1<<32) + 1) * binary.MaxVarintLen64
+		}
+		raw, err = Inflate(payload, deltas)
 		if err == nil {
-			raw, err = UnDeltaVarint(raw, elem)
+			raw, err = UnDeltaVarint(raw, elem, limit)
 		}
 	default:
 		err = ErrCorrupt

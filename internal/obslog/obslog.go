@@ -1,231 +1,86 @@
-// Package obslog is a minimal structured event logger: one JSON object per
-// line, a fixed field order (ts, level, event, then caller fields), four
-// levels, and first-class request-id correlation so a pressiod request's log
-// lines join its span tree and its metrics under one id.
+// Package obslog configures log/slog for pressiod's structured events: one
+// JSON object per line, ts, level and event first, then the caller's fields
+// in call order, so a request's log lines join its span tree and its metrics
+// under its request_id field.
 //
-// The package-level default logger is a no-op until a process opts in
+// The process default logger discards everything until a process opts in
 // (pressiod does at startup; the CLIs and library code never do), so
 // instrumented library paths — breaker trips, shed decisions — cost one
-// atomic load when logging is off, matching the trace package's
-// zero-when-unused contract.
+// atomic load and one Enabled check when logging is off, matching the trace
+// package's zero-when-unused contract.
 package obslog
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"sync"
+	"log/slog"
+	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// Level orders event severities.
-type Level int8
+// New returns a logger writing events at or above min to w as JSON lines:
+// {"ts":<RFC 3339 nano, UTC>,"level":<debug|info|warn|error>,"event":...,
+// fields}. slog's handler formats a record before it takes its own mutex and
+// holds it for one Write, so concurrent lines never interleave.
+func New(w io.Writer, min slog.Level) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: min, ReplaceAttr: schema}))
+}
 
-const (
-	// Debug is for high-volume diagnostics (per-request events).
-	Debug Level = iota
-	// Info is for lifecycle events (startup, drain, config).
-	Info
-	// Warn is for degradations the service absorbed (shed, breaker trip,
-	// slow request).
-	Warn
-	// Error is for faults that surfaced to a caller.
-	Error
-	// levelOff disables every event; it is the default logger's level.
-	levelOff
-)
-
-// String returns the lowercase level name that appears in the output.
-func (l Level) String() string {
-	switch l {
-	case Debug:
-		return "debug"
-	case Info:
-		return "info"
-	case Warn:
-		return "warn"
-	case Error:
-		return "error"
-	default:
-		return "off"
+// schema renames slog's built-in time, level and msg attributes to the
+// event schema's ts, lowercase level and event.
+func schema(_ []string, a slog.Attr) slog.Attr {
+	switch {
+	case a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime:
+		return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+	case a.Key == slog.LevelKey:
+		return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
+	case a.Key == slog.MessageKey:
+		a.Key = "event"
 	}
+	return a
 }
 
-// ParseLevel maps a level name ("debug", "info", "warn", "error") to its
-// Level, defaulting to Info for anything unrecognized.
-func ParseLevel(s string) Level {
-	switch s {
-	case "debug":
-		return Debug
-	case "info":
-		return Info
-	case "warn":
-		return Warn
-	case "error":
-		return Error
-	default:
-		return Info
+// ParseLevel maps a level name ("debug", "info", "warn", "error", in any
+// case) to its slog.Level, defaulting to Info for anything unrecognized.
+func ParseLevel(s string) slog.Level {
+	var l slog.Level
+	if l.UnmarshalText([]byte(s)) != nil {
+		return slog.LevelInfo
 	}
+	return l
 }
-
-// Field is one key/value pair of an event. Construct with the typed helpers
-// so values encode predictably.
-type Field struct {
-	Key   string
-	Value any
-}
-
-// Str builds a string field.
-func Str(key, value string) Field { return Field{key, value} }
-
-// Int builds an integer field.
-func Int(key string, value int64) Field { return Field{key, value} }
-
-// F64 builds a float field.
-func F64(key string, value float64) Field { return Field{key, value} }
-
-// Bool builds a boolean field.
-func Bool(key string, value bool) Field { return Field{key, value} }
 
 // Dur renders a duration as fractional milliseconds under key+"_ms" —
 // millisecond-scaled latencies are what dashboards and the slow-request
 // threshold speak.
-func Dur(key string, value time.Duration) Field {
-	return Field{key + "_ms", float64(value) / float64(time.Millisecond)}
+func Dur(key string, value time.Duration) slog.Attr {
+	return slog.Float64(key+"_ms", float64(value)/float64(time.Millisecond))
 }
 
-// Err builds an "error" field from err's message (skipped when nil).
-func Err(err error) Field {
+// Err builds an "error" field from err's message; for a nil err it returns
+// the empty Attr, which slog's handlers skip.
+func Err(err error) slog.Attr {
 	if err == nil {
-		return Field{}
+		return slog.Attr{}
 	}
-	return Field{"error", err.Error()}
+	return slog.String("error", err.Error())
 }
 
-// Logger writes JSON-lines events at or above a minimum level. The zero
-// value is unusable; construct with New. A nil *Logger discards everything,
-// so call sites never guard.
-type Logger struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min Level
-	now func() time.Time
-}
+// defaultLogger is the process default, used by library instrumentation
+// points (the breaker state machine, the router) and by pressiod.
+var defaultLogger atomic.Pointer[slog.Logger]
 
-// New builds a logger writing events at or above min to w.
-func New(w io.Writer, min Level) *Logger {
-	return &Logger{w: w, min: min, now: time.Now}
-}
+var discard = slog.New(slog.DiscardHandler)
 
-// SetClock injects a timestamp source (tests want deterministic "ts"
-// fields). Call before the logger is shared.
-func (l *Logger) SetClock(now func() time.Time) { l.now = now }
-
-// Enabled reports whether an event at level would be written.
-func (l *Logger) Enabled(level Level) bool { return l != nil && level >= l.min }
-
-// Event writes one JSON line: {"ts":..., "level":..., "event":..., fields}.
-// Field order follows the call; duplicate keys keep the last value at read
-// time (encoders must not rely on it). Empty-keyed fields (e.g. Err(nil))
-// are skipped.
-func (l *Logger) Event(level Level, event string, fields ...Field) {
-	if !l.Enabled(level) {
-		return
-	}
-	buf := make([]byte, 0, 256)
-	buf = append(buf, `{"ts":"`...)
-	buf = l.now().UTC().AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, `","level":"`...)
-	buf = append(buf, level.String()...)
-	buf = append(buf, `","event":`...)
-	buf = appendJSON(buf, event)
-	for _, f := range fields {
-		if f.Key == "" {
-			continue
-		}
-		buf = append(buf, ',')
-		buf = appendJSON(buf, f.Key)
-		buf = append(buf, ':')
-		buf = appendJSON(buf, f.Value)
-	}
-	buf = append(buf, '}', '\n')
-	l.mu.Lock()
-	// The write must stay inside the critical section: the mutex is what
-	// keeps concurrent log lines from interleaving mid-record. The line is
-	// fully formatted before Lock, so the held window is one Write call.
-	//lint:ignore blockinglock the mutex serializes writes to the sink; formatting already happens outside it
-	_, _ = l.w.Write(buf)
-	l.mu.Unlock()
-}
-
-// Debugf/Info/Warn/Error shorthands.
-
-// Debugw writes a Debug event.
-func (l *Logger) Debugw(event string, fields ...Field) { l.Event(Debug, event, fields...) }
-
-// Infow writes an Info event.
-func (l *Logger) Infow(event string, fields ...Field) { l.Event(Info, event, fields...) }
-
-// Warnw writes a Warn event.
-func (l *Logger) Warnw(event string, fields ...Field) { l.Event(Warn, event, fields...) }
-
-// Errorw writes an Error event.
-func (l *Logger) Errorw(event string, fields ...Field) { l.Event(Error, event, fields...) }
-
-// appendJSON encodes v compactly. The fast paths cover the field types the
-// helpers construct; anything else goes through encoding/json (errors encode
-// as a quoted error string rather than dropping the event).
-func appendJSON(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case string:
-		b, _ := json.Marshal(x)
-		return append(buf, b...)
-	case int64:
-		return fmt.Appendf(buf, "%d", x)
-	case int:
-		return fmt.Appendf(buf, "%d", x)
-	case bool:
-		if x {
-			return append(buf, "true"...)
-		}
-		return append(buf, "false"...)
-	case float64:
-		b, err := json.Marshal(x)
-		if err != nil {
-			// NaN/Inf are not JSON; null keeps the line parseable.
-			return append(buf, "null"...)
-		}
-		return append(buf, b...)
-	default:
-		b, err := json.Marshal(x)
-		if err != nil {
-			b, _ = json.Marshal(fmt.Sprint(x))
-		}
-		return append(buf, b...)
-	}
-}
-
-// The process default logger, used by library instrumentation points (the
-// breaker state machine) and by pressiod. Starts disabled.
-var defaultLogger atomic.Pointer[Logger]
-
-// Default returns the process default logger; it is never nil, but may be
-// disabled.
-func Default() *Logger {
+// Default returns the process default logger: never nil, and discarding
+// everything until SetDefault installs one.
+func Default() *slog.Logger {
 	if l := defaultLogger.Load(); l != nil {
 		return l
 	}
-	return nopLogger
+	return discard
 }
 
-// SetDefault installs l as the process default (nil restores the disabled
-// logger).
-func SetDefault(l *Logger) {
-	if l == nil {
-		l = nopLogger
-	}
-	defaultLogger.Store(l)
-}
-
-var nopLogger = New(io.Discard, levelOff)
+// SetDefault installs l as the process default (nil restores the
+// discarding logger).
+func SetDefault(l *slog.Logger) { defaultLogger.Store(l) }

@@ -2,8 +2,10 @@ package obslog
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"math"
 	"strings"
 	"sync"
@@ -11,37 +13,48 @@ import (
 	"time"
 )
 
-func fixedClock() time.Time {
-	return time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+// splitTS checks that line opens with a "ts" field holding an RFC 3339 nano
+// UTC timestamp (slog has no clock hook) and returns the rest of the line.
+func splitTS(t *testing.T, line string) string {
+	t.Helper()
+	const open = `{"ts":"`
+	end := strings.Index(line, `",`)
+	if !strings.HasPrefix(line, open) || end < 0 {
+		t.Fatalf("line %q does not open with a ts field", line)
+	}
+	ts := line[len(open):end]
+	if at, err := time.Parse(time.RFC3339Nano, ts); err != nil || at.Location() != time.UTC || !strings.HasSuffix(ts, "Z") {
+		t.Errorf("ts %q is not RFC 3339 nano in UTC (err %v)", ts, err)
+	}
+	return line[end+2:]
 }
 
 func TestEventShapeAndOrder(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, Debug)
-	l.SetClock(fixedClock)
+	l := New(&buf, slog.LevelDebug)
 
-	l.Warnw("slow_request",
-		Str("request_id", "4bf92f3577b34da6a3ce929d0e0e4736"),
-		Str("path", "/compress"),
+	l.Warn("slow_request",
+		slog.String("request_id", "4bf92f3577b34da6a3ce929d0e0e4736"),
+		slog.String("path", "/compress"),
 		Dur("latency", 1500*time.Millisecond),
-		Int("status", 200),
-		Bool("draining", false),
+		slog.Int64("status", 200),
+		slog.Bool("draining", false),
+		Err(nil),
 	)
-	line := buf.String()
-	want := `{"ts":"2026-08-07T12:00:00Z","level":"warn","event":"slow_request",` +
+	want := `"level":"warn","event":"slow_request",` +
 		`"request_id":"4bf92f3577b34da6a3ce929d0e0e4736","path":"/compress",` +
 		`"latency_ms":1500,"status":200,"draining":false}` + "\n"
-	if line != want {
-		t.Errorf("event line:\n got %q\nwant %q", line, want)
+	if got := splitTS(t, buf.String()); got != want {
+		t.Errorf("event line after ts:\n got %q\nwant %q", got, want)
 	}
 }
 
 func TestEveryLineIsValidJSON(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, Debug)
-	l.Debugw("a")
-	l.Infow("b", Str("k", `quote " and \ slash`), F64("nan", math.NaN()))
-	l.Errorw("c", Err(errors.New("boom")), Err(nil))
+	l := New(&buf, slog.LevelDebug)
+	l.Debug("a")
+	l.Info("b", slog.String("k", `quote " and \ slash <&>`), slog.Float64("nan", math.NaN()))
+	l.Error("c", Err(errors.New("boom")), Err(nil))
 	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
@@ -52,6 +65,9 @@ func TestEveryLineIsValidJSON(t *testing.T) {
 			if _, ok := m[k]; !ok {
 				t.Errorf("line %q missing %q", line, k)
 			}
+		}
+		if m["event"] == "b" && m["k"] != `quote " and \ slash <&>` {
+			t.Errorf("string field decoded as %q", m["k"])
 		}
 	}
 	if !strings.Contains(buf.String(), `"error":"boom"`) {
@@ -64,37 +80,35 @@ func TestEveryLineIsValidJSON(t *testing.T) {
 
 func TestLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, Warn)
-	l.Debugw("drop")
-	l.Infow("drop")
-	l.Warnw("keep")
-	l.Errorw("keep")
+	l := New(&buf, slog.LevelWarn)
+	l.Debug("drop")
+	l.Info("drop")
+	l.Warn("keep")
+	l.Error("keep")
 	if got := strings.Count(buf.String(), "\n"); got != 2 {
 		t.Errorf("wrote %d events, want 2:\n%s", got, buf.String())
 	}
-	if l.Enabled(Info) || !l.Enabled(Error) {
-		t.Error("Enabled disagrees with filtering")
+	if !strings.Contains(buf.String(), `"level":"error"`) {
+		t.Errorf("level not lowercased:\n%s", buf.String())
 	}
 }
 
 func TestNilAndDefaultLoggerAreSafe(t *testing.T) {
-	var l *Logger
-	l.Infow("nothing") // must not panic
-	if l.Enabled(Error) {
-		t.Error("nil logger claims enabled")
+	// Default starts disabled; SetDefault swaps a logger in and, given nil,
+	// back out.
+	if Default().Enabled(context.Background(), slog.LevelError) {
+		t.Error("unset default logger claims enabled")
 	}
-
-	// Default starts disabled; SetDefault swaps it in and out atomically.
-	Default().Infow("discarded")
+	Default().Info("discarded")
 	var buf bytes.Buffer
-	SetDefault(New(&buf, Info))
+	SetDefault(New(&buf, slog.LevelInfo))
 	defer SetDefault(nil)
-	Default().Infow("captured", Str("x", "y"))
-	if !strings.Contains(buf.String(), `"event":"captured"`) {
+	Default().Info("captured", slog.String("x", "y"))
+	if !strings.Contains(buf.String(), `"event":"captured","x":"y"`) {
 		t.Errorf("default logger did not capture: %q", buf.String())
 	}
 	SetDefault(nil)
-	Default().Infow("discarded again")
+	Default().Info("discarded again")
 	if strings.Count(buf.String(), "\n") != 1 {
 		t.Error("disabled default still wrote")
 	}
@@ -102,14 +116,14 @@ func TestNilAndDefaultLoggerAreSafe(t *testing.T) {
 
 func TestConcurrentWritesStayLineAtomic(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, Debug)
+	l := New(&buf, slog.LevelDebug)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				l.Infow("evt", Int("worker", int64(i)), Int("j", int64(j)))
+				l.Info("evt", slog.Int64("worker", int64(i)), slog.Int64("j", int64(j)))
 			}
 		}(i)
 	}
@@ -126,8 +140,9 @@ func TestConcurrentWritesStayLineAtomic(t *testing.T) {
 }
 
 func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": Debug, "info": Info, "warn": Warn, "error": Error, "bogus": Info,
+	for in, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn,
+		"error": slog.LevelError, "bogus": slog.LevelInfo,
 	} {
 		if got := ParseLevel(in); got != want {
 			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)

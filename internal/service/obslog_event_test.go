@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ import (
 func TestBreakerTransitionsEmitObslogEvents(t *testing.T) {
 	ResetShared()
 	var buf bytes.Buffer
-	obslog.SetDefault(obslog.New(&buf, obslog.Debug))
+	obslog.SetDefault(obslog.New(&buf, slog.LevelDebug))
 	defer obslog.SetDefault(nil)
 
 	clk := NewFakeClock(time.Unix(0, 0))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -133,11 +134,11 @@ func (s *BreakerState) tripEvent() func() {
 	scope, cooldown := s.scope, s.cfg.cooldown
 	window, failures := s.cfg.window, s.cfg.failures
 	return func() {
-		obslog.Default().Warnw("breaker.trip",
-			obslog.Str("scope", scope),
+		obslog.Default().Warn("breaker.trip",
+			slog.String("scope", scope),
 			obslog.Dur("cooldown", cooldown),
-			obslog.Int("window", int64(window)),
-			obslog.Int("failure_threshold", int64(failures)))
+			slog.Int("window", window),
+			slog.Int("failure_threshold", failures))
 	}
 }
 
@@ -247,7 +248,7 @@ func (s *BreakerState) record(probe, failure bool) func() {
 			trace.CounterAdd(trace.CtrBreakerRecovered, 1)
 			scope := s.scope
 			return func() {
-				obslog.Default().Infow("breaker.recover", obslog.Str("scope", scope))
+				obslog.Default().Info("breaker.recover", slog.String("scope", scope))
 			}
 		}
 		return nil

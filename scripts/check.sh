@@ -78,6 +78,7 @@ go test -fuzz '^FuzzDecode$' -fuzztime 5s ./internal/huffman/
 go test -fuzz 'FuzzDecodeFrame' -fuzztime 5s ./internal/resilience/
 go test -fuzz 'FuzzDecodeRecord' -fuzztime 5s ./internal/store/
 go test -fuzz 'FuzzLoadManifest' -fuzztime 5s ./internal/store/
+go test -fuzz 'FuzzDecompressBounded' -fuzztime 5s ./internal/lossless/
 
 echo "==> disabled-tracing overhead benchmark"
 go test -run '^$' -bench 'BenchmarkStartDisabled' -benchtime 100ms ./internal/trace/

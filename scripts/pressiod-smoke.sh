@@ -1,9 +1,10 @@
 #!/bin/sh
 # pressiod smoke test: build the daemon, start it on an ephemeral port, wait
 # for readiness, push one compress/decompress round-trip through the HTTP
-# data plane (checking the observability headers and that /metricz serves
-# valid Prometheus exposition), then SIGTERM it and require a clean (exit 0)
-# graceful drain.
+# data plane (checking the observability headers, the /tracez JSON and text
+# trees, and that /metricz serves valid Prometheus exposition), then SIGTERM
+# it, require a clean (exit 0) graceful drain, and check that every stderr
+# log line follows the ts/level/event schema.
 #
 # Usage: scripts/pressiod-smoke.sh   (also run by the CI pressiod-smoke job)
 set -eu
@@ -95,6 +96,12 @@ grep -q '"daemon.compress"' "$tmp/trace.json" || {
     cat "$tmp/trace.json" >&2
     exit 1
 }
+curl -fsS "$base/tracez?id=$req_id&format=tree" >"$tmp/trace.txt"
+grep -q ' daemon\.compress' "$tmp/trace.txt" || {
+    echo "/tracez?id=$req_id&format=tree has no daemon.compress line:" >&2
+    cat "$tmp/trace.txt" >&2
+    exit 1
+}
 
 echo "==> /metricz parses as Prometheus text exposition"
 curl -fsS -D "$tmp/h" "$base/metricz" -o "$tmp/metrics"
@@ -130,6 +137,21 @@ echo "==> SIGTERM and graceful drain"
 kill -TERM "$pid"
 wait "$pid" # must exit 0: a clean drain within the deadline
 pid=""
+
+echo "==> stderr log lines follow the event schema"
+# Every JSON line opens with ts (UTC), a lowercase level and the event name.
+if grep '^{' "$tmp/log" | grep -vE '^\{"ts":"[^"]*Z","level":"(debug|info|warn|error)","event":"'; then
+    echo "log lines above break the ts/level/event schema" >&2
+    exit 1
+fi
+for event in daemon.start daemon.drain.begin daemon.drain.end; do
+    n=$(grep -c "^{.*\"event\":\"$event\"" "$tmp/log" || true)
+    if [ "$n" -ne 1 ]; then
+        echo "event $event logged $n times, want exactly once:" >&2
+        cat "$tmp/log" >&2
+        exit 1
+    fi
+done
 
 echo "==> pressiod smoke OK"
 cat "$tmp/log"
