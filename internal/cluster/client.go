@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,7 +34,9 @@ type PeerClient struct {
 	// peers is the router's job.
 	attempts int
 	timeout  time.Duration
-	lat      *latencyWindow
+	// budget is MemBudget, which also bounds a reply (see attempt).
+	budget int64
+	lat    *latencyWindow
 }
 
 // PeerConfig tunes the per-peer resilience stack; the zero value gets
@@ -52,7 +55,8 @@ type PeerConfig struct {
 	// Breaker tunes the per-peer circuit; zero fields get breaker-plugin
 	// defaults (16-call window, 8 failures, 1s cooldown, 1 probe).
 	Breaker service.BreakerConfig
-	// MemBudget bounds bytes in flight to one peer (default 256 MiB).
+	// MemBudget bounds bytes in flight to one peer (default 256 MiB). A
+	// reply may be at most MemBudget plus twice its request.
 	MemBudget int64
 	// QueueDepth bounds callers queued at the per-peer bulkhead (default 32).
 	QueueDepth int
@@ -92,6 +96,7 @@ func NewPeerClient(addr string, cfg PeerConfig) (*PeerClient, error) {
 		backoff:  bo,
 		attempts: cfg.Attempts,
 		timeout:  cfg.Timeout,
+		budget:   cfg.MemBudget,
 		lat:      newLatencyWindow(),
 	}, nil
 }
@@ -173,10 +178,17 @@ func (c *PeerClient) attempt(ctx context.Context, op string, dtype core.DType, d
 		return nil, core.Transient(fmt.Errorf("cluster: peer %s %s: %w", c.addr, op, err))
 	}
 	defer func() { _ = resp.Body.Close() }()
-	payload, err := io.ReadAll(resp.Body)
+	// The reply is bounded by the budget plus twice the request: room for any
+	// decompress the budget allows, and for a compress that expands a request
+	// admitted at the budget (fixed-rate zfp can double its input). The shard
+	// that decodes a stream decides its output size, so the bound does not.
+	n := 2 * int64(len(body))
+	payload, err := readReply(resp, min(c.budget, math.MaxInt64-n)+n)
 	if err != nil {
-		// The peer died (or a fault injector truncated the stream) mid-body.
-		return nil, core.Transient(fmt.Errorf("cluster: peer %s %s: truncated response: %w", c.addr, op, err))
+		// The peer died (or a fault injector truncated the stream) mid-body,
+		// or framed a reply past the bound: a peer fault either way, retried
+		// and failed over like a dropped connection.
+		return nil, core.Transient(fmt.Errorf("cluster: peer %s %s: %w", c.addr, op, err))
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
@@ -198,6 +210,31 @@ func (c *PeerClient) attempt(ctx context.Context, op string, dtype core.DType, d
 		return nil, fmt.Errorf("cluster: peer %s %s: %w: HTTP %d: %s",
 			c.addr, op, core.ErrInvalidOption, resp.StatusCode, strings.TrimSpace(string(payload)))
 	}
+}
+
+// readReply reads a reply body whole, refusing one longer than limit before
+// allocating it. A declared length is read into one buffer of exactly that
+// size; an undeclared (chunked) one is read through a reader that stops one
+// byte past limit.
+func readReply(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 {
+		if n > limit {
+			return nil, fmt.Errorf("declared length %d past the %d-byte bound", n, limit)
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, fmt.Errorf("truncated response: %w", err)
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, min(limit, math.MaxInt64-1)+1))
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("truncated response: %w", err)
+	case int64(len(buf)) > limit:
+		return nil, fmt.Errorf("chunked reply past the %d-byte bound", limit)
+	}
+	return buf, nil
 }
 
 // CheckReady probes the peer's /readyz with a short deadline; used by the

@@ -9,7 +9,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"runtime"
 	"testing"
 	"time"
@@ -25,6 +27,7 @@ import (
 	_ "pressio/internal/meta"
 	_ "pressio/internal/resilience"
 	_ "pressio/internal/sz"
+	_ "pressio/internal/zfp"
 )
 
 // startShard boots a real pressiod on an ephemeral port with a lossless
@@ -126,6 +129,46 @@ func TestRouterOverRealShardsRoundTrips(t *testing.T) {
 	roundTripAll(t, r, float32Chunks(24, 512))
 	if trace.CounterValue(trace.CtrClusterLocalFallback) != 0 {
 		t.Fatal("healthy fleet degraded to local")
+	}
+}
+
+// TestRouterDecompressHintMatchesSingleNode: the dims and dtype of a
+// decompress are a hint. zfp decodes the shape its stream records, and noop
+// falls back to opaque bytes, so a single node answers 200 to a hint that
+// does not match the stream. The router must pass that same body through,
+// not refuse it as a peer fault.
+func TestRouterDecompressHintMatchesSingleNode(t *testing.T) {
+	src := float32Chunks(1, 1024)[0]
+	for _, compressor := range []string{"zfp", "noop"} {
+		shard := startShard(t, compressor)
+		r := newShardRouter(t, cluster.RouterConfig{Peers: []string{shard.Addr()}, Peer: cluster.PeerConfig{Attempts: 1}})
+		ctx := context.Background()
+		stream, err := r.Compress(ctx, src.DType, src.Dims, src.Payload)
+		if err != nil {
+			t.Fatalf("%s: compress: %v", compressor, err)
+		}
+		for _, hint := range []struct {
+			dtype core.DType
+			dims  []uint64
+		}{{core.DTypeFloat64, []uint64{4096}}, {core.DTypeFloat32, []uint64{7}}} {
+			u := fmt.Sprintf("http://%s/decompress?dims=%d&dtype=%s", shard.Addr(), hint.dims[0], hint.dtype)
+			resp, err := http.Post(u, "application/octet-stream", bytes.NewReader(stream))
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s%v: single node answered %d: %v %s", compressor, hint.dtype, hint.dims, resp.StatusCode, err, single)
+			}
+			routed, err := r.Decompress(ctx, hint.dtype, hint.dims, stream)
+			if err != nil || !bytes.Equal(routed, single) {
+				t.Fatalf("%s %s%v: router: err = %v, %d bytes; single node: %d bytes", compressor, hint.dtype, hint.dims, err, len(routed), len(single))
+			}
+		}
+		if n := trace.CounterValue(trace.ClusterPeerKey(shard.Addr(), "failures")); n != 0 {
+			t.Fatalf("%s: %d peer failures recorded for replies a single node serves", compressor, n)
+		}
 	}
 }
 

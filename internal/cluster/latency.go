@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -44,10 +44,12 @@ func (w *latencyWindow) quantile(q float64) time.Duration {
 		w.mu.Unlock()
 		return 0
 	}
-	tmp := make([]time.Duration, w.filled)
-	copy(tmp, w.samples[:w.filled])
+	// A fixed-size copy stays on the stack: the hedge delay is read on
+	// every routed request.
+	var buf [latencyWindowSize]time.Duration
+	tmp := buf[:copy(buf[:], w.samples[:w.filled])]
 	w.mu.Unlock()
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	slices.Sort(tmp)
 	idx := int(q * float64(len(tmp)-1))
 	if idx < 0 {
 		idx = 0

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -57,5 +59,39 @@ func TestHedgeDelayClamps(t *testing.T) {
 	}
 	if got := w.hedgeDelay(floor, ceiling); got != ceiling {
 		t.Fatalf("slow-peer hedge delay = %v, want ceiling %v", got, ceiling)
+	}
+}
+
+// TestLatencyWindowQuantileMatchesReference: over random windows, partly
+// filled and wrapped, quantile picks the element a full sort of the live
+// samples puts at index q*(n-1), so the hedge delay is what it always was.
+func TestLatencyWindowQuantileMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		w := newLatencyWindow()
+		n := 1 + rng.Intn(3*latencyWindowSize)
+		for i := 0; i < n; i++ {
+			w.observe(time.Duration(rng.Int63n(int64(time.Second))))
+		}
+		live := append([]time.Duration(nil), w.samples[:w.filled]...)
+		sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			want := live[int(q*float64(len(live)-1))]
+			if got := w.quantile(q); got != want {
+				t.Fatalf("trial %d (%d samples): quantile(%v) = %v, want %v", trial, n, q, got, want)
+			}
+		}
+	}
+}
+
+// TestLatencyWindowQuantileAllocsNothing: the hedge delay is read on every
+// routed request, so a full window sorts without a heap copy.
+func TestLatencyWindowQuantileAllocsNothing(t *testing.T) {
+	w := newLatencyWindow()
+	for i := 0; i < latencyWindowSize; i++ {
+		w.observe(time.Duration(latencyWindowSize-i) * time.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = w.quantile(0.99) }); allocs != 0 {
+		t.Fatalf("quantile allocates %v times per call, want 0", allocs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,6 +35,18 @@ type fakeShard struct {
 
 func newFakeShard(t *testing.T, tag string, delay time.Duration) *fakeShard {
 	t.Helper()
+	return newFramedShard(t, tag, delay, framingAuto)
+}
+
+// Reply framings of a fake shard.
+const (
+	framingAuto    = iota // net/http's choice: declared up to 2 KiB, chunked past
+	framingDeclare        // Content-Length always, as pressiod replies
+	framingChunked        // chunked always, as a proxy or fault injector may
+)
+
+func newFramedShard(t *testing.T, tag string, delay time.Duration, framing int) *fakeShard {
+	t.Helper()
 	s := &fakeShard{tag: tag, delay: delay}
 	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.hits.Add(1)
@@ -56,8 +69,15 @@ func newFakeShard(t *testing.T, tag string, delay time.Duration) *fakeShard {
 		}
 		body := new(bytes.Buffer)
 		_, _ = body.ReadFrom(r.Body)
+		reply := append([]byte(s.tag+":"), body.Bytes()...)
+		if framing == framingDeclare {
+			w.Header().Set("Content-Length", fmt.Sprint(len(reply)))
+		}
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(append([]byte(s.tag+":"), body.Bytes()...))
+		if framing == framingChunked {
+			w.(http.Flusher).Flush() // headers out before the length is known
+		}
+		_, _ = w.Write(reply)
 	}))
 	t.Cleanup(s.ts.Close)
 	return s
@@ -430,6 +450,58 @@ func TestRouterManyJoinsErrorsWhenFleetUnreachable(t *testing.T) {
 	for i, out := range results {
 		if out != nil {
 			t.Fatalf("failed chunk %d has a result: %q", i, out)
+		}
+	}
+}
+
+// framingProbe records the Content-Length of every reply the router reads.
+type framingProbe struct {
+	mu      sync.Mutex
+	lengths []int64
+}
+
+func (p *framingProbe) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		p.mu.Lock()
+		p.lengths = append(p.lengths, resp.ContentLength)
+		p.mu.Unlock()
+	}
+	return resp, err
+}
+
+// TestRouterReadsBothFramingsAlike: a router over length-declaring shards
+// and one over chunked shards return byte-identical bodies, small and past
+// net/http's 2 KiB chunking threshold, so both of PeerClient's read paths
+// stay exercised.
+func TestRouterReadsBothFramingsAlike(t *testing.T) {
+	payloads := [][]byte{[]byte("small"), bytes.Repeat([]byte("0123456789abcdef"), 4096)}
+	replies := map[int][][]byte{}
+	for _, framing := range []int{framingDeclare, framingChunked} {
+		a := newFramedShard(t, "s", 0, framing)
+		b := newFramedShard(t, "s", 0, framing)
+		probe := &framingProbe{}
+		r := newTestRouter(t, RouterConfig{Peers: []string{a.addr(), b.addr()}, Peer: PeerConfig{Transport: probe}})
+		for _, p := range payloads {
+			out, err := r.Compress(context.Background(), core.DTypeByte, []uint64{uint64(len(p))}, p)
+			if err != nil {
+				t.Fatalf("framing %d, %d-byte payload: %v", framing, len(p), err)
+			}
+			replies[framing] = append(replies[framing], out)
+		}
+		if len(probe.lengths) < len(payloads) {
+			t.Fatalf("framing %d: probe saw %d replies, want %d", framing, len(probe.lengths), len(payloads))
+		}
+		for _, n := range probe.lengths {
+			if chunked := n < 0; chunked != (framing == framingChunked) {
+				t.Fatalf("framing %d: a reply arrived with Content-Length %d", framing, n)
+			}
+		}
+	}
+	for i, p := range payloads {
+		want := append([]byte("s:"), p...)
+		if !bytes.Equal(replies[framingDeclare][i], want) || !bytes.Equal(replies[framingChunked][i], want) {
+			t.Fatalf("%d-byte payload: declared and chunked replies differ from the shard's body", len(p))
 		}
 	}
 }

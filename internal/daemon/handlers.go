@@ -267,9 +267,17 @@ func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, op string) {
 	sp := root.Child("daemon.write_response", trace.Int("bytes_out", int64(len(outBytes))))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(headerCompressor, d.name)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(outBytes)
+	writeData(w, http.StatusOK, outBytes)
 	sp.End()
+}
+
+// writeData sends a data reply length-framed: Content-Length is declared
+// before the status line, so net/http never chunks the body and a reader (a
+// router's PeerClient) reads it into one buffer of exactly that size.
+func writeData(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // localData runs one operation against the local compressor pool with the

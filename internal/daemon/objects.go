@@ -231,11 +231,12 @@ func (d *Daemon) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 		}
 		h.Set(headerDims, strings.Join(parts, ","))
 	}
+	status := http.StatusOK
 	if partial {
 		h.Set("Content-Range", rangeHW)
-		w.WriteHeader(http.StatusPartialContent)
+		status = http.StatusPartialContent
 	}
-	_, _ = w.Write(payload)
+	writeData(w, status, payload)
 }
 
 // handleObjectDelete removes an object; 204 means the tombstone is durable.

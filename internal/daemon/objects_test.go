@@ -243,3 +243,41 @@ func TestWrappingDimsAnswer400(t *testing.T) {
 		}
 	}
 }
+
+// TestDataRepliesDeclareLength: every data reply (compress, decompress, a
+// full object GET and a 206 range) carries a Content-Length equal to its
+// body, past net/http's 2 KiB chunking threshold, so a router reads each one
+// into a buffer of exactly that size.
+func TestDataRepliesDeclareLength(t *testing.T) {
+	d, _, _ := startTestDaemon(t, func(c *Config) { c.StoreDir = t.TempDir() })
+	base := "http://" + d.Addr()
+	_, raw := sampleFloat32(4096)
+	compressed := readAll(t, post(t, base+"/compress?dims=4096&dtype=float32", raw))
+	put := objReq(t, "PUT", base+"/objects/framed?dims=4096&dtype=float32&chunk_rows=1024", raw, nil)
+	if put.StatusCode != http.StatusCreated {
+		t.Fatalf("put: %d %s", put.StatusCode, readAll(t, put))
+	}
+	put.Body.Close()
+	for _, c := range []struct {
+		name string
+		do   func() *http.Response
+		code int
+		size int
+	}{
+		{"compress", func() *http.Response { return post(t, base+"/compress?dims=4096&dtype=float32", raw) }, http.StatusOK, len(compressed)},
+		{"decompress", func() *http.Response { return post(t, base+"/decompress?dims=4096&dtype=float32", compressed) }, http.StatusOK, len(raw)},
+		{"full GET", func() *http.Response { return objReq(t, "GET", base+"/objects/framed", nil, nil) }, http.StatusOK, len(raw)},
+		{"range GET", func() *http.Response {
+			return objReq(t, "GET", base+"/objects/framed", nil, map[string]string{"Range": "bytes=100-9099"})
+		}, http.StatusPartialContent, 9000},
+	} {
+		resp := c.do()
+		body := readAll(t, resp)
+		if resp.StatusCode != c.code || len(body) != c.size {
+			t.Fatalf("%s: %d with %d bytes, want %d with %d", c.name, resp.StatusCode, len(body), c.code, c.size)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body", c.name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
