@@ -72,7 +72,8 @@ func (d *Daemon) stopStore(context.Context) error {
 	return d.store.Close()
 }
 
-// storeReady gates /readyz on recovery having finished.
+// storeReady gates /readyz on recovery having finished and on the store
+// accepting writes (a broken journal takes the node out until a restart).
 func (d *Daemon) storeReady() bool { return d.store != nil && d.store.Ready() }
 
 // scrubSeed derives a stable per-directory jitter seed so a fleet of

@@ -373,9 +373,10 @@ func TestCrashMatrixHardStop(t *testing.T) {
 
 // TestCrashPointsFailMode drives every declared point in-process with
 // FSModeFail: the mutation reports the injected crash, and after a reopen
-// the per-point contract holds. The table must name every declared point —
-// a new crash point fails this test until its expected outcome is written
-// down here.
+// the per-point contract holds. Where the outcome is decided (present or
+// absent), the reopened table is the live one the failed put left. The
+// table must name every declared point — a new crash point fails this test
+// until its expected outcome is written down here.
 func TestCrashPointsFailMode(t *testing.T) {
 	// What the unacknowledged write "w1" must look like after reopen:
 	//   absent     — the crash preceded the commit fsync; the write never
@@ -435,6 +436,19 @@ func TestCrashPointsFailMode(t *testing.T) {
 				}
 			}
 			fsx.DisarmFS()
+			// A record that reached the journal but not the live table, or
+			// reached the table without its segment, takes the store out of
+			// service until a reopen replays it, and no checkpoint may
+			// truncate it first.
+			if want == "present" || want == "either" {
+				if s.Ready() {
+					t.Fatalf("store still ready after a put failed at %s", point)
+				}
+				if err := s.Checkpoint(); !errors.Is(err, errJournalBroken) {
+					t.Fatalf("checkpoint after a put failed at %s: %v", point, err)
+				}
+			}
+			live := liveTable(t, s)
 			_ = s.Close() // a broken journal may refuse a clean close; reopen decides
 
 			r, err := Open(dir, Options{CheckpointBytes: -1})
@@ -442,6 +456,9 @@ func TestCrashPointsFailMode(t *testing.T) {
 				t.Fatalf("reopen after injected crash at %s: %v", point, err)
 			}
 			defer r.Close()
+			if got := liveTable(t, r); (want == "present" || want == "absent") && got != live {
+				t.Fatalf("crash at %s: reopened table differs from the live one:\n got %s\nwant %s", point, got, live)
+			}
 			if d, _, err := r.Get("keep"); err != nil || !d.Equal(keep) {
 				t.Fatalf("acknowledged object lost after crash at %s: %v", point, err)
 			}

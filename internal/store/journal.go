@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"pressio/internal/core"
 	"pressio/internal/fsx"
@@ -39,9 +40,9 @@ import (
 //	         recovery can rebuild a segment the crash destroyed; other ops
 //	         carry zero chunks)
 //
-// A put is acknowledged only after its record is fsynced. The fsync is a
-// group commit: concurrent appenders share one fsync via a synced-offset
-// watermark, so N writers cost far fewer than N flushes.
+// A mutation is acknowledged only after an fsync makes its record durable.
+// One record is appended and committed at a time, under the store's writer
+// lock (see journal below).
 
 // journalMagic identifies a journal record (the trailing '1' is the layout
 // version).
@@ -78,8 +79,7 @@ var (
 	PointJournalTorn = fsx.RegisterFSPoint("store.journal.append.torn")
 	// PointJournalWrite fires before the record write: nothing appended.
 	PointJournalWrite = fsx.RegisterFSPoint("store.journal.append.write")
-	// PointJournalFsync fires after the append, before the group-commit
-	// fsync: the record exists but is not yet durable, so the write must not
+	// PointJournalFsync fires after the append, before the commit fsync: the record exists but is not yet durable, so the write must not
 	// be acknowledged.
 	PointJournalFsync = fsx.RegisterFSPoint("store.journal.append.fsync")
 	// PointJournalTrunc fires before a checkpoint (or recovery) truncates
@@ -109,7 +109,7 @@ type ObjectMeta struct {
 	Segment string      `json:"segment"`
 	Chunks  []ChunkMeta `json:"chunks"`
 	// LSN is the journal sequence number of the put that created this
-	// version; replay and concurrent applies are ordered by it.
+	// version; live applies and replay are ordered by it.
 	LSN uint64 `json:"lsn"`
 }
 
@@ -384,22 +384,25 @@ func isSegmentName(s string) bool {
 // segmentName derives the container file name for the put at lsn.
 func segmentName(lsn uint64) string { return fmt.Sprintf("%016x.h5l", lsn) }
 
-// journal is the append-only record log. Appends are serialized by mu; the
-// fsync is group-committed through syncMu and the synced watermark.
+// journal is the append-only record log. It has no lock of its own: every
+// call runs inside Open or under the store's writer lock, so file order, LSN
+// order and the order records apply to the live table are one order — the
+// order replay applies them in.
 type journal struct {
-	path string
-
-	mu      sync.Mutex // guards f appends, size, lastLSN, broken
 	f       *os.File
 	size    int64
 	lastLSN uint64
-	// broken is set when a failed append could not be rolled back: the file
-	// may end mid-record, so further appends would be unreachable by replay.
-	broken bool
-
-	syncMu sync.Mutex // guards synced, serializes fsyncs
-	synced int64
+	// broken is set when only a replay can set the store right: after an
+	// append that could not be rolled back (the file may end mid-record), a
+	// failed commit fsync (the record may still become durable, unapplied)
+	// or a failed segment publish (only replay rebuilds the segment).
+	// Nothing more may be appended or truncated until Open replays the file.
+	// Atomic because Store.Ready reads it without the writer lock.
+	broken atomic.Bool
 }
+
+// errJournalBroken refuses a mutation or checkpoint on a broken journal.
+var errJournalBroken = errors.New("store: journal needs recovery: reopen the store")
 
 // openJournal opens (creating if needed) the journal for appending. size
 // must be the scanned valid length and lastLSN the highest LSN seen across
@@ -409,21 +412,17 @@ func openJournal(path string, size int64, lastLSN uint64) (*journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &journal{path: path, f: f, size: size, lastLSN: lastLSN, synced: size}, nil
+	return &journal{f: f, size: size, lastLSN: lastLSN}, nil
 }
 
 // append assigns the next LSN, frames the record, and writes it to the log.
-// It does NOT fsync — the caller acknowledges nothing until commit(end)
-// returns. LSN assignment happens under the append lock, so file order and
-// LSN order coincide (replay depends on this).
+// It does NOT fsync — the caller acknowledges nothing until commit returns.
 //
 // For put records the object meta's LSN and Segment fields are filled in
 // here, once the LSN is known.
-func (j *journal) append(op byte, meta recordMeta, chunks [][]byte) (lsn uint64, end int64, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.broken {
-		return 0, 0, fmt.Errorf("store: journal needs recovery after failed append")
+func (j *journal) append(op byte, meta recordMeta, chunks [][]byte) (lsn uint64, err error) {
+	if j.broken.Load() {
+		return 0, errJournalBroken
 	}
 	lsn = j.lastLSN + 1
 	if meta.Object != nil {
@@ -432,7 +431,7 @@ func (j *journal) append(op byte, meta recordMeta, chunks [][]byte) (lsn uint64,
 	}
 	rec, err := encodeRecord(record{op: op, lsn: lsn, meta: meta, chunks: chunks})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if fsx.FSArmed(PointJournalTorn) {
 		// Stage a torn append: half the record reaches the device, then the
@@ -440,16 +439,16 @@ func (j *journal) append(op byte, meta recordMeta, chunks [][]byte) (lsn uint64,
 		if _, werr := j.f.Write(rec[:len(rec)/2]); werr == nil {
 			_ = j.f.Sync()
 		}
-		j.broken = true
-		return 0, 0, fsx.FSCrash(PointJournalTorn)
+		j.broken.Store(true)
+		return 0, fsx.FSCrash(PointJournalTorn)
 	}
 	if err := fsx.FSCrash(PointJournalTorn); err != nil {
 		// Unreachable when due (the staging branch above runs instead); this
 		// call exists to consume the fault's After count on skipped hits.
-		return 0, 0, err
+		return 0, err
 	}
 	if err := fsx.FSCrash(PointJournalWrite); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	n, err := j.f.Write(rec)
 	if err != nil {
@@ -457,36 +456,27 @@ func (j *journal) append(op byte, meta recordMeta, chunks [][]byte) (lsn uint64,
 		// that fails the journal is declared broken and the store read-only.
 		if n > 0 {
 			if terr := j.f.Truncate(j.size); terr != nil {
-				j.broken = true
+				j.broken.Store(true)
 			}
 		}
-		return 0, 0, err
+		return 0, err
 	}
 	j.size += int64(n)
 	j.lastLSN = lsn
 	trace.CounterAdd(trace.CtrStoreJournalRecords, 1)
 	trace.CounterAdd(trace.CtrStoreJournalBytes, int64(n))
-	return lsn, j.size, nil
+	return lsn, nil
 }
 
-// commit makes everything up to offset end durable. Concurrent committers
-// share fsyncs: whoever holds syncMu flushes for the group, and followers
-// whose end is already under the watermark return without syncing.
-func (j *journal) commit(end int64) error {
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
-	if j.synced >= end {
-		return nil
-	}
+// commit fsyncs the log: the acknowledgement point of the record just
+// appended.
+func (j *journal) commit() error {
 	if err := fsx.FSCrash(PointJournalFsync); err != nil {
 		return err
 	}
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
-	// The fsync covered at least [0, end); possibly more, but end is what is
-	// proven.
-	j.synced = end
 	trace.CounterAdd(trace.CtrStoreJournalFsyncs, 1)
 	return nil
 }
@@ -494,10 +484,6 @@ func (j *journal) commit(end int64) error {
 // reset truncates the journal to empty after a manifest checkpoint made its
 // records redundant. LSNs keep increasing across resets.
 func (j *journal) reset() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
 	if err := j.f.Truncate(0); err != nil {
 		return err
 	}
@@ -505,30 +491,15 @@ func (j *journal) reset() error {
 		return err
 	}
 	j.size = 0
-	j.synced = 0
-	j.broken = false
 	return nil
-}
-
-// lastAssigned returns the highest LSN handed out.
-func (j *journal) lastAssigned() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.lastLSN
 }
 
 // close flushes and closes the log.
 func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
 	err := j.f.Sync()
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
-	j.f = nil
 	return err
 }
 

@@ -6,11 +6,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"pressio/internal/core"
-	"pressio/internal/trace"
 )
 
 // testPutRecord builds a valid put record for codec tests.
@@ -203,51 +201,5 @@ func TestScanJournalStopsAtTornTail(t *testing.T) {
 	recs, _, _, err = scanJournal(path)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("LSN regression: %d recs, %v", len(recs), err)
-	}
-}
-
-func TestGroupCommitSharesFsyncs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.pjl")
-	j, err := openJournal(path, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.close()
-
-	const writers = 16
-	before := trace.GetCounter(trace.CtrStoreJournalFsyncs).Value()
-	ends := make([]int64, writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		_, end, err := j.append(opDelete, recordMeta{Name: "x"}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends[w] = end
-	}
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(end int64) {
-			defer wg.Done()
-			if err := j.commit(end); err != nil {
-				t.Error(err)
-			}
-		}(ends[w])
-	}
-	wg.Wait()
-	fsyncs := trace.GetCounter(trace.CtrStoreJournalFsyncs).Value() - before
-	if fsyncs < 1 || fsyncs > writers {
-		t.Fatalf("fsyncs %d outside [1, %d]", fsyncs, writers)
-	}
-	// The highest watermark committer flushed for everyone; at minimum the
-	// final commit of the max offset must not have required `writers` syncs.
-	if fsyncs == writers {
-		t.Logf("no grouping observed (legal but unexpected): %d fsyncs", fsyncs)
-	}
-
-	// All records are on disk and scan back.
-	recs, _, _, err := scanJournal(path)
-	if err != nil || len(recs) != writers {
-		t.Fatalf("scan after group commit: %d recs, %v", len(recs), err)
 	}
 }

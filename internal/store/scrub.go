@@ -83,28 +83,40 @@ func (s *Store) ScrubOnce() (ScrubReport, error) {
 		for _, i := range bad {
 			rep.Corrupt = append(rep.Corrupt, ChunkRef{Object: v.name, Segment: meta.Segment, Chunk: i})
 		}
-		if err := s.condemnChunks(meta, bad); err != nil {
+		n, err := s.quarantineChunks(meta, bad)
+		if err != nil {
 			return rep, err
 		}
+		rep.Quarantined += n
 		rep.Objects++
 	}
 	trace.CounterAdd(trace.CtrStoreScrubPasses, 1)
-	rep.Quarantined = len(rep.Corrupt)
 	return rep, nil
 }
 
-// condemnChunks journals and applies a chunk quarantine for one object
-// (scrub and recovery call this when checksums fail), then preserves a copy
-// of the segment as evidence. The copy is best-effort second to the
+// quarantineChunks journals and applies a chunk quarantine for the version of
+// an object that meta describes (scrub and recovery call this when checksums
+// fail), then preserves a copy of the segment as evidence, and returns how
+// many chunks it quarantined. The copy is best-effort second to the
 // journaled record: losing the evidence is acceptable, serving corrupt
 // bytes as intact is not.
-func (s *Store) condemnChunks(meta ObjectMeta, chunks []int) error {
+//
+// The record names the object only, so it is written only while that
+// version is live: a verdict on a version replaced or deleted since it was
+// read is stale and dropped. Records apply in append order, so replay meets
+// the same version this check saw.
+func (s *Store) quarantineChunks(meta ObjectMeta, chunks []int) (int, error) {
 	if len(chunks) == 0 {
-		return nil
+		return 0, nil
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if o, ok := s.objects[meta.Name]; !ok || o.meta.LSN != meta.LSN {
+		return 0, nil
 	}
 	sort.Ints(chunks)
-	if _, err := s.mutate(record{op: opQuarantine, meta: recordMeta{Name: meta.Name, Chunks: chunks}}, nil); err != nil {
-		return fmt.Errorf("store: quarantining chunks %v of %q: %w", chunks, meta.Name, err)
+	if err := s.mutateLocked(record{op: opQuarantine, meta: recordMeta{Name: meta.Name, Chunks: chunks}}, nil); err != nil {
+		return 0, fmt.Errorf("store: quarantining chunks %v of %q: %w", chunks, meta.Name, err)
 	}
 	trace.CounterAdd(trace.CtrStoreChunksQuarantined, int64(len(chunks)))
 	if raw, err := os.ReadFile(s.segmentPath(meta.Segment)); err == nil {
@@ -112,7 +124,7 @@ func (s *Store) condemnChunks(meta ObjectMeta, chunks []int) error {
 			_ = fsx.AtomicWriteFile(dst, raw, 0o644)
 		}
 	}
-	return nil
+	return len(chunks), nil
 }
 
 // Scrubber runs ScrubOnce on a jittered schedule until stopped. The jitter

@@ -172,6 +172,30 @@ func TestScrubSurvivesUnusableQuarantineDir(t *testing.T) {
 	}
 }
 
+// TestStaleScrubVerdictSparesNewVersion condemns a chunk of a version that
+// was overwritten after the scrub read it: the quarantine record names the
+// object only, so it must not be written, or it would mark the new version,
+// live and on replay.
+func TestStaleScrubVerdictSparesNewVersion(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := PutOptions{Filter: "flate", ChunkRows: 8}
+	mustPut(t, s, "x", testData(32), po)
+	s.mu.RLock()
+	v0 := s.objects["x"].meta
+	s.mu.RUnlock()
+	mustPut(t, s, "x", testData(32), po)
+	if n, err := s.quarantineChunks(v0, []int{1}); err != nil || n != 0 {
+		t.Fatalf("stale verdict: quarantined %d chunks, %v", n, err)
+	}
+	if info, err := s.Stat("x"); err != nil || len(info.QuarantinedChunks) != 0 {
+		t.Fatalf("new version after a stale verdict: %+v %v", info, err)
+	}
+	reopenMatches(t, s, liveTable(t, s))
+}
+
 func TestScrubberRunsInBackground(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {

@@ -12,10 +12,10 @@ import (
 )
 
 // The store's state machine, written once. apply is the only transition of
-// an object table: the live mutations call it under the store lock, and
-// readState folds the checkpoint and the journal through it for recovery
-// and fsck alike. inspectSegment is the only check of a segment against its
-// chunk table, for recovery, fsck and scrub.
+// an object table: the live mutations call it in append order, under the
+// writer lock, and readState folds the checkpoint and the journal through it
+// in the same order for recovery and fsck alike. inspectSegment is the only
+// check of a segment against its chunk table, for recovery, fsck and scrub.
 
 // apply folds one record into an object table. A put installs its version
 // when it is newer than the current one, with nothing quarantined and the

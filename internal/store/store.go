@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pressio/internal/core"
@@ -28,11 +28,12 @@ import (
 //	quarantine/     evidence the store refuses to delete: torn journal
 //	                tails, corrupt manifests, corrupt segment copies
 //
-// Mutations are journal-first: a put compresses, appends a record carrying
-// the full chunk payloads, group-commit fsyncs it (the acknowledgement
-// point), then publishes the segment container and applies to memory.
-// Recovery replays the journal against the manifest, so a crash anywhere
-// loses nothing acknowledged and invents nothing unacknowledged.
+// Mutations are journal-first: a put compresses, then, under the one writer
+// lock, appends a record carrying the full chunk payloads, fsyncs it (the
+// acknowledgement point), publishes the segment container and applies to
+// memory. Records apply in the order they are appended, the order recovery
+// replays them in, so a crash anywhere loses nothing acknowledged and
+// invents nothing unacknowledged.
 
 // Store directory entries.
 const (
@@ -139,7 +140,8 @@ type RecoveryStats struct {
 }
 
 // object is one live object: immutable meta plus mutable quarantine state
-// (both guarded by the store mutex) and a lazily opened container handle.
+// (both guarded by the store's table lock) and a lazily opened container
+// handle.
 // In a table read from the directory, a version from the journal also keeps
 // its chunk payloads, so a damaged segment can be rebuilt.
 type object struct {
@@ -157,44 +159,42 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu       sync.RWMutex
-	cond     *sync.Cond // signaled when an in-flight mutation resolves
-	objects  map[string]*object
-	inflight map[uint64]struct{}
-	closed   bool
+	// wmu is the one writer. mutate holds it from journal append to live
+	// apply, Checkpoint and Close throughout; every journal call runs under
+	// it. Lock order: wmu, then mu.
+	wmu sync.Mutex
+	// mu guards the table readers use. Writers change objects and closed
+	// under wmu and mu both, so holding either is enough to read them.
+	mu      sync.RWMutex
+	objects map[string]*object
+	closed  bool
 
-	j         *journal
-	recovered atomic.Bool
-	stats     RecoveryStats
+	j     *journal
+	stats RecoveryStats
 }
 
 // Open opens (creating if needed) the store at dir, running crash recovery
 // before returning: temp sweep, manifest load, journal replay with segment
 // verification and rebuild, torn-tail quarantine and truncation. The
-// returned store is fully consistent; Ready reports true from here on.
+// returned store is fully consistent.
 func Open(dir string, opts Options) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, objectsDir), filepath.Join(dir, quarantineDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		objects:  map[string]*object{},
-		inflight: map[uint64]struct{}{},
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := &Store{dir: dir, opts: opts, objects: map[string]*object{}}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	s.recovered.Store(true)
 	return s, nil
 }
 
-// Ready reports whether recovery has completed — the daemon gates /readyz
-// on it, so no traffic reaches a store still reconciling its directory.
-func (s *Store) Ready() bool { return s.recovered.Load() }
+// Ready reports whether the store accepts writes. Recovery has completed
+// (Open returns no store before it has), so it is false only while the
+// journal is broken, until a reopen replays it; the daemon gates /readyz on
+// it.
+func (s *Store) Ready() bool { return !s.j.broken.Load() }
 
 // Recovery returns what Open had to do.
 func (s *Store) Recovery() RecoveryStats { return s.stats }
@@ -304,10 +304,11 @@ func (s *Store) recover() error {
 	// 6. Journal the chunk quarantines collected in step 3. The verdict must
 	// be durable: bit rot found on this reopen stays quarantined on the next.
 	for _, v := range condemn {
-		if err := s.condemnChunks(v.o.meta, v.bad); err != nil {
+		n, err := s.quarantineChunks(v.o.meta, v.bad)
+		if err != nil {
 			return err
 		}
-		s.stats.ChunksQuarantined += len(v.bad)
+		s.stats.ChunksQuarantined += n
 	}
 	return nil
 }
@@ -381,9 +382,10 @@ func syncFile(path string) error {
 }
 
 // Put stores d under name, replacing any existing object. The data is
-// chunked and filtered through the named compressor, journaled with a
-// group-commit fsync (the acknowledgement point: when Put returns nil the
-// write survives any crash), then published as a segment container.
+// chunked and filtered through the named compressor (outside the writer
+// lock, so puts compress in parallel), journaled with an fsync (the
+// acknowledgement point: when Put returns nil the write survives any crash),
+// then published as a segment container.
 func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error) {
 	start := time.Now()
 	if err := validateName(name); err != nil {
@@ -417,10 +419,7 @@ func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error
 		}
 	}
 
-	jsize, err := s.mutate(record{op: opPut, meta: recordMeta{Object: &om}, chunks: chunks}, func() error {
-		// Publish the segment. A failure here (or a crash) is recoverable:
-		// the journaled payloads rebuild it on the next Open, but THIS call
-		// must not claim success for state it did not publish.
+	err = s.mutate(record{op: opPut, meta: recordMeta{Object: &om}, chunks: chunks}, func() error {
 		if err := fsx.FSCrash(PointSegmentSave); err != nil {
 			return err
 		}
@@ -432,96 +431,85 @@ func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error
 	trace.CounterAdd(trace.CtrStorePuts, 1)
 	trace.CounterAdd(trace.CtrStorePutBytes, int64(d.ByteLen()))
 	trace.ObserveDuration(trace.HistStorePut, time.Since(start))
-	s.maybeCheckpoint(jsize)
 	return infoOf(om, nil), nil
 }
 
-// mutate is the one bracket around a journal-first mutation: the record is
-// appended and marked in flight under the store lock, so a concurrent
-// checkpoint's low-water mark can never skip past it; the group-commit fsync
-// (the acknowledgement point) and publish, if any, run outside the lock;
-// then the record is applied and released under it. A failed commit or
-// publish applies nothing. Puts get their LSN and segment filled into the
-// meta by the append. Returns the journal size for checkpoint triggering.
-func (s *Store) mutate(rec record, publish func() error) (jsize int64, err error) {
-	end, err := s.beginMutation(&rec)
-	if err != nil {
-		return 0, err
-	}
-	done := false
-	defer func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if done {
-			rec.chunks = nil // published: the live table holds no payloads
-			apply(s.objects, rec)
-		}
-		delete(s.inflight, rec.lsn)
-		s.cond.Broadcast()
-		jsize = s.j.size
-	}()
-	if err := s.j.commit(end); err != nil {
-		return 0, err
-	}
-	if publish != nil {
-		if err := publish(); err != nil {
-			return 0, err
-		}
-	}
-	done = true
-	return 0, nil // jsize is read under the lock on the way out
+// mutate runs one journal-first mutation under the writer lock.
+func (s *Store) mutate(rec record, publish func() error) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.mutateLocked(rec, publish)
 }
 
-// beginMutation appends rec, assigning its LSN, and registers it as in
-// flight under the store lock. A delete of an absent name is refused here.
-func (s *Store) beginMutation(rec *record) (end int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if _, ok := s.objects[rec.meta.Name]; rec.op == opDelete && !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, rec.meta.Name)
-	}
-	rec.lsn, end, err = s.j.append(rec.op, rec.meta, rec.chunks)
-	if err != nil {
-		return 0, err
-	}
-	s.inflight[rec.lsn] = struct{}{}
-	return end, nil
-}
-
-// maybeCheckpoint runs an automatic checkpoint when the journal has grown
-// past the configured threshold. Failures are not surfaced to the mutation
-// that tripped it — the mutation itself is durable — but the checkpoint
-// counter not advancing makes the condition observable.
-func (s *Store) maybeCheckpoint(journalSize int64) {
-	threshold := s.opts.CheckpointBytes
-	if threshold < 0 {
-		return
-	}
-	if threshold == 0 {
-		threshold = defaultCheckpointBytes
-	}
-	if journalSize >= threshold {
-		_ = s.Checkpoint()
-	}
-}
-
-// Checkpoint publishes the manifest snapshot and truncates the journal. It
-// waits for in-flight mutations to resolve (new ones queue behind the store
-// lock), so the low-water mark covers only fully published state.
-func (s *Store) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// mutateLocked appends rec (assigning its LSN, and for a put the LSN and
+// segment of its meta), fsyncs it (the acknowledgement point), runs publish,
+// if any, and applies the record to the live table. A delete of an absent
+// name is refused before the append; a failed append or commit applies
+// nothing.
+//
+// A committed record whose publish fails is applied all the same, because
+// replay will apply it: the error is returned and the journal marked broken,
+// so no checkpoint truncates the payloads Open rebuilds the segment from.
+// The caller holds wmu.
+func (s *Store) mutateLocked(rec record, publish func() error) error {
 	if s.closed {
 		return ErrClosed
 	}
-	for len(s.inflight) > 0 {
-		s.cond.Wait()
+	if _, ok := s.objects[rec.meta.Name]; rec.op == opDelete && !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, rec.meta.Name)
 	}
-	lwm := s.j.lastAssigned()
-	man := manifest{Version: manifestVersion, LastLSN: lwm, Objects: map[string]manifestObject{}}
+	lsn, err := s.j.append(rec.op, rec.meta, rec.chunks)
+	if err != nil {
+		return err
+	}
+	rec.lsn = lsn
+	if err := s.j.commit(); err != nil {
+		// The record may reach the device anyway, and a later fsync would
+		// make it durable without its being applied.
+		s.j.broken.Store(true)
+		return err
+	}
+	var perr error
+	if publish != nil {
+		if perr = publish(); perr != nil {
+			s.j.broken.Store(true)
+		}
+	}
+	rec.chunks = nil // the live table holds no payloads
+	s.mu.Lock()
+	apply(s.objects, rec)
+	s.mu.Unlock()
+	if perr != nil {
+		return perr
+	}
+	// A checkpoint lands on the mutation that crossed the threshold. Its
+	// failure is not surfaced here — this mutation is durable — but the
+	// checkpoint counter not advancing makes the condition observable.
+	if limit := s.opts.CheckpointBytes; limit >= 0 && s.j.size >= cmp.Or(limit, defaultCheckpointBytes) {
+		_ = s.checkpointLocked()
+	}
+	return nil
+}
+
+// Checkpoint publishes the manifest snapshot and truncates the journal.
+func (s *Store) Checkpoint() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	return s.checkpointLocked()
+}
+
+// checkpointLocked is Checkpoint under the writer lock: no mutation is in
+// flight, so the manifest covers exactly the records the journal holds. A
+// broken journal may hold payloads only replay can rebuild a segment from,
+// so it is never truncated.
+func (s *Store) checkpointLocked() error {
+	if s.j.broken.Load() {
+		return errJournalBroken
+	}
+	man := manifest{Version: manifestVersion, LastLSN: s.j.lastLSN, Objects: map[string]manifestObject{}}
 	for name, o := range s.objects {
 		man.Objects[name] = manifestObject{Meta: o.meta, Quarantined: slices.Sorted(maps.Keys(o.quarantined))}
 	}
@@ -537,22 +525,18 @@ func (s *Store) Checkpoint() error {
 	if err := s.j.reset(); err != nil {
 		return err
 	}
-	s.gcSegmentsLocked(lwm)
+	s.gcSegmentsLocked()
 	trace.CounterAdd(trace.CtrStoreCheckpoints, 1)
 	return nil
 }
 
-// gcSegmentsLocked removes segment files that no live object references and
-// whose LSN is at or below the checkpoint low-water mark (anything above it
-// may belong to a mutation the next replay will re-apply). Quarantined
-// evidence is untouched — it lives in quarantine/, not objects/.
-func (s *Store) gcSegmentsLocked(lwm uint64) {
+// gcSegmentsLocked removes segment files that no live object references.
+// Under the writer lock no segment is being published, so every such file is
+// debris. Quarantined evidence is untouched — it lives in quarantine/, not
+// objects/.
+func (s *Store) gcSegmentsLocked() {
 	orphans, _ := orphanSegments(s.dir, s.objects) // best effort: the next checkpoint retries
 	for _, name := range orphans {
-		var lsn uint64
-		if _, err := fmt.Sscanf(name, "%016x.h5l", &lsn); err != nil || lsn > lwm {
-			continue
-		}
 		if os.Remove(filepath.Join(s.dir, objectsDir, name)) == nil {
 			trace.CounterAdd(trace.CtrStoreGCSegments, 1)
 		}
@@ -638,17 +622,15 @@ func (s *Store) GetRange(name string, off, length int64) ([]byte, ObjectInfo, er
 }
 
 // Delete removes an object. Like Put, the delete is journal-first: it is
-// acknowledged only after the tombstone record is fsynced.
+// acknowledged only after an fsync makes the tombstone record durable.
 func (s *Store) Delete(name string) error {
 	if err := validateName(name); err != nil {
 		return err
 	}
-	jsize, err := s.mutate(record{op: opDelete, meta: recordMeta{Name: name}}, nil)
-	if err != nil {
+	if err := s.mutate(record{op: opDelete, meta: recordMeta{Name: name}}, nil); err != nil {
 		return err
 	}
 	trace.CounterAdd(trace.CtrStoreDeletes, 1)
-	s.maybeCheckpoint(jsize)
 	return nil
 }
 
@@ -702,18 +684,17 @@ func (s *Store) container(o *object) (*h5lite.File, error) {
 	return f, nil
 }
 
-// Close drains in-flight mutations and closes the journal. It does NOT
-// checkpoint — the next Open replays the journal — so callers wanting a
-// fast restart call Checkpoint first (the daemon's lifecycle Stop does).
+// Close waits for the mutation in progress, if any, and closes the journal.
+// It does NOT checkpoint — the next Open replays the journal — so callers
+// wanting a fast restart call Checkpoint first (the daemon's lifecycle Stop
+// does).
 func (s *Store) Close() error {
-	s.mu.Lock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
-	for len(s.inflight) > 0 {
-		s.cond.Wait()
-	}
+	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	return s.j.close()

@@ -390,78 +390,133 @@ func TestReadPathDifferential(t *testing.T) {
 	}
 }
 
-// TestReplayRebuildsLiveTable is the differential test of the one record
-// transition: whatever two concurrent mutators, checkpoints and a scrub
-// leave in the live object table (metas and quarantine sets) is exactly what
-// a reopen folds back from the manifest and the journal. Each mutator owns
-// its names, as each client of the daemon's store workload does.
-func TestReplayRebuildsLiveTable(t *testing.T) {
-	snapshot := func(s *Store) string {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		table := map[string]manifestObject{}
-		for name, o := range s.objects {
-			table[name] = manifestObject{Meta: o.meta, Quarantined: slices.Sorted(maps.Keys(o.quarantined))}
-		}
-		b, err := json.Marshal(table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+// liveTable renders the live object table (metas and quarantine sets) for
+// comparison with the table a reopen folds back.
+func liveTable(t *testing.T, s *Store) string {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	table := map[string]manifestObject{}
+	for name, o := range s.objects {
+		table[name] = manifestObject{Meta: o.meta, Quarantined: slices.Sorted(maps.Keys(o.quarantined))}
 	}
+	b, err := json.Marshal(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// reopenMatches closes s, reopens its directory and fails unless the
+// reopened table is want.
+func reopenMatches(t *testing.T, s *Store, want string) {
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(s.Dir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := liveTable(t, r); got != want {
+		t.Fatalf("reopened table differs from the live one:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestReplayRebuildsLiveTable is the differential test of the one record
+// transition: whatever two concurrent mutators of the same names,
+// checkpoints and a scrub leave in the live object table is exactly what a
+// reopen folds back from the manifest and the journal.
+func TestReplayRebuildsLiveTable(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		dir := t.TempDir()
-		s, err := Open(dir, Options{CheckpointBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for g := int64(0); g < 2; g++ {
-			wg.Add(1)
-			go func(g int64, rng *rand.Rand) {
-				defer wg.Done()
-				for i := 0; i < 30; i++ {
-					name := fmt.Sprintf("g%d/obj-%d", g, rng.Intn(6))
-					switch r := rng.Intn(10); {
-					case r < 6:
-						if _, err := s.Put(name, testData(8+rng.Intn(40)), PutOptions{Filter: "flate", ChunkRows: 4}); err != nil {
-							t.Error(err)
-						}
-					case r < 9:
-						if err := s.Delete(name); err != nil && !errors.Is(err, ErrNotFound) {
-							t.Error(err)
-						}
-					default:
-						if err := s.Checkpoint(); err != nil {
-							t.Error(err)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{CheckpointBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := int64(0); g < 2; g++ {
+				wg.Add(1)
+				go func(g int64, rng *rand.Rand) {
+					defer wg.Done()
+					for i := 0; i < 30; i++ {
+						name := fmt.Sprintf("obj-%d", rng.Intn(6))
+						switch r := rng.Intn(10); {
+						case r < 6:
+							if _, err := s.Put(name, testData(8+rng.Intn(40)), PutOptions{Filter: "flate", ChunkRows: 4}); err != nil {
+								t.Error(err)
+							}
+						case r < 9:
+							if err := s.Delete(name); err != nil && !errors.Is(err, ErrNotFound) {
+								t.Error(err)
+							}
+						default:
+							if err := s.Checkpoint(); err != nil {
+								t.Error(err)
+							}
 						}
 					}
-				}
-			}(g, rand.New(rand.NewSource(seed*10+g)))
-		}
-		wg.Wait()
-		mustPut(t, s, "scrubbed", testData(24), PutOptions{Filter: "flate", ChunkRows: 4})
-		live := s.List()
-		victim := live[int(seed)%len(live)]
-		flipChunkByte(t, s.segmentPath(victim.Segment), 1)
-		if rep, err := s.ScrubOnce(); err != nil || rep.Quarantined != 1 {
-			t.Fatalf("seed %d: scrub after flipping %q chunk 1: %+v %v", seed, victim.Name, rep, err)
-		}
-		mustPut(t, s, "after-scrub", testData(8), PutOptions{})
-		want := snapshot(s)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+				}(g, rand.New(rand.NewSource(seed*10+g)))
+			}
+			wg.Wait()
+			mustPut(t, s, "scrubbed", testData(24), PutOptions{Filter: "flate", ChunkRows: 4})
+			live := s.List()
+			victim := live[int(seed)%len(live)]
+			flipChunkByte(t, s.segmentPath(victim.Segment), 1)
+			if rep, err := s.ScrubOnce(); err != nil || rep.Quarantined != 1 {
+				t.Fatalf("scrub after flipping %q chunk 1: %+v %v", victim.Name, rep, err)
+			}
+			mustPut(t, s, "after-scrub", testData(8), PutOptions{})
+			reopenMatches(t, s, liveTable(t, s))
+		})
+	}
+}
 
-		r, err := Open(dir, Options{CheckpointBytes: -1})
+// TestPutDeleteOverlapMatchesReplay issues a delete of a name while a large
+// put of that name is between its journal append and its live apply. The
+// two may land in either order, but the live table must be the one a reopen
+// replays, which applies them in LSN order.
+func TestPutDeleteOverlapMatchesReplay(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, "x", testData(8), PutOptions{})
+	fi, err := os.Stat(s.journalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := testData(2 << 20) // 16 MiB: a long window between append and apply
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Put("x", big, PutOptions{})
+		done <- err
+	}()
+	// The journal grows once the put holds its LSN.
+	for {
+		now, err := os.Stat(s.journalPath())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := snapshot(r); got != want {
-			t.Fatalf("seed %d: reopened table differs from the live one:\n got %s\nwant %s", seed, got, want)
+		if now.Size() > fi.Size() {
+			break
 		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done <- nil // finished between two looks: the next one sees it
+		default:
 		}
 	}
+	if err := s.Delete("x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	reopenMatches(t, s, liveTable(t, s))
 }

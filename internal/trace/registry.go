@@ -143,8 +143,8 @@ const (
 	CtrStoreJournalRecords = "store.journal.records"
 	// CtrStoreJournalBytes accumulates journal bytes written.
 	CtrStoreJournalBytes = "store.journal.bytes"
-	// CtrStoreJournalFsyncs counts journal fsync calls; under concurrent
-	// writers group commit makes this grow slower than journal.records.
+	// CtrStoreJournalFsyncs counts journal commit fsyncs, one per
+	// acknowledged mutation: the store has one writer.
 	CtrStoreJournalFsyncs = "store.journal.fsyncs"
 	// CtrStoreReplayed counts journal records re-applied during recovery.
 	CtrStoreReplayed = "store.recovery.replayed"

@@ -52,6 +52,9 @@ echo "==> chaos tests under race detector (resilience, faultinject, service, dae
 go test -race -run 'TestChaos' ./internal/resilience/ ./internal/faultinject/ \
     ./internal/service/ ./internal/daemon/ ./internal/cluster/
 
+echo "==> store live table equals replay (same-name mutators, put/delete overlap, stale scrub verdict)"
+go test -race -count=5 -run 'TestReplayRebuildsLiveTable|TestPutDeleteOverlapMatchesReplay|TestStaleScrubVerdictSparesNewVersion' ./internal/store/
+
 echo "==> store crash matrix (kill at every declared crash point, zero acked loss)"
 go test -race -run 'TestCrash' ./internal/store/
 
