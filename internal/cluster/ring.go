@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"strconv"
 	"sync"
@@ -47,18 +48,17 @@ func NewRing(vnodes int, peers ...string) *Ring {
 	return r
 }
 
-// hash64 is FNV-1a over b: deterministic across processes and runs, cheap,
-// and well-dispersed enough for placement (a splitmix64 step finalizes to
-// break up FNV's avalanche weakness on short keys). The loop is inline, not
-// hash/fnv: Replicas hashes on every routed request, and fnv.New64a plus its
-// Write would cost an allocation and two interface calls per key.
+// castagnoli is CRC32C, which crc32.Checksum runs on the CRC32 instruction.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// hash64 places b on the ring: CRC32C of b in the high 32 bits, len(b) in
+// the low 32, and a splitmix64 step to spread both over all 64 bits.
+// Placement needs determinism across processes (nothing is seeded) and
+// spread, not collision resistance, and Replicas hashes every routed payload
+// whole, so a checksum at memory speed beats a byte-serial hash. It is a
+// plain call: no hash.Hash, no allocation, no interface dispatch.
 func hash64(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
+	h := uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(uint32(len(b)))
 	return stats.SplitMix64(&h)
 }
 
@@ -148,6 +148,7 @@ func (r *Ring) UpCount() int {
 // last, ...) so placement itself never churns. r is clamped to the member
 // count.
 func (r *Ring) Replicas(key []byte, n int) []string {
+	h := hash64(key) // outside the lock: a ring writer never waits on a payload
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n <= 0 {
@@ -156,7 +157,6 @@ func (r *Ring) Replicas(key []byte, n int) []string {
 	if n > len(r.up) {
 		n = len(r.up)
 	}
-	h := hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, n)
 	seen := make(map[string]bool, n)

@@ -83,6 +83,7 @@ go test -fuzz 'FuzzDecodeRecord' -fuzztime 5s ./internal/store/
 go test -fuzz 'FuzzLoadManifest' -fuzztime 5s ./internal/store/
 go test -fuzz 'FuzzDecompressBounded' -fuzztime 5s ./internal/lossless/
 go test -fuzz 'FuzzPeerReply' -fuzztime 5s ./internal/cluster/
+go test -fuzz 'FuzzRingReplicas' -fuzztime 5s ./internal/cluster/
 
 echo "==> disabled-tracing overhead benchmark"
 go test -run '^$' -bench 'BenchmarkStartDisabled' -benchtime 100ms ./internal/trace/
