@@ -205,10 +205,3 @@ func randomData(rng *rand.Rand, maxElems int) *core.Data {
 	}
 	return core.FromFloat32s(vals, dims...)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -47,8 +47,8 @@
 // Observability (see docs/OBSERVABILITY.md): every data-plane response
 // carries an X-Pressio-Request-Id (W3C traceparent-compatible, propagated
 // from inbound traceparent headers); the request's span tree is retrievable
-// from /tracez?id=<id>; /metricz serves Prometheus text exposition format
-// (?format=json for the JSON rendering); structured JSON-lines events go to
+// from /tracez?id=<id>; /metricz serves Prometheus text exposition format;
+// structured JSON-lines events go to
 // stderr at -log-level and above; -ops-addr binds an operator-only listener
 // with /debug/pprof. See docs/RESILIENCE.md for the serving behavior.
 package main

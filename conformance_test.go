@@ -6,6 +6,7 @@
 package pressio
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,23 +177,30 @@ func TestConformanceLosslessExactness(t *testing.T) {
 }
 
 func TestConformanceDecompressGarbage(t *testing.T) {
-	// No plugin may panic on garbage input; errors are expected.
-	garbage := core.NewBytes([]byte("definitely not a compressed stream, not even close"))
+	// No plugin may panic on garbage input, and every decoder reports it as
+	// the caller's fault: the error wraps core.ErrCorrupt, so the daemon
+	// answers 400 instead of 500.
+	random := make([]byte, 31)
+	rand.New(rand.NewSource(41)).Read(random)
 	for _, name := range core.SupportedCompressors() {
 		if name == "thirdparty_test" {
 			continue
 		}
-		c, err := core.NewCompressor(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("%s panicked on garbage: %v", name, r)
+		for _, garbage := range [][]byte{random, []byte("definitely not a compressed stream, not even close")} {
+			c, err := core.NewCompressor(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s panicked on garbage: %v", name, r)
+					}
+				}()
+				if _, err := core.Decompress(c, core.NewBytes(garbage), core.DTypeFloat32, 4, 4); !errors.Is(err, core.ErrCorrupt) {
+					t.Errorf("%s: decoding %d garbage bytes returned %v, want an error wrapping core.ErrCorrupt", name, len(garbage), err)
 				}
 			}()
-			_, _ = core.Decompress(c, garbage, core.DTypeFloat32, 4, 4)
-		}()
+		}
 	}
 }

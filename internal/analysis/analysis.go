@@ -57,7 +57,7 @@ func Analyzers() []*Analyzer {
 		Registration, ThreadSafe, ErrCheck, Forbidden, PanicFree,
 		LockCheck, BufAlias, ErrFlow,
 		GoroutineLeak, CtxFlow, BlockingLock, HotAlloc,
-		UntrustedAlloc, UntrustedLoop, UntrustedIndex,
+		UntrustedAlloc, UntrustedLoop, UntrustedIndex, DeadCode,
 	}
 }
 
@@ -151,6 +151,8 @@ type Facts struct {
 	// Taint is the untrusted-input taint computation over Graph, consumed by
 	// the untrustedalloc/untrustedloop/untrustedindex analyzers.
 	Taint *TaintInfo
+	// live is deadcode's reachable set, computed only when deadcode runs.
+	live map[*FuncNode]bool
 }
 
 // gatherFacts scans every package for plugin registrations before the
@@ -278,6 +280,9 @@ func runWith(pkgs []*Package, analyzers []*Analyzer, base string, workers int) [
 	facts.Graph = BuildCallGraph(pkgs)
 	facts.Summaries = ComputeSummaries(facts.Graph)
 	facts.Taint = ComputeTaint(facts.Graph)
+	if slices.Contains(analyzers, DeadCode) {
+		facts.live = liveFuncs(facts.Graph, pkgs, base)
+	}
 	var diags []Diagnostic
 	var sups []suppression
 	for _, pkg := range pkgs {

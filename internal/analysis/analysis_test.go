@@ -20,7 +20,7 @@ func TestAnalyzersStable(t *testing.T) {
 		"registration", "threadsafe", "errcheck", "forbidden",
 		"panicfree", "lockcheck", "bufalias", "errflow",
 		"goroutineleak", "ctxflow", "blockinglock", "hotalloc",
-		"untrustedalloc", "untrustedloop", "untrustedindex",
+		"untrustedalloc", "untrustedloop", "untrustedindex", "deadcode",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {

@@ -396,35 +396,6 @@ func (b *cfgBuilder) branchStmt(st *ast.BranchStmt) {
 	b.dead()
 }
 
-// Dump renders the CFG as stable, human-reviewable text — the golden-file
-// format of the CFG construction tests.
-func (c *CFG) Dump(fset *token.FileSet) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s:\n", c.Name)
-	for _, blk := range c.Blocks {
-		fmt.Fprintf(&sb, "  b%d (%s):", blk.Index, blk.Kind)
-		if len(blk.Nodes) == 0 {
-			sb.WriteString(" <empty>")
-		}
-		sb.WriteString("\n")
-		for _, n := range blk.Nodes {
-			fmt.Fprintf(&sb, "    %s\n", renderNode(fset, n))
-		}
-		if len(blk.Succs) > 0 {
-			sb.WriteString("    ->")
-			for _, s := range blk.Succs {
-				if s == c.Exit {
-					sb.WriteString(" exit")
-				} else {
-					fmt.Fprintf(&sb, " b%d", s.Index)
-				}
-			}
-			sb.WriteString("\n")
-		}
-	}
-	return sb.String()
-}
-
 // renderNode prints a node as a single line of source-like text.
 func renderNode(fset *token.FileSet, n ast.Node) string {
 	var sb strings.Builder

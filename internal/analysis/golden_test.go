@@ -62,6 +62,9 @@ var goldenCases = []struct {
 	// Suppression scope: a directive inside a go/defer literal must not
 	// silence the enclosing statement's finding on the shared line.
 	{"lintscope_bad", "errcheck"},
+	// Reachability: the fixture's comment lists what must and must not
+	// report.
+	{"deadcode_bad", "deadcode"},
 }
 
 func analyzerByName(t *testing.T, name string) *Analyzer {

@@ -7,7 +7,7 @@
 package bitgroom
 
 import (
-	"errors"
+	"fmt"
 	"math"
 
 	"pressio/internal/core"
@@ -18,7 +18,7 @@ import (
 const Version = "1.0.0-go"
 
 // ErrCorrupt reports a malformed stream.
-var ErrCorrupt = errors.New("bitgroom: corrupt stream")
+var ErrCorrupt = fmt.Errorf("bitgroom: %w", core.ErrCorrupt)
 
 // bitsForDigits returns the number of explicit mantissa bits that must be
 // kept to preserve nsd significant decimal digits (log2(10) ≈ 3.32 bits per

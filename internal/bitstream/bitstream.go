@@ -58,15 +58,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	w.n += uint64(n)
 }
 
-// WriteUnary appends v as a unary run: v zero bits then a one bit.
-func (w *Writer) WriteUnary(v uint) {
-	for v >= 64 {
-		w.WriteBits(0, 64)
-		v -= 64
-	}
-	w.WriteBits(1<<v, v+1)
-}
-
 func (w *Writer) flushWord() {
 	w.buf = append(w.buf,
 		byte(w.acc), byte(w.acc>>8), byte(w.acc>>16), byte(w.acc>>24),
@@ -196,8 +187,8 @@ func (r *Reader) ReadBits(n uint) uint64 {
 // ReadRun consumes zero bits up to and including the first one bit, but at
 // most limit (≤ 64) bits in all, and returns the number of zeros consumed: a
 // result below limit means the terminating one was consumed too. Bits past
-// the end read as zero. It is the bounded form of ReadUnary for codecs that
-// spend a bit budget (zfp's group-tested runs).
+// the end read as zero. Codecs that spend a bit budget read unary runs this
+// way (zfp's group-tested runs).
 func (r *Reader) ReadRun(limit uint) uint {
 	limit = min(limit, 64)
 	var zeros uint
@@ -211,33 +202,4 @@ func (r *Reader) ReadRun(limit uint) uint {
 		zeros += chunk
 	}
 	return zeros
-}
-
-// ReadUnary consumes a unary run (zeros then a one) and returns the count of
-// zeros. Returns maxInt when the stream ends without a one (corrupt input);
-// callers bound their loops separately.
-func (r *Reader) ReadUnary() uint {
-	var count uint
-	for {
-		r.fill(57)
-		if r.nacc == 0 {
-			return count // exhausted
-		}
-		avail := r.nacc
-		chunk := r.acc
-		if avail < 64 {
-			chunk |= ^uint64(0) << avail // sentinel beyond valid bits
-		}
-		tz := uint(bits.TrailingZeros64(chunk))
-		if tz < avail {
-			// Found the terminating one within valid bits.
-			r.acc >>= tz + 1
-			r.nacc -= tz + 1
-			return count + tz
-		}
-		// All valid bits are zero; consume them and continue.
-		count += avail
-		r.acc = 0
-		r.nacc = 0
-	}
 }

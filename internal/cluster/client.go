@@ -139,8 +139,14 @@ func (c *PeerClient) Do(ctx context.Context, op string, dtype core.DType, dims [
 		if try > 0 {
 			trace.CounterAdd(trace.CtrClusterRetries, 1)
 		}
+		// A 4xx reply is the request's fault, not the peer's: the breaker
+		// records the call as answered.
+		var rejected error
 		elapsed, recorded, err := c.breaker.Call(ctx, func() (err error) {
 			out, err = c.attempt(ctx, op, dtype, dims, body)
+			if core.IsBadInput(err) {
+				rejected, err = err, nil
+			}
 			return err
 		})
 		switch {
@@ -148,6 +154,7 @@ func (c *PeerClient) Do(ctx context.Context, op string, dtype core.DType, dims [
 			c.lat.observe(elapsed)
 			trace.ObserveDuration(trace.HistClusterPeer, elapsed)
 			trace.CounterAdd(trace.ClusterPeerKey(c.addr, "requests"), 1)
+			err = rejected
 		case recorded:
 			trace.CounterAdd(trace.ClusterPeerKey(c.addr, "failures"), 1)
 		}

@@ -132,11 +132,12 @@ func TestRouterOverRealShardsRoundTrips(t *testing.T) {
 	}
 }
 
-// TestRouterDecompressHintMatchesSingleNode: the dims and dtype of a
-// decompress are a hint. zfp decodes the shape its stream records, and noop
-// falls back to opaque bytes, so a single node answers 200 to a hint that
-// does not match the stream. The router must pass that same body through,
-// not refuse it as a peer fault.
+// TestRouterDecompressHintMatchesSingleNode: the router answers a decompress
+// whose dims and dtype do not match the stream exactly as a single node does.
+// zfp decodes the shape its stream records, so a single node answers 200 and
+// the router must pass that same body through. noop's stream fills no other
+// shape, so a single node answers 400 and the router must refuse it as bad
+// input. Neither is a peer fault.
 func TestRouterDecompressHintMatchesSingleNode(t *testing.T) {
 	src := float32Chunks(1, 1024)[0]
 	for _, compressor := range []string{"zfp", "noop"} {
@@ -158,10 +159,20 @@ func TestRouterDecompressHintMatchesSingleNode(t *testing.T) {
 			}
 			single, err := io.ReadAll(resp.Body)
 			_ = resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s %s%v: single node answered %d: %v %s", compressor, hint.dtype, hint.dims, resp.StatusCode, err, single)
+			want := http.StatusOK
+			if compressor == "noop" {
+				want = http.StatusBadRequest
+			}
+			if err != nil || resp.StatusCode != want {
+				t.Fatalf("%s %s%v: single node answered %d, want %d: %v %s", compressor, hint.dtype, hint.dims, resp.StatusCode, want, err, single)
 			}
 			routed, err := r.Decompress(ctx, hint.dtype, hint.dims, stream)
+			if want == http.StatusBadRequest {
+				if !core.IsBadInput(err) {
+					t.Fatalf("%s %s%v: router: err = %v, want bad input", compressor, hint.dtype, hint.dims, err)
+				}
+				continue
+			}
 			if err != nil || !bytes.Equal(routed, single) {
 				t.Fatalf("%s %s%v: router: err = %v, %d bytes; single node: %d bytes", compressor, hint.dtype, hint.dims, err, len(routed), len(single))
 			}

@@ -79,23 +79,6 @@ func (r *Ring) Add(peer string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a peer and its points.
-func (r *Ring) Remove(peer string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.up[peer]; !ok {
-		return
-	}
-	delete(r.up, peer)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.peer != peer {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // SetUp records peer health. It returns true when this call changed the
 // state (so callers can count transitions exactly once). Unknown peers are
 // ignored.
@@ -115,18 +98,6 @@ func (r *Ring) Up(peer string) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.up[peer]
-}
-
-// Peers returns all members, sorted, regardless of health.
-func (r *Ring) Peers() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.up))
-	for p := range r.up {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // UpCount reports how many members are currently healthy.

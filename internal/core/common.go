@@ -9,8 +9,7 @@ import (
 
 // ErrorBoundMode enumerates how a lossy compressor interprets its bound.
 // Plugins expose their native modes but all understand the generic
-// "pressio:abs" and "pressio:rel" options; ResolveAbsBound implements the
-// shared translation.
+// "pressio:abs" and "pressio:rel" options.
 type ErrorBoundMode int
 
 const (
@@ -76,18 +75,6 @@ func ValueRange(d *Data) (lo, hi float64) {
 	return lo, hi
 }
 
-// ResolveAbsBound converts (mode, bound) into the absolute bound to apply
-// for the given input, computing the value range when the mode requires it.
-func ResolveAbsBound(d *Data, mode ErrorBoundMode, bound float64) float64 {
-	switch mode {
-	case BoundValueRangeRel:
-		lo, hi := ValueRange(d)
-		return bound * (hi - lo)
-	default:
-		return bound
-	}
-}
-
 // BoundConfig is an embeddable helper that handles the generic error-bound
 // options for lossy compressor plugins: it stores the native mode/bound and
 // maps "pressio:abs" / "pressio:rel" onto them, which is exactly the adapter
@@ -118,9 +105,6 @@ func BoundRows[T any](prefix string, field func(*T) *BoundConfig) []Row[T] {
 			ParseErrorBoundMode, func(p *T) *ErrorBoundMode { return &field(p).Mode }),
 	}
 }
-
-// Resolve computes the absolute bound to apply for input d.
-func (b *BoundConfig) Resolve(d *Data) float64 { return ResolveAbsBound(d, b.Mode, b.Bound) }
 
 // StandardConfiguration builds the read-only configuration Options every
 // plugin reports: thread safety, stability and version.
@@ -162,20 +146,24 @@ func ParseShape(dimsCSV, dtypeName string) (*Data, error) {
 	return NewEmpty(dtype, dims...), nil
 }
 
-// FillDecompressed installs raw decompressed bytes into out, honoring out's
-// dtype/dims hint when it matches the payload size and falling back to an
-// opaque byte buffer otherwise. Decompressor plugins share this tail logic.
+// FillDecompressed installs raw decompressed bytes into out. An out that
+// declares a dtype and a nonzero element count must match the payload size
+// exactly, or the stream is corrupt; an undeclared out receives the bytes.
+// Decompressor plugins share this tail logic.
 func FillDecompressed(out *Data, raw []byte) error {
-	if out.DType() != DTypeUnset && out.NumDims() > 0 &&
-		elementCount(out.Dims())*uint64(out.DType().Size()) == uint64(len(raw)) {
-		d, err := NewMove(out.DType(), raw, out.Dims()...)
-		if err != nil {
-			return err
-		}
-		out.Become(d)
+	n := elementCount(out.Dims())
+	if out.DType() == DTypeUnset || n == 0 {
+		out.Become(NewBytes(raw))
 		return nil
 	}
-	out.Become(NewBytes(raw))
+	if want := n * uint64(out.DType().Size()); want != uint64(len(raw)) {
+		return fmt.Errorf("%w: decoded %d bytes, %s%v needs %d", ErrCorrupt, len(raw), out.DType(), out.Dims(), want)
+	}
+	d, err := NewMove(out.DType(), raw, out.Dims()...)
+	if err != nil {
+		return err
+	}
+	out.Become(d)
 	return nil
 }
 

@@ -114,10 +114,6 @@ type Compressor struct {
 	metrics Metric // optional; composite for multiple
 }
 
-// NewCompressorFromPlugin wraps an already-constructed plugin. Most callers
-// use NewCompressor(name) instead.
-func NewCompressorFromPlugin(p CompressorPlugin) *Compressor { return &Compressor{impl: p} }
-
 // Prefix returns the plugin name.
 func (c *Compressor) Prefix() string { return c.impl.Prefix() }
 
@@ -174,9 +170,6 @@ func (c *Compressor) ThreadSafety() ThreadSafety {
 // SetMetrics attaches a metrics plugin whose hooks run around every
 // compress and decompress call. Pass nil to detach.
 func (c *Compressor) SetMetrics(m Metric) { c.metrics = m }
-
-// Metrics returns the attached metrics plugin (nil when none).
-func (c *Compressor) Metrics() Metric { return c.metrics }
 
 // MetricsResults gathers the attached metrics plugin's results; it returns
 // an empty Options when no metrics are attached.

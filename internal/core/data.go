@@ -105,17 +105,6 @@ func (d *Data) HasData() bool { return d.buf != nil }
 // empty Data.
 func (d *Data) Bytes() []byte { return d.buf }
 
-// SetBytes replaces the payload, adopting b, and sets the shape to a 1-D
-// byte buffer if the current shape does not match. It is the primitive
-// compressors use to emit their output into a caller-provided Data.
-func (d *Data) SetBytes(b []byte) {
-	d.buf = b
-	if elementCount(d.dims)*uint64(d.dtype.Size()) != uint64(len(b)) {
-		d.dtype = DTypeByte
-		d.dims = []uint64{uint64(len(b))}
-	}
-}
-
 // Become replaces the receiver's contents with those of src (shallow
 // adoption: storage is shared). It is used to fill caller-provided output
 // buffers.

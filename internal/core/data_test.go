@@ -169,16 +169,6 @@ func TestValueRange(t *testing.T) {
 	}
 }
 
-func TestResolveAbsBound(t *testing.T) {
-	d := FromFloat64s([]float64{0, 10})
-	if got := ResolveAbsBound(d, BoundAbs, 0.5); got != 0.5 {
-		t.Fatalf("abs: %v", got)
-	}
-	if got := ResolveAbsBound(d, BoundValueRangeRel, 0.01); got != 0.1 {
-		t.Fatalf("rel: %v", got)
-	}
-}
-
 func TestReshapeClonePropertyLaws(t *testing.T) {
 	f := func(vals []float64) bool {
 		if len(vals) == 0 {
@@ -233,13 +223,14 @@ func TestFillDecompressed(t *testing.T) {
 	if out.DType() != DTypeFloat32 || out.NumDims() != 2 {
 		t.Fatalf("hint not honored: %v", out)
 	}
-	// Size mismatch falls back to bytes.
-	out2 := NewEmpty(DTypeFloat32, 100)
-	if err := FillDecompressed(out2, raw); err != nil {
-		t.Fatal(err)
+	// A declared shape the payload does not fill is a corrupt stream.
+	if err := FillDecompressed(NewEmpty(DTypeFloat32, 100), raw); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("size mismatch: %v, want ErrCorrupt", err)
 	}
-	if out2.DType() != DTypeByte {
-		t.Fatalf("fallback: %v", out2)
+	// An undeclared output receives the bytes.
+	out2 := NewEmpty(DTypeByte, 0)
+	if err := FillDecompressed(out2, raw); err != nil || out2.DType() != DTypeByte || len(out2.Bytes()) != 16 {
+		t.Fatalf("undeclared: %v, %v", out2, err)
 	}
 }
 

@@ -89,6 +89,8 @@ func (d DType) String() string {
 func (d DType) Float() bool { return d == DTypeFloat32 || d == DTypeFloat64 }
 
 // Signed reports whether the type is a signed integer type.
+//
+//pressio:api pressio_dtype_is_signed
 func (d DType) Signed() bool {
 	switch d {
 	case DTypeInt8, DTypeInt16, DTypeInt32, DTypeInt64:
@@ -136,6 +138,8 @@ func ParseDType(s string) (DType, error) {
 
 // DTypes returns all concrete (non-unset) element types, useful for
 // enumeration in tests and tools.
+//
+//pressio:api the enumeration behind LibPressio's pressio_dtype values
 func DTypes() []DType {
 	return []DType{
 		DTypeInt8, DTypeInt16, DTypeInt32, DTypeInt64,

@@ -79,6 +79,15 @@ func IsTransient(err error) bool {
 	return errors.Is(err, ErrTransient) || errors.Is(err, ErrTimeout)
 }
 
+// IsBadInput reports whether err is the caller's fault: an invalid option, or
+// a payload that is corrupt or does not fit its declared dtype and dims. No
+// other server would accept the request, so it is neither retried, failed
+// over nor charged to a circuit breaker.
+func IsBadInput(err error) bool {
+	return errors.Is(err, ErrInvalidOption) || errors.Is(err, ErrCorrupt) ||
+		errors.Is(err, ErrInvalidDType) || errors.Is(err, ErrInvalidDims)
+}
+
 // PluginError attaches the name of the plugin that produced an error, so
 // errors surfacing through deeply composed meta-compressors still identify
 // their origin.

@@ -47,9 +47,6 @@ func NewMetricsGroup(members ...Metric) *MetricsGroup {
 // Prefix implements Metric.
 func (g *MetricsGroup) Prefix() string { return "composite" }
 
-// Members returns the composed metrics.
-func (g *MetricsGroup) Members() []Metric { return g.members }
-
 // Options merges member options.
 func (g *MetricsGroup) Options() *Options {
 	o := NewOptions()

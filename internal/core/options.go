@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -426,6 +427,8 @@ func (o *Options) Set(key string, opt Option) *Options {
 func (o *Options) SetValue(key string, v any) *Options { return o.Set(key, NewOption(v)) }
 
 // SetType stores a typed-but-valueless option (introspection placeholder).
+//
+//pressio:api pressio_options_set_type
 func (o *Options) SetType(key string, t OptionType) *Options { return o.Set(key, TypedOption(t)) }
 
 // Get retrieves the option stored under key.
@@ -448,64 +451,41 @@ func (o *Options) Len() int { return len(o.m) }
 
 // Keys returns the option names in sorted order.
 func (o *Options) Keys() []string {
-	keys := make([]string, 0, len(o.m))
-	for k := range o.m {
-		keys = append(keys, k)
+	return slices.Sorted(maps.Keys(o.m))
+}
+
+// getAs retrieves key cast to t under safety; T is t's Go type.
+func getAs[T any](o *Options, key string, t OptionType, safety CastSafety) (T, error) {
+	var zero T
+	opt, ok := o.m[key]
+	if !ok || !opt.HasValue() {
+		return zero, fmt.Errorf("%w: %s", ErrMissingOption, key)
 	}
-	sort.Strings(keys)
-	return keys
+	c, ok := opt.Cast(t, safety)
+	if !ok {
+		return zero, fmt.Errorf("%w: %s is %s, not convertible to %s", ErrInvalidOption, key, opt.Type(), t)
+	}
+	return c.Value().(T), nil
 }
 
 // GetInt64 retrieves key cast (explicitly) to int64.
 func (o *Options) GetInt64(key string) (int64, error) {
-	opt, ok := o.m[key]
-	if !ok || !opt.HasValue() {
-		return 0, fmt.Errorf("%w: %s", ErrMissingOption, key)
-	}
-	c, ok := opt.Cast(OptInt64, CastExplicit)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s is %s, not convertible to int64", ErrInvalidOption, key, opt.Type())
-	}
-	return c.Value().(int64), nil
+	return getAs[int64](o, key, OptInt64, CastExplicit)
 }
 
 // GetUint64 retrieves key cast (explicitly) to uint64.
 func (o *Options) GetUint64(key string) (uint64, error) {
-	opt, ok := o.m[key]
-	if !ok || !opt.HasValue() {
-		return 0, fmt.Errorf("%w: %s", ErrMissingOption, key)
-	}
-	c, ok := opt.Cast(OptUint64, CastExplicit)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s is %s, not convertible to uint64", ErrInvalidOption, key, opt.Type())
-	}
-	return c.Value().(uint64), nil
+	return getAs[uint64](o, key, OptUint64, CastExplicit)
 }
 
 // GetInt32 retrieves key cast (explicitly) to int32.
 func (o *Options) GetInt32(key string) (int32, error) {
-	opt, ok := o.m[key]
-	if !ok || !opt.HasValue() {
-		return 0, fmt.Errorf("%w: %s", ErrMissingOption, key)
-	}
-	c, ok := opt.Cast(OptInt32, CastExplicit)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s is %s, not convertible to int32", ErrInvalidOption, key, opt.Type())
-	}
-	return c.Value().(int32), nil
+	return getAs[int32](o, key, OptInt32, CastExplicit)
 }
 
 // GetFloat64 retrieves key cast (explicitly) to float64.
 func (o *Options) GetFloat64(key string) (float64, error) {
-	opt, ok := o.m[key]
-	if !ok || !opt.HasValue() {
-		return 0, fmt.Errorf("%w: %s", ErrMissingOption, key)
-	}
-	c, ok := opt.Cast(OptDouble, CastExplicit)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s is %s, not convertible to float64", ErrInvalidOption, key, opt.Type())
-	}
-	return c.Value().(float64), nil
+	return getAs[float64](o, key, OptDouble, CastExplicit)
 }
 
 // GetString retrieves key as a string (no numeric formatting).
@@ -522,15 +502,7 @@ func (o *Options) GetString(key string) (string, error) {
 
 // GetStrings retrieves key as a string list.
 func (o *Options) GetStrings(key string) ([]string, error) {
-	opt, ok := o.m[key]
-	if !ok || !opt.HasValue() {
-		return nil, fmt.Errorf("%w: %s", ErrMissingOption, key)
-	}
-	c, ok := opt.Cast(OptStrings, CastImplicit)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s is %s, not strings", ErrInvalidOption, key, opt.Type())
-	}
-	return c.Value().([]string), nil
+	return getAs[[]string](o, key, OptStrings, CastImplicit)
 }
 
 // GetData retrieves key as a Data buffer.

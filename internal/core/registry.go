@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -114,10 +115,5 @@ func SupportedIO() []string { return sortedKeys(ioReg) }
 func sortedKeys[V any](m map[string]V) []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return slices.Sorted(maps.Keys(m))
 }

@@ -42,9 +42,6 @@ func Above(lo float64) Bounds {
 // OneOf accepts exactly the listed strings.
 func OneOf(names ...string) Bounds { return Bounds{OneOf: names} }
 
-// Interval reports whether b is a numeric interval.
-func (b Bounds) Interval() bool { return b.interval }
-
 // String renders the bounds for generated documentation and error messages
 // ("" when unbounded).
 func (b Bounds) String() string {

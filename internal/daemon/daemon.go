@@ -381,10 +381,3 @@ func (d *Daemon) Drain() error {
 		obslog.Err(err))
 	return err
 }
-
-// Started reports data-plane requests the server began processing; equality
-// with Finished after Drain proves zero dropped in-flight work.
-func (d *Daemon) Started() int64 { return d.started.Load() }
-
-// Finished reports completed data-plane requests; see Started.
-func (d *Daemon) Finished() int64 { return d.finished.Load() }

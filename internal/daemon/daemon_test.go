@@ -435,32 +435,6 @@ func TestDaemonMetriczPrometheus(t *testing.T) {
 	}
 }
 
-func TestDaemonMetriczJSONMode(t *testing.T) {
-	d, _, _ := startTestDaemon(t, nil)
-	base := "http://" + d.Addr()
-	readAll(t, post(t, base+"/compress?dims=4&dtype=float32", make([]byte, 16)))
-	resp, err := http.Get(base + "/metricz?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("json-mode Content-Type %q", ct)
-	}
-	var got struct {
-		Counters map[string]int64   `json:"counters"`
-		Gauges   map[string]float64 `json:"gauges"`
-	}
-	if err := json.Unmarshal(readAll(t, resp), &got); err != nil {
-		t.Fatalf("json mode did not parse: %v", err)
-	}
-	if got.Counters[trace.CtrDaemonRequests] != 1 {
-		t.Errorf("daemon requests counter %d, want 1", got.Counters[trace.CtrDaemonRequests])
-	}
-	if _, ok := got.Gauges["pressio_goroutines"]; !ok {
-		t.Error("json mode missing runtime gauges")
-	}
-}
-
 // Satellite: the health/metrics endpoints declare an explicit Content-Type
 // and are uncacheable — a cached readiness answer misroutes rolling
 // restarts.

@@ -49,7 +49,7 @@ func errKind(err error) (kind string, status int) {
 			kind = "breaker-open"
 		}
 		return kind, http.StatusServiceUnavailable
-	case errors.Is(err, core.ErrInvalidOption):
+	case core.IsBadInput(err):
 		return "bad-request", http.StatusBadRequest
 	default:
 		return "fault", http.StatusInternalServerError
@@ -395,15 +395,7 @@ func b2f(b bool) float64 {
 // is Prometheus text exposition format (version 0.0.4): counters as _total
 // series, latency histograms as cumulative _bucket/_sum/_count series in
 // seconds, plus live daemon gauges, Go runtime stats, and build info.
-// ?format=json keeps the machine-readable JSON rendering for tooling that
-// predates the exposition format.
-func (d *Daemon) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	gs := d.gauges()
-	if r.URL.Query().Get("format") == "json" {
-		setNoStore(w, "application/json")
-		_ = trace.WriteMetricsJSON(w, gs...)
-		return
-	}
+func (d *Daemon) handleMetricz(w http.ResponseWriter, _ *http.Request) {
 	setNoStore(w, trace.PromContentType)
-	_ = trace.WritePrometheus(w, gs...)
+	_ = trace.WritePrometheus(w, d.gauges()...)
 }

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pressio/internal/core"
@@ -96,14 +95,4 @@ func Table(header []string, rows [][]string) string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// sortedKeys returns map keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

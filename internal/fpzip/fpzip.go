@@ -36,7 +36,6 @@ package fpzip
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -51,7 +50,7 @@ import (
 const Version = "1.4.0-go"
 
 // ErrCorrupt reports a malformed fpzip stream.
-var ErrCorrupt = errors.New("fpzip: corrupt stream")
+var ErrCorrupt = fmt.Errorf("fpzip: %w", core.ErrCorrupt)
 
 // Params configures a compression call.
 type Params struct {

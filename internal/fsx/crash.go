@@ -3,8 +3,9 @@ package fsx
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,12 +99,7 @@ func RegisterFSPoint(name string) string {
 func FSPoints() []string {
 	fsMu.Lock()
 	defer fsMu.Unlock()
-	out := make([]string, 0, len(fsPoints))
-	for p := range fsPoints {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(fsPoints))
 }
 
 // ArmFS arms one filesystem fault. Only one fault is armed at a time; arming

@@ -21,8 +21,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"pressio/internal/core"
 	"pressio/internal/fsx"
@@ -123,16 +124,6 @@ func Open(path string) (*File, error) {
 		f.blobs[name] = chunks
 	}
 	return f, nil
-}
-
-// Names lists the stored datasets, sorted.
-func (f *File) Names() []string {
-	names := make([]string, 0, len(f.idx.Datasets))
-	for n := range f.idx.Datasets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // filterFor instantiates the filter compressor for a dataset.
@@ -339,20 +330,6 @@ type DatasetMeta struct {
 	Options map[string]float64
 }
 
-// Meta returns the metadata of the named dataset.
-func (f *File) Meta(name string) (DatasetMeta, error) {
-	info, ok := f.idx.Datasets[name]
-	if !ok {
-		return DatasetMeta{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return DatasetMeta{
-		DType:   info.DType,
-		Dims:    append([]uint64(nil), info.Dims...),
-		Filter:  info.Filter,
-		Options: info.Options,
-	}, nil
-}
-
 // RawChunks returns the stored chunks of the named dataset. Payloads alias
 // the container's buffers; callers must not mutate them.
 func (f *File) RawChunks(name string) ([]RawChunk, error) {
@@ -391,6 +368,9 @@ func (f *File) WriteRawDataset(name, dtype string, dims []uint64, filter string,
 	f.put(name, DatasetMeta{DType: dtype, Dims: append([]uint64(nil), dims...), Filter: filter, Options: options}, owned)
 	return nil
 }
+
+// Names lists the stored datasets, sorted.
+func (f *File) Names() []string { return slices.Sorted(maps.Keys(f.idx.Datasets)) }
 
 // Save writes the container to its path.
 func (f *File) Save() error {

@@ -12,17 +12,17 @@ package huffman
 import (
 	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 
 	"pressio/internal/bitstream"
+	"pressio/internal/core"
 )
 
 // ErrCorrupt reports a malformed huffman stream.
-var ErrCorrupt = errors.New("huffman: corrupt stream")
+var ErrCorrupt = fmt.Errorf("huffman: %w", core.ErrCorrupt)
 
 // maxCodeLen bounds canonical code lengths; counts are scaled if a longer
 // code would be produced (cannot happen for < 2^32 total count but guards

@@ -10,7 +10,6 @@ import (
 	"compress/gzip"
 	"compress/zlib"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,7 +18,7 @@ import (
 )
 
 // ErrCorrupt reports a malformed lossless stream.
-var ErrCorrupt = errors.New("lossless: corrupt stream")
+var ErrCorrupt = fmt.Errorf("lossless: %w", core.ErrCorrupt)
 
 // Deflate compresses b at the given flate level (1..9; 0 selects the
 // default).

@@ -395,3 +395,36 @@ func TestBitShufflePlugin(t *testing.T) {
 		t.Fatalf("bitshuffle plugin round trip: %v", err)
 	}
 }
+
+// TestNoopRefusesEveryPrefix: noop stores the payload verbatim, so a
+// truncated stream decodes to fewer bytes than the declared output needs.
+// Every strict prefix must be refused as corrupt, and a whole stream decoded
+// into a smaller declared shape too, instead of handing back a byte buffer of
+// the wrong size.
+func TestNoopRefusesEveryPrefix(t *testing.T) {
+	c, err := core.NewCompressor("noop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float32, 12*16*20)
+	for i := range vals {
+		vals[i] = float32(i)
+	}
+	comp, err := core.Compress(c, core.FromFloat32s(vals, 12, 16, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := comp.Bytes()
+	for n := range len(stream) {
+		out := core.NewEmpty(core.DTypeFloat32, 12, 16, 20)
+		if err := c.Decompress(core.NewBytes(stream[:n]), out); !errors.Is(err, core.ErrCorrupt) {
+			t.Fatalf("prefix of %d/%d bytes: err %v, output %v; want ErrCorrupt", n, len(stream), err, out)
+		}
+	}
+	if _, err := core.Decompress(c, comp, core.DTypeFloat32, 7); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("whole stream into float32[7]: %v, want ErrCorrupt", err)
+	}
+	if _, err := core.Decompress(c, comp, core.DTypeFloat32, 12, 16, 20); err != nil {
+		t.Fatalf("whole stream: %v", err)
+	}
+}

@@ -59,6 +59,8 @@ func CompressManyWithMetrics(proto *core.Compressor, bufs []*core.Data, nthreads
 
 // DecompressMany is the inverse of CompressMany; hints supply the per-buffer
 // output dtype/dims the same way Decompress does.
+//
+//pressio:api pressio_compressor_decompress_many
 func DecompressMany(proto *core.Compressor, comps, hints []*core.Data, nthreads int) ([]*core.Data, error) {
 	results, _, err := DecompressManyWithMetrics(proto, comps, hints, nthreads)
 	return results, err

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strconv"
 
 	"pressio/internal/core"
 )
@@ -210,21 +211,7 @@ func (m *autocorr) Results() *core.Options {
 }
 
 func formatLagKey(lag uint64) string {
-	return "autocorrelation:lag_" + utoa(lag)
-}
-
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return "autocorrelation:lag_" + strconv.FormatUint(lag, 10)
 }
 
 func (m *autocorr) Clone() core.Metric {

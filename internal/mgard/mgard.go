@@ -32,7 +32,7 @@ import (
 const Version = "0.2.0-go"
 
 // ErrCorrupt reports a malformed mgard stream.
-var ErrCorrupt = errors.New("mgard: corrupt stream")
+var ErrCorrupt = fmt.Errorf("mgard: %w", core.ErrCorrupt)
 
 // ErrNonFinite reports NaN or Inf input, which the multilevel transform
 // cannot represent.

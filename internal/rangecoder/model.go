@@ -1,9 +1,13 @@
 package rangecoder
 
-import "errors"
+import (
+	"fmt"
+
+	"pressio/internal/core"
+)
 
 // ErrCorrupt reports a code no encoder could have produced.
-var ErrCorrupt = errors.New("rangecoder: code lies past the model's total")
+var ErrCorrupt = fmt.Errorf("rangecoder: %w: code lies past the model's total", core.ErrCorrupt)
 
 // A Model's constants are part of every format coded with it: encoder and
 // decoder agree on each symbol's interval only if they adapt in lockstep.

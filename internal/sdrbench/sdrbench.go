@@ -182,10 +182,3 @@ func Generate(name string, scale int, seed int64) (*core.Data, bool) {
 func Names() []string {
 	return []string{NameHurricane, NameScaleLetKF, NameNYX, NameHACC}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

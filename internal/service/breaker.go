@@ -129,6 +129,7 @@ func (p *breaker) state() *BreakerState {
 
 // through runs one call against the child inside the shared circuit.
 func (p *breaker) through(op func(*core.Compressor) error) error {
+	var rejected error
 	//lint:ignore ctxflow the plugin interface carries no context, so no caller can cancel (and so abandon) this call
 	_, _, err := p.state().Call(context.Background(), func() error {
 		// A child that cannot even be built counts as a failure: tripping
@@ -137,8 +138,15 @@ func (p *breaker) through(op func(*core.Compressor) error) error {
 		if err != nil {
 			return err
 		}
-		return op(comp)
+		// Bad input is the caller's fault, not the child's.
+		if err = op(comp); core.IsBadInput(err) {
+			rejected, err = err, nil
+		}
+		return err
 	})
+	if err == nil {
+		err = rejected
+	}
 	return err
 }
 

@@ -1,9 +1,6 @@
 package service
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock abstracts the wall clock so overload policy (breaker cooldowns,
 // queue-wait estimates) can be driven deterministically in tests. Production
@@ -18,26 +15,3 @@ type RealClock struct{}
 
 // Now implements Clock.
 func (RealClock) Now() time.Time { return time.Now() }
-
-// FakeClock is a manually advanced Clock for deterministic tests.
-type FakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-// NewFakeClock starts a fake clock at the given instant.
-func NewFakeClock(start time.Time) *FakeClock { return &FakeClock{now: start} }
-
-// Now implements Clock.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}

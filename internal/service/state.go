@@ -81,16 +81,6 @@ func (s *BreakerState) Mode() BreakerMode {
 	return s.mode
 }
 
-// Scope returns the name this state is registered under.
-func (s *BreakerState) Scope() string { return s.scope }
-
-// SetClock injects a test clock. Call before traffic flows.
-func (s *BreakerState) SetClock(c Clock) {
-	s.mu.Lock()
-	s.clock = c
-	s.mu.Unlock()
-}
-
 // configure replaces the tunables, resizing the window ring. The circuit
 // position (open/half-open) is preserved; the recorded window restarts.
 func (s *BreakerState) configure(cfg breakerConfig) {

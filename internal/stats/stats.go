@@ -13,34 +13,6 @@ import (
 // ErrTooFew reports too few observations for a test.
 var ErrTooFew = errors.New("stats: too few observations")
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the middle value (mean of the two middle values for even
 // lengths).
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }

@@ -173,14 +173,6 @@ func (sc *Scrubber) Stop() {
 	<-done
 }
 
-// LastReport returns the most recent completed pass (ok=false before the
-// first one).
-func (sc *Scrubber) LastReport() (ScrubReport, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.last, sc.lastOK
-}
-
 func (sc *Scrubber) loop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	rng := sc.seed

@@ -199,9 +199,6 @@ func (s *Store) Ready() bool { return !s.j.broken.Load() }
 // Recovery returns what Open had to do.
 func (s *Store) Recovery() RecoveryStats { return s.stats }
 
-// Dir returns the store root.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, manifestFile) }
 func (s *Store) journalPath() string  { return filepath.Join(s.dir, journalFile) }
 func (s *Store) segmentPath(name string) string {

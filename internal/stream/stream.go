@@ -342,21 +342,8 @@ func CompressAsync(c *core.Compressor, in *core.Data) <-chan AsyncResult {
 	return ch
 }
 
-// AsyncResult is the outcome of CompressAsync / DecompressAsync.
+// AsyncResult is the outcome of CompressAsync.
 type AsyncResult struct {
 	Data *core.Data
 	Err  error
-}
-
-// DecompressAsync is the decompression counterpart of CompressAsync; hint
-// carries the output dtype/dims.
-func DecompressAsync(c *core.Compressor, in, hint *core.Data) <-chan AsyncResult {
-	ch := make(chan AsyncResult, 1)
-	worker := c.Clone()
-	go func() {
-		out := core.NewEmpty(hint.DType(), hint.Dims()...)
-		err := worker.Decompress(in, out)
-		ch <- AsyncResult{Data: out, Err: err}
-	}()
-	return ch
 }

@@ -158,11 +158,11 @@ func TestCompressAsyncAPI(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("async %d: %v", i, res.Err)
 		}
-		dec := <-DecompressAsync(c, res.Data, core.NewEmpty(core.DTypeFloat32, 32, 32))
-		if dec.Err != nil {
-			t.Fatalf("async decompress %d: %v", i, dec.Err)
+		dec := core.NewEmpty(core.DTypeFloat32, 32, 32)
+		if err := c.Decompress(res.Data, dec); err != nil {
+			t.Fatalf("decompress %d: %v", i, err)
 		}
-		for j, v := range dec.Data.Float32s() {
+		for j, v := range dec.Float32s() {
 			if d := float64(v - vals[j]); d > 0.01 || d < -0.01 {
 				t.Fatalf("async %d elem %d bound violated", i, j)
 			}

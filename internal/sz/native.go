@@ -42,13 +42,6 @@ func Finalize() {
 	global.inited = false
 }
 
-// Initialized reports whether the global store is live.
-func Initialized() bool {
-	global.mu.Lock()
-	defer global.mu.Unlock()
-	return global.inited
-}
-
 // globalParams snapshots the global store.
 func globalParams() (Params, error) {
 	global.mu.Lock()

@@ -14,7 +14,6 @@ package sz
 import (
 	"compress/flate"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -28,7 +27,7 @@ import (
 const Version = "2.1.10-go"
 
 // ErrCorrupt reports a malformed sz stream.
-var ErrCorrupt = errors.New("sz: corrupt stream")
+var ErrCorrupt = fmt.Errorf("sz: %w", core.ErrCorrupt)
 
 // Params configures a compression call.
 type Params struct {

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"time"
 )
@@ -164,11 +166,7 @@ func RollupByName(spans []SpanRecord) map[string]Rollup {
 // compact text report (used by pressio-bench after a traced run).
 func WriteSummary(w io.Writer, spans []SpanRecord) error {
 	rollups := RollupByName(spans)
-	names := make([]string, 0, len(rollups))
-	for n := range rollups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(rollups))
 	if _, err := fmt.Fprintf(w, "%-36s %8s %12s %12s %12s\n", "span", "count", "total", "mean", "max"); err != nil {
 		return err
 	}

@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -59,14 +59,9 @@ func promLabels(labels map[string]string) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, k := range keys {
+	for i, k := range slices.Sorted(maps.Keys(labels)) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -85,12 +80,7 @@ func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // gauges in the order given.
 func WritePrometheus(w io.Writer, gauges ...Gauge) error {
 	counters := Counters()
-	names := make([]string, 0, len(counters))
-	for k := range counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(counters)) {
 		pn := PromName(name) + "_total"
 		if _, err := fmt.Fprintf(w, "# HELP %s pressio counter %s\n# TYPE %s counter\n%s %d\n",
 			pn, name, pn, pn, counters[name]); err != nil {
@@ -99,12 +89,7 @@ func WritePrometheus(w io.Writer, gauges ...Gauge) error {
 	}
 
 	hists := Histograms()
-	names = names[:0]
-	for k := range hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(hists)) {
 		if err := writePromHistogram(w, name, hists[name]); err != nil {
 			return err
 		}
@@ -187,52 +172,4 @@ func BuildInfoGauge(version string) Gauge {
 		},
 		Value: 1,
 	}
-}
-
-// metricsJSON is the schema of the ?format=json exposition mode.
-type metricsJSON struct {
-	Counters   map[string]int64             `json:"counters"`
-	Histograms map[string]histogramJSON     `json:"histograms"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Labels     map[string]map[string]string `json:"labels,omitempty"`
-}
-
-type histogramJSON struct {
-	Count  int64 `json:"count"`
-	SumNs  int64 `json:"sum_ns"`
-	MeanNs int64 `json:"mean_ns"`
-	MaxNs  int64 `json:"max_ns"`
-	P50Ns  int64 `json:"p50_ns"`
-	P99Ns  int64 `json:"p99_ns"`
-}
-
-// WriteMetricsJSON renders the same registry contents plus gauges as one
-// JSON object — the machine-readable mode kept for pre-Prometheus tooling.
-func WriteMetricsJSON(w io.Writer, gauges ...Gauge) error {
-	out := metricsJSON{
-		Counters:   Counters(),
-		Histograms: map[string]histogramJSON{},
-		Gauges:     map[string]float64{},
-	}
-	for name, s := range Histograms() {
-		out.Histograms[name] = histogramJSON{
-			Count:  s.Count,
-			SumNs:  int64(s.Sum),
-			MeanNs: int64(s.Mean()),
-			MaxNs:  int64(s.Max),
-			P50Ns:  int64(s.Quantile(0.5)),
-			P99Ns:  int64(s.Quantile(0.99)),
-		}
-	}
-	for _, g := range gauges {
-		out.Gauges[g.Name] = g.Value
-		if len(g.Labels) > 0 {
-			if out.Labels == nil {
-				out.Labels = map[string]map[string]string{}
-			}
-			out.Labels[g.Name] = g.Labels
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"regexp"
 	"strconv"
 	"strings"
@@ -80,40 +79,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if lastBucket != 2 {
 		t.Errorf("final bucket %d, want 2", lastBucket)
-	}
-}
-
-func TestWriteMetricsJSON(t *testing.T) {
-	ResetTelemetry()
-	defer ResetTelemetry()
-	CounterAdd("decompress.calls", 3)
-	ObserveDuration("decompress.latency", time.Millisecond)
-
-	var buf bytes.Buffer
-	if err := WriteMetricsJSON(&buf, Gauge{Name: "pressio_goroutines", Value: 12}); err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Counters   map[string]int64 `json:"counters"`
-		Histograms map[string]struct {
-			Count  int64 `json:"count"`
-			MeanNs int64 `json:"mean_ns"`
-			P99Ns  int64 `json:"p99_ns"`
-		} `json:"histograms"`
-		Gauges map[string]float64 `json:"gauges"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("json mode did not parse: %v\n%s", err, buf.String())
-	}
-	if got.Counters["decompress.calls"] != 3 {
-		t.Errorf("counter = %d, want 3", got.Counters["decompress.calls"])
-	}
-	h := got.Histograms["decompress.latency"]
-	if h.Count != 1 || h.MeanNs != int64(time.Millisecond) {
-		t.Errorf("histogram %+v", h)
-	}
-	if got.Gauges["pressio_goroutines"] != 12 {
-		t.Errorf("gauge = %v, want 12", got.Gauges["pressio_goroutines"])
 	}
 }
 

@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"maps"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -389,12 +390,7 @@ func Histograms() map[string]HistogramSnapshot {
 func CounterNames() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	names := make([]string, 0, len(counters))
-	for k := range counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(counters))
 }
 
 // ResetTelemetry clears all counters and histograms (for tests and between

@@ -15,7 +15,7 @@ import (
 const Version = "0.3.0-go"
 
 // ErrCorrupt reports a malformed tthresh stream.
-var ErrCorrupt = errors.New("tthresh: corrupt stream")
+var ErrCorrupt = fmt.Errorf("tthresh: %w", core.ErrCorrupt)
 
 // ErrNonFinite reports NaN or Inf input.
 var ErrNonFinite = errors.New("tthresh: non-finite values unsupported")

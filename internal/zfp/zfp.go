@@ -2,7 +2,6 @@ package zfp
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -15,7 +14,7 @@ import (
 const Version = "0.5.5-go"
 
 // ErrCorrupt reports a malformed zfp stream.
-var ErrCorrupt = errors.New("zfp: corrupt stream")
+var ErrCorrupt = fmt.Errorf("zfp: %w", core.ErrCorrupt)
 
 // Mode selects the zfp compression mode.
 type Mode int
@@ -66,9 +65,6 @@ type Params struct {
 	Precision uint    // bit planes, ModeFixedPrecision
 	Tolerance float64 // absolute error bound, ModeFixedAccuracy
 }
-
-// DefaultParams matches zfp's common default: fixed accuracy 1e-3.
-func DefaultParams() Params { return Params{Mode: ModeFixedAccuracy, Tolerance: 1e-3} }
 
 const (
 	magic    = "ZFG1"

@@ -33,7 +33,7 @@ test -z "$(grep -rln 'sync.WaitGroup' internal --include='*.go' |
     grep -v -e '_test\.go$' -e '^internal/analysis/' -e '^internal/stream/' \
         -e '^internal/core/fanout\.go$' -e '^internal/cluster/router\.go$')"
 
-echo "==> pressiolint ./... (all fifteen analyzers, zero findings)"
+echo "==> pressiolint ./... (all sixteen analyzers, zero findings)"
 go run ./cmd/pressiolint ./...
 
 echo "==> option schemas (well-formed, option surface pinned, docs/PLUGINS.md reference current)"
