@@ -380,9 +380,10 @@ func TestCrashMatrixHardStop(t *testing.T) {
 func TestCrashPointsFailMode(t *testing.T) {
 	// What the unacknowledged write "w1" must look like after reopen:
 	//   absent     — the crash preceded the commit fsync; the write never
-	//                happened.
-	//   present    — the crash followed the commit; recovery must finish the
-	//                publish (rebuild the segment from the journal).
+	//                happened. The segment is written before the record, so
+	//                its save and the four atomic-write points are here.
+	//   present    — the crash followed the commit; recovery must finish
+	//                what the put began.
 	//   either     — the crash hit the commit fsync itself; the record may or
 	//                may not have reached the device, but never partially
 	//                (torn tails are truncated).
@@ -393,11 +394,11 @@ func TestCrashPointsFailMode(t *testing.T) {
 		PointJournalTorn:  "absent",
 		PointJournalWrite: "absent",
 		PointJournalFsync: "either",
-		PointSegmentSave:  "present",
-		fsx.PointWrite:    "present",
-		fsx.PointFsync:    "present",
-		fsx.PointRename:   "present",
-		fsx.PointDirSync:  "present",
+		PointSegmentSave:  "absent",
+		fsx.PointWrite:    "absent",
+		fsx.PointFsync:    "absent",
+		fsx.PointRename:   "absent",
+		fsx.PointDirSync:  "absent",
 		PointManifest:     "checkpoint",
 		PointJournalTrunc: "checkpoint",
 	}

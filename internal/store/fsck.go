@@ -6,9 +6,9 @@ import "fmt"
 // strictly read-only: it reads the directory through the same fold and
 // verification pass recovery acts on (readState, verify), so it reports
 // exactly what a repair would change. Repair mode makes those changes: it
-// runs recovery (temp sweep, segment rebuild, torn-tail truncation), a full
-// scrub pass (quarantining chunks that fail their CRC), and a checkpoint
-// (collecting orphans), then re-checks.
+// runs recovery (temp sweep, segment rebuild, orphan removal, torn-tail
+// truncation), a full scrub pass (quarantining chunks that fail their CRC),
+// and a checkpoint, then re-checks.
 
 // FsckOptions configures a pass.
 type FsckOptions struct {
@@ -50,8 +50,8 @@ type FsckReport struct {
 	// them).
 	MissingSegments []string `json:"missing_segments,omitempty"`
 	// RebuildableSegments lists objects whose container is absent or wrong
-	// but whose journaled payloads can rebuild it (repair fixes these
-	// losslessly).
+	// but whose legacy put record's payloads can rebuild it (repair fixes
+	// these losslessly).
 	RebuildableSegments []string `json:"rebuildable_segments,omitempty"`
 	// OrphanSegments lists container files no reachable object references.
 	OrphanSegments []string `json:"orphan_segments,omitempty"`

@@ -106,24 +106,30 @@ func TestFsckDetectsAndRepairs(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-checkpoint put: its journal record (with payloads) survives, so
-	// deleting its segment is repairable by rebuild.
-	rebuilt := mustPut(t, s, "rebuildme", testData(20), PutOptions{})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Damage: bit-rot one checkpointed chunk, remove a rebuildable segment,
-	// drop in a torn journal tail and a stray temp file.
-	flipChunkByte(t, filepath.Join(dir, objectsDir, hurt.Segment), 3)
-	if err := os.Remove(filepath.Join(dir, objectsDir, rebuilt.Segment)); err != nil {
+	// A post-checkpoint legacy put: its op-1 record carries the payloads
+	// (one 8-byte row per chunk) and its segment was never written, so
+	// repair rebuilds it.
+	rebuilt := testData(20)
+	var rows [][]byte
+	for b := rebuilt.Bytes(); len(b) > 0; b = b[8:] {
+		rows = append(rows, b[:8])
+	}
+	legacy, err := encodeRecord(testPutRecord(3, "rebuildme", rows...))
+	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Damage: bit-rot one checkpointed chunk, then append the legacy record,
+	// a torn journal tail and a stray temp file.
+	flipChunkByte(t, filepath.Join(dir, objectsDir, hurt.Segment), 3)
 	jf, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jf.Write([]byte("PJL1torntorntorn")); err != nil {
+	if _, err := jf.Write(append(legacy, "PJL1torntorntorn"...)); err != nil {
 		t.Fatal(err)
 	}
 	jf.Close()
@@ -181,10 +187,10 @@ func TestFsckDetectsAndRepairs(t *testing.T) {
 	if d, _, err := r.Get("fine"); err != nil || !d.Equal(fine) {
 		t.Fatalf("intact object damaged by repair: %v", err)
 	}
-	if _, _, err := r.Get("rebuildme"); err != nil {
+	if d, _, err := r.Get("rebuildme"); err != nil || !d.Equal(rebuilt) {
 		t.Fatalf("rebuilt object unreadable: %v", err)
 	}
-	info, err := r.Stat("hurt")
+	_, info, err := r.lookup("hurt")
 	if err != nil || len(info.QuarantinedChunks) != 1 || info.QuarantinedChunks[0] != 3 {
 		t.Fatalf("hurt object state: %+v %v", info, err)
 	}

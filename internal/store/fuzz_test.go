@@ -29,7 +29,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	ref, err := encodeRecord(testPutRefRecord(4, "obj/a", []byte("chunk0"), []byte("chunk-1")))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(put)
+	f.Add(ref)
 	f.Add(del)
 	f.Add(quar)
 	f.Add(put[:len(put)-2])

@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-// The damaged-store golden. testdata/golden/damaged is a small store
-// directory carrying one of each kind of damage recovery and fsck handle:
+// The damaged-store goldens. testdata/golden/damaged is a small store
+// directory, written by the legacy writer whose put records carry their chunk
+// payloads, carrying one of each kind of damage recovery and fsck handle:
 //
 //   - MANIFEST.json checkpoints ckpt/rotted (chunk 2 bit-flipped on disk,
 //     not yet quarantined) and ckpt/deleted;
@@ -23,15 +24,22 @@ import (
 //
 // damaged.fsck.json and damaged.recovery.json beside it are the check-mode
 // FsckReport and the RecoveryStats of an Open on a copy, recorded when the
-// fixture was made; the test names each intended difference since. The
-// -update-damaged flag rewrites the fixture directory only, never the
-// recorded reports. The fixture also pins the on-disk bytes of MANIFEST.json,
-// a torn-tail PJL1 journal and the segment containers: buildDamagedStore
-// must reproduce it byte for byte.
+// fixture was made; the test names each intended difference since. That
+// fixture is never rewritten: it is the proof that a legacy directory still
+// recovers.
+//
+// testdata/golden/damaged-op4 is the same build by today's writer, whose
+// put records reference their segments (op 4). It pins the on-disk bytes of
+// MANIFEST.json, a torn-tail PJL1 journal and the segment containers:
+// buildDamagedStore must reproduce it byte for byte, and the -update-damaged
+// flag rewrites it.
 
-var updateDamaged = flag.Bool("update-damaged", false, "rewrite testdata/golden/damaged from buildDamagedStore")
+var updateDamaged = flag.Bool("update-damaged", false, "rewrite testdata/golden/damaged-op4 from buildDamagedStore")
 
-var damagedFixture = filepath.Join("testdata", "golden", "damaged")
+var (
+	legacyFixture  = filepath.Join("testdata", "golden", "damaged")
+	damagedFixture = filepath.Join("testdata", "golden", "damaged-op4")
+)
 
 // buildDamagedStore writes the fixture into dir through the store's own
 // API, then damages it from outside, as a failing disk would.
@@ -103,11 +111,11 @@ func readTree(t *testing.T, root string) map[string][]byte {
 	return out
 }
 
-// copyFixture copies the damaged store into a fresh temp dir.
-func copyFixture(t *testing.T) string {
+// copyFixture copies a fixture store into a fresh temp dir.
+func copyFixture(t *testing.T, fixture string) string {
 	t.Helper()
 	dir := t.TempDir()
-	for rel, b := range readTree(t, damagedFixture) {
+	for rel, b := range readTree(t, fixture) {
 		dst := filepath.Join(dir, rel)
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			t.Fatal(err)
@@ -149,12 +157,19 @@ func TestDamagedStoreGolden(t *testing.T) {
 		}
 	}
 
-	dir := copyFixture(t)
-	rep, err := Fsck(dir, FsckOptions{})
-	if err != nil {
-		t.Fatal(err)
+	var wantRep FsckReport
+	readGolden(t, "damaged.fsck.json", &wantRep)
+	// Today's fixture differs from the legacy one where the writer does:
+	// journal/rebuilt's record carries no payloads, so its removed segment
+	// cannot be rebuilt, and ckpt/deleted's segment went with its delete.
+	rep, today := fsckFixture(t, damagedFixture), wantRep
+	today.RebuildableSegments, today.MissingSegments, today.OrphanSegments = nil, []string{"journal/rebuilt"}, nil
+	if !reflect.DeepEqual(rep, today) {
+		t.Errorf("check-mode fsck of today's fixture:\n got %+v\nwant %+v", rep, today)
 	}
-	rep.Dir = ""
+
+	dir := copyFixture(t, legacyFixture)
+	rep = fsckFixture(t, dir)
 	s, err := Open(dir, Options{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +177,8 @@ func TestDamagedStoreGolden(t *testing.T) {
 	defer s.Close()
 	stats := s.Recovery()
 
-	var wantRep FsckReport
-	readGolden(t, "damaged.fsck.json", &wantRep)
-	if !reflect.DeepEqual(*rep, wantRep) {
-		t.Errorf("check-mode fsck:\n got %+v\nwant %+v", *rep, wantRep)
+	if !reflect.DeepEqual(rep, wantRep) {
+		t.Errorf("check-mode fsck:\n got %+v\nwant %+v", rep, wantRep)
 	}
 	var wantStats RecoveryStats
 	readGolden(t, "damaged.recovery.json", &wantStats)
@@ -178,4 +191,15 @@ func TestDamagedStoreGolden(t *testing.T) {
 	if !reflect.DeepEqual(stats, wantStats) {
 		t.Errorf("recovery:\n got %+v\nwant %+v", stats, wantStats)
 	}
+}
+
+// fsckFixture runs a check-mode fsck of dir, which it does not change.
+func fsckFixture(t *testing.T, dir string) FsckReport {
+	t.Helper()
+	rep, err := Fsck(dir, FsckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Dir = ""
+	return *rep
 }

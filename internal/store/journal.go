@@ -32,13 +32,14 @@ import (
 //
 // Payload layout:
 //
-//	1 byte   op (1 = put, 2 = delete, 3 = quarantine)
+//	1 byte   op (1 = legacy put, 2 = delete, 3 = quarantine, 4 = put)
 //	uvarint  LSN
 //	uvarint  meta length, then meta JSON (recordMeta)
 //	uvarint  chunk count, then per chunk: uvarint length + payload bytes
-//	         (put records carry the full post-filter chunk payloads, so
-//	         recovery can rebuild a segment the crash destroyed; other ops
-//	         carry zero chunks)
+//	         (only a legacy op-1 put carries the post-filter chunk
+//	         payloads, from which recovery rebuilds its segment; an op-4 put
+//	         references a segment published before the record, and every
+//	         other op carries zero chunks)
 //
 // A mutation is acknowledged only after an fsync makes its record durable.
 // One record is appended and committed at a time, under the store's writer
@@ -50,9 +51,10 @@ const journalMagic = "PJL1"
 
 // Record operations.
 const (
-	opPut        = 1
+	opPut        = 1 // legacy put carrying its payloads: replayed, never written
 	opDelete     = 2
 	opQuarantine = 3
+	opPutRef     = 4 // put of a segment made durable before the record
 )
 
 // Decode caps: every size read from the journal is checked against one of
@@ -105,7 +107,8 @@ type ObjectMeta struct {
 	Dims          []uint64           `json:"dims"`
 	Filter        string             `json:"filter,omitempty"`
 	FilterOptions map[string]float64 `json:"filter_options,omitempty"`
-	// Segment is the container file name under objects/, derived from LSN.
+	// Segment is the container file name under objects/: a number the put
+	// reserved from the store's segment counter (a legacy put's LSN).
 	Segment string      `json:"segment"`
 	Chunks  []ChunkMeta `json:"chunks"`
 	// LSN is the journal sequence number of the put that created this
@@ -204,7 +207,7 @@ func decodeRecord(b []byte) (record, int, error) {
 		return rec, 0, corrupt("empty payload")
 	}
 	rec.op = payload[0]
-	if rec.op != opPut && rec.op != opDelete && rec.op != opQuarantine {
+	if rec.op < opPut || rec.op > opPutRef {
 		return rec, 0, corrupt("unknown op %d", rec.op)
 	}
 	pos := 1
@@ -263,7 +266,7 @@ func decodeRecord(b []byte) (record, int, error) {
 // arithmetic or checksums.
 func validateRecord(rec *record) error {
 	switch rec.op {
-	case opPut:
+	case opPut, opPutRef:
 		om := rec.meta.Object
 		if om == nil {
 			return corrupt("put record without object meta")
@@ -274,8 +277,8 @@ func validateRecord(rec *record) error {
 		if om.LSN != rec.lsn {
 			return corrupt("object lsn %d does not match record lsn %d", om.LSN, rec.lsn)
 		}
-		if len(rec.chunks) != len(om.Chunks) {
-			return corrupt("record carries %d chunks, meta declares %d", len(rec.chunks), len(om.Chunks))
+		if rec.op == opPutRef && len(rec.chunks) > 0 || rec.op == opPut && len(rec.chunks) != len(om.Chunks) {
+			return corrupt("op %d record carries %d chunks, meta declares %d", rec.op, len(rec.chunks), len(om.Chunks))
 		}
 		for i, ch := range rec.chunks {
 			if uint64(len(ch)) != om.Chunks[i].Length {
@@ -381,8 +384,8 @@ func isSegmentName(s string) bool {
 	return true
 }
 
-// segmentName derives the container file name for the put at lsn.
-func segmentName(lsn uint64) string { return fmt.Sprintf("%016x.h5l", lsn) }
+// segmentName names segment number seq (a legacy put's segment: its LSN).
+func segmentName(seq uint64) string { return fmt.Sprintf("%016x.h5l", seq) }
 
 // journal is the append-only record log. It has no lock of its own: every
 // call runs inside Open or under the store's writer lock, so file order, LSN
@@ -393,9 +396,8 @@ type journal struct {
 	size    int64
 	lastLSN uint64
 	// broken is set when only a replay can set the store right: after an
-	// append that could not be rolled back (the file may end mid-record), a
-	// failed commit fsync (the record may still become durable, unapplied)
-	// or a failed segment publish (only replay rebuilds the segment).
+	// append that could not be rolled back (the file may end mid-record) or
+	// a failed commit fsync (the record may still become durable, unapplied).
 	// Nothing more may be appended or truncated until Open replays the file.
 	// Atomic because Store.Ready reads it without the writer lock.
 	broken atomic.Bool
@@ -418,8 +420,7 @@ func openJournal(path string, size int64, lastLSN uint64) (*journal, error) {
 // append assigns the next LSN, frames the record, and writes it to the log.
 // It does NOT fsync — the caller acknowledges nothing until commit returns.
 //
-// For put records the object meta's LSN and Segment fields are filled in
-// here, once the LSN is known.
+// For put records the object meta's LSN is filled in here, once it is known.
 func (j *journal) append(op byte, meta recordMeta, chunks [][]byte) (lsn uint64, err error) {
 	if j.broken.Load() {
 		return 0, errJournalBroken
@@ -427,7 +428,6 @@ func (j *journal) append(op byte, meta recordMeta, chunks [][]byte) (lsn uint64,
 	lsn = j.lastLSN + 1
 	if meta.Object != nil {
 		meta.Object.LSN = lsn
-		meta.Object.Segment = segmentName(lsn)
 	}
 	rec, err := encodeRecord(record{op: op, lsn: lsn, meta: meta, chunks: chunks})
 	if err != nil {
@@ -481,16 +481,17 @@ func (j *journal) commit() error {
 	return nil
 }
 
-// reset truncates the journal to empty after a manifest checkpoint made its
-// records redundant. LSNs keep increasing across resets.
-func (j *journal) reset() error {
-	if err := j.f.Truncate(0); err != nil {
+// truncate cuts the journal to size and fsyncs it: to empty after a manifest
+// checkpoint made its records redundant, or to the last whole record after
+// a torn tail. LSNs keep increasing across truncations.
+func (j *journal) truncate(size int64) error {
+	if err := j.f.Truncate(size); err != nil {
 		return err
 	}
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
-	j.size = 0
+	j.size = size
 	return nil
 }
 

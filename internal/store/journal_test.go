@@ -11,7 +11,15 @@ import (
 	"pressio/internal/core"
 )
 
-// testPutRecord builds a valid put record for codec tests.
+// testPutRefRecord builds a valid put record (op 4): testPutRecord's meta
+// without the payloads.
+func testPutRefRecord(lsn uint64, name string, payloads ...[]byte) record {
+	rec := testPutRecord(lsn, name, payloads...)
+	rec.op, rec.chunks = opPutRef, nil
+	return rec
+}
+
+// testPutRecord builds a valid legacy put record (op 1) for codec tests.
 func testPutRecord(lsn uint64, name string, payloads ...[]byte) record {
 	om := &ObjectMeta{
 		Name:    name,
@@ -32,6 +40,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		testPutRecord(1, "a", []byte("chunk-one"), []byte("chunk-two")),
 		{op: opDelete, lsn: 2, meta: recordMeta{Name: "a"}},
 		{op: opQuarantine, lsn: 3, meta: recordMeta{Name: "b", Chunks: []int{0, 3}}},
+		testPutRefRecord(4, "c", []byte("chunk-one"), []byte("chunk-two")),
 	}
 	var buf []byte
 	for _, rec := range recs {
@@ -50,9 +59,9 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if got.op != want.op || got.lsn != want.lsn {
 			t.Fatalf("record %d header mismatch: %+v", i, got)
 		}
-		if want.op == opPut {
-			if got.meta.Object == nil || got.meta.Object.Name != want.meta.Object.Name {
-				t.Fatalf("record %d object meta lost", i)
+		if want.op == opPut || want.op == opPutRef {
+			if got.meta.Object == nil || got.meta.Object.Name != want.meta.Object.Name || len(got.chunks) != len(want.chunks) {
+				t.Fatalf("record %d object meta or chunk count lost", i)
 			}
 			for k, ch := range want.chunks {
 				if string(got.chunks[k]) != string(ch) {
@@ -145,6 +154,19 @@ func TestDecodeRecordRejectsBadSemantics(t *testing.T) {
 	}
 	if _, _, err := decodeRecord(b); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("traversal segment name accepted: %v", err)
+	}
+
+	// A put carries no payloads, a legacy put one per chunk: two chunks
+	// for a one-chunk meta are wrong for both.
+	for _, rec := range []record{testPutRefRecord(4, "x", []byte("data")), testPutRecord(5, "x", []byte("data"))} {
+		rec.chunks = [][]byte{[]byte("data"), []byte("more")}
+		b, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeRecord(b); !errors.Is(err, core.ErrCorrupt) {
+			t.Fatalf("op %d record with %d chunks accepted: %v", rec.op, len(rec.chunks), err)
+		}
 	}
 
 	rec = testPutRecord(3, "x", []byte("data"))

@@ -47,25 +47,27 @@ type ScrubReport struct {
 // ScrubOnce runs one full-store scrub pass synchronously. Corrupt chunks
 // are quarantined through the journal (so the verdict survives a crash) and
 // the affected segment is copied into quarantine/ before the pass moves on.
+// The pass works lock-free on a snapshot of the live set; the verdict on a
+// version replaced or deleted since (its segment may be gone) is dropped.
 func (s *Store) ScrubOnce() (ScrubReport, error) {
-	var rep ScrubReport
-
-	// Snapshot the live set; the pass then works lock-free against
-	// immutable metas and copied quarantine sets, tolerating objects that
-	// vanish mid-pass.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return rep, ErrClosed
+		return ScrubReport{}, ErrClosed
 	}
 	snap := make(map[string]*object, len(s.objects))
 	for name, o := range s.objects {
 		snap[name] = &object{meta: o.meta, quarantined: maps.Clone(o.quarantined)}
 	}
 	s.mu.RUnlock()
+	return s.scrub(verify(s.dir, snap))
+}
 
-	for _, v := range verify(s.dir, snap) {
-		meta, bad := v.o.meta, v.bad
+// scrub acts on one pass's verdicts.
+func (s *Store) scrub(verdicts []verdict) (ScrubReport, error) {
+	var rep ScrubReport
+	for _, v := range verdicts {
+		meta, bad, before := v.o.meta, v.bad, rep
 		if v.err != nil {
 			// The container itself is unreadable (or structurally wrong):
 			// every not-yet-quarantined chunk is suspect.
@@ -83,9 +85,15 @@ func (s *Store) ScrubOnce() (ScrubReport, error) {
 		for _, i := range bad {
 			rep.Corrupt = append(rep.Corrupt, ChunkRef{Object: v.name, Segment: meta.Segment, Chunk: i})
 		}
+		// Liveness is checked under the writer lock with the quarantine
+		// record, or here when there is nothing to quarantine.
 		n, err := s.quarantineChunks(meta, bad)
 		if err != nil {
 			return rep, err
+		}
+		if n == 0 && (len(bad) > 0 || !s.live(meta)) {
+			rep = before
+			continue
 		}
 		rep.Quarantined += n
 		rep.Objects++
@@ -111,11 +119,11 @@ func (s *Store) quarantineChunks(meta ObjectMeta, chunks []int) (int, error) {
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if o, ok := s.objects[meta.Name]; !ok || o.meta.LSN != meta.LSN {
+	if !s.live(meta) {
 		return 0, nil
 	}
 	sort.Ints(chunks)
-	if err := s.mutateLocked(record{op: opQuarantine, meta: recordMeta{Name: meta.Name, Chunks: chunks}}, nil); err != nil {
+	if _, err := s.mutateLocked(record{op: opQuarantine, meta: recordMeta{Name: meta.Name, Chunks: chunks}}); err != nil {
 		return 0, fmt.Errorf("store: quarantining chunks %v of %q: %w", chunks, meta.Name, err)
 	}
 	trace.CounterAdd(trace.CtrStoreChunksQuarantined, int64(len(chunks)))

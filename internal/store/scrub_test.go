@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -109,7 +110,7 @@ func TestScrubQuarantinesExactlyTheCorruptChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	info, err = r.Stat("victim")
+	_, info, err = r.lookup("victim")
 	if err != nil || len(info.QuarantinedChunks) != 2 {
 		t.Fatalf("quarantine state lost across reopen: %+v %v", info, err)
 	}
@@ -166,7 +167,7 @@ func TestScrubSurvivesUnusableQuarantineDir(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("ScrubOnce did not return with quarantine/ unusable")
 	}
-	info, err := s.Stat("victim")
+	_, info, err := s.lookup("victim")
 	if err != nil || fmt.Sprint(info.QuarantinedChunks) != "[1]" {
 		t.Fatalf("victim after scrub: %+v %v", info, err)
 	}
@@ -192,6 +193,49 @@ func TestStaleScrubVerdictSparesNewVersion(t *testing.T) {
 	}
 	if info, err := s.Stat("x"); err != nil || len(info.QuarantinedChunks) != 0 {
 		t.Fatalf("new version after a stale verdict: %+v %v", info, err)
+	}
+	reopenMatches(t, s, liveTable(t, s))
+}
+
+// TestScrubReportsOnlyLiveVersions replaces or deletes versions between a
+// pass's snapshot and its verification, and after its verification: a
+// replaced version's segment is unlinked, and a verdict on it is stale. The
+// report must cover the live versions only, and nothing may be quarantined.
+func TestScrubReportsOnlyLiveVersions(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := PutOptions{Filter: "flate", ChunkRows: 8}
+	for _, name := range []string{"replaced", "deleted", "kept"} {
+		mustPut(t, s, name, testData(32), po)
+	}
+	rotted := mustPut(t, s, "rotted", testData(32), po)
+	flipChunkByte(t, s.segmentPath(rotted.Segment), 1)
+	snap := map[string]*object{}
+	s.mu.RLock()
+	for name, o := range s.objects {
+		snap[name] = &object{meta: o.meta, quarantined: maps.Clone(o.quarantined)}
+	}
+	s.mu.RUnlock()
+
+	mustPut(t, s, "replaced", testData(24), po)
+	if err := s.Delete("deleted"); err != nil {
+		t.Fatal(err)
+	}
+	verdicts := verify(s.dir, snap)
+	mustPut(t, s, "rotted", testData(32), po)
+	rep, err := s.scrub(verdicts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Objects != 1 || rep.ChunksChecked != 4 || rep.Quarantined != 0 || len(rep.Unreadable) != 0 || len(rep.Corrupt) != 0 {
+		t.Fatalf("scrub across replaced and deleted versions: %+v", rep)
+	}
+	for _, info := range s.List() {
+		if len(info.QuarantinedChunks) != 0 {
+			t.Fatalf("%q quarantined by a stale verdict: %v", info.Name, info.QuarantinedChunks)
+		}
 	}
 	reopenMatches(t, s, liveTable(t, s))
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 
 	"pressio/internal/fsx"
 	"pressio/internal/h5lite"
@@ -18,15 +19,20 @@ import (
 // check of a segment against its chunk table, for recovery, fsck and scrub.
 
 // apply folds one record into an object table. A put installs its version
-// when it is newer than the current one, with nothing quarantined and the
-// record's payloads kept (a journal scan rebuilds segments from them); a
-// delete removes an older version; a quarantine marks its in-range chunks.
+// when it is newer than the current one, with nothing quarantined (a legacy
+// put keeps its record's payloads: a journal scan rebuilds its segment from
+// them); a delete removes an older version; a quarantine marks its in-range
+// chunks.
 func apply(objects map[string]*object, rec record) {
 	switch rec.op {
-	case opPut:
+	case opPut, opPutRef:
 		om := rec.meta.Object
 		if cur, ok := objects[om.Name]; !ok || cur.meta.LSN < om.LSN {
-			objects[om.Name] = &object{meta: *om, quarantined: map[int]bool{}, payloads: rec.chunks}
+			o := &object{meta: *om, quarantined: map[int]bool{}}
+			if rec.op == opPut {
+				o.payloads = rec.chunks
+			}
+			objects[om.Name] = o
 		}
 	case opDelete:
 		if cur, ok := objects[rec.meta.Name]; ok && cur.meta.LSN < rec.lsn {
@@ -60,13 +66,15 @@ type dirState struct {
 	manErr          error
 	manifestObjects int
 	// replayed and skipped count journal records above and at or below the
-	// checkpoint's low-water mark; lastLSN is the highest LSN seen in either.
-	replayed, skipped int
-	lastLSN           uint64
+	// checkpoint's low-water mark; lastLSN is the highest LSN seen in either,
+	// lastSegment the highest segment number under objects/, orphans included.
+	replayed, skipped    int
+	lastLSN, lastSegment uint64
 	// tail is the torn journal tail from validSize on (empty: clean).
 	validSize int64
 	tail      []byte
-	// objects is the reachable table; journaled versions keep their payloads.
+	// objects is the reachable table; legacy journaled puts keep their
+	// payloads.
 	objects map[string]*object
 	orphans []string // segment files no reachable object references
 }
@@ -76,15 +84,20 @@ type dirState struct {
 // the orphan segments.
 func readState(dir string) (*dirState, error) {
 	st := &dirState{objects: map[string]*object{}}
+	var segments []string // in name order, as ReadDir lists them
 	for _, d := range []string{dir, filepath.Join(dir, objectsDir)} {
 		entries, err := os.ReadDir(d)
 		if err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
 		for _, e := range entries {
-			if !e.IsDir() && fsx.IsTempArtifact(e.Name()) {
+			switch {
+			case e.IsDir():
+			case fsx.IsTempArtifact(e.Name()):
 				rel, _ := filepath.Rel(dir, filepath.Join(d, e.Name()))
 				st.temps = append(st.temps, rel)
+			case d != dir && isSegmentName(e.Name()):
+				segments = append(segments, e.Name())
 			}
 		}
 	}
@@ -110,30 +123,18 @@ func readState(dir string) (*dirState, error) {
 		st.replayed++
 	}
 
-	if st.orphans, err = orphanSegments(dir, st.objects); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// orphanSegments lists, in name order, the segment files under objects/
-// that no object in the table references.
-func orphanSegments(dir string, objects map[string]*object) ([]string, error) {
 	referenced := map[string]bool{}
-	for _, o := range objects {
+	for _, o := range st.objects {
 		referenced[o.meta.Segment] = true
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, objectsDir))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if isSegmentName(e.Name()) && !referenced[e.Name()] {
-			out = append(out, e.Name())
+	for _, seg := range segments {
+		n, _ := strconv.ParseUint(seg[:16], 16, 64) // isSegmentName: 16 hex digits
+		st.lastSegment = max(st.lastSegment, n)
+		if !referenced[seg] {
+			st.orphans = append(st.orphans, seg)
 		}
 	}
-	return out, nil
+	return st, nil
 }
 
 // verdict is what verification found for one reachable object.

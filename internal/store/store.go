@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pressio/internal/core"
@@ -23,17 +24,17 @@ import (
 //
 //	MANIFEST.json   checkpoint (atomic rewrite; see manifest.go)
 //	JOURNAL.pjl     write-ahead log (see journal.go)
-//	objects/        one h5lite container per object version, named by the
-//	                LSN of the put that created it ("%016x.h5l")
+//	objects/        one h5lite container per object version, numbered from
+//	                the store's segment counter ("%016x.h5l")
 //	quarantine/     evidence the store refuses to delete: torn journal
 //	                tails, corrupt manifests, corrupt segment copies
 //
-// Mutations are journal-first: a put compresses, then, under the one writer
-// lock, appends a record carrying the full chunk payloads, fsyncs it (the
-// acknowledgement point), publishes the segment container and applies to
-// memory. Records apply in the order they are appended, the order recovery
-// replays them in, so a crash anywhere loses nothing acknowledged and
-// invents nothing unacknowledged.
+// A put writes its payload once, to a segment published outside the writer
+// lock; under it, a record referencing the segment is appended, fsynced (the
+// acknowledgement point) and applied to memory. Records apply in the order
+// they are appended, the order recovery replays them in, so a crash anywhere
+// loses nothing acknowledged and invents nothing unacknowledged: a segment
+// no record references is debris, which Open removes.
 
 // Store directory entries.
 const (
@@ -49,9 +50,8 @@ const (
 // manifest checkpoint when Options.CheckpointBytes is zero.
 const defaultCheckpointBytes = 64 << 20
 
-// PointSegmentSave fires after a put's journal commit, before any segment
-// byte is written: the acknowledged record exists but its container does
-// not, so recovery must rebuild the segment from the journaled payloads.
+// PointSegmentSave fires before a put writes its segment, and so before its
+// journal record: the put is not acknowledged and must not survive.
 var PointSegmentSave = fsx.RegisterFSPoint("store.segment.save")
 
 // Typed failures surfaced to callers (the daemon maps them onto HTTP).
@@ -117,8 +117,8 @@ type RecoveryStats struct {
 	// TornTailBytes is the length of the torn journal tail quarantined and
 	// truncated (0 = clean shutdown or clean tail).
 	TornTailBytes int64 `json:"torn_tail_bytes"`
-	// SegmentsRebuilt counts containers reconstructed from journaled chunk
-	// payloads because the crash destroyed or never produced them.
+	// SegmentsRebuilt counts containers rebuilt from the chunk payloads of
+	// legacy (op-1) put records because they were destroyed or never made.
 	SegmentsRebuilt int `json:"segments_rebuilt"`
 	// TempFilesRemoved counts *.tmp-* artifacts swept (by construction
 	// unpublished, so removable).
@@ -134,16 +134,17 @@ type RecoveryStats struct {
 	// failed its CRC during recovery; the object stays live, the damaged
 	// chunks are quarantined (chunk-granular, journaled).
 	ChunksQuarantined int `json:"chunks_quarantined,omitempty"`
-	// OrphanSegments counts unreferenced segment files left for checkpoint
-	// GC (unacknowledged writes that died before their journal record).
+	// OrphanSegments counts the unreferenced segments Open removed (or
+	// quarantined, if the manifest was rejected): puts that died before their
+	// commit, and superseded versions whose unlink a crash cut off.
 	OrphanSegments int `json:"orphan_segments"`
 }
 
 // object is one live object: immutable meta plus mutable quarantine state
 // (both guarded by the store's table lock) and a lazily opened container
 // handle.
-// In a table read from the directory, a version from the journal also keeps
-// its chunk payloads, so a damaged segment can be rebuilt.
+// In a table read from the directory, a version from a legacy put record
+// also keeps its chunk payloads, so a damaged segment can be rebuilt.
 type object struct {
 	meta        ObjectMeta
 	quarantined map[int]bool
@@ -171,12 +172,14 @@ type Store struct {
 
 	j     *journal
 	stats RecoveryStats
+	// seq numbers segments; a put reserves the next one before it writes.
+	seq atomic.Uint64
 }
 
 // Open opens (creating if needed) the store at dir, running crash recovery
 // before returning: temp sweep, manifest load, journal replay with segment
-// verification and rebuild, torn-tail quarantine and truncation. The
-// returned store is fully consistent.
+// verification and rebuild, orphan removal, torn-tail quarantine and
+// truncation. The returned store is fully consistent.
 func Open(dir string, opts Options) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, objectsDir), filepath.Join(dir, quarantineDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -232,12 +235,11 @@ func (s *Store) recover() error {
 		s.stats.ManifestQuarantined = true
 	}
 
-	// 3. Act on the verdicts. A damaged segment with journaled payloads is
-	// rebuilt from them. Without payloads (a checkpointed version) an
-	// unreadable segment cannot be repaired: it is quarantined and the
-	// object dropped, while individually bad chunks are condemned in step 6,
-	// keeping the intact chunks readable. A damaged original is moved to
-	// quarantine/ as evidence first.
+	// 3. Act on the verdicts. A damaged segment of a legacy put is rebuilt
+	// from its journaled payloads. Any other unreadable segment cannot be
+	// repaired: it is quarantined and the object dropped, while individually
+	// bad chunks are condemned in step 7, keeping the intact chunks readable.
+	// A damaged original is moved to quarantine/ as evidence first.
 	var condemn []verdict
 	for _, v := range verify(s.dir, st.objects) {
 		switch {
@@ -246,7 +248,11 @@ func (s *Store) recover() error {
 			if err := s.evictSegment(v.o.meta.Segment); err != nil {
 				return err
 			}
-			if err := writeSegment(s.segmentPath(v.o.meta.Segment), v.o.meta, v.o.payloads); err != nil {
+			raw := make([]h5lite.RawChunk, len(v.o.payloads))
+			for i, p := range v.o.payloads {
+				raw[i] = h5lite.RawChunk{Rows: v.o.meta.Chunks[i].Rows, Payload: p}
+			}
+			if err := writeSegment(s.segmentPath(v.o.meta.Segment), v.o.meta, raw); err != nil {
 				return fmt.Errorf("store: rebuilding segment %s: %w", v.o.meta.Segment, err)
 			}
 			s.stats.SegmentsRebuilt++
@@ -266,11 +272,35 @@ func (s *Store) recover() error {
 	s.objects = st.objects
 	s.stats.ManifestObjects = st.manifestObjects - len(s.stats.DroppedObjects)
 	s.stats.Replayed, s.stats.Skipped = st.replayed, st.skipped
-	s.stats.OrphanSegments = len(st.orphans) // checkpoint GC collects them
 	trace.CounterAdd(trace.CtrStoreReplayed, int64(st.replayed))
 	trace.CounterAdd(trace.CtrStoreReplaySkipped, int64(st.skipped))
 
-	// 4. Quarantine and truncate a torn tail. The tail bytes are preserved
+	// 4. Remove the orphans, or quarantine them if the manifest was rejected.
+	// New segments are numbered above every number seen, orphans included,
+	// and every LSN (a legacy segment's number).
+	for _, seg := range st.orphans {
+		var err error
+		if st.manErr != nil {
+			err = s.evictSegment(seg) // the rejected manifest may have referenced it
+		} else {
+			err = os.Remove(s.segmentPath(seg))
+		}
+		if err != nil {
+			return err
+		}
+		trace.CounterAdd(trace.CtrStoreGCSegments, 1)
+	}
+	s.stats.OrphanSegments = len(st.orphans)
+	s.seq.Store(max(st.lastLSN, st.lastSegment))
+
+	// 5. Open the journal.
+	j, err := openJournal(s.journalPath(), st.validSize, st.lastLSN)
+	if err != nil {
+		return err
+	}
+	s.j = j
+
+	// 6. Quarantine and truncate a torn tail. The tail bytes are preserved
 	// as evidence before the truncate makes the journal clean.
 	if torn := int64(len(st.tail)); torn > 0 {
 		tailName := fmt.Sprintf("journal-tail-lsn%016x-%d.bin", st.lastLSN, torn)
@@ -280,10 +310,7 @@ func (s *Store) recover() error {
 		if err := fsx.FSCrash(PointJournalTrunc); err != nil {
 			return err
 		}
-		if err := os.Truncate(s.journalPath(), st.validSize); err != nil {
-			return err
-		}
-		if err := syncFile(s.journalPath()); err != nil {
+		if err := j.truncate(st.validSize); err != nil {
 			return err
 		}
 		s.stats.TornTailBytes = torn
@@ -291,14 +318,7 @@ func (s *Store) recover() error {
 		trace.CounterAdd(trace.CtrStoreTornBytes, torn)
 	}
 
-	// 5. Open the journal.
-	j, err := openJournal(s.journalPath(), st.validSize, st.lastLSN)
-	if err != nil {
-		return err
-	}
-	s.j = j
-
-	// 6. Journal the chunk quarantines collected in step 3. The verdict must
+	// 7. Journal the chunk quarantines collected in step 3. The verdict must
 	// be durable: bit rot found on this reopen stays quarantined on the next.
 	for _, v := range condemn {
 		n, err := s.quarantineChunks(v.o.meta, v.bad)
@@ -355,12 +375,8 @@ func (s *Store) quarantinePath(base string) (string, error) {
 	}
 }
 
-// writeSegment publishes a container for om from raw chunk payloads.
-func writeSegment(path string, om ObjectMeta, chunks [][]byte) error {
-	raw := make([]h5lite.RawChunk, len(chunks))
-	for i, ch := range chunks {
-		raw[i] = h5lite.RawChunk{Rows: om.Chunks[i].Rows, Payload: ch}
-	}
+// writeSegment publishes a container for om from its filtered chunks.
+func writeSegment(path string, om ObjectMeta, raw []h5lite.RawChunk) error {
 	g := h5lite.Create(path)
 	if err := g.WriteRawDataset(datasetName, om.DType, om.Dims, om.Filter, om.FilterOptions, raw); err != nil {
 		return err
@@ -368,21 +384,11 @@ func writeSegment(path string, om ObjectMeta, chunks [][]byte) error {
 	return g.Save()
 }
 
-// syncFile fsyncs a file by path.
-func syncFile(path string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
-
 // Put stores d under name, replacing any existing object. The data is
-// chunked and filtered through the named compressor (outside the writer
-// lock, so puts compress in parallel), journaled with an fsync (the
-// acknowledgement point: when Put returns nil the write survives any crash),
-// then published as a segment container.
+// chunked, filtered through the named compressor and published as a segment,
+// outside the writer lock, so puts run in parallel; then a record naming the
+// segment is journaled with an fsync (the acknowledgement point: when Put
+// returns nil the write survives any crash).
 func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error) {
 	start := time.Now()
 	if err := validateName(name); err != nil {
@@ -406,9 +412,7 @@ func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error
 		FilterOptions: meta.Options,
 		Chunks:        make([]ChunkMeta, len(raw)),
 	}
-	chunks := make([][]byte, len(raw))
 	for i, ch := range raw {
-		chunks[i] = ch.Payload
 		om.Chunks[i] = ChunkMeta{
 			Rows:   ch.Rows,
 			Length: uint64(len(ch.Payload)),
@@ -416,13 +420,19 @@ func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error
 		}
 	}
 
-	err = s.mutate(record{op: opPut, meta: recordMeta{Object: &om}, chunks: chunks}, func() error {
-		if err := fsx.FSCrash(PointSegmentSave); err != nil {
-			return err
+	om.Segment = segmentName(s.seq.Add(1))
+	path := s.segmentPath(om.Segment)
+	if err = fsx.FSCrash(PointSegmentSave); err == nil {
+		if err = writeSegment(path, om, raw); err == nil {
+			err = s.mutate(record{op: opPutRef, meta: recordMeta{Object: &om}})
 		}
-		return writeSegment(s.segmentPath(om.Segment), om, chunks)
-	})
+	}
 	if err != nil {
+		// Uncommitted, the segment is debris, unless the journal broke: then
+		// the record may be durable and replay needs the segment.
+		if !s.j.broken.Load() {
+			_ = os.Remove(path)
+		}
 		return ObjectInfo{}, err
 	}
 	trace.CounterAdd(trace.CtrStorePuts, 1)
@@ -431,53 +441,52 @@ func (s *Store) Put(name string, d *core.Data, po PutOptions) (ObjectInfo, error
 	return infoOf(om, nil), nil
 }
 
-// mutate runs one journal-first mutation under the writer lock.
-func (s *Store) mutate(rec record, publish func() error) error {
+// mutate runs one journal-first mutation under the writer lock, then unlinks
+// the segment of the version it superseded, best effort (Open removes what
+// it leaves).
+func (s *Store) mutate(rec record) error {
 	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return s.mutateLocked(rec, publish)
+	old, err := s.mutateLocked(rec)
+	s.wmu.Unlock()
+	if old != nil && os.Remove(s.segmentPath(old.meta.Segment)) == nil {
+		trace.CounterAdd(trace.CtrStoreGCSegments, 1)
+	}
+	return err
 }
 
-// mutateLocked appends rec (assigning its LSN, and for a put the LSN and
-// segment of its meta), fsyncs it (the acknowledgement point), runs publish,
-// if any, and applies the record to the live table. A delete of an absent
-// name is refused before the append; a failed append or commit applies
-// nothing.
-//
-// A committed record whose publish fails is applied all the same, because
-// replay will apply it: the error is returned and the journal marked broken,
-// so no checkpoint truncates the payloads Open rebuilds the segment from.
-// The caller holds wmu.
-func (s *Store) mutateLocked(rec record, publish func() error) error {
+// mutateLocked appends rec (assigning its LSN, and for a put its meta's),
+// fsyncs it (the acknowledgement point) and applies the record to the live
+// table. It returns the version the record superseded, if any. A delete of
+// an absent name is refused before the append; a failed append or commit
+// applies nothing. The caller holds wmu.
+func (s *Store) mutateLocked(rec record) (*object, error) {
 	if s.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	if _, ok := s.objects[rec.meta.Name]; rec.op == opDelete && !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, rec.meta.Name)
+	name := rec.meta.Name
+	if rec.meta.Object != nil {
+		name = rec.meta.Object.Name
+	}
+	cur, ok := s.objects[name]
+	if rec.op == opDelete && !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	lsn, err := s.j.append(rec.op, rec.meta, rec.chunks)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rec.lsn = lsn
 	if err := s.j.commit(); err != nil {
 		// The record may reach the device anyway, and a later fsync would
 		// make it durable without its being applied.
 		s.j.broken.Store(true)
-		return err
+		return nil, err
 	}
-	var perr error
-	if publish != nil {
-		if perr = publish(); perr != nil {
-			s.j.broken.Store(true)
-		}
-	}
-	rec.chunks = nil // the live table holds no payloads
 	s.mu.Lock()
 	apply(s.objects, rec)
 	s.mu.Unlock()
-	if perr != nil {
-		return perr
+	if s.objects[name] == cur {
+		cur = nil // a quarantine supersedes nothing
 	}
 	// A checkpoint lands on the mutation that crossed the threshold. Its
 	// failure is not surfaced here — this mutation is durable — but the
@@ -485,7 +494,7 @@ func (s *Store) mutateLocked(rec record, publish func() error) error {
 	if limit := s.opts.CheckpointBytes; limit >= 0 && s.j.size >= cmp.Or(limit, defaultCheckpointBytes) {
 		_ = s.checkpointLocked()
 	}
-	return nil
+	return cur, nil
 }
 
 // Checkpoint publishes the manifest snapshot and truncates the journal.
@@ -500,8 +509,8 @@ func (s *Store) Checkpoint() error {
 
 // checkpointLocked is Checkpoint under the writer lock: no mutation is in
 // flight, so the manifest covers exactly the records the journal holds. A
-// broken journal may hold payloads only replay can rebuild a segment from,
-// so it is never truncated.
+// broken journal may hold a record the live table lacks, so it is never
+// truncated: only a replay decides that record.
 func (s *Store) checkpointLocked() error {
 	if s.j.broken.Load() {
 		return errJournalBroken
@@ -519,112 +528,94 @@ func (s *Store) checkpointLocked() error {
 	if err := fsx.FSCrash(PointJournalTrunc); err != nil {
 		return err
 	}
-	if err := s.j.reset(); err != nil {
+	if err := s.j.truncate(0); err != nil {
 		return err
 	}
-	s.gcSegmentsLocked()
 	trace.CounterAdd(trace.CtrStoreCheckpoints, 1)
 	return nil
 }
 
-// gcSegmentsLocked removes segment files that no live object references.
-// Under the writer lock no segment is being published, so every such file is
-// debris. Quarantined evidence is untouched — it lives in quarantine/, not
-// objects/.
-func (s *Store) gcSegmentsLocked() {
-	orphans, _ := orphanSegments(s.dir, s.objects) // best effort: the next checkpoint retries
-	for _, name := range orphans {
-		if os.Remove(filepath.Join(s.dir, objectsDir, name)) == nil {
-			trace.CounterAdd(trace.CtrStoreGCSegments, 1)
-		}
-	}
-}
-
 // Get reads a whole object back, decompressing every chunk.
-func (s *Store) Get(name string) (*core.Data, ObjectInfo, error) {
-	start := time.Now()
-	o, info, err := s.lookup(name)
-	if err != nil {
-		return nil, ObjectInfo{}, err
-	}
-	if len(info.QuarantinedChunks) > 0 {
-		return nil, info, fmt.Errorf("%w: object %q chunks %v", ErrQuarantined, name, info.QuarantinedChunks)
-	}
-	f, err := s.container(o)
-	if err != nil {
-		return nil, info, err
-	}
-	d, err := f.ReadDataset(datasetName)
-	if err != nil {
-		return nil, info, err
-	}
-	trace.CounterAdd(trace.CtrStoreGets, 1)
-	trace.CounterAdd(trace.CtrStoreGetBytes, int64(d.ByteLen()))
-	trace.ObserveDuration(trace.HistStoreGet, time.Since(start))
-	return d, info, nil
-}
+func (s *Store) Get(name string) (*core.Data, ObjectInfo, error) { return s.read(name, nil) }
 
 // GetRows reads the hyperslab rows [start, start+count) along dimension 0,
 // decompressing only the chunks it touches. Quarantined chunks outside the
 // slab do not block the read.
 func (s *Store) GetRows(name string, startRow, count uint64) (*core.Data, ObjectInfo, error) {
-	start := time.Now()
-	o, info, err := s.lookup(name)
-	if err != nil {
-		return nil, ObjectInfo{}, err
-	}
-	if bad := overlapQuarantine(o.meta.Chunks, info.QuarantinedChunks, startRow, count); len(bad) > 0 {
-		return nil, info, fmt.Errorf("%w: object %q chunks %v overlap rows [%d, %d)",
-			ErrQuarantined, name, bad, startRow, startRow+count)
-	}
-	f, err := s.container(o)
-	if err != nil {
-		return nil, info, err
-	}
-	d, err := f.ReadRows(datasetName, startRow, count)
-	if err != nil {
-		return nil, info, err
-	}
-	trace.CounterAdd(trace.CtrStoreGets, 1)
-	trace.CounterAdd(trace.CtrStoreGetBytes, int64(d.ByteLen()))
-	trace.ObserveDuration(trace.HistStoreGet, time.Since(start))
-	return d, info, nil
+	return s.read(name, func(ObjectInfo) (uint64, uint64, error) { return startRow, count, nil })
 }
 
 // GetRange reads the uncompressed byte range [off, off+length), touching
 // only the chunks whose rows overlap it — the HTTP Range handler sits on
 // this.
 func (s *Store) GetRange(name string, off, length int64) ([]byte, ObjectInfo, error) {
-	_, info, err := s.lookup(name)
-	if err != nil {
-		return nil, ObjectInfo{}, err
-	}
-	total := int64(info.UncompressedBytes)
-	if off < 0 || length <= 0 || length > total || off > total-length {
-		return nil, info, fmt.Errorf("%w: %d bytes from %d of object %q (%d bytes)", ErrOutOfRange, length, off, name, total)
-	}
-	rb, err := rowBytesOf(info.DType, info.Dims)
-	if err != nil {
-		return nil, info, err
-	}
-	rowBytes := int64(rb)
-	startRow := off / rowBytes
-	endRow := (off + length + rowBytes - 1) / rowBytes
-	d, info, err := s.GetRows(name, uint64(startRow), uint64(endRow-startRow))
+	var lo int64
+	d, info, err := s.read(name, func(info ObjectInfo) (uint64, uint64, error) {
+		total := int64(info.UncompressedBytes)
+		if off < 0 || length <= 0 || length > total || off > total-length {
+			return 0, 0, fmt.Errorf("%w: %d bytes from %d of object %q (%d bytes)", ErrOutOfRange, length, off, name, total)
+		}
+		rowBytes := total / int64(info.Dims[0]) // total > 0, so Dims[0] > 0
+		startRow, endRow := off/rowBytes, (off+length+rowBytes-1)/rowBytes
+		lo = off - startRow*rowBytes
+		return uint64(startRow), uint64(endRow - startRow), nil
+	})
 	if err != nil {
 		return nil, info, err
 	}
-	lo := off - startRow*rowBytes
 	return d.Bytes()[lo : lo+length], info, nil
 }
 
-// Delete removes an object. Like Put, the delete is journal-first: it is
-// acknowledged only after an fsync makes the tombstone record durable.
+// read reads the rows span picks from the version it looks up, or, with span
+// nil, the whole object. A quarantined chunk among them refuses the read. A
+// version superseded since the lookup may have lost its segment: read then
+// looks the name up again, so a live object is never missing. The info
+// returned is that of the version read or refused.
+func (s *Store) read(name string, span func(ObjectInfo) (uint64, uint64, error)) (*core.Data, ObjectInfo, error) {
+	start := time.Now()
+	for {
+		o, info, err := s.lookup(name)
+		if err != nil {
+			return nil, ObjectInfo{}, err
+		}
+		var first, count uint64
+		bad := info.QuarantinedChunks
+		if span != nil {
+			if first, count, err = span(info); err != nil {
+				return nil, info, err
+			}
+			bad = overlapQuarantine(o.meta.Chunks, bad, first, count)
+		}
+		if len(bad) > 0 {
+			return nil, info, fmt.Errorf("%w: object %q chunks %v", ErrQuarantined, name, bad)
+		}
+		f, err := s.container(o)
+		if errors.Is(err, ErrNotFound) && !s.live(o.meta) {
+			continue
+		}
+		var d *core.Data
+		if err == nil && span == nil {
+			d, err = f.ReadDataset(datasetName)
+		} else if err == nil {
+			d, err = f.ReadRows(datasetName, first, count)
+		}
+		if err != nil {
+			return nil, info, err
+		}
+		trace.CounterAdd(trace.CtrStoreGets, 1)
+		trace.CounterAdd(trace.CtrStoreGetBytes, int64(d.ByteLen()))
+		trace.ObserveDuration(trace.HistStoreGet, time.Since(start))
+		return d, info, nil
+	}
+}
+
+// Delete removes an object. Like a put, it is acknowledged only after an
+// fsync makes its record (a tombstone) durable; its segment goes after.
 func (s *Store) Delete(name string) error {
 	if err := validateName(name); err != nil {
 		return err
 	}
-	if err := s.mutate(record{op: opDelete, meta: recordMeta{Name: name}}, nil); err != nil {
+	if err := s.mutate(record{op: opDelete, meta: recordMeta{Name: name}}); err != nil {
 		return err
 	}
 	trace.CounterAdd(trace.CtrStoreDeletes, 1)
@@ -643,12 +634,6 @@ func (s *Store) List() []ObjectInfo {
 	return out
 }
 
-// Stat returns one object's info.
-func (s *Store) Stat(name string) (ObjectInfo, error) {
-	_, info, err := s.lookup(name)
-	return info, err
-}
-
 // lookup snapshots an object under the read lock.
 func (s *Store) lookup(name string) (*object, ObjectInfo, error) {
 	s.mu.RLock()
@@ -661,6 +646,14 @@ func (s *Store) lookup(name string) (*object, ObjectInfo, error) {
 		return nil, ObjectInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	return o, infoOf(o.meta, slices.Sorted(maps.Keys(o.quarantined))), nil
+}
+
+// live reports whether the version meta describes is still the live one.
+func (s *Store) live(meta ObjectMeta) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	o, ok := s.objects[meta.Name]
+	return ok && o.meta.LSN == meta.LSN
 }
 
 // container opens (and caches) an object's segment file.

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"pressio/internal/core"
+	"pressio/internal/fsx"
 )
 
 func testData(n int) *core.Data {
@@ -57,7 +58,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("info mismatch: %+v vs %+v", gotInfo, info)
 	}
 
-	// Overwrite wins; the old version stays on disk until checkpoint GC.
+	// Overwrite wins; the old version's segment is unlinked.
 	d2 := testData(50)
 	mustPut(t, s, "sim/run1", d2, PutOptions{})
 	got, _, err = s.Get("sim/run1")
@@ -519,4 +520,244 @@ func TestPutDeleteOverlapMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopenMatches(t, s, liveTable(t, s))
+}
+
+// TestReadFollowsReplacedVersion drives a read through its unexported steps
+// with a put landing between the lookup and the segment open (span runs
+// between the two). The put unlinks the looked-up version's segment; the
+// read must return the live version, with that version's info, not
+// ErrNotFound. A delete in the same window is a true ErrNotFound.
+func TestReadFollowsReplacedVersion(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	po := PutOptions{Filter: "flate", ChunkRows: 8}
+	v1 := mustPut(t, s, "x", testData(32), po)
+	want := testData(24)
+	var v2 ObjectInfo
+	var seen []uint64
+	d, info, err := s.read("x", func(info ObjectInfo) (uint64, uint64, error) {
+		seen = append(seen, info.LSN)
+		if len(seen) == 1 {
+			v2 = mustPut(t, s, "x", want, po)
+			if _, err := os.Stat(s.segmentPath(v1.Segment)); !os.IsNotExist(err) {
+				t.Fatalf("replaced segment %s still on disk: %v", v1.Segment, err)
+			}
+		}
+		return 0, info.Dims[0], nil
+	})
+	if err != nil {
+		t.Fatalf("read across a replace: %v", err)
+	}
+	if !slices.Equal(seen, []uint64{v1.LSN, v2.LSN}) || info.LSN != v2.LSN || info.Segment != v2.Segment {
+		t.Fatalf("looked up LSNs %v, read %+v; want %d then %+v", seen, info, v1.LSN, v2)
+	}
+	if !d.Equal(want) {
+		t.Fatal("read across a replace returned other bytes")
+	}
+
+	mustPut(t, s, "x", want, po) // a version whose container no read has cached
+	_, _, err = s.read("x", func(info ObjectInfo) (uint64, uint64, error) {
+		return 0, info.Dims[0], s.Delete("x")
+	})
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("read across a delete: %v", err)
+	}
+}
+
+// TestConcurrentReadsNeverMissLiveObject runs puts, deletes and checkpoints
+// over shared names beside reads of names that are never deleted: every
+// read must find its object, and the info it returns must describe the bytes
+// it read.
+func TestConcurrentReadsNeverMissLiveObject(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{CheckpointBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	po := PutOptions{Filter: "flate", ChunkRows: 4}
+	const stable = 3
+	for i := 0; i < stable; i++ {
+		mustPut(t, s, fmt.Sprintf("stable-%d", i), testData(8), po)
+	}
+	var writers, readers sync.WaitGroup
+	for w := int64(0); w < 2; w++ {
+		writers.Add(1)
+		go func(rng *rand.Rand) {
+			defer writers.Done()
+			for i := 0; i < 60; i++ {
+				var err error
+				switch r := rng.Intn(10); {
+				case r < 5:
+					_, err = s.Put(fmt.Sprintf("stable-%d", rng.Intn(stable)), testData(8*(1+rng.Intn(3))), po)
+				case r < 7:
+					_, err = s.Put(fmt.Sprintf("churn-%d", rng.Intn(2)), testData(8), po)
+				case r < 9:
+					if err = s.Delete(fmt.Sprintf("churn-%d", rng.Intn(2))); errors.Is(err, ErrNotFound) {
+						err = nil
+					}
+				default:
+					err = s.Checkpoint()
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}(rand.New(rand.NewSource(w)))
+	}
+	stop := make(chan struct{})
+	for r := int64(0); r < 2; r++ {
+		readers.Add(1)
+		go func(rng *rand.Rand) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				name := fmt.Sprintf("stable-%d", rng.Intn(stable))
+				var got []byte
+				var info ObjectInfo
+				var err error
+				switch rng.Intn(3) {
+				case 0:
+					var d *core.Data
+					if d, info, err = s.Get(name); err == nil {
+						got = d.Bytes()
+					}
+				case 1:
+					var d *core.Data
+					if d, info, err = s.GetRows(name, 0, 4); err == nil && len(d.Bytes()) != 32 {
+						err = fmt.Errorf("4 rows read as %d bytes", len(d.Bytes()))
+					}
+				default:
+					_, info, err = s.GetRange(name, 8, 16)
+				}
+				if err == nil && got != nil && !bytes.Equal(got, testData(int(info.Dims[0])).Bytes()) {
+					err = fmt.Errorf("read %d bytes, info of %d rows", len(got), info.Dims[0])
+				}
+				if err != nil {
+					t.Errorf("read of live %q: %v", name, err)
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(10 + r)))
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+}
+
+// TestPutJournalsMetadataOnly: a put's payload goes to its segment only. The
+// journal grows by the record's meta, under 1 KiB per put of a 1 MiB,
+// four-chunk object (the benchmark's PUT shape, unfiltered).
+func TestPutJournalsMetadataOnly(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	vals := make([]float32, 16*128*128)
+	for i := range vals {
+		vals[i] = float32(math.Sin(float64(i)))
+	}
+	const puts = 4
+	for i := 0; i < puts; i++ {
+		info := mustPut(t, s, fmt.Sprintf("obj-%d", i), core.FromFloat32s(vals, 16, 128, 128), PutOptions{ChunkRows: 4})
+		if info.StoredBytes != 1<<20 {
+			t.Fatalf("stored %d bytes, want 1 MiB", info.StoredBytes)
+		}
+	}
+	fi, err := os.Stat(s.journalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := fi.Size() / puts; per > 1<<10 {
+		t.Fatalf("journal grows by %d bytes per 1 MiB put, want at most 1 KiB", per)
+	}
+}
+
+// TestOpenRemovesOrphans: a put that fails before its commit removes its own
+// segment, and a segment no record references (crash debris) is removed by
+// Open, which numbers new segments above it.
+func TestOpenRemovesOrphans(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := mustPut(t, s, "keep", testData(16), PutOptions{})
+	if err := fsx.ArmFS(fsx.FSFault{Point: PointJournalWrite, Mode: fsx.FSModeFail}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Put("lost", testData(16), PutOptions{})
+	fsx.DisarmFS()
+	if !errors.Is(err, fsx.ErrFSCrash) {
+		t.Fatalf("put with %s armed: %v", PointJournalWrite, err)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, objectsDir)); err != nil || len(ents) != 1 || ents[0].Name() != keep.Segment {
+		t.Fatalf("objects/ after a failed put: %v %v", ents, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, objectsDir, keep.Segment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, objectsDir, segmentName(9))
+	if err := os.WriteFile(orphan, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n := r.Recovery().OrphanSegments; n != 1 {
+		t.Fatalf("recovery counted %d orphans, want 1", n)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("orphan segment survived Open: %v", err)
+	}
+	if next := mustPut(t, r, "next", testData(16), PutOptions{}); next.Segment != segmentName(10) {
+		t.Fatalf("next segment %s, want %s", next.Segment, segmentName(10))
+	}
+}
+
+// TestRejectedManifestKeepsItsSegments: when the manifest is rejected, the
+// segments only it referenced are orphans the lost checkpoint may have
+// needed, so Open moves them to quarantine/ instead of removing them.
+func TestRejectedManifestKeepsItsSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := mustPut(t, s, "kept", testData(16), PutOptions{})
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rec := r.Recovery()
+	if !rec.ManifestQuarantined || rec.OrphanSegments != 1 || !slices.Equal(rec.QuarantinedSegments, []string{kept.Segment}) {
+		t.Fatalf("recovery after a rejected manifest: %+v", rec)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, kept.Segment+".corrupt")); err != nil {
+		t.Fatalf("the lost checkpoint's segment is not in quarantine/: %v", err)
+	}
 }

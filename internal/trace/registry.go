@@ -162,8 +162,8 @@ const (
 	CtrStoreSegmentsRebuilt = "store.recovery.segments_rebuilt"
 	// CtrStoreCheckpoints counts manifest checkpoints written.
 	CtrStoreCheckpoints = "store.checkpoints"
-	// CtrStoreGCSegments counts obsolete segment files removed by
-	// checkpoint garbage collection.
+	// CtrStoreGCSegments counts segment files removed: a superseded
+	// version's after its mutation, and orphans at recovery.
 	CtrStoreGCSegments = "store.gc.segments"
 	// CtrStoreScrubPasses counts completed scrub passes.
 	CtrStoreScrubPasses = "store.scrub.passes"

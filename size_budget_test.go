@@ -56,7 +56,7 @@ func TestSizeBudget(t *testing.T) {
 		"internal/sdrbench":    184,
 		"internal/service":     805,
 		"internal/stats":       182,
-		"internal/store":       1962,
+		"internal/store":       1965,
 		"internal/stream":      349,
 		"internal/sz":          1174,
 		"internal/trace":       1263,
