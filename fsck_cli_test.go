@@ -10,44 +10,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"pressio/internal/core"
 	"pressio/internal/store"
 )
 
-var (
-	fsckOnce sync.Once
-	fsckBin  string
-	fsckErr  string
-)
-
-func buildFsck(t *testing.T) string {
-	t.Helper()
-	fsckOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "pressio-fsck")
-		if err != nil {
-			fsckErr = err.Error()
-			return
-		}
-		bin := filepath.Join(dir, "pressio-fsck")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/pressio-fsck").CombinedOutput()
-		if err != nil {
-			fsckErr = string(out)
-			return
-		}
-		fsckBin = bin
-	})
-	if fsckBin == "" {
-		t.Skipf("go build unavailable: %s", fsckErr)
-	}
-	return fsckBin
-}
-
 func runFsck(t *testing.T, args ...string) (int, string) {
 	t.Helper()
-	out, err := exec.Command(buildFsck(t), args...).CombinedOutput()
+	out, err := exec.Command(buildCmd(t, "pressio-fsck"), args...).CombinedOutput()
 	if err == nil {
 		return 0, string(out)
 	}

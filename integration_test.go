@@ -5,6 +5,8 @@ package pressio
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -18,39 +20,51 @@ import (
 	"pressio/internal/launch"
 )
 
-var (
-	cliOnce sync.Once
-	cliBin  string
-	cliErr  string
-)
+// binDir holds the CLIs this package's tests build; TestMain removes it
+// once they end.
+var binDir string
 
-func buildCLI(t *testing.T) string {
-	t.Helper()
-	cliOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "pressio-cli")
-		if err != nil {
-			cliErr = err.Error()
-			return
-		}
-		bin := filepath.Join(dir, "pressio")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/pressio").CombinedOutput()
-		if err != nil {
-			cliErr = string(out)
-			return
-		}
-		cliBin = bin
-	})
-	if cliBin == "" {
-		t.Skipf("go build unavailable: %s", cliErr)
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "pressio-cli")
+	if err == nil {
+		binDir = dir
 	}
-	return cliBin
+	code := m.Run()
+	if binDir != "" {
+		_ = os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// builds memoizes one go build per command under cmd/.
+var builds sync.Map // command name -> func() (string, error)
+
+// buildCmd builds ./cmd/<name> into binDir once per test binary and returns
+// its path, skipping the test when go build is unavailable.
+func buildCmd(t *testing.T, name string) string {
+	t.Helper()
+	build, _ := builds.LoadOrStore(name, sync.OnceValues(func() (string, error) {
+		if binDir == "" {
+			return "", errors.New("no temporary directory")
+		}
+		bin := filepath.Join(binDir, name)
+		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
+			return "", fmt.Errorf("%v: %s", err, out)
+		}
+		return bin, nil
+	}))
+	bin, err := build.(func() (string, error))()
+	if err != nil {
+		t.Skipf("go build unavailable: %v", err)
+	}
+	return bin
 }
 
 func TestCLIBinaryRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
-	bin := buildCLI(t)
+	bin := buildCmd(t, "pressio")
 	dir := t.TempDir()
 	in := filepath.Join(dir, "x.bin")
 	n := 48 * 48
@@ -94,7 +108,7 @@ func TestWorkerProtocolAcrossProcessBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
-	bin := buildCLI(t)
+	bin := buildCmd(t, "pressio")
 	vals := make([]float32, 64*64)
 	for i := range vals {
 		vals[i] = float32(math.Cos(float64(i) / 9))

@@ -122,6 +122,7 @@ func TestFloatDispatch(t *testing.T) {
 	}
 	dec32 := func(b []byte) ([]float32, []uint64, error) { return []float32{1, 2}, []uint64{2}, nil }
 	dec64 := func(b []byte) ([]float64, []uint64, error) { return nil, nil, ErrCorrupt }
+	out = NewEmpty(DTypeByte, 0)
 	if err := DecompressFloat(DTypeFloat32, nil, out, dec32, dec64); err != nil ||
 		out.DType() != DTypeFloat32 || !slices.Equal(FloatsOf[float32](out), []float32{1, 2}) {
 		t.Fatalf("DecompressFloat(float32) = %v, %v", out, err)
@@ -135,5 +136,34 @@ func TestFloatDispatch(t *testing.T) {
 	type meters float32
 	if FloatDType[meters]() != DTypeFloat32 || FloatDType[float64]() != DTypeFloat64 {
 		t.Fatal("FloatDType must follow the underlying width")
+	}
+}
+
+// TestDecompressFloatHonoursDeclaredOutput: an output that declares a dtype
+// and a nonzero element count other than the stream's is refused as
+// corrupt; a matching or undeclared one gets the stream's values and shape.
+func TestDecompressFloatHonoursDeclaredOutput(t *testing.T) {
+	dec32 := func(b []byte) ([]float32, []uint64, error) { return []float32{1, 2, 3, 4}, []uint64{2, 2}, nil }
+	dec64 := func(b []byte) ([]float64, []uint64, error) { return nil, nil, ErrCorrupt }
+	for _, tc := range []struct {
+		out  *Data
+		want bool
+	}{
+		{NewEmpty(DTypeFloat32, 4), true},
+		{NewEmpty(DTypeFloat32, 2, 2), true},
+		{NewEmpty(DTypeByte, 0), true},
+		{NewEmpty(DTypeUnset, 7), true},
+		{NewEmpty(DTypeFloat64, 4), false},
+		{NewEmpty(DTypeFloat32, 7), false},
+		{NewEmpty(DTypeByte, 16), false},
+	} {
+		declared := tc.out.String()
+		err := DecompressFloat(DTypeFloat32, nil, tc.out, dec32, dec64)
+		switch {
+		case !tc.want && !errors.Is(err, ErrCorrupt):
+			t.Errorf("output %s: err = %v, want ErrCorrupt", declared, err)
+		case tc.want && (err != nil || !slices.Equal(tc.out.Dims(), []uint64{2, 2}) || !slices.Equal(FloatsOf[float32](tc.out), []float32{1, 2, 3, 4})):
+			t.Errorf("output %s: got %v, %v; want the stream's float32[2 2]", declared, tc.out, err)
+		}
 	}
 }

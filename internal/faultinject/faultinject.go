@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pressio/internal/core"
@@ -69,37 +70,78 @@ type Rates struct {
 	Bitflip   float64 // flip one random bit of the compressed stream
 }
 
-// dice is the seeded PRNG of one injector. It sits behind a pointer so the
-// plugin struct stays copyable, and behind a mutex because a parent hands out
-// clone sequence numbers while its own schedule may be running.
+// dice is the seeded PRNG of one fault schedule, and the only one: every
+// injector draws, counts, flips and cuts through it, so one seed names one
+// schedule whichever injector runs it. It sits behind a pointer so the
+// plugin structs stay copyable, and behind a mutex because its draws may
+// come from more than one goroutine.
 type dice struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
-	clones int64
+	clones atomic.Int64
 }
 
 func newDice(seed int64) *dice { return &dice{rng: rand.New(rand.NewSource(seed))} }
 
-// roll draws one uniform variate.
-func (d *dice) roll() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rng.Float64()
+// derive is the seed of the k-th schedule derived from seed.
+func derive(seed, k int64) int64 { return seed*0x9e3779b9 + k }
+
+// fork numbers the next clone taken from this schedule, from 1, and returns
+// its seed and schedule, so a clone fleet is collectively deterministic
+// without sharing a schedule.
+func (d *dice) fork(seed int64) (int64, *dice) {
+	seed = derive(seed, d.clones.Add(1))
+	return seed, newDice(seed)
 }
 
-// bit draws a bit position in [0, n).
-func (d *dice) bit(n int) int {
+// intn draws an integer in [0, n).
+func (d *dice) intn(n int) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.rng.Intn(n)
 }
 
-// nextClone numbers the clones taken from this instance, from 1.
-func (d *dice) nextClone() int64 {
+// fires draws whether a fault of probability rate fires — drawing nothing
+// when rate is 0 — and counts a fired fault under its kind's counter and
+// trace.CtrFaultsInjected.
+func (d *dice) fires(rate float64, counter string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.clones++
-	return d.clones
+	if rate <= 0 || d.rng.Float64() >= rate {
+		return false
+	}
+	trace.CounterAdd(counter, 1)
+	trace.CounterAdd(trace.CtrFaultsInjected, 1)
+	return true
+}
+
+// flip flips one drawn bit of buf in place.
+func (d *dice) flip(buf []byte) {
+	pos := d.intn(len(buf) * 8)
+	buf[pos/8] ^= 1 << (pos % 8)
+}
+
+// cut draws the length of a strict, non-empty prefix of n > 1 bytes.
+func (d *dice) cut(n int) int { return 1 + d.intn(n-1) }
+
+// before runs the pre-operation faults of one call in their fixed order:
+// delay, panic, transient error, permanent error. It panics when the panic
+// fault fires — the whole point is testing that the guard boundary converts
+// it — and otherwise returns the injected error or nil.
+func (d *dice) before(r *Rates, op string) error {
+	if d.fires(r.Delay, CtrDelays) {
+		time.Sleep(time.Duration(r.DelayMS) * time.Millisecond)
+	}
+	if d.fires(r.Panic, CtrPanics) {
+		panic(fmt.Sprintf("faultinject: injected panic in %s", op))
+	}
+	if d.fires(r.Error, CtrErrors) {
+		return core.Transient(fmt.Errorf("faultinject: injected transient failure in %s", op))
+	}
+	if d.fires(r.Permanent, CtrErrors) {
+		return fmt.Errorf("faultinject: injected permanent failure in %s", op)
+	}
+	return nil
 }
 
 // rate declares a per-call fault probability.
@@ -152,54 +194,22 @@ func (p *plugin) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
 }
 
-// inject runs the pre-operation faults (delay, panic, errors) for one call.
-// It panics when the panic fault fires — the whole point is testing that the
-// guard boundary converts it — and otherwise returns the injected error or
-// nil.
-func (p *plugin) inject(op string) error {
-	if p.rates.Delay > 0 && p.dice.roll() < p.rates.Delay {
-		trace.CounterAdd(CtrDelays, 1)
-		trace.CounterAdd(trace.CtrFaultsInjected, 1)
-		time.Sleep(time.Duration(p.rates.DelayMS) * time.Millisecond)
-	}
-	if p.rates.Panic > 0 && p.dice.roll() < p.rates.Panic {
-		trace.CounterAdd(CtrPanics, 1)
-		trace.CounterAdd(trace.CtrFaultsInjected, 1)
-		panic(fmt.Sprintf("faultinject: injected panic in %s", op))
-	}
-	if p.rates.Error > 0 && p.dice.roll() < p.rates.Error {
-		trace.CounterAdd(CtrErrors, 1)
-		trace.CounterAdd(trace.CtrFaultsInjected, 1)
-		return core.Transient(fmt.Errorf("faultinject: injected transient failure in %s", op))
-	}
-	if p.rates.Permanent > 0 && p.dice.roll() < p.rates.Permanent {
-		trace.CounterAdd(CtrErrors, 1)
-		trace.CounterAdd(trace.CtrFaultsInjected, 1)
-		return fmt.Errorf("faultinject: injected permanent failure in %s", op)
-	}
-	return nil
-}
-
 func (p *plugin) CompressImpl(in, out *core.Data) error {
 	comp, err := p.child.Get()
 	if err != nil {
 		return err
 	}
-	if err := p.inject("compress"); err != nil {
+	if err := p.dice.before(&p.rates, "compress"); err != nil {
 		return err
 	}
 	inner, err := core.Compress(comp, in)
 	if err != nil {
 		return err
 	}
-	if p.rates.Bitflip > 0 && inner.ByteLen() > 0 && p.dice.roll() < p.rates.Bitflip {
-		trace.CounterAdd(CtrBitflips, 1)
-		trace.CounterAdd(trace.CtrFaultsInjected, 1)
+	if inner.ByteLen() > 0 && p.dice.fires(p.rates.Bitflip, CtrBitflips) {
 		buf := append([]byte(nil), inner.Bytes()...)
-		pos := p.dice.bit(len(buf) * 8)
-		buf[pos/8] ^= 1 << (pos % 8)
-		out.Become(core.NewBytes(buf))
-		return nil
+		p.dice.flip(buf)
+		inner = core.NewBytes(buf)
 	}
 	out.Become(inner)
 	return nil
@@ -210,19 +220,16 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	if err := p.inject("decompress"); err != nil {
+	if err := p.dice.before(&p.rates, "decompress"); err != nil {
 		return err
 	}
 	return comp.Decompress(in, out)
 }
 
-// Clone derives an independent instance whose PRNG is seeded from the parent
-// seed and a per-parent clone counter, so a fleet of clones is collectively
-// deterministic without sharing a schedule.
+// Clone derives an independent instance with the next forked schedule.
 func (p *plugin) Clone() core.CompressorPlugin {
 	clone := *p
 	clone.child = p.child.Clone()
-	clone.rates.Seed = p.rates.Seed*0x9e3779b9 + p.dice.nextClone()
-	clone.dice = newDice(clone.rates.Seed)
+	clone.rates.Seed, clone.dice = p.dice.fork(p.rates.Seed)
 	return &clone
 }

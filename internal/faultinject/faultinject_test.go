@@ -155,6 +155,38 @@ func TestCloneDerivesIndependentSchedule(t *testing.T) {
 	}
 }
 
+// TestIOClonesDeriveDistinctSchedules: two clones of one IO injector draw
+// different schedules, so a cloned fleet does not fault in lockstep.
+func TestIOClonesDeriveDistinctSchedules(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.bin")
+	if err := os.WriteFile(path, []byte{1, 2, 3, 4}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	parent, err := core.NewIO("faultinject")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.SetOptions(core.NewOptions().
+		SetValue("faultinject_io:io", "posix").
+		SetValue("faultinject_io:error_rate", 0.5).
+		SetValue(core.KeyIOPath, path)); err != nil {
+		t.Fatal(err)
+	}
+	trial := func(p core.IOPlugin) string {
+		out := make([]byte, 40)
+		for i := range out {
+			out[i] = '.'
+			if _, err := p.Read(nil); err != nil {
+				out[i] = 'T'
+			}
+		}
+		return string(out)
+	}
+	if a, b := trial(parent.Clone()), trial(parent.Clone()); a == b {
+		t.Errorf("two clones drew the same schedule %s", a)
+	}
+}
+
 func TestIOWrapperInjectsTransientReadError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f.bin")
 	if err := os.WriteFile(path, []byte{1, 2, 3, 4}, 0o644); err != nil {

@@ -2,15 +2,14 @@ package faultinject
 
 import (
 	"fmt"
+	"hash/crc32"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"syscall"
 	"time"
 
 	"pressio/internal/core"
-	"pressio/internal/trace"
 )
 
 // Trace counters for the HTTP fault injector, mirroring the IO wrapper's
@@ -23,10 +22,12 @@ const (
 )
 
 // HTTPRates configures the per-request fault probabilities of a
-// RoundTripper. Draws happen in a fixed order (delay, refuse, then on the
-// response truncate, corrupt), so a given seed and configuration replays the
-// same fault schedule — the network-level analogue of the compressor
-// injector's determinism contract.
+// RoundTripper. Each round trip draws from its own schedule, seeded from
+// Seed and the request (see RoundTripper.schedule), in a fixed order (delay,
+// refuse, then on the response truncate, corrupt). So a given seed and
+// configuration replays the same faults on the same requests, in whatever
+// order concurrent callers issue them — the network-level analogue of the
+// compressor injector's determinism contract.
 type HTTPRates struct {
 	Seed int64
 	// Refuse is the probability the request never reaches the network:
@@ -54,67 +55,46 @@ type RoundTripper struct {
 	next  http.RoundTripper
 	rates HTTPRates
 
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func checkRate(key string, v float64) error {
-	if v < 0 || v > 1 {
-		return fmt.Errorf("%w: %s %v not in [0,1]", core.ErrInvalidOption, key, v)
-	}
-	return nil
+	mu    sync.Mutex
+	tries map[uint32]int64 // round trips so far per request key
 }
 
 // NewRoundTripper wraps next (nil means http.DefaultTransport).
 func NewRoundTripper(next http.RoundTripper, rates HTTPRates) (*RoundTripper, error) {
-	for _, r := range []struct {
-		key string
-		v   float64
-	}{
-		{"refuse_rate", rates.Refuse},
-		{"delay_rate", rates.Delay},
-		{"truncate_rate", rates.Truncate},
-		{"corrupt_rate", rates.Corrupt},
-	} {
-		if err := checkRate("faultinject_http:"+r.key, r.v); err != nil {
-			return nil, err
-		}
-	}
-	if rates.DelayMS < 0 {
-		return nil, fmt.Errorf("%w: faultinject_http:delay_ms %d", core.ErrInvalidOption, rates.DelayMS)
+	lo := min(rates.Refuse, rates.Delay, rates.Truncate, rates.Corrupt)
+	hi := max(rates.Refuse, rates.Delay, rates.Truncate, rates.Corrupt)
+	if lo < 0 || hi > 1 || rates.DelayMS < 0 {
+		return nil, fmt.Errorf("%w: faultinject_http: rates %+v: each must lie in [0,1], delay_ms >= 0", core.ErrInvalidOption, rates)
 	}
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	return &RoundTripper{next: next, rates: rates}, nil
+	return &RoundTripper{next: next, rates: rates, tries: map[uint32]int64{}}, nil
 }
 
-// Clone derives an injector with the same rates but an independent fault
-// schedule, using the same stable seed derivation as the compressor and IO
-// injectors — clone fleets draw distinct but reproducible schedules.
-func (t *RoundTripper) Clone() *RoundTripper {
-	rates := t.rates
-	rates.Seed = rates.Seed*0x9e3779b9 + 1
-	return &RoundTripper{next: t.next, rates: rates}
-}
-
-func (t *RoundTripper) roll() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rng == nil {
-		t.rng = rand.New(rand.NewSource(t.rates.Seed))
+// schedule is the fault schedule of one round trip. Its seed is derived from
+// the injector's seed, the request's key — the CRC-32C of its method, path
+// and query, and body (read through GetBody) — and how many round trips of
+// that key came before. The host is not part of the key, so a failover to
+// another replica continues the same key's schedule.
+func (t *RoundTripper) schedule(req *http.Request) *dice {
+	h := crc32.New(castagnoli)
+	_, _ = io.WriteString(h, req.Method+" "+req.URL.RequestURI()+"\n")
+	if req.GetBody != nil {
+		if body, err := req.GetBody(); err == nil {
+			_, _ = io.Copy(h, body)
+			_ = body.Close()
+		}
 	}
-	return t.rng.Float64()
+	key := h.Sum32()
+	t.mu.Lock()
+	n := t.tries[key]
+	t.tries[key] = n + 1
+	t.mu.Unlock()
+	return newDice(derive(derive(t.rates.Seed, int64(key)), n))
 }
 
-func (t *RoundTripper) pick(n int) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rng == nil {
-		t.rng = rand.New(rand.NewSource(t.rates.Seed))
-	}
-	return t.rng.Intn(n)
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CloseIdleConnections forwards to the wrapped transport when it supports
 // the optional interface, so a router draining through an injector still
@@ -127,18 +107,15 @@ func (t *RoundTripper) CloseIdleConnections() {
 
 // RoundTrip implements http.RoundTripper.
 func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.rates.Delay > 0 && t.roll() < t.rates.Delay {
-		trace.CounterAdd(CtrHTTPDelays, 1)
-		trace.CounterAdd(trace.CtrFaultsInjected, 1)
+	d := t.schedule(req)
+	if d.fires(t.rates.Delay, CtrHTTPDelays) {
 		select {
 		case <-time.After(time.Duration(t.rates.DelayMS) * time.Millisecond):
 		case <-req.Context().Done():
 			return nil, req.Context().Err()
 		}
 	}
-	if t.rates.Refuse > 0 && t.roll() < t.rates.Refuse {
-		trace.CounterAdd(CtrHTTPRefused, 1)
-		trace.CounterAdd(trace.CtrFaultsInjected, 1)
+	if d.fires(t.rates.Refuse, CtrHTTPRefused) {
 		// The request never happened; close the body as the transport
 		// contract requires and report the classic refused dial.
 		if req.Body != nil {
@@ -150,56 +127,47 @@ func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.rates.Truncate > 0 && t.roll() < t.rates.Truncate {
-		trace.CounterAdd(CtrHTTPTruncated, 1)
-		trace.CounterAdd(trace.CtrFaultsInjected, 1)
-		resp.Body = &truncatingBody{body: resp.Body, inject: t}
-		return resp, nil
-	}
-	if t.rates.Corrupt > 0 && t.roll() < t.rates.Corrupt {
-		trace.CounterAdd(CtrHTTPCorrupted, 1)
-		trace.CounterAdd(trace.CtrFaultsInjected, 1)
-		resp.Body = &corruptingBody{body: resp.Body, inject: t}
-		return resp, nil
+	switch {
+	case d.fires(t.rates.Truncate, CtrHTTPTruncated):
+		resp.Body = &truncatingBody{body: resp.Body, dice: d}
+	case d.fires(t.rates.Corrupt, CtrHTTPCorrupted):
+		resp.Body = &corruptingBody{body: resp.Body, dice: d}
 	}
 	return resp, nil
 }
 
 // truncatingBody delivers a strict prefix of the real body, then fails with
 // io.ErrUnexpectedEOF — what a client sees when the peer dies mid-response.
-// The cut point is drawn deterministically from the injector's PRNG on the
-// first read (when the first chunk's size is known).
+// The cut point is drawn from the round trip's schedule on the first read
+// (when the first chunk's size is known).
 type truncatingBody struct {
-	body   io.ReadCloser
-	inject *RoundTripper
-	limit  int // bytes still deliverable; -1 before the first read
-	set    bool
+	body io.ReadCloser
+	dice *dice
+	cut  bool
 }
 
 func (b *truncatingBody) Read(p []byte) (int, error) {
-	if !b.set {
-		n, err := b.body.Read(p)
-		if n <= 1 {
-			if err != nil {
-				return n, err
-			}
-			return n, io.ErrUnexpectedEOF
-		}
-		cut := 1 + b.inject.pick(n-1) // strict prefix of what arrived
-		b.set = true
-		b.limit = 0
-		return cut, io.ErrUnexpectedEOF
+	if b.cut {
+		return 0, io.ErrUnexpectedEOF
 	}
-	return 0, io.ErrUnexpectedEOF
+	n, err := b.body.Read(p)
+	if n <= 1 {
+		if err != nil {
+			return n, err
+		}
+		return n, io.ErrUnexpectedEOF
+	}
+	b.cut = true
+	return b.dice.cut(n), io.ErrUnexpectedEOF // strict prefix of what arrived
 }
 
 func (b *truncatingBody) Close() error { return b.body.Close() }
 
-// corruptingBody flips one deterministic bit in the first chunk read,
-// preserving length — only checksums or decode failures can catch it.
+// corruptingBody flips one drawn bit in the first chunk read, preserving
+// length — only checksums or decode failures can catch it.
 type corruptingBody struct {
 	body    io.ReadCloser
-	inject  *RoundTripper
+	dice    *dice
 	flipped bool
 }
 
@@ -207,8 +175,7 @@ func (b *corruptingBody) Read(p []byte) (int, error) {
 	n, err := b.body.Read(p)
 	if n > 0 && !b.flipped {
 		b.flipped = true
-		pos := b.inject.pick(n * 8)
-		p[pos/8] ^= 1 << (pos % 8)
+		b.dice.flip(p[:n])
 	}
 	return n, err
 }

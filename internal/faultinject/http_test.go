@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -18,24 +21,26 @@ func faultCampaignSchedule(t *testing.T, rt *RoundTripper, url string, n int) []
 	t.Helper()
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		resp, err := rt.RoundTrip(mustRequest(t, url))
-		switch {
-		case err != nil:
-			out = append(out, "refused")
-		default:
-			body, readErr := io.ReadAll(resp.Body)
-			_ = resp.Body.Close()
-			switch {
-			case readErr != nil:
-				out = append(out, "truncated")
-			case !bytes.Equal(body, httpPayload):
-				out = append(out, "corrupted")
-			default:
-				out = append(out, "clean")
-			}
-		}
+		out = append(out, requestOutcome(rt, mustRequest(t, url)))
 	}
 	return out
+}
+
+// requestOutcome names the fault one round trip met.
+func requestOutcome(rt *RoundTripper, req *http.Request) string {
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		return "refused"
+	}
+	body, readErr := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	switch {
+	case readErr != nil:
+		return "truncated"
+	case !bytes.Equal(body, httpPayload):
+		return "corrupted"
+	}
+	return "clean"
 }
 
 var httpPayload = bytes.Repeat([]byte("pressio-http-fault-payload."), 16)
@@ -89,32 +94,55 @@ func TestHTTPFaultScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestHTTPCloneDerivesIndependentReproducibleSchedule: clones draw distinct
-// schedules (clone fleets do not fault in lockstep) yet cloning twice gives
-// the same derived seed — reproducibility survives the derivation.
-func TestHTTPCloneDerivesIndependentReproducibleSchedule(t *testing.T) {
+// TestHTTPScheduleKeyedPerRequest: each request draws its own faults, so
+// distinct requests issued from several goroutines meet the same faults
+// twice even when the second pass issues them in the opposite order.
+func TestHTTPScheduleKeyedPerRequest(t *testing.T) {
 	ts := newFaultServer(t)
-	rt, err := NewRoundTripper(nil, HTTPRates{Seed: 42, Refuse: 0.3, Truncate: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := faultCampaignSchedule(t, rt, ts.URL, 40)
-	cloneA := faultCampaignSchedule(t, rt.Clone(), ts.URL, 40)
-	cloneB := faultCampaignSchedule(t, rt.Clone(), ts.URL, 40)
-	same := true
-	for i := range base {
-		if base[i] != cloneA[i] {
-			same = false
-			break
+	const workers, each = 4, 16
+	pass := func(reverse bool) map[string]string {
+		rt, err := NewRoundTripper(nil, HTTPRates{Seed: 7, Refuse: 0.3, Truncate: 0.3, Corrupt: 0.3})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if same {
-		t.Fatal("clone drew the parent's schedule; fleets would fault in lockstep")
-	}
-	for i := range cloneA {
-		if cloneA[i] != cloneB[i] {
-			t.Fatalf("two clones diverged at request %d; derivation is not stable", i)
+		var mu sync.Mutex
+		out := map[string]string{}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := 0; j < each; j++ {
+					i := j
+					if reverse {
+						i = each - 1 - j
+					}
+					body := fmt.Sprintf("request %d.%d", w, i)
+					req, err := http.NewRequest(http.MethodPost, ts.URL+"/compress", strings.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					outcome := requestOutcome(rt, req)
+					mu.Lock()
+					out[body] = outcome
+					mu.Unlock()
+				}
+			}(w)
 		}
+		wg.Wait()
+		return out
+	}
+	first, second := pass(false), pass(true)
+	kinds := map[string]int{}
+	for body, outcome := range first {
+		if second[body] != outcome {
+			t.Errorf("%q met %s, then %s", body, outcome, second[body])
+		}
+		kinds[outcome]++
+	}
+	if len(kinds) < 4 {
+		t.Fatalf("%d requests met only %v", len(first), kinds)
 	}
 }
 

@@ -28,12 +28,12 @@ func TestAtomicWriteKillMidWriteLeavesOldFileIntact(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.bin")
 	old := []byte("the complete old generation")
-	if err := atomicWriteFile(path, old, 0o644); err != nil {
+	if err := fsx.AtomicWriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	armCrash(t, fsx.PointRename)
-	err := atomicWriteFile(path, []byte("the new generation"), 0o644)
+	err := fsx.AtomicWriteFile(path, []byte("the new generation"), 0o644)
 	if !errors.Is(err, fsx.ErrFSCrash) {
 		t.Fatalf("crash point did not abort the write: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestAtomicWriteKillMidWriteLeavesOldFileIntact(t *testing.T) {
 
 	// The write path recovers fully once the fault is gone.
 	fsx.DisarmFS()
-	if err := atomicWriteFile(path, []byte("the new generation"), 0o644); err != nil {
+	if err := fsx.AtomicWriteFile(path, []byte("the new generation"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = os.ReadFile(path)
@@ -73,11 +73,11 @@ func TestAtomicWriteKillAtEveryPointLeavesOldFileIntact(t *testing.T) {
 		t.Run(tc.point, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "x.bin")
-			if err := atomicWriteFile(path, []byte("old"), 0o644); err != nil {
+			if err := fsx.AtomicWriteFile(path, []byte("old"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			armCrash(t, tc.point)
-			if err := atomicWriteFile(path, []byte("new"), 0o644); !errors.Is(err, fsx.ErrFSCrash) {
+			if err := fsx.AtomicWriteFile(path, []byte("new"), 0o644); !errors.Is(err, fsx.ErrFSCrash) {
 				t.Fatalf("crash at %s did not abort the write: %v", tc.point, err)
 			}
 			got, err := os.ReadFile(path)
@@ -143,7 +143,7 @@ func TestAtomicWriteKillMidWriteNpy(t *testing.T) {
 func TestAtomicWriteCleansTempOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	armCrash(t, fsx.PointRename)
-	_ = atomicWriteFile(filepath.Join(dir, "x.bin"), []byte("x"), 0o644)
+	_ = fsx.AtomicWriteFile(filepath.Join(dir, "x.bin"), []byte("x"), 0o644)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

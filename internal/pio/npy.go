@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"pressio/internal/core"
+	"pressio/internal/fsx"
 )
 
 // npy reads and writes the NumPy .npy array format (version 1.0,
@@ -191,7 +192,7 @@ func (n *npy) Write(d *core.Data) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(n.path, b, 0o644)
+	return fsx.AtomicWriteFile(n.path, b, 0o644)
 }
 
 func (n *npy) Clone() core.IOPlugin {

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"pressio/internal/core"
+	"pressio/internal/fsx"
 )
 
 func init() {
@@ -70,7 +71,7 @@ func (p *petsc) Write(d *core.Data) error {
 	for i, v := range vals {
 		binary.BigEndian.PutUint64(out[8+8*i:], math.Float64bits(v))
 	}
-	return atomicWriteFile(p.path, out, 0o644)
+	return fsx.AtomicWriteFile(p.path, out, 0o644)
 }
 
 func (p *petsc) Clone() core.IOPlugin {

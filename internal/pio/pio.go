@@ -16,6 +16,7 @@ import (
 	"syscall"
 
 	"pressio/internal/core"
+	"pressio/internal/fsx"
 	"pressio/internal/trace"
 )
 
@@ -116,7 +117,7 @@ func (p *posix) Read(hint *core.Data) (*core.Data, error) {
 func (p *posix) Write(d *core.Data) error {
 	sp := ioSpan("write", "posix", p.path)
 	defer sp.End()
-	return classify(atomicWriteFile(p.path, d.Bytes(), 0o644))
+	return classify(fsx.AtomicWriteFile(p.path, d.Bytes(), 0o644))
 }
 
 func (p *posix) Clone() core.IOPlugin {
@@ -218,7 +219,7 @@ func (c *csvIO) Write(d *core.Data) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	return atomicWriteFile(c.path, buf.Bytes(), 0o644)
+	return fsx.AtomicWriteFile(c.path, buf.Bytes(), 0o644)
 }
 
 func (c *csvIO) Clone() core.IOPlugin {

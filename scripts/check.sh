@@ -39,11 +39,11 @@ go run ./cmd/pressiolint ./...
 echo "==> option schemas (well-formed, option surface pinned, docs/PLUGINS.md reference current)"
 go test -run 'TestSchema|TestOptionSurfaceGolden|TestPluginDocsGenerated' ./internal/core/
 
-echo "==> go test -race (trace, obslog, meta, core, service, daemon, cluster, store, fsx, sz, h5lite)"
+echo "==> go test -race (trace, obslog, meta, core, service, daemon, cluster, store, fsx, sz, h5lite, faultinject)"
 go test -race ./internal/trace/... ./internal/obslog/... ./internal/meta/... \
     ./internal/core/... ./internal/service/... ./internal/daemon/ \
     ./internal/cluster/ ./internal/store/ ./internal/fsx/ \
-    ./internal/sz/ ./internal/h5lite/
+    ./internal/sz/ ./internal/h5lite/ ./internal/faultinject/
 
 echo "==> pressiolint worker pool under race detector (parallel run = sequential run, goldens)"
 go test -race -run 'TestRunParallelDeterministic|TestGolden$' ./internal/analysis/
@@ -51,6 +51,9 @@ go test -race -run 'TestRunParallelDeterministic|TestGolden$' ./internal/analysi
 echo "==> chaos tests under race detector (resilience, faultinject, service, daemon, cluster)"
 go test -race -run 'TestChaos' ./internal/resilience/ ./internal/faultinject/ \
     ./internal/service/ ./internal/daemon/ ./internal/cluster/
+
+echo "==> network fault campaign, 100 runs (its seed names one storm, so every run must pass)"
+go test -count=100 -run 'TestChaosClusterNetworkFaultCampaign' ./internal/cluster/
 
 echo "==> store live table equals replay (same-name mutators, put/delete overlap, stale scrub verdict)"
 go test -race -count=5 -run 'TestReplayRebuildsLiveTable|TestPutDeleteOverlapMatchesReplay|TestStaleScrubVerdictSparesNewVersion' ./internal/store/
