@@ -27,7 +27,8 @@ const (
 // refuse, then on the response truncate, corrupt). So a given seed and
 // configuration replays the same faults on the same requests, in whatever
 // order concurrent callers issue them — the network-level analogue of the
-// compressor injector's determinism contract.
+// compressor injector's determinism contract. Concurrent attempts of one
+// request, such as a hedge racing its primary, may swap attempt ordinals.
 type HTTPRates struct {
 	Seed int64
 	// Refuse is the probability the request never reaches the network:
@@ -59,7 +60,8 @@ type RoundTripper struct {
 	tries map[uint32]int64 // round trips so far per request key
 }
 
-// NewRoundTripper wraps next (nil means http.DefaultTransport).
+// NewRoundTripper wraps next (nil means http.DefaultTransport). It remembers
+// every request key it sees, so it is meant for bounded test campaigns.
 func NewRoundTripper(next http.RoundTripper, rates HTTPRates) (*RoundTripper, error) {
 	lo := min(rates.Refuse, rates.Delay, rates.Truncate, rates.Corrupt)
 	hi := max(rates.Refuse, rates.Delay, rates.Truncate, rates.Corrupt)

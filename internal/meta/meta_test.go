@@ -226,30 +226,42 @@ func TestResizeFixesZfpPadding(t *testing.T) {
 	}
 }
 
+// TestSampleReducesData decompresses with the shape that was compressed, as
+// a generic caller does, through a lossless child (which trusts the declared
+// shape) and a self-describing one (which refuses a shape its stream does
+// not hold); both return the sample.
 func TestSampleReducesData(t *testing.T) {
 	in := smooth([]uint64{16, 10}, 7)
-	c, _ := core.NewCompressor("sample")
-	if err := c.SetOptions(core.NewOptions().
-		SetValue("sample:stride", uint64(4)).
-		SetValue("sample:compressor", "noop")); err != nil {
-		t.Fatal(err)
-	}
-	comp, err := core.Compress(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := core.Decompress(c, comp, core.DTypeFloat32, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalDims(dec.Dims(), []uint64{4, 10}) {
-		t.Fatalf("sample dims %v", dec.Dims())
-	}
-	// Sampled rows must match the strided originals exactly (noop child).
-	for r := 0; r < 4; r++ {
-		for col := 0; col < 10; col++ {
-			if dec.Float32s()[r*10+col] != in.Float32s()[r*4*10+col] {
-				t.Fatalf("sample row %d mismatch", r)
+	for _, child := range []string{"noop", "sz_threadsafe"} {
+		c, _ := core.NewCompressor("sample")
+		if err := c.SetOptions(core.NewOptions().
+			SetValue("sample:stride", uint64(4)).
+			SetValue("sample:compressor", child).
+			SetValue(core.KeyAbs, 1e-6)); err != nil {
+			t.Fatal(err)
+		}
+		comp, err := core.Compress(c, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := core.Decompress(c, comp, core.DTypeFloat32, 16, 10)
+		if err != nil {
+			t.Fatalf("%s: %v", child, err)
+		}
+		if !equalDims(dec.Dims(), []uint64{4, 10}) {
+			t.Fatalf("%s: sample dims %v", child, dec.Dims())
+		}
+		// Sampled rows must match the strided originals: exactly through
+		// noop, within the bound through sz.
+		tol := 0.0
+		if child != "noop" {
+			tol = 1e-6
+		}
+		for r := 0; r < 4; r++ {
+			for col := 0; col < 10; col++ {
+				if d := dec.Float32s()[r*10+col] - in.Float32s()[r*4*10+col]; math.Abs(float64(d)) > tol {
+					t.Fatalf("%s: sample row %d mismatch", child, r)
+				}
 			}
 		}
 	}

@@ -310,7 +310,9 @@ func (p *resize) Clone() core.CompressorPlugin {
 
 // sample compresses a strided subsample of the input — the data-sampling
 // meta-compressor used for quick quality surveys. Decompression returns the
-// sample (shape divided by the stride along the slowest dimension).
+// sample (shape divided by the stride along the slowest dimension). As for
+// any compressor, a declared output declares the shape that was compressed;
+// the child is told the sample's.
 type sample struct {
 	child  child
 	stride uint64
@@ -343,12 +345,12 @@ func (p *sample) CompressImpl(in, out *core.Data) error {
 	if len(dims) == 0 {
 		return fmt.Errorf("sample: %w", core.ErrInvalidDims)
 	}
-	rows := (dims[0] + p.stride - 1) / p.stride
 	rowBytes, err := core.RowBytes(in.DType(), dims)
 	if err != nil {
 		return err
 	}
-	sampDims := append([]uint64{rows}, dims[1:]...)
+	sampDims := p.shape(dims)
+	rows := sampDims[0]
 	samp := core.NewData(in.DType(), sampDims...)
 	for r := uint64(0); r < rows; r++ {
 		src := r * p.stride * rowBytes
@@ -367,7 +369,20 @@ func (p *sample) DecompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	return comp.Decompress(in, out)
+	dec := core.NewEmpty(out.DType(), p.shape(out.Dims())...)
+	if err := comp.Decompress(in, dec); err != nil {
+		return err
+	}
+	out.Become(dec)
+	return nil
+}
+
+// shape is the sample's shape for an input of dims.
+func (p *sample) shape(dims []uint64) []uint64 {
+	if len(dims) == 0 {
+		return nil
+	}
+	return append([]uint64{(dims[0] + p.stride - 1) / p.stride}, dims[1:]...)
 }
 
 func (p *sample) Clone() core.CompressorPlugin {

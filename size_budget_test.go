@@ -38,14 +38,14 @@ func TestSizeBudget(t *testing.T) {
 		"internal/core":        3043,
 		"internal/daemon":      1299,
 		"internal/experiments": 907,
-		"internal/faultinject": 539,
+		"internal/faultinject": 541,
 		"internal/fpzip":       441,
 		"internal/fsx":         298,
 		"internal/h5lite":      406,
 		"internal/huffman":     520,
 		"internal/launch":      375,
 		"internal/lossless":    542,
-		"internal/meta":        1407,
+		"internal/meta":        1422,
 		"internal/metrics":     1165,
 		"internal/mgard":       414,
 		"internal/obslog":      86,
