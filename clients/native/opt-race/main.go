@@ -1,6 +1,6 @@
 // Command opt-race is the *native* "which compressor is best at this
 // bound" tool: the third piece needed to match the generic optimizer's
-// feature set (cmd/pressio-opt -search), integrating each compressor by
+// feature set (opt racing opt:compressors), integrating each compressor by
 // hand. Supporting a new compressor means another case in every switch;
 // the generic tool gets it for free from the registry.
 package main

@@ -1,6 +1,6 @@
 // Command sz-opt is a *native* configuration optimizer bound to the sz
 // compressor alone, at feature parity with the generic optimizer
-// (cmd/pressio-opt + internal/opt): fixed-ratio search, PSNR-floor search,
+// (the opt meta-compressor, internal/opt): fixed-ratio search, PSNR-floor search,
 // and a bound sweep report — but every piece (bisection, ratio evaluation,
 // quality metrics) is written directly against the sz API and works for no
 // other compressor. clients/native/zfp-opt is the near-identical zfp copy.

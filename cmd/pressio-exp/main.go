@@ -19,6 +19,7 @@ import (
 	"pressio/internal/core"
 	"pressio/internal/sdrbench"
 
+	_ "pressio/internal/faultinject"
 	_ "pressio/internal/lossless"
 	_ "pressio/internal/meta"
 	_ "pressio/internal/metrics"

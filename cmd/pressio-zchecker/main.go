@@ -14,6 +14,7 @@ import (
 	"pressio/internal/core"
 
 	_ "pressio/internal/bitgroom"
+	_ "pressio/internal/faultinject"
 	_ "pressio/internal/fpzip"
 	_ "pressio/internal/lossless"
 	_ "pressio/internal/meta"

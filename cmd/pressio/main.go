@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -45,6 +44,7 @@ import (
 	_ "pressio/internal/meta"
 	_ "pressio/internal/metrics"
 	_ "pressio/internal/mgard"
+	_ "pressio/internal/opt"
 	_ "pressio/internal/pio"
 	_ "pressio/internal/resilience"
 	_ "pressio/internal/sz"
@@ -162,9 +162,11 @@ func run(mode, compressor, input, output, ioName, outIO, dimsFlag, dtypeFlag,
 		c.SetMetrics(m)
 	}
 
-	hint, err := parseHint(dimsFlag, dtypeFlag)
-	if err != nil {
-		return err
+	var hint *core.Data
+	if dimsFlag != "" {
+		if hint, err = core.ParseShape(dimsFlag, dtypeFlag); err != nil {
+			return err
+		}
 	}
 
 	switch mode {
@@ -224,25 +226,6 @@ func run(mode, compressor, input, output, ioName, outIO, dimsFlag, dtypeFlag,
 		return fmt.Errorf("unknown mode %q", mode)
 	}
 	return nil
-}
-
-func parseHint(dimsFlag, dtypeFlag string) (*core.Data, error) {
-	if dimsFlag == "" {
-		return nil, nil
-	}
-	var dims []uint64
-	for _, p := range strings.Split(dimsFlag, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad dims %q: %v", dimsFlag, err)
-		}
-		dims = append(dims, v)
-	}
-	dtype, err := core.ParseDType(dtypeFlag)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewEmpty(dtype, dims...), nil
 }
 
 func readInput(ioName, path string, hint *core.Data) (*core.Data, error) {
@@ -307,8 +290,19 @@ func printOptions(c *core.Compressor) {
 	}
 }
 
+// printResults prints the metrics' results and the read-only report rows
+// (what an optimizer or a fallback chain chose) of the compressor and of the
+// plugins it wraps, whose rows its Options() carries.
 func printResults(c *core.Compressor) {
-	res := c.MetricsResults()
+	res, opts := c.MetricsResults(), c.Options()
+	for _, name := range core.SupportedCompressors() {
+		p, _ := core.NewCompressor(name) // registered, so it builds
+		for _, spec := range p.Schema() {
+			if o, ok := opts.Get(spec.Key); spec.ReadOnly && ok {
+				res.Set(spec.Key, o)
+			}
+		}
+	}
 	for _, k := range res.Keys() {
 		o, _ := res.Get(k)
 		fmt.Printf("%s=%s\n", k, o)

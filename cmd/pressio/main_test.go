@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/binary"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -150,4 +152,53 @@ func TestRunOptionsJSON(t *testing.T) {
 		"", cfg, false, false, 0, nil); err == nil {
 		t.Fatal("malformed json should fail")
 	}
+}
+
+// TestRunOpt drives the optimizer through the generic CLI: a target ratio, a
+// PSNR floor, and a race at the caller's bound each round-trip, and the run
+// prints the optimizer's report rows beside the metrics. A wrapped plugin's
+// report rows print too.
+func TestRunOpt(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "x.bin")
+	writeSample(t, in, 64*64)
+	optRows := []string{"opt:bound=", "opt:evaluations=", "size:compression_ratio=", "error_stat:psnr="}
+	for _, tc := range []struct {
+		compressor string
+		opts       []string
+		want       []string
+	}{
+		{"opt", []string{"opt:compressors=sz", "opt:target_ratio=10"}, append(optRows, `opt:chosen="sz"`)},
+		{"opt", []string{"opt:target_psnr=70"}, append(optRows, `opt:chosen="sz_threadsafe"`)},
+		{"opt", []string{"opt:compressors=sz,zfp,noop", "pressio:abs=0.01"}, append(optRows, "opt:bound=0\n", "opt:evaluations=3\n")},
+		{"guard", []string{"guard:compressor=fallback", "fallback:compressors=sz_threadsafe,noop", "pressio:abs=0.01"}, []string{`fallback:last_tier="sz_threadsafe"`}},
+	} {
+		out := captureStdout(t, func() error {
+			return run("roundtrip", tc.compressor, in, "", "posix", "posix", "64,64", "float32",
+				"size,error_stat", "", false, false, 0, tc.opts)
+		})
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s %v: output lacks %q:\n%s", tc.compressor, tc.opts, want, out)
+			}
+		}
+	}
+}
+
+// captureStdout returns what f prints, failing the test if f fails.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

@@ -74,6 +74,7 @@ import (
 	_ "pressio/internal/meta"
 	_ "pressio/internal/metrics"
 	_ "pressio/internal/mgard"
+	_ "pressio/internal/opt"
 	_ "pressio/internal/pio"
 	_ "pressio/internal/resilience"
 	_ "pressio/internal/sz"

@@ -14,8 +14,10 @@ import (
 	"pressio/internal/core"
 
 	_ "pressio/internal/bitgroom"
+	_ "pressio/internal/faultinject"
 	_ "pressio/internal/fpzip"
 	_ "pressio/internal/mgard"
+	_ "pressio/internal/opt"
 	_ "pressio/internal/pio"
 	_ "pressio/internal/sz"
 	_ "pressio/internal/tthresh"

@@ -146,24 +146,32 @@ func ParseShape(dimsCSV, dtypeName string) (*Data, error) {
 	return NewEmpty(dtype, dims...), nil
 }
 
-// FillDecompressed installs raw decompressed bytes into out. An out that
-// declares a dtype and a nonzero element count must match the payload size
-// exactly, or the stream is corrupt; an undeclared out receives the bytes.
-// Decompressor plugins share this tail logic.
-func FillDecompressed(out *Data, raw []byte) error {
+// FillDecompressed installs raw decompressed bytes into out: a declared out
+// reinterprets them as its dtype and dims, an undeclared one receives them as
+// bytes. Decompressor plugins share this tail logic.
+func FillDecompressed(out *Data, raw []byte) error { return Adopt(out, NewBytes(raw)) }
+
+// Adopt makes the decoded got the caller's out. An out that declares a dtype
+// and a nonzero element count must match got in byte length and, unless got
+// is untyped bytes, in dtype, or the stream is corrupt for this caller;
+// untyped bytes then take the declared dtype and dims. An undeclared out
+// takes got as it is.
+func Adopt(out, got *Data) error {
 	n := elementCount(out.Dims())
 	if out.DType() == DTypeUnset || n == 0 {
-		out.Become(NewBytes(raw))
+		out.Become(got)
 		return nil
 	}
-	if want := n * uint64(out.DType().Size()); want != uint64(len(raw)) {
-		return fmt.Errorf("%w: decoded %d bytes, %s%v needs %d", ErrCorrupt, len(raw), out.DType(), out.Dims(), want)
+	if want := n * uint64(out.DType().Size()); want != got.ByteLen() || (got.DType() != DTypeByte && got.DType() != out.DType()) {
+		return fmt.Errorf("%w: stream holds %s%v, output declares %s%v", ErrCorrupt, got.DType(), got.Dims(), out.DType(), out.Dims())
 	}
-	d, err := NewMove(out.DType(), raw, out.Dims()...)
-	if err != nil {
-		return err
+	if got.DType() == DTypeByte {
+		var err error
+		if got, err = NewMove(out.DType(), got.Bytes(), out.Dims()...); err != nil {
+			return err
+		}
 	}
-	out.Become(d)
+	out.Become(got)
 	return nil
 }
 

@@ -190,18 +190,11 @@ func DecompressFloat(dtype DType, stream []byte, out *Data,
 	return fmt.Errorf("%w: stream declares %s, not a float type", ErrCorrupt, dtype)
 }
 
-// becomeFloats decodes stream into out. An out that declares a dtype and a
-// nonzero element count must match the stream's, or the stream is corrupt
-// for this caller; an undeclared out receives the stream's shape.
+// becomeFloats decodes stream into out, held to what out declares (Adopt).
 func becomeFloats[T Float](out *Data, decode func([]byte) ([]T, []uint64, error), stream []byte) error {
 	vals, dims, err := decode(stream)
 	if err != nil {
 		return err
 	}
-	n := elementCount(out.Dims())
-	if out.DType() != DTypeUnset && n != 0 && (out.DType() != FloatDType[T]() || n != uint64(len(vals))) {
-		return fmt.Errorf("%w: stream holds %d %s values, output declares %s%v", ErrCorrupt, len(vals), FloatDType[T](), out.DType(), out.Dims())
-	}
-	out.Become(FromFloats(vals, dims...))
-	return nil
+	return Adopt(out, FromFloats(vals, dims...))
 }

@@ -17,6 +17,7 @@ import (
 	_ "pressio/internal/meta"
 	_ "pressio/internal/metrics"
 	_ "pressio/internal/mgard"
+	_ "pressio/internal/opt"
 	_ "pressio/internal/pio"
 	_ "pressio/internal/resilience"
 	_ "pressio/internal/service"

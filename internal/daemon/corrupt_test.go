@@ -54,3 +54,19 @@ func TestCorruptPayloadIsBadRequestThroughRouter(t *testing.T) {
 		}
 	}
 }
+
+// TestMetaDeclaredOutputIsBadRequest: /decompress declaring an output other
+// than what a meta-compressor's stream holds is the caller's fault.
+func TestMetaDeclaredOutputIsBadRequest(t *testing.T) {
+	base := serveTestDaemon(t, func(c *Config) { c.Compressor = "chunking" })
+	_, raw := sampleFloat32(16 * 16 * 16)
+	resp := post(t, base+"/compress?dims=16,16,16&dtype=float32", raw)
+	stream := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress: status %d: %s", resp.StatusCode, stream)
+	}
+	resp = post(t, base+"/decompress?dims=100&dtype=float64", stream)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("float32[16 16 16] stream into a declared float64[100]: status %d, want 400: %.120q", resp.StatusCode, body)
+	}
+}

@@ -27,6 +27,34 @@ import (
 // if the test has not already done so.
 func startTestDaemon(t *testing.T, mutate func(*Config)) (*Daemon, func(), chan error) {
 	t.Helper()
+	d := newTestDaemon(t, mutate)
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	drained := false
+	drain := func() {
+		if !drained {
+			drained = true
+			done <- d.Drain()
+		}
+	}
+	t.Cleanup(drain)
+	return d, drain, done
+}
+
+// serveTestDaemon builds a daemon without starting it and serves its data
+// plane from an httptest server closed at cleanup; it returns the base URL.
+func serveTestDaemon(t *testing.T, mutate func(*Config)) string {
+	t.Helper()
+	srv := httptest.NewServer(newTestDaemon(t, mutate).srv.Handler)
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// newTestDaemon builds a daemon with the test defaults, after mutate.
+func newTestDaemon(t *testing.T, mutate func(*Config)) *Daemon {
+	t.Helper()
 	service.ResetShared()
 	trace.ResetTelemetry()
 	cfg := Config{
@@ -46,19 +74,7 @@ func startTestDaemon(t *testing.T, mutate func(*Config)) (*Daemon, func(), chan 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	drained := false
-	drain := func() {
-		if !drained {
-			drained = true
-			done <- d.Drain()
-		}
-	}
-	t.Cleanup(drain)
-	return d, drain, done
+	return d
 }
 
 func sampleFloat32(n int) ([]float32, []byte) {
@@ -634,4 +650,33 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestDaemonServesOpt: pressiod with -compressor opt tunes each request to
+// the target ratio, and /decompress routes the stream back through the
+// candidate that produced it.
+func TestDaemonServesOpt(t *testing.T) {
+	base := serveTestDaemon(t, func(c *Config) {
+		c.Compressor = "opt"
+		c.Options = []string{"opt:compressors=sz_threadsafe,zfp", "opt:target_ratio=8"}
+	})
+	vals, raw := sampleFloat32(64 * 64)
+	resp := post(t, base+"/compress?dims=64,64&dtype=float32", raw)
+	stream := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress: status %d: %s", resp.StatusCode, stream)
+	}
+	if ratio := float64(len(raw)) / float64(len(stream)); ratio < 8*0.9*0.95 || ratio > 8*1.1 {
+		t.Fatalf("ratio %.2f, want 8 within the 10%% tolerance (less the frame)", ratio)
+	}
+	resp = post(t, base+"/decompress?dims=64,64&dtype=float32", stream)
+	dec := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK || len(dec) != len(raw) {
+		t.Fatalf("decompress: status %d, %d bytes", resp.StatusCode, len(dec))
+	}
+	for i, v := range vals {
+		if got := math.Float32frombits(binary.LittleEndian.Uint32(dec[4*i:])); math.Abs(float64(got-v)) > 0.1 {
+			t.Fatalf("element %d: %v, sent %v", i, got, v)
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	_ "pressio/internal/faultinject"
 	_ "pressio/internal/lossless"
 	_ "pressio/internal/meta"
+	_ "pressio/internal/opt"
 	_ "pressio/internal/resilience"
 	_ "pressio/internal/sz"
 )

@@ -16,6 +16,7 @@ import (
 
 	// The experiments exercise the full plugin library.
 	_ "pressio/internal/bitgroom"
+	_ "pressio/internal/faultinject"
 	_ "pressio/internal/fpzip"
 	_ "pressio/internal/lossless"
 	_ "pressio/internal/meta"

@@ -62,7 +62,7 @@ func Tasks() []LocTask {
 			Name:        "Configuration optimizer",
 			Compressors: 2,
 			NativeDirs:  []string{"clients/native/sz-opt", "clients/native/zfp-opt", "clients/native/opt-race"},
-			GenericDirs: []string{"cmd/pressio-opt", "internal/opt"},
+			GenericDirs: []string{"internal/opt"},
 		},
 		{
 			Name:        "Stream adapter (bindings)",

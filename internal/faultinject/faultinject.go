@@ -5,7 +5,9 @@
 // seeded PRNG, so every failure schedule is reproducible. It registers like
 // any other plugin, which means the guard and fallback meta-compressors (and
 // any future policy code) can be driven to their failure paths through the
-// same generic interface production code uses.
+// same generic interface production code uses. The paper's Fault Injector
+// and Random Error Injector (fault_injector, noise_injector) live here too
+// and draw through the same seeded schedule.
 package faultinject
 
 import (
@@ -49,7 +51,7 @@ const Version = "1.0.0"
 func init() {
 	core.RegisterCompressor("faultinject", func() core.CompressorPlugin {
 		return &plugin{
-			child: core.Child[*core.Compressor]{Name: "sz_threadsafe"},
+			child: child{Name: "sz_threadsafe"},
 			rates: Rates{Seed: 1},
 			dice:  newDice(1),
 		}
@@ -124,6 +126,17 @@ func (d *dice) flip(buf []byte) {
 // cut draws the length of a strict, non-empty prefix of n > 1 bytes.
 func (d *dice) cut(n int) int { return 1 + d.intn(n-1) }
 
+// noise draws one noise value: gaussian with standard deviation scale, or
+// uniform over [-scale, scale).
+func (d *dice) noise(gaussian bool, scale float64) float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if gaussian {
+		return d.rng.NormFloat64() * scale
+	}
+	return (d.rng.Float64()*2 - 1) * scale
+}
+
 // before runs the pre-operation faults of one call in their fixed order:
 // delay, panic, transient error, permanent error. It panics when the panic
 // fault fires — the whole point is testing that the guard boundary converts
@@ -164,7 +177,7 @@ func seedRow[T any](key string, seed func(*T) *int64, dice func(*T) **dice) core
 // fresh deterministic seeds so a cloned fleet (e.g. CompressMany workers)
 // stays reproducible per clone.
 type plugin struct {
-	child core.Child[*core.Compressor]
+	child child
 	rates Rates
 	dice  *dice
 }
@@ -174,7 +187,7 @@ func (p *plugin) Version() string { return Version }
 
 var schema = core.NewSchema(
 	core.ChildRow(keyCompressor, "name of the compressor to sabotage; it receives every option set here",
-		func(p *plugin) *core.Child[*core.Compressor] { return &p.child }),
+		func(p *plugin) *child { return &p.child }),
 	seedRow(keySeed, func(p *plugin) *int64 { return &p.rates.Seed }, func(p *plugin) **dice { return &p.dice }),
 	rate(keyErrorRate, "probability of a transient error per call", func(p *plugin) *float64 { return &p.rates.Error }),
 	rate(keyPermanentRate, "probability of a permanent error per call", func(p *plugin) *float64 { return &p.rates.Permanent }),

@@ -1,39 +1,56 @@
-package meta
+package faultinject
 
 import (
+	"bytes"
 	"fmt"
-	"math/rand"
 
 	"pressio/internal/core"
 )
 
-// Option keys the injector and switch meta-compressors own.
+// Option keys the stream and input injectors own.
 const (
 	keyFaultFaults       = "fault_injector:faults"
 	keyFaultSeed         = "fault_injector:seed"
 	keyNoiseDistribution = "noise_injector:distribution"
 	keyNoiseScale        = "noise_injector:scale"
 	keyNoiseSeed         = "noise_injector:seed"
-	keySwitchActive      = "switch:active"
 )
 
 func init() {
 	core.RegisterCompressor("fault_injector", func() core.CompressorPlugin {
-		return &faultInjector{child: child{Name: "sz_threadsafe"}, nFaults: 1}
+		return &faultInjector{wrapped: wrapped{child{Name: "sz_threadsafe"}}, nFaults: 1}
 	})
 	core.RegisterCompressor("noise_injector", func() core.CompressorPlugin {
-		return &noiseInjector{child: child{Name: "sz_threadsafe"}, dist: "gaussian", scale: 1e-3}
+		return &noiseInjector{wrapped: wrapped{child{Name: "sz_threadsafe"}}, dist: "gaussian", scale: 1e-3}
 	})
-	core.RegisterCompressor("switch", func() core.CompressorPlugin {
-		return &switchMeta{child: child{Name: "sz_threadsafe"}}
-	})
+}
+
+// child is the wrapped compressor of an injector.
+type child = core.Child[*core.Compressor]
+
+// childRow declares "<prefix>:compressor" for an injector.
+func childRow[T any](prefix string, field func(*T) *child) core.Row[T] {
+	return core.ChildRow(prefix+":compressor", "name of the wrapped compressor; it receives every option set here", field)
+}
+
+// wrapped is an injector's child. Injectors perturb what goes into a
+// compression or comes out of it, and decompress through the child as is.
+type wrapped struct{ child child }
+
+func (w *wrapped) DecompressImpl(in, out *core.Data) error {
+	comp, err := w.child.Get()
+	if err != nil {
+		return err
+	}
+	return comp.Decompress(in, out)
 }
 
 // faultInjector compresses with its child and then flips bits in the
 // compressed stream — the building block of fuzz-style resilience testing
-// of decompressors (the paper's Fault Injector).
+// of decompressors (the paper's Fault Injector). Every call replays the
+// schedule of its seed, so one configuration always flips the same bits.
 type faultInjector struct {
-	child   child
+	wrapped
 	nFaults uint64
 	seed    int64
 }
@@ -67,22 +84,13 @@ func (p *faultInjector) CompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	buf := append([]byte(nil), inner.Bytes()...)
-	rng := rand.New(rand.NewSource(p.seed))
+	buf := bytes.Clone(inner.Bytes())
+	d := newDice(p.seed)
 	for i := uint64(0); i < p.nFaults && len(buf) > 0; i++ {
-		bit := rng.Intn(len(buf) * 8)
-		buf[bit/8] ^= 1 << (bit % 8)
+		d.flip(buf)
 	}
 	out.Become(core.NewBytes(buf))
 	return nil
-}
-
-func (p *faultInjector) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.child.Get()
-	if err != nil {
-		return err
-	}
-	return comp.Decompress(in, out)
 }
 
 func (p *faultInjector) Clone() core.CompressorPlugin {
@@ -93,9 +101,10 @@ func (p *faultInjector) Clone() core.CompressorPlugin {
 
 // noiseInjector adds random noise to each input element before handing the
 // data to the child compressor — the Random Error Injector, used to study
-// how compressors respond to measurement noise.
+// how compressors respond to measurement noise. Like faultInjector, every
+// call replays its seed's schedule.
 type noiseInjector struct {
-	child child
+	wrapped
 	dist  string // "gaussian" or "uniform"
 	scale float64
 	seed  int64
@@ -129,23 +138,17 @@ func (p *noiseInjector) CompressImpl(in, out *core.Data) error {
 		return err
 	}
 	work := in.Clone()
-	rng := rand.New(rand.NewSource(p.seed))
-	noise := func() float64 {
-		if p.dist == "uniform" {
-			return (rng.Float64()*2 - 1) * p.scale
-		}
-		return rng.NormFloat64() * p.scale
-	}
+	d, gaussian := newDice(p.seed), p.dist == "gaussian"
 	switch in.DType() {
 	case core.DTypeFloat32:
 		v := work.Float32s()
 		for i := range v {
-			v[i] += float32(noise())
+			v[i] += float32(d.noise(gaussian, p.scale))
 		}
 	case core.DTypeFloat64:
 		v := work.Float64s()
 		for i := range v {
-			v[i] += noise()
+			v[i] += d.noise(gaussian, p.scale)
 		}
 	default:
 		return fmt.Errorf("%w: noise_injector needs floating point data", core.ErrInvalidDType)
@@ -158,64 +161,8 @@ func (p *noiseInjector) CompressImpl(in, out *core.Data) error {
 	return nil
 }
 
-func (p *noiseInjector) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.child.Get()
-	if err != nil {
-		return err
-	}
-	return comp.Decompress(in, out)
-}
-
 func (p *noiseInjector) Clone() core.CompressorPlugin {
 	clone := *p
 	clone.child = p.child.Clone()
 	return &clone
-}
-
-// switchMeta dispatches to the compressor named by keySwitchActive, which is
-// how optimizers search across compressor *types* with a single
-// configuration knob. Every option ever set is replayed into whichever
-// compressor becomes active.
-type switchMeta struct {
-	child child
-}
-
-func (p *switchMeta) Prefix() string  { return "switch" }
-func (p *switchMeta) Version() string { return Version }
-
-var switchSchema = core.NewSchema(
-	// Eager: optimizers read the active compressor's options before first use.
-	core.EagerChildRow(keySwitchActive, "name of the compressor that serves calls; it receives every option set here",
-		func(p *switchMeta) *child { return &p.child }),
-)
-
-func (p *switchMeta) Options() *core.Options             { return switchSchema.Options(p) }
-func (p *switchMeta) SetOptions(o *core.Options) error   { return switchSchema.Set(p, o) }
-func (p *switchMeta) CheckOptions(o *core.Options) error { return switchSchema.Check(p, o) }
-func (p *switchMeta) Schema() []core.OptionSpec          { return switchSchema.Specs() }
-
-func (p *switchMeta) Configuration() *core.Options {
-	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
-	cfg.SetValue("switch:known", core.SupportedCompressors())
-	return cfg
-}
-
-func (p *switchMeta) CompressImpl(in, out *core.Data) error {
-	c, err := p.child.Get()
-	if err != nil {
-		return err
-	}
-	return c.Compress(in, out)
-}
-
-func (p *switchMeta) DecompressImpl(in, out *core.Data) error {
-	c, err := p.child.Get()
-	if err != nil {
-		return err
-	}
-	return c.Decompress(in, out)
-}
-
-func (p *switchMeta) Clone() core.CompressorPlugin {
-	return &switchMeta{child: p.child.Clone()}
 }

@@ -345,10 +345,13 @@ func (f *File) RawChunks(name string) ([]RawChunk, error) {
 }
 
 // WriteRawDataset stores already-filtered chunks under name, bypassing the
-// filter (the payloads are recorded as-is). The journal replay path of the
-// object store uses it to rebuild a container from logged chunk payloads
-// without owning the original uncompressed data. The chunk rows must sum to
-// dims[0].
+// filter (the payloads are recorded as-is). The object store uses it to
+// publish a PUT's filtered chunks and to rebuild a container from logged
+// chunk payloads, without owning the original uncompressed data. The chunk
+// rows must sum to dims[0].
+//
+// The file takes ownership of the payloads without copying them: the caller
+// must hand over buffers it does not modify afterwards.
 func (f *File) WriteRawDataset(name, dtype string, dims []uint64, filter string, options map[string]float64, chunks []RawChunk) error {
 	if _, err := core.ParseDType(dtype); err != nil {
 		return err
@@ -357,15 +360,13 @@ func (f *File) WriteRawDataset(name, dtype string, dims []uint64, filter string,
 		return fmt.Errorf("h5lite: %w", core.ErrNilData)
 	}
 	var rows uint64
-	owned := make([]RawChunk, len(chunks))
-	for i, ch := range chunks {
+	for _, ch := range chunks {
 		rows += ch.Rows
-		owned[i] = RawChunk{Rows: ch.Rows, Payload: bytes.Clone(ch.Payload)}
 	}
 	if rows != dims[0] {
 		return fmt.Errorf("h5lite: raw chunks cover %d rows, dims declare %d", rows, dims[0])
 	}
-	f.put(name, DatasetMeta{DType: dtype, Dims: append([]uint64(nil), dims...), Filter: filter, Options: options}, owned)
+	f.put(name, DatasetMeta{DType: dtype, Dims: append([]uint64(nil), dims...), Filter: filter, Options: options}, chunks)
 	return nil
 }
 

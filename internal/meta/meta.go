@@ -1,10 +1,11 @@
 // Package meta implements the paper's "meta-compressors": plugins that
-// satisfy the compressor interface but compose, transform, parallelize or
-// perturb other compressors instead of coding data themselves — chunking,
-// transpose, resize, sampling, delta encoding, linear quantization, fault
-// and noise injection, runtime switching, and the many-independent /
-// many-dependent parallel pipelines. They are what lets tools be written
-// once against the generic interface and still benefit every compressor.
+// satisfy the compressor interface but compose, transform or parallelize
+// other compressors instead of coding data themselves — chunking,
+// transpose, resize, sampling, delta encoding, linear quantization, runtime
+// switching, and the many-independent / many-dependent parallel pipelines.
+// They are what lets tools be written once against the generic interface and
+// still benefit every compressor. The fault and noise injectors live with
+// the rest of the chaos substrate, in internal/faultinject.
 package meta
 
 import (
@@ -16,10 +17,11 @@ import (
 	"pressio/internal/trace"
 )
 
-// Option keys the chunking meta-compressor owns.
+// Option keys the chunking and switch meta-compressors own.
 const (
 	keyChunkRows     = "chunking:chunk_rows"
 	keyChunkNThreads = "chunking:nthreads"
+	keySwitchActive  = "switch:active"
 )
 
 // Version is the meta-compressor family version.
@@ -65,6 +67,9 @@ func childRow[T any](prefix string, field func(*T) *child) core.Row[T] {
 func init() {
 	core.RegisterCompressor("chunking", func() core.CompressorPlugin {
 		return &chunking{child: child{Name: "sz_threadsafe"}}
+	})
+	core.RegisterCompressor("switch", func() core.CompressorPlugin {
+		return &switchMeta{child: child{Name: "sz_threadsafe"}}
 	})
 }
 
@@ -242,12 +247,59 @@ func (p *chunking) DecompressImpl(in, out *core.Data) error {
 	}); err != nil {
 		return err
 	}
-	out.Become(result)
-	return nil
+	return core.Adopt(out, result)
 }
 
 func (p *chunking) Clone() core.CompressorPlugin {
 	clone := *p
 	clone.child = p.child.Clone()
 	return &clone
+}
+
+// switchMeta dispatches to the compressor named by keySwitchActive, which is
+// how optimizers search across compressor *types* with a single
+// configuration knob. Every option ever set is replayed into whichever
+// compressor becomes active.
+type switchMeta struct {
+	child child
+}
+
+func (p *switchMeta) Prefix() string  { return "switch" }
+func (p *switchMeta) Version() string { return Version }
+
+var switchSchema = core.NewSchema(
+	// Eager: optimizers read the active compressor's options before first use.
+	core.EagerChildRow(keySwitchActive, "name of the compressor that serves calls; it receives every option set here",
+		func(p *switchMeta) *child { return &p.child }),
+)
+
+func (p *switchMeta) Options() *core.Options             { return switchSchema.Options(p) }
+func (p *switchMeta) SetOptions(o *core.Options) error   { return switchSchema.Set(p, o) }
+func (p *switchMeta) CheckOptions(o *core.Options) error { return switchSchema.Check(p, o) }
+func (p *switchMeta) Schema() []core.OptionSpec          { return switchSchema.Specs() }
+
+func (p *switchMeta) Configuration() *core.Options {
+	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
+	cfg.SetValue("switch:known", core.SupportedCompressors())
+	return cfg
+}
+
+func (p *switchMeta) CompressImpl(in, out *core.Data) error {
+	c, err := p.child.Get()
+	if err != nil {
+		return err
+	}
+	return c.Compress(in, out)
+}
+
+func (p *switchMeta) DecompressImpl(in, out *core.Data) error {
+	c, err := p.child.Get()
+	if err != nil {
+		return err
+	}
+	return c.Decompress(in, out)
+}
+
+func (p *switchMeta) Clone() core.CompressorPlugin {
+	return &switchMeta{child: p.child.Clone()}
 }

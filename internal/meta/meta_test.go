@@ -365,72 +365,6 @@ func TestChunkingRefusesUnbackedChunkCount(t *testing.T) {
 	}
 }
 
-func TestFaultInjectorCorruptsStream(t *testing.T) {
-	in := smooth([]uint64{32, 32}, 9)
-	clean, _ := core.NewCompressor("sz_threadsafe")
-	if err := clean.SetOptions(core.NewOptions().SetValue(core.KeyAbs, 0.01)); err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Compress(clean, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := core.NewCompressor("fault_injector")
-	if err := c.SetOptions(core.NewOptions().
-		SetValue("fault_injector:compressor", "sz_threadsafe").
-		SetValue("fault_injector:faults", uint64(4)).
-		SetValue("fault_injector:seed", int64(7)).
-		SetValue(core.KeyAbs, 0.01)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Compress(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Equal(want) {
-		t.Fatal("fault injector did not flip any bits")
-	}
-	// Decompressing the corrupted stream must not panic (errors are fine).
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("decompressor panicked on corrupted stream: %v", r)
-			}
-		}()
-		_, _ = core.Decompress(c, got, core.DTypeFloat32, 32, 32)
-	}()
-}
-
-func TestNoiseInjectorAddsBoundedNoise(t *testing.T) {
-	in := smooth([]uint64{40, 40}, 10)
-	c, _ := core.NewCompressor("noise_injector")
-	if err := c.SetOptions(core.NewOptions().
-		SetValue("noise_injector:compressor", "noop").
-		SetValue("noise_injector:distribution", "uniform").
-		SetValue("noise_injector:scale", 0.1).
-		SetValue("noise_injector:seed", int64(3))); err != nil {
-		t.Fatal(err)
-	}
-	comp, err := core.Compress(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := core.Decompress(c, comp, core.DTypeFloat32, 40, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := maxErr(in, dec)
-	if worst == 0 {
-		t.Fatal("noise injector added no noise")
-	}
-	if worst > 0.1+1e-6 {
-		t.Fatalf("uniform noise exceeded scale: %g", worst)
-	}
-	if err := c.SetOptions(core.NewOptions().SetValue("noise_injector:distribution", "cauchy")); err == nil {
-		t.Fatal("expected distribution validation error")
-	}
-}
-
 func TestSwitchMeta(t *testing.T) {
 	in := smooth([]uint64{24, 24}, 11)
 	c, _ := core.NewCompressor("switch")
@@ -534,5 +468,28 @@ func TestUnknownChildRejected(t *testing.T) {
 	in := smooth([]uint64{8, 8}, 12)
 	if _, err := core.Compress(c, in); err == nil {
 		t.Fatal("expected unknown plugin error at compress time")
+	}
+}
+
+// TestMetaHonoursDeclaredOutput: an output that declares a dtype and count
+// other than the stream's is refused as corrupt, and the stream's own shape
+// still decodes.
+func TestMetaHonoursDeclaredOutput(t *testing.T) {
+	in := smooth([]uint64{16, 16, 16}, 12)
+	for _, name := range []string{"chunking", "delta_encoding", "linear_quantizer", "resize", "transpose"} {
+		c, err := core.NewCompressor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := core.Compress(c, in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := core.Decompress(c, comp, core.DTypeFloat64, 100); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s: float32[16 16 16] stream into a declared float64[100]: err = %v, want ErrCorrupt", name, err)
+		}
+		if _, err := core.Decompress(c, comp, in.DType(), in.Dims()...); err != nil {
+			t.Errorf("%s: declared as compressed: %v", name, err)
+		}
 	}
 }

@@ -199,8 +199,7 @@ func (p *transpose) DecompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	out.Become(back)
-	return nil
+	return core.Adopt(out, back)
 }
 
 func (p *transpose) Clone() core.CompressorPlugin {
@@ -298,8 +297,7 @@ func (p *resize) DecompressImpl(in, out *core.Data) error {
 	if err := dec.Reshape(origDims...); err != nil {
 		return err
 	}
-	out.Become(dec)
-	return nil
+	return core.Adopt(out, dec)
 }
 
 func (p *resize) Clone() core.CompressorPlugin {
@@ -499,8 +497,7 @@ func (p *deltaMeta) DecompressImpl(in, out *core.Data) error {
 	default:
 		return ErrCorrupt
 	}
-	out.Become(dec)
-	return nil
+	return core.Adopt(out, dec)
 }
 
 func (p *deltaMeta) Clone() core.CompressorPlugin {
@@ -618,15 +615,13 @@ func (p *linQuant) DecompressImpl(in, out *core.Data) error {
 	}
 	d64 := core.FromFloat64s(vals, dims...)
 	if dtype == core.DTypeFloat64 {
-		out.Become(d64)
-		return nil
+		return core.Adopt(out, d64)
 	}
 	cast, err := d64.CastTo(dtype)
 	if err != nil {
 		return err
 	}
-	out.Become(cast)
-	return nil
+	return core.Adopt(out, cast)
 }
 
 func (p *linQuant) Clone() core.CompressorPlugin {

@@ -1,10 +1,11 @@
 // Package opt implements the configuration optimizer (the paper's
-// LibPressio-Opt / FRaZ lineage): given a compressor and a target — a fixed
-// compression ratio or a quality floor — it searches the error-bound space
-// and returns the configuration that meets the target. Because it drives
-// compressors exclusively through the generic interface, it works with any
-// registered plugin, including the "switch" meta-compressor for searching
-// across compressor types.
+// LibPressio-Opt / FRaZ lineage) as the "opt" meta-compressor. It races a
+// chain of candidate compressors; given a target — a compression ratio or a
+// PSNR floor — it searches each candidate's error bound for it, and it emits
+// the stream of the candidate with the highest ratio. It drives candidates
+// only through the generic interface and reads their ratio and quality from
+// the size and error_stat metrics, so it works over any registered plugin,
+// and every client that names a compressor can name opt.
 package opt
 
 import (
@@ -13,258 +14,234 @@ import (
 	"math"
 
 	"pressio/internal/core"
+	"pressio/internal/resilience"
+
+	_ "pressio/internal/metrics" // opt reads the size and error_stat metrics
 )
 
-// ErrNoSolution reports that the target is unreachable in the search range.
+// Option keys the opt meta-compressor owns.
+const (
+	keyCompressors = "opt:compressors"
+	keyTargetRatio = "opt:target_ratio"
+	keyTargetPSNR  = "opt:target_psnr"
+	keyTolerance   = "opt:tolerance"
+	keyBound       = "opt:bound"
+	keyEvaluations = "opt:evaluations"
+	keyChosen      = "opt:chosen"
+)
+
+// The search brackets pressio:abs between these fractions of the input's
+// value range and bisects the bracket, in log space, at most maxIters times.
+const (
+	minBound = 1e-9
+	maxBound = 0.5
+	maxIters = 32
+)
+
+// Version is the opt plugin version.
+const Version = "1.0.0"
+
+// ErrNoSolution reports that no candidate met the target.
 var ErrNoSolution = errors.New("opt: no configuration meets the target")
 
-// Result describes the configuration the optimizer found.
-type Result struct {
-	// Bound is the error bound (value of BoundKey) selected.
-	Bound float64
-	// Ratio is the compression ratio achieved at Bound.
-	Ratio float64
-	// PSNR is the decompressed quality at Bound (dB; +Inf when exact).
-	PSNR float64
-	// Evaluations counts compressor invocations spent searching.
-	Evaluations int
-	// Options holds the full option set to apply for this configuration.
-	Options *core.Options
+func init() {
+	core.RegisterCompressor("opt", func() core.CompressorPlugin {
+		return &plugin{candidates: resilience.Chain{{Name: "sz_threadsafe"}}, tolerance: 0.1}
+	})
 }
 
-// Config tunes the search.
-type Config struct {
-	// BoundKey is the option that carries the error bound
-	// (default "pressio:abs").
-	BoundKey string
-	// Lo and Hi bracket the bound search range (defaults derived from the
-	// input's value range).
-	Lo, Hi float64
-	// Tolerance is the acceptable relative deviation from the target
-	// (default 0.1, i.e. ±10 % like FRaZ's fixed-ratio contract).
-	Tolerance float64
-	// MaxIters bounds the search (default 32).
-	MaxIters int
+// plugin is the opt meta-compressor. Compression frames the winning stream
+// with its producer, so decompression routes back to that candidate.
+type plugin struct {
+	candidates  resilience.Chain
+	targetRatio float64
+	targetPSNR  float64
+	tolerance   float64
+
+	// What the last compression chose, reported read-only.
+	bound       float64
+	evaluations uint64
+	chosen      string
 }
 
-func (c Config) normalized(in *core.Data) Config {
-	if c.BoundKey == "" {
-		c.BoundKey = core.KeyAbs
+func (p *plugin) Prefix() string  { return "opt" }
+func (p *plugin) Version() string { return Version }
+
+var schema = core.NewSchema(
+	resilience.ChainRow(keyCompressors, "comma-separated candidate compressors; each receives every option set here",
+		func(p *plugin) *resilience.Chain { return &p.candidates }),
+	core.Field(keyTargetRatio, "compression ratio to reach, above 1 (0 = no target)", core.AtLeast(0),
+		func(p *plugin) *float64 { return &p.targetRatio }),
+	core.Field(keyTargetPSNR, "PSNR floor in dB (0 = no target)", core.AtLeast(0),
+		func(p *plugin) *float64 { return &p.targetPSNR }),
+	core.Field(keyTolerance, "accepted relative deviation: the ratio within ±tolerance of its target, the PSNR at most tolerance above its floor", core.Above(0),
+		func(p *plugin) *float64 { return &p.tolerance }),
+	core.Report(keyBound, "pressio:abs the last compression chose (0 when no target is set)",
+		func(p *plugin) float64 { return p.bound }),
+	core.Report(keyEvaluations, "candidate compressions the last compression spent",
+		func(p *plugin) uint64 { return p.evaluations }),
+	core.Report(keyChosen, "candidate whose stream the last compression emitted",
+		func(p *plugin) string { return p.chosen }),
+).Validate(func(p *plugin) error {
+	switch {
+	case p.targetRatio > 0 && p.targetPSNR > 0:
+		return fmt.Errorf("%w: set %s or %s, not both", core.ErrInvalidOption, keyTargetRatio, keyTargetPSNR)
+	case p.targetRatio > 0 && p.targetRatio <= 1:
+		return fmt.Errorf("%w: %s: %v must exceed 1", core.ErrInvalidOption, keyTargetRatio, p.targetRatio)
+	}
+	return nil
+})
+
+func (p *plugin) Options() *core.Options             { return schema.Options(p) }
+func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
+func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
+func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
+
+func (p *plugin) Configuration() *core.Options {
+	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
+}
+
+// eval is one compression of the input by one candidate.
+type eval struct {
+	bound, ratio, psnr float64
+	prefix             string
+	stream             *core.Data
+}
+
+// CompressImpl tunes every candidate and emits the stream of the one with
+// the highest ratio; on a tie the earlier candidate wins. A candidate that
+// fails, or misses the target, drops out of the race.
+func (p *plugin) CompressImpl(in, out *core.Data) error {
+	p.bound, p.evaluations, p.chosen = 0, 0, ""
+	var best *eval
+	var errs []error
+	for i := range p.candidates {
+		e, err := p.tune(&p.candidates[i], in)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", p.candidates[i].Name, err))
+		} else if best == nil || e.ratio > best.ratio {
+			best = &e
+		}
+	}
+	if best == nil {
+		return fmt.Errorf("%w among %s: %w", ErrNoSolution, p.candidates, errors.Join(errs...))
+	}
+	p.bound, p.chosen = best.bound, best.prefix
+	return resilience.WriteFrame(out, best.prefix, in, best.stream)
+}
+
+// tune evaluates one candidate on a clone, so no searched bound stays behind
+// in it. With no target the candidate compresses once, at the caller's
+// bound. With one, the search bisects log(pressio:abs) between the bracket's
+// ends, which it evaluates first, and returns the first evaluation inside the
+// target's band. A PSNR floor is also met by the largest bound evaluated
+// above the band.
+func (p *plugin) tune(candidate *core.Child[*core.Compressor], in *core.Data) (eval, error) {
+	comp, err := candidate.Get()
+	if err != nil {
+		return eval{}, err
+	}
+	work := comp.Clone()
+	m, err := core.NewMetrics("size", "error_stat")
+	if err != nil {
+		return eval{}, err
+	}
+	work.SetMetrics(m)
+	if p.targetRatio == 0 && p.targetPSNR == 0 {
+		return p.evaluate(work, in, 0)
 	}
 	lo, hi := core.ValueRange(in)
 	rng := hi - lo
 	if rng <= 0 {
 		rng = 1
 	}
-	if c.Lo <= 0 {
-		c.Lo = rng * 1e-9
+	ends := [2]float64{math.Log(rng * minBound), math.Log(rng * maxBound)}
+	var floor *eval
+	for i := 0; i < 2+maxIters; i++ {
+		x := (ends[0] + ends[1]) / 2
+		if i < 2 {
+			x = ends[i]
+		}
+		e, err := p.evaluate(work, in, math.Exp(x))
+		if err != nil {
+			return eval{}, err
+		}
+		side := p.side(e)
+		switch {
+		case side == 0:
+			return e, nil
+		case side < 0:
+			ends[0] = x
+			if p.targetPSNR > 0 {
+				floor = &e
+			}
+		default:
+			ends[1] = x
+		}
+		if (i == 0 && side > 0) || (i == 1 && side < 0) {
+			break // the bracket's ends lie on one side of the target
+		}
 	}
-	if c.Hi <= 0 {
-		c.Hi = rng * 0.5
+	if floor != nil {
+		return *floor, nil
 	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 0.1
-	}
-	if c.MaxIters <= 0 {
-		c.MaxIters = 32
-	}
-	return c
+	return eval{}, fmt.Errorf("%w: no pressio:abs in [%g, %g] lands within %g of the target",
+		ErrNoSolution, rng*minBound, rng*maxBound, p.tolerance)
 }
 
-// evaluate compresses (and decompresses) once at the given bound and
-// reports ratio and PSNR.
-func evaluate(c *core.Compressor, in *core.Data, key string, bound float64) (ratio, psnr float64, err error) {
-	if err := c.SetOptions(core.NewOptions().SetValue(key, bound)); err != nil {
-		return 0, 0, err
+// side places an evaluation against the target's band: -1 when the bound
+// may grow (the ratio is short of the band, or the PSNR is above it), 0
+// inside it, +1 when the bound must shrink.
+func (p *plugin) side(e eval) int {
+	v, lo, hi := e.ratio, p.targetRatio*(1-p.tolerance), p.targetRatio*(1+p.tolerance)
+	if p.targetPSNR > 0 {
+		// The PSNR falls as the bound grows; negated, it rises like the ratio.
+		v, lo, hi = -e.psnr, -p.targetPSNR*(1+p.tolerance), -p.targetPSNR
 	}
-	comp, err := core.Compress(c, in)
-	if err != nil {
-		return 0, 0, err
+	switch {
+	case v < lo:
+		return -1
+	case v > hi:
+		return 1
 	}
-	ratio = float64(in.ByteLen()) / float64(comp.ByteLen())
-	dec, err := core.Decompress(c, comp, in.DType(), in.Dims()...)
-	if err != nil {
-		return 0, 0, err
-	}
-	orig := in.AsFloat64s()
-	got := dec.AsFloat64s()
-	if len(got) != len(orig) {
-		return 0, 0, fmt.Errorf("opt: decompressed %d elements, want %d", len(got), len(orig))
-	}
-	lo, hi := core.ValueRange(in)
-	mse := 0.0
-	for i := range orig {
-		d := got[i] - orig[i]
-		mse += d * d
-	}
-	mse /= float64(len(orig))
-	if mse == 0 {
-		psnr = math.Inf(1)
-	} else {
-		psnr = 20*math.Log10(hi-lo) - 10*math.Log10(mse)
-	}
-	return ratio, psnr, nil
+	return 0
 }
 
-// TuneRatio finds an error bound whose compression ratio is within
-// cfg.Tolerance of targetRatio, searching log-bound space by bisection
-// (ratio grows monotonically with the bound for error-bounded
-// compressors). This is the fixed-ratio use case of FRaZ.
-func TuneRatio(c *core.Compressor, in *core.Data, targetRatio float64, cfg Config) (Result, error) {
-	if targetRatio <= 1 {
-		return Result{}, fmt.Errorf("opt: target ratio %v must exceed 1", targetRatio)
+// evaluate compresses in with c, at pressio:abs = bound unless bound is 0,
+// decompresses the stream again, and reads what the size and error_stat
+// metrics measured. A field with no value range has no PSNR, so it meets no
+// floor.
+func (p *plugin) evaluate(c *core.Compressor, in *core.Data, bound float64) (eval, error) {
+	p.evaluations++
+	if bound > 0 {
+		if err := c.SetOptions(core.NewOptions().SetValue(core.KeyAbs, bound)); err != nil {
+			return eval{}, err
+		}
 	}
-	cfg = cfg.normalized(in)
-	work := c.Clone()
-	loB, hiB := math.Log(cfg.Lo), math.Log(cfg.Hi)
-	evals := 0
-
-	eval := func(logB float64) (Result, error) {
-		bound := math.Exp(logB)
-		ratio, psnr, err := evaluate(work, in, cfg.BoundKey, bound)
-		evals++
-		return Result{Bound: bound, Ratio: ratio, PSNR: psnr, Evaluations: evals}, err
-	}
-	lo, err := eval(loB)
+	stream, err := core.Compress(c, in)
 	if err != nil {
-		return lo, err
+		return eval{}, err
 	}
-	hi, err := eval(hiB)
-	if err != nil {
-		return hi, err
+	if _, err := core.Decompress(c, stream, in.DType(), in.Dims()...); err != nil {
+		return eval{}, err
 	}
-	within := func(r Result) bool {
-		return math.Abs(r.Ratio-targetRatio) <= cfg.Tolerance*targetRatio
+	r := c.MetricsResults()
+	e := eval{bound: bound, prefix: c.Prefix(), stream: stream}
+	e.ratio, _ = r.GetFloat64("size:compression_ratio")
+	if e.psnr, err = r.GetFloat64("error_stat:psnr"); err != nil {
+		e.psnr = math.Inf(-1)
 	}
-	finish := func(r Result) (Result, error) {
-		r.Options = core.NewOptions().SetValue(cfg.BoundKey, r.Bound)
-		r.Evaluations = evals
-		return r, nil
-	}
-	if within(lo) {
-		return finish(lo)
-	}
-	if within(hi) {
-		return finish(hi)
-	}
-	if lo.Ratio > targetRatio || hi.Ratio < targetRatio {
-		return Result{Evaluations: evals}, fmt.Errorf("%w: ratio range [%.2f, %.2f] misses %.2f",
-			ErrNoSolution, lo.Ratio, hi.Ratio, targetRatio)
-	}
-	best := lo
-	for i := 0; i < cfg.MaxIters; i++ {
-		mid, err := eval((loB + hiB) / 2)
-		if err != nil {
-			return mid, err
-		}
-		if math.Abs(mid.Ratio-targetRatio) < math.Abs(best.Ratio-targetRatio) {
-			best = mid
-		}
-		if within(mid) {
-			return finish(mid)
-		}
-		if mid.Ratio < targetRatio {
-			loB = (loB + hiB) / 2
-		} else {
-			hiB = (loB + hiB) / 2
-		}
-	}
-	if within(best) {
-		return finish(best)
-	}
-	best.Evaluations = evals
-	return best, fmt.Errorf("%w: best ratio %.2f for target %.2f after %d evaluations",
-		ErrNoSolution, best.Ratio, targetRatio, evals)
+	return e, nil
 }
 
-// TunePSNR finds the largest error bound (hence best ratio) whose PSNR
-// stays at or above targetPSNR.
-func TunePSNR(c *core.Compressor, in *core.Data, targetPSNR float64, cfg Config) (Result, error) {
-	cfg = cfg.normalized(in)
-	work := c.Clone()
-	loB, hiB := math.Log(cfg.Lo), math.Log(cfg.Hi)
-	evals := 0
-	eval := func(logB float64) (Result, error) {
-		bound := math.Exp(logB)
-		ratio, psnr, err := evaluate(work, in, cfg.BoundKey, bound)
-		evals++
-		return Result{Bound: bound, Ratio: ratio, PSNR: psnr}, err
-	}
-	lo, err := eval(loB)
-	if err != nil {
-		return lo, err
-	}
-	if lo.PSNR < targetPSNR {
-		lo.Evaluations = evals
-		return lo, fmt.Errorf("%w: PSNR %.1f below target %.1f even at the smallest bound",
-			ErrNoSolution, lo.PSNR, targetPSNR)
-	}
-	best := lo
-	for i := 0; i < cfg.MaxIters; i++ {
-		mid, err := eval((loB + hiB) / 2)
-		if err != nil {
-			return mid, err
-		}
-		if mid.PSNR >= targetPSNR {
-			best = mid
-			loB = (loB + hiB) / 2
-		} else {
-			hiB = (loB + hiB) / 2
-		}
-		if hiB-loB < 0.05 {
-			break
-		}
-	}
-	best.Options = core.NewOptions().SetValue(cfg.BoundKey, best.Bound)
-	best.Evaluations = evals
-	return best, nil
+// DecompressImpl routes the frame to the candidate that produced it.
+func (p *plugin) DecompressImpl(in, out *core.Data) error {
+	_, err := p.candidates.Route(in.Bytes(), out, 0)
+	return err
 }
 
-// BestCompressor evaluates each named compressor at the given generic
-// options and returns the name achieving the highest compression ratio
-// (ties broken by PSNR). It exercises exactly the compressor-agnostic
-// search loop the paper's optimizer motivates.
-func BestCompressor(names []string, in *core.Data, opts *core.Options) (best string, results map[string]Result, err error) {
-	results = make(map[string]Result, len(names))
-	bestRatio := -1.0
-	for _, name := range names {
-		c, err := core.NewCompressor(name)
-		if err != nil {
-			return "", results, err
-		}
-		if err := c.SetOptions(opts); err != nil {
-			continue // option not understood: skip this candidate
-		}
-		comp, err := core.Compress(c, in)
-		if err != nil {
-			continue // e.g. dtype unsupported
-		}
-		dec, err := core.Decompress(c, comp, in.DType(), in.Dims()...)
-		if err != nil {
-			continue
-		}
-		ratio := float64(in.ByteLen()) / float64(comp.ByteLen())
-		orig := in.AsFloat64s()
-		got := dec.AsFloat64s()
-		mse := 0.0
-		for i := range orig {
-			d := got[i] - orig[i]
-			mse += d * d
-		}
-		mse /= float64(len(orig))
-		lo, hi := core.ValueRange(in)
-		psnr := math.Inf(1)
-		if mse > 0 {
-			psnr = 20*math.Log10(hi-lo) - 10*math.Log10(mse)
-		}
-		results[name] = Result{Ratio: ratio, PSNR: psnr, Evaluations: 1}
-		if ratio > bestRatio {
-			bestRatio = ratio
-			best = name
-		}
-	}
-	if best == "" {
-		return "", results, fmt.Errorf("%w: no candidate succeeded", ErrNoSolution)
-	}
-	return best, results, nil
+func (p *plugin) Clone() core.CompressorPlugin {
+	clone := *p
+	clone.candidates = p.candidates.Clone()
+	return &clone
 }

@@ -13,7 +13,8 @@
 //     chain of tiers (e.g. sz → zfp → a lossless passthrough): when a tier
 //     errors, times out, panics, or fails the optional round-trip
 //     verification gate, the next tier serves the call, and the stream
-//     records which tier produced it.
+//     records which tier produced it. Its chain of tiers (Chain) is shared
+//     with the opt meta-compressor, whose streams route the same way.
 //   - Integrity-checked frames (frame.go) are a self-describing container —
 //     magic, version, producing plugin, dtype/dims, CRC32-C — written on
 //     compress and validated before decompress, so corruption is detected

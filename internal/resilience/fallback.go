@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"time"
 
 	"pressio/internal/core"
@@ -24,14 +22,8 @@ const (
 
 func init() {
 	core.RegisterCompressor("fallback", func() core.CompressorPlugin {
-		return newFallback("sz_threadsafe,zfp,noop")
+		return &fallback{tiers: Chain{}.renamed("sz_threadsafe,zfp,noop"), frame: true}
 	})
-}
-
-func newFallback(chain string) *fallback {
-	p := &fallback{frame: true}
-	p.setChain(chain)
-	return p
 }
 
 // fallback is the graceful-degradation meta-compressor: an ordered chain of
@@ -42,7 +34,7 @@ func newFallback(chain string) *fallback {
 // the tier that actually compressed each buffer — a chain can therefore mix
 // tiers freely across a batch and still decompress everything.
 type fallback struct {
-	tiers     []childComp
+	tiers     Chain
 	deadline  time.Duration
 	verify    bool
 	verifyAbs float64
@@ -53,76 +45,9 @@ type fallback struct {
 func (p *fallback) Prefix() string  { return "fallback" }
 func (p *fallback) Version() string { return Version }
 
-func (p *fallback) chain() string {
-	names := make([]string, len(p.tiers))
-	for i := range p.tiers {
-		names[i] = p.tiers[i].Name
-	}
-	return strings.Join(names, ",")
-}
-
-// setChain replaces the tiers with unbuilt ones that inherit the options
-// saved so far. It builds a fresh slice: the old one may be shared with the
-// plugin a staged copy was taken from.
-func (p *fallback) setChain(csv string) {
-	var proto childComp
-	if len(p.tiers) > 0 {
-		proto = p.tiers[0]
-	}
-	var tiers []childComp
-	for _, name := range strings.Split(csv, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			tiers = append(tiers, proto.Renamed(name))
-		}
-	}
-	p.tiers = tiers
-}
-
-// tiersRow declares the chain. Unlike a single-child wrapper it validates
-// forwarded options only against tiers that are already built: a tier that
-// cannot be built or configured degrades to the next one at call time, which
-// is the point of the plugin.
-var tiersRow = func() core.Row[fallback] {
-	r := core.Opt(keyFallbackCompressors, "comma-separated tiers in preference order; each receives every option set here", core.Bounds{},
-		func(p *fallback) (string, bool) { return p.chain(), true },
-		func(p *fallback, csv string) {
-			if csv != p.chain() {
-				p.setChain(csv)
-			}
-		})
-	r.Check = func(o core.Option) error {
-		if strings.Trim(o.Value().(string), ", \t") == "" {
-			return errors.New("names no tier")
-		}
-		return nil
-	}
-	r.Describe = func(p *fallback, o *core.Options) {
-		for i := range p.tiers {
-			p.tiers[i].Describe(o)
-		}
-	}
-	r.Stage = func(p *fallback, o *core.Options) error {
-		p.tiers = slices.Clone(p.tiers)
-		for i := range p.tiers {
-			if err := p.tiers[i].Stage(o); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	r.Commit = func(p *fallback, o *core.Options) error {
-		for i := range p.tiers {
-			if err := p.tiers[i].Forward(o); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return r
-}()
-
 var fallbackSchema = core.NewSchema(
-	tiersRow,
+	ChainRow(keyFallbackCompressors, "comma-separated tiers in preference order; each receives every option set here",
+		func(p *fallback) *Chain { return &p.tiers }),
 	core.Millis(keyFallbackDeadlineMS, "per-tier watchdog deadline (0 = none)", core.AtLeast(0),
 		func(p *fallback) *time.Duration { return &p.deadline }),
 	core.Flag(keyFallbackVerify, "decompress each candidate stream and check it before accepting the tier",
@@ -188,13 +113,7 @@ func (p *fallback) CompressImpl(in, out *core.Data) error {
 			trace.CounterAdd(trace.CtrFallbackEngaged, 1)
 		}
 		if p.frame {
-			framed, err := EncodeFrame(prefix, in.DType(), in.Dims(), result.Bytes())
-			if err != nil {
-				return err
-			}
-			trace.CounterAdd(trace.CtrFrameWritten, 1)
-			out.Become(core.NewBytes(framed))
-			return nil
+			return WriteFrame(out, prefix, in, result)
 		}
 		out.Become(result)
 		return nil
@@ -259,12 +178,11 @@ func (p *fallback) DecompressImpl(in, out *core.Data) error {
 	}
 	b := in.Bytes()
 	if IsFramed(b) {
-		f, err := DecodeFrame(b)
-		if err != nil {
-			trace.CounterAdd(trace.CtrFrameCorrupt, 1)
-			return err
+		comp, err := p.tiers.Route(b, out, p.deadline)
+		if err == nil {
+			p.lastTier = comp.Prefix()
 		}
-		return p.decompressVia(f, out)
+		return err
 	}
 	// Unframed stream (fallback:frame was off at compress time): the
 	// producing tier is unrecorded, so probe the chain in preference order.
@@ -293,56 +211,8 @@ func (p *fallback) DecompressImpl(in, out *core.Data) error {
 	return fmt.Errorf("fallback: no tier decompressed the stream: %w", errors.Join(tierErrs...))
 }
 
-// decompressVia routes a framed stream back to the tier that produced it.
-func (p *fallback) decompressVia(f Frame, out *core.Data) error {
-	var getErrs []error
-	for i := range p.tiers {
-		comp, err := p.tiers[i].Get()
-		if err != nil {
-			if p.tiers[i].Name == f.Prefix {
-				// The frame names this tier; a failure to build it is a
-				// configuration problem, not stream corruption.
-				getErrs = append(getErrs, fmt.Errorf("tier %s: %w", p.tiers[i].Name, err))
-			}
-			continue
-		}
-		if comp.Prefix() != f.Prefix && p.tiers[i].Name != f.Prefix {
-			continue
-		}
-		hintDT, hintDims := out.DType(), out.Dims()
-		if hintDT == core.DTypeUnset || len(hintDims) == 0 {
-			hintDT, hintDims = f.DType, f.Dims
-		}
-		// Decompress into a fresh buffer, not the caller's out: a timed-out
-		// call keeps running detached and must not share a target with
-		// whatever the caller does next.
-		target := core.NewEmpty(hintDT, hintDims...)
-		err = runGuarded(p.deadline, func() error {
-			return comp.Decompress(core.NewBytes(f.Payload), target)
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrTimeout) {
-				p.tiers[i].Drop()
-			}
-			return err
-		}
-		p.lastTier = comp.Prefix()
-		out.Become(target)
-		return nil
-	}
-	if len(getErrs) > 0 {
-		return fmt.Errorf("fallback: tier for frame producer %q failed to instantiate: %w",
-			f.Prefix, errors.Join(getErrs...))
-	}
-	return fmt.Errorf("resilience: %w: frame produced by %q which is not in the chain %q",
-		core.ErrCorrupt, f.Prefix, p.chain())
-}
-
 func (p *fallback) Clone() core.CompressorPlugin {
 	clone := *p
-	clone.tiers = make([]childComp, len(p.tiers))
-	for i := range p.tiers {
-		clone.tiers[i] = p.tiers[i].Clone()
-	}
+	clone.tiers = p.tiers.Clone()
 	return &clone
 }

@@ -124,13 +124,7 @@ func (p *guard) CompressImpl(in, out *core.Data) error {
 		return err
 	}
 	if p.frame {
-		framed, err := EncodeFrame(prefix, in.DType(), in.Dims(), result.Bytes())
-		if err != nil {
-			return err
-		}
-		trace.CounterAdd(trace.CtrFrameWritten, 1)
-		out.Become(core.NewBytes(framed))
-		return nil
+		return WriteFrame(out, prefix, in, result)
 	}
 	out.Become(result)
 	return nil

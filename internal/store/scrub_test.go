@@ -197,10 +197,11 @@ func TestStaleScrubVerdictSparesNewVersion(t *testing.T) {
 	reopenMatches(t, s, liveTable(t, s))
 }
 
-// TestScrubReportsOnlyLiveVersions replaces or deletes versions between a
-// pass's snapshot and its verification, and after its verification: a
-// replaced version's segment is unlinked, and a verdict on it is stale. The
-// report must cover the live versions only, and nothing may be quarantined.
+// TestScrubReportsOnlyLiveVersions replaces or deletes versions after a
+// pass's snapshot, before or after their verification. A verdict taken
+// before the replace reads clean, one taken after it reads an unlinked
+// segment, and both are stale. The report must cover the live versions only,
+// and nothing may be quarantined.
 func TestScrubReportsOnlyLiveVersions(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{CheckpointBytes: -1})
 	if err != nil {
@@ -219,11 +220,16 @@ func TestScrubReportsOnlyLiveVersions(t *testing.T) {
 	}
 	s.mu.RUnlock()
 
+	// The verdict on "replaced" is taken before the replace, so it reads
+	// clean and only the liveness check can drop it; the others are taken
+	// after the replace and the delete have unlinked the old segments.
+	verdicts := verify(s.dir, map[string]*object{"replaced": snap["replaced"]})
+	delete(snap, "replaced")
 	mustPut(t, s, "replaced", testData(24), po)
 	if err := s.Delete("deleted"); err != nil {
 		t.Fatal(err)
 	}
-	verdicts := verify(s.dir, snap)
+	verdicts = append(verdicts, verify(s.dir, snap)...)
 	mustPut(t, s, "rotted", testData(32), po)
 	rep, err := s.scrub(verdicts)
 	if err != nil {

@@ -375,7 +375,8 @@ func (s *Store) quarantinePath(base string) (string, error) {
 	}
 }
 
-// writeSegment publishes a container for om from its filtered chunks.
+// writeSegment publishes a container for om from its filtered chunks, which
+// it takes over uncopied: callers never touch them again.
 func writeSegment(path string, om ObjectMeta, raw []h5lite.RawChunk) error {
 	g := h5lite.Create(path)
 	if err := g.WriteRawDataset(datasetName, om.DType, om.Dims, om.Filter, om.FilterOptions, raw); err != nil {

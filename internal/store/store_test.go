@@ -761,3 +761,44 @@ func TestRejectedManifestKeepsItsSegments(t *testing.T) {
 		t.Fatalf("the lost checkpoint's segment is not in quarantine/: %v", err)
 	}
 }
+
+// TestPutThroughOptRoundTrips: the opt meta-compressor is a chunk filter like
+// any other; each chunk is tuned to the target ratio and reads back through
+// the candidate that produced it, before and after a reopen.
+func TestPutThroughOptRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, 64*64)
+	for i := range vals {
+		vals[i] = math.Sin(float64(i%64)/9) * math.Cos(float64(i/64)/7)
+	}
+	d := core.FromFloat64s(vals, 64, 64)
+	mustPut(t, s, "tuned", d, PutOptions{Filter: "opt", FilterOptions: map[string]float64{"opt:target_ratio": 6}, ChunkRows: 16})
+	check := func(s *Store) {
+		t.Helper()
+		got, info, err := s.Get("tuned")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Filter != "opt" || got.DType() != d.DType() || got.Len() != d.Len() {
+			t.Fatalf("read back %v as %+v", got, info)
+		}
+		for i, v := range got.Float64s() {
+			if math.Abs(v-vals[i]) > 0.05 {
+				t.Fatalf("element %d: %v, stored %v", i, v, vals[i])
+			}
+		}
+	}
+	check(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s)
+}

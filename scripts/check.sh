@@ -39,11 +39,11 @@ go run ./cmd/pressiolint ./...
 echo "==> option schemas (well-formed, option surface pinned, docs/PLUGINS.md reference current)"
 go test -run 'TestSchema|TestOptionSurfaceGolden|TestPluginDocsGenerated' ./internal/core/
 
-echo "==> go test -race (trace, obslog, meta, core, service, daemon, cluster, store, fsx, sz, h5lite, faultinject)"
+echo "==> go test -race (trace, obslog, meta, core, service, daemon, cluster, store, fsx, sz, h5lite, faultinject, opt)"
 go test -race ./internal/trace/... ./internal/obslog/... ./internal/meta/... \
     ./internal/core/... ./internal/service/... ./internal/daemon/ \
     ./internal/cluster/ ./internal/store/ ./internal/fsx/ \
-    ./internal/sz/ ./internal/h5lite/ ./internal/faultinject/
+    ./internal/sz/ ./internal/h5lite/ ./internal/faultinject/ ./internal/opt/
 
 echo "==> pressiolint worker pool under race detector (parallel run = sequential run, goldens)"
 go test -race -run 'TestRunParallelDeterministic|TestGolden$' ./internal/analysis/
