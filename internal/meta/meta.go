@@ -256,10 +256,9 @@ func (p *chunking) Clone() core.CompressorPlugin {
 	return &clone
 }
 
-// switchMeta dispatches to the compressor named by keySwitchActive, which is
-// how optimizers search across compressor *types* with a single
-// configuration knob. Every option ever set is replayed into whichever
-// compressor becomes active.
+// switchMeta dispatches to the compressor named by keySwitchActive, so a
+// single configuration knob selects the compressor *type*. Every option ever
+// set is replayed into whichever compressor becomes active.
 type switchMeta struct {
 	child child
 }
@@ -268,7 +267,7 @@ func (p *switchMeta) Prefix() string  { return "switch" }
 func (p *switchMeta) Version() string { return Version }
 
 var switchSchema = core.NewSchema(
-	// Eager: optimizers read the active compressor's options before first use.
+	// Eager: callers read the active compressor's options before first use.
 	core.EagerChildRow(keySwitchActive, "name of the compressor that serves calls; it receives every option set here",
 		func(p *switchMeta) *child { return &p.child }),
 )

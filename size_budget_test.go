@@ -44,7 +44,7 @@ func TestSizeBudget(t *testing.T) {
 		"internal/huffman":     520,
 		"internal/launch":      375,
 		"internal/lossless":    542,
-		"internal/meta":        1248,
+		"internal/meta":        1247,
 		"internal/metrics":     1165,
 		"internal/mgard":       414,
 		"internal/obslog":      86,
