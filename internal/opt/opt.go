@@ -227,7 +227,7 @@ func (p *plugin) evaluate(c *core.Compressor, in *core.Data, bound float64) (eva
 	}
 	r := c.MetricsResults()
 	e := eval{bound: bound, prefix: c.Prefix(), stream: stream}
-	e.ratio, _ = r.GetFloat64("size:compression_ratio")
+	e.ratio, _ = r.GetFloat64("size:compression_ratio") // absent only for an empty stream: ratio 0
 	if e.psnr, err = r.GetFloat64("error_stat:psnr"); err != nil {
 		e.psnr = math.Inf(-1)
 	}
