@@ -163,24 +163,27 @@ func TestRunOpt(t *testing.T) {
 	writeSample(t, in, 64*64)
 	optRows := []string{"opt:bound=", "opt:evaluations=", "size:compression_ratio=", "error_stat:psnr="}
 	for _, tc := range []struct {
+		name       string
 		compressor string
 		opts       []string
 		want       []string
 	}{
-		{"opt", []string{"opt:compressors=sz", "opt:target_ratio=10"}, append(optRows, `opt:chosen="sz"`)},
-		{"opt", []string{"opt:target_psnr=70"}, append(optRows, `opt:chosen="sz_threadsafe"`)},
-		{"opt", []string{"opt:compressors=sz,zfp,noop", "pressio:abs=0.01"}, append(optRows, "opt:bound=0\n", "opt:evaluations=3\n")},
-		{"guard", []string{"guard:compressor=fallback", "fallback:compressors=sz_threadsafe,noop", "pressio:abs=0.01"}, []string{`fallback:last_tier="sz_threadsafe"`}},
+		{"TargetRatio", "opt", []string{"opt:compressors=sz", "opt:target_ratio=10"}, append(optRows, `opt:chosen="sz"`)},
+		{"TargetPSNR", "opt", []string{"opt:target_psnr=70"}, append(optRows, `opt:chosen="sz_threadsafe"`)},
+		{"Search", "opt", []string{"opt:compressors=sz,zfp,noop", "pressio:abs=0.01"}, append(optRows, "opt:bound=0\n", "opt:evaluations=3\n")},
+		{"FallbackReport", "guard", []string{"guard:compressor=fallback", "fallback:compressors=sz_threadsafe,noop", "pressio:abs=0.01"}, []string{`fallback:last_tier="sz_threadsafe"`}},
 	} {
-		out := captureStdout(t, func() error {
-			return run("roundtrip", tc.compressor, in, "", "posix", "posix", "64,64", "float32",
-				"size,error_stat", "", false, false, 0, tc.opts)
-		})
-		for _, want := range tc.want {
-			if !strings.Contains(out, want) {
-				t.Errorf("%s %v: output lacks %q:\n%s", tc.compressor, tc.opts, want, out)
+		t.Run(tc.name, func(t *testing.T) {
+			out := captureStdout(t, func() error {
+				return run("roundtrip", tc.compressor, in, "", "posix", "posix", "64,64", "float32",
+					"size,error_stat", "", false, false, 0, tc.opts)
+			})
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("%s %v: output lacks %q:\n%s", tc.compressor, tc.opts, want, out)
+				}
 			}
-		}
+		})
 	}
 }
 
