@@ -18,9 +18,11 @@ type Writer struct {
 }
 
 // NewWriter returns an empty Writer. The initial capacity hint is in bytes.
-func NewWriter(capHint int) *Writer {
-	return &Writer{buf: make([]byte, 0, capHint)}
-}
+func NewWriter(capHint int) *Writer { return NewWriterOn(make([]byte, 0, capHint)) }
+
+// NewWriterOn returns an empty Writer that packs into buf's capacity, whose
+// contents it ignores, and grows past it by append.
+func NewWriterOn(buf []byte) *Writer { return &Writer{buf: buf[:0]} }
 
 // WriteBit appends a single bit (the low bit of b).
 //

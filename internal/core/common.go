@@ -128,22 +128,31 @@ func ParseShape(dimsCSV, dtypeName string) (*Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dims []uint64
-	for _, p := range strings.Split(dimsCSV, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
+	dims, err := ParseDims(dimsCSV)
+	if err == nil && len(dims) == 0 {
+		err = fmt.Errorf("%w: no dims in %q", ErrInvalidDims, dimsCSV)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return NewEmpty(dtype, dims...), nil
+}
+
+// ParseDims parses comma-separated extents, skipping empty parts.
+func ParseDims(csv string) ([]uint64, error) {
+	parts := strings.Split(csv, ",")
+	dims := make([]uint64, 0, len(parts))
+	for _, p := range parts {
+		if p = strings.TrimSpace(p); p == "" {
 			continue
 		}
 		v, err := strconv.ParseUint(p, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: bad dims %q", ErrInvalidDims, dimsCSV)
+			return nil, fmt.Errorf("%w: bad dims %q", ErrInvalidDims, csv)
 		}
 		dims = append(dims, v)
 	}
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("%w: no dims in %q", ErrInvalidDims, dimsCSV)
-	}
-	return NewEmpty(dtype, dims...), nil
+	return dims, nil
 }
 
 // FillDecompressed installs raw decompressed bytes into out: a declared out

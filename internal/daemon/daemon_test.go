@@ -142,6 +142,33 @@ func TestDaemonRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDaemonParsesDimsAsCore pins the dims query parameter to
+// core.ParseShape: a part that is not a number is a 400, and an empty part
+// is skipped, so "4,,4" names the same 16 elements as "16" or "4,4".
+func TestDaemonParsesDimsAsCore(t *testing.T) {
+	base := serveTestDaemon(t, nil)
+	for _, c := range []struct {
+		dims string
+		want int
+	}{
+		{"4,x", http.StatusBadRequest},
+		{"", http.StatusBadRequest},
+		{",", http.StatusBadRequest},
+		{"16,16", http.StatusOK},
+		{"4,,4", http.StatusOK},
+	} {
+		n := 256
+		if c.dims == "4,,4" {
+			n = 16
+		}
+		resp := post(t, base+"/compress?dtype=float32&dims="+c.dims, make([]byte, 4*n))
+		readAll(t, resp)
+		if resp.StatusCode != c.want {
+			t.Errorf("dims=%q: status %d, want %d", c.dims, resp.StatusCode, c.want)
+		}
+	}
+}
+
 func TestDaemonHealthReadyAndDrain(t *testing.T) {
 	d, drain, done := startTestDaemon(t, func(c *Config) {
 		c.LameDuck = 300 * time.Millisecond

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"pressio/internal/cluster"
@@ -85,20 +84,11 @@ func parseShape(q map[string][]string) (core.DType, []uint64, error) {
 	if dimsParam == "" || dtypeParam == "" {
 		return 0, nil, errors.New("dims and dtype query parameters are required")
 	}
-	dtype, err := core.ParseDType(dtypeParam)
+	shape, err := core.ParseShape(dimsParam, dtypeParam)
 	if err != nil {
 		return 0, nil, err
 	}
-	parts := strings.Split(dimsParam, ",")
-	dims := make([]uint64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return 0, nil, fmt.Errorf("bad dims %q: %v", dimsParam, err)
-		}
-		dims = append(dims, v)
-	}
-	return dtype, dims, nil
+	return shape.DType(), shape.Dims(), nil
 }
 
 // errLengthRequired rejects a body of undeclared length (Transfer-Encoding:

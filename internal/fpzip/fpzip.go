@@ -223,10 +223,17 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 	}
 	hdr = append(hdr, byte(prec))
 
-	enc := rangecoder.NewEncoder()
-	raw := bitstream.NewWriter(len(vals))
+	// Both segments go through scratch: a class costs under a byte.
+	rcBuf := core.GetScratch[byte](len(vals))
+	defer core.PutScratch(rcBuf)
+	enc := rangecoder.NewEncoderOn(rcBuf)
+	rawBuf := core.GetScratch[byte](len(vals) * int(w/8))
+	defer core.PutScratch(rawBuf)
+	raw := bitstream.NewWriterOn(rawBuf)
 	model := rangecoder.NewModel()
-	recon := make([]uint64, nx*ny*nz)
+	// The stencil reads only points before its own, so recon needs no clearing.
+	recon := core.GetScratch[uint64](nx * ny * nz)
+	defer core.PutScratch(recon)
 	sliceLen := nx * ny * nz
 	for o := 0; o < outer; o++ {
 		src := vals[o*sliceLen : (o+1)*sliceLen]
@@ -255,7 +262,7 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 			}
 		}
 	}
-	rc, rawBytes := enc.Finish(), raw.Bytes()
+	rc, rawBytes := enc.Finish(), raw.Take()
 	out := make([]byte, 0, len(hdr)+binary.MaxVarintLen64+len(rc)+len(rawBytes))
 	out = append(out, hdr...)
 	out = binary.AppendUvarint(out, uint64(len(rc)))
@@ -343,7 +350,8 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	out := make([]T, n)
 	dec := rangecoder.NewDecoder(rc)
 	var rawBits uint64
-	recon := make([]uint64, nx*ny*nz)
+	recon := core.GetScratch[uint64](nx * ny * nz)
+	defer core.PutScratch(recon)
 	sliceLen := nx * ny * nz
 	for o := 0; o < outer; o++ {
 		dst := out[o*sliceLen : (o+1)*sliceLen]

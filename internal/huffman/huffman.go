@@ -35,30 +35,27 @@ const maxCodeLen = 57
 const maxAlphabet = 1 << 28
 
 // buildLengths computes Huffman code lengths from symbol frequencies using
-// the standard two-queue method over sorted leaf weights.
+// the standard two-queue method over sorted leaf weights. The table comes
+// from the scratch pool; the caller returns it.
 func buildLengths(freq []uint64) []uint8 {
-	lengths := make([]uint8, len(freq))
-	// The leaves come first in nodes, in order's order: node i < len(order)
-	// is the leaf of symbol order[i].
-	type node struct {
-		weight      uint64
-		left, right int32 // indices into nodes
-	}
+	lengths := core.GetScratch[uint8](len(freq))
+	clear(lengths)
 	used := 0
 	for _, f := range freq {
 		if f > 0 {
 			used++
 		}
 	}
-	// A Huffman tree over k leaves has exactly 2k-1 nodes.
-	nodes := make([]node, 0, 2*used)
-	order := make([]int32, 0, used)
+	order := core.GetScratch[int32](used)
+	defer core.PutScratch(order)
+	k := 0
 	for s, f := range freq {
 		if f > 0 {
-			order = append(order, int32(s))
+			order[k] = int32(s)
+			k++
 		}
 	}
-	switch len(order) {
+	switch used {
 	case 0:
 		return lengths
 	case 1:
@@ -69,33 +66,37 @@ func buildLengths(freq []uint64) []uint8 {
 	// template: equal weights end up in the same order, and the code lengths
 	// with them, without sort.Slice's reflective swaps.
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(freq[a], freq[b]) })
-	for _, s := range order {
-		nodes = append(nodes, node{weight: freq[s]})
+	// A Huffman tree over k leaves has exactly 2k-1 nodes. The leaves come
+	// first, in order's order: node i < used is the leaf of symbol order[i].
+	// Internal node used+j is the j-th made, and kids[2j:2j+2] its children.
+	weight := core.GetScratch[uint64](2*used - 1)
+	defer core.PutScratch(weight)
+	kids := core.GetScratch[int32](2 * (used - 1))
+	defer core.PutScratch(kids)
+	for i, s := range order {
+		weight[i] = freq[s]
 	}
-	// Two-queue merge: leaves (already sorted) and internal nodes (created
-	// in nondecreasing weight order).
-	leafQ := 0
-	internal := make([]int32, 0, len(order))
-	intQ := 0
+	// Two-queue merge: leaves (already sorted) and internal nodes (made in
+	// nondecreasing weight order, so the made ones queue in index order).
+	leafQ, intQ, made := 0, used, used
 	pop := func() int32 {
-		if leafQ < len(order) && (intQ >= len(internal) || nodes[leafQ].weight <= nodes[internal[intQ]].weight) {
+		if leafQ < used && (intQ >= made || weight[leafQ] <= weight[intQ]) {
 			leafQ++
 			return int32(leafQ - 1)
 		}
 		intQ++
-		return internal[intQ-1]
+		return int32(intQ - 1)
 	}
-	remaining := len(order)
-	for remaining > 1 {
+	for j := 0; j < used-1; j++ {
 		a := pop()
 		b := pop()
-		nodes = append(nodes, node{weight: nodes[a].weight + nodes[b].weight, left: a, right: b})
-		internal = append(internal, int32(len(nodes)-1))
-		remaining--
+		weight[made] = weight[a] + weight[b]
+		kids[2*j], kids[2*j+1] = a, b
+		made++
 	}
 	// Depth-first assign lengths. The stack holds one pending sibling per
 	// level below the root, so it stays as short as the longest code.
-	root := internal[len(internal)-1]
+	root := int32(made - 1)
 	type item struct {
 		idx   int32
 		depth uint8
@@ -105,12 +106,12 @@ func buildLengths(freq []uint64) []uint8 {
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if int(it.idx) < len(order) {
+		if int(it.idx) < used {
 			lengths[order[it.idx]] = max(it.depth, 1)
 			continue
 		}
-		nd := nodes[it.idx]
-		stack = append(stack, item{nd.left, it.depth + 1}, item{nd.right, it.depth + 1})
+		j := int(it.idx) - used
+		stack = append(stack, item{kids[2*j], it.depth + 1}, item{kids[2*j+1], it.depth + 1})
 	}
 	return lengths
 }
@@ -120,39 +121,10 @@ func buildLengths(freq []uint64) []uint8 {
 // they can be emitted LSB-first. They are written into codes, which has an
 // entry for each of lengths; entries without a code are left as they are.
 func canonicalCodes(lengths []uint8, codes []uint64) ([]uint64, error) {
-	maxLen := uint8(0)
-	for _, l := range lengths {
-		if l > maxLen {
-			maxLen = l
-		}
+	_, next, _, err := firstCodes(lengths)
+	if err != nil {
+		return nil, err
 	}
-	if maxLen == 0 {
-		return codes, nil
-	}
-	if maxLen > maxCodeLen {
-		return nil, fmt.Errorf("%w: code length %d exceeds %d", ErrCorrupt, maxLen, maxCodeLen)
-	}
-	countByLen := make([]uint64, maxLen+1)
-	for _, l := range lengths {
-		if l > 0 {
-			countByLen[l]++
-		}
-	}
-	firstCode := make([]uint64, maxLen+2)
-	code := uint64(0)
-	for l := uint8(1); l <= maxLen; l++ {
-		code = (code + countByLen[l-1]) << 1
-		firstCode[l] = code
-	}
-	// Kraft check to reject invalid length tables early.
-	kraft := uint64(0)
-	for l := uint8(1); l <= maxLen; l++ {
-		kraft += countByLen[l] << (maxLen - l)
-	}
-	if kraft > 1<<maxLen {
-		return nil, fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
-	}
-	next := append([]uint64(nil), firstCode...)
 	for s, l := range lengths {
 		if l == 0 {
 			continue
@@ -161,6 +133,31 @@ func canonicalCodes(lengths []uint8, codes []uint64) ([]uint64, error) {
 		next[l]++
 	}
 	return codes, nil
+}
+
+// firstCodes counts the codes of each length and returns those counts, the
+// canonical first code of each length (MSB-first) and the longest length.
+// It refuses a length past maxCodeLen, and an over-subscribed table, whose
+// codes do not fit their lengths.
+func firstCodes(lengths []uint8) (count, first [maxCodeLen + 2]uint64, maxLen uint8, err error) {
+	for _, l := range lengths {
+		if l > maxCodeLen {
+			return count, first, 0, fmt.Errorf("%w: code length %d exceeds %d", ErrCorrupt, l, maxCodeLen)
+		}
+		maxLen = max(maxLen, l)
+		count[l]++
+	}
+	count[0] = 0
+	code, free := uint64(0), uint64(1) // free: unassigned code points at length l
+	for l := uint8(1); l <= maxLen; l++ {
+		code = (code + count[l-1]) << 1
+		first[l] = code
+		if free <<= 1; count[l] > free {
+			return count, first, 0, fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
+		}
+		free -= count[l]
+	}
+	return count, first, maxLen, nil
 }
 
 // reverseBits returns the low n bits of v in reverse order.
@@ -180,10 +177,17 @@ const (
 // counts symbol 0, sz's outlier code, far below the rest; slot i > 0 counts
 // symbol base+i, where base+1 is the smallest nonzero symbol. The slots are
 // in symbol order, so the code lengths and canonical codes are the ones a
-// table over the whole alphabet gives.
+// table over the whole alphabet gives. The tables are scratch; the stream
+// is the one allocation.
 //
 //pressio:hotpath measured by the benchmark's huffman.* per-layer rows
 func Encode(symbols []uint32, alphabet uint32) ([]byte, error) {
+	return AppendEncode(nil, symbols, alphabet)
+}
+
+// AppendEncode is Encode appending the stream to dst, which grows only when
+// its capacity cannot hold the stream.
+func AppendEncode(dst []byte, symbols []uint32, alphabet uint32) ([]byte, error) {
 	if alphabet > maxAlphabet {
 		return nil, fmt.Errorf("huffman: alphabet %d exceeds %d", alphabet, uint32(maxAlphabet))
 	}
@@ -199,11 +203,14 @@ func Encode(symbols []uint32, alphabet uint32) ([]byte, error) {
 	if hi == 0 {
 		base = 0 // no symbol but 0: slot 0 alone
 	}
-	freq := make([]uint64, hi-base+1)
+	freq := core.GetScratch[uint64](int(hi - base + 1))
+	defer core.PutScratch(freq)
+	clear(freq)
 	for _, s := range symbols {
 		freq[slot(s, base)]++
 	}
 	lengths := buildLengths(freq)
+	defer core.PutScratch(lengths)
 	// The body's size is known before a bit is written; and once the lengths
 	// exist the counts are dead, so the entries take their place.
 	bodyBits := uint64(0)
@@ -217,16 +224,17 @@ func Encode(symbols []uint32, alphabet uint32) ([]byte, error) {
 	for i, l := range lengths {
 		codes[i] = codes[i]<<lenBits | uint64(l)
 	}
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, uint64(alphabet))
-	hdr = binary.AppendUvarint(hdr, uint64(len(symbols)))
-	hdr = append(hdr, encodeLengths(alphabet, base, lengths)...)
+	var counts [2 * binary.MaxVarintLen64]byte
+	sizes := binary.AppendUvarint(binary.AppendUvarint(counts[:0], uint64(alphabet)), uint64(len(symbols)))
+	table := encodeLengths(alphabet, base, lengths)
+	defer core.PutScratch(table)
+	hdrLen := len(sizes) + len(table)
 	bodyLen := int((bodyBits + 7) / 8)
-	out := make([]byte, 0, binary.MaxVarintLen64+len(hdr)+bodyLen)
-	out = binary.AppendUvarint(out, uint64(len(hdr)))
-	out = append(out, hdr...)
-	packBody(out[len(out):len(out)+bodyLen], symbols, codes, base)
-	return out[:len(out)+bodyLen], nil
+	dst = slices.Grow(dst, binary.MaxVarintLen64+hdrLen+bodyLen)
+	dst = binary.AppendUvarint(dst, uint64(hdrLen))
+	dst = append(append(dst, sizes...), table...)
+	packBody(dst[len(dst):len(dst)+bodyLen], symbols, codes, base)
+	return dst[:len(dst)+bodyLen], nil
 }
 
 // slot is the table slot of symbol s: s-base for s > base, and 0 for s = 0.
@@ -275,7 +283,8 @@ func MaxEncodedLen(n uint64, alphabet uint32) uint64 {
 // n symbols as pairs of (length byte, uvarint run). The table is given as
 // Encode's slots: lengths[0] is symbol 0's, lengths[i] for i > 0 is symbol
 // base+i's, and every other symbol's is 0. With base 0 and n = len(lengths)
-// the slots are the whole table.
+// the slots are the whole table. The encoding is scratch; the caller
+// returns it.
 func encodeLengths(n, base uint32, lengths []uint8) []byte {
 	// Sized by the runs, which follow the slots, not by the table: one per
 	// change of length within lengths[1:], and at most four more (symbol 0's,
@@ -286,8 +295,8 @@ func encodeLengths(n, base uint32, lengths []uint8) []byte {
 			runs++
 		}
 	}
-	out := make([]byte, 0, (1+runs)*(1+binary.MaxVarintLen32))
-	out = binary.AppendUvarint(out, uint64(n))
+	out := core.GetScratch[byte]((1 + runs) * (1 + binary.MaxVarintLen32))
+	out = binary.AppendUvarint(out[:0], uint64(n))
 	cur, run := uint8(0), uint64(0)
 	put := func(l uint8, k uint64) {
 		if k == 0 {
@@ -315,31 +324,30 @@ func encodeLengths(n, base uint32, lengths []uint8) []byte {
 	return out
 }
 
+// decodeLengths reads the table encodeLengths writes. The table comes from
+// the scratch pool, and the caller returns it even with an error.
 func decodeLengths(b []byte) ([]uint8, int, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > maxAlphabet {
 		return nil, 0, ErrCorrupt
 	}
 	pos := sz
-	lengths := make([]uint8, 0, n)
+	lengths := core.GetScratch[uint8](int(n))[:0]
 	for uint64(len(lengths)) < n {
 		if pos >= len(b) {
-			return nil, 0, ErrCorrupt
+			return lengths, 0, ErrCorrupt
 		}
 		l := b[pos]
 		pos++
 		run, sz := binary.Uvarint(b[pos:])
 		if sz <= 0 || run > maxAlphabet || uint64(len(lengths))+run > n {
-			return nil, 0, ErrCorrupt
+			return lengths, 0, ErrCorrupt
 		}
 		pos += sz
-		// make zeroed the table, so a run of zeros is only a longer slice.
 		start := len(lengths)
 		lengths = lengths[:start+int(run)]
-		if l != 0 {
-			for i := range lengths[start:] {
-				lengths[start+i] = l
-			}
+		for i := range lengths[start:] {
+			lengths[start+i] = l
 		}
 	}
 	return lengths, pos, nil
@@ -354,11 +362,12 @@ const (
 )
 
 // decodeTable is a length-indexed canonical decoding structure with a
-// primary lookup table in front of it.
+// primary lookup table in front of it. A decoder keeps it on its stack and
+// releases it when done: symsByLen comes from the scratch pool.
 type decodeTable struct {
 	maxLen    uint8
-	firstCode []uint64 // canonical first code per length (MSB-first value)
-	offset    []uint64 // index into symsByLen of first symbol per length; offset[maxLen+1] is their number
+	firstCode [maxCodeLen + 2]uint64 // canonical first code per length (MSB-first value)
+	offset    [maxCodeLen + 2]uint64 // index into symsByLen of first symbol per length; offset[maxLen+1] is their number
 	symsByLen []uint32
 	// lut maps the next lutBits stream bits to sym<<4|len for every code of
 	// at most lutBits bits; 0 marks a longer (or unassigned) code. A symbol
@@ -366,49 +375,24 @@ type decodeTable struct {
 	lut [1 << lutBits]uint32
 }
 
-func buildDecodeTable(lengths []uint8) (*decodeTable, error) {
-	// Validate every length into a fresh table: codeLens elements are
-	// proven <= maxCodeLen here, so they can index the per-length arrays.
-	codeLens := make([]uint8, len(lengths))
-	maxLen := uint8(0)
-	for i, l := range lengths {
-		if l > maxCodeLen {
-			return nil, ErrCorrupt
-		}
-		codeLens[i] = l
-		if l > maxLen {
-			maxLen = l
-		}
+func (t *decodeTable) release() { core.PutScratch(t.symsByLen) }
+
+// build fills the zero table t from code lengths.
+func (t *decodeTable) build(lengths []uint8) error {
+	count, first, maxLen, err := firstCodes(lengths)
+	if err != nil {
+		return err
 	}
-	countByLen := make([]uint64, maxLen+1)
-	for _, l := range codeLens {
-		if l > 0 {
-			countByLen[l]++
-		}
-	}
-	t := &decodeTable{maxLen: maxLen,
-		firstCode: make([]uint64, maxLen+2),
-		offset:    make([]uint64, maxLen+2)}
-	code := uint64(0)
+	t.maxLen, t.firstCode = maxLen, first
 	total := uint64(0)
-	free := uint64(1) // unassigned code points at length l; at most 1<<maxLen
 	for l := uint8(1); l <= maxLen; l++ {
-		code = (code + countByLen[l-1]) << 1
-		t.firstCode[l] = code
 		t.offset[l] = total
-		total += countByLen[l]
-		// Kraft: an over-subscribed table has codes that do not fit their
-		// length, and the lookup-table fill below would overwrite slots.
-		free <<= 1
-		if countByLen[l] > free {
-			return nil, fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
-		}
-		free -= countByLen[l]
+		total += count[l]
 	}
 	t.offset[maxLen+1] = total
-	t.symsByLen = make([]uint32, total)
-	next := make([]uint64, maxLen+1)
-	for s, l := range codeLens {
+	var next [maxCodeLen + 1]uint64
+	t.symsByLen = core.GetScratch[uint32](int(total))
+	for s, l := range lengths {
 		if l == 0 {
 			continue
 		}
@@ -423,57 +407,66 @@ func buildDecodeTable(lengths []uint8) (*decodeTable, error) {
 		}
 		next[l]++
 	}
-	return t, nil
+	return nil
 }
 
-// parse splits a stream into its decode table, declared symbol count,
-// alphabet and body.
-func parse(data []byte) (t *decodeTable, count uint64, alphabet uint32, body []byte, err error) {
+// parse fills the zero table t from a stream's header and returns the
+// declared symbol count, the alphabet and the body. The caller releases t
+// whatever parse returns.
+func parse(data []byte, t *decodeTable) (count uint64, alphabet uint32, body []byte, err error) {
 	hdrLen, sz := binary.Uvarint(data)
 	if sz <= 0 || uint64(sz)+hdrLen > uint64(len(data)) {
-		return nil, 0, 0, nil, ErrCorrupt
+		return 0, 0, nil, ErrCorrupt
 	}
 	hdr := data[sz : sz+int(hdrLen)]
 	body = data[sz+int(hdrLen):]
 	alphabet64, o := binary.Uvarint(hdr)
 	if o <= 0 || alphabet64 > maxAlphabet {
-		return nil, 0, 0, nil, ErrCorrupt
+		return 0, 0, nil, ErrCorrupt
 	}
 	hdr = hdr[o:]
 	count, o = binary.Uvarint(hdr)
 	if o <= 0 {
-		return nil, 0, 0, nil, ErrCorrupt
+		return 0, 0, nil, ErrCorrupt
 	}
 	hdr = hdr[o:]
 	lengths, _, err := decodeLengths(hdr)
+	defer core.PutScratch(lengths)
 	if err != nil {
-		return nil, 0, 0, nil, err
+		return 0, 0, nil, err
 	}
 	if uint64(len(lengths)) != alphabet64 {
-		return nil, 0, 0, nil, ErrCorrupt
+		return 0, 0, nil, ErrCorrupt
 	}
-	t, err = buildDecodeTable(lengths)
-	if err != nil {
-		return nil, 0, 0, nil, err
+	if err := t.build(lengths); err != nil {
+		return 0, 0, nil, err
 	}
 	// Every symbol costs at least one bit, so the count cannot exceed the
 	// body's bit length; and a table with no codes cannot decode anything.
 	if count > uint64(len(body))*8 || count > 1<<32 || (count > 0 && t.maxLen == 0) {
-		return nil, 0, 0, nil, ErrCorrupt
+		return 0, 0, nil, ErrCorrupt
 	}
-	return t, count, uint32(alphabet64), body, nil
+	return count, uint32(alphabet64), body, nil
 }
 
 // Decode reverses Encode. It returns the symbol stream and the alphabet
 // size recorded in the header.
 //
 //pressio:hotpath measured by the benchmark's huffman.* per-layer rows
-func Decode(data []byte) ([]uint32, uint32, error) {
-	t, count, alphabet, body, err := parse(data)
+func Decode(data []byte) ([]uint32, uint32, error) { return AppendDecode(nil, data) }
+
+// AppendDecode is Decode appending the symbols to dst: a caller that knows
+// the count gives dst that capacity, and they land in it without growth.
+func AppendDecode(dst []uint32, data []byte) ([]uint32, uint32, error) {
+	var t decodeTable
+	defer t.release()
+	count, alphabet, body, err := parse(data, &t)
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]uint32, count)
+	start := len(dst)
+	dst = slices.Grow(dst, int(count))[:start+int(count)]
+	out := dst[start:]
 	r := bitstream.NewReader(body)
 	// The reader returns zero bits past the end, so a truncated body would
 	// decode to plausible symbols: count what the codes consumed instead.
@@ -496,7 +489,7 @@ func Decode(data []byte) ([]uint32, uint32, error) {
 	if used > 8*uint64(len(body)) {
 		return nil, 0, fmt.Errorf("%w: body ends %d bits short", ErrCorrupt, used-8*uint64(len(body)))
 	}
-	return out, alphabet, nil
+	return dst, alphabet, nil
 }
 
 // long decodes one symbol whose code the lut does not hold, returning it

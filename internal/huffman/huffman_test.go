@@ -194,7 +194,9 @@ func (t *decodeTable) walk(r *bitstream.Reader) (uint32, uint8, error) {
 // decodeSerial is the oracle for the table-driven Decode: every symbol goes
 // through the bit-serial canonical walk, nothing through the lookup table.
 func decodeSerial(data []byte) ([]uint32, error) {
-	tbl, count, _, body, err := parse(data)
+	var tbl decodeTable
+	defer tbl.release()
+	count, _, body, err := parse(data, &tbl)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +233,9 @@ func TestGoldenStream(t *testing.T) {
 	if err := binary.Read(bytes.NewReader(read("fib14_of_300.symbols")), binary.LittleEndian, want); err != nil {
 		t.Fatal(err)
 	}
-	tbl, _, _, _, err := parse(stream)
+	var tbl decodeTable
+	defer tbl.release()
+	_, _, _, err := parse(stream, &tbl)
 	if err != nil || tbl.maxLen <= lutBits {
 		t.Fatalf("golden must hold a code longer than %d bits: maxLen %d, err %v", lutBits, tbl.maxLen, err)
 	}

@@ -6,6 +6,7 @@ package lossless
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"compress/gzip"
 	"compress/zlib"
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"pressio/internal/core"
 )
@@ -26,6 +28,17 @@ func Deflate(b []byte, level int) ([]byte, error) {
 	return AppendDeflate(nil, level, b)
 }
 
+// deflater is a pooled DEFLATE writer, about 1 MB of tables that NewWriter
+// allocates and zeroes, with the buffer it writes into. Reset makes the
+// writer equivalent to a new one.
+type deflater struct {
+	buf bytes.Buffer
+	w   *flate.Writer
+}
+
+// deflaters pools one deflater per level, -2 (Huffman only) to 9.
+var deflaters [12]core.Pool[deflater]
+
 // AppendDeflate appends to dst the DEFLATE form of parts, taken as one
 // input: the bytes are those Deflate gives for their concatenation, without
 // building it. A caller that can bound the output sizes dst's capacity.
@@ -33,20 +46,33 @@ func AppendDeflate(dst []byte, level int, parts ...[]byte) ([]byte, error) {
 	if level == 0 {
 		level = flate.DefaultCompression
 	}
-	buf := bytes.NewBuffer(dst)
-	w, err := flate.NewWriter(buf, level)
-	if err != nil {
+	if level < flate.HuffmanOnly || level > flate.BestCompression {
+		_, err := flate.NewWriter(nil, level)
 		return nil, err
 	}
+	pool := &deflaters[level-flate.HuffmanOnly]
+	d := pool.Get()
+	if d == nil {
+		d = &deflater{}
+	}
+	defer func() {
+		d.buf = bytes.Buffer{} // the caller owns the output; the pool must not hold it
+		pool.Put(d)
+	}()
+	if d.buf = *bytes.NewBuffer(dst); d.w == nil {
+		d.w, _ = flate.NewWriter(&d.buf, level)
+	} else {
+		d.w.Reset(&d.buf)
+	}
 	for _, b := range parts {
-		if _, err := w.Write(b); err != nil {
+		if _, err := d.w.Write(b); err != nil {
 			return nil, err
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := d.w.Close(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return d.buf.Bytes(), nil
 }
 
 // Unbounded is the Inflate limit for a stream whose header records no size
@@ -66,87 +92,123 @@ func DeclaredLimit(out *core.Data) uint64 {
 	return n * size
 }
 
+// MaxInflated bounds what a DEFLATE stream of n bytes inflates to (a
+// 258-byte match costs at least two bits), so a decoder that presizes by
+// min(header size, MaxInflated(len(stream))) cannot be made to over-allocate.
+func MaxInflated(n int) uint64 { return 1032*uint64(n) + 1024 }
+
+// inflater is a pooled DEFLATE reader with the bytes.Reader it reads from.
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser
+}
+
+var inflaters core.Pool[inflater]
+
 // Inflate reverses Deflate, refusing with ErrCorrupt a stream that inflates
 // to more than limit bytes. Decoders pass the size their header implies, so
 // a small hostile stream costs at most limit+1 bytes of output, not the
-// ~1000x expansion DEFLATE allows.
+// ~1000x expansion DEFLATE allows. The output is presized to a limit short
+// of Unbounded (or to what b can inflate to), so a decoder that can only
+// bound the size from above uses AppendInflate.
 func Inflate(b []byte, limit uint64) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(b))
-	defer r.Close()
-	return readLimited(r, limit)
+	var dst []byte
+	if limit != Unbounded {
+		dst = make([]byte, 0, min(limit, MaxInflated(len(b)))+1)
+	}
+	return AppendInflate(dst, b, limit)
 }
 
-// readLimited reads r to its end, refusing with ErrCorrupt a stream that
-// yields more than limit bytes; it reads at most limit+1 of them.
-func readLimited(r io.Reader, limit uint64) ([]byte, error) {
-	out, err := io.ReadAll(io.LimitReader(r, int64(min(limit, math.MaxInt64-1))+1))
-	if err != nil {
+// AppendInflate appends to dst what b inflates to, refusing with ErrCorrupt
+// a stream that inflates to more than limit bytes, as Inflate does. Given
+// the capacity for limit+1 bytes, dst never grows.
+func AppendInflate(dst, b []byte, limit uint64) ([]byte, error) {
+	f := inflaters.Get()
+	if f == nil {
+		f = &inflater{}
+	}
+	defer inflaters.Put(f)
+	if f.src.Reset(b); f.r == nil {
+		f.r = flate.NewReader(&f.src)
+	} else if err := f.r.(flate.Resetter).Reset(&f.src, nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if uint64(len(out)) > limit {
-		return nil, fmt.Errorf("%w: decodes past its %d-byte limit", ErrCorrupt, limit)
+	defer f.src.Reset(nil)
+	return readLimited(dst, f.r, limit)
+}
+
+// readLimited appends r's bytes to dst up to r's end, refusing with
+// ErrCorrupt a stream that yields more than limit bytes; it reads at most
+// limit+1 of them, and grows dst only when its capacity is full.
+func readLimited(dst []byte, r io.ReadCloser, limit uint64) ([]byte, error) {
+	limit = min(limit, math.MaxInt64-1)
+	for start := len(dst); ; {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, max(len(dst)-start, 512))
+		}
+		room := min(uint64(cap(dst)-len(dst)), limit+1-uint64(len(dst)-start))
+		n, err := r.Read(dst[len(dst) : len(dst)+int(room)])
+		switch dst = dst[:len(dst)+n]; {
+		case uint64(len(dst)-start) > limit:
+			return nil, fmt.Errorf("%w: decodes past its %d-byte limit", ErrCorrupt, limit)
+		case err == io.EOF:
+			return dst, nil
+		case err != nil:
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 	}
-	return out, nil
 }
 
 // Gzip compresses b in gzip format.
 func Gzip(b []byte, level int) ([]byte, error) {
-	if level == 0 {
-		level = gzip.DefaultCompression
-	}
 	var buf bytes.Buffer
-	w, err := gzip.NewWriterLevel(&buf, level)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(b); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	w, err := gzip.NewWriterLevel(&buf, cmp.Or(level, gzip.DefaultCompression))
+	return writeClose(&buf, w, err, b)
 }
 
 // Gunzip reverses Gzip, refusing with ErrCorrupt a stream that inflates to
 // more than limit bytes, as Inflate does.
 func Gunzip(b []byte, limit uint64) ([]byte, error) {
 	r, err := gzip.NewReader(bytes.NewReader(b))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	defer r.Close()
-	return readLimited(r, limit)
+	return readClose(r, err, limit)
 }
 
 // Zlib compresses b in zlib format.
 func Zlib(b []byte, level int) ([]byte, error) {
-	if level == 0 {
-		level = zlib.DefaultCompression
-	}
 	var buf bytes.Buffer
-	w, err := zlib.NewWriterLevel(&buf, level)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(b); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	w, err := zlib.NewWriterLevel(&buf, cmp.Or(level, zlib.DefaultCompression))
+	return writeClose(&buf, w, err, b)
 }
 
 // Unzlib reverses Zlib, refusing with ErrCorrupt a stream that inflates to
 // more than limit bytes, as Inflate does.
 func Unzlib(b []byte, limit uint64) ([]byte, error) {
 	r, err := zlib.NewReader(bytes.NewReader(b))
+	return readClose(r, err, limit)
+}
+
+// writeClose writes b through w, which opening over buf returned with err,
+// and returns what buf then holds.
+func writeClose(buf *bytes.Buffer, w io.WriteCloser, err error, b []byte) ([]byte, error) {
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// readClose reads r, which opening returned with err, as readLimited does.
+func readClose(r io.ReadCloser, err error, limit uint64) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	defer r.Close()
-	return readLimited(r, limit)
+	return readLimited(nil, r, limit)
 }
 
 // RLE run-length encodes b: each run is (uvarint length, byte). Effective
@@ -178,24 +240,13 @@ func UnRLE(b []byte, limit uint64) ([]byte, error) {
 	out := make([]byte, 0, n)
 	for uint64(len(out)) < n {
 		run, sz := binary.Uvarint(b[pos:])
-		if sz <= 0 {
-			return nil, ErrCorrupt
-		}
-		pos += sz
-		if pos >= len(b)+1 && run > 0 {
-			return nil, ErrCorrupt
-		}
-		if pos >= len(b) {
-			return nil, ErrCorrupt
-		}
-		v := b[pos]
-		pos++
-		if uint64(len(out))+run > n {
+		if pos += sz; sz <= 0 || pos >= len(b) || uint64(len(out))+run > n {
 			return nil, ErrCorrupt
 		}
 		for k := uint64(0); k < run; k++ {
-			out = append(out, v)
+			out = append(out, b[pos])
 		}
+		pos++
 	}
 	return out, nil
 }
@@ -204,32 +255,25 @@ func UnRLE(b []byte, limit uint64) ([]byte, error) {
 // first bytes of each element come first, then all second bytes, and so on.
 // IEEE floats of similar magnitude share exponent bytes, so the shuffled
 // stream compresses much better with DEFLATE.
-func Shuffle(b []byte, elemSize int) []byte {
-	if elemSize <= 1 || len(b)%elemSize != 0 {
-		return append([]byte(nil), b...)
-	}
-	n := len(b) / elemSize
-	out := make([]byte, len(b))
-	for lane := 0; lane < elemSize; lane++ {
-		dst := out[lane*n : (lane+1)*n]
-		for i := 0; i < n; i++ {
-			dst[i] = b[i*elemSize+lane]
-		}
-	}
-	return out
-}
+func Shuffle(b []byte, elemSize int) []byte { return shuffle(b, elemSize, false) }
 
 // Unshuffle reverses Shuffle.
-func Unshuffle(b []byte, elemSize int) []byte {
+func Unshuffle(b []byte, elemSize int) []byte { return shuffle(b, elemSize, true) }
+
+// shuffle moves byte lane of element i to lane*n+i, or back when undo.
+func shuffle(b []byte, elemSize int, undo bool) []byte {
 	if elemSize <= 1 || len(b)%elemSize != 0 {
 		return append([]byte(nil), b...)
 	}
 	n := len(b) / elemSize
 	out := make([]byte, len(b))
 	for lane := 0; lane < elemSize; lane++ {
-		src := b[lane*n : (lane+1)*n]
 		for i := 0; i < n; i++ {
-			out[i*elemSize+lane] = src[i]
+			from, to := i*elemSize+lane, lane*n+i
+			if undo {
+				from, to = to, from
+			}
+			out[to] = b[from]
 		}
 	}
 	return out
@@ -240,7 +284,16 @@ func Unshuffle(b []byte, elemSize int) []byte {
 // values concentrate their entropy into a few output bytes. elemSize is in
 // bytes; inputs whose length is not a multiple of 8*elemSize keep an
 // unshuffled tail.
-func BitShuffle(b []byte, elemSize int) []byte {
+func BitShuffle(b []byte, elemSize int) []byte { return bitShuffle(b, elemSize, false) }
+
+// BitUnshuffle reverses BitShuffle.
+func BitUnshuffle(b []byte, elemSize int) []byte { return bitShuffle(b, elemSize, true) }
+
+// bitShuffle transposes, in each block of 8 elements and for each byte
+// position, the 8x8 bit matrix whose row e is that byte of element e into
+// the 8 bytes at byteIdx*8; undo reads those and writes the elements. The
+// transpose is its own inverse, so only the addressing differs.
+func bitShuffle(b []byte, elemSize int, undo bool) []byte {
 	if elemSize <= 0 || len(b)%elemSize != 0 {
 		return append([]byte(nil), b...)
 	}
@@ -248,46 +301,23 @@ func BitShuffle(b []byte, elemSize int) []byte {
 	block := 8 * elemSize
 	full := (len(b) / block) * block
 	for base := 0; base < full; base += block {
-		// 8 elements of elemSize bytes = 8*elemSize bytes = elemSize
-		// groups of 8 bytes; transpose each 8x8 bit matrix.
 		for byteIdx := 0; byteIdx < elemSize; byteIdx++ {
+			elem := func(e int) int { return base + e*elemSize + byteIdx }
+			plane := func(e int) int { return base + byteIdx*8 + e }
+			from, to := elem, plane
+			if undo {
+				from, to = plane, elem
+			}
 			var rows [8]byte
 			for e := 0; e < 8; e++ {
-				rows[e] = b[base+e*elemSize+byteIdx]
+				rows[e] = b[from(e)]
 			}
 			for bit := 0; bit < 8; bit++ {
 				var packed byte
 				for e := 0; e < 8; e++ {
 					packed |= ((rows[e] >> bit) & 1) << e
 				}
-				out[base+byteIdx*8+bit] = packed
-			}
-		}
-	}
-	copy(out[full:], b[full:])
-	return out
-}
-
-// BitUnshuffle reverses BitShuffle.
-func BitUnshuffle(b []byte, elemSize int) []byte {
-	if elemSize <= 0 || len(b)%elemSize != 0 {
-		return append([]byte(nil), b...)
-	}
-	out := make([]byte, len(b))
-	block := 8 * elemSize
-	full := (len(b) / block) * block
-	for base := 0; base < full; base += block {
-		for byteIdx := 0; byteIdx < elemSize; byteIdx++ {
-			var planes [8]byte
-			for bit := 0; bit < 8; bit++ {
-				planes[bit] = b[base+byteIdx*8+bit]
-			}
-			for e := 0; e < 8; e++ {
-				var v byte
-				for bit := 0; bit < 8; bit++ {
-					v |= ((planes[bit] >> e) & 1) << bit
-				}
-				out[base+e*elemSize+byteIdx] = v
+				out[to(bit)] = packed
 			}
 		}
 	}

@@ -66,11 +66,17 @@ func TestInflateLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, err := Inflate(packed, uint64(len(in))); err != nil || string(out) != string(in) {
-		t.Fatalf("limit = size: %v", err)
+	if out, err := Inflate(packed, uint64(len(in))); err != nil || string(out) != string(in) || cap(out) != len(in)+1 {
+		t.Fatalf("limit = size: cap %d, err %v", cap(out), err)
 	}
 	if _, err := Inflate(packed, uint64(len(in))-1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("limit = size-1: %v, want ErrCorrupt", err)
+	}
+	// A buffer with room for limit+1 bytes takes the byte past the limit and
+	// refuses the stream without growing.
+	short := make([]byte, 0, len(in))
+	if alloc := allocated(func() { _, err = AppendInflate(short, packed, uint64(len(in))-1) }); !errors.Is(err, ErrCorrupt) || alloc >= 64<<10 {
+		t.Fatalf("presized for limit = size-1: err %v after %d bytes allocated, want ErrCorrupt and no growth", err, alloc)
 	}
 	split, err := AppendDeflate([]byte("hdr"), 6, in[:12345], in[12345:], nil)
 	if err != nil {

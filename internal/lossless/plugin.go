@@ -88,15 +88,12 @@ func (p *plugin) Configuration() *core.Options {
 // header layout: [kind byte][elemSize byte] then payload.
 func (p *plugin) CompressImpl(in, out *core.Data) error {
 	raw := in.Bytes()
-	elem := in.DType().Size()
-	if elem == 0 {
-		elem = 1
-	}
+	elem := max(in.DType().Size(), 1)
 	var payload []byte
 	var err error
 	switch p.kind {
 	case kindNoop:
-		payload = append([]byte(nil), raw...)
+		payload = raw // copied once, behind the header, below
 	case kindFlate:
 		payload, err = Deflate(raw, int(p.level))
 	case kindGzip:
@@ -119,10 +116,7 @@ func (p *plugin) CompressImpl(in, out *core.Data) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(payload)+2)
-	buf = append(buf, byte(p.kind), byte(elem))
-	buf = append(buf, payload...)
-	out.Become(core.NewBytes(buf))
+	out.Become(core.NewBytes(append(append(make([]byte, 0, len(payload)+2), byte(p.kind), byte(elem)), payload...)))
 	return nil
 }
 
@@ -153,13 +147,11 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 	case kindRLE:
 		raw, err = UnRLE(payload, limit)
 	case kindShuffle:
-		raw, err = Inflate(payload, limit)
-		if err == nil {
+		if raw, err = Inflate(payload, limit); err == nil {
 			raw = Unshuffle(raw, elem)
 		}
 	case kindBitShuffle:
-		raw, err = Inflate(payload, limit)
-		if err == nil {
+		if raw, err = Inflate(payload, limit); err == nil {
 			raw = BitUnshuffle(raw, elem)
 		}
 	case kindDelta:
@@ -169,7 +161,7 @@ func (p *plugin) DecompressImpl(in, out *core.Data) error {
 			// count past 2^32.
 			deltas = (min(limit/uint64(max(elem, 1)), 1<<32) + 1) * binary.MaxVarintLen64
 		}
-		raw, err = Inflate(payload, deltas)
+		raw, err = AppendInflate(nil, payload, deltas)
 		if err == nil {
 			raw, err = UnDeltaVarint(raw, elem, limit)
 		}

@@ -138,7 +138,7 @@ func sparseDecode[T core.Float](comp *core.Compressor, b []byte, dims []uint64, 
 		return nil, nil, ErrCorrupt
 	}
 	// The mask is at most total+1 alternating runs, one uvarint each.
-	mask, err := lossless.Inflate(b[sz:sz+int(maskLen)], (total+1)*binary.MaxVarintLen64)
+	mask, err := lossless.AppendInflate(nil, b[sz:sz+int(maskLen)], (total+1)*binary.MaxVarintLen64)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -48,15 +48,22 @@ func (m *errorStat) EndDecompress(in, out *core.Data, err error) {
 	for i := range orig {
 		e := dec[i] - orig[i]
 		if math.IsNaN(e) {
-			continue
+			// One rule for non-finite values: NaN must come back as NaN and
+			// ±Inf exactly, which costs nothing; anything else is unbounded.
+			e = math.Inf(1)
+			if dec[i] == orig[i] || math.IsNaN(dec[i]) && math.IsNaN(orig[i]) {
+				e = 0
+			}
 		}
 		m.minErr = math.Min(m.minErr, e)
 		m.maxErr = math.Max(m.maxErr, e)
 		m.sumErr += e
 		m.sumSq += e * e
 		m.maxAbs = math.Max(m.maxAbs, math.Abs(e))
-		m.valLo = math.Min(m.valLo, orig[i])
-		m.valHi = math.Max(m.valHi, orig[i])
+		if !math.IsNaN(orig[i]) && !math.IsInf(orig[i], 0) {
+			m.valLo = math.Min(m.valLo, orig[i])
+			m.valHi = math.Max(m.valHi, orig[i])
+		}
 	}
 }
 

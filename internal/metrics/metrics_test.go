@@ -90,6 +90,40 @@ func TestErrorStatAgainstBruteForce(t *testing.T) {
 	check("error_stat:psnr", 20*math.Log10(hi-lo)-10*math.Log10(sumSq/float64(n)))
 }
 
+// TestErrorStatNonFinite holds error_stat to one rule for non-finite
+// values: NaN must decode as NaN and ±Inf exactly, at no cost; a finite
+// input decoded as NaN or ±Inf is unbounded error, so no PSNR floor is met.
+func TestErrorStatNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name      string
+		orig, dec []float64
+		maxAbs    float64
+		psnrInf   bool // the PSNR reads +Inf
+	}{
+		{"finite decoded as NaN", []float64{1, 2, 3, 4}, []float64{1, nan, 3, 4}, inf, false},
+		{"finite decoded as +Inf", []float64{1, 2, 3, 4}, []float64{1, inf, 3, 4}, inf, false},
+		{"finite decoded as -Inf", []float64{1, 2, 3, 4}, []float64{1, -inf, 3, 4}, inf, false},
+		{"NaN decoded as finite", []float64{1, nan, 3, 4}, []float64{1, 2, 3, 4}, inf, false},
+		{"+Inf decoded as -Inf", []float64{1, inf, 3, 4}, []float64{1, -inf, 3, 4}, inf, false},
+		{"NaN round trip", []float64{1, nan, 3, 4}, []float64{1, nan, 3, 4}, 0, true},
+		{"exact ±Inf round trip", []float64{1, inf, -inf, 4}, []float64{1, inf, -inf, 4}, 0, true},
+		{"NaN round trip beside a finite error", []float64{1, nan, 3, 4}, []float64{1.5, nan, 3, 4}, 0.5, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, _ := core.NewMetric("error_stat")
+			res := run(m, dataOf(c.orig), dataOf(c.dec), len(c.orig))
+			if got, err := res.GetFloat64("error_stat:max_abs_error"); err != nil || got != c.maxAbs {
+				t.Fatalf("max_abs_error %v (err %v), want %v", got, err, c.maxAbs)
+			}
+			psnr, err := res.GetFloat64("error_stat:psnr")
+			if err != nil || math.IsNaN(psnr) || math.IsInf(psnr, 1) != c.psnrInf {
+				t.Fatalf("psnr %v (err %v), want +Inf: %v", psnr, err, c.psnrInf)
+			}
+		})
+	}
+}
+
 func TestPearsonPerfectAndNoisy(t *testing.T) {
 	orig := []float64{1, 2, 3, 4, 5, 6}
 	m, _ := core.NewMetric("pearson")

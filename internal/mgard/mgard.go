@@ -17,12 +17,12 @@
 package mgard
 
 import (
+	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"pressio/internal/core"
 	"pressio/internal/lossless"
@@ -150,11 +150,6 @@ func code(x, inv float64) (q int64, ok bool) {
 	return int64(f), f >= -0x1p63 && f < 0x1p63
 }
 
-// varintLen is the length of binary.AppendVarint's encoding of q.
-func varintLen(q int64) int {
-	return (bits.Len64(uint64(q<<1)^uint64(q>>63)|1) + 6) / 7
-}
-
 // CompressSlice compresses vals shaped dims under p. Every dimension must
 // have at least 3 points.
 //
@@ -180,7 +175,8 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 	if total != len(vals) {
 		return nil, fmt.Errorf("mgard: %w: dims %v vs %d elements", core.ErrInvalidDims, dims, len(vals))
 	}
-	work := make([]float64, total)
+	work := core.GetScratch[float64](total)
+	defer core.PutScratch(work)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i, v := range vals {
 		f := float64(v)
@@ -214,14 +210,18 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 	if _, ok := code(lo, 1/(2*bin)); hi == lo && !ok {
 		bin = math.Abs(lo) / 2
 	}
-	recon := make([]float64, total)
-	size := 0
+	// The verify pass writes the payload too, into scratch it may outgrow.
+	recon := core.GetScratch[float64](total)
+	defer core.PutScratch(recon)
+	payloadBuf := core.GetScratch[byte](2*total + binary.MaxVarintLen64)
+	defer core.PutScratch(payloadBuf)
+	var payload []byte
 	for attempt := 0; ; attempt++ {
 		if attempt > 12 {
 			return nil, fmt.Errorf("%w %g", ErrBoundUnreachable, eb)
 		}
 		inv := 1 / (2 * bin)
-		size = 0
+		payload = binary.AppendUvarint(payloadBuf[:0], uint64(total))
 		for i, x := range work {
 			q, ok := code(x, inv)
 			if !ok {
@@ -229,7 +229,7 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 				return nil, fmt.Errorf("%w %g: a coefficient's code leaves int64 range", ErrBoundUnreachable, eb)
 			}
 			recon[i] = float64(q) * 2 * bin
-			size += varintLen(q)
+			payload = binary.AppendVarint(payload, q)
 		}
 		recompose(recon, ax)
 		if worstErr(vals, recon) <= eb {
@@ -237,20 +237,22 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 		}
 		bin /= 2
 	}
-
-	payload := make([]byte, 0, binary.MaxVarintLen64+size)
-	payload = binary.AppendUvarint(payload, uint64(total))
-	inv := 1 / (2 * bin)
-	for _, x := range work {
-		q, _ := code(x, inv)
-		payload = binary.AppendVarint(payload, q)
-	}
-	out, err := core.AppendFloatShape[T]([]byte(magic), dims)
+	// Header and DEFLATE body go into one scratch buffer, sized once for the
+	// body stored (5 bytes per 16 KiB block at worst), and leave it in one
+	// copy at their size: DEFLATE shrinks the varints by up to 200x, so an
+	// output sized for the stored body would mostly be slack.
+	body := len(payload)
+	buf := core.GetScratch[byte](len(magic) + 2 + (len(dims)+1)*binary.MaxVarintLen64 + body + 5*(body>>14+2))
+	defer core.PutScratch(buf)
+	out, err := core.AppendFloatShape[T](append(buf[:0], magic...), dims)
 	if err != nil {
 		return nil, err
 	}
 	out = binary.AppendUvarint(out, math.Float64bits(bin))
-	return lossless.AppendDeflate(out, level, payload)
+	if out, err = lossless.AppendDeflate(out, level, payload); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(out), nil
 }
 
 func worstErr[T core.Float](orig []T, recon []float64) float64 {
@@ -314,8 +316,13 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if err != nil {
 		return nil, nil, ErrCorrupt
 	}
-	// The payload is the code count and one varint per element.
-	payload, err := lossless.Inflate(stream[pos:], (total+1)*binary.MaxVarintLen64)
+	// The payload is the code count and one varint per element. Most codes
+	// take one or two bytes, so the scratch holds two per element and grows
+	// past that only for a stream that needs it.
+	limit := (total + 1) * binary.MaxVarintLen64
+	buf := core.GetScratch[byte](int(min(2*total, lossless.MaxInflated(len(stream)-pos))))
+	defer core.PutScratch(buf)
+	payload, err := lossless.AppendInflate(buf[:0], stream[pos:], limit)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -325,7 +332,8 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if sz <= 0 || count > uint64(len(payload)) || count != total {
 		return nil, nil, ErrCorrupt
 	}
-	recon := make([]float64, count)
+	recon := core.GetScratch[float64](int(count))
+	defer core.PutScratch(recon)
 	off := sz
 	for i := range recon {
 		q, sz := binary.Varint(payload[off:])

@@ -1,14 +1,17 @@
 package mgard
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"pressio/internal/core"
+	"pressio/internal/lossless"
 )
 
 func smooth(dims []uint64, seed int64) []float32 {
@@ -306,5 +309,34 @@ func TestBoundUnreachableRefused(t *testing.T) {
 	narrow := []float64{1e21, 1e21 + 131072, 1e21, 1e21 + 262144, 1e21}
 	if _, err := CompressSlice(narrow, []uint64{5}, Params{Mode: core.BoundValueRangeRel, Bound: 1e-4}); !errors.Is(err, ErrBoundUnreachable) {
 		t.Fatalf("narrow range under rel 1e-4: %v, want ErrBoundUnreachable", err)
+	}
+}
+
+// TestHeaderCannotBuyAllocation hands the decoder a stream of under 100
+// bytes whose header declares 2^40 elements: the payload scratch is held to
+// what the stream's own bytes can inflate to, so it refuses the stream with
+// ErrCorrupt having allocated little.
+func TestHeaderCannotBuyAllocation(t *testing.T) {
+	hdr, err := core.AppendFloatShape[float32]([]byte(magic), []uint64{1 << 20, 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr = binary.AppendUvarint(hdr, math.Float64bits(1e-3))
+	stream, err := lossless.AppendDeflate(hdr, 1, binary.AppendUvarint(nil, 1<<40), make([]byte, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stream) >= 100 {
+		t.Fatalf("stream is %d bytes", len(stream))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = DecompressSlice[float32](stream)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, core.ErrCorrupt) {
+		t.Errorf("err %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a %d-byte stream allocated %d bytes", len(stream), alloc)
 	}
 }

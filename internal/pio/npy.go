@@ -75,9 +75,12 @@ func ParseNPY(b []byte) (*core.Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	dims, err := parseShape(shapeStr)
+	dims, err := core.ParseDims(strings.Trim(strings.TrimSpace(shapeStr), "()"))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	if len(dims) == 0 {
+		dims = []uint64{1}
 	}
 	want := uint64(dtype.Size())
 	for _, d := range dims {
@@ -121,29 +124,6 @@ func dictValue(header, key string) (string, error) {
 		}
 	}
 	return strings.TrimSpace(rest), nil
-}
-
-func parseShape(s string) ([]uint64, error) {
-	s = strings.TrimSpace(s)
-	s = strings.TrimPrefix(s, "(")
-	s = strings.TrimSuffix(s, ")")
-	parts := strings.Split(s, ",")
-	var dims []uint64
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad shape element %q", ErrFormat, p)
-		}
-		dims = append(dims, v)
-	}
-	if len(dims) == 0 {
-		dims = []uint64{1}
-	}
-	return dims, nil
 }
 
 // FormatNPY encodes d as a .npy byte stream.

@@ -31,9 +31,11 @@ type Encoder struct {
 }
 
 // NewEncoder returns an Encoder ready for use.
-func NewEncoder() *Encoder {
-	return &Encoder{rng: 0xFFFFFFFF, cacheSz: 1}
-}
+func NewEncoder() *Encoder { return NewEncoderOn(nil) }
+
+// NewEncoderOn returns an Encoder that writes into buf's capacity, whose
+// contents it ignores, and grows past it by append.
+func NewEncoderOn(buf []byte) *Encoder { return &Encoder{rng: 0xFFFFFFFF, cacheSz: 1, out: buf[:0]} }
 
 func (e *Encoder) shiftLow() {
 	if uint32(e.low) < 0xFF000000 || (e.low>>32) != 0 {

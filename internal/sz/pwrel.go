@@ -77,7 +77,6 @@ func CompressSlicePW[T core.Float](vals []T, dims []uint64, rel float64, p Param
 	if err != nil {
 		return nil, err
 	}
-	excBytes := floatBytes(exceptions)
 
 	var out []byte
 	out = append(out, pwMagic...)
@@ -86,7 +85,9 @@ func CompressSlicePW[T core.Float](vals []T, dims []uint64, rel float64, p Param
 	out = binary.AppendUvarint(out, uint64(len(packedCodes)))
 	out = binary.AppendUvarint(out, uint64(len(exceptions)))
 	out = append(out, packedCodes...)
-	out = append(out, excBytes...)
+	for _, v := range exceptions {
+		out = appendFloat(out, v)
+	}
 	out = append(out, logStream...)
 	return out, nil
 }

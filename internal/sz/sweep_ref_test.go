@@ -318,3 +318,11 @@ func FuzzSweepMatchesReference(f *testing.F) {
 		matchReference(t, vals, dims, p)
 	})
 }
+
+func floatBytes[T core.Float](vals []T) []byte {
+	var out []byte
+	for _, v := range vals {
+		out = appendFloat(out, v)
+	}
+	return out
+}

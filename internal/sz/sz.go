@@ -115,8 +115,10 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 	}
 	radius := int64(p.MaxQuantIntervals / 2)
 
-	codes := make([]uint32, n)
-	recon := make([]T, n)
+	codes := core.GetScratch[uint32](n)
+	defer core.PutScratch(codes)
+	recon := core.GetScratch[T](n)
+	defer core.PutScratch(recon)
 
 	// Stage spans expose where time goes inside the codec: the Lorenzo
 	// prediction + linear quantization sweep vs the entropy/lossless encode.
@@ -136,25 +138,31 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 			nOut++
 		}
 	}
-	outliers := make([]T, 0, nOut)
+	size := core.FloatDType[T]().Size()
+	outlierBuf := core.GetScratch[byte](nOut * size)
+	defer core.PutScratch(outlierBuf)
+	outliers := outlierBuf[:0]
 	for i, c := range codes {
 		if c == 0 {
-			outliers = append(outliers, vals[i])
+			outliers = appendFloat(outliers, vals[i])
 		}
 	}
 	spPredict.End()
 
 	spEncode := trace.Start("sz.encode")
 	defer spEncode.End()
-	huff, err := huffman.Encode(codes, uint32(2*radius))
+	// The code stream only passes through to DEFLATE, in scratch sized by
+	// the input, which Huffman output does not reach in practice.
+	huffBuf := core.GetScratch[byte](n * size)
+	defer core.PutScratch(huffBuf)
+	huff, err := huffman.AppendEncode(huffBuf[:0], codes, uint32(2*radius))
 	if err != nil {
 		return nil, err
 	}
-	outlierBytes := floatBytes(outliers)
 	// Header and DEFLATE body go into one buffer, sized for the body stored:
 	// DEFLATE gains little over Huffman output, and stored blocks cost 5
 	// bytes per 16 KiB at worst.
-	body := len(huff) + len(outlierBytes)
+	body := len(huff) + len(outliers)
 	out := make([]byte, 0, len(magic)+2+(len(dims)+4)*binary.MaxVarintLen64+body+5*(body>>14+2))
 	out, err = core.AppendFloatShape[T](append(out, magic...), dims)
 	if err != nil {
@@ -164,7 +172,7 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 	out = binary.AppendUvarint(out, uint64(radius))
 	out = binary.AppendUvarint(out, uint64(nOut))
 	out = binary.AppendUvarint(out, uint64(len(huff)))
-	return lossless.AppendDeflate(out, p.LosslessLevel, huff, outlierBytes)
+	return lossless.AppendDeflate(out, p.LosslessLevel, huff, outliers)
 }
 
 // Header describes a compressed stream without decoding its payload.
@@ -234,21 +242,25 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 		return nil, nil, ErrCorrupt
 	}
 	spDecode := trace.Start("sz.decode")
-	body, err := lossless.Inflate(stream[pos:], huffLen+nOut*uint64(h.DType.Size()))
+	size := uint64(h.DType.Size())
+	exact := huffLen + nOut*size
+	bodyBuf := core.GetScratch[byte](int(min(exact, lossless.MaxInflated(len(stream)-pos)) + 1))
+	defer core.PutScratch(bodyBuf)
+	body, err := lossless.AppendInflate(bodyBuf[:0], stream[pos:], exact)
 	if err != nil {
 		spDecode.End()
 		return nil, nil, err
 	}
-	if huffLen > uint64(len(body)) {
+	// Divide rather than multiply: nOut*size can wrap for a hostile count.
+	if huffLen > uint64(len(body)) || nOut > (uint64(len(body))-huffLen)/size {
 		spDecode.End()
 		return nil, nil, ErrCorrupt
 	}
-	codes, _, err := huffman.Decode(body[:huffLen])
-	if err != nil {
-		spDecode.End()
-		return nil, nil, err
-	}
-	outliers, err := floatsFrom[T](body[huffLen:], nOut)
+	// Every code costs at least one bit, so a genuine stream holds n codes
+	// in no fewer than n/8 bytes: a header cannot size the scratch past that.
+	codesBuf := core.GetScratch[uint32](int(min(uint64(n), 8*huffLen)))
+	defer core.PutScratch(codesBuf)
+	codes, _, err := huffman.AppendDecode(codesBuf[:0], body[:huffLen])
 	spDecode.End()
 	if err != nil {
 		return nil, nil, err
@@ -256,22 +268,23 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if len(codes) != n {
 		return nil, nil, ErrCorrupt
 	}
+	outliers := body[huffLen:]
 	recon := make([]T, n)
 	spRecon := trace.Start("sz.reconstruct")
 	defer spRecon.End()
 	// Outliers go in first, in scan order; the sweep then leaves code-0
 	// positions as they are.
-	oi := 0
+	oi := uint64(0)
 	for i, c := range codes {
 		if c == 0 {
-			if oi == len(outliers) {
+			if oi == nOut {
 				return nil, nil, ErrCorrupt
 			}
-			recon[i] = outliers[oi]
+			recon[i] = floatAt[T](outliers, oi)
 			oi++
 		}
 	}
-	if oi != len(outliers) {
+	if oi != nOut {
 		return nil, nil, ErrCorrupt
 	}
 	q := quantizer[T]{twoEb: 2 * h.Bound, radius: int64(radius64)}
@@ -303,39 +316,31 @@ func sliceRange[T core.Float](vals []T) (float64, float64) {
 	return lo, hi
 }
 
-func floatBytes[T core.Float](vals []T) []byte {
+// appendFloat appends v to b little-endian.
+func appendFloat[T core.Float](b []byte, v T) []byte {
+	if _, ok := any(v).(float32); ok {
+		return binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v)))
+	}
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(v)))
+}
+
+// floatAt reads the i-th of the little-endian Ts packed in b.
+func floatAt[T core.Float](b []byte, i uint64) T {
 	var zero T
 	if _, ok := any(zero).(float32); ok {
-		out := make([]byte, 4*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(v)))
-		}
-		return out
+		return T(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
 	}
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(float64(v)))
-	}
-	return out
+	return T(math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
 }
 
 func floatsFrom[T core.Float](b []byte, n uint64) ([]T, error) {
-	var zero T
-	size := uint64(4)
-	if _, ok := any(zero).(float64); ok {
-		size = 8
-	}
 	// Divide rather than multiply: n*size can wrap for a hostile count.
-	if n > uint64(len(b))/size {
+	if n > uint64(len(b)/core.FloatDType[T]().Size()) {
 		return nil, ErrCorrupt
 	}
 	out := make([]T, n)
-	for i := uint64(0); i < n; i++ {
-		if size == 4 {
-			out[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
-		} else {
-			out[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
-		}
+	for i := range out {
+		out[i] = floatAt[T](b, uint64(i))
 	}
 	return out, nil
 }

@@ -1,12 +1,16 @@
 package sz
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"pressio/internal/core"
+	"pressio/internal/lossless"
 )
 
 // smooth3D generates a smooth field resembling scientific simulation data.
@@ -441,6 +445,46 @@ func BenchmarkCompressParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := CompressParallel(vals, dims, p, 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestHeaderCannotBuyAllocation hands the decoder streams of under 100
+// bytes whose headers declare 2^40 elements: the scratch and output it
+// sizes are held to what the stream's own bytes can inflate to, so it
+// refuses them with ErrCorrupt having allocated little.
+func TestHeaderCannotBuyAllocation(t *testing.T) {
+	body, err := lossless.Deflate(make([]byte, 64), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		nOut, huffLen uint64
+	}{
+		{"outliers past the body", 1 << 39, 64},
+		{"codes past the body", 0, 64},
+	} {
+		hdr, err := core.AppendFloatShape[float32]([]byte(magic), []uint64{1 << 20, 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []uint64{math.Float64bits(1e-3), 32768, c.nOut, c.huffLen} {
+			hdr = binary.AppendUvarint(hdr, v)
+		}
+		stream := append(hdr, body...)
+		if len(stream) >= 100 {
+			t.Fatalf("%s: stream is %d bytes", c.name, len(stream))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = DecompressSlice[float32](stream)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s: err %v, want ErrCorrupt", c.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: a %d-byte stream allocated %d bytes", c.name, len(stream), alloc)
 		}
 	}
 }

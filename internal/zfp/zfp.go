@@ -161,10 +161,10 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 		return nil, err
 	}
 
-	// Header and payload share one buffer, written once: the header is a
-	// whole number of bytes, so the blocks start on the same bits as in a
-	// separate stream. Half the input size holds the payload at the ratios
-	// (≥ 2) lossy modes are used for; a denser stream grows it by append.
+	// Header and payload are packed into one scratch buffer and copied out
+	// at their size: the header is a whole number of bytes, so the blocks
+	// start on the same bits as in a separate stream. The input's size holds
+	// the stream at any ratio above 1; a denser one grows it by append.
 	hdr, err := core.AppendFloatShape[T](append(make([]byte, 0, 64), magic...), dims)
 	if err != nil {
 		return nil, err
@@ -173,7 +173,9 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 	hdr = binary.AppendUvarint(hdr, res.maxbits)
 	hdr = binary.AppendUvarint(hdr, uint64(res.maxprec))
 	hdr = binary.AppendUvarint(hdr, uint64(res.minexp+2048))
-	w := bitstream.NewWriter(len(hdr) + n*int(intprec)/16 + 8)
+	buf := core.GetScratch[byte](max(n*int(intprec)/8, 256))
+	defer core.PutScratch(buf)
+	w := bitstream.NewWriterOn(buf)
 	for _, b := range hdr {
 		w.WriteBits(uint64(b), 8)
 	}
@@ -201,7 +203,7 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 		}
 	}
 	sp.End()
-	return w.Take(), nil
+	return w.Bytes(), nil
 }
 
 // clamp caps an index to the last valid position, replicating the edge value

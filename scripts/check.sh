@@ -39,11 +39,12 @@ go run ./cmd/pressiolint ./...
 echo "==> option schemas (well-formed, option surface pinned, docs/PLUGINS.md reference current)"
 go test -run 'TestSchema|TestOptionSurfaceGolden|TestPluginDocsGenerated' ./internal/core/
 
-echo "==> go test -race (trace, obslog, meta, core, service, daemon, cluster, store, fsx, sz, h5lite, faultinject, opt)"
+echo "==> go test -race (trace, obslog, meta, core, service, daemon, cluster, store, fsx, sz, h5lite, faultinject, opt, lossless, mgard, fpzip, zfp, huffman)"
 go test -race ./internal/trace/... ./internal/obslog/... ./internal/meta/... \
     ./internal/core/... ./internal/service/... ./internal/daemon/ \
     ./internal/cluster/ ./internal/store/ ./internal/fsx/ \
-    ./internal/sz/ ./internal/h5lite/ ./internal/faultinject/ ./internal/opt/
+    ./internal/sz/ ./internal/h5lite/ ./internal/faultinject/ ./internal/opt/ \
+    ./internal/lossless/ ./internal/mgard/ ./internal/fpzip/ ./internal/zfp/ ./internal/huffman/
 
 echo "==> pressiolint worker pool under race detector (parallel run = sequential run, goldens)"
 go test -race -run 'TestRunParallelDeterministic|TestGolden$' ./internal/analysis/
