@@ -1,9 +1,10 @@
 // Command pressio-fuzz is the generic compressor fuzzer (LibPressio-Fuzz):
 // it feeds random inputs — random shapes, random values including specials,
-// and bit-flipped compressed streams — to every registered compressor,
-// looking for panics, round-trip failures, and error-bound violations.
-// Because it drives the generic interface it covers every plugin at once;
-// the paper's native fuzzer had to be written per compressor.
+// and bit-flipped compressed streams — to every registered compressor, looking
+// for panics, failed decompressions, changed element counts and corrupt frames
+// that pass validation; it checks no error bound, comparing no decoded value
+// with its input. Driving the generic interface, it covers every plugin at
+// once; the paper's native fuzzer had to be written per compressor.
 package main
 
 import (

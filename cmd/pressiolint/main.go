@@ -1,13 +1,13 @@
 // Command pressiolint runs the project's static-analysis suite over the
 // module, enforcing the plugin invariants the framework's uniform contract
-// depends on: init-time registration, honest pressio:thread_safe
-// declarations, handled hot-path errors, deterministic, embeddable codec
-// packages, and decoders that bound what they read from untrusted streams.
+// depends on: honest pressio:thread_safe declarations, handled hot-path
+// errors, deterministic, embeddable codec packages, and decoders that bound
+// what they read from untrusted streams.
 //
 // Usage:
 //
 //	go run ./cmd/pressiolint ./...            # whole module, human output
-//	go run ./cmd/pressiolint -json ./internal/...
+//	go run ./cmd/pressiolint -sarif ./internal/... > lint.sarif
 //	go run ./cmd/pressiolint -run forbidden,errcheck ./internal/sz
 //	go run ./cmd/pressiolint -analyzers       # list the analyzers
 //

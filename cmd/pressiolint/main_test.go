@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -22,41 +23,24 @@ func TestMainCleanPackage(t *testing.T) {
 	}
 }
 
-// TestMainJSONFindings runs the CLI over a deliberately broken fixture tree
-// and checks the exit code, the JSON shape, and the diagnostic fields.
-func TestMainJSONFindings(t *testing.T) {
+// TestMainFindings runs the CLI over a deliberately broken fixture tree
+// and checks the exit code and that every line is one well-formed
+// "file:line:col [analyzer] message" diagnostic.
+func TestMainFindings(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := analysis.Main(
-		[]string{"-json", "-run", "forbidden", "../../internal/analysis/testdata/src/forbidden_bad/..."},
+		[]string{"-run", "forbidden", "../../internal/analysis/testdata/src/forbidden_bad/..."},
 		&stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
 	}
-	var report struct {
-		Diagnostics []struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		} `json:"diagnostics"`
-		Count int `json:"count"`
+	if stdout.Len() == 0 {
+		t.Fatal("no diagnostics for a broken fixture tree")
 	}
-	if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, stdout.String())
-	}
-	if report.Count == 0 || report.Count != len(report.Diagnostics) {
-		t.Fatalf("count = %d with %d diagnostics", report.Count, len(report.Diagnostics))
-	}
-	for _, d := range report.Diagnostics {
-		if d.Analyzer != "forbidden" {
-			t.Errorf("-run forbidden returned a %q diagnostic", d.Analyzer)
-		}
-		if d.File == "" || d.Line == 0 || d.Col == 0 || d.Message == "" {
-			t.Errorf("diagnostic missing fields: %+v", d)
-		}
-		if !strings.HasSuffix(d.File, ".go") {
-			t.Errorf("diagnostic file %q is not a Go file path", d.File)
+	line := regexp.MustCompile(`^[^:]+\.go:[1-9][0-9]*:[1-9][0-9]* \[forbidden\] .+$`)
+	for _, l := range strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n") {
+		if !line.MatchString(l) {
+			t.Errorf("malformed diagnostic line %q", l)
 		}
 	}
 }
@@ -174,7 +158,7 @@ func TestMainAnalyzerList(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"registration", "threadsafe", "errcheck", "forbidden",
+		"threadsafe", "errcheck", "forbidden", "panicfree",
 		"lockcheck", "bufalias", "errflow",
 	} {
 		if !strings.Contains(stdout.String(), name) {

@@ -2,10 +2,11 @@
 // suite. It is a from-scratch analyzer driver built only on the standard
 // library (go/parser, go/ast, go/types — no golang.org/x/tools) that loads
 // every package in the module and enforces the plugin invariants the
-// LibPressio architecture relies on: init-time plugin registration, honest
-// pressio:thread_safe declarations, handled errors on the compression hot
-// path, deterministic, embeddable codec packages, and decoders that bound
-// what they read from untrusted streams. See docs/STATIC_ANALYSIS.md.
+// LibPressio architecture relies on: honest pressio:thread_safe
+// declarations, handled errors on the compression hot path, deterministic,
+// embeddable codec packages, and decoders that bound what they read from
+// untrusted streams. The plugin registration contract is not among them:
+// internal/core's registry enforces it at startup. See docs/STATIC_ANALYSIS.md.
 package analysis
 
 import (
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -24,11 +26,11 @@ import (
 // Diagnostic is one finding, addressable by file position. File is relative
 // to the base directory passed to Run (the module root for CLI runs).
 type Diagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // String renders the diagnostic in the canonical
@@ -48,13 +50,13 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
-// Analyzers returns the full suite in stable order: the five syntactic
+// Analyzers returns the full suite in stable order: the four syntactic
 // checks, the three flow-sensitive ones built on the CFG/dataflow layer, the
 // four interprocedural ones built on the call-graph/summary layer, then the
 // three taint-driven ones built on the untrusted-input engine (taint.go).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Registration, ThreadSafe, ErrCheck, Forbidden, PanicFree,
+		ThreadSafe, ErrCheck, Forbidden, PanicFree,
 		LockCheck, BufAlias, ErrFlow,
 		GoroutineLeak, CtxFlow, BlockingLock, HotAlloc,
 		UntrustedAlloc, UntrustedLoop, UntrustedIndex, DeadCode,
@@ -65,8 +67,7 @@ func Analyzers() []*Analyzer {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Facts holds module-wide information gathered before analyzers run
-	// (currently the registered plugin names).
+	// Facts holds module-wide information computed before analyzers run.
 	Facts *Facts
 
 	base  string
@@ -99,49 +100,8 @@ func relTo(base, filename string) string {
 	return filepath.ToSlash(rel)
 }
 
-// Plugin registration kinds, matching the core.Register* entry points.
-const (
-	kindCompressor = "compressor"
-	kindMetric     = "metric"
-	kindIO         = "io"
-)
-
-// registerFuncs maps the registration entry-point names to the plugin kind
-// they register. Matching is by callee name so fixture packages can model
-// registration without importing internal/core.
-var registerFuncs = map[string]string{
-	"RegisterCompressor": kindCompressor,
-	"RegisterMetric":     kindMetric,
-	"RegisterIO":         kindIO,
-}
-
-// RegSite is one Register* call observed anywhere in the analyzed set.
-type RegSite struct {
-	// Kind is "compressor", "metric" or "io".
-	Kind string
-	// Name is the registered plugin name when it is a string literal, ""
-	// when computed dynamically.
-	Name string
-	// PkgPath is the import path of the registering package.
-	PkgPath string
-	// Pos locates the call.
-	Pos token.Pos
-	// Func is the enclosing top-level function name ("init" for conforming
-	// registrations, "" for registrations in var initializers).
-	Func string
-	// FactoryType is the plugin implementation type name when the factory
-	// argument is a func literal returning &T{...}; "" when unresolvable.
-	FactoryType string
-}
-
 // Facts is the module-wide context shared by all analyzers.
 type Facts struct {
-	// Sites lists every Register* call seen across the analyzed packages.
-	Sites []RegSite
-	// Methods maps package path -> receiver type name -> declared method
-	// names: the structural method sets registration and panicfree match
-	// plugin implementations by.
-	Methods map[string]map[string]set[string]
 	// Graph is the module-local call graph over the analyzed set (static
 	// dispatch + interface-method resolution), SCC-condensed.
 	Graph *CallGraph
@@ -151,64 +111,49 @@ type Facts struct {
 	// Taint is the untrusted-input taint computation over Graph, consumed by
 	// the untrustedalloc/untrustedloop/untrustedindex analyzers.
 	Taint *TaintInfo
+	// constructed is constructedTypes over the analyzed set.
+	constructed set[*types.TypeName]
 	// live is deadcode's reachable set, computed only when deadcode runs.
 	live map[*FuncNode]bool
 }
 
-// gatherFacts scans every package for plugin registrations before the
-// analyzers run, so per-package passes can consult module-wide state.
-func gatherFacts(pkgs []*Package) *Facts {
-	facts := &Facts{Methods: map[string]map[string]set[string]{}}
+// constructedTypes returns the named types the analyzed code names somewhere
+// besides their own method receivers (each declared method's receiver names
+// its type once). A type named nowhere else is never constructed, so its
+// methods can run on no value: panicfree and deadcode leave such a type's
+// interface methods out.
+func constructedTypes(pkgs []*Package) set[*types.TypeName] {
+	uses := map[*types.TypeName]int{}
 	for _, pkg := range pkgs {
-		methods := map[string]set[string]{}
-		facts.Methods[pkg.Path] = methods
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				enclosing := ""
-				var body ast.Node = decl
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					enclosing = fd.Name.Name
-					if recv := receiverTypeName(fd); recv != "" {
-						methods[recv] = methods[recv].with(fd.Name.Name)
-					}
-					if fd.Recv != nil {
-						enclosing = "method " + enclosing
-					}
-					if fd.Body == nil {
-						continue
-					}
-					body = fd.Body
-				}
-				ast.Inspect(body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					kind, ok := registerFuncs[calleeName(call)]
-					if !ok {
-						return true
-					}
-					site := RegSite{
-						Kind:    kind,
-						PkgPath: pkg.Path,
-						Pos:     call.Pos(),
-						Func:    enclosing,
-					}
-					if len(call.Args) > 0 {
-						if v, ok := stringLit(call.Args[0]); ok {
-							site.Name = v
-						}
-					}
-					if len(call.Args) > 1 {
-						site.FactoryType = factoryTypeName(call.Args[1])
-					}
-					facts.Sites = append(facts.Sites, site)
-					return true
-				})
+		for _, obj := range pkg.Info.Uses {
+			if tn, ok := obj.(*types.TypeName); ok {
+				uses[tn]++
 			}
 		}
 	}
-	return facts
+	named := set[*types.TypeName]{}
+	for tn, n := range uses {
+		if t, ok := tn.Type().(*types.Named); ok && n > t.NumMethods() {
+			named[tn] = true
+		}
+	}
+	return named
+}
+
+// receiverType returns the named type method fn is declared on, nil when fn
+// is nil or a function.
+func receiverType(fn *types.Func) *types.TypeName {
+	if fn == nil || fn.Signature().Recv() == nil {
+		return nil
+	}
+	t := fn.Signature().Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
 }
 
 // calleeName extracts the bare called name from pkg.F(...), recv.F(...) or
@@ -236,33 +181,6 @@ func stringLit(e ast.Expr) (string, bool) {
 	return v, true
 }
 
-// factoryTypeName resolves the implementation type of a registration factory
-// written as func() T { return &impl{...} } (the dominant idiom); "" when the
-// factory delegates to a constructor or closure the analyzer cannot see
-// through.
-func factoryTypeName(e ast.Expr) string {
-	fl, ok := e.(*ast.FuncLit)
-	if !ok || fl.Body == nil || len(fl.Body.List) != 1 {
-		return ""
-	}
-	ret, ok := fl.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return ""
-	}
-	expr := ret.Results[0]
-	if un, ok := expr.(*ast.UnaryExpr); ok && un.Op == token.AND {
-		expr = un.X
-	}
-	cl, ok := expr.(*ast.CompositeLit)
-	if !ok {
-		return ""
-	}
-	if id, ok := cl.Type.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
 // Run executes the given analyzers over the packages, applies //lint:ignore
 // suppressions, and returns the surviving diagnostics sorted by position.
 // base is the directory diagnostics are relativized against. Packages are
@@ -276,12 +194,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer, base string) []Diagnostic {
 // runWith is Run with an explicit worker count, so tests and benchmarks can
 // pin sequential-vs-parallel behavior.
 func runWith(pkgs []*Package, analyzers []*Analyzer, base string, workers int) []Diagnostic {
-	facts := gatherFacts(pkgs)
-	facts.Graph = BuildCallGraph(pkgs)
+	facts := &Facts{Graph: BuildCallGraph(pkgs), constructed: constructedTypes(pkgs)}
 	facts.Summaries = ComputeSummaries(facts.Graph)
 	facts.Taint = ComputeTaint(facts.Graph)
 	if slices.Contains(analyzers, DeadCode) {
-		facts.live = liveFuncs(facts.Graph, pkgs, base)
+		facts.live = liveFuncs(facts, pkgs, base)
 	}
 	var diags []Diagnostic
 	var sups []suppression

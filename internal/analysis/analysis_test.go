@@ -17,7 +17,7 @@ func TestDiagnosticString(t *testing.T) {
 
 func TestAnalyzersStable(t *testing.T) {
 	want := []string{
-		"registration", "threadsafe", "errcheck", "forbidden",
+		"threadsafe", "errcheck", "forbidden",
 		"panicfree", "lockcheck", "bufalias", "errflow",
 		"goroutineleak", "ctxflow", "blockinglock", "hotalloc",
 		"untrustedalloc", "untrustedloop", "untrustedindex", "deadcode",
@@ -68,31 +68,6 @@ func TestExpandSkipsTestdata(t *testing.T) {
 	}
 	if len(explicit) != 1 {
 		t.Errorf("explicit fixture pattern matched %d dirs, want 1", len(explicit))
-	}
-}
-
-// TestGatherFacts loads a fixture and checks the module-wide facts pass picks
-// up its registration site.
-func TestGatherFacts(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(filepath.Join("internal", "analysis", "testdata", "src", "panicfree_bad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	facts := gatherFacts([]*Package{pkg})
-	if len(facts.Sites) != 1 {
-		t.Fatalf("got %d registration sites, want 1", len(facts.Sites))
-	}
-	if site := facts.Sites[0]; site.Kind != kindCompressor || site.Name != "throwing" ||
-		site.Func != "init" || site.FactoryType != "throwing" {
-		t.Errorf("site = %+v, want compressor \"throwing\" registered from init with factory type throwing", site)
 	}
 }
 

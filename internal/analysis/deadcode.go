@@ -25,8 +25,11 @@ var DeadCode = &Analyzer{
 	},
 }
 
-// liveFuncs returns the call-graph closure of deadcode's roots.
-func liveFuncs(g *CallGraph, pkgs []*Package, base string) map[*FuncNode]bool {
+// liveFuncs returns the call-graph closure of deadcode's roots. A method
+// named like an interface method is a root only when its receiver type is
+// constructed: a plugin implementation nothing builds is never registered.
+func liveFuncs(facts *Facts, pkgs []*Package, base string) map[*FuncNode]bool {
+	g := facts.Graph
 	// The standard library dispatches to these through interfaces it never names.
 	ifaceMethods := set[string]{"Error": true, "Unwrap": true, "Is": true, "As": true, "CloseIdleConnections": true}
 	loaded := map[string]*Package{}
@@ -72,7 +75,7 @@ func liveFuncs(g *CallGraph, pkgs []*Package, base string) map[*FuncNode]bool {
 		if d := n.Decl; d == nil && n.Name == n.Pkg.Path+".$lit" || d != nil && (!scoped ||
 			hasDirective(d, "pressio:api") || !whole && d.Name.IsExported() ||
 			d.Recv == nil && (d.Name.Name == "main" || d.Name.Name == "init" || extern[n.Pkg.Path+"."+d.Name.Name]) ||
-			d.Recv != nil && (ifaceMethods[d.Name.Name] || extern["."+n.Pkg.Path+"."+d.Name.Name])) {
+			d.Recv != nil && (ifaceMethods[d.Name.Name] && facts.constructed[receiverType(n.Obj)] || extern["."+n.Pkg.Path+"."+d.Name.Name])) {
 			roots = append(roots, n)
 		}
 	}

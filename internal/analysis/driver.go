@@ -1,20 +1,13 @@
 package analysis
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
-
-// jsonReport is the -json output shape: an object (not a bare array) so
-// future fields — timing, suppressed counts — can be added compatibly.
-type jsonReport struct {
-	Diagnostics []Diagnostic `json:"diagnostics"`
-	Count       int          `json:"count"`
-}
 
 // selectAnalyzers resolves a comma-separated name list against the registry,
 // preserving registry order and deduplicating. Unknown names are an error
@@ -26,14 +19,7 @@ func selectAnalyzers(all []*Analyzer, names []string) ([]*Analyzer, error) {
 		if name == "" {
 			continue
 		}
-		found := false
-		for _, a := range all {
-			if a.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(all, func(a *Analyzer) bool { return a.Name == name }) {
 			known := make([]string, 0, len(all))
 			for _, a := range all {
 				known = append(known, a.Name)
@@ -60,13 +46,12 @@ func selectAnalyzers(all []*Analyzer, names []string) ([]*Analyzer, error) {
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pressiolint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	sarifOut := fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
 	runList := fs.String("run", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("analyzers", false, "list analyzers and exit")
 	verbose := fs.Bool("v", false, "print soft type-check warnings to stderr")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: pressiolint [-json|-sarif] [-run a,b] [-analyzers] [-v] [packages]")
+		fmt.Fprintln(stderr, "usage: pressiolint [-sarif] [-run a,b] [-analyzers] [-v] [packages]")
 		fmt.Fprintln(stderr, "packages are directories; a trailing /... recurses (default ./...)")
 		fs.PrintDefaults()
 	}
@@ -85,14 +70,9 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		diags, err = lint(analyzers, fs.Args(), *verbose, stderr)
 	}
 	if err == nil {
-		switch {
-		case *sarifOut:
+		if *sarifOut {
 			err = WriteSARIF(stdout, analyzers, diags)
-		case *jsonOut:
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			err = enc.Encode(jsonReport{Diagnostics: diags, Count: len(diags)})
-		default:
+		} else {
 			for _, d := range diags {
 				fmt.Fprintln(stdout, d)
 			}

@@ -32,13 +32,15 @@ func TestMainRejectsUnknownAnalyzers(t *testing.T) {
 	}
 }
 
-// TestMainRejectsRemovedFlags pins the two deleted capabilities as usage
-// errors: baseline mode is gone (the gate is zero findings), and -run is the
-// one way to select analyzers (-analyzers only lists).
+// TestMainRejectsRemovedFlags pins the deleted capabilities as usage errors:
+// baseline mode is gone (the gate is zero findings), -run is the one way to
+// select analyzers (-analyzers only lists), and SARIF is the one machine
+// format (-json is gone).
 func TestMainRejectsRemovedFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-baseline", "x", "testdata/src/hotalloc_bad"},
 		{"-analyzers=hotalloc", "testdata/src/hotalloc_bad"},
+		{"-json", "testdata/src/hotalloc_bad"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := Main(args, &out, &errOut); code != 2 {

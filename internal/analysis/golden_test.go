@@ -18,8 +18,6 @@ var goldenCases = []struct {
 	name     string
 	analyzer string
 }{
-	{"registration_bad", "registration"},
-	{"registration_suppressed", "registration"},
 	{"threadsafe_bad", "threadsafe"},
 	{"threadsafe_suppressed", "threadsafe"},
 	{"errcheck_bad", "errcheck"},

@@ -87,7 +87,7 @@ func loadedModule(tb testing.TB) []*Package {
 }
 
 // BenchmarkRunSequential pins the pre-parallel analyze cost: one worker
-// walks every package through all seventeen analyzers.
+// walks every package through all fifteen analyzers.
 func BenchmarkRunSequential(b *testing.B) {
 	pkgs := loadedModule(b)
 	b.ResetTimer()

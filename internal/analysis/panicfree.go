@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -16,50 +17,30 @@ import (
 // injector's) are waived with //lint:ignore panicfree <reason>.
 var PanicFree = &Analyzer{
 	Name: "panicfree",
-	Doc:  "registered compressor plugins must return errors from CompressImpl/DecompressImpl, not panic",
+	Doc:  "constructed compressor plugins must return errors from CompressImpl/DecompressImpl, not panic",
 	Run:  runPanicFree,
 }
 
 func runPanicFree(pass *Pass) {
 	if !strings.Contains("/"+pass.Pkg.Path+"/", "/internal/") {
-		return // same scope as the registration contract
+		return // the internal/ plugin tree
 	}
-
-	// Factory types this package registers as compressors. A factory the
-	// facts pass cannot see through (a constructor call rather than a
-	// `return &T{...}` literal) could build any local implementation, so
-	// its presence keeps every structurally matching type in scope.
-	registered := make(map[string]bool)
-	anyOpaque := false
-	for _, site := range pass.Facts.Sites {
-		if site.Kind != kindCompressor || site.PkgPath != pass.Pkg.Path {
-			continue
-		}
-		if site.FactoryType != "" {
-			registered[site.FactoryType] = true
-		} else {
-			anyOpaque = true
-		}
-	}
-	if len(registered) == 0 && !anyOpaque {
-		return // package registers no compressors; nothing is reachable
-	}
-
-	methods := pass.Facts.Methods[pass.Pkg.Path]
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			d, ok := decl.(*ast.FuncDecl)
-			if !ok || d.Body == nil {
+			if !ok || d.Body == nil || d.Name.Name != "CompressImpl" && d.Name.Name != "DecompressImpl" {
 				continue
 			}
-			if d.Name.Name != "CompressImpl" && d.Name.Name != "DecompressImpl" {
+			// A compressor plugin is a type with Prefix, CompressImpl and
+			// DecompressImpl in its method set. One never constructed cannot
+			// be registered, so its panics are unreachable.
+			fn, _ := pass.Pkg.Info.Defs[d.Name].(*types.Func)
+			recv := receiverType(fn)
+			if recv == nil || !pass.Facts.constructed[recv] {
 				continue
 			}
-			recv := receiverTypeName(d)
-			if recv == "" || !hasAll(methods[recv], implSignatures[kindCompressor]) {
-				continue
-			}
-			if !registered[recv] && !anyOpaque {
+			ms := types.NewMethodSet(types.NewPointer(recv.Type()))
+			if ms.Lookup(nil, "Prefix") == nil || ms.Lookup(nil, "CompressImpl") == nil || ms.Lookup(nil, "DecompressImpl") == nil {
 				continue
 			}
 			ast.Inspect(d.Body, func(n ast.Node) bool {
@@ -70,7 +51,7 @@ func runPanicFree(pass *Pass) {
 				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
 					pass.Reportf(call.Pos(),
 						"panic in %s.%s: plugins must return errors — a corrupt stream or bad option must not kill the embedding process",
-						recv, d.Name.Name)
+						recv.Name(), d.Name.Name)
 				}
 				return true
 			})

@@ -41,3 +41,30 @@ func UsedByOtherTests() int { return 4 }
 func init() {
 	_ = total([]shape{square{2}}) + apply(double, 3) + first([]int{1})
 }
+
+// metric is an interface the plugins below implement. Its methods are roots
+// only on a type something constructs: liveMetric's stay silent though
+// nothing calls them, while orphanMetric, the implementation never
+// registered (it is named nowhere but its receivers), reports all four.
+type metric interface {
+	Prefix() string
+	BeginCompress()
+	EndCompress()
+	Results() map[int]bool
+}
+
+var _ metric = &liveMetric{}
+
+type liveMetric struct{}
+
+func (m *liveMetric) Prefix() string        { return "live" }
+func (m *liveMetric) BeginCompress()        {}
+func (m *liveMetric) EndCompress()          {}
+func (m *liveMetric) Results() map[int]bool { return nil }
+
+type orphanMetric struct{}
+
+func (m *orphanMetric) Prefix() string        { return "orphan" }
+func (m *orphanMetric) BeginCompress()        {}
+func (m *orphanMetric) EndCompress()          {}
+func (m *orphanMetric) Results() map[int]bool { return nil }

@@ -1,9 +1,9 @@
-// Package panicfree_bad exercises the panicfree analyzer: a registered
+// Package panicfree_bad exercises the panicfree analyzer: a constructed
 // compressor panicking from CompressImpl and DecompressImpl (including
-// inside a nested closure) must be flagged, while panics in unregistered
-// implementations, helper methods, and non-plugin types must not. The
-// Register* stand-in is declared locally; the facts pass matches by callee
-// name.
+// inside a nested closure) must be flagged, while panics in implementations
+// nothing constructs, helper methods, and non-plugin types must not. The
+// Register* stand-in is declared locally; the factory literal naming
+// throwing is what makes it constructed.
 package panicfree_bad
 
 type CompressorIface interface{ Prefix() string }
@@ -37,9 +37,9 @@ func (t *throwing) validate() {
 	panic("helper panic is not flagged")
 }
 
-// orphan matches the compressor method set but is never registered, so its
-// panic is unreachable through the registry and not reported here (the
-// registration analyzer flags the orphan itself).
+// orphan matches the compressor method set but is named only by its own
+// receivers, so nothing constructs or registers it: its panic is unreachable
+// and not reported here (deadcode reports the orphan's methods).
 type orphan struct{}
 
 func (o *orphan) Prefix() string { return "orphan" }

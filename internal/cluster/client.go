@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -87,11 +88,16 @@ func NewPeerClient(addr string, cfg PeerConfig) (*PeerClient, error) {
 	if err != nil {
 		return nil, err
 	}
+	br := &cfg.Breaker
+	br.Window = cmp.Or(max(br.Window, 0), 16)
+	br.Failures = min(cmp.Or(max(br.Failures, 0), 8), br.Window)
+	br.Cooldown = cmp.Or(max(br.Cooldown, 0), time.Second)
+	br.Probes = cmp.Or(max(br.Probes, 0), 1)
 	hc := &http.Client{Transport: cfg.Transport}
 	return &PeerClient{
 		addr:     addr,
 		hc:       hc,
-		breaker:  service.NewSharedBreaker("cluster.peer."+addr, cfg.Breaker),
+		breaker:  service.StateFor("cluster.peer."+addr, cfg.Breaker),
 		admit:    admit,
 		backoff:  bo,
 		attempts: cfg.Attempts,

@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -206,26 +204,17 @@ func TestRegistryUnknownNames(t *testing.T) {
 	}
 }
 
-// thirdPartyRuns names each run of TestThirdPartyRegistration apart: the
-// registry is process-global and never forgets a name, so a second run under
-// -count would otherwise panic on its first registration.
-var thirdPartyRuns atomic.Int64
-
 func TestThirdPartyRegistration(t *testing.T) {
 	// Registering from outside the framework's own packages is the
-	// third-party extension mechanism; duplicate names panic.
-	name := fmt.Sprintf("thirdparty_test_%d", thirdPartyRuns.Add(1))
-	RegisterCompressor(name, func() CompressorPlugin { return newFake() })
-	c, err := NewCompressor(name)
-	if err != nil || c.Prefix() != "fake" {
-		t.Fatalf("third party plugin: %v", err)
+	// third-party extension mechanism: a registry open for registration
+	// takes the plugin under its prefix and builds a fresh instance per call.
+	r := &registry[CompressorPlugin]{kind: "compressor"}
+	r.register("fake", func() CompressorPlugin { return newFake() })
+	a, errA := r.new("fake")
+	b, errB := r.new("fake")
+	if errA != nil || errB != nil || a.Prefix() != "fake" || a == b {
+		t.Fatalf("third party plugin: %v, %v, shared instance %v", errA, errB, a == b)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration must panic")
-		}
-	}()
-	RegisterCompressor(name, func() CompressorPlugin { return newFake() })
 }
 
 func TestErrorBoundModeParsing(t *testing.T) {

@@ -5,75 +5,99 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // The registries map plugin names to factories. Plugin packages register
 // themselves from init(), and third-party packages can do the same without
-// modifying this package — the extension mechanism the paper's Table I
-// credits LibPressio with.
-
+// modifying this package: the extension mechanism of the paper's Table I.
 var (
-	regMu         sync.RWMutex
-	compressorReg = map[string]func() CompressorPlugin{}
-	metricReg     = map[string]func() Metric{}
-	ioReg         = map[string]func() IOPlugin{}
+	compressorReg = registry[CompressorPlugin]{kind: "compressor"}
+	metricReg     = registry[Metric]{kind: "metric"}
+	ioReg         = registry[IOPlugin]{kind: "io"}
 )
 
-// RegisterCompressor adds a compressor factory under name. Registering a
-// duplicate name panics, surfacing plugin conflicts at startup.
-func RegisterCompressor(name string, factory func() CompressorPlugin) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := compressorReg[name]; dup {
-		panic(fmt.Sprintf("core: duplicate compressor plugin %q", name))
-	}
-	compressorReg[name] = factory
+// registry is the name → factory table of one plugin kind. It enforces the
+// registration contract itself: a name is registered once, under the Prefix()
+// of the instances its factory builds, and only until the registry is first
+// read (the first New* or Supported* call), which is what registering from
+// init guarantees. A read seals it, so a sealed registry never changes and is
+// read without a lock.
+type registry[P interface{ Prefix() string }] struct {
+	kind      string
+	mu        sync.Mutex // serializes register and seal
+	sealed    atomic.Bool
+	factories map[string]func() P
 }
 
-// RegisterMetric adds a metrics factory under name.
-func RegisterMetric(name string, factory func() Metric) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := metricReg[name]; dup {
-		panic(fmt.Sprintf("core: duplicate metric plugin %q", name))
+// register adds factory under name, panicking on a late, duplicate or
+// misnamed registration.
+func (r *registry[P]) register(name string, factory func() P) {
+	prefix := factory().Prefix()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case r.sealed.Load():
+		panic(fmt.Sprintf("core: %s plugin %q registered after the registry was first read; register plugins from init", r.kind, name))
+	case r.factories[name] != nil:
+		panic(fmt.Sprintf("core: duplicate %s plugin %q", r.kind, name))
+	case prefix != name:
+		panic(fmt.Sprintf("core: %s plugin %q reports Prefix() %q; register it under its prefix", r.kind, name, prefix))
 	}
-	metricReg[name] = factory
+	if r.factories == nil {
+		r.factories = map[string]func() P{}
+	}
+	r.factories[name] = factory
 }
 
-// RegisterIO adds an IO factory under name.
-func RegisterIO(name string, factory func() IOPlugin) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := ioReg[name]; dup {
-		panic(fmt.Sprintf("core: duplicate io plugin %q", name))
+// seal closes the registry to registration and returns its table, which no
+// longer changes.
+func (r *registry[P]) seal() map[string]func() P {
+	if !r.sealed.Load() {
+		r.mu.Lock()
+		r.sealed.Store(true)
+		r.mu.Unlock()
 	}
-	ioReg[name] = factory
+	return r.factories
 }
+
+// new builds a fresh instance of the named plugin.
+func (r *registry[P]) new(name string) (p P, err error) {
+	factory, ok := r.seal()[name]
+	if !ok {
+		return p, fmt.Errorf("%w: %s %q", ErrUnknownPlugin, r.kind, name)
+	}
+	return factory(), nil
+}
+
+// names lists the registered names, sorted.
+func (r *registry[P]) names() []string { return slices.Sorted(maps.Keys(r.seal())) }
+
+// RegisterCompressor adds a compressor factory under name. It panics, so the
+// fault surfaces at startup, on a duplicate name, a factory whose instances
+// report another Prefix(), or a registration after the registry's first read.
+func RegisterCompressor(name string, f func() CompressorPlugin) { compressorReg.register(name, f) }
+
+// RegisterMetric adds a metrics factory under name, as RegisterCompressor.
+func RegisterMetric(name string, factory func() Metric) { metricReg.register(name, factory) }
+
+// RegisterIO adds an IO factory under name, as RegisterCompressor.
+func RegisterIO(name string, factory func() IOPlugin) { ioReg.register(name, factory) }
 
 // NewCompressor instantiates the named compressor wrapped in the framework
 // handle. Each call returns a fresh instance, though plugins backed by
 // process-global state (e.g. "sz") may still share that state and say so
 // via the "pressio:shared_instance" configuration entry.
 func NewCompressor(name string) (*Compressor, error) {
-	regMu.RLock()
-	factory, ok := compressorReg[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: compressor %q", ErrUnknownPlugin, name)
+	impl, err := compressorReg.new(name)
+	if err != nil {
+		return nil, err
 	}
-	return &Compressor{impl: factory()}, nil
+	return &Compressor{impl: impl}, nil
 }
 
 // NewMetric instantiates the named metrics plugin.
-func NewMetric(name string) (Metric, error) {
-	regMu.RLock()
-	factory, ok := metricReg[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: metric %q", ErrUnknownPlugin, name)
-	}
-	return factory(), nil
-}
+func NewMetric(name string) (Metric, error) { return metricReg.new(name) }
 
 // NewMetrics instantiates several metrics plugins composed into one, like
 // pressio_new_metrics in the C API.
@@ -93,27 +117,13 @@ func NewMetrics(names ...string) (Metric, error) {
 }
 
 // NewIO instantiates the named IO plugin.
-func NewIO(name string) (IOPlugin, error) {
-	regMu.RLock()
-	factory, ok := ioReg[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: io %q", ErrUnknownPlugin, name)
-	}
-	return factory(), nil
-}
+func NewIO(name string) (IOPlugin, error) { return ioReg.new(name) }
 
 // SupportedCompressors enumerates registered compressor names, sorted.
-func SupportedCompressors() []string { return sortedKeys(compressorReg) }
+func SupportedCompressors() []string { return compressorReg.names() }
 
 // SupportedMetrics enumerates registered metrics names, sorted.
-func SupportedMetrics() []string { return sortedKeys(metricReg) }
+func SupportedMetrics() []string { return metricReg.names() }
 
 // SupportedIO enumerates registered IO plugin names, sorted.
-func SupportedIO() []string { return sortedKeys(ioReg) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return slices.Sorted(maps.Keys(m))
-}
+func SupportedIO() []string { return ioReg.names() }

@@ -324,14 +324,14 @@ func encodeLengths(n, base uint32, lengths []uint8) []byte {
 	return out
 }
 
-// decodeLengths reads the table encodeLengths writes. The table comes from
+// decodeLengths reads the table encodeLengths writes for an alphabet of n
+// symbols, refusing any other size before allocating. The table comes from
 // the scratch pool, and the caller returns it even with an error.
-func decodeLengths(b []byte) ([]uint8, int, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > maxAlphabet {
+func decodeLengths(b []byte, n uint64) ([]uint8, int, error) {
+	declared, pos := binary.Uvarint(b)
+	if pos <= 0 || declared != n {
 		return nil, 0, ErrCorrupt
 	}
-	pos := sz
 	lengths := core.GetScratch[uint8](int(n))[:0]
 	for uint64(len(lengths)) < n {
 		if pos >= len(b) {
@@ -411,9 +411,10 @@ func (t *decodeTable) build(lengths []uint8) error {
 }
 
 // parse fills the zero table t from a stream's header and returns the
-// declared symbol count, the alphabet and the body. The caller releases t
+// declared symbol count, the alphabet and the body. An alphabet past bound
+// is corrupt, refused before the tables are allocated. The caller releases t
 // whatever parse returns.
-func parse(data []byte, t *decodeTable) (count uint64, alphabet uint32, body []byte, err error) {
+func parse(data []byte, t *decodeTable, bound uint32) (count uint64, alphabet uint32, body []byte, err error) {
 	hdrLen, sz := binary.Uvarint(data)
 	if sz <= 0 || uint64(sz)+hdrLen > uint64(len(data)) {
 		return 0, 0, nil, ErrCorrupt
@@ -421,7 +422,7 @@ func parse(data []byte, t *decodeTable) (count uint64, alphabet uint32, body []b
 	hdr := data[sz : sz+int(hdrLen)]
 	body = data[sz+int(hdrLen):]
 	alphabet64, o := binary.Uvarint(hdr)
-	if o <= 0 || alphabet64 > maxAlphabet {
+	if o <= 0 || alphabet64 > uint64(min(bound, maxAlphabet)) {
 		return 0, 0, nil, ErrCorrupt
 	}
 	hdr = hdr[o:]
@@ -430,13 +431,10 @@ func parse(data []byte, t *decodeTable) (count uint64, alphabet uint32, body []b
 		return 0, 0, nil, ErrCorrupt
 	}
 	hdr = hdr[o:]
-	lengths, _, err := decodeLengths(hdr)
+	lengths, _, err := decodeLengths(hdr, alphabet64)
 	defer core.PutScratch(lengths)
 	if err != nil {
 		return 0, 0, nil, err
-	}
-	if uint64(len(lengths)) != alphabet64 {
-		return 0, 0, nil, ErrCorrupt
 	}
 	if err := t.build(lengths); err != nil {
 		return 0, 0, nil, err
@@ -453,14 +451,16 @@ func parse(data []byte, t *decodeTable) (count uint64, alphabet uint32, body []b
 // size recorded in the header.
 //
 //pressio:hotpath measured by the benchmark's huffman.* per-layer rows
-func Decode(data []byte) ([]uint32, uint32, error) { return AppendDecode(nil, data) }
+func Decode(data []byte) ([]uint32, uint32, error) { return AppendDecode(nil, data, maxAlphabet) }
 
 // AppendDecode is Decode appending the symbols to dst: a caller that knows
-// the count gives dst that capacity, and they land in it without growth.
-func AppendDecode(dst []uint32, data []byte) ([]uint32, uint32, error) {
+// the count gives dst that capacity, and they land in it without growth. A
+// stream declaring an alphabet past bound, the caller's own, is corrupt: its
+// header cannot size the tables past what the caller would encode.
+func AppendDecode(dst []uint32, data []byte, bound uint32) ([]uint32, uint32, error) {
 	var t decodeTable
 	defer t.release()
-	count, alphabet, body, err := parse(data, &t)
+	count, alphabet, body, err := parse(data, &t, bound)
 	if err != nil {
 		return nil, 0, err
 	}

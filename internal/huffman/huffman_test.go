@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -196,7 +197,7 @@ func (t *decodeTable) walk(r *bitstream.Reader) (uint32, uint8, error) {
 func decodeSerial(data []byte) ([]uint32, error) {
 	var tbl decodeTable
 	defer tbl.release()
-	count, _, body, err := parse(data, &tbl)
+	count, _, body, err := parse(data, &tbl, maxAlphabet)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +236,7 @@ func TestGoldenStream(t *testing.T) {
 	}
 	var tbl decodeTable
 	defer tbl.release()
-	_, _, _, err := parse(stream, &tbl)
+	_, _, _, err := parse(stream, &tbl, maxAlphabet)
 	if err != nil || tbl.maxLen <= lutBits {
 		t.Fatalf("golden must hold a code longer than %d bits: maxLen %d, err %v", lutBits, tbl.maxLen, err)
 	}
@@ -451,5 +452,28 @@ func BenchmarkDecode(b *testing.B) {
 		if _, _, err := Decode(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAlphabetPastBoundAllocatesNothing decodes a 16-byte stream whose header
+// declares 2^24 symbols against a caller's bound of 2^16: it is refused before
+// its 16.8 MB length table is allocated.
+func TestAlphabetPastBoundAllocatesNothing(t *testing.T) {
+	var hdr []byte
+	for _, v := range []uint64{1 << 24, 1, 1 << 24} { // alphabet, count, table size
+		hdr = binary.AppendUvarint(hdr, v)
+	}
+	hdr = append(hdr, 1) // a run's code length, its count missing
+	data := append(binary.AppendUvarint(nil, uint64(len(hdr))), hdr...)
+	data = append(data, make([]byte, 16-len(data))...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := AppendDecode(nil, data, 1<<16)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("err %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a %d-byte stream allocated %d bytes", len(data), alloc)
 	}
 }

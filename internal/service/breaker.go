@@ -38,11 +38,11 @@ func init() {
 	core.RegisterCompressor("breaker", func() core.CompressorPlugin {
 		return &breaker{
 			child: core.Child[*core.Compressor]{Name: "sz_threadsafe"},
-			cfg: breakerConfig{
-				window:   16,
-				failures: 8,
-				cooldown: time.Second,
-				probes:   1,
+			cfg: BreakerConfig{
+				Window:   16,
+				Failures: 8,
+				Cooldown: time.Second,
+				Probes:   1,
 			},
 		}
 	})
@@ -61,7 +61,7 @@ func init() {
 type breaker struct {
 	child core.Child[*core.Compressor]
 	scope string
-	cfg   breakerConfig
+	cfg   BreakerConfig
 	st    *BreakerState
 }
 
@@ -79,15 +79,15 @@ var breakerSchema = func() *core.Schema[breaker] {
 		core.Field(keyBreakerScope, "name of the shared state; breakers with one scope trip together (default: the child name)", core.Bounds{},
 			func(p *breaker) *string { return &p.scope }),
 		core.NumAs[uint64](keyBreakerWindow, "sliding window length in calls", counts,
-			func(p *breaker) *int { return &p.cfg.window }),
+			func(p *breaker) *int { return &p.cfg.Window }),
 		core.NumAs[uint64](keyBreakerFailures, "failures within the window that trip the circuit", counts,
-			func(p *breaker) *int { return &p.cfg.failures }),
+			func(p *breaker) *int { return &p.cfg.Failures }),
 		core.Millis(keyBreakerOpenMS, "how long the circuit stays open before probing", core.AtLeast(0),
-			func(p *breaker) *time.Duration { return &p.cfg.cooldown }),
+			func(p *breaker) *time.Duration { return &p.cfg.Cooldown }),
 		core.NumAs[uint64](keyBreakerProbes, "trial calls admitted half-open; that many successes close the circuit", counts,
-			func(p *breaker) *int { return &p.cfg.probes }),
+			func(p *breaker) *int { return &p.cfg.Probes }),
 		core.Millis(keyBreakerLatencyMS, "calls slower than this count as failures (0 = off)", core.AtLeast(0),
-			func(p *breaker) *time.Duration { return &p.cfg.latencyLimit }),
+			func(p *breaker) *time.Duration { return &p.cfg.LatencyLimit }),
 	}
 	for i := range rows {
 		rows[i] = rows[i].OnSet(func(p *breaker) { p.st = nil })
@@ -95,9 +95,9 @@ var breakerSchema = func() *core.Schema[breaker] {
 	rows = append(rows, core.Report(keyBreakerStateReport, "current circuit state: closed, open or half-open",
 		func(p *breaker) string { return p.state().Mode().String() }))
 	return core.NewSchema(rows...).Validate(func(p *breaker) error {
-		if p.cfg.failures > p.cfg.window {
+		if p.cfg.Failures > p.cfg.Window {
 			return fmt.Errorf("%w: %s %d exceeds %s %d (the circuit could never trip)",
-				core.ErrInvalidOption, keyBreakerFailures, p.cfg.failures, keyBreakerWindow, p.cfg.window)
+				core.ErrInvalidOption, keyBreakerFailures, p.cfg.Failures, keyBreakerWindow, p.cfg.Window)
 		}
 		return nil
 	})

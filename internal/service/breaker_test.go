@@ -239,7 +239,7 @@ func TestBreakerLatencyThresholdCountsSlowCalls(t *testing.T) {
 func TestBreakerCallAbandonsCancelledCalls(t *testing.T) {
 	ResetShared()
 	clk := NewFakeClock(time.Unix(0, 0))
-	st := NewSharedBreaker("abandon", BreakerConfig{Window: 4, Failures: 2, Cooldown: time.Second, Probes: 1})
+	st := StateFor("abandon", BreakerConfig{Window: 4, Failures: 2, Cooldown: time.Second, Probes: 1})
 	st.SetClock(clk)
 	boom := func() error { return errors.New("boom") }
 
@@ -287,7 +287,7 @@ func TestBreakerCallAbandonsCancelledCalls(t *testing.T) {
 	}
 
 	// Rejections are typed and never run the call.
-	st2 := NewSharedBreaker("abandon-reject", BreakerConfig{Window: 1, Failures: 1, Cooldown: time.Minute})
+	st2 := StateFor("abandon-reject", BreakerConfig{Window: 1, Failures: 1, Cooldown: time.Minute})
 	_, _, _ = st2.Call(context.Background(), boom)
 	_, recorded, err := st2.Call(context.Background(), func() error { t.Fatal("rejected call ran"); return nil })
 	if recorded || !errors.Is(err, ErrBreakerOpen) || !errors.Is(err, core.ErrShed) {

@@ -22,8 +22,8 @@ func TestBreakerTransitionsEmitObslogEvents(t *testing.T) {
 	defer obslog.SetDefault(nil)
 
 	clk := NewFakeClock(time.Unix(0, 0))
-	st := StateFor("evt-scope", breakerConfig{
-		window: 2, failures: 1, cooldown: time.Second, probes: 1,
+	st := StateFor("evt-scope", BreakerConfig{
+		Window: 2, Failures: 1, Cooldown: time.Second, Probes: 1,
 	})
 	st.SetClock(clk)
 

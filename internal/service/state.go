@@ -41,13 +41,20 @@ func (m BreakerMode) String() string {
 	}
 }
 
-// breakerConfig is the tunable half of a breaker's behavior.
-type breakerConfig struct {
-	window       int           // sliding window length in calls
-	failures     int           // failures within the window that trip the circuit
-	cooldown     time.Duration // open → half-open delay
-	probes       int           // half-open probe budget; that many successes close
-	latencyLimit time.Duration // >0: calls slower than this count as failures
+// BreakerConfig is the tunable half of a breaker's behavior, shared by the
+// breaker meta-compressor and callers outside it (the cluster peer client
+// guards each HTTP peer with one).
+type BreakerConfig struct {
+	// Window is the sliding outcome window length in calls.
+	Window int
+	// Failures within the window trip the circuit.
+	Failures int
+	// Cooldown is the open → half-open delay.
+	Cooldown time.Duration
+	// Probes is the half-open trial budget; that many successes close.
+	Probes int
+	// LatencyLimit, when >0, counts slower-than-this calls as failures.
+	LatencyLimit time.Duration
 }
 
 // BreakerState is the shared, mutex-protected state machine behind one
@@ -58,7 +65,7 @@ type breakerConfig struct {
 type BreakerState struct {
 	mu    sync.Mutex
 	clock Clock
-	cfg   breakerConfig
+	cfg   BreakerConfig
 	scope string
 
 	mode      BreakerMode
@@ -83,14 +90,14 @@ func (s *BreakerState) Mode() BreakerMode {
 
 // configure replaces the tunables, resizing the window ring. The circuit
 // position (open/half-open) is preserved; the recorded window restarts.
-func (s *BreakerState) configure(cfg breakerConfig) {
+func (s *BreakerState) configure(cfg BreakerConfig) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cfg == s.cfg {
 		return
 	}
 	s.cfg = cfg
-	s.outcomes = make([]bool, cfg.window)
+	s.outcomes = make([]bool, cfg.Window)
 	s.next, s.filled, s.failCount = 0, 0, 0
 }
 
@@ -110,7 +117,7 @@ func (s *BreakerState) maybeHalfOpen() {
 // convoy every admission decision behind the log sink (blockinglock).
 func (s *BreakerState) trip() {
 	s.mode = ModeOpen
-	s.openUntil = s.clock.Now().Add(s.cfg.cooldown)
+	s.openUntil = s.clock.Now().Add(s.cfg.Cooldown)
 	s.next, s.filled, s.failCount = 0, 0, 0
 	s.probesInFlight = 0
 	s.probeSuccesses = 0
@@ -121,8 +128,8 @@ func (s *BreakerState) trip() {
 // tripEvent captures the trip log fields while s.mu is still held and
 // returns the emission to run once it is released.
 func (s *BreakerState) tripEvent() func() {
-	scope, cooldown := s.scope, s.cfg.cooldown
-	window, failures := s.cfg.window, s.cfg.failures
+	scope, cooldown := s.scope, s.cfg.Cooldown
+	window, failures := s.cfg.Window, s.cfg.Failures
 	return func() {
 		obslog.Default().Warn("breaker.trip",
 			slog.String("scope", scope),
@@ -187,7 +194,7 @@ func (s *BreakerState) allow() (probe, ok bool) {
 	case ModeClosed:
 		return false, true
 	case ModeHalfOpen:
-		if s.probesInFlight < s.cfg.probes {
+		if s.probesInFlight < s.cfg.Probes {
 			s.probesInFlight++
 			trace.CounterAdd(trace.CtrBreakerProbes, 1)
 			return true, true
@@ -206,7 +213,7 @@ func (s *BreakerState) allow() (probe, ok bool) {
 // the breaker before timeouts cascade).
 func (s *BreakerState) done(probe bool, callErr error, latency time.Duration) {
 	failure := callErr != nil ||
-		(s.cfg.latencyLimit > 0 && latency > s.cfg.latencyLimit)
+		(s.cfg.LatencyLimit > 0 && latency > s.cfg.LatencyLimit)
 	if emit := s.record(probe, failure); emit != nil {
 		emit()
 	}
@@ -232,7 +239,7 @@ func (s *BreakerState) record(probe, failure bool) func() {
 			return s.tripEvent()
 		}
 		s.probeSuccesses++
-		if s.probeSuccesses >= s.cfg.probes {
+		if s.probeSuccesses >= s.cfg.Probes {
 			s.mode = ModeClosed
 			s.next, s.filled, s.failCount = 0, 0, 0
 			trace.CounterAdd(trace.CtrBreakerRecovered, 1)
@@ -258,7 +265,7 @@ func (s *BreakerState) record(probe, failure bool) func() {
 	s.next = (s.next + 1) % len(s.outcomes)
 	if failure {
 		s.failCount++
-		if s.failCount >= s.cfg.failures {
+		if s.failCount >= s.cfg.Failures {
 			s.trip()
 			return s.tripEvent()
 		}
@@ -279,7 +286,7 @@ var (
 // it with the given config on first use. Later callers with a different
 // config retune the existing state (last writer wins), which keeps a fleet
 // of clones coherent when options change.
-func StateFor(scope string, cfg breakerConfig) *BreakerState {
+func StateFor(scope string, cfg BreakerConfig) *BreakerState {
 	sharedMu.Lock()
 	st, ok := shared[scope]
 	if !ok {
@@ -287,7 +294,7 @@ func StateFor(scope string, cfg breakerConfig) *BreakerState {
 			clock:    RealClock{},
 			cfg:      cfg,
 			scope:    scope,
-			outcomes: make([]bool, cfg.window),
+			outcomes: make([]bool, cfg.Window),
 		}
 		shared[scope] = st
 	}
@@ -296,51 +303,6 @@ func StateFor(scope string, cfg breakerConfig) *BreakerState {
 		st.configure(cfg)
 	}
 	return st
-}
-
-// BreakerConfig is the exported shape of a breaker's tunables, for callers
-// outside the meta-compressor plugin (the cluster peer client guards each
-// HTTP peer with one of these).
-type BreakerConfig struct {
-	// Window is the sliding outcome window length in calls.
-	Window int
-	// Failures within the window trip the circuit.
-	Failures int
-	// Cooldown is the open → half-open delay.
-	Cooldown time.Duration
-	// Probes is the half-open trial budget; that many successes close.
-	Probes int
-	// LatencyLimit, when >0, counts slower-than-this calls as failures.
-	LatencyLimit time.Duration
-}
-
-// NewSharedBreaker returns the process-shared BreakerState registered under
-// scope, creating or retuning it exactly like the breaker meta-compressor
-// does — so an HTTP peer client and a breaker plugin pointed at the same
-// scope trip together. Zero fields get the plugin defaults.
-func NewSharedBreaker(scope string, cfg BreakerConfig) *BreakerState {
-	if cfg.Window < 1 {
-		cfg.Window = 16
-	}
-	if cfg.Failures < 1 {
-		cfg.Failures = 8
-	}
-	if cfg.Failures > cfg.Window {
-		cfg.Failures = cfg.Window
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = time.Second
-	}
-	if cfg.Probes < 1 {
-		cfg.Probes = 1
-	}
-	return StateFor(scope, breakerConfig{
-		window:       cfg.Window,
-		failures:     cfg.Failures,
-		cooldown:     cfg.Cooldown,
-		probes:       cfg.Probes,
-		latencyLimit: cfg.LatencyLimit,
-	})
 }
 
 // ResetShared drops every registered breaker state (tests only: the registry

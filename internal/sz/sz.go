@@ -260,7 +260,7 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	// in no fewer than n/8 bytes: a header cannot size the scratch past that.
 	codesBuf := core.GetScratch[uint32](int(min(uint64(n), 8*huffLen)))
 	defer core.PutScratch(codesBuf)
-	codes, _, err := huffman.AppendDecode(codesBuf[:0], body[:huffLen])
+	codes, _, err := huffman.AppendDecode(codesBuf[:0], body[:huffLen], uint32(2*radius64))
 	spDecode.End()
 	if err != nil {
 		return nil, nil, err

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"pressio/internal/core"
+	"pressio/internal/huffman"
 	"pressio/internal/lossless"
 )
 
@@ -485,6 +486,41 @@ func TestHeaderCannotBuyAllocation(t *testing.T) {
 		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 			t.Errorf("%s: a %d-byte stream allocated %d bytes", c.name, len(stream), alloc)
+		}
+	}
+}
+
+// TestHuffmanAlphabetPastRadius hands the decoder streams whose Huffman
+// header declares an alphabet past the quantizer's 2·radius codes: the
+// declaration is refused, so a header cannot size the code tables past what
+// the encoder could have written.
+func TestHuffmanAlphabetPastRadius(t *testing.T) {
+	const radius = 4
+	stream := func(alphabet uint32) []byte {
+		codes := []uint32{radius, radius, radius, radius, radius, radius, radius, radius}
+		huff, err := huffman.Encode(codes, alphabet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := lossless.Deflate(huff, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, err := core.AppendFloatShape[float32]([]byte(magic), []uint64{uint64(len(codes))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []uint64{math.Float64bits(1e-3), radius, 0, uint64(len(huff))} {
+			hdr = binary.AppendUvarint(hdr, v)
+		}
+		return append(hdr, body...)
+	}
+	if _, _, err := DecompressSlice[float32](stream(2 * radius)); err != nil {
+		t.Fatalf("alphabet 2·radius: %v", err)
+	}
+	for _, alphabet := range []uint32{2*radius + 1, 1 << 24} {
+		if _, _, err := DecompressSlice[float32](stream(alphabet)); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("alphabet %d past 2·radius = %d: err %v, want ErrCorrupt", alphabet, 2*radius, err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Tier-2 quality gate: build + gofmt + vet + pressiolint the whole module, check every
-# plugin's option schema (well-formedness, pinned option surface, generated
-# docs/PLUGINS.md reference), race-test
+# Tier-2 quality gate: build, start every binary, gofmt + vet + pressiolint the
+# whole module, check every plugin's option schema (well-formedness, pinned
+# option surface, generated docs/PLUGINS.md reference), race-test
 # the concurrency-sensitive packages (the tracing layer, the parallel
 # meta-compressors, the core wrapper and its one fan-out with its callers in
 # sz and h5lite, the serving layer, and pressiolint's worker pool), run the
@@ -22,6 +22,18 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
+echo "==> every cmd/ binary starts (-h; a bad plugin registration panics at init)"
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/" ./cmd/...
+for b in "$bin"/*; do
+    out=$("$b" -h 2>&1 || true)
+    if printf '%s\n' "$out" | grep '^panic:'; then
+        echo "$(basename "$b") panics at startup" >&2
+        exit 1
+    fi
+done
+
 echo "==> gofmt -l (analyzer fixtures under testdata/ excepted)"
 test -z "$(gofmt -l internal cmd *.go | grep -v /testdata/)"
 
@@ -33,7 +45,7 @@ test -z "$(grep -rln 'sync.WaitGroup' internal --include='*.go' |
     grep -v -e '_test\.go$' -e '^internal/analysis/' -e '^internal/stream/' \
         -e '^internal/core/fanout\.go$' -e '^internal/cluster/router\.go$')"
 
-echo "==> pressiolint ./... (all sixteen analyzers, zero findings)"
+echo "==> pressiolint ./... (all fifteen analyzers, zero findings)"
 go run ./cmd/pressiolint ./...
 
 echo "==> option schemas (well-formed, option surface pinned, docs/PLUGINS.md reference current)"

@@ -25,16 +25,16 @@ func TestSizeBudget(t *testing.T) {
 		"cmd/pressio-bench":    227,
 		"cmd/pressio-exp":      145,
 		"cmd/pressio-fsck":     101,
-		"cmd/pressio-fuzz":     207,
+		"cmd/pressio-fuzz":     208,
 		"cmd/pressio-zchecker": 101,
 		"cmd/pressiod":         161,
 		"cmd/pressiolint":      28,
-		"internal/analysis":    6802,
+		"internal/analysis":    6473,
 		"internal/bitgroom":    207,
 		"internal/bitstream":   207,
 		"internal/cloc":        124,
-		"internal/cluster":     952,
-		"internal/core":        3123,
+		"internal/cluster":     958,
+		"internal/core":        3133,
 		"internal/daemon":      1289,
 		"internal/experiments": 908,
 		"internal/faultinject": 722,
@@ -53,7 +53,7 @@ func TestSizeBudget(t *testing.T) {
 		"internal/rangecoder":  291,
 		"internal/resilience":  904,
 		"internal/sdrbench":    184,
-		"internal/service":     805,
+		"internal/service":     767,
 		"internal/stats":       182,
 		"internal/store":       1966,
 		"internal/stream":      349,
