@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"pressio/internal/core"
@@ -169,15 +170,23 @@ func (c *PeerClient) Do(ctx context.Context, op string, dtype core.DType, dims [
 	return out, err
 }
 
-// attempt is one HTTP round trip with its own deadline.
+// attempt is one HTTP round trip with its own deadline. It returns only once
+// the transport has let go of body, so the caller may reuse body as soon as
+// Do returns.
 func (c *PeerClient) attempt(ctx context.Context, op string, dtype core.DType, dims []uint64, body []byte) ([]byte, error) {
+	sent := &sentBody{buf: body, closed: make(chan struct{}, 1)}
+	defer sent.release(c.timeout) // runs last: after cancel and resp.Body.Close
 	actx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 
 	u := "http://" + c.addr + "/" + op + "?dims=" + dimsParam(dims) + "&dtype=" + dtype.String()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, u, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, u, http.NoBody)
 	if err != nil {
 		return nil, err
+	}
+	if len(body) > 0 {
+		req.ContentLength, req.GetBody = int64(len(body)), sent.reader
+		req.Body, _ = sent.reader()
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if rt := trace.RequestTraceFrom(ctx); rt != nil {
@@ -227,15 +236,21 @@ func (c *PeerClient) attempt(ctx context.Context, op string, dtype core.DType, d
 
 // readReply reads a reply body whole, refusing one longer than limit before
 // allocating it. A declared length is read into one buffer of exactly that
-// size; an undeclared (chunked) one is read through a reader that stops one
-// byte past limit.
+// length, taken from scratch past core.LargeObject; an undeclared (chunked)
+// one is read through a reader that stops one byte past limit.
 func readReply(resp *http.Response, limit int64) ([]byte, error) {
 	if n := resp.ContentLength; n >= 0 {
 		if n > limit {
 			return nil, fmt.Errorf("declared length %d past the %d-byte bound", n, limit)
 		}
-		buf := make([]byte, n)
+		var buf []byte
+		if n > core.LargeObject {
+			buf = core.GetScratch[byte](int(n))
+		} else {
+			buf = make([]byte, n)
+		}
 		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			core.PutScratch(buf)
 			return nil, fmt.Errorf("truncated response: %w", err)
 		}
 		return buf, nil
@@ -248,6 +263,72 @@ func readReply(resp *http.Response, limit int64) ([]byte, error) {
 		return nil, fmt.Errorf("chunked reply past the %d-byte bound", limit)
 	}
 	return buf, nil
+}
+
+// sentBody is one attempt's request body. A transport may read and close a
+// body after RoundTrip returns, and a retry reopens it through GetBody, so
+// release waits, at most bound, until every reader opened is closed, then
+// cuts off any left: a later Read fails without touching buf.
+type sentBody struct {
+	mu     sync.Mutex
+	buf    []byte // nil once released
+	open   int
+	closed chan struct{} // a token after each close
+}
+
+var errBodyCutOff = errors.New("cluster: request body read after its attempt ended")
+
+func (s *sentBody) reader() (io.ReadCloser, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.open++
+	return &bodyReader{s: s, r: bytes.NewReader(s.buf)}, nil
+}
+
+func (s *sentBody) release(bound time.Duration) {
+	expired := time.After(bound)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.open > 0 {
+		s.mu.Unlock()
+		select {
+		case <-s.closed:
+			s.mu.Lock()
+		case <-expired:
+			s.mu.Lock()
+			s.open = 0 // the cut-off below stops the rest
+		}
+	}
+	s.buf = nil
+}
+
+// bodyReader is one opening of a sentBody; r is nil once it is closed.
+type bodyReader struct {
+	s *sentBody
+	r *bytes.Reader
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	b.s.mu.Lock()
+	defer b.s.mu.Unlock()
+	if b.r == nil || b.s.buf == nil {
+		return 0, errBodyCutOff
+	}
+	return b.r.Read(p)
+}
+
+func (b *bodyReader) Close() error {
+	b.s.mu.Lock()
+	defer b.s.mu.Unlock()
+	if b.r != nil {
+		b.r = nil
+		b.s.open--
+		select {
+		case b.s.closed <- struct{}{}:
+		default: // a token is already waiting
+		}
+	}
+	return nil
 }
 
 // CheckReady probes the peer's /readyz with a short deadline; used by the

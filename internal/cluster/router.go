@@ -21,7 +21,8 @@ const (
 
 // LocalFunc is the router's degradation path: a local compressor invoked
 // when every replica is unreachable. nil disables local degradation (the
-// router then sheds with a typed 503-shaped error instead).
+// router then sheds with a typed 503-shaped error instead). Its reply becomes
+// the router's, so it must not share storage with body.
 type LocalFunc func(ctx context.Context, op string, dtype core.DType, dims []uint64, body []byte) ([]byte, error)
 
 // RouterConfig assembles a Router; Peers is the only required field.
@@ -130,13 +131,16 @@ func (r *Router) candidates(key []byte) []*PeerClient {
 }
 
 // Compress routes one buffer: placement by content hash, hedged primary,
-// failover through the replica set, local degradation last.
+// failover through the replica set, local degradation last. No transport
+// reads payload once it returns. The reply is the caller's alone: past
+// core.LargeObject it may come from scratch, for core.PutScratch to take.
 func (r *Router) Compress(ctx context.Context, dtype core.DType, dims []uint64, payload []byte) ([]byte, error) {
 	return r.route(ctx, OpCompress, dtype, dims, payload)
 }
 
 // Decompress routes one compressed buffer; dtype/dims describe the expected
-// output (pressiod streams are not self-describing).
+// output (pressiod streams are not self-describing). Payload and reply are
+// owned as for Compress.
 func (r *Router) Decompress(ctx context.Context, dtype core.DType, dims []uint64, payload []byte) ([]byte, error) {
 	return r.route(ctx, OpDecompress, dtype, dims, payload)
 }

@@ -42,6 +42,12 @@ func scratchClass(n int) int {
 
 func classSize(c int) int { return (4 + c%4) << (c / 4) }
 
+// LargeObject is the Go runtime's large-object boundary (maxSmallSize). A
+// make past it zeroes fresh heap pages, which scratch skips; at or below it
+// the runtime's per-P size-class caches are cheaper than the pool. The
+// serving layer takes a request or reply body from scratch only past it.
+const LargeObject = 32 << 10
+
 // GetScratch returns n Ts of scratch holding whatever the last user left.
 // Hand it back with a deferred PutScratch, so error paths return it too, and
 // never let it reach what the call returns.

@@ -99,7 +99,9 @@ var errLengthRequired = errors.New("Content-Length required: admission weighs a 
 // admitBody is the one way a request body enters the daemon: refuse an
 // undeclared length before reading a byte, take the op's bulkhead at the
 // declared length, then read exactly that many bytes into one buffer of that
-// size. The caller releases the bulkhead when the work is done. Errors are
+// size. The caller calls release when the work is done: it frees the
+// bulkhead and, for a body past core.LargeObject, hands the body back to
+// scratch, so nothing may hold the body afterwards. Errors are
 // already classified for writeError: 411, a typed 503 shed, 413 for a
 // declared length past MemBudget or a body that runs past its declared
 // length, and 400 for any other read failure (the client went away
@@ -125,13 +127,31 @@ func (d *Daemon) admitBody(ctx context.Context, w http.ResponseWriter, r *http.R
 		return nil, nil, &http.MaxBytesError{Limit: d.cfg.MemBudget}
 	}
 	sp = parent.Child("daemon.read_body")
-	// One spare byte of capacity lets a read past the declared length show
-	// without a second buffer: the reader allows ContentLength bytes, and
-	// any byte more is its MaxBytesError.
-	body = make([]byte, r.ContentLength, r.ContentLength+1)
-	lr := http.MaxBytesReader(w, r.Body, r.ContentLength)
+	// The reader allows ContentLength bytes, and any byte more is its
+	// MaxBytesError, which a one-byte read past the body shows. The body's
+	// capacity stops at its length, so no consumer can append over what an
+	// earlier request left in scratch.
+	n := r.ContentLength
+	var buf []byte
+	if n > core.LargeObject {
+		buf = core.GetScratch[byte](int(n))
+		// A guard watchdog that fires leaves its call reading its input after
+		// it returns: a body that may be such an input is left to the GC.
+		timeouts, bulkhead := trace.CounterValue(trace.CtrGuardTimeouts), release
+		release = func() {
+			bulkhead()
+			if trace.CounterValue(trace.CtrGuardTimeouts) == timeouts {
+				core.PutScratch(buf)
+			}
+		}
+	} else {
+		buf = make([]byte, n)
+	}
+	body = buf[:n:n]
+	var spare [1]byte
+	lr := http.MaxBytesReader(w, r.Body, n)
 	if _, err = io.ReadFull(lr, body); err == nil {
-		if _, err = lr.Read(body[len(body):cap(body)]); err == io.EOF {
+		if _, err = lr.Read(spare[:]); err == io.EOF {
 			err = nil
 		}
 	}
@@ -233,6 +253,11 @@ func (d *Daemon) handleData(w http.ResponseWriter, r *http.Request, op string) {
 			outBytes, err = d.route.Compress(ctx, dtype, dims, body)
 		}
 		sp.End()
+		// The reply is this request's alone (a peer's, read into scratch past
+		// core.LargeObject, or a fresh local one); it goes back once written.
+		if len(outBytes) > core.LargeObject {
+			defer core.PutScratch(outBytes)
+		}
 	} else {
 		var out *core.Data
 		if out, err = d.localData(ctx, root, op, dtype, dims, body); err == nil {
@@ -308,7 +333,9 @@ func (d *Daemon) localData(ctx context.Context, parent *trace.RequestSpan, op st
 	return out, nil
 }
 
-// localBytes adapts localData to the router's LocalFunc degradation hook.
+// localBytes adapts localData to the router's LocalFunc degradation hook. A
+// codec's output is a fresh allocation (DESIGN.md, Scratch), so the reply
+// never shares the request body's storage.
 func (d *Daemon) localBytes(ctx context.Context, op string, dtype core.DType, dims []uint64, body []byte) ([]byte, error) {
 	sp := trace.RequestTraceFrom(ctx).Start("daemon.local_fallback", trace.Str("op", op))
 	out, err := d.localData(ctx, sp, op, dtype, dims, body)

@@ -114,6 +114,9 @@ func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 		select {
 		case <-time.After(time.Duration(t.rates.DelayMS) * time.Millisecond):
 		case <-req.Context().Done():
+			if req.Body != nil {
+				_ = req.Body.Close() // the request never happened, as below
+			}
 			return nil, req.Context().Err()
 		}
 	}

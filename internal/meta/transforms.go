@@ -389,9 +389,13 @@ func (p *sample) Clone() core.CompressorPlugin {
 	return &clone
 }
 
-// deltaMeta applies a delta-encoding preprocessing step (in float64 space)
-// before the child compressor and integrates after decompression. With a
-// lossless child the transform is exactly invertible.
+// deltaMeta replaces each element by its difference from the one before,
+// in the element's own type, before the child compressor, and sums the
+// differences back after decompression. With a lossless child it is exact
+// for the integer types, whose differences wrap and whose sum unwraps them.
+// For the float types it promises no exactness: a difference and the sum
+// round in the type, and a difference past its range overflows to ±Inf,
+// which every value decoded after it inherits.
 type deltaMeta struct {
 	child child
 }

@@ -71,6 +71,9 @@ go test -count=100 -run 'TestChaosClusterNetworkFaultCampaign' ./internal/cluste
 echo "==> store live table equals replay (same-name mutators, put/delete overlap, stale scrub verdict)"
 go test -race -count=5 -run 'TestReplayRebuildsLiveTable|TestPutDeleteOverlapMatchesReplay|TestStaleScrubVerdictSparesNewVersion' ./internal/store/
 
+echo "==> serving buffers under race detector (bodies closed before a routed call returns, recycled bodies)"
+go test -race -count=20 -run 'TestRouterReturnsOnlyOnceBodiesAreClosed|TestPeerCutsOffABodyItsTransportHolds|TestInjectedFaultsCloseTheBody|TestRoutedRoundTripsRecycleBodies|TestGuardTimeoutKeepsBodyOutOfScratch' ./internal/cluster/ ./internal/daemon/
+
 echo "==> store crash matrix (kill at every declared crash point, zero acked loss)"
 go test -race -run 'TestCrash' ./internal/store/
 

@@ -33,18 +33,18 @@ func TestSizeBudget(t *testing.T) {
 		"internal/bitgroom":    207,
 		"internal/bitstream":   207,
 		"internal/cloc":        124,
-		"internal/cluster":     958,
-		"internal/core":        3133,
-		"internal/daemon":      1289,
+		"internal/cluster":     1043,
+		"internal/core":        3139,
+		"internal/daemon":      1316,
 		"internal/experiments": 908,
-		"internal/faultinject": 722,
+		"internal/faultinject": 725,
 		"internal/fpzip":       449,
 		"internal/fsx":         298,
 		"internal/h5lite":      407,
 		"internal/huffman":     513,
 		"internal/launch":      375,
 		"internal/lossless":    564,
-		"internal/meta":        1247,
+		"internal/meta":        1251,
 		"internal/metrics":     1172,
 		"internal/mgard":       422,
 		"internal/obslog":      86,
