@@ -120,8 +120,8 @@ func TestRunGuardedCompressWritesFrame(t *testing.T) {
 	in := filepath.Join(dir, "x.bin")
 	comp := filepath.Join(dir, "x.lpfr")
 	writeSample(t, in, 24*24)
-	name, opts := applyResilienceFlags("sz_threadsafe", true, "", false, stringList{
-		"guard:frame=1", "pressio:abs=0.01"})
+	// -guard -fallback noop: the fallback chain inside the guard frames.
+	name, opts := applyResilienceFlags("sz_threadsafe", true, "noop", false, stringList{"pressio:abs=0.01"})
 	err := run("compress", name, in, comp, "posix", "posix", "24,24", "float32",
 		"size", "", false, false, 0, opts)
 	if err != nil {

@@ -108,7 +108,6 @@ func TestChaosClusterShardSIGKILLMidLoad(t *testing.T) {
 		Peers:      peers,
 		Replicas:   2, // every key survives any single shard death
 		HedgeFloor: 25 * time.Millisecond,
-		Fanout:     8,
 		Peer:       cluster.PeerConfig{Attempts: 3, Timeout: 10 * time.Second},
 	})
 	if err != nil {

@@ -146,22 +146,17 @@ func (c *PeerClient) Do(ctx context.Context, op string, dtype core.DType, dims [
 		if try > 0 {
 			trace.CounterAdd(trace.CtrClusterRetries, 1)
 		}
-		// A 4xx reply is the request's fault, not the peer's: the breaker
-		// records the call as answered.
-		var rejected error
 		elapsed, recorded, err := c.breaker.Call(ctx, func() (err error) {
 			out, err = c.attempt(ctx, op, dtype, dims, body)
-			if core.IsBadInput(err) {
-				rejected, err = err, nil
-			}
 			return err
 		})
 		switch {
-		case err == nil:
+		case err == nil || core.IsBadInput(err):
+			// A 4xx reply is the request's fault, not the peer's: the peer
+			// answered.
 			c.lat.observe(elapsed)
 			trace.ObserveDuration(trace.HistClusterPeer, elapsed)
 			trace.CounterAdd(trace.ClusterPeerKey(c.addr, "requests"), 1)
-			err = rejected
 		case recorded:
 			trace.CounterAdd(trace.ClusterPeerKey(c.addr, "failures"), 1)
 		}

@@ -12,7 +12,7 @@
 //     (service.BreakerState.Call), a weighted admission bulkhead,
 //     capped-exponential-backoff retries with deterministic splitmix64
 //     jitter (resilience.Backoff.Retry), and a per-attempt deadline.
-//   - Router: fans CompressMany chunks out across the ring, hedges slow
+//   - Router: places each call's payload on the ring, hedges slow
 //     primaries to the next replica after a p99-derived delay (first success
 //     wins, loser cancelled), fails over through the replica set when peers
 //     are down or their breakers open, and degrades to a local compressor
@@ -25,7 +25,7 @@
 // which the health checker, the router and its listener start and stop.
 //
 // The proof is a multi-process chaos test (chaos_multiproc_test.go): three
-// real pressiod shards, concurrent CompressMany load, one shard SIGKILLed
-// mid-flight — every chunk completes exactly once with a verified
-// round-trip. See docs/CLUSTER.md.
+// real pressiod shards, concurrent load from the test-only CompressMany, one
+// shard SIGKILLed mid-flight — every chunk completes exactly once with a
+// verified round-trip. See docs/CLUSTER.md.
 package cluster

@@ -43,9 +43,6 @@ type RouterConfig struct {
 	HedgeFloor time.Duration
 	// HedgeCeiling caps the p99-derived hedge delay (default 2s).
 	HedgeCeiling time.Duration
-	// Fanout bounds concurrent chunk requests in CompressMany/DecompressMany
-	// (default 8).
-	Fanout int
 	// Local is the degradation path when the whole fleet is unreachable.
 	Local LocalFunc
 }
@@ -80,9 +77,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.HedgeCeiling <= 0 {
 		cfg.HedgeCeiling = 2 * time.Second
-	}
-	if cfg.Fanout < 1 {
-		cfg.Fanout = 8
 	}
 	r := &Router{
 		cfg:     cfg,

@@ -15,8 +15,12 @@ type Chunk struct {
 	Payload []byte
 }
 
+// manyFanout bounds the concurrent chunk requests of CompressMany and
+// DecompressMany.
+const manyFanout = 8
+
 // CompressMany routes every chunk across the ring concurrently (bounded by
-// Fanout). Results are index-aligned with chunks: result i is chunk i's
+// manyFanout). Results are index-aligned with chunks: result i is chunk i's
 // compressed payload or nil when errs[i] != nil. The returned error joins
 // the per-chunk failures; callers that must not lose items check it against
 // nil and retry only the nil slots.
@@ -34,7 +38,7 @@ func (r *Router) many(ctx context.Context, op string, chunks []Chunk) ([][]byte,
 	errs := make([]error, len(chunks))
 	// The failures are joined, not reduced to the first, so ForEach has
 	// nothing to return.
-	_ = core.ForEach(len(chunks), r.cfg.Fanout, func(_, i int) error {
+	_ = core.ForEach(len(chunks), manyFanout, func(_, i int) error {
 		results[i], errs[i] = r.route(ctx, op, chunks[i].DType, chunks[i].Dims, chunks[i].Payload)
 		return nil
 	})

@@ -402,8 +402,7 @@ func TestRouterManyKeepsResultsIndexAligned(t *testing.T) {
 	b := newFakeShard(t, "b", 0)
 	c := newFakeShard(t, "c", 0)
 	r := newTestRouter(t, RouterConfig{
-		Peers:  []string{a.addr(), b.addr(), c.addr()},
-		Fanout: 4,
+		Peers: []string{a.addr(), b.addr(), c.addr()},
 	})
 
 	chunks := make([]Chunk, 40)

@@ -82,9 +82,9 @@ func TestRoutedRoundTripsRecycleBodies(t *testing.T) {
 }
 
 // TestGuardTimeoutKeepsBodyOutOfScratch: a guard watchdog that fires leaves
-// the timed-out call reading its request body after the request has been
-// answered, so that body must not go back to scratch, where the next
-// request would write into it (the race detector watches).
+// the timed-out call running after the request has been answered. That call
+// reads its own copy of the request body, so the body goes back to scratch
+// and the next request may write into it (the race detector watches).
 func TestGuardTimeoutKeepsBodyOutOfScratch(t *testing.T) {
 	base := serveTestDaemon(t, func(c *Config) {
 		c.Compressor = "faultinject"

@@ -135,14 +135,10 @@ func (d *Daemon) admitBody(ctx context.Context, w http.ResponseWriter, r *http.R
 	var buf []byte
 	if n > core.LargeObject {
 		buf = core.GetScratch[byte](int(n))
-		// A guard watchdog that fires leaves its call reading its input after
-		// it returns: a body that may be such an input is left to the GC.
-		timeouts, bulkhead := trace.CounterValue(trace.CtrGuardTimeouts), release
+		bulkhead := release
 		release = func() {
 			bulkhead()
-			if trace.CounterValue(trace.CtrGuardTimeouts) == timeouts {
-				core.PutScratch(buf)
-			}
+			core.PutScratch(buf)
 		}
 	} else {
 		buf = make([]byte, n)

@@ -125,17 +125,8 @@ func (c Chain) Route(b []byte, out *core.Data, deadline time.Duration) (*core.Co
 		if hintDT == core.DTypeUnset || len(hintDims) == 0 {
 			hintDT, hintDims = f.DType, f.Dims
 		}
-		// Decompress into a fresh buffer, not the caller's out: a timed-out
-		// call keeps running detached and must not share a target with
-		// whatever the caller does next.
 		target := core.NewEmpty(hintDT, hintDims...)
-		err = runGuarded(deadline, func() error {
-			return comp.Decompress(core.NewBytes(f.Payload), target)
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrTimeout) {
-				c[i].Drop()
-			}
+		if _, err := guarded(deadline, &c[i], (*core.Compressor).Decompress, core.NewBytes(f.Payload), target); err != nil {
 			return nil, err
 		}
 		out.Become(target)

@@ -16,13 +16,12 @@ const (
 	keyFallbackDeadlineMS  = "fallback:deadline_ms"
 	keyFallbackVerify      = "fallback:verify"
 	keyFallbackVerifyAbs   = "fallback:verify_abs"
-	keyFallbackFrame       = "fallback:frame"
 	keyFallbackLastTier    = "fallback:last_tier"
 )
 
 func init() {
 	core.RegisterCompressor("fallback", func() core.CompressorPlugin {
-		return &fallback{tiers: Chain{}.renamed("sz_threadsafe,zfp,noop"), frame: true}
+		return &fallback{tiers: Chain{}.renamed("sz_threadsafe,zfp,noop")}
 	})
 }
 
@@ -38,7 +37,6 @@ type fallback struct {
 	deadline  time.Duration
 	verify    bool
 	verifyAbs float64
-	frame     bool
 	lastTier  string
 }
 
@@ -54,8 +52,6 @@ var fallbackSchema = core.NewSchema(
 		func(p *fallback) *bool { return &p.verify }),
 	core.Field(keyFallbackVerifyAbs, "max pointwise error the verification gate tolerates (0 = shape check only)", core.AtLeast(0),
 		func(p *fallback) *float64 { return &p.verifyAbs }),
-	core.Flag(keyFallbackFrame, "frame streams with the producing tier so decompression routes back to it",
-		func(p *fallback) *bool { return &p.frame }),
 	core.Report(keyFallbackLastTier, "tier that served the most recent call",
 		func(p *fallback) string { return p.lastTier }),
 )
@@ -77,32 +73,14 @@ func (p *fallback) CompressImpl(in, out *core.Data) error {
 	}
 	var tierErrs []error
 	for i := range p.tiers {
-		comp, err := p.tiers[i].Get()
-		if err != nil {
-			tierErrs = append(tierErrs, err)
-			continue
-		}
-		var result *core.Data
-		err = runGuarded(p.deadline, func() error {
-			tmp := core.NewEmpty(core.DTypeByte, 0)
-			if err := comp.Compress(in, tmp); err != nil {
-				return err
-			}
-			result = tmp
-			return nil
-		})
+		result := core.NewEmpty(core.DTypeByte, 0)
+		comp, err := guarded(p.deadline, &p.tiers[i], (*core.Compressor).Compress, in, result)
 		if err == nil && p.verify {
-			if err = p.verifyRoundTrip(comp, in, result); err != nil {
+			if err = p.verifyRoundTrip(&p.tiers[i], in, result); err != nil {
 				trace.CounterAdd(trace.CtrFallbackVerifyFailed, 1)
 			}
 		}
 		if err != nil {
-			if errors.Is(err, core.ErrTimeout) {
-				// The timed-out call still runs detached on this instance (Go
-				// cannot kill a goroutine); drop it so later calls build a
-				// fresh child instead of sharing state with the zombie.
-				p.tiers[i].Drop()
-			}
 			tierErrs = append(tierErrs, fmt.Errorf("tier %s: %w", p.tiers[i].Name, err))
 			continue
 		}
@@ -112,11 +90,7 @@ func (p *fallback) CompressImpl(in, out *core.Data) error {
 		if i > 0 {
 			trace.CounterAdd(trace.CtrFallbackEngaged, 1)
 		}
-		if p.frame {
-			return WriteFrame(out, prefix, in, result)
-		}
-		out.Become(result)
-		return nil
+		return WriteFrame(out, prefix, in, result)
 	}
 	trace.CounterAdd(trace.CtrFallbackExhausted, 1)
 	return fmt.Errorf("fallback: all %d tiers failed: %w", len(p.tiers), errors.Join(tierErrs...))
@@ -128,12 +102,9 @@ func (p *fallback) CompressImpl(in, out *core.Data) error {
 // stay within the bound; with no bound the decompression merely has to
 // succeed with the right shape. A tier that cannot honor the bound on this
 // input degrades to the next tier instead of silently shipping bad data.
-func (p *fallback) verifyRoundTrip(comp *core.Compressor, in, stream *core.Data) error {
+func (p *fallback) verifyRoundTrip(tier *childComp, in, stream *core.Data) error {
 	dec := core.NewEmpty(in.DType(), in.Dims()...)
-	err := runGuarded(p.deadline, func() error {
-		return comp.Decompress(core.NewBytes(stream.Bytes()), dec)
-	})
-	if err != nil {
+	if _, err := guarded(p.deadline, tier, (*core.Compressor).Decompress, core.NewBytes(stream.Bytes()), dec); err != nil {
 		return fmt.Errorf("round-trip verification: %w", err)
 	}
 	if dec.Len() != in.Len() {
@@ -184,26 +155,16 @@ func (p *fallback) DecompressImpl(in, out *core.Data) error {
 		}
 		return err
 	}
-	// Unframed stream (fallback:frame was off at compress time): the
+	// Unframed stream, written by something other than fallback: the
 	// producing tier is unrecorded, so probe the chain in preference order.
 	var tierErrs []error
 	for i := range p.tiers {
-		comp, err := p.tiers[i].Get()
-		if err != nil {
-			tierErrs = append(tierErrs, err)
-			continue
-		}
 		tmp := core.NewEmpty(out.DType(), out.Dims()...)
-		err = runGuarded(p.deadline, func() error {
-			return comp.Decompress(core.NewBytes(b), tmp)
-		})
+		comp, err := guarded(p.deadline, &p.tiers[i], (*core.Compressor).Decompress, core.NewBytes(b), tmp)
 		if err == nil {
 			p.lastTier = comp.Prefix()
 			out.Become(tmp)
 			return nil
-		}
-		if errors.Is(err, core.ErrTimeout) {
-			p.tiers[i].Drop()
 		}
 		tierErrs = append(tierErrs, fmt.Errorf("tier %s: %w", p.tiers[i].Name, err))
 	}

@@ -214,23 +214,25 @@ func TestFallbackRejectsUnknownProducer(t *testing.T) {
 	}
 }
 
+// TestFallbackUnframedProbing: a stream fallback did not write (here the
+// tier's own, unframed) is decoded by probing the chain in preference order.
 func TestFallbackUnframedProbing(t *testing.T) {
 	in := sine(64)
-	producer := newFallbackComp(t, core.NewOptions().
-		SetValue("fallback:compressors", "noop").
-		SetValue("fallback:frame", int32(0)))
-	comp, err := core.Compress(producer, in)
+	noop, err := core.NewCompressor("noop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := core.Compress(noop, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if IsFramed(comp.Bytes()) {
-		t.Fatal("fallback:frame=0 still framed the stream")
+		t.Fatal("the noop stream starts with the frame magic")
 	}
 	// A consumer whose preferred tier cannot decode the stream probes down
 	// the chain until one does.
 	consumer := newFallbackComp(t, core.NewOptions().
-		SetValue("fallback:compressors", "flate,noop").
-		SetValue("fallback:frame", int32(0)))
+		SetValue("fallback:compressors", "flate,noop"))
 	out, err := core.Decompress(consumer, comp, core.DTypeFloat32, 64)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,6 @@ package resilience
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"time"
 
 	"pressio/internal/core"
@@ -19,7 +17,6 @@ const (
 	keyGuardBackoffMaxMS     = "guard:backoff_max_ms"
 	keyGuardBackoffJitter    = "guard:backoff_jitter"
 	keyGuardSeed             = "guard:seed"
-	keyGuardFrame            = "guard:frame"
 )
 
 // Version is the resilience meta-compressor family version.
@@ -34,15 +31,13 @@ func init() {
 // guard wraps any child compressor with the containment policy a production
 // pipeline wants at every plugin boundary: panics become errors, a watchdog
 // enforces a per-call deadline, transient failures are retried with capped
-// exponential backoff and deterministic jitter, and (optionally) the
-// compressed stream is wrapped in an integrity-checked frame validated
-// before decompression.
+// exponential backoff and deterministic jitter. It passes streams through
+// unchanged: framing belongs to the chains that route on it (fallback, opt).
 type guard struct {
 	child      childComp
 	deadline   time.Duration
 	maxRetries uint64
 	backoffCfg Backoff
-	frame      bool
 }
 
 func (p *guard) Prefix() string  { return "guard" }
@@ -63,8 +58,6 @@ var guardSchema = core.NewSchema(
 		func(p *guard) *float64 { return &p.backoffCfg.Jitter }),
 	core.Field(keyGuardSeed, "seed of the jitter PRNG", core.Bounds{},
 		func(p *guard) *int64 { return &p.backoffCfg.Seed }),
-	core.Flag(keyGuardFrame, "wrap streams in an integrity-checked frame",
-		func(p *guard) *bool { return &p.frame }),
 )
 
 func (p *guard) Options() *core.Options             { return guardSchema.Options(p) }
@@ -78,116 +71,33 @@ func (p *guard) Configuration() *core.Options {
 	return cfg
 }
 
-// withRetries runs one attempt function under the retry policy
-// (Backoff.Retry): transient failures (core.IsTransient — explicit marks and
-// timeouts) are re-attempted up to guard:max_retries times with backoff
-// between attempts; permanent failures and exhausted budgets return
-// immediately. After a watchdog timeout the timed-out call keeps running
-// detached on the old child instance (Go cannot kill a goroutine), so that
-// instance is discarded and the retry — like every later call — gets a
-// freshly constructed child. Attempts must therefore write only into buffers
-// they allocate themselves and publish results on success, never share a
-// target with a previous attempt.
-func (p *guard) withRetries(attempt func(comp *core.Compressor) error) error {
+// withRetries runs op under the retry policy (Backoff.Retry): transient
+// failures (core.IsTransient — explicit marks and timeouts) are re-attempted
+// up to guard:max_retries times with backoff between attempts; permanent
+// failures and exhausted budgets return immediately. Each attempt writes a
+// fresh target of the given shape (see guarded), and the first success
+// becomes out.
+func (p *guard) withRetries(op func(comp *core.Compressor, in, out *core.Data) error, in, out *core.Data, dt core.DType, dims ...uint64) error {
 	//lint:ignore ctxflow the plugin interface carries no context; guard:max_retries and the backoff cap bound the loop instead
 	return p.backoffCfg.Retry(context.Background(), int(p.maxRetries)+1, func(try int) error {
 		if try > 0 {
 			trace.CounterAdd(trace.CtrGuardRetries, 1)
 		}
-		comp, err := p.child.Get()
-		if err != nil {
+		target := core.NewEmpty(dt, dims...)
+		if _, err := guarded(p.deadline, &p.child, op, in, target); err != nil {
 			return err
 		}
-		err = attempt(comp)
-		if errors.Is(err, core.ErrTimeout) {
-			// The timed-out call is still running detached on this instance;
-			// discard it even when returning, so no later call shares it.
-			p.child.Drop()
-		}
-		return err
+		out.Become(target)
+		return nil
 	})
 }
 
 func (p *guard) CompressImpl(in, out *core.Data) error {
-	var result *core.Data
-	var prefix string
-	err := p.withRetries(func(comp *core.Compressor) error {
-		tmp := core.NewEmpty(core.DTypeByte, 0)
-		if err := runGuarded(p.deadline, func() error { return comp.Compress(in, tmp) }); err != nil {
-			return err
-		}
-		result = tmp
-		prefix = comp.Prefix()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if p.frame {
-		return WriteFrame(out, prefix, in, result)
-	}
-	out.Become(result)
-	return nil
+	return p.withRetries((*core.Compressor).Compress, in, out, core.DTypeByte, 0)
 }
 
 func (p *guard) DecompressImpl(in, out *core.Data) error {
-	comp, err := p.child.Get()
-	if err != nil {
-		return err
-	}
-	payload := in.Bytes()
-	hintDT, hintDims := out.DType(), out.Dims()
-	if p.frame || IsFramed(payload) {
-		f, err := DecodeFrame(payload)
-		switch {
-		case err != nil && !p.frame:
-			// guard:frame is off, so this payload was only suspected to be a
-			// frame from its first four bytes. A raw child stream can collide
-			// with the magic; treat an undecodable "frame" as that collision
-			// and hand the raw payload to the child unchanged.
-		case err != nil:
-			trace.CounterAdd(trace.CtrFrameCorrupt, 1)
-			return err
-		default:
-			switch {
-			case f.Prefix == comp.Prefix():
-				payload = f.Payload
-			case p.frame:
-				// The guard wrapped this stream itself, so a mismatched
-				// producer is corruption, not composition.
-				return fmt.Errorf("resilience: %w: frame produced by %q, guard child is %q",
-					core.ErrCorrupt, f.Prefix, comp.Prefix())
-			default:
-				// Auto-detected frame from a different producer: leave the
-				// frame intact for a frame-aware child (e.g. a fallback chain
-				// that routes on the recorded tier prefix).
-			}
-			if hintDT == core.DTypeUnset || len(hintDims) == 0 {
-				// The frame self-describes the decompressed shape; use it
-				// when the caller provided no hint.
-				hintDT, hintDims = f.DType, f.Dims
-			}
-		}
-	}
-	// Each attempt decompresses into its own buffer: after a timeout the
-	// abandoned call may still be writing its target, so a shared one would
-	// race with the retry.
-	var result *core.Data
-	err = p.withRetries(func(comp *core.Compressor) error {
-		tmp := core.NewEmpty(hintDT, hintDims...)
-		if err := runGuarded(p.deadline, func() error {
-			return comp.Decompress(core.NewBytes(payload), tmp)
-		}); err != nil {
-			return err
-		}
-		result = tmp
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	out.Become(result)
-	return nil
+	return p.withRetries((*core.Compressor).Decompress, core.NewBytes(in.Bytes()), out, out.DType(), out.Dims()...)
 }
 
 func (p *guard) Clone() core.CompressorPlugin {

@@ -55,18 +55,28 @@ func newGuard(t *testing.T, opts *core.Options) *core.Compressor {
 	return c
 }
 
+// newGuardedFallback builds guard{fallback{tiers}}: the fallback chain writes
+// and routes the frames, the guard wraps the chain.
+func newGuardedFallback(t *testing.T, tiers string, opts *core.Options) *core.Compressor {
+	t.Helper()
+	return newGuard(t, opts.
+		SetValue("guard:compressor", "fallback").
+		SetValue("fallback:compressors", tiers))
+}
+
 func TestGuardRoundTripWithFrame(t *testing.T) {
 	in := sine(32, 32)
-	c := newGuard(t, core.NewOptions().
-		SetValue("guard:compressor", "sz_threadsafe").
-		SetValue("guard:frame", int32(1)).
-		SetValue(core.KeyAbs, 0.01))
+	c := newGuardedFallback(t, "sz_threadsafe", core.NewOptions().SetValue(core.KeyAbs, 0.01))
 	comp, err := core.Compress(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsFramed(comp.Bytes()) {
-		t.Fatal("guard:frame=1 produced an unframed stream")
+	f, err := DecodeFrame(comp.Bytes())
+	if err != nil {
+		t.Fatalf("guard{fallback} produced no valid frame: %v", err)
+	}
+	if f.Prefix != "sz_threadsafe" {
+		t.Errorf("frame producer %q, want the tier sz_threadsafe", f.Prefix)
 	}
 	// The frame self-describes dtype/dims, so decompress needs no hint.
 	out := core.NewEmpty(core.DTypeUnset)
@@ -77,17 +87,14 @@ func TestGuardRoundTripWithFrame(t *testing.T) {
 		t.Errorf("max abs error %g exceeds bound", got)
 	}
 
-	// A guard configured without framing still detects and unwraps a framed
-	// stream on decompress.
-	plain := newGuard(t, core.NewOptions().
-		SetValue("guard:compressor", "sz_threadsafe").
-		SetValue(core.KeyAbs, 0.01))
-	out2, err := core.Decompress(plain, comp, core.DTypeFloat32, 32, 32)
+	// Another guard{fallback} instance decodes the same frame.
+	other := newGuardedFallback(t, "sz_threadsafe", core.NewOptions().SetValue(core.KeyAbs, 0.01))
+	out2, err := core.Decompress(other, comp, core.DTypeFloat32, 32, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := worstAbs(t, in, out2); got > 0.01 {
-		t.Errorf("frameless-guard decompress error %g exceeds bound", got)
+		t.Errorf("second instance's decompress error %g exceeds bound", got)
 	}
 }
 
@@ -245,12 +252,11 @@ func TestGuardFrameMagicCollision(t *testing.T) {
 	}
 }
 
+// TestGuardRejectsCorruptedFrame: guard{fallback} decodes a frame once, in
+// fallback's Route, so a corrupt frame counts once and is not retried.
 func TestGuardRejectsCorruptedFrame(t *testing.T) {
 	in := sine(24, 24)
-	c := newGuard(t, core.NewOptions().
-		SetValue("guard:compressor", "sz_threadsafe").
-		SetValue("guard:frame", int32(1)).
-		SetValue(core.KeyAbs, 0.01))
+	c := newGuardedFallback(t, "sz_threadsafe", core.NewOptions().SetValue(core.KeyAbs, 0.01))
 	comp, err := core.Compress(c, in)
 	if err != nil {
 		t.Fatal(err)
@@ -272,12 +278,57 @@ func TestGuardRejectsForeignFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newGuard(t, core.NewOptions().
-		SetValue("guard:compressor", "sz_threadsafe").
-		SetValue("guard:frame", int32(1)).
-		SetValue(core.KeyAbs, 0.01))
+	c := newGuardedFallback(t, "sz_threadsafe", core.NewOptions().SetValue(core.KeyAbs, 0.01))
 	_, err = core.Decompress(c, core.NewBytes(framed), core.DTypeFloat32, 8)
 	if !errors.Is(err, core.ErrCorrupt) {
 		t.Errorf("foreign frame error = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestAbandonedCallReadsItsOwnInput: a call the watchdog abandons keeps
+// running detached, and the caller owns its input again the moment the
+// timeout returns. Each case rewrites the input right after ErrTimeout while
+// the delayed call has yet to read it; under -race this fails if the
+// abandoned call reads the caller's buffer instead of its own copy.
+func TestAbandonedCallReadsItsOwnInput(t *testing.T) {
+	slow := core.NewOptions().
+		SetValue("faultinject:compressor", "noop").
+		SetValue("faultinject:delay_rate", 1.0).
+		SetValue("faultinject:delay_ms", int64(20))
+	framed, err := core.Compress(newFallbackComp(t, core.NewOptions().
+		SetValue("fallback:compressors", "faultinject").
+		SetValue("faultinject:compressor", "noop")), sine(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard := newGuard(t, slow.Clone().
+		SetValue("guard:compressor", "faultinject").
+		SetValue("guard:deadline_ms", int64(1)).
+		SetValue("guard:max_retries", uint64(0)))
+	chain := newFallbackComp(t, slow.Clone().
+		SetValue("fallback:compressors", "faultinject").
+		SetValue("fallback:deadline_ms", int64(1)))
+	cases := []struct {
+		name       string
+		c          *core.Compressor
+		in         *core.Data
+		decompress bool
+	}{
+		{"guard", guard, sine(256), false},
+		{"fallback tier", chain, sine(256), false},
+		{"routed frame", chain, framed, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			call, out := tc.c.Compress, core.NewEmpty(core.DTypeByte, 0)
+			if tc.decompress {
+				call, out = tc.c.Decompress, core.NewEmpty(core.DTypeFloat32, 256)
+			}
+			if err := call(tc.in, out); !errors.Is(err, core.ErrTimeout) {
+				t.Fatalf("err = %v, want ErrTimeout", err)
+			}
+			copy(tc.in.Bytes(), make([]byte, tc.in.ByteLen()))
+			time.Sleep(40 * time.Millisecond) // the abandoned call reads its input
+		})
 	}
 }

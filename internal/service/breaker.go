@@ -129,7 +129,6 @@ func (p *breaker) state() *BreakerState {
 
 // through runs one call against the child inside the shared circuit.
 func (p *breaker) through(op func(*core.Compressor) error) error {
-	var rejected error
 	//lint:ignore ctxflow the plugin interface carries no context, so no caller can cancel (and so abandon) this call
 	_, _, err := p.state().Call(context.Background(), func() error {
 		// A child that cannot even be built counts as a failure: tripping
@@ -138,15 +137,8 @@ func (p *breaker) through(op func(*core.Compressor) error) error {
 		if err != nil {
 			return err
 		}
-		// Bad input is the caller's fault, not the child's.
-		if err = op(comp); core.IsBadInput(err) {
-			rejected, err = err, nil
-		}
-		return err
+		return op(comp)
 	})
-	if err == nil {
-		err = rejected
-	}
 	return err
 }
 

@@ -140,15 +140,17 @@ func (s *BreakerState) tripEvent() func() {
 }
 
 // Call is the one way a call goes through the circuit: it asks for
-// admission, runs fn against a stopwatch, and reports the outcome. A rejected
-// call returns an error wrapping ErrBreakerOpen and core.ErrShed without
-// running fn. recorded tells the caller whether the outcome entered the
-// circuit's accounting: it is false for a rejection and for an abandoned
-// call — one that failed after the caller itself cancelled ctx (a hedge
-// loser, a client that went away). Such a failure says nothing about the
-// callee, so a half-open probe slot is handed back and the outcome window is
-// left alone. An expired deadline is not abandonment: the callee was slower
-// than the caller could wait, which is what the circuit exists to notice.
+// admission, runs fn against a stopwatch, and reports the outcome. An error
+// for which core.IsBadInput holds is the caller's fault, not the callee's,
+// so that call counts as answered. A rejected call returns an error wrapping
+// ErrBreakerOpen and core.ErrShed without running fn. recorded tells the
+// caller whether the outcome entered the circuit's accounting: it is false
+// for a rejection and for an abandoned call — one that failed after the
+// caller itself cancelled ctx (a hedge loser, a client that went away). Such
+// a failure says nothing about the callee, so a half-open probe slot is
+// handed back and the outcome window is left alone. An expired deadline is
+// not abandonment: the callee was slower than the caller could wait, which
+// is what the circuit exists to notice.
 //
 // Latency is measured on the real clock — the injectable Clock drives
 // cooldown arithmetic, not stopwatch reads, and error-driven chaos schedules
@@ -161,11 +163,12 @@ func (s *BreakerState) Call(ctx context.Context, fn func() error) (elapsed time.
 	begin := time.Now()
 	err = fn()
 	elapsed = time.Since(begin)
-	if err != nil && errors.Is(ctx.Err(), context.Canceled) {
+	failed := err != nil && !core.IsBadInput(err)
+	if failed && errors.Is(ctx.Err(), context.Canceled) {
 		s.abandon(probe)
 		return elapsed, false, err
 	}
-	s.done(probe, err, elapsed)
+	s.done(probe, failed, elapsed)
 	return elapsed, true, err
 }
 
@@ -211,8 +214,8 @@ func (s *BreakerState) allow() (probe, ok bool) {
 // is compared against the configured latency limit: a technically successful
 // but too-slow call counts as a failure (a stalling dependency should trip
 // the breaker before timeouts cascade).
-func (s *BreakerState) done(probe bool, callErr error, latency time.Duration) {
-	failure := callErr != nil ||
+func (s *BreakerState) done(probe, failed bool, latency time.Duration) {
+	failure := failed ||
 		(s.cfg.LatencyLimit > 0 && latency > s.cfg.LatencyLimit)
 	if emit := s.record(probe, failure); emit != nil {
 		emit()

@@ -71,8 +71,8 @@ go test -count=100 -run 'TestChaosClusterNetworkFaultCampaign' ./internal/cluste
 echo "==> store live table equals replay (same-name mutators, put/delete overlap, stale scrub verdict)"
 go test -race -count=5 -run 'TestReplayRebuildsLiveTable|TestPutDeleteOverlapMatchesReplay|TestStaleScrubVerdictSparesNewVersion' ./internal/store/
 
-echo "==> serving buffers under race detector (bodies closed before a routed call returns, recycled bodies)"
-go test -race -count=20 -run 'TestRouterReturnsOnlyOnceBodiesAreClosed|TestPeerCutsOffABodyItsTransportHolds|TestInjectedFaultsCloseTheBody|TestRoutedRoundTripsRecycleBodies|TestGuardTimeoutKeepsBodyOutOfScratch' ./internal/cluster/ ./internal/daemon/
+echo "==> serving buffers under race detector (bodies closed before a routed call returns, recycled bodies, abandoned calls read their own input)"
+go test -race -count=20 -run 'TestRouterReturnsOnlyOnceBodiesAreClosed|TestPeerCutsOffABodyItsTransportHolds|TestInjectedFaultsCloseTheBody|TestRoutedRoundTripsRecycleBodies|TestGuardTimeoutKeepsBodyOutOfScratch|TestAbandonedCallReadsItsOwnInput' ./internal/cluster/ ./internal/daemon/ ./internal/resilience/
 
 echo "==> store crash matrix (kill at every declared crash point, zero acked loss)"
 go test -race -run 'TestCrash' ./internal/store/

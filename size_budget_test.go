@@ -33,9 +33,9 @@ func TestSizeBudget(t *testing.T) {
 		"internal/bitgroom":    207,
 		"internal/bitstream":   207,
 		"internal/cloc":        124,
-		"internal/cluster":     1043,
+		"internal/cluster":     1032,
 		"internal/core":        3139,
-		"internal/daemon":      1316,
+		"internal/daemon":      1312,
 		"internal/experiments": 908,
 		"internal/faultinject": 725,
 		"internal/fpzip":       449,
@@ -51,9 +51,9 @@ func TestSizeBudget(t *testing.T) {
 		"internal/opt":         247,
 		"internal/pio":         839,
 		"internal/rangecoder":  291,
-		"internal/resilience":  904,
+		"internal/resilience":  773,
 		"internal/sdrbench":    184,
-		"internal/service":     767,
+		"internal/service":     762,
 		"internal/stats":       182,
 		"internal/store":       1966,
 		"internal/stream":      349,
