@@ -8,15 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
-# Static analysis: pressiolint enforces the plugin invariants (init-time
-# registration, thread-safety honesty, handled errors, deterministic
-# codecs), the flow-sensitive rules (lock pairing, buffer ownership,
-# error-path write ordering), the interprocedural rules (goroutine leaks,
-# request-context flow, locks held across blocking operations, hot-path
-# allocations), and the taint rules over untrusted decode input
-# (decompression bombs, unbounded spins, wild indexing). Any finding fails;
-# use `-json` or `-sarif` for machine-readable output. See
-# docs/STATIC_ANALYSIS.md.
+# Static analysis: pressiolint enforces the plugin invariants (thread-safety
+# honesty, handled errors, panic-free codec hooks, deterministic codecs),
+# the flow-sensitive rules (lock pairing, buffer ownership, error-path write
+# ordering), the interprocedural rules (goroutine leaks, request-context
+# flow, locks held across blocking operations, hot-path allocations, dead
+# code), and the taint rules over untrusted decode input (decompression
+# bombs, unbounded spins, wild indexing). Registration is checked by the
+# core registry itself, at init. Any finding fails; use `-sarif` for
+# machine-readable output. See docs/STATIC_ANALYSIS.md.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/pressiolint ./...

@@ -53,7 +53,7 @@ func run(mode, input, output, dims, dtype, dataset, filter string, bound float64
 		if err != nil {
 			return err
 		}
-		if err := posix.SetOptions(core.NewOptions().SetValue(core.KeyIOPath, input)); err != nil {
+		if err := posix.Opts().Set(core.NewOptions().SetValue(core.KeyIOPath, input)); err != nil {
 			return err
 		}
 		hint, err := core.ParseShape(dims, dtype)
@@ -64,7 +64,7 @@ func run(mode, input, output, dims, dtype, dataset, filter string, bound float64
 		if err != nil {
 			return err
 		}
-		err = h5.SetOptions(core.NewOptions().
+		err = h5.Opts().Set(core.NewOptions().
 			SetValue(core.KeyIOPath, output).
 			SetValue("h5:dataset", dataset).
 			SetValue("h5:filter", filter).
@@ -75,7 +75,7 @@ func run(mode, input, output, dims, dtype, dataset, filter string, bound float64
 		}
 		return h5.Write(data)
 	case "read":
-		err = h5.SetOptions(core.NewOptions().
+		err = h5.Opts().Set(core.NewOptions().
 			SetValue(core.KeyIOPath, input).
 			SetValue("h5:dataset", dataset))
 		if err != nil {

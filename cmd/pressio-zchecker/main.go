@@ -48,7 +48,7 @@ func run(input, ioName, dims, dtype, compressors string, bound float64, metricsC
 	if err != nil {
 		return err
 	}
-	if err := io.SetOptions(core.NewOptions().SetValue(core.KeyIOPath, input)); err != nil {
+	if err := io.Opts().Set(core.NewOptions().SetValue(core.KeyIOPath, input)); err != nil {
 		return err
 	}
 	var hint *core.Data

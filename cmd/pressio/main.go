@@ -234,7 +234,7 @@ func readInput(ioName, path string, hint *core.Data) (*core.Data, error) {
 		return nil, err
 	}
 	if path != "" {
-		if err := io.SetOptions(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
+		if err := io.Opts().Set(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
 			return nil, err
 		}
 	}
@@ -246,7 +246,7 @@ func writeOutput(ioName, path string, d *core.Data) error {
 	if err != nil {
 		return err
 	}
-	if err := io.SetOptions(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
+	if err := io.Opts().Set(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
 		return err
 	}
 	return io.Write(d)

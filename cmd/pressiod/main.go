@@ -36,7 +36,7 @@
 //	pressiod -store-dir /var/lib/pressio/objects -scrub-interval 10m
 //
 //	curl -X PUT --data-binary @x.bin \
-//	     'http://localhost:8123/objects/sim/run1?dims=100,500&dtype=float32&filter=sz&fopt=sz:abs=1e-3'
+//	     'http://localhost:8123/objects/sim/run1?dims=100,500&dtype=float32&filter=sz&fopt=pressio:abs=1e-3'
 //
 // PUT/DELETE acknowledgements mean the mutation is fsynced into a
 // write-ahead journal and survives any crash; startup replays the journal

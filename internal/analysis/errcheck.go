@@ -6,12 +6,10 @@ import (
 )
 
 // errcheckMethods are the calls whose errors must not be silently dropped:
-// the compression hot path (Compress/Decompress and the plugin Impl
-// variants), configuration application (SetOptions/CheckOptions — a dropped
-// error here means the caller believes a bound was applied when it was not),
-// and io.Closer.Close. Note that Options.Set is deliberately not listed: it
-// returns the receiver for chaining, not an error, so discarding its result
-// is the idiom, and the configuration invariant lives with SetOptions.
+// the compression hot path, configuration (SetOptions/CheckOptions and an
+// option table's Set/Check: a dropped error means a bound the caller thinks
+// applied was not), and io.Closer.Close. returnsError exempts the chaining
+// Options.Set, which returns no error.
 var errcheckMethods = map[string]bool{
 	"Compress":       true,
 	"Decompress":     true,
@@ -19,6 +17,8 @@ var errcheckMethods = map[string]bool{
 	"DecompressImpl": true,
 	"SetOptions":     true,
 	"CheckOptions":   true,
+	"Set":            true,
+	"Check":          true,
 	"Close":          true,
 }
 
@@ -29,7 +29,7 @@ var errcheckMethods = map[string]bool{
 // idiom whose error the surrounding function has usually already superseded.
 var ErrCheck = &Analyzer{
 	Name: "errcheck",
-	Doc:  "errors from Compress/Decompress/SetOptions/Close must not be discarded",
+	Doc:  "errors from Compress/Decompress/SetOptions/Set/Close must not be discarded",
 	Run:  runErrCheck,
 }
 

@@ -9,9 +9,7 @@ import (
 // Metric and IOPlugin all satisfy it.
 type childPlugin[P any] interface {
 	comparable
-	Options() *Options
-	SetOptions(*Options) error
-	CheckOptions(*Options) error
+	Opts() Opts
 	Clone() P
 }
 
@@ -51,7 +49,7 @@ func (c *Child[P]) Get() (P, error) {
 	}
 	inst, err := newPlugin[P](c.Name)
 	if err == nil && c.saved != nil {
-		err = inst.SetOptions(c.saved)
+		err = inst.Opts().Set(c.saved)
 	}
 	if err != nil {
 		var none P
@@ -92,7 +90,7 @@ func (c Child[P]) Clone() Child[P] {
 // without changing the child. An unbuilt child is not consulted.
 func (c *Child[P]) Stage(o *Options) error {
 	if inst, ok := c.Live(); ok {
-		if err := inst.CheckOptions(o); err != nil {
+		if err := inst.Opts().Check(o); err != nil {
 			return err
 		}
 	}
@@ -103,7 +101,7 @@ func (c *Child[P]) Stage(o *Options) error {
 // Forward applies o to a built child.
 func (c *Child[P]) Forward(o *Options) error {
 	if inst, ok := c.Live(); ok {
-		return inst.SetOptions(o)
+		return inst.Opts().Set(o)
 	}
 	return nil
 }
@@ -111,15 +109,15 @@ func (c *Child[P]) Forward(o *Options) error {
 // Describe merges a built child's options into o.
 func (c *Child[P]) Describe(o *Options) {
 	if inst, ok := c.Live(); ok {
-		o.Merge(inst.Options())
+		o.Merge(inst.Opts().Options())
 	}
 }
 
 // ChildRow declares the string option naming a wrapper's child, and with it
-// the forwarding contract: CheckOptions and SetOptions run the named child's
-// CheckOptions — on a throwaway instance while the child is still unbuilt —
-// and nothing the child rejects is saved or forwarded. A name that is not
-// registered is not an option error: it is stored and resolved at first use.
+// the forwarding contract: Check and Set run the named child's Check — on a
+// throwaway instance while the child is still unbuilt — and nothing the child
+// rejects is saved or forwarded. A name that is not registered is not an
+// option error: it is stored and resolved at first use.
 func ChildRow[T any, P childPlugin[P]](key, doc string, field func(*T) *Child[P]) Row[T] {
 	return childRow(key, doc, field, false)
 }

@@ -77,24 +77,12 @@ type CompressorPlugin interface {
 	// Prefix returns the plugin name, which namespaces its options
 	// (e.g. "sz" owns "sz:abs_err_bound").
 	Prefix() string
-	// Version returns the plugin's version string.
-	Version() string
-	// Options returns the current option values, including typed
-	// placeholders for unset options, enabling introspection.
-	Options() *Options
-	// SetOptions applies the provided options; unknown keys are ignored so
-	// one Options value can configure a whole composition of plugins.
-	SetOptions(*Options) error
+	// Opts returns the plugin's option table bound to this instance,
+	// typically schema.For(p) over a static core.Schema.
+	Opts() Opts
 	// Configuration returns read-only facts: thread safety, stability,
-	// enumerations of supported modes, etc.
+	// version (KeyVersion), enumerations of supported modes, etc.
 	Configuration() *Options
-	// CheckOptions validates options without applying them. It gives the
-	// same verdict SetOptions would, and a failed SetOptions changes nothing.
-	CheckOptions(*Options) error
-	// Schema describes every option: key, type, doc and bounds. Plugins
-	// declare a static core.Schema table and derive Options, SetOptions,
-	// CheckOptions and this method from it.
-	Schema() []OptionSpec
 	// CompressImpl compresses in into out.
 	CompressImpl(in, out *Data) error
 	// DecompressImpl decompresses in into out (out carries the shape hint).
@@ -117,28 +105,34 @@ type Compressor struct {
 // Prefix returns the plugin name.
 func (c *Compressor) Prefix() string { return c.impl.Prefix() }
 
-// Version returns the plugin version.
-func (c *Compressor) Version() string { return c.impl.Version() }
+// Version returns the plugin version its configuration reports.
+func (c *Compressor) Version() string {
+	v, _ := c.impl.Configuration().GetString(KeyVersion)
+	return v
+}
 
 // Plugin exposes the underlying implementation (for tests and native
 // baselines; generic clients should not need it).
 func (c *Compressor) Plugin() CompressorPlugin { return c.impl }
 
+// Opts returns the plugin's bound option table.
+func (c *Compressor) Opts() Opts { return c.impl.Opts() }
+
 // Options returns the plugin's current options.
-func (c *Compressor) Options() *Options { return c.impl.Options() }
+func (c *Compressor) Options() *Options { return c.impl.Opts().Options() }
 
 // SetOptions applies options to the plugin.
 func (c *Compressor) SetOptions(o *Options) error {
-	return wrapPlugin(c.impl.Prefix(), c.impl.SetOptions(o))
+	return wrapPlugin(c.impl.Prefix(), c.impl.Opts().Set(o))
 }
 
 // CheckOptions validates options without applying them.
 func (c *Compressor) CheckOptions(o *Options) error {
-	return wrapPlugin(c.impl.Prefix(), c.impl.CheckOptions(o))
+	return wrapPlugin(c.impl.Prefix(), c.impl.Opts().Check(o))
 }
 
 // Schema describes the plugin's options.
-func (c *Compressor) Schema() []OptionSpec { return c.impl.Schema() }
+func (c *Compressor) Schema() []OptionSpec { return c.impl.Opts().Specs() }
 
 // Configuration returns the plugin's read-only configuration.
 func (c *Compressor) Configuration() *Options { return c.impl.Configuration() }

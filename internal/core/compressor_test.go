@@ -23,12 +23,8 @@ var fakeSchema = NewSchema(
 	Field("fake:level", "effort level", AtLeast(0), func(f *fakePlugin) *int32 { return &f.level }),
 )
 
-func (f *fakePlugin) Prefix() string                { return "fake" }
-func (f *fakePlugin) Version() string               { return "0.0.1" }
-func (f *fakePlugin) Options() *Options             { return fakeSchema.Options(f) }
-func (f *fakePlugin) SetOptions(o *Options) error   { return fakeSchema.Set(f, o) }
-func (f *fakePlugin) CheckOptions(o *Options) error { return fakeSchema.Check(f, o) }
-func (f *fakePlugin) Schema() []OptionSpec          { return fakeSchema.Specs() }
+func (f *fakePlugin) Prefix() string { return "fake" }
+func (f *fakePlugin) Opts() Opts     { return fakeSchema.For(f) }
 
 func (f *fakePlugin) Configuration() *Options {
 	return StandardConfiguration(f.threadSafe, "stable", "0.0.1", false)
@@ -55,12 +51,12 @@ func (f *fakePlugin) Clone() CompressorPlugin {
 
 // recordMetric counts hook invocations.
 type recordMetric struct {
-	NoOptions
 	begins, ends int
 	sawError     bool
 }
 
 func (m *recordMetric) Prefix() string         { return "record" }
+func (m *recordMetric) Opts() Opts             { return NoOptions(m) }
 func (m *recordMetric) BeginCompress(in *Data) { m.begins++ }
 func (m *recordMetric) EndCompress(in, out *Data, err error) {
 	m.ends++
@@ -235,13 +231,13 @@ func TestErrorBoundModeParsing(t *testing.T) {
 func TestBoundRowsApplyAndDescribe(t *testing.T) {
 	schema := NewSchema(BoundRows("x", func(b *BoundConfig) *BoundConfig { return b })...)
 	b := BoundConfig{Mode: BoundAbs, Bound: 0.5}
-	if err := schema.Set(&b, NewOptions().SetValue(KeyRel, 1e-3)); err != nil {
+	if err := schema.For(&b).Set(NewOptions().SetValue(KeyRel, 1e-3)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Mode != BoundValueRangeRel || b.Bound != 1e-3 {
 		t.Fatalf("apply rel: %+v", b)
 	}
-	if err := schema.Set(&b, NewOptions().SetValue("x:abs_err_bound", 0.25)); err != nil {
+	if err := schema.For(&b).Set(NewOptions().SetValue("x:abs_err_bound", 0.25)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Mode != BoundAbs || b.Bound != 0.25 {
@@ -249,14 +245,14 @@ func TestBoundRowsApplyAndDescribe(t *testing.T) {
 	}
 	// An explicit mode string overrides the mode a bound key implies.
 	mixed := NewOptions().SetValue("x:abs_err_bound", 0.125).SetValue("x:error_bound_mode_str", "rel")
-	if err := schema.Set(&b, mixed); err != nil {
+	if err := schema.For(&b).Set(mixed); err != nil {
 		t.Fatal(err)
 	}
 	if b.Mode != BoundValueRangeRel || b.Bound != 0.125 {
 		t.Fatalf("apply bound + mode: %+v", b)
 	}
 	b = BoundConfig{Mode: BoundAbs, Bound: 0.25}
-	desc := schema.Options(&b)
+	desc := schema.For(&b).Options()
 	if v, _ := desc.GetFloat64("x:abs_err_bound"); v != 0.25 {
 		t.Fatal("describe missed bound")
 	}

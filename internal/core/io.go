@@ -7,14 +7,9 @@ package core
 type IOPlugin interface {
 	// Prefix returns the plugin name.
 	Prefix() string
-	// Options returns current options (e.g. "io:path").
-	Options() *Options
-	// SetOptions applies options; unknown keys are ignored.
-	SetOptions(*Options) error
-	// CheckOptions validates options without applying them.
-	CheckOptions(*Options) error
-	// Schema describes every option: key, type, doc and bounds.
-	Schema() []OptionSpec
+	// Opts returns the plugin's option table (e.g. "io:path") bound to this
+	// instance.
+	Opts() Opts
 	// Configuration returns read-only plugin facts.
 	Configuration() *Options
 	// Read produces a Data buffer. hint, when non-nil, provides the

@@ -10,14 +10,9 @@ package core
 type Metric interface {
 	// Prefix returns the metric name that namespaces its results.
 	Prefix() string
-	// Options returns settable options for the metric (may be empty).
-	Options() *Options
-	// SetOptions applies options; unknown keys are ignored.
-	SetOptions(*Options) error
-	// CheckOptions validates options without applying them.
-	CheckOptions(*Options) error
-	// Schema describes every option: key, type, doc and bounds.
-	Schema() []OptionSpec
+	// Opts returns the metric's option table bound to this instance (it may
+	// declare no options).
+	Opts() Opts
 	// BeginCompress runs before compression of in.
 	BeginCompress(in *Data)
 	// EndCompress runs after compression with the produced output and error.
@@ -47,43 +42,39 @@ func NewMetricsGroup(members ...Metric) *MetricsGroup {
 // Prefix implements Metric.
 func (g *MetricsGroup) Prefix() string { return "composite" }
 
-// Options merges member options.
-func (g *MetricsGroup) Options() *Options {
+// Opts is the members' tables behind one fan-out: Options merges theirs, and
+// Set applies to every member once every member accepts.
+func (g *MetricsGroup) Opts() Opts { return Opts{t: g, p: g} }
+
+func (g *MetricsGroup) options(any) *Options {
 	o := NewOptions()
 	for _, m := range g.members {
-		o.Merge(m.Options())
+		o.Merge(m.Opts().Options())
 	}
 	return o
 }
 
-// SetOptions forwards to every member once every member accepts o.
-func (g *MetricsGroup) SetOptions(o *Options) error {
-	if err := g.CheckOptions(o); err != nil {
-		return err
+func (g *MetricsGroup) set(_ any, o *Options, apply bool) error {
+	for _, m := range g.members {
+		if err := m.Opts().Check(o); err != nil {
+			return err
+		}
+	}
+	if !apply {
+		return nil
 	}
 	for _, m := range g.members {
-		if err := m.SetOptions(o); err != nil {
+		if err := m.Opts().Set(o); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// CheckOptions asks every member.
-func (g *MetricsGroup) CheckOptions(o *Options) error {
-	for _, m := range g.members {
-		if err := m.CheckOptions(o); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Schema concatenates the members' rows.
-func (g *MetricsGroup) Schema() []OptionSpec {
+func (g *MetricsGroup) specs() []OptionSpec {
 	var specs []OptionSpec
 	for _, m := range g.members {
-		specs = append(specs, m.Schema()...)
+		specs = append(specs, m.Opts().Specs()...)
 	}
 	return specs
 }

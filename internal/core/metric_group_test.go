@@ -7,9 +7,9 @@ import (
 
 // probeMetric is a configurable member for MetricsGroup tests: it records
 // every hook call (including the error values the wrapper passed through),
-// reports results under its own prefix, and can be made to fail SetOptions.
+// reports results under its own prefix, and can be made to fail Set: it is
+// its own option table.
 type probeMetric struct {
-	NoOptions
 	prefix     string
 	begins     int
 	ends       int
@@ -31,7 +31,13 @@ func (m *probeMetric) EndDecompress(in, out *Data, err error) {
 	m.hookErrs = append(m.hookErrs, err)
 }
 
-func (m *probeMetric) SetOptions(*Options) error {
+func (m *probeMetric) Opts() Opts           { return Opts{t: m, p: m} }
+func (m *probeMetric) options(any) *Options { return NewOptions() }
+func (m *probeMetric) specs() []OptionSpec  { return nil }
+func (m *probeMetric) set(_ any, _ *Options, apply bool) error {
+	if !apply {
+		return nil
+	}
 	m.setCalls++
 	return m.setErr
 }
@@ -119,7 +125,7 @@ func TestMetricsGroupResultsMergeOrdering(t *testing.T) {
 
 // TestMetricsGroupHookFanOutOnError checks two error paths: a compression
 // error passed to End hooks reaches every member verbatim, and a member
-// whose SetOptions fails stops the forwarding loop with its error.
+// whose Set fails stops the forwarding loop with its error.
 func TestMetricsGroupHookFanOutOnError(t *testing.T) {
 	a := &probeMetric{prefix: "a"}
 	b := &probeMetric{prefix: "b"}
@@ -139,12 +145,12 @@ func TestMetricsGroupHookFanOutOnError(t *testing.T) {
 		}
 	}
 
-	// SetOptions: the failing member's error surfaces and later members are
-	// not configured (fail-fast forwarding).
+	// Set: the failing member's error surfaces and later members are not
+	// configured (fail-fast forwarding).
 	b.setErr = errors.New("bad option")
-	err := g.SetOptions(NewOptions().SetValue("x", int32(1)))
+	err := g.Opts().Set(NewOptions().SetValue("x", int32(1)))
 	if !errors.Is(err, b.setErr) {
-		t.Fatalf("SetOptions error = %v, want %v", err, b.setErr)
+		t.Fatalf("Set error = %v, want %v", err, b.setErr)
 	}
 	if a.setCalls != 1 || b.setCalls != 1 || c.setCalls != 0 {
 		t.Fatalf("fail-fast forwarding broken: a=%d b=%d c=%d",

@@ -42,10 +42,10 @@ func TestMetricsGroupCloneIsolates(t *testing.T) {
 func TestMetricsGroupSetOptionsForwards(t *testing.T) {
 	a := &recordMetric{}
 	g := NewMetricsGroup(a)
-	if err := g.SetOptions(NewOptions().SetValue("x", int32(1))); err != nil {
+	if err := g.Opts().Set(NewOptions().SetValue("x", int32(1))); err != nil {
 		t.Fatal(err)
 	}
-	if g.Options() == nil {
+	if g.Opts().Options() == nil {
 		t.Fatal("options nil")
 	}
 }

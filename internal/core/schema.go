@@ -99,7 +99,7 @@ type OptionSpec struct {
 }
 
 // Row declares one option of a plugin whose state lives in a T: the spec plus
-// the accessors Schema derives Options/SetOptions/CheckOptions from. Build
+// the accessors Opts derives Options, Set and Check from. Build
 // value rows with Opt, Field and the other constructors; the hook fields are
 // for rows that own more than a value, such as a child compressor.
 //
@@ -116,8 +116,8 @@ type Row[T any] struct {
 	Set func(*T, Option)
 	// Check is extra validation beyond Bounds.
 	Check func(Option) error
-	// Effect runs on the real plugin after a SetOptions that carried this
-	// key succeeded (never for CheckOptions): the place for side effects
+	// Effect runs on the real plugin after a Set that carried this key
+	// succeeded (never for Check): the place for side effects
 	// outside the plugin.
 	Effect func(*T)
 
@@ -231,7 +231,7 @@ func Uint64s[T any](key, doc string, field func(*T) *[]uint64) Row[T] {
 	return r
 }
 
-// Report declares a read-only row: Options() shows it, SetOptions ignores it.
+// Report declares a read-only row: Options() shows it, Set ignores it.
 func Report[T any, V Value](key, doc string, get func(*T) V) Row[T] {
 	r := Opt(key, doc, Bounds{}, func(p *T) (V, bool) { return get(p), true }, nil)
 	r.Set, r.ReadOnly = nil, true
@@ -269,12 +269,11 @@ func (r Row[T]) WithEffect(effect func(*T)) Row[T] {
 	return r
 }
 
-// Schema is the static option table of one plugin type. Options, Set and
-// Check are the whole implementation of a plugin's Options, SetOptions and
-// CheckOptions methods.
+// Schema is the static option table of one plugin type: the whole option
+// surface of the plugin, which binds it to an instance with For.
 type Schema[T any] struct {
 	rows     []Row[T]
-	specs    []OptionSpec
+	specList []OptionSpec
 	validate func(*T) error
 }
 
@@ -291,7 +290,7 @@ func NewSchema[T any](rows ...Row[T]) *Schema[T] {
 			panic(fmt.Sprintf("core: duplicate schema row %q", r.Key))
 		}
 		seen[r.Key] = true
-		s.specs = append(s.specs, r.OptionSpec)
+		s.specList = append(s.specList, r.OptionSpec)
 	}
 	return s
 }
@@ -303,11 +302,14 @@ func (s *Schema[T]) Validate(check func(*T) error) *Schema[T] {
 	return s
 }
 
-// Specs returns the printable row descriptions, in table order.
-func (s *Schema[T]) Specs() []OptionSpec { return s.specs }
+// For binds the table to p: the value a plugin's Opts method returns.
+func (s *Schema[T]) For(p *T) Opts { return Opts{t: s, p: p} }
 
-// Options reports every row's current value or typed placeholder.
-func (s *Schema[T]) Options(p *T) *Options {
+func (s *Schema[T]) specs() []OptionSpec { return s.specList }
+
+// options reports every row's current value or typed placeholder.
+func (s *Schema[T]) options(inst any) *Options {
+	p := inst.(*T)
 	o := &Options{m: make(map[string]Option, len(s.rows))}
 	for i := range s.rows {
 		r := &s.rows[i]
@@ -369,24 +371,12 @@ func (r *Row[T]) cast(opt Option) (Option, error) {
 	return v, nil
 }
 
-// Check validates o against p without changing p. Unknown keys are ignored
-// so one flat option set can configure a whole composition.
-func (s *Schema[T]) Check(p *T, o *Options) error {
-	if o == nil {
-		return nil
-	}
-	_, _, err := s.stage(p, o)
-	return err
-}
-
-// Set validates o exactly as Check does and only then applies it, so a
-// failed Set changes nothing.
-func (s *Schema[T]) Set(p *T, o *Options) error {
-	if o == nil {
-		return nil
-	}
+// set validates o against the instance and, if apply, stores it: a failed
+// set changes nothing.
+func (s *Schema[T]) set(inst any, o *Options, apply bool) error {
+	p := inst.(*T)
 	staged, present, err := s.stage(p, o)
-	if err != nil {
+	if err != nil || !apply {
 		return err
 	}
 	*p = *staged
@@ -404,18 +394,79 @@ func (s *Schema[T]) Set(p *T, o *Options) error {
 	return nil
 }
 
-// NoOptions is embedded by plugins (and test doubles) without settable
-// options.
-type NoOptions struct{}
+// table is an option table with its instance type erased: a Schema, or a
+// MetricsGroup fanning out to its members.
+type table interface {
+	options(p any) *Options
+	set(p any, o *Options, apply bool) error
+	specs() []OptionSpec
+}
 
-// Options reports an empty set.
-func (NoOptions) Options() *Options { return NewOptions() }
+// Opts is a plugin's option table bound to one instance — the plugin's whole
+// option surface. The zero Opts is the surface of a plugin without options.
+type Opts struct {
+	t table
+	p any
+}
 
-// SetOptions accepts and ignores everything.
-func (NoOptions) SetOptions(*Options) error { return nil }
+// NoOptions is the surface of plugin p, which declares no options: it still
+// owns the keys in its prefix, so Set rejects every one of them.
+func NoOptions(p interface{ Prefix() string }) Opts { return Opts{p: p} }
 
-// CheckOptions accepts everything.
-func (NoOptions) CheckOptions(*Options) error { return nil }
+// Options returns the current option values, including typed placeholders
+// for unset options, enabling introspection.
+func (b Opts) Options() *Options {
+	if b.t == nil {
+		return NewOptions()
+	}
+	return b.t.options(b.p)
+}
 
-// Schema reports no rows.
-func (NoOptions) Schema() []OptionSpec { return nil }
+// Set validates o exactly as Check does and only then applies it, so a failed
+// Set changes nothing. Keys of other plugins are ignored, so one flat option
+// set can configure a whole composition.
+func (b Opts) Set(o *Options) error { return b.set(o, true) }
+
+// Check validates o without applying it.
+func (b Opts) Check(o *Options) error { return b.set(o, false) }
+
+// Specs describes every option: key, type, doc and bounds, in table order.
+func (b Opts) Specs() []OptionSpec {
+	if b.t == nil {
+		return nil
+	}
+	return b.t.specs()
+}
+
+func (b Opts) set(o *Options, apply bool) error {
+	if o == nil {
+		return nil
+	}
+	if err := b.owned(o); err != nil || b.t == nil {
+		return err
+	}
+	return b.t.set(b.p, o, apply)
+}
+
+// Undeclared reports whether key lies in the plugin's own prefix while no row
+// declares it: a misspelt option, which Set and Check refuse rather than
+// ignore like another plugin's key.
+func (b Opts) Undeclared(key string) bool {
+	p, ok := b.p.(interface{ Prefix() string })
+	return ok && strings.HasPrefix(key, p.Prefix()+":") &&
+		!slices.ContainsFunc(b.Specs(), func(s OptionSpec) bool { return s.Key == key })
+}
+
+// owned refuses o if it carries an undeclared key, naming the least.
+func (b Opts) owned(o *Options) error {
+	bad := ""
+	for k := range o.m {
+		if b.Undeclared(k) && (bad == "" || k < bad) {
+			bad = k
+		}
+	}
+	if prefix, _, _ := strings.Cut(bad, ":"); bad != "" {
+		return fmt.Errorf("%w: %s is not an option of %s", ErrInvalidOption, bad, prefix)
+	}
+	return nil
+}

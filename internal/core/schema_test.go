@@ -29,9 +29,9 @@ var namespaceExceptions = map[string]string{
 // constant), no duplicates, every row documented, the declared type equal to
 // the type Options() reports, no row Options() omits (a dead option) and no
 // undeclared key, every default acceptable to its own validator, and
-// SetOptions(Options()) a no-op.
+// Set(Options()) a no-op.
 func TestSchemaWellFormed(t *testing.T) {
-	eachPlugin(t, func(label string, fresh func() configurable) {
+	eachPlugin(t, func(label string, fresh func() core.Opts) {
 		p := fresh()
 		ns := label[strings.IndexByte(label, '/')+1:]
 		if alt, ok := namespaceExceptions[label]; ok {
@@ -40,7 +40,7 @@ func TestSchemaWellFormed(t *testing.T) {
 		keyRE := regexp.MustCompile("^" + regexp.QuoteMeta(ns) + ":[a-z0-9_]+$")
 		defaults := p.Options()
 		seen := map[string]bool{}
-		for _, spec := range p.Schema() {
+		for _, spec := range p.Specs() {
 			if !genericKeys[spec.Key] && !keyRE.MatchString(spec.Key) {
 				t.Errorf("%s: key %q is neither %s:<name> nor a core.Key* constant", label, spec.Key, ns)
 			}
@@ -65,14 +65,14 @@ func TestSchemaWellFormed(t *testing.T) {
 				}
 			}
 		}
-		if err := p.CheckOptions(defaults); err != nil {
+		if err := p.Check(defaults); err != nil {
 			t.Errorf("%s: defaults fail their own validation: %v", label, err)
 		}
-		if err := p.SetOptions(defaults); err != nil {
-			t.Errorf("%s: SetOptions(Options()) = %v", label, err)
+		if err := p.Set(defaults); err != nil {
+			t.Errorf("%s: Set(Options()) = %v", label, err)
 		}
 		if after := p.Options(); after.String() != defaults.String() {
-			t.Errorf("%s: SetOptions(Options()) is not a no-op:\n before %s\n after  %s", label, defaults, after)
+			t.Errorf("%s: Set(Options()) is not a no-op:\n before %s\n after  %s", label, defaults, after)
 		}
 	})
 }
@@ -109,34 +109,40 @@ func invalidValues(spec core.OptionSpec) map[string]core.Option {
 }
 
 // TestSchemaRejectsInvalidAtomically feeds every settable row of every
-// registered plugin the values invalidValues derives. CheckOptions and
-// SetOptions must agree, name the key in a core.ErrInvalidOption, and leave
-// Options() untouched — also when a valid key rides along with the bad one.
+// registered plugin the values invalidValues derives, and every plugin a key
+// in its own prefix that no row declares. Check and Set must agree, name the
+// key in a core.ErrInvalidOption, and leave Options() untouched — also when a
+// valid key rides along with the bad one. Another plugin's key is ignored.
 func TestSchemaRejectsInvalidAtomically(t *testing.T) {
-	eachPlugin(t, func(label string, fresh func() configurable) {
-		for _, spec := range fresh().Schema() {
+	eachPlugin(t, func(label string, fresh func() core.Opts) {
+		reject := func(key string, v core.Option, why string) {
+			p := fresh()
+			before := p.Options().String()
+			o := p.Options().Set(key, v) // every default, plus the bad value
+			for name, err := range map[string]error{"Check": p.Check(o), "Set": p.Set(o)} {
+				if !errors.Is(err, core.ErrInvalidOption) || !strings.Contains(err.Error(), key) {
+					t.Errorf("%s: %s(%s = %v, %s) = %v, want ErrInvalidOption naming the key",
+						label, name, key, v, why, err)
+				}
+			}
+			if after := p.Options().String(); after != before {
+				t.Errorf("%s: failed Set(%s = %v) changed Options():\n before %s\n after  %s",
+					label, key, v, before, after)
+			}
+		}
+		for _, spec := range fresh().Specs() {
 			if spec.ReadOnly {
 				continue
 			}
 			for why, v := range invalidValues(spec) {
-				p := fresh()
-				before := p.Options().String()
-				o := p.Options().Set(spec.Key, v) // every default, plus the bad value
-				for name, err := range map[string]error{"CheckOptions": p.CheckOptions(o), "SetOptions": p.SetOptions(o)} {
-					if !errors.Is(err, core.ErrInvalidOption) || !strings.Contains(err.Error(), spec.Key) {
-						t.Errorf("%s: %s(%s = %v, %s) = %v, want ErrInvalidOption naming the key",
-							label, name, spec.Key, v, why, err)
-					}
-				}
-				if after := p.Options().String(); after != before {
-					t.Errorf("%s: failed SetOptions(%s = %v) changed Options():\n before %s\n after  %s",
-						label, spec.Key, v, before, after)
-				}
+				reject(spec.Key, v, why)
 			}
 		}
+		prefix := label[strings.IndexByte(label, '/')+1:] // the registry holds name == Prefix()
+		reject(prefix+":no_such_option", core.NewOption(int32(1)), "undeclared in its own prefix")
 		p := fresh()
 		stranger := core.NewOptions().SetValue("nobody:home", int32(1))
-		if err := p.SetOptions(stranger); err != nil {
+		if err := p.Set(stranger); err != nil {
 			t.Errorf("%s: unknown key rejected: %v (flat option sets configure whole compositions)", label, err)
 		}
 	})

@@ -36,44 +36,36 @@ var (
 	ioNames         = core.SupportedIO()
 )
 
-// configurable is the option surface all three plugin kinds share.
-type configurable interface {
-	Options() *core.Options
-	SetOptions(*core.Options) error
-	CheckOptions(*core.Options) error
-	Schema() []core.OptionSpec
-}
-
-// eachPlugin calls fn with a fresh default instance of every registered
-// compressor, metric and IO plugin, labelled "<kind>/<name>", in a stable
-// order.
-func eachPlugin(t *testing.T, fn func(label string, fresh func() configurable)) {
+// eachPlugin calls fn with the bound option table of a fresh default instance
+// of every registered compressor, metric and IO plugin, labelled
+// "<kind>/<name>", in a stable order.
+func eachPlugin(t *testing.T, fn func(label string, fresh func() core.Opts)) {
 	t.Helper()
 	for _, name := range compressorNames {
-		fn("compressor/"+name, func() configurable {
+		fn("compressor/"+name, func() core.Opts {
 			c, err := core.NewCompressor(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c
+			return c.Opts()
 		})
 	}
 	for _, name := range metricNames {
-		fn("metric/"+name, func() configurable {
+		fn("metric/"+name, func() core.Opts {
 			m, err := core.NewMetric(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return m
+			return m.Opts()
 		})
 	}
 	for _, name := range ioNames {
-		fn("io/"+name, func() configurable {
+		fn("io/"+name, func() core.Opts {
 			io, err := core.NewIO(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return io
+			return io.Opts()
 		})
 	}
 }
@@ -84,7 +76,7 @@ func eachPlugin(t *testing.T, fn func(label string, fresh func() configurable)) 
 // moved.
 func TestOptionSurfaceGolden(t *testing.T) {
 	var b strings.Builder
-	eachPlugin(t, func(label string, fresh func() configurable) {
+	eachPlugin(t, func(label string, fresh func() core.Opts) {
 		opts := fresh().Options()
 		if opts.Len() == 0 {
 			fmt.Fprintf(&b, "%s\t(no options)\n", label)
@@ -111,22 +103,36 @@ func TestOptionSurfaceGolden(t *testing.T) {
 	}
 }
 
+// TestCompressorVersion: a compressor states its version once, as
+// pressio:version in its configuration, which is where Version reads it.
+func TestCompressorVersion(t *testing.T) {
+	for _, name := range compressorNames {
+		c, err := core.NewCompressor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := c.Configuration().GetString(core.KeyVersion); v == "" || c.Version() != v {
+			t.Errorf("%s: Version() = %q, configuration %s = %q", name, c.Version(), core.KeyVersion, v)
+		}
+	}
+}
+
 // optionReference renders every registered plugin's schema as the generated
 // section of docs/PLUGINS.md: one table per plugin, defaults read from a
 // fresh instance.
 func optionReference(t *testing.T) string {
 	var b strings.Builder
 	cell := func(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
-	eachPlugin(t, func(label string, fresh func() configurable) {
+	eachPlugin(t, func(label string, fresh func() core.Opts) {
 		p := fresh()
 		fmt.Fprintf(&b, "### %s\n\n", label)
-		if len(p.Schema()) == 0 {
+		if len(p.Specs()) == 0 {
 			b.WriteString("No options.\n\n")
 			return
 		}
 		b.WriteString("| key | type | default | bounds | description |\n|---|---|---|---|---|\n")
 		defaults := p.Options()
-		for _, spec := range p.Schema() {
+		for _, spec := range p.Specs() {
 			def := "unset"
 			if o, ok := defaults.Get(spec.Key); ok && o.HasValue() {
 				def = "`" + o.String() + "`"

@@ -226,6 +226,27 @@ func TestObjectQuarantineAnswers409(t *testing.T) {
 	}
 }
 
+// TestMisspeltFilterOptionAnswers400: a filter option in the filter's own
+// prefix that it does not declare (sz:abs for sz:abs_err_bound) used to be
+// ignored, storing the object at sz's default bound and answering 201. The
+// PUT must be refused and store nothing; the documented spelling is stored.
+func TestMisspeltFilterOptionAnswers400(t *testing.T) {
+	d, _, _ := startTestDaemon(t, func(c *Config) { c.StoreDir = t.TempDir() })
+	base := "http://" + d.Addr()
+	_, raw := sampleFloat32(64)
+	put := objReq(t, "PUT", base+"/objects/typo?dims=64&dtype=float32&filter=sz&fopt=sz:abs=1e-3", raw, nil)
+	if body := readAll(t, put); put.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("sz:abs")) {
+		t.Fatalf("put with fopt=sz:abs: %d %s, want 400 naming the key", put.StatusCode, body)
+	}
+	if resp := objReq(t, "GET", base+"/objects/typo", nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused put stored an object: GET answers %d", resp.StatusCode)
+	}
+	put = objReq(t, "PUT", base+"/objects/typo?dims=64&dtype=float32&filter=sz&fopt=pressio:abs=1e-3", raw, nil)
+	if put.StatusCode != http.StatusCreated {
+		t.Fatalf("put with fopt=pressio:abs: %d %s", put.StatusCode, readAll(t, put))
+	}
+}
+
 // TestWrappingDimsAnswer400: 2^32 x 2^32 elements wrap a uint64 product to
 // zero, which an empty body used to "match"; both data-plane entries must
 // refuse the shape.

@@ -182,8 +182,7 @@ type plugin struct {
 	dice  *dice
 }
 
-func (p *plugin) Prefix() string  { return "faultinject" }
-func (p *plugin) Version() string { return Version }
+func (p *plugin) Prefix() string { return "faultinject" }
 
 var schema = core.NewSchema(
 	core.ChildRow(keyCompressor, "name of the compressor to sabotage; it receives every option set here",
@@ -198,10 +197,7 @@ var schema = core.NewSchema(
 	rate(keyBitflipRate, "probability of flipping one bit of the compressed stream", func(p *plugin) *float64 { return &p.rates.Bitflip }),
 )
 
-func (p *plugin) Options() *core.Options             { return schema.Options(p) }
-func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
-func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
-func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
+func (p *plugin) Opts() core.Opts { return schema.For(p) }
 
 func (p *plugin) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)

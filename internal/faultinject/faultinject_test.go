@@ -166,7 +166,7 @@ func TestIOClonesDeriveDistinctSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := parent.SetOptions(core.NewOptions().
+	if err := parent.Opts().Set(core.NewOptions().
 		SetValue("faultinject_io:io", "posix").
 		SetValue("faultinject_io:error_rate", 0.5).
 		SetValue(core.KeyIOPath, path)); err != nil {
@@ -200,7 +200,7 @@ func TestIOWrapperInjectsTransientReadError(t *testing.T) {
 		SetValue("faultinject_io:io", "posix").
 		SetValue("faultinject_io:error_rate", 1.0).
 		SetValue(core.KeyIOPath, path)
-	if err := io.SetOptions(opts); err != nil {
+	if err := io.Opts().Set(opts); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := io.Read(nil); !core.IsTransient(err) {
@@ -222,7 +222,7 @@ func TestIOWrapperBitflip(t *testing.T) {
 		SetValue("faultinject_io:io", "posix").
 		SetValue("faultinject_io:bitflip_rate", 1.0).
 		SetValue(core.KeyIOPath, path)
-	if err := io.SetOptions(opts); err != nil {
+	if err := io.Opts().Set(opts); err != nil {
 		t.Fatal(err)
 	}
 	d, err := io.Read(nil)
@@ -249,7 +249,7 @@ func TestIOWrapperPassthroughWrite(t *testing.T) {
 	opts := core.NewOptions().
 		SetValue("faultinject_io:io", "posix").
 		SetValue(core.KeyIOPath, path)
-	if err := io.SetOptions(opts); err != nil {
+	if err := io.Opts().Set(opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := io.Write(core.NewBytes([]byte("hello"))); err != nil {

@@ -55,8 +55,7 @@ type faultInjector struct {
 	seed    int64
 }
 
-func (p *faultInjector) Prefix() string  { return "fault_injector" }
-func (p *faultInjector) Version() string { return Version }
+func (p *faultInjector) Prefix() string { return "fault_injector" }
 
 var faultInjectorSchema = core.NewSchema(
 	core.Field(keyFaultFaults, "bits to flip in each compressed stream", core.Bounds{},
@@ -66,10 +65,7 @@ var faultInjectorSchema = core.NewSchema(
 	childRow("fault_injector", func(p *faultInjector) *child { return &p.child }),
 )
 
-func (p *faultInjector) Options() *core.Options             { return faultInjectorSchema.Options(p) }
-func (p *faultInjector) SetOptions(o *core.Options) error   { return faultInjectorSchema.Set(p, o) }
-func (p *faultInjector) CheckOptions(o *core.Options) error { return faultInjectorSchema.Check(p, o) }
-func (p *faultInjector) Schema() []core.OptionSpec          { return faultInjectorSchema.Specs() }
+func (p *faultInjector) Opts() core.Opts { return faultInjectorSchema.For(p) }
 
 func (p *faultInjector) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
@@ -110,8 +106,7 @@ type noiseInjector struct {
 	seed  int64
 }
 
-func (p *noiseInjector) Prefix() string  { return "noise_injector" }
-func (p *noiseInjector) Version() string { return Version }
+func (p *noiseInjector) Prefix() string { return "noise_injector" }
 
 var noiseInjectorSchema = core.NewSchema(
 	core.Field(keyNoiseDistribution, "noise distribution", core.OneOf("gaussian", "uniform"),
@@ -123,10 +118,7 @@ var noiseInjectorSchema = core.NewSchema(
 	childRow("noise_injector", func(p *noiseInjector) *child { return &p.child }),
 )
 
-func (p *noiseInjector) Options() *core.Options             { return noiseInjectorSchema.Options(p) }
-func (p *noiseInjector) SetOptions(o *core.Options) error   { return noiseInjectorSchema.Set(p, o) }
-func (p *noiseInjector) CheckOptions(o *core.Options) error { return noiseInjectorSchema.Check(p, o) }
-func (p *noiseInjector) Schema() []core.OptionSpec          { return noiseInjectorSchema.Specs() }
+func (p *noiseInjector) Opts() core.Opts { return noiseInjectorSchema.For(p) }
 
 func (p *noiseInjector) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)

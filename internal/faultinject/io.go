@@ -55,10 +55,7 @@ var ioSchema = core.NewSchema(
 	rate(keyIOShortWriteRate, "probability of persisting a strict prefix and reporting a short write", func(p *ioPlugin) *float64 { return &p.shortWrite }),
 )
 
-func (p *ioPlugin) Options() *core.Options             { return ioSchema.Options(p) }
-func (p *ioPlugin) SetOptions(o *core.Options) error   { return ioSchema.Set(p, o) }
-func (p *ioPlugin) CheckOptions(o *core.Options) error { return ioSchema.Check(p, o) }
-func (p *ioPlugin) Schema() []core.OptionSpec          { return ioSchema.Specs() }
+func (p *ioPlugin) Opts() core.Opts { return ioSchema.For(p) }
 
 func (p *ioPlugin) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)

@@ -26,7 +26,7 @@ func newShortIO(t *testing.T, path string, readRate, writeRate float64) core.IOP
 	o.SetValue(keyIOSeed, int64(11))
 	o.SetValue(keyIOShortReadRate, readRate)
 	o.SetValue(keyIOShortWriteRate, writeRate)
-	if err := ioP.SetOptions(o); err != nil {
+	if err := ioP.Opts().Set(o); err != nil {
 		t.Fatal(err)
 	}
 	return ioP

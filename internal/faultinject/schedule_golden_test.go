@@ -69,7 +69,7 @@ func compressorOutcome(c *core.Compressor, in *core.Data, clean []byte) (out str
 func ioOutcome(t *testing.T, p core.IOPlugin, payload []byte, src, dst string) string {
 	t.Helper()
 	retarget := func(path string) {
-		if err := p.SetOptions(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
+		if err := p.Opts().Set(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func ioRow(t *testing.T, seed int64, rates map[string]float64) string {
 	for k, v := range rates {
 		o.SetValue(k, v)
 	}
-	if err := p.SetOptions(o); err != nil {
+	if err := p.Opts().Set(o); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]string, scheduleCalls)

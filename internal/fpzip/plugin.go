@@ -19,18 +19,14 @@ func init() {
 	core.RegisterCompressor("fpzip", func() core.CompressorPlugin { return &plugin{} })
 }
 
-func (p *plugin) Prefix() string  { return "fpzip" }
-func (p *plugin) Version() string { return Version }
+func (p *plugin) Prefix() string { return "fpzip" }
 
 var schema = core.NewSchema(
 	core.Field(keyPrec, "bits of precision to keep (0 = lossless)", core.Closed(0, 64),
 		func(p *plugin) *uint64 { return &p.prec }),
 )
 
-func (p *plugin) Options() *core.Options             { return schema.Options(p) }
-func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
-func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
-func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
+func (p *plugin) Opts() core.Opts { return schema.For(p) }
 
 func (p *plugin) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)

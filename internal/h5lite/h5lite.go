@@ -126,15 +126,22 @@ func Open(path string) (*File, error) {
 	return f, nil
 }
 
-// filterFor instantiates the filter compressor for a dataset.
-func filterFor(name string, opts map[string]float64) (*core.Compressor, error) {
+// filterFor instantiates a dataset's filter compressor, nil for none. A reader
+// skips the recorded keys the filter refuses as undeclared: a container
+// written before it refused them holds them, and it wrote the data without.
+func filterFor(name string, opts map[string]float64, read bool) (*core.Compressor, error) {
+	if name == "" {
+		return nil, nil
+	}
 	c, err := core.NewCompressor(name)
 	if err != nil {
 		return nil, err
 	}
 	o := core.NewOptions()
 	for k, v := range opts {
-		o.SetValue(k, v)
+		if !read || !c.Opts().Undeclared(k) {
+			o.SetValue(k, v)
+		}
 	}
 	if err := c.SetOptions(o); err != nil {
 		return nil, err
@@ -160,13 +167,9 @@ func FilterChunks(d *core.Data, opts DatasetOptions) ([]RawChunk, DatasetMeta, e
 	if d == nil || !d.HasData() || d.NumDims() == 0 {
 		return nil, DatasetMeta{}, fmt.Errorf("h5lite: %w", core.ErrNilData)
 	}
-	var filter *core.Compressor
-	if opts.Filter != "" {
-		var err error
-		filter, err = filterFor(opts.Filter, opts.FilterOptions)
-		if err != nil {
-			return nil, DatasetMeta{}, err
-		}
+	filter, err := filterFor(opts.Filter, opts.FilterOptions, false)
+	if err != nil {
+		return nil, DatasetMeta{}, err
 	}
 	rowsTotal := d.Dims()[0]
 	chunkRows := opts.ChunkRows
@@ -174,7 +177,7 @@ func FilterChunks(d *core.Data, opts DatasetOptions) ([]RawChunk, DatasetMeta, e
 		chunkRows = max(rowsTotal, 1)
 	}
 	chunks := make([]RawChunk, (rowsTotal+chunkRows-1)/chunkRows)
-	err := eachChunk(filter, len(chunks), func(c *core.Compressor, i int) error {
+	err = eachChunk(filter, len(chunks), func(c *core.Compressor, i int) error {
 		start := uint64(i) * chunkRows
 		rows, err := d.Rows(start, min(chunkRows, rowsTotal-start))
 		if err != nil {
@@ -253,12 +256,9 @@ func (f *File) readRows(name string, info datasetInfo, start, count uint64) (*co
 	if err != nil {
 		return nil, err
 	}
-	var filter *core.Compressor
-	if info.Filter != "" {
-		filter, err = filterFor(info.Filter, info.Options)
-		if err != nil {
-			return nil, err
-		}
+	filter, err := filterFor(info.Filter, info.Options, true)
+	if err != nil {
+		return nil, err
 	}
 	out := core.NewData(dtype, append([]uint64{count}, info.Dims[1:]...)...)
 

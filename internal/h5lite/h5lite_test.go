@@ -131,6 +131,36 @@ func TestLossyFilterRespectsBound(t *testing.T) {
 	}
 }
 
+// TestUndeclaredFilterKey: a key in the filter's own prefix that the filter
+// does not declare is refused on write, but a container that recorded one
+// (written before such keys were refused, when the filter ignored it) still
+// reads back.
+func TestUndeclaredFilterKey(t *testing.T) {
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = float64(i % 7)
+	}
+	d := core.FromFloat64s(vals, 64)
+	typo := map[string]float64{"flate:lvl": 9}
+	f := Create(filepath.Join(t.TempDir(), "t.h5l"))
+	if err := f.WriteDataset("data", d, DatasetOptions{Filter: "flate", FilterOptions: typo}); !errors.Is(err, core.ErrInvalidOption) {
+		t.Fatalf("write with flate:lvl: %v, want ErrInvalidOption", err)
+	}
+	if err := f.WriteDataset("data", d, DatasetOptions{Filter: "flate", ChunkRows: 16}); err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := f.RawChunks("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteRawDataset("old", "float64", []uint64{64}, "flate", typo, chunks); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.ReadDataset("old"); err != nil || !got.Equal(d) {
+		t.Fatalf("reading a recorded undeclared key: %v", err)
+	}
+}
+
 func TestUnknownFilterRejected(t *testing.T) {
 	f := Create(filepath.Join(t.TempDir(), "u.h5l"))
 	d := core.FromFloat64s([]float64{1}, 1)

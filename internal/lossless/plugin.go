@@ -73,13 +73,9 @@ func init() {
 	core.RegisterCompressor("delta", newPlugin(kindDelta, "delta"))
 }
 
-func (p *plugin) Prefix() string  { return p.name }
-func (p *plugin) Version() string { return Version }
+func (p *plugin) Prefix() string { return p.name }
 
-func (p *plugin) Options() *core.Options             { return p.schema.Options(p) }
-func (p *plugin) SetOptions(o *core.Options) error   { return p.schema.Set(p, o) }
-func (p *plugin) CheckOptions(o *core.Options) error { return p.schema.Check(p, o) }
-func (p *plugin) Schema() []core.OptionSpec          { return p.schema.Specs() }
+func (p *plugin) Opts() core.Opts { return p.schema.For(p) }
 
 func (p *plugin) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)

@@ -87,8 +87,7 @@ type chunking struct {
 
 const chunkingMagic = "MCH1"
 
-func (p *chunking) Prefix() string  { return "chunking" }
-func (p *chunking) Version() string { return Version }
+func (p *chunking) Prefix() string { return "chunking" }
 
 var chunkingSchema = core.NewSchema(
 	core.Field(keyChunkRows, "rows of the slowest dimension per chunk (0 = split evenly over GOMAXPROCS)", core.Bounds{},
@@ -100,10 +99,7 @@ var chunkingSchema = core.NewSchema(
 	childRow("chunking", func(p *chunking) *child { return &p.child }),
 )
 
-func (p *chunking) Options() *core.Options             { return chunkingSchema.Options(p) }
-func (p *chunking) SetOptions(o *core.Options) error   { return chunkingSchema.Set(p, o) }
-func (p *chunking) CheckOptions(o *core.Options) error { return chunkingSchema.Check(p, o) }
-func (p *chunking) Schema() []core.OptionSpec          { return chunkingSchema.Specs() }
+func (p *chunking) Opts() core.Opts { return chunkingSchema.For(p) }
 
 func (p *chunking) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)
@@ -263,8 +259,7 @@ type switchMeta struct {
 	child child
 }
 
-func (p *switchMeta) Prefix() string  { return "switch" }
-func (p *switchMeta) Version() string { return Version }
+func (p *switchMeta) Prefix() string { return "switch" }
 
 var switchSchema = core.NewSchema(
 	// Eager: callers read the active compressor's options before first use.
@@ -272,10 +267,7 @@ var switchSchema = core.NewSchema(
 		func(p *switchMeta) *child { return &p.child }),
 )
 
-func (p *switchMeta) Options() *core.Options             { return switchSchema.Options(p) }
-func (p *switchMeta) SetOptions(o *core.Options) error   { return switchSchema.Set(p, o) }
-func (p *switchMeta) CheckOptions(o *core.Options) error { return switchSchema.Check(p, o) }
-func (p *switchMeta) Schema() []core.OptionSpec          { return switchSchema.Specs() }
+func (p *switchMeta) Opts() core.Opts { return switchSchema.For(p) }
 
 func (p *switchMeta) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)

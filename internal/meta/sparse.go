@@ -34,8 +34,7 @@ type sparse struct {
 
 const sparseMagic = "MSP1"
 
-func (p *sparse) Prefix() string  { return "sparse" }
-func (p *sparse) Version() string { return Version }
+func (p *sparse) Prefix() string { return "sparse" }
 
 var sparseSchema = core.NewSchema(
 	core.Field(keySparseThreshold, "values within this distance of zero are masked out and reconstruct as exact zeros", core.AtLeast(0),
@@ -43,10 +42,7 @@ var sparseSchema = core.NewSchema(
 	childRow("sparse", func(p *sparse) *child { return &p.child }),
 )
 
-func (p *sparse) Options() *core.Options             { return sparseSchema.Options(p) }
-func (p *sparse) SetOptions(o *core.Options) error   { return sparseSchema.Set(p, o) }
-func (p *sparse) CheckOptions(o *core.Options) error { return sparseSchema.Check(p, o) }
-func (p *sparse) Schema() []core.OptionSpec          { return sparseSchema.Specs() }
+func (p *sparse) Opts() core.Opts { return sparseSchema.For(p) }
 
 func (p *sparse) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)

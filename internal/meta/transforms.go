@@ -99,8 +99,7 @@ type transpose struct {
 
 const transposeMagic = "MTR1"
 
-func (p *transpose) Prefix() string  { return "transpose" }
-func (p *transpose) Version() string { return Version }
+func (p *transpose) Prefix() string { return "transpose" }
 
 var transposeSchema = core.NewSchema(
 	core.Uint64s(keyTransposeAxes, "axis permutation applied before compression (empty = reverse the axes)",
@@ -108,10 +107,7 @@ var transposeSchema = core.NewSchema(
 	childRow("transpose", func(p *transpose) *child { return &p.child }),
 )
 
-func (p *transpose) Options() *core.Options             { return transposeSchema.Options(p) }
-func (p *transpose) SetOptions(o *core.Options) error   { return transposeSchema.Set(p, o) }
-func (p *transpose) CheckOptions(o *core.Options) error { return transposeSchema.Check(p, o) }
-func (p *transpose) Schema() []core.OptionSpec          { return transposeSchema.Specs() }
+func (p *transpose) Opts() core.Opts { return transposeSchema.For(p) }
 
 func (p *transpose) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
@@ -219,8 +215,7 @@ type resize struct {
 
 const resizeMagic = "MRS1"
 
-func (p *resize) Prefix() string  { return "resize" }
-func (p *resize) Version() string { return Version }
+func (p *resize) Prefix() string { return "resize" }
 
 var resizeSchema = core.NewSchema(
 	core.Uint64s(keyResizeDims, "dimensions the child is told (same element count as the input)",
@@ -228,10 +223,7 @@ var resizeSchema = core.NewSchema(
 	childRow("resize", func(p *resize) *child { return &p.child }),
 )
 
-func (p *resize) Options() *core.Options             { return resizeSchema.Options(p) }
-func (p *resize) SetOptions(o *core.Options) error   { return resizeSchema.Set(p, o) }
-func (p *resize) CheckOptions(o *core.Options) error { return resizeSchema.Check(p, o) }
-func (p *resize) Schema() []core.OptionSpec          { return resizeSchema.Specs() }
+func (p *resize) Opts() core.Opts { return resizeSchema.For(p) }
 
 func (p *resize) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
@@ -316,8 +308,7 @@ type sample struct {
 	stride uint64
 }
 
-func (p *sample) Prefix() string  { return "sample" }
-func (p *sample) Version() string { return Version }
+func (p *sample) Prefix() string { return "sample" }
 
 var sampleSchema = core.NewSchema(
 	core.Field(keySampleStride, "keep every stride-th row of the slowest dimension", core.AtLeast(1),
@@ -325,10 +316,7 @@ var sampleSchema = core.NewSchema(
 	childRow("sample", func(p *sample) *child { return &p.child }),
 )
 
-func (p *sample) Options() *core.Options             { return sampleSchema.Options(p) }
-func (p *sample) SetOptions(o *core.Options) error   { return sampleSchema.Set(p, o) }
-func (p *sample) CheckOptions(o *core.Options) error { return sampleSchema.Check(p, o) }
-func (p *sample) Schema() []core.OptionSpec          { return sampleSchema.Specs() }
+func (p *sample) Opts() core.Opts { return sampleSchema.For(p) }
 
 func (p *sample) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)
@@ -402,17 +390,13 @@ type deltaMeta struct {
 
 const deltaMagic = "MDL1"
 
-func (p *deltaMeta) Prefix() string  { return "delta_encoding" }
-func (p *deltaMeta) Version() string { return Version }
+func (p *deltaMeta) Prefix() string { return "delta_encoding" }
 
 var deltaSchema = core.NewSchema(
 	childRow("delta_encoding", func(p *deltaMeta) *child { return &p.child }),
 )
 
-func (p *deltaMeta) Options() *core.Options             { return deltaSchema.Options(p) }
-func (p *deltaMeta) SetOptions(o *core.Options) error   { return deltaSchema.Set(p, o) }
-func (p *deltaMeta) CheckOptions(o *core.Options) error { return deltaSchema.Check(p, o) }
-func (p *deltaMeta) Schema() []core.OptionSpec          { return deltaSchema.Specs() }
+func (p *deltaMeta) Opts() core.Opts { return deltaSchema.For(p) }
 
 func (p *deltaMeta) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)
@@ -521,8 +505,7 @@ type linQuant struct {
 
 const linQuantMagic = "MLQ1"
 
-func (p *linQuant) Prefix() string  { return "linear_quantizer" }
-func (p *linQuant) Version() string { return Version }
+func (p *linQuant) Prefix() string { return "linear_quantizer" }
 
 var linQuantSchema = core.NewSchema(
 	core.Opt(core.KeyAbs, "pointwise absolute error bound (half the quantizer step)", core.Above(0),
@@ -533,10 +516,7 @@ var linQuantSchema = core.NewSchema(
 	childRow("linear_quantizer", func(p *linQuant) *child { return &p.child }),
 )
 
-func (p *linQuant) Options() *core.Options             { return linQuantSchema.Options(p) }
-func (p *linQuant) SetOptions(o *core.Options) error   { return linQuantSchema.Set(p, o) }
-func (p *linQuant) CheckOptions(o *core.Options) error { return linQuantSchema.Check(p, o) }
-func (p *linQuant) Schema() []core.OptionSpec          { return linQuantSchema.Specs() }
+func (p *linQuant) Opts() core.Opts { return linQuantSchema.For(p) }
 
 func (p *linQuant) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)

@@ -18,14 +18,14 @@ const (
 // p-value, testing the hypothesis that compression preserved the
 // distribution.
 type ksTest struct {
-	core.NoOptions
 	capture
 	computed bool
 	d        float64
 	p        float64
 }
 
-func (m *ksTest) Prefix() string { return "ks_test" }
+func (m *ksTest) Prefix() string  { return "ks_test" }
+func (m *ksTest) Opts() core.Opts { return core.NoOptions(m) }
 
 func (m *ksTest) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {
@@ -117,10 +117,7 @@ var klSchema = core.NewSchema(
 		func(m *kl) *uint64 { return &m.bins }),
 )
 
-func (m *kl) Options() *core.Options             { return klSchema.Options(m) }
-func (m *kl) SetOptions(o *core.Options) error   { return klSchema.Set(m, o) }
-func (m *kl) CheckOptions(o *core.Options) error { return klSchema.Check(m, o) }
-func (m *kl) Schema() []core.OptionSpec          { return klSchema.Specs() }
+func (m *kl) Opts() core.Opts { return klSchema.For(m) }
 
 // histogram bins values into nb equal-width bins over [lo, hi], returning
 // probabilities with add-one smoothing so the divergence stays finite.
@@ -203,10 +200,7 @@ var diffPDFSchema = core.NewSchema(
 		func(m *diffPDF) *uint64 { return &m.bins }),
 )
 
-func (m *diffPDF) Options() *core.Options             { return diffPDFSchema.Options(m) }
-func (m *diffPDF) SetOptions(o *core.Options) error   { return diffPDFSchema.Set(m, o) }
-func (m *diffPDF) CheckOptions(o *core.Options) error { return diffPDFSchema.Check(m, o) }
-func (m *diffPDF) Schema() []core.OptionSpec          { return diffPDFSchema.Specs() }
+func (m *diffPDF) Opts() core.Opts { return diffPDFSchema.For(m) }
 
 func (m *diffPDF) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {

@@ -17,7 +17,6 @@ const (
 // data: min/max/average error, MSE, RMSE, PSNR, value range, and the
 // maximum value-range-relative error.
 type errorStat struct {
-	core.NoOptions
 	capture
 	computed bool
 	n        uint64
@@ -30,7 +29,8 @@ type errorStat struct {
 	valHi    float64
 }
 
-func (m *errorStat) Prefix() string { return "error_stat" }
+func (m *errorStat) Prefix() string  { return "error_stat" }
+func (m *errorStat) Opts() core.Opts { return core.NoOptions(m) }
 
 func (m *errorStat) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {
@@ -99,13 +99,13 @@ func (m *errorStat) Clone() core.Metric { return &errorStat{} }
 // pearson computes Pearson's correlation coefficient between the original
 // and decompressed values.
 type pearson struct {
-	core.NoOptions
 	capture
 	computed bool
 	r        float64
 }
 
-func (m *pearson) Prefix() string { return "pearson" }
+func (m *pearson) Prefix() string  { return "pearson" }
+func (m *pearson) Opts() core.Opts { return core.NoOptions(m) }
 
 func (m *pearson) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {
@@ -179,10 +179,7 @@ var autocorrSchema = core.NewSchema(
 		}),
 )
 
-func (m *autocorr) Options() *core.Options             { return autocorrSchema.Options(m) }
-func (m *autocorr) SetOptions(o *core.Options) error   { return autocorrSchema.Set(m, o) }
-func (m *autocorr) CheckOptions(o *core.Options) error { return autocorrSchema.Check(m, o) }
-func (m *autocorr) Schema() []core.OptionSpec          { return autocorrSchema.Specs() }
+func (m *autocorr) Opts() core.Opts { return autocorrSchema.For(m) }
 
 func (m *autocorr) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {

@@ -51,10 +51,7 @@ var maskedSchema = core.NewSchema(
 	}(),
 )
 
-func (m *masked) Options() *core.Options             { return maskedSchema.Options(m) }
-func (m *masked) SetOptions(o *core.Options) error   { return maskedSchema.Set(m, o) }
-func (m *masked) CheckOptions(o *core.Options) error { return maskedSchema.Check(m, o) }
-func (m *masked) Schema() []core.OptionSpec          { return maskedSchema.Specs() }
+func (m *masked) Opts() core.Opts { return maskedSchema.For(m) }
 
 // ensureChild returns the wrapped metric, or nil when it cannot be built.
 func (m *masked) ensureChild() core.Metric {
@@ -126,7 +123,6 @@ func (m *masked) Clone() core.Metric {
 // how many survive compression at the same locations — a cheap proxy for
 // "are the features preserved?".
 type criticalPoints struct {
-	core.NoOptions
 	capture
 	computed  bool
 	origCount uint64
@@ -134,7 +130,8 @@ type criticalPoints struct {
 	preserved uint64
 }
 
-func (m *criticalPoints) Prefix() string { return "critical_points" }
+func (m *criticalPoints) Prefix() string  { return "critical_points" }
+func (m *criticalPoints) Opts() core.Opts { return core.NoOptions(m) }
 
 // extrema marks strict 1-D local extrema.
 func extrema(vals []float64) []bool {

@@ -28,7 +28,7 @@ func TestMaskedExcludesPoints(t *testing.T) {
 	opts := core.NewOptions().
 		SetValue("mask:metric", "error_stat").
 		Set("mask:mask", core.NewOption(mask))
-	if err := m.SetOptions(opts); err != nil {
+	if err := m.Opts().Set(opts); err != nil {
 		t.Fatal(err)
 	}
 	res = run(m, dataOf(orig), dataOf(dec), 5)
@@ -40,7 +40,7 @@ func TestMaskedExcludesPoints(t *testing.T) {
 func TestMaskedValidatesMaskType(t *testing.T) {
 	m, _ := core.NewMetric("mask")
 	bad := core.NewOptions().Set("mask:mask", core.NewOption(core.NewData(core.DTypeFloat64, 3)))
-	if err := m.SetOptions(bad); err == nil {
+	if err := m.Opts().Set(bad); err == nil {
 		t.Fatal("float mask should be rejected")
 	}
 }

@@ -166,7 +166,7 @@ func TestAutocorrelation(t *testing.T) {
 
 func TestAutocorrelationMultipleLags(t *testing.T) {
 	m, _ := core.NewMetric("autocorrelation")
-	if err := m.SetOptions(core.NewOptions().SetValue("autocorrelation:max_lag", uint64(3))); err != nil {
+	if err := m.Opts().Set(core.NewOptions().SetValue("autocorrelation:max_lag", uint64(3))); err != nil {
 		t.Fatal(err)
 	}
 	orig := make([]float64, 100)
@@ -308,14 +308,14 @@ func TestSpatialError(t *testing.T) {
 		dec[i] = 1 // error of 1 on 25% of points
 	}
 	m, _ := core.NewMetric("spatial_error")
-	if err := m.SetOptions(core.NewOptions().SetValue("spatial_error:threshold", 0.5)); err != nil {
+	if err := m.Opts().Set(core.NewOptions().SetValue("spatial_error:threshold", 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	res := run(m, dataOf(orig), dataOf(dec), 10)
 	if pct, _ := res.GetFloat64("spatial_error:percent"); pct != 25 {
 		t.Fatalf("percent %v", pct)
 	}
-	if err := m.SetOptions(core.NewOptions().SetValue("spatial_error:threshold", -1.0)); err == nil {
+	if err := m.Opts().Set(core.NewOptions().SetValue("spatial_error:threshold", -1.0)); err == nil {
 		t.Fatal("expected threshold validation error")
 	}
 }
@@ -328,7 +328,7 @@ func TestKthError(t *testing.T) {
 	}
 	for k, want := range map[uint64]float64{1: 9, 2: 8, 5: 5, 10: 0} {
 		m, _ := core.NewMetric("kth_error")
-		if err := m.SetOptions(core.NewOptions().SetValue("kth_error:k", k)); err != nil {
+		if err := m.Opts().Set(core.NewOptions().SetValue("kth_error:k", k)); err != nil {
 			t.Fatal(err)
 		}
 		res := run(m, dataOf(orig), dataOf(dec), 10)
@@ -354,7 +354,7 @@ func TestRegionOfInterest(t *testing.T) {
 	copy(end.Uint64s(), []uint64{3, 3})
 	opts.Set("region_of_interest:start", core.NewOption(start))
 	opts.Set("region_of_interest:end", core.NewOption(end))
-	if err := m.SetOptions(opts); err != nil {
+	if err := m.Opts().Set(opts); err != nil {
 		t.Fatal(err)
 	}
 	res := run(m, orig, dec, 10)

@@ -10,14 +10,14 @@ import (
 // and the bit rate — the metric used in the paper's Appendix A example
 // ("size:compression_ratio").
 type sizeMetric struct {
-	core.NoOptions
 	uncompressed uint64
 	compressed   uint64
 	decompressed uint64
 	elements     uint64
 }
 
-func (m *sizeMetric) Prefix() string { return "size" }
+func (m *sizeMetric) Prefix() string  { return "size" }
+func (m *sizeMetric) Opts() core.Opts { return core.NoOptions(m) }
 
 func (m *sizeMetric) BeginCompress(in *core.Data) {
 	m.uncompressed = in.ByteLen()
@@ -65,7 +65,6 @@ func (m *sizeMetric) Clone() core.Metric { return &sizeMetric{} }
 // timeMetric reports wall-clock times of the wrapped operations in
 // milliseconds, accumulating across calls.
 type timeMetric struct {
-	core.NoOptions
 	compressStart   time.Time
 	decompressStart time.Time
 	compressMS      float64
@@ -74,7 +73,8 @@ type timeMetric struct {
 	decompressN     uint64
 }
 
-func (m *timeMetric) Prefix() string { return "time" }
+func (m *timeMetric) Prefix() string  { return "time" }
+func (m *timeMetric) Opts() core.Opts { return core.NoOptions(m) }
 
 func (m *timeMetric) BeginCompress(in *core.Data) { m.compressStart = time.Now() }
 

@@ -34,10 +34,7 @@ var spatialErrorSchema = core.NewSchema(
 		func(m *spatialError) *float64 { return &m.threshold }),
 )
 
-func (m *spatialError) Options() *core.Options             { return spatialErrorSchema.Options(m) }
-func (m *spatialError) SetOptions(o *core.Options) error   { return spatialErrorSchema.Set(m, o) }
-func (m *spatialError) CheckOptions(o *core.Options) error { return spatialErrorSchema.Check(m, o) }
-func (m *spatialError) Schema() []core.OptionSpec          { return spatialErrorSchema.Specs() }
+func (m *spatialError) Opts() core.Opts { return spatialErrorSchema.For(m) }
 
 func (m *spatialError) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {
@@ -88,10 +85,7 @@ var kthErrorSchema = core.NewSchema(
 		func(m *kthError) *uint64 { return &m.k }),
 )
 
-func (m *kthError) Options() *core.Options             { return kthErrorSchema.Options(m) }
-func (m *kthError) SetOptions(o *core.Options) error   { return kthErrorSchema.Set(m, o) }
-func (m *kthError) CheckOptions(o *core.Options) error { return kthErrorSchema.Check(m, o) }
-func (m *kthError) Schema() []core.OptionSpec          { return kthErrorSchema.Specs() }
+func (m *kthError) Opts() core.Opts { return kthErrorSchema.For(m) }
 
 func (m *kthError) EndDecompress(in, out *core.Data, err error) {
 	if err != nil {
@@ -142,10 +136,7 @@ var roiSchema = core.NewSchema(
 		func(m *regionOfInterest) *[]uint64 { return &m.end }).WriteOnly(),
 )
 
-func (m *regionOfInterest) Options() *core.Options             { return roiSchema.Options(m) }
-func (m *regionOfInterest) SetOptions(o *core.Options) error   { return roiSchema.Set(m, o) }
-func (m *regionOfInterest) CheckOptions(o *core.Options) error { return roiSchema.Check(m, o) }
-func (m *regionOfInterest) Schema() []core.OptionSpec          { return roiSchema.Specs() }
+func (m *regionOfInterest) Opts() core.Opts { return roiSchema.For(m) }
 
 // roiMean averages the values inside the box [start, end) of a tensor.
 func roiMean(vals []float64, dims, start, end []uint64) (float64, uint64) {
@@ -223,11 +214,11 @@ func (m *regionOfInterest) Clone() core.Metric {
 // invocations; tests and tutorials use it to observe the framework's hook
 // protocol.
 type printer struct {
-	core.NoOptions
 	events []string
 }
 
-func (m *printer) Prefix() string { return "printer" }
+func (m *printer) Prefix() string  { return "printer" }
+func (m *printer) Opts() core.Opts { return core.NoOptions(m) }
 
 func (m *printer) BeginCompress(in *core.Data) { m.events = append(m.events, "begin_compress") }
 func (m *printer) EndCompress(in, out *core.Data, err error) {

@@ -35,10 +35,7 @@ var traceSchema = core.NewSchema(
 		WithEffect(func(m *traceMetric) { trace.SetEnabled(m.enable != 0) }),
 )
 
-func (m *traceMetric) Options() *core.Options             { return traceSchema.Options(m) }
-func (m *traceMetric) SetOptions(o *core.Options) error   { return traceSchema.Set(m, o) }
-func (m *traceMetric) CheckOptions(o *core.Options) error { return traceSchema.Check(m, o) }
-func (m *traceMetric) Schema() []core.OptionSpec          { return traceSchema.Specs() }
+func (m *traceMetric) Opts() core.Opts { return traceSchema.For(m) }
 
 func (m *traceMetric) BeginCompress(in *core.Data) {
 	if m.enable != 0 && !trace.Enabled() {

@@ -80,7 +80,7 @@ func TestTraceMetricDisableOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetOptions(core.NewOptions().SetValue("trace:enabled", int32(0))); err != nil {
+	if err := m.Opts().Set(core.NewOptions().SetValue("trace:enabled", int32(0))); err != nil {
 		t.Fatal(err)
 	}
 	if trace.Enabled() {
@@ -90,7 +90,7 @@ func TestTraceMetricDisableOption(t *testing.T) {
 	if trace.Enabled() {
 		t.Fatal("disabled trace metric re-enabled collection from a hook")
 	}
-	if err := m.SetOptions(core.NewOptions().SetValue("trace:enabled", int32(1))); err != nil {
+	if err := m.Opts().Set(core.NewOptions().SetValue("trace:enabled", int32(1))); err != nil {
 		t.Fatal(err)
 	}
 	if !trace.Enabled() {

@@ -22,8 +22,7 @@ func init() {
 	})
 }
 
-func (p *plugin) Prefix() string  { return "mgard" }
-func (p *plugin) Version() string { return Version }
+func (p *plugin) Prefix() string { return "mgard" }
 
 var schema = core.NewSchema(append(
 	core.BoundRows("mgard", func(p *plugin) *core.BoundConfig { return &p.bound }),
@@ -34,10 +33,7 @@ var schema = core.NewSchema(append(
 		func(p *plugin) *int32 { return &p.level }),
 )...)
 
-func (p *plugin) Options() *core.Options             { return schema.Options(p) }
-func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
-func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
-func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
+func (p *plugin) Opts() core.Opts { return schema.For(p) }
 
 func (p *plugin) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)

@@ -64,8 +64,7 @@ type plugin struct {
 	chosen      string
 }
 
-func (p *plugin) Prefix() string  { return "opt" }
-func (p *plugin) Version() string { return Version }
+func (p *plugin) Prefix() string { return "opt" }
 
 var schema = core.NewSchema(
 	resilience.ChainRow(keyCompressors, "comma-separated candidate compressors; each receives every option set here",
@@ -92,10 +91,7 @@ var schema = core.NewSchema(
 	return nil
 })
 
-func (p *plugin) Options() *core.Options             { return schema.Options(p) }
-func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
-func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
-func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
+func (p *plugin) Opts() core.Opts { return schema.For(p) }
 
 func (p *plugin) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "experimental", Version, false)

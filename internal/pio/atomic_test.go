@@ -105,7 +105,7 @@ func TestAtomicWriteKillMidWriteNpy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := io.SetOptions(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
+		if err := io.Opts().Set(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
 			t.Fatal(err)
 		}
 		return io.Write(core.FromFloat64s(vals, uint64(len(vals))))
@@ -124,7 +124,7 @@ func TestAtomicWriteKillMidWriteNpy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := io.SetOptions(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
+	if err := io.Opts().Set(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
 		t.Fatal(err)
 	}
 	d, err := io.Read(nil)

@@ -37,10 +37,7 @@ var h5Schema = core.NewSchema(
 		func(h *h5io) *float64 { return &h.filterAbs }),
 )
 
-func (h *h5io) Options() *core.Options             { return h5Schema.Options(h) }
-func (h *h5io) SetOptions(o *core.Options) error   { return h5Schema.Set(h, o) }
-func (h *h5io) CheckOptions(o *core.Options) error { return h5Schema.Check(h, o) }
-func (h *h5io) Schema() []core.OptionSpec          { return h5Schema.Specs() }
+func (h *h5io) Opts() core.Opts { return h5Schema.For(h) }
 
 func (h *h5io) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", "1.0.0", false)

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	core.RegisterIO("mmap", func() core.IOPlugin { return &mmapIO{} })
+	core.RegisterIO("mmap", func() core.IOPlugin { return &mmapIO{pathConfig{name: "mmap"}} })
 }
 
 // mmapIO reads files through the mmap system call — the paper's "mmap" IO
@@ -23,8 +23,6 @@ func init() {
 type mmapIO struct {
 	pathConfig
 }
-
-func (m *mmapIO) Prefix() string { return "mmap" }
 
 func (m *mmapIO) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)

@@ -17,8 +17,6 @@ type npy struct {
 	pathConfig
 }
 
-func (n *npy) Prefix() string { return "npy" }
-
 func (n *npy) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	core.RegisterIO("petsc", func() core.IOPlugin { return &petsc{} })
+	core.RegisterIO("petsc", func() core.IOPlugin { return &petsc{pathConfig{name: "petsc"}} })
 }
 
 // petscVecClassID is PETSc's binary Vec marker (VEC_FILE_CLASSID).
@@ -22,8 +22,6 @@ const petscVecClassID = 1211214
 type petsc struct {
 	pathConfig
 }
-
-func (p *petsc) Prefix() string { return "petsc" }
 
 func (p *petsc) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)

@@ -58,9 +58,9 @@ func ioSpan(op, plugin, path string) *trace.Span {
 }
 
 func init() {
-	core.RegisterIO("posix", func() core.IOPlugin { return &posix{} })
-	core.RegisterIO("csv", func() core.IOPlugin { return &csvIO{} })
-	core.RegisterIO("npy", func() core.IOPlugin { return &npy{} })
+	core.RegisterIO("posix", func() core.IOPlugin { return &posix{pathConfig{name: "posix"}} })
+	core.RegisterIO("csv", func() core.IOPlugin { return &csvIO{pathConfig{name: "csv"}} })
+	core.RegisterIO("npy", func() core.IOPlugin { return &npy{pathConfig{name: "npy"}} })
 	core.RegisterIO("iota", func() core.IOPlugin { return &iota{dtype: core.DTypeFloat32} })
 	core.RegisterIO("noop", func() core.IOPlugin { return &noop{} })
 	core.RegisterIO("select", func() core.IOPlugin {
@@ -69,10 +69,15 @@ func init() {
 }
 
 // pathConfig is embedded by the file-backed plugins: it declares the common
-// io:path option and, with it, their whole option surface.
+// io:path option and, with it, their whole option surface. It carries the
+// plugin's registered name, so its Prefix is the plugin's and its option table
+// rejects the keys of that prefix, all undeclared.
 type pathConfig struct {
+	name string
 	path string
 }
+
+func (p *pathConfig) Prefix() string { return p.name }
 
 const pathDoc = "file to read from or write to"
 
@@ -80,18 +85,13 @@ var pathSchema = core.NewSchema(
 	core.Field(core.KeyIOPath, pathDoc, core.Bounds{}, func(p *pathConfig) *string { return &p.path }),
 )
 
-func (p *pathConfig) Options() *core.Options             { return pathSchema.Options(p) }
-func (p *pathConfig) SetOptions(o *core.Options) error   { return pathSchema.Set(p, o) }
-func (p *pathConfig) CheckOptions(o *core.Options) error { return pathSchema.Check(p, o) }
-func (p *pathConfig) Schema() []core.OptionSpec          { return pathSchema.Specs() }
+func (p *pathConfig) Opts() core.Opts { return pathSchema.For(p) }
 
 // posix reads and writes flat binary files, relying on the caller's Data
 // hint for dtype and dims (like the POSIX read/write plugin of the paper).
 type posix struct {
 	pathConfig
 }
-
-func (p *posix) Prefix() string { return "posix" }
 
 func (p *posix) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
@@ -130,8 +130,6 @@ func (p *posix) Clone() core.IOPlugin {
 type csvIO struct {
 	pathConfig
 }
-
-func (c *csvIO) Prefix() string { return "csv" }
 
 func (c *csvIO) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
@@ -246,10 +244,7 @@ var iotaSchema = core.NewSchema(
 		func(i *iota) *float64 { return &i.start }),
 )
 
-func (i *iota) Options() *core.Options             { return iotaSchema.Options(i) }
-func (i *iota) SetOptions(o *core.Options) error   { return iotaSchema.Set(i, o) }
-func (i *iota) CheckOptions(o *core.Options) error { return iotaSchema.Check(i, o) }
-func (i *iota) Schema() []core.OptionSpec          { return iotaSchema.Specs() }
+func (i *iota) Opts() core.Opts { return iotaSchema.For(i) }
 
 func (i *iota) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", "1.0.0", false)
@@ -293,11 +288,11 @@ func (i *iota) Clone() core.IOPlugin {
 
 // noop stores data in memory; it backs unit tests and meta-IO composition.
 type noop struct {
-	core.NoOptions
 	stored *core.Data
 }
 
-func (n *noop) Prefix() string { return "noop" }
+func (n *noop) Prefix() string  { return "noop" }
+func (n *noop) Opts() core.Opts { return core.NoOptions(n) }
 func (n *noop) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", "1.0.0", false)
 }
@@ -341,10 +336,7 @@ var selectSchema = core.NewSchema(
 		func(s *selectIO) *[]uint64 { return &s.end }).WriteOnly(),
 )
 
-func (s *selectIO) Options() *core.Options             { return selectSchema.Options(s) }
-func (s *selectIO) SetOptions(o *core.Options) error   { return selectSchema.Set(s, o) }
-func (s *selectIO) CheckOptions(o *core.Options) error { return selectSchema.Check(s, o) }
-func (s *selectIO) Schema() []core.OptionSpec          { return selectSchema.Specs() }
+func (s *selectIO) Opts() core.Opts { return selectSchema.For(s) }
 
 func (s *selectIO) Configuration() *core.Options {
 	return core.StandardConfiguration(core.ThreadSafetySerialized, "stable", "1.0.0", false)

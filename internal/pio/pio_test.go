@@ -24,7 +24,7 @@ func newIO(t *testing.T, name, path string) core.IOPlugin {
 		t.Fatal(err)
 	}
 	if path != "" {
-		if err := io.SetOptions(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
+		if err := io.Opts().Set(core.NewOptions().SetValue(core.KeyIOPath, path)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestIotaGeneratesSequence(t *testing.T) {
 		Set("iota:dims", core.NewOption(dims)).
 		SetValue("iota:dtype", "float64").
 		SetValue("iota:start", 10.0)
-	if err := io.SetOptions(opts); err != nil {
+	if err := io.Opts().Set(opts); err != nil {
 		t.Fatal(err)
 	}
 	d, err := io.Read(nil)
@@ -234,7 +234,7 @@ func TestSelectPluginComposition(t *testing.T) {
 		SetValue(core.KeyIOPath, path).
 		Set("select:start", core.NewOption(start)).
 		Set("select:end", core.NewOption(end))
-	if err := sel.SetOptions(opts); err != nil {
+	if err := sel.Opts().Set(opts); err != nil {
 		t.Fatal(err)
 	}
 	sub, err := sel.Read(nil)
@@ -276,7 +276,7 @@ func TestH5LitePluginWithFilter(t *testing.T) {
 		SetValue("h5:filter", "sz").
 		SetValue("h5:filter_abs", 1e-3).
 		SetValue("h5:chunk_rows", uint64(2))
-	if err := io.SetOptions(opts); err != nil {
+	if err := io.Opts().Set(opts); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))

@@ -40,8 +40,7 @@ type fallback struct {
 	lastTier  string
 }
 
-func (p *fallback) Prefix() string  { return "fallback" }
-func (p *fallback) Version() string { return Version }
+func (p *fallback) Prefix() string { return "fallback" }
 
 var fallbackSchema = core.NewSchema(
 	ChainRow(keyFallbackCompressors, "comma-separated tiers in preference order; each receives every option set here",
@@ -56,10 +55,7 @@ var fallbackSchema = core.NewSchema(
 		func(p *fallback) string { return p.lastTier }),
 )
 
-func (p *fallback) Options() *core.Options             { return fallbackSchema.Options(p) }
-func (p *fallback) SetOptions(o *core.Options) error   { return fallbackSchema.Set(p, o) }
-func (p *fallback) CheckOptions(o *core.Options) error { return fallbackSchema.Check(p, o) }
-func (p *fallback) Schema() []core.OptionSpec          { return fallbackSchema.Specs() }
+func (p *fallback) Opts() core.Opts { return fallbackSchema.For(p) }
 
 func (p *fallback) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)

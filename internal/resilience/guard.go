@@ -40,8 +40,7 @@ type guard struct {
 	backoffCfg Backoff
 }
 
-func (p *guard) Prefix() string  { return "guard" }
-func (p *guard) Version() string { return Version }
+func (p *guard) Prefix() string { return "guard" }
 
 var guardSchema = core.NewSchema(
 	core.ChildRow(keyGuardCompressor, "name of the guarded compressor; it receives every option set here",
@@ -60,10 +59,7 @@ var guardSchema = core.NewSchema(
 		func(p *guard) *int64 { return &p.backoffCfg.Seed }),
 )
 
-func (p *guard) Options() *core.Options             { return guardSchema.Options(p) }
-func (p *guard) SetOptions(o *core.Options) error   { return guardSchema.Set(p, o) }
-func (p *guard) CheckOptions(o *core.Options) error { return guardSchema.Check(p, o) }
-func (p *guard) Schema() []core.OptionSpec          { return guardSchema.Specs() }
+func (p *guard) Opts() core.Opts { return guardSchema.For(p) }
 
 func (p *guard) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)

@@ -65,8 +65,7 @@ type breaker struct {
 	st    *BreakerState
 }
 
-func (p *breaker) Prefix() string  { return "breaker" }
-func (p *breaker) Version() string { return Version }
+func (p *breaker) Prefix() string { return "breaker" }
 
 // breakerSchema is the breaker option table. Every tunable re-resolves the
 // shared state on next use (the default scope follows the child name, and
@@ -103,10 +102,7 @@ var breakerSchema = func() *core.Schema[breaker] {
 	})
 }()
 
-func (p *breaker) Options() *core.Options             { return breakerSchema.Options(p) }
-func (p *breaker) SetOptions(o *core.Options) error   { return breakerSchema.Set(p, o) }
-func (p *breaker) CheckOptions(o *core.Options) error { return breakerSchema.Check(p, o) }
-func (p *breaker) Schema() []core.OptionSpec          { return breakerSchema.Specs() }
+func (p *breaker) Opts() core.Opts { return breakerSchema.For(p) }
 
 func (p *breaker) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetySerialized, "stable", Version, false)

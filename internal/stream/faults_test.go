@@ -89,7 +89,7 @@ func newFaultIO(t *testing.T, path string, readRate, writeRate float64) core.IOP
 	o.SetValue("faultinject_io:seed", int64(17))
 	o.SetValue("faultinject_io:shortread_rate", readRate)
 	o.SetValue("faultinject_io:shortwrite_rate", writeRate)
-	if err := ioP.SetOptions(o); err != nil {
+	if err := ioP.Opts().Set(o); err != nil {
 		t.Fatal(err)
 	}
 	return ioP

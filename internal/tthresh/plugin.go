@@ -25,8 +25,7 @@ func init() {
 	})
 }
 
-func (p *plugin) Prefix() string  { return "tthresh" }
-func (p *plugin) Version() string { return Version }
+func (p *plugin) Prefix() string { return "tthresh" }
 
 var schema = core.NewSchema(
 	core.Field(keyEps, "target relative Frobenius-norm error", core.Open(0, 1),
@@ -35,10 +34,7 @@ var schema = core.NewSchema(
 		func(p *plugin) *int32 { return &p.level }),
 )
 
-func (p *plugin) Options() *core.Options             { return schema.Options(p) }
-func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
-func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
-func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
+func (p *plugin) Opts() core.Opts { return schema.For(p) }
 
 func (p *plugin) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "experimental", Version, false)

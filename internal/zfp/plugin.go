@@ -28,8 +28,7 @@ func init() {
 	})
 }
 
-func (p *plugin) Prefix() string  { return "zfp" }
-func (p *plugin) Version() string { return Version }
+func (p *plugin) Prefix() string { return "zfp" }
 
 // schema is the zfp option table. Rows apply in order: a mode parameter
 // selects its own mode, an explicit zfp:mode overrides that, and the generic
@@ -54,10 +53,7 @@ var schema = core.NewSchema(
 		func(p *plugin, v float64) { p.mode, p.relBound = ModeFixedAccuracy, v }),
 )
 
-func (p *plugin) Options() *core.Options             { return schema.Options(p) }
-func (p *plugin) SetOptions(o *core.Options) error   { return schema.Set(p, o) }
-func (p *plugin) CheckOptions(o *core.Options) error { return schema.Check(p, o) }
-func (p *plugin) Schema() []core.OptionSpec          { return schema.Specs() }
+func (p *plugin) Opts() core.Opts { return schema.For(p) }
 
 func (p *plugin) Configuration() *core.Options {
 	cfg := core.StandardConfiguration(core.ThreadSafetyMultiple, "stable", Version, false)

@@ -30,37 +30,37 @@ func TestSizeBudget(t *testing.T) {
 		"cmd/pressiod":         161,
 		"cmd/pressiolint":      28,
 		"internal/analysis":    6473,
-		"internal/bitgroom":    207,
+		"internal/bitgroom":    203,
 		"internal/bitstream":   207,
 		"internal/cloc":        124,
 		"internal/cluster":     1032,
-		"internal/core":        3139,
+		"internal/core":        3168,
 		"internal/daemon":      1312,
 		"internal/experiments": 908,
-		"internal/faultinject": 725,
-		"internal/fpzip":       449,
+		"internal/faultinject": 710,
+		"internal/fpzip":       445,
 		"internal/fsx":         298,
 		"internal/h5lite":      407,
 		"internal/huffman":     513,
 		"internal/launch":      375,
-		"internal/lossless":    564,
-		"internal/meta":        1251,
-		"internal/metrics":     1172,
-		"internal/mgard":       422,
+		"internal/lossless":    560,
+		"internal/meta":        1219,
+		"internal/metrics":     1148,
+		"internal/mgard":       418,
 		"internal/obslog":      86,
-		"internal/opt":         247,
-		"internal/pio":         839,
+		"internal/opt":         243,
+		"internal/pio":         822,
 		"internal/rangecoder":  291,
-		"internal/resilience":  773,
+		"internal/resilience":  765,
 		"internal/sdrbench":    184,
-		"internal/service":     762,
+		"internal/service":     758,
 		"internal/stats":       182,
 		"internal/store":       1966,
 		"internal/stream":      349,
-		"internal/sz":          1180,
+		"internal/sz":          1176,
 		"internal/trace":       1263,
-		"internal/tthresh":     592,
-		"internal/zfp":         934,
+		"internal/tthresh":     588,
+		"internal/zfp":         930,
 	}
 	got := map[string]int{}
 	for _, root := range []string{"internal", "cmd"} {
