@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"testing"
 
@@ -166,42 +167,43 @@ func matchEncodeRef(t *testing.T, name string, symbols []uint32, alphabet uint32
 	}
 }
 
-// szCodes returns the quantisation codes and alphabet of every SZG1 stream in
-// data (whole streams, SZMP blocks and SZPW's inner stream alike): the
-// header's Huffman length, then the inflated body's leading Huffman stream.
+// szMagic matches the magics of both sz modes, whose headers are laid out
+// alike: shape, then four uvarints (the bound, the mode's field, the outlier
+// count, the Huffman length).
+var szMagic = regexp.MustCompile("SZG[12]")
+
+// szCodes returns the quantisation codes and alphabet of every SZG1 and SZG2
+// stream in data (whole streams, SZMP blocks and SZPW's inner stream alike):
+// the header's Huffman length, then the inflated body's leading Huffman
+// stream.
 func szCodes(t *testing.T, data []byte) (codes [][]uint32, alphabets []uint32) {
 	t.Helper()
-	for off := bytes.Index(data, []byte("SZG1")); off >= 0; {
-		b := data[off+4:]
+	for _, loc := range szMagic.FindAllIndex(data, -1) {
+		off, b := loc[0], data[loc[1]:]
 		_, _, n, err := core.ReadFloatShape(b, core.MaxRank, 1<<42)
 		if err != nil {
-			t.Fatalf("SZG1 at %d: %v", off, err)
+			t.Fatalf("%s at %d: %v", data[off:loc[1]], off, err)
 		}
 		var huffLen uint64
-		for range 4 { // bound, radius, outlier count, Huffman length
+		for range 4 {
 			v, sz := binary.Uvarint(b[n:])
 			if sz <= 0 {
-				t.Fatalf("SZG1 at %d: truncated header", off)
+				t.Fatalf("%s at %d: truncated header", data[off:loc[1]], off)
 			}
 			huffLen, n = v, n+sz
 		}
 		body, err := lossless.Inflate(b[n:], 1<<30)
 		if err != nil || huffLen > uint64(len(body)) {
-			t.Fatalf("SZG1 at %d: body: %v", off, err)
+			t.Fatalf("%s at %d: body: %v", data[off:loc[1]], off, err)
 		}
 		syms, alphabet, err := Decode(body[:huffLen])
 		if err != nil {
-			t.Fatalf("SZG1 at %d: codes: %v", off, err)
+			t.Fatalf("%s at %d: codes: %v", data[off:loc[1]], off, err)
 		}
 		if re, _ := encodeRef(syms, alphabet); !bytes.Equal(re, body[:huffLen]) {
-			t.Fatalf("SZG1 at %d: the reference does not re-encode the pinned codes", off)
+			t.Fatalf("%s at %d: the reference does not re-encode the pinned codes", data[off:loc[1]], off)
 		}
 		codes, alphabets = append(codes, syms), append(alphabets, alphabet)
-		next := bytes.Index(data[off+4:], []byte("SZG1"))
-		if next < 0 {
-			break
-		}
-		off += 4 + next
 	}
 	return codes, alphabets
 }
@@ -279,18 +281,23 @@ func TestEncodeMatchesReference(t *testing.T) {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no sz goldens: %v", err)
 	}
+	walked := map[string]bool{}
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		walked[string(data[:4])] = true
 		codes, alphabets := szCodes(t, data)
 		if len(codes) == 0 {
-			t.Fatalf("%s holds no SZG1 stream", f)
+			t.Fatalf("%s holds no SZG1 or SZG2 stream", f)
 		}
 		for i := range codes {
 			matchEncodeRef(t, fmt.Sprintf("%s stream %d", filepath.Base(f), i), codes[i], alphabets[i])
 		}
+	}
+	if !walked["SZG1"] || !walked["SZG2"] {
+		t.Fatalf("the goldens begin with %v: want both SZG1 and SZG2 streams", walked)
 	}
 }
 

@@ -2,6 +2,8 @@ package sz
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pressio/internal/core"
@@ -15,6 +17,11 @@ func FuzzDecompressSlice(f *testing.F) {
 	good, _ := CompressSlice([]float32{1, 2, 3, 4, 5, 6}, []uint64{2, 3},
 		Params{Mode: core.BoundAbs, Bound: 0.1})
 	f.Add(good)
+	direct, err := os.ReadFile(filepath.Join("testdata", "golden", "f32_1d_hacc_abs1e-3_szg2.stream"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(direct)
 	f.Add([]byte{})
 	f.Add([]byte("SZG1"))
 	f.Add(append(append([]byte{}, good[:8]...), 0xff, 0xff, 0xff))

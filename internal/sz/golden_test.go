@@ -36,13 +36,14 @@ func leBytes(t *testing.T, v any) []byte {
 // The streams recorded while an unset LosslessLevel meant DEFLATE's default
 // were written at level 6, and their p says so.
 func checkGolden[T core.Float](t *testing.T, name string, dims []uint64, p Params) {
-	checkGoldenWith(t, name, dims, DecompressSlice[T],
+	checkGoldenWith(t, name, name, dims, DecompressSlice[T],
 		func(in []T) ([]byte, error) { return CompressSlice(in, dims, p) })
 }
 
 // checkGoldenWith is checkGolden for any of the package's encoder/decoder
-// pairs (plain, SZMP block-parallel, SZPW pointwise-relative).
-func checkGoldenWith[T core.Float](t *testing.T, name string, dims []uint64,
+// pairs (plain, SZMP block-parallel, SZPW pointwise-relative), with the
+// input read from <input>.in.
+func checkGoldenWith[T core.Float](t *testing.T, name, input string, dims []uint64,
 	decode func([]byte) ([]T, []uint64, error), encode func([]T) ([]byte, error)) {
 	stream := goldenFile(t, name+".stream")
 	got, gotDims, err := decode(stream)
@@ -55,7 +56,7 @@ func checkGoldenWith[T core.Float](t *testing.T, name string, dims []uint64,
 	if !bytes.Equal(leBytes(t, got), goldenFile(t, name+".out")) {
 		t.Fatal("decoded values differ from the pinned output")
 	}
-	raw := goldenFile(t, name+".in")
+	raw := goldenFile(t, input+".in")
 	in := make([]T, len(got))
 	if err := binary.Read(bytes.NewReader(raw), binary.LittleEndian, in); err != nil {
 		t.Fatal(err)
@@ -84,14 +85,14 @@ func TestGoldenStreams(t *testing.T) {
 		// parsers moved into core.
 		{"omp_f32_2d_abs1e-3", func(t *testing.T, n string) {
 			dims, p := []uint64{15, 16}, Params{Mode: core.BoundAbs, Bound: 1e-3, LosslessLevel: 6}
-			checkGoldenWith(t, n, dims,
+			checkGoldenWith(t, n, n, dims,
 				func(s []byte) ([]float32, []uint64, error) { return DecompressParallel[float32](s, 3) },
 				func(in []float32) ([]byte, error) { return CompressParallel(in, dims, p, 3) })
 		}},
 		{"pw_f64_2d_rel1e-2", func(t *testing.T, n string) {
 			dims, p := []uint64{10, 12}, DefaultParams()
 			p.LosslessLevel = 6
-			checkGoldenWith(t, n, dims, DecompressSlicePW[float64],
+			checkGoldenWith(t, n, n, dims, DecompressSlicePW[float64],
 				func(in []float64) ([]byte, error) { return CompressSlicePW(in, dims, 1e-2, p) })
 		}},
 		// The next three were recorded at commit 1d7b975, before the sweeps
@@ -107,15 +108,26 @@ func TestGoldenStreams(t *testing.T) {
 		{"f32_1d_rel1e-3", func(t *testing.T, n string) {
 			checkGolden[float32](t, n, []uint64{700}, Params{Mode: core.BoundValueRangeRel, Bound: 1e-3, LosslessLevel: 6})
 		}},
-		// The last two were recorded at commit 6f2086d with LosslessLevel 1,
+		// The next two were recorded at commit 6f2086d with LosslessLevel 1,
 		// the level an unset LosslessLevel resolves to since: scale-letkf in
 		// serve_large's 16 planes (of 16x32, not 128x128) and the 1-D hacc
-		// chain, whose DEFLATE pass still finds matches.
+		// chain, whose DEFLATE pass still finds matches. CompressSlice now
+		// writes hacc as SZG2 (the last case), so its SZG1 stream is pinned
+		// through the Lorenzo encoder.
 		{"f32_3d_16x16x32_abs1e-3", func(t *testing.T, n string) {
 			checkGolden[float32](t, n, []uint64{16, 16, 32}, Params{Mode: core.BoundAbs, Bound: 1e-3})
 		}},
 		{"f32_1d_hacc_abs1e-3", func(t *testing.T, n string) {
-			checkGolden[float32](t, n, []uint64{4096}, Params{Mode: core.BoundAbs, Bound: 1e-3})
+			dims, p := []uint64{4096}, Params{Mode: core.BoundAbs, Bound: 1e-3}
+			checkGoldenWith(t, n, n, dims, DecompressSlice[float32],
+				func(in []float32) ([]byte, error) { return lorenzoStream(in, dims, p) })
+		}},
+		// Recorded when the direct mode came in, from the same input: the
+		// first SZG2 stream.
+		{"f32_1d_hacc_abs1e-3_szg2", func(t *testing.T, n string) {
+			dims, p := []uint64{4096}, Params{Mode: core.BoundAbs, Bound: 1e-3}
+			checkGoldenWith(t, n, "f32_1d_hacc_abs1e-3", dims, DecompressSlice[float32],
+				func(in []float32) ([]byte, error) { return CompressSlice(in, dims, p) })
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) { c.run(t, c.name) })

@@ -50,7 +50,7 @@ func newSchema(v variant, name string) *core.Schema[plugin] {
 		rows = append(rows, r.OnSet(func(p *plugin) { p.pwRel = 0 }))
 	}
 	rows = append(rows,
-		core.Field(name+":max_quant_intervals", "quantization bins available to the predictor", core.Closed(4, 1<<24),
+		core.Field(name+":max_quant_intervals", "quantization bins available to the Lorenzo predictor; the direct mode quantises within 2^31 bins of zero, Huffman-coding 2048 buckets of them", core.Closed(4, 1<<24),
 			func(p *plugin) *uint32 { return &p.intvs }),
 		core.Field(core.KeyLossless, "effort level of the DEFLATE back end (0 = 1, fastest)", lossless.LevelBounds, level),
 		core.Field(name+":lossless_level", "native spelling of pressio:lossless", lossless.LevelBounds, level))

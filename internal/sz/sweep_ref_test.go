@@ -11,6 +11,7 @@ import (
 	"pressio/internal/core"
 	"pressio/internal/huffman"
 	"pressio/internal/lossless"
+	"pressio/internal/trace"
 )
 
 // compressRef is CompressSlice as of commit 1d7b975: one sample at a time
@@ -179,13 +180,15 @@ func decompressRef[T core.Float](stream []byte) ([]T, error) {
 	return recon, nil
 }
 
-// matchReference compresses vals with CompressSlice and compressRef and
-// decodes the stream with DecompressSlice and decompressRef: the streams
-// and the reconstructions must be identical to the bit.
+// matchReference compresses vals with the Lorenzo encoder and compressRef
+// and decodes the stream with DecompressSlice and decompressRef: the streams
+// and the reconstructions must be identical to the bit. CompressSlice may
+// route these fields to the direct mode, so the encoder is called past the
+// sampler.
 func matchReference[T core.Float](t *testing.T, vals []T, dims []uint64, p Params) {
 	t.Helper()
 	want, wantErr := compressRef(vals, dims, p)
-	got, err := CompressSlice(vals, dims, p)
+	got, err := lorenzoStream(vals, dims, p)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("dims %v %+v: error %v, reference %v", dims, p, err, wantErr)
 	}
@@ -317,6 +320,15 @@ func FuzzSweepMatchesReference(f *testing.F) {
 		}
 		matchReference(t, vals, dims, p)
 	})
+}
+
+// lorenzoStream is CompressSlice with the mode fixed to Lorenzo: SZG1.
+func lorenzoStream[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
+	f, err := resolve(vals, dims, p)
+	if err != nil {
+		return nil, err
+	}
+	return compressLorenzo(vals, f, trace.Start("sz.predict_quantize"))
 }
 
 func floatBytes[T core.Float](vals []T) []byte {

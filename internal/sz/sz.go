@@ -2,6 +2,8 @@
 // in the style of SZ (Di & Cappello, IPDPS'16): a Lorenzo predictor over the
 // reconstructed field, linear-scaling quantization of prediction residuals,
 // canonical Huffman coding of the quantization codes, and a DEFLATE backend.
+// As in SZ 2.1 and SZ3, a sample of the input chooses the predictor: a field
+// Lorenzo cannot predict, such as particle positions, is quantised directly.
 // Unpredictable points are stored losslessly, so the pointwise absolute
 // error bound always holds.
 //
@@ -17,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"pressio/internal/bitstream"
 	"pressio/internal/core"
 	"pressio/internal/huffman"
 	"pressio/internal/lossless"
@@ -37,8 +40,9 @@ type Params struct {
 	// Bound is the error bound in the units Mode implies. It must be > 0.
 	Bound float64
 	// MaxQuantIntervals is the number of linear quantization intervals
-	// (default 65536). Larger values capture wider residuals at the cost
-	// of a larger Huffman alphabet.
+	// around the Lorenzo prediction (default 65536). Larger values capture
+	// wider residuals at the cost of a larger Huffman alphabet. The direct
+	// mode quantises within 2^31 intervals of zero, in 2048 buckets.
 	MaxQuantIntervals uint32
 	// LosslessLevel is the DEFLATE effort for the backend stage, 1 to 9;
 	// 0 selects 1 (flate.BestSpeed). The bytes DEFLATE sees are already
@@ -80,28 +84,51 @@ func (p Params) normalized() (Params, error) {
 	return p, nil
 }
 
-const magic = "SZG1"
+// The magics of Lorenzo (SZG1) and direct (SZG2, direct.go) streams.
+const magic, directMagic = "SZG1", "SZG2"
 
 // maxElems caps the element count a shape may declare: 2^42 elements is
 // 32 TiB of float64s, far past any slab this codec meets.
 const maxElems = 1 << 42
 
+// field is a compression call's parameters, geometry and quantiser.
+type field[T core.Float] struct {
+	p    Params
+	dims []uint64
+	g    shape
+	q    quantizer[T]
+}
+
 // CompressSlice compresses vals shaped dims (C order) under p and returns
-// the self-describing stream.
+// the self-describing stream. It samples the field to choose between the
+// Lorenzo predictor (an SZG1 stream) and direct quantisation (SZG2).
 //
 //pressio:hotpath measured by the benchmark's sz.* per-layer rows
 func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, error) {
-	p, err := p.normalized()
+	f, err := resolve(vals, dims, p)
 	if err != nil {
 		return nil, err
+	}
+	// Stage spans split sampling, prediction and quantisation from encoding.
+	spPredict := trace.Start("sz.predict_quantize")
+	if shift, low, ok := chooseDirect(vals, f); ok {
+		return compressDirect(vals, f, shift, low, spPredict)
+	}
+	return compressLorenzo(vals, f, spPredict)
+}
+
+// resolve checks a compression call and resolves its bound.
+func resolve[T core.Float](vals []T, dims []uint64, p Params) (f field[T], err error) {
+	if p, err = p.normalized(); err != nil {
+		return f, err
 	}
 	outer, nx, ny, nz, err := core.Geometry(dims, maxElems)
 	if err != nil {
-		return nil, err
+		return f, err
 	}
-	n := outer * nx * ny * nz
-	if n != len(vals) {
-		return nil, fmt.Errorf("sz: %w: dims %v describe %d elements, have %d",
+	f.p, f.dims, f.g = p, dims, shape{nx, ny, nz}
+	if n := outer * nx * ny * nz; n != len(vals) {
+		return f, fmt.Errorf("sz: %w: dims %v describe %d elements, have %d",
 			core.ErrInvalidDims, dims, n, len(vals))
 	}
 	eb := p.Bound
@@ -113,25 +140,32 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 			eb = math.SmallestNonzeroFloat32
 		}
 	}
-	radius := int64(p.MaxQuantIntervals / 2)
+	f.q = quantizer[T]{eb: eb, twoEb: 2 * eb, radius: int64(p.MaxQuantIntervals / 2)}
+	return f, nil
+}
 
-	codes := core.GetScratch[uint32](n)
+// compressLorenzo writes SZG1: each sample predicted by Lorenzo.
+func compressLorenzo[T core.Float](vals []T, f field[T], spPredict *trace.Span) ([]byte, error) {
+	codes := core.GetScratch[uint32](len(vals))
 	defer core.PutScratch(codes)
-	recon := core.GetScratch[T](n)
+	recon := core.GetScratch[T](len(vals))
 	defer core.PutScratch(recon)
-
-	// Stage spans expose where time goes inside the codec: the Lorenzo
-	// prediction + linear quantization sweep vs the entropy/lossless encode.
-	spPredict := trace.Start("sz.predict_quantize")
-	q := quantizer[T]{eb: eb, twoEb: 2 * eb, radius: radius}
-	slice := nx * ny * nz
-	for o := 0; o < outer; o++ {
+	slice := f.g.nx * f.g.ny * f.g.nz
+	for o := 0; o < len(vals)/slice; o++ {
 		s := slab[T]{v: vals[o*slice : (o+1)*slice], r: recon[o*slice : (o+1)*slice],
-			c: codes[o*slice : (o+1)*slice], q: q}
-		s.sweep(shape{nx, ny, nz})
+			c: codes[o*slice : (o+1)*slice], q: f.q}
+		s.sweep(f.g)
 	}
-	// The sweep leaves outliers (code 0) in place; collecting them in scan
-	// order afterwards writes them in the order the decoder scatters them.
+	spPredict.End()
+	return encode(vals, f, magic, codes, uint32(2*f.q.radius), uint64(f.q.radius), nil)
+}
+
+// encode writes the stream: magic, shape, bound, the mode's field, outlier
+// count and Huffman length, then DEFLATE of codes Huffman-coded over
+// alphabet, lo and the outliers (code 0) in the scan order decoding takes.
+func encode[T core.Float](vals []T, f field[T], magic string, codes []uint32, alphabet uint32, mode uint64, lo []byte) ([]byte, error) {
+	spEncode := trace.Start("sz.encode")
+	defer spEncode.End()
 	nOut := 0
 	for _, c := range codes {
 		if c == 0 {
@@ -147,32 +181,28 @@ func CompressSlice[T core.Float](vals []T, dims []uint64, p Params) ([]byte, err
 			outliers = appendFloat(outliers, vals[i])
 		}
 	}
-	spPredict.End()
-
-	spEncode := trace.Start("sz.encode")
-	defer spEncode.End()
 	// The code stream only passes through to DEFLATE, in scratch sized by
 	// the input, which Huffman output does not reach in practice.
-	huffBuf := core.GetScratch[byte](n * size)
+	huffBuf := core.GetScratch[byte](len(codes) * size)
 	defer core.PutScratch(huffBuf)
-	huff, err := huffman.AppendEncode(huffBuf[:0], codes, uint32(2*radius))
+	huff, err := huffman.AppendEncode(huffBuf[:0], codes, alphabet)
 	if err != nil {
 		return nil, err
 	}
 	// Header and DEFLATE body go into one buffer, sized for the body stored:
 	// DEFLATE gains little over Huffman output, and stored blocks cost 5
 	// bytes per 16 KiB at worst.
-	body := len(huff) + len(outliers)
-	out := make([]byte, 0, len(magic)+2+(len(dims)+4)*binary.MaxVarintLen64+body+5*(body>>14+2))
-	out, err = core.AppendFloatShape[T](append(out, magic...), dims)
+	body := len(huff) + len(lo) + len(outliers)
+	out := make([]byte, 0, len(magic)+2+(len(f.dims)+4)*binary.MaxVarintLen64+body+5*(body>>14+2))
+	out, err = core.AppendFloatShape[T](append(out, magic...), f.dims)
 	if err != nil {
 		return nil, err
 	}
-	out = binary.AppendUvarint(out, math.Float64bits(eb))
-	out = binary.AppendUvarint(out, uint64(radius))
-	out = binary.AppendUvarint(out, uint64(nOut))
-	out = binary.AppendUvarint(out, uint64(len(huff)))
-	return lossless.AppendDeflate(out, p.LosslessLevel, huff, outliers)
+	out = binary.AppendUvarint(out, math.Float64bits(f.q.eb))
+	for _, v := range []uint64{mode, uint64(nOut), uint64(len(huff))} {
+		out = binary.AppendUvarint(out, v)
+	}
+	return lossless.AppendDeflate(out, f.p.LosslessLevel, huff, lo, outliers)
 }
 
 // Header describes a compressed stream without decoding its payload.
@@ -182,10 +212,10 @@ type Header struct {
 	Bound float64 // resolved absolute bound
 }
 
-// ParseHeader reads the stream header.
+// ParseHeader reads the stream header of either mode.
 func ParseHeader(stream []byte) (Header, int, error) {
 	var h Header
-	if len(stream) < 4 || string(stream[:4]) != magic {
+	if len(stream) < 4 || string(stream[:4]) != magic && string(stream[:4]) != directMagic {
 		return h, 0, ErrCorrupt
 	}
 	dtype, dims, n, err := core.ReadFloatShape(stream[4:], core.MaxRank, maxElems)
@@ -215,35 +245,41 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if h.DType != core.FloatDType[T]() {
 		return nil, nil, fmt.Errorf("sz: %w: stream holds %s", core.ErrInvalidDType, h.DType)
 	}
-	radius64, sz := binary.Uvarint(stream[pos:])
-	if sz <= 0 || radius64 == 0 || radius64 > 1<<23 {
-		return nil, nil, ErrCorrupt
+	// SZG1's radius or SZG2's lowest bucket<<5 | shift, outliers, Huffman length.
+	var hdr [3]uint64
+	for i := range hdr {
+		v, sz := binary.Uvarint(stream[pos:])
+		if sz <= 0 {
+			return nil, nil, ErrCorrupt
+		}
+		hdr[i] = v
+		pos += sz
 	}
-	pos += sz
-	nOut, sz := binary.Uvarint(stream[pos:])
-	if sz <= 0 {
-		return nil, nil, ErrCorrupt
-	}
-	pos += sz
-	huffLen, sz := binary.Uvarint(stream[pos:])
-	if sz <= 0 {
-		return nil, nil, ErrCorrupt
-	}
-	pos += sz
+	mode, nOut, huffLen := hdr[0], hdr[1], hdr[2]
 	outer, nx, ny, nz, err := core.Geometry(h.Dims, maxElems)
 	if err != nil {
 		return nil, nil, err
 	}
 	n := outer * nx * ny * nz
-	// The header bounds the body before a byte of it is inflated: n codes
-	// cost at most what Huffman can spend on n symbols, and at most n of
-	// them are outliers.
-	if nOut > uint64(n) || huffLen > huffman.MaxEncodedLen(uint64(n), uint32(2*radius64)) {
+	// The header bounds the body before a byte of it is inflated: at most n
+	// codes are outliers, every other code of SZG2 carries shift raw bits,
+	// and n codes cost at most what Huffman can spend on n symbols.
+	direct, shift, low := string(stream[:4]) == directMagic, uint(mode&31), mode>>5
+	alphabet, loBytes := uint32(2*mode), uint64(0)
+	switch {
+	case nOut > uint64(n):
+		return nil, nil, ErrCorrupt
+	case direct && low < 1<<(32-shift): // a code from the lowest bucket fits in 32 bits
+		alphabet, loBytes = directBuckets+1, ((uint64(n)-nOut)*uint64(shift)+7)/8
+	case direct || mode == 0 || mode > 1<<23:
+		return nil, nil, ErrCorrupt
+	}
+	if huffLen > huffman.MaxEncodedLen(uint64(n), alphabet) {
 		return nil, nil, ErrCorrupt
 	}
 	spDecode := trace.Start("sz.decode")
 	size := uint64(h.DType.Size())
-	exact := huffLen + nOut*size
+	exact := huffLen + loBytes + nOut*size
 	bodyBuf := core.GetScratch[byte](int(min(exact, lossless.MaxInflated(len(stream)-pos)) + 1))
 	defer core.PutScratch(bodyBuf)
 	body, err := lossless.AppendInflate(bodyBuf[:0], stream[pos:], exact)
@@ -252,7 +288,7 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 		return nil, nil, err
 	}
 	// Divide rather than multiply: nOut*size can wrap for a hostile count.
-	if huffLen > uint64(len(body)) || nOut > (uint64(len(body))-huffLen)/size {
+	if head := huffLen + loBytes; head > uint64(len(body)) || nOut > (uint64(len(body))-head)/size {
 		spDecode.End()
 		return nil, nil, ErrCorrupt
 	}
@@ -260,7 +296,7 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	// in no fewer than n/8 bytes: a header cannot size the scratch past that.
 	codesBuf := core.GetScratch[uint32](int(min(uint64(n), 8*huffLen)))
 	defer core.PutScratch(codesBuf)
-	codes, _, err := huffman.AppendDecode(codesBuf[:0], body[:huffLen], uint32(2*radius64))
+	codes, _, err := huffman.AppendDecode(codesBuf[:0], body[:huffLen], alphabet)
 	spDecode.End()
 	if err != nil {
 		return nil, nil, err
@@ -268,26 +304,33 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if len(codes) != n {
 		return nil, nil, ErrCorrupt
 	}
-	outliers := body[huffLen:]
+	outliers := body[huffLen+loBytes:]
 	recon := make([]T, n)
 	spRecon := trace.Start("sz.reconstruct")
 	defer spRecon.End()
-	// Outliers go in first, in scan order; the sweep then leaves code-0
-	// positions as they are.
+	// Outliers go in first, in scan order; the Lorenzo sweep then leaves
+	// code-0 positions as they are. A direct code is its bucket and its raw
+	// low bits.
+	q, r := quantizer[T]{twoEb: 2 * h.Bound, radius: directRadius}, bitstream.NewReader(body[huffLen:])
 	oi := uint64(0)
 	for i, c := range codes {
-		if c == 0 {
-			if oi == nOut {
-				return nil, nil, ErrCorrupt
-			}
+		switch {
+		case c == 0 && oi == nOut:
+			return nil, nil, ErrCorrupt
+		case c == 0:
 			recon[i] = floatAt[T](outliers, oi)
 			oi++
+		case direct:
+			recon[i] = q.decode((uint32(low)+c-1)<<shift|uint32(r.ReadBits(shift)), 0, 0)
 		}
 	}
 	if oi != nOut {
 		return nil, nil, ErrCorrupt
 	}
-	q := quantizer[T]{twoEb: 2 * h.Bound, radius: int64(radius64)}
+	if direct {
+		return recon, h.Dims, nil
+	}
+	q.radius = int64(mode)
 	slice := nx * ny * nz
 	for o := 0; o < outer; o++ {
 		s := slab[T]{r: recon[o*slice : (o+1)*slice], c: codes[o*slice : (o+1)*slice], q: q}

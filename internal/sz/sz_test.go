@@ -437,6 +437,34 @@ func BenchmarkDecompress3D(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressHACC and BenchmarkDecompressHACC time sz on lib_codecs'
+// hacc-x field: 131,072 float32s at abs 1e-3.
+func BenchmarkCompressHACC(b *testing.B) {
+	d := haccX(20210104)
+	b.SetBytes(int64(d.ByteLen()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CompressSlice(d.Float32s(), d.Dims(), haccAbs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecompressHACC(b *testing.B) {
+	d := haccX(20210104)
+	stream, err := CompressSlice(d.Float32s(), d.Dims(), haccAbs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(d.ByteLen()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecompressSlice[float32](stream); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCompressParallel(b *testing.B) {
 	vals := smooth3D(64, 64, 64, 1)
 	dims := []uint64{64, 64, 64}
