@@ -105,3 +105,14 @@ func compressDirect[T core.Float](vals []T, f field[T], shift uint, low uint32, 
 	spPredict.End()
 	return encode(vals, f, directMagic, codes, directBuckets+1, uint64(low)<<5|uint64(shift), w.Take())
 }
+
+// decompressDirect fills the SZG2 samples the escapes left (code 0): each
+// is its bucket, one past its offset from low, and shift raw bits of lo.
+func decompressDirect[T core.Float](recon []T, codes []uint32, lo []byte, shift uint, low uint32, eb float64) {
+	q, r := quantizer[T]{twoEb: 2 * eb, radius: directRadius}, bitstream.NewReader(lo)
+	for i, c := range codes {
+		if c != 0 {
+			recon[i] = q.decode((low+c-1)<<shift|uint32(r.ReadBits(shift)), 0, 0)
+		}
+	}
+}

@@ -102,31 +102,18 @@ func DecompressSlicePW[T core.Float](stream []byte) ([]T, []uint64, error) {
 	if !IsPWStream(stream) {
 		return nil, nil, ErrCorrupt
 	}
+	// The bound, element count, packed codes' length and exception count.
+	var hdr [4]uint64
 	pos := 4
-	relBits, sz := binary.Uvarint(stream[pos:])
-	if sz <= 0 {
-		return nil, nil, ErrCorrupt
+	for i := range hdr {
+		v, sz := binary.Uvarint(stream[pos:])
+		if sz <= 0 {
+			return nil, nil, ErrCorrupt
+		}
+		hdr[i], pos = v, pos+sz
 	}
-	pos += sz
-	if rel := math.Float64frombits(relBits); rel <= 0 || rel >= 1 {
-		return nil, nil, ErrCorrupt
-	}
-	n64, sz := binary.Uvarint(stream[pos:])
-	if sz <= 0 || n64 > maxElems {
-		return nil, nil, ErrCorrupt
-	}
-	pos += sz
-	codesLen, sz := binary.Uvarint(stream[pos:])
-	if sz <= 0 {
-		return nil, nil, ErrCorrupt
-	}
-	pos += sz
-	nExc, sz := binary.Uvarint(stream[pos:])
-	if sz <= 0 || nExc > n64 {
-		return nil, nil, ErrCorrupt
-	}
-	pos += sz
-	if codesLen > uint64(len(stream)-pos) {
+	rel, n64, codesLen, nExc := math.Float64frombits(hdr[0]), hdr[1], hdr[2], hdr[3]
+	if rel <= 0 || rel >= 1 || n64 > maxElems || nExc > n64 || codesLen > uint64(len(stream)-pos) {
 		return nil, nil, ErrCorrupt
 	}
 	packed, err := lossless.Inflate(stream[pos:pos+int(codesLen)], (n64+3)/4)

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"pressio/internal/bitstream"
 	"pressio/internal/core"
 	"pressio/internal/huffman"
 	"pressio/internal/lossless"
@@ -308,29 +307,26 @@ func DecompressSlice[T core.Float](stream []byte) ([]T, []uint64, error) {
 	recon := make([]T, n)
 	spRecon := trace.Start("sz.reconstruct")
 	defer spRecon.End()
-	// Outliers go in first, in scan order; the Lorenzo sweep then leaves
-	// code-0 positions as they are. A direct code is its bucket and its raw
-	// low bits.
-	q, r := quantizer[T]{twoEb: 2 * h.Bound, radius: directRadius}, bitstream.NewReader(body[huffLen:])
+	// Outliers go in first, in scan order; the sweep then leaves code-0
+	// positions as they are.
 	oi := uint64(0)
 	for i, c := range codes {
-		switch {
-		case c == 0 && oi == nOut:
-			return nil, nil, ErrCorrupt
-		case c == 0:
+		if c == 0 {
+			if oi == nOut {
+				return nil, nil, ErrCorrupt
+			}
 			recon[i] = floatAt[T](outliers, oi)
 			oi++
-		case direct:
-			recon[i] = q.decode((uint32(low)+c-1)<<shift|uint32(r.ReadBits(shift)), 0, 0)
 		}
 	}
 	if oi != nOut {
 		return nil, nil, ErrCorrupt
 	}
 	if direct {
+		decompressDirect(recon, codes, body[huffLen:], shift, uint32(low), h.Bound)
 		return recon, h.Dims, nil
 	}
-	q.radius = int64(mode)
+	q := quantizer[T]{twoEb: 2 * h.Bound, radius: int64(mode)}
 	slice := nx * ny * nz
 	for o := 0; o < outer; o++ {
 		s := slab[T]{r: recon[o*slice : (o+1)*slice], c: codes[o*slice : (o+1)*slice], q: q}

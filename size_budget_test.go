@@ -57,7 +57,7 @@ func TestSizeBudget(t *testing.T) {
 		"internal/stats":       182,
 		"internal/store":       1966,
 		"internal/stream":      349,
-		"internal/sz":          1326,
+		"internal/sz":          1320,
 		"internal/trace":       1263,
 		"internal/tthresh":     588,
 		"internal/zfp":         930,
