@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -139,6 +140,29 @@ func TestDaemonRoundTrip(t *testing.T) {
 		if math.Abs(float64(got-vals[i])) > 0.01 {
 			t.Fatalf("elem %d bound violated: %v vs %v", i, got, vals[i])
 		}
+	}
+}
+
+// oneRunSZ is a 47-byte float32 SZG1 stream of the value 2e-3 whose Huffman
+// length table is one run of 2^24 codes of 24 bits (sz's test
+// TestHuffmanTableCostSetByStream builds it).
+const oneRunSZ = "535a4731010101fcd3c697ddc998a83f80808004001204c021010000080330eeaed0c45d74b668d043333e0000ffff"
+
+// A stream whose Huffman header declares 2^24 symbols is served like any
+// other: the codec's tables follow the header's runs, not its alphabet.
+func TestDaemonDecompressesHugeHuffmanTable(t *testing.T) {
+	base := serveTestDaemon(t, func(c *Config) { c.Compressor = "sz_threadsafe" })
+	stream, err := hex.DecodeString(oneRunSZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := post(t, base+"/decompress?dims=1&dtype=float32", stream)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK || len(body) != 4 {
+		t.Fatalf("status %d, %d bytes: %s", resp.StatusCode, len(body), body)
+	}
+	if got := math.Float32frombits(binary.LittleEndian.Uint32(body)); got != 2e-3 {
+		t.Fatalf("decoded %v, want 2e-3", got)
 	}
 }
 

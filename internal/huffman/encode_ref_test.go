@@ -172,40 +172,59 @@ func matchEncodeRef(t *testing.T, name string, symbols []uint32, alphabet uint32
 // count, the Huffman length).
 var szMagic = regexp.MustCompile("SZG[12]")
 
-// szCodes returns the quantisation codes and alphabet of every SZG1 and SZG2
-// stream in data (whole streams, SZMP blocks and SZPW's inner stream alike):
-// the header's Huffman length, then the inflated body's leading Huffman
-// stream.
-func szCodes(t *testing.T, data []byte) (codes [][]uint32, alphabets []uint32) {
-	t.Helper()
+// szSections returns the Huffman section of every SZG1 and SZG2 stream in
+// data (whole streams, SZMP blocks and SZPW's inner stream alike): the
+// header's Huffman length, then the inflated body's leading Huffman stream.
+func szSections(tb testing.TB, data []byte) (sections [][]byte) {
+	tb.Helper()
 	for _, loc := range szMagic.FindAllIndex(data, -1) {
 		off, b := loc[0], data[loc[1]:]
 		_, _, n, err := core.ReadFloatShape(b, core.MaxRank, 1<<42)
 		if err != nil {
-			t.Fatalf("%s at %d: %v", data[off:loc[1]], off, err)
+			tb.Fatalf("%s at %d: %v", data[off:loc[1]], off, err)
 		}
 		var huffLen uint64
 		for range 4 {
 			v, sz := binary.Uvarint(b[n:])
 			if sz <= 0 {
-				t.Fatalf("%s at %d: truncated header", data[off:loc[1]], off)
+				tb.Fatalf("%s at %d: truncated header", data[off:loc[1]], off)
 			}
 			huffLen, n = v, n+sz
 		}
 		body, err := lossless.Inflate(b[n:], 1<<30)
 		if err != nil || huffLen > uint64(len(body)) {
-			t.Fatalf("%s at %d: body: %v", data[off:loc[1]], off, err)
+			tb.Fatalf("%s at %d: body: %v", data[off:loc[1]], off, err)
 		}
-		syms, alphabet, err := Decode(body[:huffLen])
+		sections = append(sections, body[:huffLen])
+	}
+	return sections
+}
+
+// szCodes returns the quantisation codes and alphabet of every SZG1 and SZG2
+// stream in data, each of which the reference re-encodes to its section.
+func szCodes(t *testing.T, data []byte) (codes [][]uint32, alphabets []uint32) {
+	t.Helper()
+	for i, section := range szSections(t, data) {
+		syms, alphabet, err := Decode(section)
 		if err != nil {
-			t.Fatalf("%s at %d: codes: %v", data[off:loc[1]], off, err)
+			t.Fatalf("stream %d: codes: %v", i, err)
 		}
-		if re, _ := encodeRef(syms, alphabet); !bytes.Equal(re, body[:huffLen]) {
-			t.Fatalf("%s at %d: the reference does not re-encode the pinned codes", data[off:loc[1]], off)
+		if re, _ := encodeRef(syms, alphabet); !bytes.Equal(re, section) {
+			t.Fatalf("stream %d: the reference does not re-encode the pinned codes", i)
 		}
 		codes, alphabets = append(codes, syms), append(alphabets, alphabet)
 	}
 	return codes, alphabets
+}
+
+// szGoldens returns the paths of the pinned sz streams.
+func szGoldens(tb testing.TB) []string {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "sz", "testdata", "golden", "*.stream"))
+	if err != nil || len(files) == 0 {
+		tb.Fatalf("no sz goldens: %v", err)
+	}
+	return files
 }
 
 func TestEncodeMatchesReference(t *testing.T) {
@@ -277,12 +296,8 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 
 	// The codes of every pinned sz stream.
-	files, err := filepath.Glob(filepath.Join("..", "sz", "testdata", "golden", "*.stream"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no sz goldens: %v", err)
-	}
 	walked := map[string]bool{}
-	for _, f := range files {
+	for _, f := range szGoldens(t) {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,9 @@ package huffman
 
 import (
 	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 )
@@ -84,5 +87,43 @@ func FuzzDecodeMatchesWalk(f *testing.F) {
 			syms[i] = used[int(binary.LittleEndian.Uint16(picks[2*i:]))%len(used)]
 		}
 		checkDecodeMatchesWalk(t, encodeWith(t, lengths, syms), syms)
+	})
+}
+
+// refBound is the alphabet bound of the differential: the reference expands
+// the length table to one byte per symbol, and its symbol table to four.
+const refBound = 1 << 24
+
+// FuzzDecodeMatchesReference hands arbitrary bytes to AppendDecode and to
+// the decoder it replaced (decode_ref_test.go): both return the same symbols
+// and alphabet, or both refuse the stream as corrupt.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "fib14_of_300.stream"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, path := range szGoldens(f) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, section := range szSections(f, data) {
+			f.Add(section)
+		}
+	}
+	f.Add(overSubscribed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantAlphabet, wantErr := decodeRef(data, refBound)
+		got, alphabet, err := AppendDecode(nil, data, refBound)
+		switch {
+		case wantErr != nil || err != nil:
+			if !errors.Is(wantErr, ErrCorrupt) || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decoder err %v, reference err %v: want both ErrCorrupt", err, wantErr)
+			}
+		case alphabet != wantAlphabet || !slices.Equal(got, want):
+			t.Fatalf("decoder gives %d symbols of alphabet %d, reference %d of %d, equal %v",
+				len(got), alphabet, len(want), wantAlphabet, slices.Equal(got, want))
+		}
 	})
 }

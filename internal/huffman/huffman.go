@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"pressio/internal/bitstream"
 	"pressio/internal/core"
 )
 
@@ -147,17 +146,27 @@ func firstCodes(lengths []uint8) (count, first [maxCodeLen + 2]uint64, maxLen ui
 		maxLen = max(maxLen, l)
 		count[l]++
 	}
+	if first, err = kraft(&count, maxLen); err != nil {
+		return count, first, 0, err
+	}
+	return count, first, maxLen, nil
+}
+
+// kraft returns the canonical first code of each length up to maxLen
+// (MSB-first) given the count of codes of each, zeroing count[0]. It
+// refuses an over-subscribed table.
+func kraft(count *[maxCodeLen + 2]uint64, maxLen uint8) (first [maxCodeLen + 2]uint64, err error) {
 	count[0] = 0
 	code, free := uint64(0), uint64(1) // free: unassigned code points at length l
 	for l := uint8(1); l <= maxLen; l++ {
 		code = (code + count[l-1]) << 1
 		first[l] = code
 		if free <<= 1; count[l] > free {
-			return count, first, 0, fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
+			return first, fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
 		}
 		free -= count[l]
 	}
-	return count, first, maxLen, nil
+	return first, nil
 }
 
 // reverseBits returns the low n bits of v in reverse order.
@@ -324,95 +333,100 @@ func encodeLengths(n, base uint32, lengths []uint8) []byte {
 	return out
 }
 
-// decodeLengths reads the table encodeLengths writes for an alphabet of n
-// symbols, refusing any other size before allocating. The table comes from
-// the scratch pool, and the caller returns it even with an error.
-func decodeLengths(b []byte, n uint64) ([]uint8, int, error) {
-	declared, pos := binary.Uvarint(b)
-	if pos <= 0 || declared != n {
-		return nil, 0, ErrCorrupt
-	}
-	lengths := core.GetScratch[uint8](int(n))[:0]
-	for uint64(len(lengths)) < n {
-		if pos >= len(b) {
-			return lengths, 0, ErrCorrupt
-		}
-		l := b[pos]
-		pos++
-		run, sz := binary.Uvarint(b[pos:])
-		if sz <= 0 || run > maxAlphabet || uint64(len(lengths))+run > n {
-			return lengths, 0, ErrCorrupt
-		}
-		pos += sz
-		start := len(lengths)
-		lengths = lengths[:start+int(run)]
-		for i := range lengths[start:] {
-			lengths[start+i] = l
-		}
-	}
-	return lengths, pos, nil
-}
-
 // lutBits is the width of the primary decode table: codes up to this long
-// decode with one lookup, longer ones with one peek of maxLen bits scanned
-// length by length against the canonical first codes (decodeTable.long).
+// decode with one lookup, longer ones by decodeTable.long. A run of longer
+// codes keeps an entry for each of its first splitRun codes: a length whose
+// runs all fit finds a symbol by index, not by search.
 const (
-	lutBits = 11
-	lutMask = 1<<lutBits - 1
+	lutBits  = 11
+	lutMask  = 1<<lutBits - 1
+	splitRun = 4
 )
 
-// decodeTable is a length-indexed canonical decoding structure with a
-// primary lookup table in front of it. A decoder keeps it on its stack and
-// releases it when done: symsByLen comes from the scratch pool.
+// decodeTable is a canonical decoding structure sized by the runs of the
+// length table, never by the alphabet. A decoder keeps it on its stack and
+// releases it when done: runs comes from the scratch pool.
 type decodeTable struct {
 	maxLen    uint8
 	firstCode [maxCodeLen + 2]uint64 // canonical first code per length (MSB-first value)
-	offset    [maxCodeLen + 2]uint64 // index into symsByLen of first symbol per length; offset[maxLen+1] is their number
-	symsByLen []uint32
-	// lut maps the next lutBits stream bits to sym<<4|len for every code of
-	// at most lutBits bits; 0 marks a longer (or unassigned) code. A symbol
-	// is below maxAlphabet, 1<<28, so the entry holds it.
-	lut [1 << lutBits]uint32
+	count     [maxCodeLen + 2]uint64 // codes per length
+	limit     [maxCodeLen + 1]uint64 // end of each length's codes, left-justified to maxLen bits
+	// runs[runAt[l]:runAt[l+1]] are the runs of length l > lutBits: index<<32
+	// | symbol of a run's first code, its index among the codes of length l.
+	runAt [maxCodeLen + 2]uint32
+	runs  []uint64
+	// lut maps the next lutBits stream bits to sym<<8|len for a code of at
+	// most lutBits bits, 0 for any other; len is the shift that drops it.
+	lut [1 << lutBits]uint64
 }
 
-func (t *decodeTable) release() { core.PutScratch(t.symsByLen) }
+func (t *decodeTable) release() { core.PutScratch(t.runs) }
 
-// build fills the zero table t from code lengths.
-func (t *decodeTable) build(lengths []uint8) error {
-	count, first, maxLen, err := firstCodes(lengths)
-	if err != nil {
-		return err
+// build fills the zero table t from the length table encodeLengths writes
+// for n symbols, in two passes over its runs. The first counts the codes of
+// each length, refusing a size other than n, a run past it, a length past
+// maxCodeLen or an over-subscribed code. That leaves at most 1<<lutBits codes
+// for the lookup table, which the second pass fills code by code.
+func (t *decodeTable) build(b []byte, n uint64) error {
+	declared, pos := binary.Uvarint(b)
+	if pos <= 0 || declared != n {
+		return ErrCorrupt
 	}
-	t.maxLen, t.firstCode = maxLen, first
-	total := uint64(0)
-	for l := uint8(1); l <= maxLen; l++ {
-		t.offset[l] = total
-		total += count[l]
-	}
-	t.offset[maxLen+1] = total
-	var next [maxCodeLen + 1]uint64
-	t.symsByLen = core.GetScratch[uint32](int(total))
-	for s, l := range lengths {
-		if l == 0 {
+	for p, sym := pos, uint64(0); sym < n; {
+		k, sz := binary.Uvarint(b[min(p+1, len(b)):])
+		if p >= len(b) || sz <= 0 || k > maxAlphabet || sym+k > n {
+			return ErrCorrupt
+		}
+		l := b[p]
+		if p, sym = p+1+sz, sym+k; k == 0 || l == 0 {
 			continue
 		}
-		t.symsByLen[t.offset[l]+next[l]] = uint32(s)
-		if l <= lutBits {
-			// The stream is LSB-first, so the reversed code is the low l
-			// bits of the index and every setting of the bits above it
-			// decodes to this symbol.
-			for j := reverseBits(t.firstCode[l]+next[l], uint(l)); j < uint64(len(t.lut)); j += 1 << l {
-				t.lut[j] = uint32(s)<<4 | uint32(l)
+		if l > maxCodeLen {
+			return fmt.Errorf("%w: code length %d exceeds %d", ErrCorrupt, l, maxCodeLen)
+		}
+		t.count[l], t.maxLen = t.count[l]+k, max(t.maxLen, l)
+		if l > lutBits {
+			t.runAt[l+1] += uint32(min(k, splitRun)) // to be summed over lengths
+		}
+	}
+	var err error
+	if t.firstCode, err = kraft(&t.count, t.maxLen); err != nil {
+		return err
+	}
+	for l := uint8(1); l <= t.maxLen; l++ {
+		t.limit[l] = (t.firstCode[l] + t.count[l]) << (t.maxLen - l)
+		t.runAt[l+1] += t.runAt[l]
+	}
+	t.runs = core.GetScratch[uint64](int(t.runAt[t.maxLen+1]))
+	at, next := t.runAt, [maxCodeLen + 1]uint64{}
+	for p, end := pos, uint64(0); end < n; {
+		l, sym := b[p], end
+		k, sz := binary.Uvarint(b[p+1:])
+		p, end = p+1+sz, end+k
+		switch {
+		case k == 0 || l == 0:
+		case l > lutBits:
+			for s := sym; s < min(end, sym+splitRun); s++ {
+				t.runs[at[l]], at[l] = (next[l]+s-sym)<<32|s, at[l]+1
+			}
+			next[l] += k
+		default:
+			for s := sym; s < end; s++ {
+				// The stream is LSB-first: the reversed code is the low l bits
+				// of the index, and any bits above it decode to this symbol.
+				for j := reverseBits(t.firstCode[l]+next[l], uint(l)); j < uint64(len(t.lut)); j += 1 << l {
+					t.lut[j] = s<<8 | uint64(l)
+				}
+				next[l]++
 			}
 		}
-		next[l]++
 	}
 	return nil
 }
 
 // parse fills the zero table t from a stream's header and returns the
 // declared symbol count, the alphabet and the body. An alphabet past bound
-// is corrupt, refused before the tables are allocated. The caller releases t
+// is corrupt, refused before the tables are built. The caller releases t
 // whatever parse returns.
 func parse(data []byte, t *decodeTable, bound uint32) (count uint64, alphabet uint32, body []byte, err error) {
 	hdrLen, sz := binary.Uvarint(data)
@@ -422,21 +436,11 @@ func parse(data []byte, t *decodeTable, bound uint32) (count uint64, alphabet ui
 	hdr := data[sz : sz+int(hdrLen)]
 	body = data[sz+int(hdrLen):]
 	alphabet64, o := binary.Uvarint(hdr)
-	if o <= 0 || alphabet64 > uint64(min(bound, maxAlphabet)) {
+	count, oc := binary.Uvarint(hdr[max(o, 0):])
+	if o <= 0 || oc <= 0 || alphabet64 > uint64(min(bound, maxAlphabet)) {
 		return 0, 0, nil, ErrCorrupt
 	}
-	hdr = hdr[o:]
-	count, o = binary.Uvarint(hdr)
-	if o <= 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	hdr = hdr[o:]
-	lengths, _, err := decodeLengths(hdr, alphabet64)
-	defer core.PutScratch(lengths)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if err := t.build(lengths); err != nil {
+	if err := t.build(hdr[o+oc:], alphabet64); err != nil {
 		return 0, 0, nil, err
 	}
 	// Every symbol costs at least one bit, so the count cannot exceed the
@@ -466,48 +470,91 @@ func AppendDecode(dst []uint32, data []byte, bound uint32) ([]uint32, uint32, er
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, int(count))[:start+int(count)]
-	out := dst[start:]
-	r := bitstream.NewReader(body)
-	// The reader returns zero bits past the end, so a truncated body would
-	// decode to plausible symbols: count what the codes consumed instead.
-	used := uint64(0)
-	for i := range out {
-		if e := t.lut[r.Peek(lutBits)&lutMask]; e != 0 {
-			l := uint(e & 0xf)
-			r.Skip(l)
-			used += uint64(l)
-			out[i] = e >> 4
-			continue
-		}
-		sym, l, err := t.long(r)
-		if err != nil {
-			return nil, 0, err
-		}
-		used += uint64(l)
-		out[i] = sym
-	}
-	if used > 8*uint64(len(body)) {
-		return nil, 0, fmt.Errorf("%w: body ends %d bits short", ErrCorrupt, used-8*uint64(len(body)))
+	if err := t.decode(dst[start:], body); err != nil {
+		return nil, 0, err
 	}
 	return dst, alphabet, nil
 }
 
-// long decodes one symbol whose code the lut does not hold, returning it
-// with its code length. One peek gives the next maxLen bits, reversed so the
-// first is the most significant; its top l bits are the candidate code of
-// length l, tried from lutBits+1 up against the canonical first codes, and
-// the length that fits is skipped. The bit-serial walk in huffman_test.go is
-// the reference it is tested against.
-func (t *decodeTable) long(r *bitstream.Reader) (uint32, uint8, error) {
-	v := reverseBits(r.Peek(uint(t.maxLen)), uint(t.maxLen))
-	for l := uint8(lutBits + 1); l <= t.maxLen; l++ {
-		if d := v>>(t.maxLen-l) - t.firstCode[l]; d < t.offset[l+1]-t.offset[l] {
-			if idx := t.offset[l] + d; idx < uint64(len(t.symsByLen)) {
-				r.Skip(uint(l))
-				return t.symsByLen[idx], l, nil
-			}
-			break
+// decode fills out from body. The bit position lives in a local: each step
+// loads the 8 bytes at used>>3, whose top 57 bits past used&7 hold up to
+// four codes of the lookup table (4 × lutBits = 44 bits) or one long code (at
+// most maxCodeLen = 57). The last bytes load through a zero-padded copy.
+func (t *decodeTable) decode(out []uint32, body []byte) error {
+	lut, used := &t.lut, uint64(0)
+	for i := 0; i < len(out); {
+		var w uint64
+		if p := used >> 3; p+8 <= uint64(len(body)) {
+			w = binary.LittleEndian.Uint64(body[p:])
+		} else {
+			var pad [8]byte
+			copy(pad[:], body[min(p, uint64(len(body))):])
+			w = binary.LittleEndian.Uint64(pad[:])
 		}
+		w >>= used & 7
+		e := lut[w&lutMask]
+		if e == 0 {
+			if e = t.long(w); e == 0 {
+				return ErrCorrupt
+			}
+			out[i], used, i = uint32(e>>8), used+e&0xff, i+1
+			continue
+		}
+		// An entry's low byte is its length, the shift that drops its code
+		// from w; a code the table does not hold ends the load.
+		if i+4 > len(out) {
+			out[i], used, i = uint32(e>>8), used+e&0xff, i+1
+			continue
+		}
+		o := out[i : i+4 : i+4]
+		used, w, o[0] = used+e&0xff, w>>(e&63), uint32(e>>8)
+		if e = lut[w&lutMask]; e == 0 {
+			i++
+			continue
+		}
+		used, w, o[1] = used+e&0xff, w>>(e&63), uint32(e>>8)
+		if e = lut[w&lutMask]; e == 0 {
+			i += 2
+			continue
+		}
+		used, w, o[2] = used+e&0xff, w>>(e&63), uint32(e>>8)
+		if e = lut[w&lutMask]; e == 0 {
+			i += 3
+			continue
+		}
+		used, i, o[3] = used+e&0xff, i+4, uint32(e>>8)
 	}
-	return 0, 0, ErrCorrupt
+	// Bits past the end read as zero: a truncated body shows in the count.
+	if used > 8*uint64(len(body)) {
+		return fmt.Errorf("%w: body ends %d bits short", ErrCorrupt, used-8*uint64(len(body)))
+	}
+	return nil
+}
+
+// long decodes the code the lut does not hold atop w, the next stream bits,
+// into an entry as the lut's, or 0 if no code fits. Canonical codes sort by
+// value left-justified, so the length of the code atop v, w's low maxLen bits
+// reversed, is the least l past lutBits whose codes end past v: counted
+// without a branch. Its symbol is found among the runs of that length.
+func (t *decodeTable) long(w uint64) uint64 {
+	if t.maxLen <= lutBits {
+		return 0
+	}
+	v := reverseBits(w, uint(t.maxLen))
+	l := uint8(lutBits + 1)
+	for _, lim := range t.limit[lutBits+1 : t.maxLen] {
+		l += uint8((lim - 1 - v) >> 63) // v >= lim: v's code is longer
+	}
+	d := v>>(t.maxLen-l) - t.firstCode[l]
+	if d >= t.count[l] {
+		return 0
+	}
+	// The last run whose first index is at most d holds it: run d, when
+	// every run is one code.
+	runs, j := t.runs[t.runAt[l]:t.runAt[l+1]], int(d)+1
+	if uint64(len(runs)) != t.count[l] {
+		j, _ = slices.BinarySearch(runs, (d+1)<<32)
+	}
+	r := runs[j-1]
+	return (uint64(uint32(r))+d-r>>32)<<8 | uint64(l)
 }

@@ -169,11 +169,11 @@ func encodeWith(t *testing.T, lengths []uint8, syms []uint32) []byte {
 	return frame(lengths, len(syms), w.Bytes())
 }
 
-// walk decodes one symbol bit by bit against the canonical first-code
-// table, returning it with its code length. It was the decoder for codes
-// longer than lutBits before decodeTable.long; it stays as the reference
-// both the lookup table and long are tested against.
-func (t *decodeTable) walk(r *bitstream.Reader) (uint32, uint8, error) {
+// walk decodes one symbol bit by bit against the reference's canonical
+// first-code table, returning it with its code length. It was the decoder
+// for codes longer than lutBits before the lookup table's long path; it
+// stays as the reference both the lookup table and long are tested against.
+func (t *refTable) walk(r *bitstream.Reader) (uint32, uint8, error) {
 	code := uint64(0)
 	for l := uint8(1); l <= t.maxLen; l++ {
 		code = code<<1 | uint64(r.ReadBit())
@@ -195,9 +195,9 @@ func (t *decodeTable) walk(r *bitstream.Reader) (uint32, uint8, error) {
 // decodeSerial is the oracle for the table-driven Decode: every symbol goes
 // through the bit-serial canonical walk, nothing through the lookup table.
 func decodeSerial(data []byte) ([]uint32, error) {
-	var tbl decodeTable
+	var tbl refTable
 	defer tbl.release()
-	count, _, body, err := parse(data, &tbl, maxAlphabet)
+	count, _, body, err := parseRef(data, &tbl, maxAlphabet)
 	if err != nil {
 		return nil, err
 	}
@@ -234,9 +234,9 @@ func TestGoldenStream(t *testing.T) {
 	if err := binary.Read(bytes.NewReader(read("fib14_of_300.symbols")), binary.LittleEndian, want); err != nil {
 		t.Fatal(err)
 	}
-	var tbl decodeTable
+	var tbl refTable
 	defer tbl.release()
-	_, _, _, err := parse(stream, &tbl, maxAlphabet)
+	_, _, _, err := parseRef(stream, &tbl, maxAlphabet)
 	if err != nil || tbl.maxLen <= lutBits {
 		t.Fatalf("golden must hold a code longer than %d bits: maxLen %d, err %v", lutBits, tbl.maxLen, err)
 	}
@@ -327,9 +327,9 @@ func TestDecodeMatchesSerialWalk(t *testing.T) {
 	}
 }
 
-// A lut entry holds a symbol in its top 28 bits, which reach every symbol of
-// the largest alphabet: codes within lutBits of symbols past 1<<24 decode
-// from the table too, not from long, whose scan starts at lutBits+1.
+// A lut entry holds a symbol above its length byte, which reaches every
+// symbol of the largest alphabet: codes within lutBits of symbols past 1<<24
+// decode from the table too, not from long, which starts at lutBits+1.
 func TestDecodeSymbolsPastTheLookupTable(t *testing.T) {
 	// Canonical codes follow length and symbol order only, so the four used
 	// symbols' codes come from a table of them alone, not one of 2^24 slots.
@@ -348,6 +348,41 @@ func TestDecodeSymbolsPastTheLookupTable(t *testing.T) {
 		w.WriteBits(codes[i], uint(usedLens[i]))
 	}
 	checkDecodeMatchesWalk(t, frame(lengths, len(syms), w.Bytes()), syms)
+}
+
+// A table with far more long codes than runs keeps its runs, and a long
+// code's symbol is searched for among them: 29,994 equal weights beside one
+// that takes a 1-bit code give a few runs of 15- and 16-bit codes.
+func TestDecodeSearchesLongRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	freq := make([]uint64, 65536)
+	for s := 1; s < 30000; s++ {
+		if s%5000 != 0 {
+			freq[s] = 1
+		}
+	}
+	freq[0] = 1 << 20
+	lengths := buildLengths(freq)
+	syms := make([]uint32, 3000)
+	for i := range syms {
+		if syms[i] = uint32(rng.Intn(30000)); freq[syms[i]] == 0 {
+			syms[i] = 0
+		}
+	}
+	stream := encodeWith(t, lengths, syms)
+	var tbl decodeTable
+	defer tbl.release()
+	if _, _, _, err := parse(stream, &tbl, maxAlphabet); err != nil {
+		t.Fatal(err)
+	}
+	long := uint64(0)
+	for l := lutBits + 1; l <= maxCodeLen; l++ {
+		long += tbl.count[l]
+	}
+	if runs := uint64(len(tbl.runs)); runs == 0 || runs*100 > long {
+		t.Fatalf("%d entries for %d long codes, want a few runs searched", runs, long)
+	}
+	checkDecodeMatchesWalk(t, stream, syms)
 }
 
 // checkDecodeMatchesWalk requires Decode and the serial walk to agree on
@@ -474,6 +509,33 @@ func TestAlphabetPastBoundAllocatesNothing(t *testing.T) {
 		t.Errorf("err %v, want ErrCorrupt", err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a %d-byte stream allocated %d bytes", len(data), alloc)
+	}
+}
+
+// TestOneRunTableAllocatesLittle decodes a stream whose length table is one
+// run of 2^24 codes of 24 bits, one of them in the 3-byte body: the tables
+// are sized by the table's one run, not by its 2^24 symbols.
+func TestOneRunTableAllocatesLittle(t *testing.T) {
+	const sym = 0xabcdef // a complete 24-bit table codes symbol s as s
+	var hdr []byte
+	for _, v := range []uint64{1 << 24, 1, 1 << 24} { // alphabet, count, table size
+		hdr = binary.AppendUvarint(hdr, v)
+	}
+	hdr = binary.AppendUvarint(append(hdr, 24), 1<<24) // the run
+	data := append(binary.AppendUvarint(nil, uint64(len(hdr))), hdr...)
+	data = binary.LittleEndian.AppendUint32(data, uint32(reverseBits(sym, 24)))[:len(data)+3]
+	// Drop pooled scratch, which could hold a table this call would
+	// otherwise have to allocate.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, _, err := AppendDecode(nil, data, 1<<24)
+	runtime.ReadMemStats(&after)
+	if err != nil || !slices.Equal(got, []uint32{sym}) {
+		t.Fatalf("decoded %x, err %v; want [%x]", got, err, sym)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
 		t.Errorf("a %d-byte stream allocated %d bytes", len(data), alloc)
 	}
 }

@@ -22,6 +22,8 @@ func FuzzDecompressSlice(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(direct)
+	f.Add(oneRunStream(f))
+	f.Add(overSubscribedStream(f))
 	f.Add([]byte{})
 	f.Add([]byte("SZG1"))
 	f.Add(append(append([]byte{}, good[:8]...), 0xff, 0xff, 0xff))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"pressio/internal/core"
 	"pressio/internal/huffman"
 	"pressio/internal/lossless"
+	"pressio/internal/sdrbench"
 )
 
 // smooth3D generates a smooth field resembling scientific simulation data.
@@ -465,6 +467,38 @@ func BenchmarkDecompressHACC(b *testing.B) {
 	}
 }
 
+// serveLarge is the field of the repository benchmark's serve_large
+// workload, which pressiod compresses and decompresses with sz at abs 1e-3.
+func serveLarge() *core.Data { return sdrbench.ScaleLetKF(16, 128, 128, 20210101) }
+
+var serveLargeAbs = Params{Mode: core.BoundAbs, Bound: 1e-3}
+
+func BenchmarkCompressServeLarge(b *testing.B) {
+	d := serveLarge()
+	b.SetBytes(int64(d.ByteLen()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CompressSlice(d.Float32s(), d.Dims(), serveLargeAbs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecompressServeLarge(b *testing.B) {
+	d := serveLarge()
+	stream, err := CompressSlice(d.Float32s(), d.Dims(), serveLargeAbs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(d.ByteLen()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecompressSlice[float32](stream); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCompressParallel(b *testing.B) {
 	vals := smooth3D(64, 64, 64, 1)
 	dims := []uint64{64, 64, 64}
@@ -549,6 +583,78 @@ func TestHuffmanAlphabetPastRadius(t *testing.T) {
 	for _, alphabet := range []uint32{2*radius + 1, 1 << 24} {
 		if _, _, err := DecompressSlice[float32](stream(alphabet)); !errors.Is(err, core.ErrCorrupt) {
 			t.Errorf("alphabet %d past 2·radius = %d: err %v, want ErrCorrupt", alphabet, 2*radius, err)
+		}
+	}
+}
+
+// hugeTableStream returns a float32 SZG1 stream of one value at the largest
+// radius, 2^23, whose Huffman length table is runs, each a (code length,
+// symbols) pair. Its 3-byte body holds symbol radius+1 coded in 24 bits, as
+// a table of 2^24 codes of 24 bits codes it: the value 2·bound.
+func hugeTableStream(tb testing.TB, runs ...[2]uint64) []byte {
+	tb.Helper()
+	const radius = 1 << 23
+	var hdr []byte
+	for _, v := range []uint64{2 * radius, 1, 2 * radius} { // alphabet, count, table size
+		hdr = binary.AppendUvarint(hdr, v)
+	}
+	for _, r := range runs {
+		hdr = binary.AppendUvarint(append(hdr, byte(r[0])), r[1])
+	}
+	huff := append(binary.AppendUvarint(nil, uint64(len(hdr))), hdr...)
+	code := bits.Reverse32(radius+1) >> 8 // the body is LSB-first
+	huff = append(huff, byte(code), byte(code>>8), byte(code>>16))
+	body, err := lossless.Deflate(huff, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stream, err := core.AppendFloatShape[float32]([]byte(magic), []uint64{1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, v := range []uint64{math.Float64bits(1e-3), radius, 0, uint64(len(huff))} {
+		stream = binary.AppendUvarint(stream, v)
+	}
+	return append(stream, body...)
+}
+
+// oneRunStream is 47 bytes whose Huffman table is one run of 2^24 codes of
+// 24 bits; overSubscribedStream is 54 bytes whose table adds two 1-bit codes
+// at either end of that run, more codes than 24 bits can tell apart.
+func oneRunStream(tb testing.TB) []byte { return hugeTableStream(tb, [2]uint64{24, 1 << 24}) }
+
+func overSubscribedStream(tb testing.TB) []byte {
+	return hugeTableStream(tb, [2]uint64{1, 1}, [2]uint64{24, 1<<24 - 2}, [2]uint64{1, 1})
+}
+
+// TestHuffmanTableCostSetByStream decodes streams of about 50 bytes whose
+// Huffman tables declare 2^24 symbols: the decoder's tables follow the
+// table's runs, not the alphabet, so the one decodes to its value and the
+// other is refused as over-subscribed, each allocating little.
+func TestHuffmanTableCostSetByStream(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		stream []byte
+		ok     bool
+	}{
+		{"one run", oneRunStream(t), true},
+		{"over-subscribed", overSubscribedStream(t), false},
+	} {
+		// Drop pooled scratch, which could hold a table this call would
+		// otherwise have to allocate.
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		vals, _, err := DecompressSlice[float32](c.stream)
+		runtime.ReadMemStats(&after)
+		switch {
+		case c.ok && (err != nil || len(vals) != 1 || vals[0] != float32(2e-3)):
+			t.Errorf("%s: decoded %v, err %v; want [%v]", c.name, vals, err, float32(2e-3))
+		case !c.ok && !errors.Is(err, core.ErrCorrupt):
+			t.Errorf("%s: err %v, want ErrCorrupt", c.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Errorf("%s: a %d-byte stream allocated %d bytes", c.name, len(c.stream), alloc)
 		}
 	}
 }
