@@ -146,27 +146,27 @@ func firstCodes(lengths []uint8) (count, first [maxCodeLen + 2]uint64, maxLen ui
 		maxLen = max(maxLen, l)
 		count[l]++
 	}
-	if first, err = kraft(&count, maxLen); err != nil {
+	if err = kraft(&count, &first, maxLen); err != nil {
 		return count, first, 0, err
 	}
 	return count, first, maxLen, nil
 }
 
-// kraft returns the canonical first code of each length up to maxLen
+// kraft sets first to the canonical first code of each length up to maxLen
 // (MSB-first) given the count of codes of each, zeroing count[0]. It
 // refuses an over-subscribed table.
-func kraft(count *[maxCodeLen + 2]uint64, maxLen uint8) (first [maxCodeLen + 2]uint64, err error) {
+func kraft(count, first *[maxCodeLen + 2]uint64, maxLen uint8) error {
 	count[0] = 0
 	code, free := uint64(0), uint64(1) // free: unassigned code points at length l
 	for l := uint8(1); l <= maxLen; l++ {
 		code = (code + count[l-1]) << 1
 		first[l] = code
 		if free <<= 1; count[l] > free {
-			return first, fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
+			return fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
 		}
 		free -= count[l]
 	}
-	return first, nil
+	return nil
 }
 
 // reverseBits returns the low n bits of v in reverse order.
@@ -334,13 +334,10 @@ func encodeLengths(n, base uint32, lengths []uint8) []byte {
 }
 
 // lutBits is the width of the primary decode table: codes up to this long
-// decode with one lookup, longer ones by decodeTable.long. A run of longer
-// codes keeps an entry for each of its first splitRun codes: a length whose
-// runs all fit finds a symbol by index, not by search.
+// decode with one lookup, longer ones by decodeTable.long.
 const (
-	lutBits  = 11
-	lutMask  = 1<<lutBits - 1
-	splitRun = 4
+	lutBits = 11
+	lutMask = 1<<lutBits - 1
 )
 
 // decodeTable is a canonical decoding structure sized by the runs of the
@@ -351,8 +348,10 @@ type decodeTable struct {
 	firstCode [maxCodeLen + 2]uint64 // canonical first code per length (MSB-first value)
 	count     [maxCodeLen + 2]uint64 // codes per length
 	limit     [maxCodeLen + 1]uint64 // end of each length's codes, left-justified to maxLen bits
-	// runs[runAt[l]:runAt[l+1]] are the runs of length l > lutBits: index<<32
-	// | symbol of a run's first code, its index among the codes of length l.
+	// runs[runAt[l]:runAt[l+1]] are the entries of length l > lutBits: index<<32
+	// | symbol of a code, its index among the codes of length l. There is one
+	// entry per code when the long codes are no more than the lut's entries,
+	// and else one per run, for its first code.
 	runAt [maxCodeLen + 2]uint32
 	runs  []uint64
 	// lut maps the next lutBits stream bits to sym<<8|len for a code of at
@@ -366,35 +365,37 @@ func (t *decodeTable) release() { core.PutScratch(t.runs) }
 // for n symbols, in two passes over its runs. The first counts the codes of
 // each length, refusing a size other than n, a run past it, a length past
 // maxCodeLen or an over-subscribed code. That leaves at most 1<<lutBits codes
-// for the lookup table, which the second pass fills code by code.
+// for the lookup table, which the second pass fills code by code, and it
+// keeps at most 1<<lutBits entries for the long codes, or one per run.
 func (t *decodeTable) build(b []byte, n uint64) error {
 	declared, pos := binary.Uvarint(b)
 	if pos <= 0 || declared != n {
 		return ErrCorrupt
 	}
+	long := uint64(0) // codes longer than lutBits
 	for p, sym := pos, uint64(0); sym < n; {
 		k, sz := binary.Uvarint(b[min(p+1, len(b)):])
-		if p >= len(b) || sz <= 0 || k > maxAlphabet || sym+k > n {
+		if p >= len(b) || sz <= 0 || k > maxAlphabet || sym+k > n || (k > 0 && b[p] > maxCodeLen) {
 			return ErrCorrupt
 		}
 		l := b[p]
 		if p, sym = p+1+sz, sym+k; k == 0 || l == 0 {
 			continue
 		}
-		if l > maxCodeLen {
-			return fmt.Errorf("%w: code length %d exceeds %d", ErrCorrupt, l, maxCodeLen)
-		}
 		t.count[l], t.maxLen = t.count[l]+k, max(t.maxLen, l)
 		if l > lutBits {
-			t.runAt[l+1] += uint32(min(k, splitRun)) // to be summed over lengths
+			t.runAt[l+1], long = t.runAt[l+1]+1, long+k // to be summed over lengths
 		}
 	}
-	var err error
-	if t.firstCode, err = kraft(&t.count, t.maxLen); err != nil {
+	if err := kraft(&t.count, &t.firstCode, t.maxLen); err != nil {
 		return err
 	}
+	perCode := long <= 1<<lutBits
 	for l := uint8(1); l <= t.maxLen; l++ {
 		t.limit[l] = (t.firstCode[l] + t.count[l]) << (t.maxLen - l)
+		if perCode && l > lutBits {
+			t.runAt[l+1] = uint32(t.count[l])
+		}
 		t.runAt[l+1] += t.runAt[l]
 	}
 	t.runs = core.GetScratch[uint64](int(t.runAt[t.maxLen+1]))
@@ -406,7 +407,7 @@ func (t *decodeTable) build(b []byte, n uint64) error {
 		switch {
 		case k == 0 || l == 0:
 		case l > lutBits:
-			for s := sym; s < min(end, sym+splitRun); s++ {
+			for s := sym; s < end && (s == sym || perCode); s++ {
 				t.runs[at[l]], at[l] = (next[l]+s-sym)<<32|s, at[l]+1
 			}
 			next[l] += k
@@ -433,8 +434,7 @@ func parse(data []byte, t *decodeTable, bound uint32) (count uint64, alphabet ui
 	if sz <= 0 || uint64(sz)+hdrLen > uint64(len(data)) {
 		return 0, 0, nil, ErrCorrupt
 	}
-	hdr := data[sz : sz+int(hdrLen)]
-	body = data[sz+int(hdrLen):]
+	hdr, body := data[sz:sz+int(hdrLen)], data[sz+int(hdrLen):]
 	alphabet64, o := binary.Uvarint(hdr)
 	count, oc := binary.Uvarint(hdr[max(o, 0):])
 	if o <= 0 || oc <= 0 || alphabet64 > uint64(min(bound, maxAlphabet)) {
@@ -492,17 +492,16 @@ func (t *decodeTable) decode(out []uint32, body []byte) error {
 			w = binary.LittleEndian.Uint64(pad[:])
 		}
 		w >>= used & 7
-		e := lut[w&lutMask]
-		if e == 0 {
-			if e = t.long(w); e == 0 {
-				return ErrCorrupt
-			}
-			out[i], used, i = uint32(e>>8), used+e&0xff, i+1
-			continue
-		}
 		// An entry's low byte is its length, the shift that drops its code
-		// from w; a code the table does not hold ends the load.
-		if i+4 > len(out) {
+		// from w. A long code, or one of the last three, takes a load alone;
+		// a code the table does not hold ends the load.
+		e := lut[w&lutMask]
+		if e == 0 || i+4 > len(out) {
+			if e == 0 {
+				if e = t.long(w); e == 0 {
+					return ErrCorrupt
+				}
+			}
 			out[i], used, i = uint32(e>>8), used+e&0xff, i+1
 			continue
 		}
@@ -535,7 +534,8 @@ func (t *decodeTable) decode(out []uint32, body []byte) error {
 // into an entry as the lut's, or 0 if no code fits. Canonical codes sort by
 // value left-justified, so the length of the code atop v, w's low maxLen bits
 // reversed, is the least l past lutBits whose codes end past v: counted
-// without a branch. Its symbol is found among the runs of that length.
+// without a branch. Its symbol is entry d of that length when each code has
+// one, and else is searched for among the runs.
 func (t *decodeTable) long(w uint64) uint64 {
 	if t.maxLen <= lutBits {
 		return 0
@@ -549,8 +549,8 @@ func (t *decodeTable) long(w uint64) uint64 {
 	if d >= t.count[l] {
 		return 0
 	}
-	// The last run whose first index is at most d holds it: run d, when
-	// every run is one code.
+	// The last entry whose index is at most d holds it; the first has index
+	// 0, so there is one.
 	runs, j := t.runs[t.runAt[l]:t.runAt[l+1]], int(d)+1
 	if uint64(len(runs)) != t.count[l] {
 		j, _ = slices.BinarySearch(runs, (d+1)<<32)

@@ -385,6 +385,29 @@ func TestDecodeSearchesLongRuns(t *testing.T) {
 	checkDecodeMatchesWalk(t, stream, syms)
 }
 
+// A table with no more long codes than the lut has entries keeps one entry
+// per long code, found by index: 2,048 equal weights beside one that takes a
+// 1-bit code give one run of 2,048 12-bit codes, the most that fit.
+func TestDecodeIndexesFewLongCodes(t *testing.T) {
+	freq := make([]uint64, 65536)
+	for s := 1; s <= 1<<lutBits; s++ {
+		freq[s] = 1
+	}
+	freq[0] = 1 << 20
+	lengths := buildLengths(freq)
+	syms := []uint32{0, 1, 2048, 1024, 0, 1023, 2, 2047}
+	stream := encodeWith(t, lengths, syms)
+	var tbl decodeTable
+	defer tbl.release()
+	if _, _, _, err := parse(stream, &tbl, maxAlphabet); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.count[lutBits+1] != 1<<lutBits || len(tbl.runs) != 1<<lutBits {
+		t.Fatalf("%d entries for %d codes of %d bits, want one each", len(tbl.runs), tbl.count[lutBits+1], lutBits+1)
+	}
+	checkDecodeMatchesWalk(t, stream, syms)
+}
+
 // checkDecodeMatchesWalk requires Decode and the serial walk to agree on
 // stream, which codes syms, and on every cut of its last 9 bytes: the whole
 // stream decodes to syms and every cut one is refused.

@@ -97,7 +97,7 @@ go test -fuzz 'FuzzCompressMatchesOracle' -fuzztime 5s ./internal/mgard/
 go test -fuzz 'FuzzDecompressSlice' -fuzztime 5s ./internal/tthresh/
 go test -fuzz '^FuzzDecompress$' -fuzztime 5s ./internal/meta/
 go test -fuzz '^FuzzDecode$' -fuzztime 5s ./internal/huffman/
-go test -fuzz 'FuzzDecodeMatchesReference' -fuzztime 5s ./internal/huffman/
+go test -fuzz 'FuzzDecodeMatchesReference' -fuzztime 5s -fuzzminimizetime 1s ./internal/huffman/
 go test -fuzz 'FuzzDecodeFrame' -fuzztime 5s ./internal/resilience/
 go test -fuzz 'FuzzDecodeRecord' -fuzztime 5s ./internal/store/
 go test -fuzz 'FuzzLoadManifest' -fuzztime 5s ./internal/store/
